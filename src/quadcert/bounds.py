@@ -18,8 +18,8 @@ from typing import Dict, Optional
 
 from .classes import ClassKind, HKind, HModulus, TestFunction, h_eval, h_integral_01
 from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
-from .moments import (CaseBranch, RuleParams, Side, branch_select,
-                      epsilon_coeffs, gamma_coeffs, mu_eta_star,
+from .moments import (CaseBranch, RuleParams, Side, active_epsilons,
+                      active_gamma_upsilon, branch_select, gamma_coeffs,
                       upsilon_coeffs, weighted_moment)
 
 
@@ -52,30 +52,6 @@ def _pow(x: float, e: float) -> float:
     return x ** e
 
 
-def _branch_gamma_upsilon(rp: RuleParams):
-    branch = branch_select(rp)
-    g1, g2 = gamma_coeffs(rp)
-    v1, v2 = upsilon_coeffs(rp)
-    if branch is CaseBranch.MID_ORDER:
-        gc, uc = g2, v2
-    elif branch is CaseBranch.RIGHT_OF_UPPER:
-        gc, uc = g2, v1
-    else:
-        gc, uc = g1, v2
-    # the active-branch coefficients are nonnegative; clamp roundoff
-    return branch, max(gc, 0.0), max(uc, 0.0)
-
-
-def _branch_epsilons(rp: RuleParams):
-    branch = branch_select(rp)
-    e1, e2, e3, e4 = epsilon_coeffs(rp)
-    if branch is CaseBranch.MID_ORDER:
-        return branch, e1, e3
-    if branch is CaseBranch.RIGHT_OF_UPPER:
-        return branch, e1, e4
-    return branch, e2, e3
-
-
 def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
                    d_a: float, d_b: float) -> BoundResult:
     """Power-mean route RHS from the endpoint derivative magnitudes."""
@@ -86,10 +62,10 @@ def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
     mo_rr = weighted_moment(h, rp, Side.RIGHT, reflected=True)
     big_a = d_b ** q * mo_l + d_a ** q * mo_lr
     big_b = d_b ** q * mo_r + d_a ** q * mo_rr
-    branch, gc, uc = _branch_gamma_upsilon(rp)
+    gc, uc = active_gamma_upsilon(rp)
     value = width * (_pow(gc, 1.0 - 1.0 / q) * big_a ** (1.0 / q)
                      + _pow(uc, 1.0 - 1.0 / q) * big_b ** (1.0 / q))
-    return BoundResult(value, branch, {
+    return BoundResult(value, branch_select(rp), {
         "A": big_a, "B": big_b, "gamma": gc, "upsilon": uc})
 
 
@@ -106,26 +82,8 @@ def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
 
 def rhs_sconvex_powermean(rp: RuleParams, s: float, width: float,
                           d_a: float, d_b: float) -> BoundResult:
-    """Power-mean RHS assembled from the t^s closed-form moment family."""
-    q = rp.q
-    me = mu_eta_star(rp, s)
-    branch = branch_select(rp)
-    g1, g2 = gamma_coeffs(rp)
-    v1, v2 = upsilon_coeffs(rp)
-    if branch is CaseBranch.MID_ORDER:
-        gc, mu_b, mu_a, uc, eta_b, eta_a = g2, me.mu1, me.mu2, v2, me.eta3, me.eta4
-    elif branch is CaseBranch.RIGHT_OF_UPPER:
-        gc, mu_b, mu_a, uc, eta_b, eta_a = g2, me.mu1, me.mu2, v1, me.eta1, me.eta2
-    else:
-        gc, mu_b, mu_a, uc, eta_b, eta_a = g1, me.mu3, me.mu4, v2, me.eta3, me.eta4
-    # the active-branch coefficients are nonnegative; clamp roundoff
-    gc, uc = max(gc, 0.0), max(uc, 0.0)
-    big_a = max(mu_b * d_b ** q + mu_a * d_a ** q, 0.0)
-    big_b = max(eta_b * d_b ** q + eta_a * d_a ** q, 0.0)
-    value = width * (_pow(gc, 1.0 - 1.0 / q) * big_a ** (1.0 / q)
-                     + _pow(uc, 1.0 - 1.0 / q) * big_b ** (1.0 / q))
-    return BoundResult(value, branch, {
-        "A": big_a, "B": big_b, "gamma": gc, "upsilon": uc})
+    """Power-mean RHS for the t^s modulus, s in (0, 1]."""
+    return rhs_power_mean(HModulus.power(s), rp, width, d_a, d_b)
 
 
 def bound_sconvex_powermean(tf: TestFunction, rp: RuleParams,
@@ -149,11 +107,11 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
     alpha = rp.alpha
     big_c = (1.0 - alpha) * (d_node ** q + d_a ** q)
     big_d = alpha * (d_node ** q + d_b ** q)
-    branch, eps_c, eps_d = _branch_epsilons(rp)
+    eps_c, eps_d = active_epsilons(rp)
     pref = width * (1.0 / (p + 1.0)) ** (1.0 / p) * h_int ** (1.0 / q)
     value = pref * (eps_c ** (1.0 / p) * big_c ** (1.0 / q)
                     + eps_d ** (1.0 / p) * big_d ** (1.0 / q))
-    return BoundResult(value, branch, {
+    return BoundResult(value, branch_select(rp), {
         "C": big_c, "D": big_d, "eps_C": eps_c, "eps_D": eps_d,
         "h_integral": h_int})
 
@@ -181,12 +139,12 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
     alpha = rp.alpha
     big_e = (1.0 - alpha) * d_mid_left ** q
     big_f = alpha * d_mid_right ** q
-    branch, eps_e, eps_f = _branch_epsilons(rp)
+    eps_e, eps_f = active_epsilons(rp)
     pref = width * (1.0 / (2.0 * h_half)) ** (1.0 / q) \
         * (1.0 / (p + 1.0)) ** (1.0 / p)
     value = pref * (eps_e ** (1.0 / p) * big_e ** (1.0 / q)
                     + eps_f ** (1.0 / p) * big_f ** (1.0 / q))
-    return BoundResult(value, branch, {
+    return BoundResult(value, branch_select(rp), {
         "E": big_e, "F": big_f, "eps_E": eps_e, "eps_F": eps_f,
         "h_half": h_half})
 

@@ -128,9 +128,11 @@ def _build_tf(args, q: float, s: Optional[float]) -> TestFunction:
         raise ConfigError(str(exc))
 
 
-def _rule_params(args, alpha: float, lam: float, q: float) -> RuleParams:
+def _rule_params(args, alpha: float, lam: float, q: float,
+                 conjugate: bool) -> RuleParams:
+    """Rule parameters with --p, or with the conjugate of q if wanted."""
     p = getattr(args, "p", None)
-    if p is None and q > 1.0 and args.bound in ("holder", "holder-concave"):
+    if p is None and q > 1.0 and conjugate:
         return RuleParams.with_conjugate(alpha, lam, q)
     return RuleParams(alpha, lam, q, p)
 
@@ -165,10 +167,13 @@ def _iter_rows(args):
                            status="rejected", sound=False)
                 yield row
                 continue
-            rp = _rule_params(args, alpha, lam, q)
+            rp = _rule_params(args, alpha, lam, q,
+                              args.bound in ("holder", "holder-concave"))
             lhs = abs(oracle.rule_value(tf, alpha, lam) - mean)
             res = _evaluate_bound(tf, rp, args)
-            sound = lhs <= res.value + _SOUND_SLACK * (1.0 + res.value)
+            # exp: specs evaluate through numpy; a numpy.bool_ would print
+            # as 1 in CSV and cannot be encoded as JSON
+            sound = bool(lhs <= res.value + _SOUND_SLACK * (1.0 + res.value))
             row.update(branch=res.branch.value, lhs=lhs, rhs=res.value,
                        status="ok", sound=sound)
             yield row
@@ -248,11 +253,7 @@ def cmd_compare(args) -> int:
     for q, s in itertools.product(qs, _s_values(args)):
         tf = _build_tf(args, q, s)
         for alpha, lam in itertools.product(alphas, lams):
-            p = getattr(args, "p", None)
-            if p is None and q > 1.0:
-                rp = RuleParams.with_conjugate(alpha, lam, q)
-            else:
-                rp = RuleParams(alpha, lam, q, p)
+            rp = _rule_params(args, alpha, lam, q, conjugate=True)
             row = {"alpha": alpha, "lambda": lam, "q": q, "s": s, "p": rp.p}
             best_name, best_val = None, None
             for name in kind_names:
@@ -303,6 +304,8 @@ def _identity_corpus(seed: int, n_cases: int):
 
 
 def cmd_identity(args) -> int:
+    if args.cases < 1:
+        raise ConfigError("--cases must be at least 1")
     worst = 0.0
     for tf, rp in _identity_corpus(args.seed, args.cases):
         worst = max(worst, oracle.lemma_identity_residual(tf, rp))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import _pow, rhs_sconvex_powermean
 from .errors import DomainError
-from .moments import CaseBranch, RuleParams, branch_select, epsilon_coeffs
+from .moments import RuleParams, active_epsilons
 
 _PROP_SLACK = 1e-9
 
@@ -106,14 +106,7 @@ def proposition2_check(a: float, b: float, alpha: float, lam: float,
     rp = RuleParams(alpha, lam, q, p)
     theta1 = weighted_arith_mean(a, b, alpha) ** (s * q) + a ** (s * q)
     theta2 = weighted_arith_mean(a, b, alpha) ** (s * q) + b ** (s * q)
-    e1, e2, e3, e4 = epsilon_coeffs(rp)
-    branch = branch_select(rp)
-    if branch is CaseBranch.MID_ORDER:
-        eps_c, eps_d = e1, e3
-    elif branch is CaseBranch.RIGHT_OF_UPPER:
-        eps_c, eps_d = e1, e4
-    else:
-        eps_c, eps_d = e2, e3
+    eps_c, eps_d = active_epsilons(rp)
     pref = (b - a) * (1.0 / (p + 1.0)) ** (1.0 / p) \
         * _pow(s + 1.0, 1.0 - 1.0 / q)
     rhs = pref * ((1.0 - alpha) ** (1.0 / q) * eps_c ** (1.0 / p)

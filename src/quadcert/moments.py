@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from .classes import HKind, HModulus, h_eval
 from .errors import ConjugateMissing, DomainError, NotIntegrable
@@ -44,8 +44,6 @@ class RuleParams:
                 raise DomainError("conjugate p must exceed 1")
             if abs(1.0 / self.p + 1.0 / self.q - 1.0) > _CONJ_TOL:
                 raise DomainError("p and q are not conjugate")
-        # algebraic identity: alpha*lam + lam*(1-alpha) = lam <= 1
-        assert self.alpha * self.lam <= 1.0 - self.lam * (1.0 - self.alpha) + 1e-15
 
     @classmethod
     def with_conjugate(cls, alpha: float, lam: float, q: float) -> "RuleParams":
@@ -67,20 +65,28 @@ class CaseBranch(Enum):
     LEFT_OF_LOWER = "left_of_lower"    # 1-alpha <= alpha*lam <= 1-lam*(1-alpha)
 
 
-def branch_select(rp: RuleParams) -> CaseBranch:
-    """Classify 1-alpha against the two kink positions.
+def kinks_inside(rp: RuleParams) -> Tuple[bool, bool]:
+    """Per-side branch rule: (left, right) kink inside its own subinterval.
 
-    Ties go to MID_ORDER first, then RIGHT_OF_UPPER; at a tie the adjacent
-    branch formulas agree, so the choice only needs to be deterministic.
+    left is alpha*lam <= 1-alpha (the left kink lies in [0, 1-alpha]);
+    right is 1-alpha <= 1-lam*(1-alpha) (the right kink lies in
+    [1-alpha, 1]).  Each side's moments depend only on its own comparison.
+    A tie counts as inside; at a tie the two formulas of that side agree.
     """
     u = 1.0 - rp.alpha
-    lo = rp.alpha * rp.lam
-    hi = 1.0 - rp.lam * (1.0 - rp.alpha)
-    if lo <= u <= hi:
+    return rp.alpha * rp.lam <= u, u <= 1.0 - rp.lam * u
+
+
+def branch_select(rp: RuleParams) -> CaseBranch:
+    """Name the pair of per-side comparisons of :func:`kinks_inside`.
+
+    Both kinks inside is MID_ORDER; only the right kink inside is
+    LEFT_OF_LOWER; otherwise RIGHT_OF_UPPER.
+    """
+    left, right = kinks_inside(rp)
+    if left and right:
         return CaseBranch.MID_ORDER
-    if hi <= u:
-        return CaseBranch.RIGHT_OF_UPPER
-    return CaseBranch.LEFT_OF_LOWER
+    return CaseBranch.LEFT_OF_LOWER if right else CaseBranch.RIGHT_OF_UPPER
 
 
 def gamma_coeffs(rp: RuleParams):
@@ -123,6 +129,23 @@ def epsilon_coeffs(rp: RuleParams):
     e3 = lu ** (p + 1.0) + abs(alpha - lu) ** (p + 1.0)
     e4 = lu ** (p + 1.0) - abs(lu - alpha) ** (p + 1.0)
     return e1, e2, e3, e4
+
+
+def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
+    """(gamma, upsilon): the plain left and right moments int |t - kink| dt."""
+    left, right = kinks_inside(rp)
+    g1, g2 = gamma_coeffs(rp)
+    v1, v2 = upsilon_coeffs(rp)
+    return (_clamp_moment(g2 if left else g1),
+            _clamp_moment(v2 if right else v1))
+
+
+def active_epsilons(rp: RuleParams) -> Tuple[float, float]:
+    """(eps_left, eps_right): the active p-power moment numerators."""
+    left, right = kinks_inside(rp)
+    e1, e2, e3, e4 = epsilon_coeffs(rp)
+    return (_clamp_moment(e1 if left else e2),
+            _clamp_moment(e3 if right else e4))
 
 
 class MuEtaStar(NamedTuple):
@@ -184,46 +207,36 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
     split at the interior kink otherwise.  Raises NotIntegrable when a
     reciprocal modulus makes the moment diverge.
     """
-    alpha, lam = rp.alpha, rp.lam
-    u = 1.0 - alpha
-    if side is Side.LEFT and u == 0.0:
-        return 0.0
-    if side is Side.RIGHT and u == 1.0:
+    if _side_empty(rp, side):
         return 0.0
 
     if h.kind in (HKind.IDENTITY, HKind.POWER):
-        s = 1.0 if h.kind is HKind.IDENTITY else h.s_param
-        me = _mu_eta(rp, s)
-        w = alpha * lam
-        hi = 1.0 - lam * u
+        me = _mu_eta(rp, 1.0 if h.kind is HKind.IDENTITY else h.s_param)
+        left, right = kinks_inside(rp)
+        # each pair is (kink inside the side, kink outside it)
         if side is Side.LEFT:
-            if not reflected:
-                val = me.mu1 if w <= u else me.mu3
-            else:
-                val = me.mu2 if w <= u else me.mu4
-        else:
-            if not reflected:
-                val = me.eta3 if u <= hi else me.eta1
-            else:
-                val = me.eta4 if u <= hi else me.eta2
-        return _clamp_moment(val)
+            pair = (me.mu2, me.mu4) if reflected else (me.mu1, me.mu3)
+            return _clamp_moment(pair[0] if left else pair[1])
+        pair = (me.eta4, me.eta2) if reflected else (me.eta3, me.eta1)
+        return _clamp_moment(pair[0] if right else pair[1])
 
     if h.kind is HKind.CONSTANT:
-        w = alpha * lam
-        hi = 1.0 - lam * u
-        if side is Side.LEFT:
-            g1, g2 = gamma_coeffs(rp)
-            return _clamp_moment(g2 if w <= u else g1)
-        v1, v2 = upsilon_coeffs(rp)
-        return _clamp_moment(v2 if u <= hi else v1)
+        gamma, upsilon = active_gamma_upsilon(rp)
+        return gamma if side is Side.LEFT else upsilon
 
     if h.kind is HKind.RECIPROCAL:
         _check_reciprocal_divergence(rp, side, reflected)
     return _numeric_moment(h, rp, side, reflected)
 
 
+def _side_empty(rp: RuleParams, side: Side) -> bool:
+    # [0, 1-alpha] or [1-alpha, 1] has zero length once 1-alpha is rounded
+    return 1.0 - rp.alpha == (0.0 if side is Side.LEFT else 1.0)
+
+
 def _clamp_moment(val: float) -> float:
-    # Active-branch moments are >= 0; absorb cancellation-level negatives.
+    # The one clamp policy for every active moment and coefficient: they are
+    # >= 0, so absorb cancellation-level negatives and refuse larger ones.
     if val < 0.0:
         if val < -1e-13:
             raise AssertionError(f"active moment branch came out negative: {val!r}")
@@ -278,15 +291,7 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
 def abs_moment_p(rp: RuleParams, side: Side) -> float:
     """int |t - kink|^p dt over one side; closed piecewise form."""
     p = rp.require_p()
-    e1, e2, e3, e4 = epsilon_coeffs(rp)
-    alpha, lam = rp.alpha, rp.lam
-    u = 1.0 - alpha
-    if side is Side.LEFT:
-        if u == 0.0:
-            return 0.0
-        w = alpha * lam
-        return (e1 if w <= u else e2) / (p + 1.0)
-    if u == 1.0:
+    if _side_empty(rp, side):
         return 0.0
-    hi = 1.0 - lam * u
-    return (e3 if u <= hi else e4) / (p + 1.0)
+    eps_left, eps_right = active_epsilons(rp)
+    return (eps_left if side is Side.LEFT else eps_right) / (p + 1.0)

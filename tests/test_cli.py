@@ -62,6 +62,19 @@ class TestVerify:
         assert code == 0 and out == ""
         assert target.read_text().startswith("alpha,lambda,q,s,branch")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exp_sound_flag_is_boolean(self, capsys, fmt):
+        # exp: specs evaluate through numpy, so the comparison behind the
+        # flag yields a numpy.bool_ unless it is cast
+        code, out, _ = run_cli(capsys, [
+            "verify", "--function", "exp:1", "--interval", "0", "1",
+            "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)[0]["sound"] is True
+        else:
+            assert list(csv.DictReader(io.StringIO(out)))[0]["sound"] == "true"
+
     def test_s_grid(self, capsys):
         code, out, _ = run_cli(capsys, [
             "verify", "--function", "pow:1,1.5", "--interval", "0", "1",
@@ -163,9 +176,11 @@ class TestConfigErrors:
         # mismatched derivative claim is impossible through the parser, but
         # a reciprocal modulus makes the power-mean moments diverge
         ["verify", "--function", "poly:0,0,1", "--h", "1/t"],
+        ["identity", "--cases", "0"],
     ]
 
-    @pytest.mark.parametrize("argv", CASES, ids=[str(i) for i in range(6)])
+    @pytest.mark.parametrize("argv", CASES,
+                             ids=[str(i) for i in range(len(CASES))])
     def test_exit_two(self, capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 2

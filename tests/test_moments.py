@@ -6,6 +6,8 @@ the weight kink), and internal consistency between the specialized and the
 general evaluation paths.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from quadcert import (
     epsilon_coeffs, gamma_coeffs, integrate_adaptive, mu_eta_star,
     upsilon_coeffs, weighted_moment,
 )
+from quadcert.bounds import (rhs_holder_hconcave, rhs_holder_hconvex,
+                             rhs_power_mean)
 from quadcert.errors import ConjugateMissing, DomainError, NotIntegrable
 
 param_floats = st.floats(0.0, 1.0)
@@ -79,6 +83,18 @@ class TestRuleParams:
             RuleParams(0.5, 0.5, 2.0).require_p()
 
 
+def _three_way_ladder(alpha, lam):
+    """Reference: the ordering of 1-alpha against both kinks, case by case."""
+    u = 1.0 - alpha
+    lo = alpha * lam
+    hi = 1.0 - lam * (1.0 - alpha)
+    if lo <= u <= hi:
+        return CaseBranch.MID_ORDER
+    if hi <= u:
+        return CaseBranch.RIGHT_OF_UPPER
+    return CaseBranch.LEFT_OF_LOWER
+
+
 class TestBranchSelect:
     def test_simpson_point(self):
         assert branch_select(RuleParams(0.5, 1.0 / 3.0, 1.0)) \
@@ -101,6 +117,35 @@ class TestBranchSelect:
     @given(alpha=param_floats, lam=param_floats)
     def test_exactly_one_branch(self, alpha, lam):
         branch_select(RuleParams(alpha, lam, 1.0))  # never raises
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("alpha", [
+        0.0, 0.5, 1.0, math.nextafter(0.5, -1.0), math.nextafter(0.5, 1.0)])
+    def test_edges_and_ties_match_three_way_ladder(self, alpha, lam):
+        rp = RuleParams.with_conjugate(alpha, lam, 2.0)
+        want = _three_way_ladder(alpha, lam)
+        assert branch_select(rp) is want
+        h = HModulus.identity()
+        routes = [rhs_power_mean(h, rp, 1.0, 0.7, 2.1),
+                  rhs_holder_hconvex(h, rp, 1.0, 1.3, 0.7, 2.1),
+                  rhs_holder_hconcave(h, rp, 1.0, 0.9, 1.6)]
+        assert [r.branch for r in routes] == [want] * 3
+        # the ladder's branch names the active coefficient of each side
+        g1, g2 = gamma_coeffs(rp)
+        v1, v2 = upsilon_coeffs(rp)
+        e1, e2, e3, e4 = epsilon_coeffs(rp)
+        gamma, upsilon, eps_l, eps_r = {
+            CaseBranch.MID_ORDER: (g2, v2, e1, e3),
+            CaseBranch.RIGHT_OF_UPPER: (g2, v1, e1, e4),
+            CaseBranch.LEFT_OF_LOWER: (g1, v2, e2, e3)}[want]
+        comps = routes[0].components
+        assert (comps["gamma"], comps["upsilon"]) == \
+            (max(gamma, 0.0), max(upsilon, 0.0))
+        u = 1.0 - alpha
+        assert abs_moment_p(rp, Side.LEFT) == \
+            (0.0 if u == 0.0 else eps_l / (rp.p + 1.0))
+        assert abs_moment_p(rp, Side.RIGHT) == \
+            (0.0 if u == 1.0 else eps_r / (rp.p + 1.0))
 
 
 class TestGammaUpsilon:
