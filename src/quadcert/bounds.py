@@ -1,8 +1,9 @@
 """Right-hand sides of every certified error bound.
 
 Three general bounds (power-mean and Hoelder routes for h-convex weights,
-Hoelder route for h-concave weights), the power-modulus specialization, and
-the previously published fixed-parameter bounds used for comparison.
+Hoelder route for h-concave weights) and the previously published
+fixed-parameter bounds used for comparison.  Each general bound covers every
+modulus; the s-convex forms are the t^s modulus of the same evaluators.
 
 Low-level ``rhs_*`` evaluators take the interval width and the needed
 |f'| magnitudes directly so parameter grids can be swept without building
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
 
-from .classes import ClassKind, HKind, HModulus, TestFunction, h_eval, h_integral_01
+from .classes import ClassKind, HModulus, TestFunction, h_eval, h_integral_01
 from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
 from .moments import (CaseBranch, RuleParams, Side, active_epsilons,
                       active_gamma_upsilon, branch_select, gamma_coeffs,
@@ -78,24 +79,6 @@ def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
     d_a = abs(tf.f_prime(tf.a))
     d_b = abs(tf.f_prime(tf.b))
     return rhs_power_mean(cert.h, rp, tf.width, d_a, d_b)
-
-
-def rhs_sconvex_powermean(rp: RuleParams, s: float, width: float,
-                          d_a: float, d_b: float) -> BoundResult:
-    """Power-mean RHS for the t^s modulus, s in (0, 1]."""
-    return rhs_power_mean(HModulus.power(s), rp, width, d_a, d_b)
-
-
-def bound_sconvex_powermean(tf: TestFunction, rp: RuleParams,
-                            s: float) -> BoundResult:
-    cert = tf.certificate
-    if cert.class_kind is not ClassKind.H_CONVEX or cert.h.kind is not HKind.POWER:
-        raise ClassMismatch("needs an h-convex certificate with a power modulus")
-    if abs(cert.h.s_param - s) > 1e-12:
-        raise ParamMismatch("s disagrees with the certificate modulus")
-    d_a = abs(tf.f_prime(tf.a))
-    d_b = abs(tf.f_prime(tf.b))
-    return rhs_sconvex_powermean(rp, s, tf.width, d_a, d_b)
 
 
 def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,

@@ -18,8 +18,8 @@ from . import bounds as bnd
 from . import oracle
 from .classes import (ClassCertificate, ClassKind, HModulus, TestFunction,
                       certify_membership)
-from .errors import (ConjugateMissing, DomainError, NonFiniteSample,
-                     NotIntegrable, ParamMismatch, ToleranceNotReached)
+from .errors import (DomainError, NonFiniteSample, NotIntegrable,
+                     ParamMismatch, ToleranceNotReached)
 from .moments import RuleParams
 
 EXIT_OK = 0
@@ -107,10 +107,9 @@ def _grid(values: Optional[List[float]], default: List[float]) -> List[float]:
 
 
 def _s_values(args) -> List[Optional[float]]:
-    grid = getattr(args, "s_grid", None)
-    if grid:
-        return list(grid)
-    return [getattr(args, "s", None)]
+    if args.s_grid:
+        return list(args.s_grid)
+    return [args.s]
 
 
 def _build_tf(args, q: float, s: Optional[float]) -> TestFunction:
@@ -128,23 +127,15 @@ def _build_tf(args, q: float, s: Optional[float]) -> TestFunction:
         raise ConfigError(str(exc))
 
 
-def _rule_params(args, alpha: float, lam: float, q: float,
-                 conjugate: bool) -> RuleParams:
-    """Rule parameters with --p, or with the conjugate of q if wanted."""
-    p = getattr(args, "p", None)
-    if p is None and q > 1.0 and conjugate:
-        return RuleParams.with_conjugate(alpha, lam, q)
-    return RuleParams(alpha, lam, q, p)
-
-
-def _evaluate_bound(tf: TestFunction, rp: RuleParams, args) -> bnd.BoundResult:
-    if args.bound == "power-mean":
+def _evaluate_bound(tf: TestFunction, rp: RuleParams,
+                    name: str) -> bnd.BoundResult:
+    if name == "power-mean":
         return bnd.bound_power_mean(tf, rp)
-    if args.bound == "holder":
+    if name == "holder":
         return bnd.bound_holder_hconvex(tf, rp)
-    if args.bound == "holder-concave":
+    if name == "holder-concave":
         return bnd.bound_holder_hconcave(tf, rp)
-    raise ConfigError(f"unknown bound {args.bound!r}")
+    raise ConfigError(f"unknown bound {name!r}")
 
 
 def _iter_rows(args):
@@ -157,24 +148,22 @@ def _iter_rows(args):
         rep = certify_membership(tf, n_samples=args.samples, seed=args.seed)
         mean = oracle.mean_value(tf)
         for alpha, lam in itertools.product(alphas, lams):
-            row = {
-                "alpha": alpha, "lambda": lam, "q": q, "s": s,
-                "p": getattr(args, "p", None),
-                "bound_kind": args.bound,
-            }
+            row = {"alpha": alpha, "lambda": lam, "q": q, "s": s,
+                   "bound_kind": args.bound}
             if not rep.holds:
                 row.update(branch="", lhs=None, rhs=None,
                            status="rejected", sound=False)
                 yield row
                 continue
-            rp = _rule_params(args, alpha, lam, q,
-                              args.bound in ("holder", "holder-concave"))
+            rp = RuleParams(alpha, lam, q)
             lhs = abs(oracle.rule_value(tf, alpha, lam) - mean)
-            res = _evaluate_bound(tf, rp, args)
+            res = _evaluate_bound(tf, rp, args.bound)
             # exp: specs evaluate through numpy; a numpy.bool_ would print
             # as 1 in CSV and cannot be encoded as JSON
             sound = bool(lhs <= res.value + _SOUND_SLACK * (1.0 + res.value))
-            row.update(branch=res.branch.value, lhs=lhs, rhs=res.value,
+            # power-mean uses no conjugate exponent
+            row.update(p=None if args.bound == "power-mean" else rp.p,
+                       branch=res.branch.value, lhs=lhs, rhs=res.value,
                        status="ok", sound=sound)
             yield row
 
@@ -253,7 +242,7 @@ def cmd_compare(args) -> int:
     for q, s in itertools.product(qs, _s_values(args)):
         tf = _build_tf(args, q, s)
         for alpha, lam in itertools.product(alphas, lams):
-            rp = _rule_params(args, alpha, lam, q, conjugate=True)
+            rp = RuleParams(alpha, lam, q)
             row = {"alpha": alpha, "lambda": lam, "q": q, "s": s, "p": rp.p}
             best_name, best_val = None, None
             for name in kind_names:
@@ -261,8 +250,7 @@ def cmd_compare(args) -> int:
                     res = bnd.bound_prior(tf, rp, _PRIOR_KINDS[name],
                                           s=s, sup_f4=args.sup_f4)
                 else:
-                    res = _evaluate_bound(
-                        tf, rp, argparse.Namespace(bound=name))
+                    res = _evaluate_bound(tf, rp, name)
                 row[name] = res.value
                 if best_val is None or res.value < best_val:
                     best_name, best_val = name, res.value
@@ -314,7 +302,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
-    tf = _build_tf(args, q=1.0, s=getattr(args, "s", None))
+    tf = _build_tf(args, q=1.0, s=args.s)
     variant = oracle.HadamardVariant(args.variant)
     res = oracle.hadamard_check(tf, variant)
     print(f"left={_fmt(res.left)} middle={_fmt(res.middle)} "
@@ -322,15 +310,19 @@ def cmd_hadamard(args) -> int:
     return EXIT_OK if res.holds else EXIT_VIOLATION
 
 
-def _add_common(p):
+def _add_function_args(p):
+    """Flags that build the test function and its certificate modulus."""
     p.add_argument("--function", required=True,
                    help="poly:c0,c1,... | pow:beta,r | exp:k")
     p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
                    default=[0.0, 1.0])
     p.add_argument("--h", default="t", help="modulus: t | t^s | 1 | 1/t")
     p.add_argument("--s", type=float, default=None)
+
+
+def _add_grid_args(p):
+    """Flags of the grid commands verify, sweep and compare."""
     p.add_argument("--s-grid", type=float, nargs="*", default=None)
-    p.add_argument("--p", type=float, default=None)
     p.add_argument("--alpha-grid", type=float, nargs="*", default=None)
     p.add_argument("--lambda-grid", type=float, nargs="*", default=None)
     p.add_argument("--q-grid", type=float, nargs="*", default=None)
@@ -343,7 +335,6 @@ def _add_common(p):
                    choices=["power-mean", "holder", "holder-concave"])
     p.add_argument("--concave", action="store_true",
                    help="declare an h-concave certificate")
-    p.add_argument("--sup-f4", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,12 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in [("verify", cmd_verify), ("sweep", cmd_sweep),
                      ("compare", cmd_compare), ("hadamard", cmd_hadamard)]:
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_function_args(p)
+        if name != "hadamard":
+            _add_grid_args(p)
         p.set_defaults(func=fn)
     pc = sub.choices["compare"]
     pc.add_argument("--kinds", required=True,
                     help="comma list: power-mean,holder,holder-concave,"
                          + ",".join(_PRIOR_KINDS))
+    pc.add_argument("--sup-f4", type=float, default=None)
     ph = sub.choices["hadamard"]
     ph.add_argument("--variant", default="classical",
                     choices=[v.value for v in oracle.HadamardVariant])
@@ -374,8 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, ParamMismatch, ConjugateMissing,
-            NotIntegrable) as exc:
+    except (ConfigError, DomainError, ParamMismatch, NotIntegrable) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ToleranceNotReached, NonFiniteSample) as exc:

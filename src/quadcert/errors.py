@@ -29,9 +29,5 @@ class DegenerateModulus(DomainError):
     """h(1/2) = 0, so the concave-path prefactor is undefined."""
 
 
-class ConjugateMissing(ValueError):
-    """A Hoelder-type bound was requested without a conjugate exponent p."""
-
-
 class ParamMismatch(ValueError):
     """Rule parameters conflict with the fixed parameters of a named bound."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _pow, rhs_sconvex_powermean
+from .bounds import rhs_holder_hconvex, rhs_power_mean
+from .classes import HModulus
 from .errors import DomainError
-from .moments import RuleParams, active_epsilons
+from .moments import RuleParams
 
 _PROP_SLACK = 1e-9
 
@@ -84,9 +85,8 @@ def proposition1_check(a: float, b: float, alpha: float, lam: float,
         raise DomainError("need q >= 1")
     _check_prop_domain(a, b, alpha, lam, q, s)
     lhs = _mean_rule_error(a, b, alpha, lam, s)
-    rp = RuleParams(alpha, lam, q)
-    inner = rhs_sconvex_powermean(rp, q * s, b - a,
-                                  d_a=a ** s, d_b=b ** s)
+    inner = rhs_power_mean(HModulus.power(q * s), RuleParams(alpha, lam, q),
+                           b - a, d_a=a ** s, d_b=b ** s)
     rhs = (s + 1.0) * inner.value
     return PropositionResult(lhs, rhs, lhs <= rhs + _PROP_SLACK * (1.0 + rhs))
 
@@ -95,22 +95,17 @@ def proposition2_check(a: float, b: float, alpha: float, lam: float,
                        p: float, q: float, s: float) -> PropositionResult:
     """Hoelder route applied to f(t) = t^(s+1), conjugate p, q > 1.
 
-    theta1 = A_alpha(a,b)^(sq) + a^(sq) and theta2 with b enter through
-    their q-th roots, matching the general Hoelder bound evaluated on
-    t^(s+1).
+    |f'|^q = (s+1)^q t^(qs) is qs-convex in the second sense, hence s-convex
+    (s <= qs), so the RHS is the h-convex Hoelder bound for the t^s modulus
+    with |f'|/(s+1) at the node A_alpha(a,b) and at a and b, scaled by
+    (s+1).  p must be the conjugate of q; the bound derives it from q.
     """
     if q <= 1.0 or p <= 1.0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise DomainError("need conjugate p, q > 1")
     _check_prop_domain(a, b, alpha, lam, q, s)
     lhs = _mean_rule_error(a, b, alpha, lam, s)
-    rp = RuleParams(alpha, lam, q, p)
-    theta1 = weighted_arith_mean(a, b, alpha) ** (s * q) + a ** (s * q)
-    theta2 = weighted_arith_mean(a, b, alpha) ** (s * q) + b ** (s * q)
-    eps_c, eps_d = active_epsilons(rp)
-    pref = (b - a) * (1.0 / (p + 1.0)) ** (1.0 / p) \
-        * _pow(s + 1.0, 1.0 - 1.0 / q)
-    rhs = pref * ((1.0 - alpha) ** (1.0 / q) * eps_c ** (1.0 / p)
-                  * theta1 ** (1.0 / q)
-                  + alpha ** (1.0 / q) * eps_d ** (1.0 / p)
-                  * theta2 ** (1.0 / q))
+    inner = rhs_holder_hconvex(HModulus.power(s), RuleParams(alpha, lam, q),
+                               b - a, weighted_arith_mean(a, b, alpha) ** s,
+                               a ** s, b ** s)
+    rhs = (s + 1.0) * inner.value
     return PropositionResult(lhs, rhs, lhs <= rhs + _PROP_SLACK * (1.0 + rhs))

@@ -14,23 +14,20 @@ from enum import Enum
 from typing import NamedTuple, Optional, Tuple
 
 from .classes import HKind, HModulus, h_eval
-from .errors import ConjugateMissing, DomainError, NotIntegrable
-
-_CONJ_TOL = 1e-14
+from .errors import DomainError, NotIntegrable
 
 
 @dataclass(frozen=True)
 class RuleParams:
     """Quadrature-rule parameters (alpha, lambda) with exponent q.
 
-    The conjugate p (1/p + 1/q = 1) is required only by the Hoelder paths
-    and may be omitted otherwise.
+    The conjugate p (1/p + 1/q = 1) is derived from q; only the Hoelder
+    paths use it, and they need q > 1.
     """
 
     alpha: float
     lam: float
     q: float
-    p: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -39,22 +36,17 @@ class RuleParams:
             raise DomainError("lambda must lie in [0, 1]")
         if self.q < 1.0:
             raise DomainError("q must be >= 1")
-        if self.p is not None:
-            if self.p <= 1.0:
-                raise DomainError("conjugate p must exceed 1")
-            if abs(1.0 / self.p + 1.0 / self.q - 1.0) > _CONJ_TOL:
-                raise DomainError("p and q are not conjugate")
 
-    @classmethod
-    def with_conjugate(cls, alpha: float, lam: float, q: float) -> "RuleParams":
-        if q <= 1.0:
-            raise DomainError("conjugate pair needs q > 1")
-        return cls(alpha, lam, q, q / (q - 1.0))
+    @property
+    def p(self) -> Optional[float]:
+        """q/(q-1), or None at q = 1 where no finite conjugate exists."""
+        return self.q / (self.q - 1.0) if self.q > 1.0 else None
 
     def require_p(self) -> float:
-        if self.p is None:
-            raise ConjugateMissing("this bound needs the conjugate exponent p")
-        return self.p
+        p = self.p
+        if p is None:
+            raise DomainError("the conjugate exponent p needs q > 1")
+        return p
 
 
 class CaseBranch(Enum):

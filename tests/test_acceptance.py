@@ -12,7 +12,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from quadcert import (
     ClassCertificate, ClassKind, HadamardVariant, HModulus, RuleParams,
@@ -23,7 +22,7 @@ from quadcert import (
 )
 from quadcert.bounds import (
     rhs_general_convex, rhs_holder_hconvex, rhs_midpoint_power_mean,
-    rhs_power_mean, rhs_sconvex_powermean, rhs_simpson_holder,
+    rhs_power_mean, rhs_simpson_holder,
     rhs_trapezoid_holder,
 )
 from quadcert.cli import _identity_corpus
@@ -150,7 +149,7 @@ def test_criterion_2_moment_closed_forms(capsys):
     # p-power moments (the epsilon branch values)
     for p in (1.5, 2.0, 3.0):
         q = p / (p - 1.0)
-        rps_p = [RuleParams(a, l, q, p) for a, l in zip(A, L)]
+        rps_p = [RuleParams(a, l, q) for a, l in zip(A, L)]
         lib = np.array([abs_moment_p(rp, Side.LEFT) for rp in rps_p])
         worst = max(worst,
                     float(np.max(np.abs(lib - _ppow_left(w, u, m, p)))))
@@ -230,7 +229,6 @@ def test_criterion_3_soundness_sweep(capsys):
     for group, evaluate in ((pm, bound_power_mean),
                             (hc, bound_holder_hconvex),
                             (cc, bound_holder_hconcave)):
-        needs_p = evaluate is not bound_power_mean
         for tf in group:
             assert certify_membership(tf, n_samples=3000, seed=5).holds
             mean = mean_value(tf)
@@ -238,8 +236,7 @@ def test_criterion_3_soundness_sweep(capsys):
             alphas = rng.uniform(0.0, 1.0, n_pairs)
             lams = rng.uniform(0.0, 1.0, n_pairs)
             for alpha, lam in zip(alphas, lams):
-                rp = RuleParams.with_conjugate(alpha, lam, q) if needs_p \
-                    else RuleParams(alpha, lam, q)
+                rp = RuleParams(alpha, lam, q)
                 lhs = abs(rule_value(tf, alpha, lam) - mean)
                 rhs = evaluate(tf, rp).value
                 checked += 1
@@ -315,13 +312,13 @@ def test_criterion_4_reduction_suite(capsys):
         q = float(rng.uniform(1.0, 4.0))
         d_a, d_b = rng.uniform(0.01, 10.0, 2)
         rp = RuleParams(0.5, 1.0 / 3.0, q)
-        ours = rhs_sconvex_powermean(rp, s, 1.0, d_a, d_b).value
+        ours = rhs_power_mean(HModulus.power(s), rp, 1.0, d_a, d_b).value
         printed = _printed_simpson_powermean(s, q, 1.0, d_a, d_b)
         worst_rel = max(worst_rel, abs(ours - printed) / (1.0 + printed))
 
         q2 = float(rng.uniform(1.2, 4.0))
         d_m = float(rng.uniform(0.01, 10.0))
-        rp2 = RuleParams.with_conjugate(0.5, 1.0 / 3.0, q2)
+        rp2 = RuleParams(0.5, 1.0 / 3.0, q2)
         ours2 = rhs_holder_hconvex(HModulus.power(s), rp2, 1.0,
                                    d_m, d_a, d_b).value
         printed2 = _printed_simpson_holder(s, rp2.p, q2, 1.0, d_m, d_a, d_b)
@@ -363,7 +360,8 @@ def test_criterion_5_dominance(capsys):
             for d_a in d_grid:
                 for d_b in d_grid:
                     rp = RuleParams(0.5, 0.0, q)
-                    new = rhs_sconvex_powermean(rp, s, 1.0, d_a, d_b).value
+                    new = rhs_power_mean(HModulus.power(s), rp, 1.0,
+                                         d_a, d_b).value
                     old = rhs_midpoint_power_mean(s, q, 1.0, d_a, d_b).value
                     worst1 = max(worst1, new - old)
                     n1 += 1
@@ -372,7 +370,7 @@ def test_criterion_5_dominance(capsys):
             for d_m in (0.5, 3.0):
                 for d_a in d_grid[:3]:
                     for d_b in d_grid[:3]:
-                        rp = RuleParams.with_conjugate(0.5, 1.0, q)
+                        rp = RuleParams(0.5, 1.0, q)
                         new = rhs_holder_hconvex(HModulus.power(s), rp, 1.0,
                                                  d_m, d_a, d_b).value
                         old = rhs_trapezoid_holder(s, q, 1.0,

@@ -7,7 +7,6 @@ expressions and compared against the general evaluation paths.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,17 +14,15 @@ from hypothesis import strategies as st
 from quadcert import (
     BoundKind, ClassCertificate, ClassKind, HModulus, RuleParams,
     TestFunction, bound_holder_hconcave, bound_holder_hconvex,
-    bound_power_mean, bound_prior, bound_sconvex_powermean, integrate_adaptive,
-    lhs_error,
+    bound_power_mean, bound_prior, integrate_adaptive, lhs_error,
 )
 from quadcert.bounds import (
     rhs_general_convex, rhs_holder_hconcave, rhs_holder_hconvex,
     rhs_midpoint_holder, rhs_midpoint_power_mean, rhs_power_mean,
-    rhs_sconvex_powermean, rhs_simpson_holder, rhs_trapezoid_holder,
+    rhs_simpson_holder, rhs_trapezoid_holder,
 )
-from quadcert.errors import (ClassMismatch, ConjugateMissing,
-                             DegenerateModulus, DomainError, NotIntegrable,
-                             ParamMismatch)
+from quadcert.errors import (ClassMismatch, DegenerateModulus, DomainError,
+                             NotIntegrable, ParamMismatch)
 
 pos_mag = st.floats(0.01, 10.0)
 
@@ -151,17 +148,6 @@ class TestPowerMeanRoute:
         prior = rhs_general_convex(rp, 1.7, d_a, d_b)
         assert ours.value == pytest.approx(prior.value, rel=1e-12, abs=1e-13)
 
-    @settings(max_examples=60, deadline=None)
-    @given(alpha=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0),
-           q=st.floats(1.0, 4.0), s=st.floats(0.1, 1.0),
-           d_a=pos_mag, d_b=pos_mag)
-    def test_power_modulus_two_paths_agree(self, alpha, lam, q, s, d_a, d_b):
-        rp = RuleParams(alpha, lam, q)
-        general = rhs_power_mean(HModulus.power(s), rp, 2.3, d_a, d_b)
-        special = rhs_sconvex_powermean(rp, s, 2.3, d_a, d_b)
-        assert general.value == pytest.approx(special.value,
-                                              rel=1e-12, abs=1e-13)
-
 
 class TestPrintedSpecializations:
     @settings(max_examples=40, deadline=None)
@@ -169,7 +155,7 @@ class TestPrintedSpecializations:
            d_a=pos_mag, d_b=pos_mag)
     def test_simpson_powermean_printed(self, s, q, d_a, d_b):
         rp = RuleParams(0.5, 1.0 / 3.0, q)
-        ours = rhs_sconvex_powermean(rp, s, 1.0, d_a, d_b).value
+        ours = rhs_power_mean(HModulus.power(s), rp, 1.0, d_a, d_b).value
         assert ours == pytest.approx(
             printed_simpson_powermean(s, q, 1.0, d_a, d_b), rel=1e-12)
 
@@ -178,7 +164,7 @@ class TestPrintedSpecializations:
            d_a=pos_mag, d_b=pos_mag)
     def test_midpoint_powermean_printed(self, s, q, d_a, d_b):
         rp = RuleParams(0.5, 0.0, q)
-        ours = rhs_sconvex_powermean(rp, s, 1.0, d_a, d_b).value
+        ours = rhs_power_mean(HModulus.power(s), rp, 1.0, d_a, d_b).value
         assert ours == pytest.approx(
             printed_midpoint_powermean(s, q, 1.0, d_a, d_b), rel=1e-12)
 
@@ -187,7 +173,7 @@ class TestPrintedSpecializations:
            d_a=pos_mag, d_b=pos_mag)
     def test_trapezoid_powermean_printed(self, s, q, d_a, d_b):
         rp = RuleParams(0.5, 1.0, q)
-        ours = rhs_sconvex_powermean(rp, s, 1.0, d_a, d_b).value
+        ours = rhs_power_mean(HModulus.power(s), rp, 1.0, d_a, d_b).value
         assert ours == pytest.approx(
             printed_trapezoid_powermean(s, q, 1.0, d_a, d_b), rel=1e-12)
 
@@ -195,7 +181,7 @@ class TestPrintedSpecializations:
     @given(s=st.floats(0.1, 1.0), q=st.floats(1.2, 4.0),
            d_m=pos_mag, d_a=pos_mag, d_b=pos_mag)
     def test_simpson_holder_equals_prior(self, s, q, d_m, d_a, d_b):
-        rp = RuleParams.with_conjugate(0.5, 1.0 / 3.0, q)
+        rp = RuleParams(0.5, 1.0 / 3.0, q)
         ours = rhs_holder_hconvex(HModulus.power(s), rp, 1.0, d_m, d_a, d_b)
         prior = rhs_simpson_holder(s, rp.p, q, 1.0, d_m, d_a, d_b)
         assert ours.value == pytest.approx(prior.value, rel=1e-12)
@@ -204,7 +190,7 @@ class TestPrintedSpecializations:
     @given(s=st.floats(0.1, 1.0), q=st.floats(1.2, 4.0),
            d_m=pos_mag, d_a=pos_mag, d_b=pos_mag)
     def test_trapezoid_holder_printed(self, s, q, d_m, d_a, d_b):
-        rp = RuleParams.with_conjugate(0.5, 1.0, q)
+        rp = RuleParams(0.5, 1.0, q)
         ours = rhs_holder_hconvex(HModulus.power(s), rp, 1.0, d_m, d_a, d_b)
         assert ours.value == pytest.approx(
             printed_trapezoid_holder(s, rp.p, q, 1.0, d_m, d_a, d_b),
@@ -213,25 +199,29 @@ class TestPrintedSpecializations:
 
 class TestHolderHConvex:
     def test_boundary_alpha_one(self):
-        rp = RuleParams.with_conjugate(1.0, 0.0, 2.0)
+        rp = RuleParams(1.0, 0.0, 2.0)
         res = rhs_holder_hconvex(HModulus.identity(), rp, 1.0, 3.0, 1.0, 2.0)
         # the C-term carries weight (1 - alpha) = 0
         assert res.components["C"] == 0.0
         assert res.value >= 0.0
 
     def test_requires_conjugate(self):
-        with pytest.raises(ConjugateMissing):
-            bound_holder_hconvex(_tf_square(q=2.0), RuleParams(0.5, 0.5, 2.0))
+        with pytest.raises(DomainError):
+            bound_holder_hconvex(_tf_square(q=1.0), RuleParams(0.5, 0.5, 1.0))
+        # q = 2 fixes p = 2; no separate conjugate is passed
+        res = bound_holder_hconvex(_tf_square(q=2.0),
+                                   RuleParams(0.5, 0.5, 2.0))
+        assert res.value > 0.0
 
     def test_reciprocal_inadmissible(self):
-        rp = RuleParams.with_conjugate(0.5, 0.5, 2.0)
+        rp = RuleParams(0.5, 0.5, 2.0)
         with pytest.raises(NotIntegrable):
             rhs_holder_hconvex(HModulus.reciprocal(), rp, 1.0, 1.0, 1.0, 1.0)
 
     def test_node_evaluation(self):
         # both C and D use |f'| at the interior node (1-alpha)b + alpha*a
         tf = _tf_square(q=2.0)
-        rp = RuleParams.with_conjugate(0.25, 0.5, 2.0)
+        rp = RuleParams(0.25, 0.5, 2.0)
         res = bound_holder_hconvex(tf, rp)
         node = 0.75 * 1.0 + 0.25 * 0.0
         d_node = 2.0 * node
@@ -252,7 +242,7 @@ class TestHolderHConcave:
 
     def test_power_prefactor(self):
         s, q = 0.5, 2.0
-        rp = RuleParams.with_conjugate(0.5, 0.5, q)
+        rp = RuleParams(0.5, 0.5, q)
         res_pow = rhs_holder_hconcave(HModulus.power(s), rp, 1.0, 1.3, 0.7)
         res_id = rhs_holder_hconcave(HModulus.identity(), rp, 1.0, 1.3, 0.7)
         # (1/(2 h(1/2)))^{1/q} = 2^{(s-1)/q} for the power modulus
@@ -261,7 +251,7 @@ class TestHolderHConcave:
 
     def test_reciprocal_prefactor(self):
         q = 2.0
-        rp = RuleParams.with_conjugate(0.5, 0.5, q)
+        rp = RuleParams(0.5, 0.5, q)
         res_rec = rhs_holder_hconcave(HModulus.reciprocal(), rp, 1.0, 1.3, 0.7)
         res_id = rhs_holder_hconcave(HModulus.identity(), rp, 1.0, 1.3, 0.7)
         assert res_rec.value / res_id.value == pytest.approx(
@@ -271,7 +261,7 @@ class TestHolderHConcave:
         # at alpha=1/2, lambda=1 the two |f'| samples sit at (3a+b)/4 and
         # (a+b+2b)/4 of the interval
         tf = self._concave_tf()
-        rp = RuleParams.with_conjugate(0.5, 1.0, 2.0)
+        rp = RuleParams(0.5, 1.0, 2.0)
         res = bound_holder_hconcave(tf, rp)
         m_left, m_right = 0.25, 0.75
         assert res.components["E"] == pytest.approx(
@@ -281,20 +271,20 @@ class TestHolderHConcave:
 
     def test_soundness_spot(self):
         tf = self._concave_tf()
-        rp = RuleParams.with_conjugate(0.5, 1.0 / 3.0, 2.0)
+        rp = RuleParams(0.5, 1.0 / 3.0, 2.0)
         res = bound_holder_hconcave(tf, rp)
         assert lhs_error(tf, rp) <= res.value + 1e-9
 
     def test_degenerate_modulus(self):
         h = HModulus.custom(lambda t: abs(t - 0.5))
-        rp = RuleParams.with_conjugate(0.5, 0.5, 2.0)
+        rp = RuleParams(0.5, 0.5, 2.0)
         with pytest.raises(DegenerateModulus):
             rhs_holder_hconcave(h, rp, 1.0, 1.0, 1.0)
 
     def test_class_guard(self):
         with pytest.raises(ClassMismatch):
             bound_holder_hconcave(_tf_square(q=2.0),
-                                  RuleParams.with_conjugate(0.5, 0.5, 2.0))
+                                  RuleParams(0.5, 0.5, 2.0))
 
 
 class TestPriorBounds:
@@ -362,7 +352,7 @@ class TestDominance:
            d_a=pos_mag, d_b=pos_mag)
     def test_midpoint_powermean_dominates(self, s, q, d_a, d_b):
         rp = RuleParams(0.5, 0.0, q)
-        new = rhs_sconvex_powermean(rp, s, 1.0, d_a, d_b).value
+        new = rhs_power_mean(HModulus.power(s), rp, 1.0, d_a, d_b).value
         old = rhs_midpoint_power_mean(s, q, 1.0, d_a, d_b).value
         assert new <= old * (1.0 + 1e-12) + 1e-15
 
@@ -370,7 +360,7 @@ class TestDominance:
     @given(s=st.floats(0.1, 1.0), q=st.floats(1.2, 4.0),
            d_m=pos_mag, d_a=pos_mag, d_b=pos_mag)
     def test_trapezoid_holder_dominates(self, s, q, d_m, d_a, d_b):
-        rp = RuleParams.with_conjugate(0.5, 1.0, q)
+        rp = RuleParams(0.5, 1.0, q)
         new = rhs_holder_hconvex(HModulus.power(s), rp, 1.0,
                                  d_m, d_a, d_b).value
         old = rhs_trapezoid_holder(s, q, 1.0, d_m, d_a, d_b).value

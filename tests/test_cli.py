@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,18 @@ class TestSweep:
             assert float(rc["rhs"]) == pytest.approx(rj["rhs"], rel=1e-15)
             assert float(rc["ratio"]) == pytest.approx(rj["ratio"], rel=1e-15)
 
+    def test_p_column(self, capsys):
+        # p is derived from q for the Hoelder bounds; power-mean uses none
+        _, out, _ = run_cli(capsys, self.ARGS)
+        assert {r["p"] for r in csv.DictReader(io.StringIO(out))} == {""}
+        code, out, _ = run_cli(capsys, [
+            "sweep", "--function", "exp:1", "--interval", "0", "1",
+            "--bound", "holder", "--q-grid", "1.5", "4.0"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(float(r["q"]), float(r["p"])) for r in rows] == \
+            [(1.5, 3.0), (4.0, 4.0 / 3.0)]
+
     def test_violation_exit(self, capsys):
         code, out, _ = run_cli(capsys, [
             "sweep", "--function", "poly:0,0,1", "--interval", "-1", "1",
@@ -177,6 +191,8 @@ class TestConfigErrors:
         # a reciprocal modulus makes the power-mean moments diverge
         ["verify", "--function", "poly:0,0,1", "--h", "1/t"],
         ["identity", "--cases", "0"],
+        # the Hoelder routes need q > 1 for the conjugate p; q defaults to 1
+        ["verify", "--function", "poly:0,0,1", "--bound", "holder"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,
@@ -185,6 +201,40 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert "config error" in err
+
+
+class TestUnknownFlags:
+    @pytest.mark.parametrize("argv", [
+        ["hadamard", "--function", "poly:0,0,1", "--concave"],
+        ["verify", "--function", "poly:0,0,1", "--sup-f4", "1"],
+    ], ids=["hadamard-concave", "verify-sup-f4"])
+    def test_parser_rejects(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_cli_examples():
+    """The quadcert command lines of the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("quadcert ")]
+
+
+class TestReadmeExamples:
+    EXAMPLES = _readme_cli_examples()
+
+    def test_block_found(self):
+        assert len(self.EXAMPLES) >= 5
+
+    @pytest.mark.parametrize("argv", EXAMPLES,
+                             ids=[argv[0] for argv in EXAMPLES])
+    def test_exits_zero(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, err
 
 
 class TestOracleFailure:

@@ -19,7 +19,7 @@ from quadcert import (
 )
 from quadcert.bounds import (rhs_holder_hconcave, rhs_holder_hconvex,
                              rhs_power_mean)
-from quadcert.errors import ConjugateMissing, DomainError, NotIntegrable
+from quadcert.errors import DomainError, NotIntegrable
 
 param_floats = st.floats(0.0, 1.0)
 
@@ -71,16 +71,14 @@ class TestRuleParams:
             RuleParams(0.5, 0.5, 0.9)
 
     def test_conjugacy(self):
-        rp = RuleParams.with_conjugate(0.5, 0.5, 2.0)
-        assert rp.p == pytest.approx(2.0, abs=1e-15)
-        with pytest.raises(DomainError):
-            RuleParams(0.5, 0.5, 2.0, 3.0)  # not conjugate
-        with pytest.raises(DomainError):
-            RuleParams.with_conjugate(0.5, 0.5, 1.0)
+        for q in (1.2, 1.5, 2.0, 3.0, 7.5):
+            assert RuleParams(0.5, 0.5, q).p == q / (q - 1.0)
+        assert RuleParams(0.5, 0.5, 1.0).p is None
 
     def test_require_p(self):
-        with pytest.raises(ConjugateMissing):
-            RuleParams(0.5, 0.5, 2.0).require_p()
+        assert RuleParams(0.5, 0.5, 2.0).require_p() == 2.0
+        with pytest.raises(DomainError):
+            RuleParams(0.5, 0.5, 1.0).require_p()
 
 
 def _three_way_ladder(alpha, lam):
@@ -122,7 +120,7 @@ class TestBranchSelect:
     @pytest.mark.parametrize("alpha", [
         0.0, 0.5, 1.0, math.nextafter(0.5, -1.0), math.nextafter(0.5, 1.0)])
     def test_edges_and_ties_match_three_way_ladder(self, alpha, lam):
-        rp = RuleParams.with_conjugate(alpha, lam, 2.0)
+        rp = RuleParams(alpha, lam, 2.0)
         want = _three_way_ladder(alpha, lam)
         assert branch_select(rp) is want
         h = HModulus.identity()
@@ -205,23 +203,26 @@ class TestGammaUpsilon:
 
 class TestEpsilons:
     def test_simpson_p2(self):
-        rp = RuleParams(0.5, 1.0 / 3.0, 2.0, 2.0)
+        rp = RuleParams(0.5, 1.0 / 3.0, 2.0)
         e1, _, e3, _ = epsilon_coeffs(rp)
         assert e1 == pytest.approx(1.0 / 24.0, abs=1e-15)
         assert e3 == pytest.approx(1.0 / 24.0, abs=1e-15)
 
     def test_trapezoid_p2(self):
-        e1, _, _, _ = epsilon_coeffs(RuleParams(0.5, 1.0, 2.0, 2.0))
+        e1, _, _, _ = epsilon_coeffs(RuleParams(0.5, 1.0, 2.0))
         assert e1 == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     def test_requires_conjugate(self):
-        with pytest.raises(ConjugateMissing):
-            epsilon_coeffs(RuleParams(0.5, 0.5, 2.0))
+        with pytest.raises(DomainError):
+            epsilon_coeffs(RuleParams(0.5, 0.5, 1.0))
+        # q = 2 fixes p = 2: w = 1/4 and u - w = 1/4 give eps1 = 2/4^3
+        assert epsilon_coeffs(RuleParams(0.5, 0.5, 2.0)) == pytest.approx(
+            (1.0 / 32.0, 0.0, 1.0 / 32.0, 0.0), abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=param_floats, lam=param_floats, q=st.floats(1.3, 4.0))
     def test_abs_moment_matches_quadrature(self, alpha, lam, q):
-        rp = RuleParams.with_conjugate(alpha, lam, q)
+        rp = RuleParams(alpha, lam, q)
         assert abs_moment_p(rp, Side.LEFT) == pytest.approx(
             _numeric_left(rp, power=rp.p), abs=1e-12)
         assert abs_moment_p(rp, Side.RIGHT) == pytest.approx(
@@ -230,24 +231,24 @@ class TestEpsilons:
 
 class TestAbsMomentP:
     def test_simpson_left(self):
-        rp = RuleParams(0.5, 1.0 / 3.0, 2.0, 2.0)
+        rp = RuleParams(0.5, 1.0 / 3.0, 2.0)
         assert abs_moment_p(rp, Side.LEFT) == pytest.approx(1.0 / 72.0,
                                                             abs=1e-15)
 
     def test_full_interval_power(self):
         # alpha=0: the left integral is int_0^1 t^p dt
         for p in (1.5, 2.0, 3.0):
-            rp = RuleParams(0.0, 0.0, p / (p - 1.0), p)
+            rp = RuleParams(0.0, 0.0, p / (p - 1.0))
             assert abs_moment_p(rp, Side.LEFT) == pytest.approx(
                 1.0 / (p + 1.0), abs=1e-15)
         # alpha=1, lambda=0: the right integral is int_0^1 (1-t)^p dt
-        rp = RuleParams(1.0, 0.0, 2.0, 2.0)
+        rp = RuleParams(1.0, 0.0, 2.0)
         assert abs_moment_p(rp, Side.RIGHT) == pytest.approx(1.0 / 3.0,
                                                              abs=1e-15)
 
     def test_empty_intervals(self):
-        assert abs_moment_p(RuleParams(1.0, 0.5, 2.0, 2.0), Side.LEFT) == 0.0
-        assert abs_moment_p(RuleParams(0.0, 1.0, 2.0, 2.0), Side.RIGHT) == 0.0
+        assert abs_moment_p(RuleParams(1.0, 0.5, 2.0), Side.LEFT) == 0.0
+        assert abs_moment_p(RuleParams(0.0, 1.0, 2.0), Side.RIGHT) == 0.0
 
 
 class TestMuEtaStar:
