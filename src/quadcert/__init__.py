@@ -14,8 +14,8 @@ from .classes import (ClassCertificate, ClassKind, HKind, HModulus,
 from .moments import (CaseBranch, RuleParams, Side, abs_moment_p,
                       branch_select, epsilon_coeffs, gamma_coeffs,
                       mu_eta_star, upsilon_coeffs, weighted_moment)
-from .bounds import (BoundKind, BoundResult, bound_holder_hconcave,
-                     bound_holder_hconvex, bound_power_mean, bound_prior)
+from .bounds import (BoundResult, bound_holder_hconcave,
+                     bound_holder_hconvex, bound_power_mean, evaluate_bound)
 from .oracle import (HadamardResult, HadamardVariant, QuadratureResult,
                      hadamard_check, integrate_adaptive,
                      lemma_identity_residual, lhs_error, mean_value,

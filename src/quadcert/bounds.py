@@ -8,13 +8,14 @@ modulus; the s-convex forms are the t^s modulus of the same evaluators.
 Low-level ``rhs_*`` evaluators take the interval width and the needed
 |f'| magnitudes directly so parameter grids can be swept without building
 function objects; the ``bound_*`` wrappers consume a TestFunction and check
-its certificate.
+its certificate.  ``evaluate_bound`` evaluates any bound on a TestFunction
+by name, a key of ``GENERAL_BOUNDS`` or one of ``PRIOR_BOUNDS``; these are
+the names the command line accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, Optional
 
 from .classes import ClassKind, HModulus, TestFunction, h_eval, h_integral_01
@@ -22,19 +23,6 @@ from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
 from .moments import (CaseBranch, RuleParams, Side, active_epsilons,
                       active_gamma_upsilon, branch_select, gamma_coeffs,
                       upsilon_coeffs, weighted_moment)
-
-
-class BoundKind(Enum):
-    POWER_MEAN_HCONVEX = "power_mean_hconvex"
-    HOLDER_HCONVEX = "holder_hconvex"
-    HOLDER_HCONCAVE = "holder_hconcave"
-    # prior fixed-parameter bounds, named by rule and estimation route
-    PRIOR_GENERAL_CONVEX = "prior_general_convex"          # any (alpha, lambda), h(t)=t
-    PRIOR_MIDPOINT_POWER_MEAN = "prior_midpoint_power_mean"
-    PRIOR_MIDPOINT_HOLDER = "prior_midpoint_holder"
-    PRIOR_SIMPSON_HOLDER = "prior_simpson_holder"
-    PRIOR_TRAPEZOID_HOLDER = "prior_trapezoid_holder"
-    CLASSICAL_SIMPSON = "classical_simpson"
 
 
 @dataclass(frozen=True)
@@ -70,15 +58,23 @@ def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
         "A": big_a, "B": big_b, "gamma": gc, "upsilon": uc})
 
 
-def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
+def _certified_h(tf: TestFunction, rp: RuleParams, kind: ClassKind,
+                 what: str) -> HModulus:
+    """The certificate's modulus, once its class and exponent fit the rule."""
     cert = tf.certificate
-    if cert.class_kind is not ClassKind.H_CONVEX:
-        raise ClassMismatch("power-mean bound needs an h-convex certificate")
+    if cert.class_kind is not kind:
+        raise ClassMismatch(
+            f"{what} needs an {kind.value.replace('_', '-')} certificate")
     if abs(cert.exponent_q - rp.q) > 1e-12:
         raise ParamMismatch("rule q disagrees with the certificate exponent")
+    return cert.h
+
+
+def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
+    h = _certified_h(tf, rp, ClassKind.H_CONVEX, "power-mean bound")
     d_a = abs(tf.f_prime(tf.a))
     d_b = abs(tf.f_prime(tf.b))
-    return rhs_power_mean(cert.h, rp, tf.width, d_a, d_b)
+    return rhs_power_mean(h, rp, tf.width, d_a, d_b)
 
 
 def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
@@ -100,13 +96,9 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
 
 
 def bound_holder_hconvex(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    cert = tf.certificate
-    if cert.class_kind is not ClassKind.H_CONVEX:
-        raise ClassMismatch("Hoelder bound needs an h-convex certificate")
-    if abs(cert.exponent_q - rp.q) > 1e-12:
-        raise ParamMismatch("rule q disagrees with the certificate exponent")
+    h = _certified_h(tf, rp, ClassKind.H_CONVEX, "Hoelder bound")
     node = (1.0 - rp.alpha) * tf.b + rp.alpha * tf.a
-    return rhs_holder_hconvex(cert.h, rp, tf.width,
+    return rhs_holder_hconvex(h, rp, tf.width,
                               abs(tf.f_prime(node)),
                               abs(tf.f_prime(tf.a)), abs(tf.f_prime(tf.b)))
 
@@ -133,15 +125,11 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
 
 
 def bound_holder_hconcave(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    cert = tf.certificate
-    if cert.class_kind is not ClassKind.H_CONCAVE:
-        raise ClassMismatch("this route needs an h-concave certificate")
-    if abs(cert.exponent_q - rp.q) > 1e-12:
-        raise ParamMismatch("rule q disagrees with the certificate exponent")
+    h = _certified_h(tf, rp, ClassKind.H_CONCAVE, "this route")
     alpha = rp.alpha
     m_left = ((1.0 - alpha) * tf.b + (1.0 + alpha) * tf.a) / 2.0
     m_right = ((2.0 - alpha) * tf.b + alpha * tf.a) / 2.0
-    return rhs_holder_hconcave(cert.h, rp, tf.width,
+    return rhs_holder_hconcave(h, rp, tf.width,
                                abs(tf.f_prime(m_left)),
                                abs(tf.f_prime(m_right)))
 
@@ -245,47 +233,68 @@ def rhs_classical_simpson(sup_f4: float, width: float) -> BoundResult:
     return BoundResult(sup_f4 * width ** 2 / 2880.0, None, {})
 
 
+# ---------------------------------------------------------------------------
+# Every bound by name.
+
+GENERAL_BOUNDS = {
+    "power-mean": bound_power_mean,
+    "holder": bound_holder_hconvex,
+    "holder-concave": bound_holder_hconcave,
+}
+PRIOR_BOUNDS = ("general-convex", "midpoint-power-mean", "midpoint-holder",
+                "simpson-holder", "trapezoid-holder", "classical-simpson")
+
 _SIMPSON_PARAMS = (0.5, 1.0 / 3.0)
 _MIDPOINT_PARAMS = (0.5, 0.0)
 _TRAPEZOID_PARAMS = (0.5, 1.0)
 
 
-def _require_params(rp: RuleParams, fixed, kind: BoundKind):
+def _require_params(rp: RuleParams, fixed, name: str):
     if abs(rp.alpha - fixed[0]) > 1e-12 or abs(rp.lam - fixed[1]) > 1e-12:
         raise ParamMismatch(
-            f"{kind.value} is fixed at alpha={fixed[0]}, lambda={fixed[1]}")
+            f"{name} is fixed at alpha={fixed[0]}, lambda={fixed[1]}")
 
 
-def bound_prior(tf: TestFunction, rp: RuleParams, kind: BoundKind,
-                s: Optional[float] = None,
-                sup_f4: Optional[float] = None) -> BoundResult:
-    """Evaluate one of the previously published bounds on this function."""
+def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
+                   s: Optional[float] = None,
+                   sup_f4: Optional[float] = None) -> BoundResult:
+    """Evaluate the bound called ``name`` on this function.
+
+    A general bound checks the certificate and ignores s and sup_f4.  The
+    prior bounds are evaluated as printed: all but general-convex hold only
+    at their fixed (alpha, lambda), the s-convex ones need the class
+    parameter s, and classical-simpson needs sup |f''''|.
+    """
+    general = GENERAL_BOUNDS.get(name)
+    if general is not None:
+        return general(tf, rp)
+    if name not in PRIOR_BOUNDS:
+        raise ParamMismatch(f"unknown bound {name!r}")
     width = tf.width
     d_a = abs(tf.f_prime(tf.a))
     d_b = abs(tf.f_prime(tf.b))
     d_mid = abs(tf.f_prime(0.5 * (tf.a + tf.b)))
-    if kind is BoundKind.PRIOR_GENERAL_CONVEX:
+    if name == "general-convex":
         return rhs_general_convex(rp, width, d_a, d_b)
-    if kind is BoundKind.PRIOR_MIDPOINT_POWER_MEAN:
-        _require_params(rp, _MIDPOINT_PARAMS, kind)
+    if name == "midpoint-power-mean":
+        _require_params(rp, _MIDPOINT_PARAMS, name)
         return rhs_midpoint_power_mean(_need_s(s), rp.q, width, d_a, d_b)
-    if kind is BoundKind.PRIOR_MIDPOINT_HOLDER:
-        _require_params(rp, _MIDPOINT_PARAMS, kind)
+    if name == "midpoint-holder":
+        _require_params(rp, _MIDPOINT_PARAMS, name)
         return rhs_midpoint_holder(_need_s(s), rp.require_p(), rp.q,
                                    width, d_a, d_b)
-    if kind is BoundKind.PRIOR_SIMPSON_HOLDER:
-        _require_params(rp, _SIMPSON_PARAMS, kind)
+    if name == "simpson-holder":
+        _require_params(rp, _SIMPSON_PARAMS, name)
         return rhs_simpson_holder(_need_s(s), rp.require_p(), rp.q,
                                   width, d_mid, d_a, d_b)
-    if kind is BoundKind.PRIOR_TRAPEZOID_HOLDER:
-        _require_params(rp, _TRAPEZOID_PARAMS, kind)
+    if name == "trapezoid-holder":
+        _require_params(rp, _TRAPEZOID_PARAMS, name)
         return rhs_trapezoid_holder(_need_s(s), rp.q, width, d_mid, d_a, d_b)
-    if kind is BoundKind.CLASSICAL_SIMPSON:
-        _require_params(rp, _SIMPSON_PARAMS, kind)
-        if sup_f4 is None:
-            raise ParamMismatch("classical Simpson needs sup |f''''|")
-        return rhs_classical_simpson(sup_f4, width)
-    raise ParamMismatch(f"{kind} is not a prior bound")
+    # the last of PRIOR_BOUNDS: classical-simpson
+    _require_params(rp, _SIMPSON_PARAMS, name)
+    if sup_f4 is None:
+        raise ParamMismatch("classical Simpson needs sup |f''''|")
+    return rhs_classical_simpson(sup_f4, width)
 
 
 def _need_s(s: Optional[float]) -> float:

@@ -124,8 +124,8 @@ class ClassCertificate:
     exponent_q: float
 
     def __post_init__(self):
-        if self.exponent_q < 1.0:
-            raise DomainError("certificate exponent q must be >= 1")
+        if not 1.0 <= self.exponent_q < math.inf:
+            raise DomainError("certificate exponent q must be finite and >= 1")
 
 
 # Derivative cross-check: central differences at this many interior points.
@@ -151,8 +151,9 @@ class TestFunction:
     skip_derivative_check: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise DomainError("need a < b")
+        # a finite width also rules out infinite and NaN endpoints
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise DomainError("need finite a < b")
         if not self.skip_derivative_check:
             self._check_derivative()
 

@@ -9,6 +9,7 @@ back to adaptive quadrature split at the kink.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
@@ -34,8 +35,8 @@ class RuleParams:
             raise DomainError("alpha must lie in [0, 1]")
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError("lambda must lie in [0, 1]")
-        if self.q < 1.0:
-            raise DomainError("q must be >= 1")
+        if not 1.0 <= self.q < math.inf:
+            raise DomainError("q must be finite and >= 1")
 
     @property
     def p(self) -> Optional[float]:

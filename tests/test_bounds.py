@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcert import (
-    BoundKind, ClassCertificate, ClassKind, HModulus, RuleParams,
-    TestFunction, bound_holder_hconcave, bound_holder_hconvex,
-    bound_power_mean, bound_prior, integrate_adaptive, lhs_error,
+    ClassCertificate, ClassKind, HModulus, RuleParams, TestFunction,
+    bound_holder_hconcave, bound_holder_hconvex, bound_power_mean,
+    evaluate_bound, integrate_adaptive, lhs_error,
 )
 from quadcert.bounds import (
     rhs_general_convex, rhs_holder_hconcave, rhs_holder_hconvex,
@@ -303,7 +303,7 @@ class TestPriorBounds:
                           ClassCertificate(ClassKind.H_CONVEX,
                                            HModulus.identity(), 1.0))
         rp = RuleParams(0.5, 1.0 / 3.0, 1.0)
-        res = bound_prior(tf, rp, BoundKind.CLASSICAL_SIMPSON, sup_f4=24.0)
+        res = evaluate_bound("classical-simpson", tf, rp, sup_f4=24.0)
         assert res.value == pytest.approx(24.0 / 2880.0, rel=1e-15)
         # on x^4 the estimate is tight: the true mean error is exactly 1/120
         assert lhs_error(tf, rp) <= res.value + 1e-9
@@ -311,7 +311,7 @@ class TestPriorBounds:
     def test_midpoint_powermean_s1_square(self):
         tf = _tf_square(q=2.0)
         rp = RuleParams(0.5, 0.0, 2.0)
-        res = bound_prior(tf, rp, BoundKind.PRIOR_MIDPOINT_POWER_MEAN, s=1.0)
+        res = evaluate_bound("midpoint-power-mean", tf, rp, s=1.0)
         pref = 1.0 / 8.0 * (1.0 / 3.0) ** 0.5
         expected = pref * ((2.0 * 4.0) ** 0.5 + (1.0 * 4.0) ** 0.5)
         assert res.value == pytest.approx(expected, rel=1e-13)
@@ -319,17 +319,16 @@ class TestPriorBounds:
     def test_param_mismatch(self):
         tf = _tf_square(q=2.0)
         with pytest.raises(ParamMismatch):
-            bound_prior(tf, RuleParams(0.5, 0.5, 2.0),
-                        BoundKind.PRIOR_MIDPOINT_POWER_MEAN, s=1.0)
+            evaluate_bound("midpoint-power-mean", tf,
+                           RuleParams(0.5, 0.5, 2.0), s=1.0)
         with pytest.raises(ParamMismatch):
-            bound_prior(tf, RuleParams(0.5, 0.0, 2.0),
-                        BoundKind.PRIOR_MIDPOINT_POWER_MEAN)  # missing s
+            evaluate_bound("midpoint-power-mean", tf,
+                           RuleParams(0.5, 0.0, 2.0))  # missing s
         with pytest.raises(ParamMismatch):
-            bound_prior(tf, RuleParams(0.5, 1.0 / 3.0, 2.0),
-                        BoundKind.CLASSICAL_SIMPSON)  # missing sup_f4
-        with pytest.raises(ParamMismatch):
-            bound_prior(tf, RuleParams(0.5, 0.5, 2.0),
-                        BoundKind.POWER_MEAN_HCONVEX)
+            evaluate_bound("classical-simpson", tf,
+                           RuleParams(0.5, 1.0 / 3.0, 2.0))  # missing sup_f4
+        with pytest.raises(ParamMismatch, match="unknown bound"):
+            evaluate_bound("bogus", tf, RuleParams(0.5, 0.5, 2.0))
 
     def test_midpoint_holder_matches_general_chain(self):
         # published midpoint conjugate-exponent form vs the general route

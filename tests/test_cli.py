@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quadcert import cli, oracle
+from quadcert import bounds, cli, oracle
 from quadcert.errors import ToleranceNotReached
 
 
@@ -155,7 +156,7 @@ class TestCompare:
         code, out, _ = run_cli(capsys, [
             "compare", "--function", "pow:1,1.5", "--interval", "0", "1",
             "--h", "t^s", "--s", "0.5", "--q-grid", "2.0",
-            "--lambda-grid", "0.0", "--bound", "power-mean",
+            "--lambda-grid", "0.0",
             "--kinds", "power-mean,midpoint-power-mean"])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -179,6 +180,35 @@ class TestCompare:
         assert float(rows[0]["classical-simpson"]) == \
             pytest.approx(24.0 / 2880.0, rel=1e-12)
 
+    # each bound at an (alpha, lambda) where it holds, with what it reads
+    KINDS = {
+        "power-mean": ["--alpha-grid", "0.3", "--lambda-grid", "0.6"],
+        "holder": ["--alpha-grid", "0.3", "--lambda-grid", "0.6"],
+        "holder-concave": ["--alpha-grid", "0.3", "--lambda-grid", "0.6",
+                           "--concave"],
+        "general-convex": ["--alpha-grid", "0.3", "--lambda-grid", "0.6"],
+        "midpoint-power-mean": ["--lambda-grid", "0"],
+        "midpoint-holder": ["--lambda-grid", "0"],
+        "simpson-holder": [],
+        "trapezoid-holder": ["--lambda-grid", "1"],
+        "classical-simpson": ["--sup-f4", "24"],
+    }
+
+    def test_kinds_cover_the_table(self):
+        assert set(self.KINDS) == {*bounds.GENERAL_BOUNDS,
+                                   *bounds.PRIOR_BOUNDS}
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_every_bound_by_name(self, capsys, name):
+        code, out, err = run_cli(capsys, [
+            "compare", "--function", "pow:1,1.5", "--interval", "0", "1",
+            "--h", "t^s", "--s", "0.5", "--q-grid", "2",
+            "--kinds", name, *self.KINDS[name]])
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        assert math.isfinite(float(rows[0][name]))
+
 
 class TestConfigErrors:
     CASES = [
@@ -193,6 +223,11 @@ class TestConfigErrors:
         ["identity", "--cases", "0"],
         # the Hoelder routes need q > 1 for the conjugate p; q defaults to 1
         ["verify", "--function", "poly:0,0,1", "--bound", "holder"],
+        ["verify", "--function", "poly:0,0,1", "--q-grid", "nan"],
+        ["verify", "--function", "poly:0,0,1", "--q-grid", "inf"],
+        ["verify", "--function", "poly:0,0,1", "--interval", "0", "inf"],
+        ["hadamard", "--function", "poly:0,0,1", "--interval", "0", "inf"],
+        ["compare", "--function", "poly:0,0,1", "--kinds", "bogus"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,
@@ -207,7 +242,12 @@ class TestUnknownFlags:
     @pytest.mark.parametrize("argv", [
         ["hadamard", "--function", "poly:0,0,1", "--concave"],
         ["verify", "--function", "poly:0,0,1", "--sup-f4", "1"],
-    ], ids=["hadamard-concave", "verify-sup-f4"])
+        ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
+         "--samples", "5"],
+        ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
+         "--bound", "holder"],
+    ], ids=["hadamard-concave", "verify-sup-f4", "compare-samples",
+            "compare-bound"])
     def test_parser_rejects(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -69,6 +69,9 @@ class TestRuleParams:
             RuleParams(0.5, 1.1, 1.0)
         with pytest.raises(DomainError):
             RuleParams(0.5, 0.5, 0.9)
+        for q in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                RuleParams(0.5, 0.5, q)
 
     def test_conjugacy(self):
         for q in (1.2, 1.5, 2.0, 3.0, 7.5):
