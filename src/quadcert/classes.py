@@ -106,8 +106,8 @@ def h_integral_01(h: HModulus) -> float:
         return 1.0 / (h.s_param + 1.0)
     if h.kind is HKind.CONSTANT:
         return 1.0
-    from .oracle import integrate_adaptive  # local import: oracle depends on us
-    return integrate_adaptive(lambda t: h_eval(h, t), 0.0, 1.0, 1e-12).value
+    from .oracle import TOL, integrate_adaptive  # oracle depends on us
+    return integrate_adaptive(lambda t: h_eval(h, t), 0.0, 1.0, TOL).value
 
 
 class ClassKind(Enum):

@@ -257,7 +257,7 @@ def _check_reciprocal_divergence(rp: RuleParams, side: Side, reflected: bool):
 
 def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool) -> float:
-    from .oracle import integrate_adaptive  # local import to avoid a cycle
+    from .oracle import TOL, integrate_adaptive  # local: avoids a cycle
     alpha, lam = rp.alpha, rp.lam
     u = 1.0 - alpha
     if side is Side.LEFT:
@@ -277,7 +277,7 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
     pieces = [(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim \
         else [(lo, hi_lim)]
     for plo, phi in pieces:
-        total += integrate_adaptive(integrand, plo, phi, 1e-12).value
+        total += integrate_adaptive(integrand, plo, phi, TOL).value
     return total
 
 

@@ -18,22 +18,25 @@ from .classes import (ClassKind, HKind, TestFunction, h_eval, h_integral_01)
 from .errors import (ClassMismatch, DegenerateModulus, NonFiniteSample,
                      ToleranceNotReached)
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1].  Even-indexed
-# abscissae are the Gauss-7 nodes.
-_XGK = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+# Absolute tolerance of every integral the package asks of the oracle;
+# mean_value scales it by the width of the interval.
+TOL = 1e-12
+
+# The Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK qk15): one row
+# (abscissa, Kronrod weight, Gauss weight) per symmetric node pair,
+# outermost first.  Every second abscissa is a Gauss-7 node; the Gauss
+# weight is 0.0 at the other four.
+_K15_PAIRS = (
+    (0.991455371120813, 0.022935322010529, 0.0),
+    (0.949107912342759, 0.063092092629979, 0.129484966168870),
+    (0.864864423359769, 0.104790010322250, 0.0),
+    (0.741531185599394, 0.140653259715525, 0.279705391489277),
+    (0.586087235467691, 0.169004726639267, 0.0),
+    (0.405845151377397, 0.190350578064785, 0.381830050505119),
+    (0.207784955007898, 0.204432940075298, 0.0),
 )
-_WGK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-)
-_WG = (
-    0.129484966168870, 0.279705391489277,
-    0.381830050505119, 0.417959183673469,
-)
+# (Kronrod weight, Gauss weight) of the centre node
+_K15_CENTRE = (0.209482141084728, 0.417959183673469)
 
 
 def _kronrod_pair(g, lo, hi):
@@ -49,26 +52,22 @@ def _kronrod_pair(g, lo, hi):
     fc = g(c)
     if not math.isfinite(fc):
         raise NonFiniteSample(f"integrand non-finite at {c!r}")
-    vals = [fc]
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for j in range(7):
-        x = half * _XGK[j]
-        f1 = g(c - x)
-        f2 = g(c + x)
+    wk_centre, wg_centre = _K15_CENTRE
+    kron = wk_centre * fc
+    gauss = wg_centre * fc
+    pairs = []
+    for x, wk, wg in _K15_PAIRS:
+        f1 = g(c - half * x)
+        f2 = g(c + half * x)
         if not (math.isfinite(f1) and math.isfinite(f2)):
             raise NonFiniteSample("integrand non-finite at interior node")
-        vals.append(f1)
-        vals.append(f2)
-        kron += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:  # Gauss-7 nodes sit at the odd Kronrod indices
-            gauss += _WG[j // 2] * (f1 + f2)
+        pairs.append((f1, f2))
+        kron += wk * (f1 + f2)
+        gauss += wg * (f1 + f2)
     mean = kron / 2.0
-    resasc = _WGK[7] * abs(fc - mean)
-    k = 1
-    for j in range(7):
-        resasc += _WGK[j] * (abs(vals[k] - mean) + abs(vals[k + 1] - mean))
-        k += 2
+    resasc = wk_centre * abs(fc - mean)
+    for (_, wk, _), (f1, f2) in zip(_K15_PAIRS, pairs):
+        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
     resasc *= abs(half)
     kron *= half
     gauss *= half
@@ -164,9 +163,9 @@ def rule_value(tf: TestFunction, alpha: float, lam: float) -> float:
             + (1.0 - lam) * tf.f(node))
 
 
-def mean_value(tf: TestFunction, tol: float = 1e-12) -> float:
-    """(1/(b-a)) * integral of f over [a, b]."""
-    res = integrate_adaptive(tf.f, tf.a, tf.b, tol * tf.width)
+def mean_value(tf: TestFunction) -> float:
+    """(1/(b-a)) * integral of f over [a, b], to TOL relative to the width."""
+    res = integrate_adaptive(tf.f, tf.a, tf.b, TOL * tf.width)
     return res.value / tf.width
 
 
@@ -194,8 +193,8 @@ def lemma_identity_residual(tf: TestFunction, rp) -> float:
     def right(t):
         return (t - shift) * tf.f_prime(t * b + (1.0 - t) * a)
 
-    i1 = integrate_adaptive(left, 0.0, u, 1e-12).value if u > 0.0 else 0.0
-    i2 = integrate_adaptive(right, u, 1.0, 1e-12).value if u < 1.0 else 0.0
+    i1 = integrate_adaptive(left, 0.0, u, TOL).value if u > 0.0 else 0.0
+    i2 = integrate_adaptive(right, u, 1.0, TOL).value if u < 1.0 else 0.0
     return abs(lhs - width * (i1 + i2))
 
 

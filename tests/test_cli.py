@@ -279,7 +279,7 @@ class TestReadmeExamples:
 
 class TestOracleFailure:
     def test_exit_three(self, capsys, monkeypatch):
-        def boom(tf, tol=0.0):
+        def boom(tf):
             raise ToleranceNotReached("forced")
 
         monkeypatch.setattr(oracle, "mean_value", boom)
