@@ -22,21 +22,22 @@ from .errors import (ClassMismatch, DegenerateModulus, NonFiniteSample,
 # mean_value scales it by the width of the interval.
 TOL = 1e-12
 
-# The Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK qk15): one row
-# (abscissa, Kronrod weight, Gauss weight) per symmetric node pair,
-# outermost first.  Every second abscissa is a Gauss-7 node; the Gauss
-# weight is 0.0 at the other four.
+# The Gauss-Kronrod 7/15 pair on [-1, 1]: one row (abscissa, Kronrod
+# weight, Gauss weight) per symmetric node pair, outermost first.  Every
+# second abscissa is a Gauss-7 node; the Gauss weight is 0.0 at the other
+# four.  The digits are QUADPACK's qk15 constants rounded to 20 significant
+# digits, so each parses to the double nearest the exact value.
 _K15_PAIRS = (
-    (0.991455371120813, 0.022935322010529, 0.0),
-    (0.949107912342759, 0.063092092629979, 0.129484966168870),
-    (0.864864423359769, 0.104790010322250, 0.0),
-    (0.741531185599394, 0.140653259715525, 0.279705391489277),
-    (0.586087235467691, 0.169004726639267, 0.0),
-    (0.405845151377397, 0.190350578064785, 0.381830050505119),
-    (0.207784955007898, 0.204432940075298, 0.0),
+    (0.99145537112081263921, 0.022935322010529224964, 0.0),
+    (0.94910791234275852453, 0.063092092629978553291, 0.12948496616886969327),
+    (0.86486442335976907279, 0.10479001032225018384, 0.0),
+    (0.74153118559939443986, 0.14065325971552591875, 0.27970539148927666790),
+    (0.58608723546769113029, 0.16900472663926790283, 0.0),
+    (0.40584515137739716691, 0.19035057806478540991, 0.38183005050511894495),
+    (0.20778495500789846760, 0.20443294007529889241, 0.0),
 )
 # (Kronrod weight, Gauss weight) of the centre node
-_K15_CENTRE = (0.209482141084728, 0.417959183673469)
+_K15_CENTRE = (0.20948214108472782801, 0.41795918367346938776)
 
 
 def _kronrod_pair(g, lo, hi):

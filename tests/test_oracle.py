@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadcert import oracle
 from quadcert import (
     ClassCertificate, ClassKind, HadamardVariant, HModulus, RuleParams,
     TestFunction, hadamard_check, integrate_adaptive,
@@ -25,6 +26,40 @@ from quadcert.errors import (ClassMismatch, NonFiniteSample,
 def _convex_tf(f, fp, a, b, q=1.0):
     cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), q)
     return TestFunction(f, fp, a, b, cert)
+
+
+def _k15_rule():
+    """Nodes, Kronrod weights and Gauss weights of the oracle's rule."""
+    x, wk, wg = np.array(oracle._K15_PAIRS).T
+    wk_centre, wg_centre = oracle._K15_CENTRE
+    return (np.concatenate([-x, x, [0.0]]),
+            np.concatenate([wk, wk, [wk_centre]]),
+            np.concatenate([wg, wg, [wg_centre]]))
+
+
+class TestKronrodConstants:
+    # On [-1, 1] the even power x^k integrates to 2/(k+1).  K15 is exact
+    # through degree 22 and G7 through degree 13; constants correct to full
+    # double precision miss these by ~1e-16, 15-digit ones by ~1e-15.
+
+    @pytest.mark.parametrize("k", range(0, 23, 2))
+    def test_kronrod_exact(self, k):
+        # k = 0: the Kronrod weights sum to 2
+        nodes, wk, _ = _k15_rule()
+        assert abs(math.fsum(wk * nodes ** k) - 2.0 / (k + 1)) <= 4e-16
+
+    @pytest.mark.parametrize("k", range(0, 13, 2))
+    def test_gauss_exact(self, k):
+        nodes, _, wg = _k15_rule()
+        assert abs(math.fsum(wg * nodes ** k) - 2.0 / (k + 1)) <= 4e-16
+
+    def test_gauss_matches_leggauss(self):
+        nodes, _, wg = _k15_rule()
+        is_gauss = wg != 0.0
+        order = np.argsort(nodes[is_gauss])
+        ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+        assert np.max(np.abs(nodes[is_gauss][order] - ref_x)) <= 1e-15
+        assert np.max(np.abs(wg[is_gauss][order] - ref_w)) <= 1e-15
 
 
 class TestIntegrateAdaptive:
