@@ -21,8 +21,7 @@ from typing import Dict, Optional
 from .classes import ClassKind, HModulus, TestFunction, h_eval, h_integral_01
 from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
 from .moments import (CaseBranch, RuleParams, Side, active_epsilons,
-                      active_gamma_upsilon, branch_select, gamma_coeffs,
-                      upsilon_coeffs, weighted_moment)
+                      active_gamma_upsilon, branch_select, weighted_moment)
 
 
 @dataclass(frozen=True)
@@ -141,16 +140,18 @@ def rhs_general_convex(rp: RuleParams, width: float,
                        d_a: float, d_b: float) -> BoundResult:
     """Earlier general (alpha, lambda) bound for |f'|^q plain convex.
 
-    Independent coding of the published cubic coefficient table; the
-    power-mean route with the identity modulus must reproduce it.
+    Independent coding of the published cubic coefficient table and case
+    ladder; the power-mean route with the identity modulus must reproduce it.
     """
     alpha, lam, q = rp.alpha, rp.lam, rp.q
     w = alpha * lam
     u = 1.0 - alpha
     lu = lam * u
     hi = 1.0 - lu
-    g1, g2 = gamma_coeffs(rp)
-    v1, v2 = upsilon_coeffs(rp)
+    g1 = u * (w - u / 2.0)
+    g2 = w * w - g1
+    v1 = alpha * ((1.0 + u) / 2.0 - hi)
+    v2 = (1.0 + u * u) / 2.0 - (lam + 1.0) * u * hi
     mu1 = (w ** 3 + u ** 3) / 3.0 - w * u * u / 2.0
     mu2 = (1.0 + alpha ** 3 + (1.0 - w) ** 3) / 3.0 \
         - (1.0 - w) * (1.0 + alpha * alpha) / 2.0
@@ -160,13 +161,15 @@ def rhs_general_convex(rp: RuleParams, width: float,
     eta2 = lu * alpha * alpha / 2.0 - alpha ** 3 / 3.0
     eta3 = hi ** 3 / 3.0 - hi / 2.0 * (1.0 + u * u) + (1.0 + u ** 3) / 3.0
     eta4 = lu ** 3 / 3.0 - lu * alpha * alpha / 2.0 + alpha ** 3 / 3.0
-    branch = branch_select(rp)
-    if branch is CaseBranch.MID_ORDER:
+    if w <= u and u <= hi:
+        branch = CaseBranch.MID_ORDER
         gc, ma, mb, uc, ea, eb = g2, mu1, mu2, v2, eta3, eta4
-    elif branch is CaseBranch.RIGHT_OF_UPPER:
-        gc, ma, mb, uc, ea, eb = g2, mu1, mu2, v1, eta1, eta2
-    else:
+    elif u <= hi:
+        branch = CaseBranch.LEFT_OF_LOWER
         gc, ma, mb, uc, ea, eb = g1, mu3, mu4, v2, eta3, eta4
+    else:
+        branch = CaseBranch.RIGHT_OF_UPPER
+        gc, ma, mb, uc, ea, eb = g2, mu1, mu2, v1, eta1, eta2
     big_a = max(ma * d_b ** q + mb * d_a ** q, 0.0)
     big_b = max(ea * d_b ** q + eb * d_a ** q, 0.0)
     value = width * (_pow(gc, 1.0 - 1.0 / q) * big_a ** (1.0 / q)

@@ -106,12 +106,6 @@ def _grid(values: Optional[List[float]], default: List[float]) -> List[float]:
     return out
 
 
-def _s_values(args) -> List[Optional[float]]:
-    if args.s_grid:
-        return list(args.s_grid)
-    return [args.s]
-
-
 def _build_tf(args, q: float, s: Optional[float]) -> TestFunction:
     f, fp = parse_function(args.function)
     h = parse_modulus(args.h, s)
@@ -130,7 +124,7 @@ def _iter_rows(args):
     alphas = _grid(args.alpha_grid, [0.5])
     lams = _grid(args.lambda_grid, [1.0 / 3.0])
     qs = _grid(args.q_grid, [1.0])
-    for q, s in itertools.product(qs, _s_values(args)):
+    for q, s in itertools.product(qs, args.s):
         tf = _build_tf(args, q, s)
         rep = certify_membership(tf, n_samples=args.samples, seed=args.seed)
         mean = oracle.mean_value(tf)
@@ -216,7 +210,7 @@ def cmd_compare(args) -> int:
     alphas = _grid(args.alpha_grid, [0.5])
     lams = _grid(args.lambda_grid, [1.0 / 3.0])
     qs = _grid(args.q_grid, [2.0])
-    for q, s in itertools.product(qs, _s_values(args)):
+    for q, s in itertools.product(qs, args.s):
         tf = _build_tf(args, q, s)
         for alpha, lam in itertools.product(alphas, lams):
             rp = RuleParams(alpha, lam, q)
@@ -291,12 +285,12 @@ def _add_function_args(p):
     p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
                    default=[0.0, 1.0])
     p.add_argument("--h", default="t", help="modulus: t | t^s | 1 | 1/t")
-    p.add_argument("--s", type=float, default=None)
 
 
 def _add_grid_args(p):
     """Flags of the grid commands verify, sweep and compare."""
-    p.add_argument("--s-grid", type=float, nargs="*", default=None)
+    p.add_argument("--s", type=float, nargs="+", default=[None],
+                   help="one or more values of s for --h t^s")
     p.add_argument("--alpha-grid", type=float, nargs="*", default=None)
     p.add_argument("--lambda-grid", type=float, nargs="*", default=None)
     p.add_argument("--q-grid", type=float, nargs="*", default=None)
@@ -330,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                         [*bnd.GENERAL_BOUNDS, *bnd.PRIOR_BOUNDS]))
     pc.add_argument("--sup-f4", type=float, default=None)
     ph = sub.choices["hadamard"]
+    ph.add_argument("--s", type=float, default=None)
     ph.add_argument("--variant", default="classical",
                     choices=[v.value for v in oracle.HadamardVariant])
     pi = sub.add_parser("identity")
@@ -345,6 +340,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, DomainError, ParamMismatch, NotIntegrable) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        print(f"config error: overflow: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ToleranceNotReached, NonFiniteSample) as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Independent numerical ground truth.
 
-Adaptive Gauss-Kronrod integration, the exact left-hand side of the
+Adaptive integration on QUADPACK's Gauss-Kronrod 7/15 pair (qk15, at full
+double precision, to the one tolerance TOL), the exact left-hand side of the
 generalized (alpha, lambda) quadrature error, the residual of the integral
 identity underlying all the bounds, and the Hadamard-type inequality chains
 for each function class.
@@ -18,15 +19,13 @@ from .classes import (ClassKind, HKind, TestFunction, h_eval, h_integral_01)
 from .errors import (ClassMismatch, DegenerateModulus, NonFiniteSample,
                      ToleranceNotReached)
 
-# Absolute tolerance of every integral the package asks of the oracle;
-# mean_value scales it by the width of the interval.
+# Absolute tolerance of every oracle integral (mean_value: times the width)
 TOL = 1e-12
 
-# The Gauss-Kronrod 7/15 pair on [-1, 1]: one row (abscissa, Kronrod
-# weight, Gauss weight) per symmetric node pair, outermost first.  Every
-# second abscissa is a Gauss-7 node; the Gauss weight is 0.0 at the other
-# four.  The digits are QUADPACK's qk15 constants rounded to 20 significant
-# digits, so each parses to the double nearest the exact value.
+# QUADPACK's qk15 constants on [-1, 1], rounded to 20 digits so that each
+# parses to the nearest double: one row (abscissa, Kronrod weight, Gauss
+# weight) per symmetric node pair, outermost first, with Gauss weight 0.0 at
+# the four Kronrod-only abscissae; then the centre node's two weights.
 _K15_PAIRS = (
     (0.99145537112081263921, 0.022935322010529224964, 0.0),
     (0.94910791234275852453, 0.063092092629978553291, 0.12948496616886969327),
@@ -36,7 +35,6 @@ _K15_PAIRS = (
     (0.40584515137739716691, 0.19035057806478540991, 0.38183005050511894495),
     (0.20778495500789846760, 0.20443294007529889241, 0.0),
 )
-# (Kronrod weight, Gauss weight) of the centre node
 _K15_CENTRE = (0.20948214108472782801, 0.41795918367346938776)
 
 
@@ -128,15 +126,13 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     edges = [lo_end] + cuts + [hi_end]
     heap = []
     total_val = total_err = 0.0
-    tick = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for tick, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         val, err = _panel(g, lo, hi)
         heap.append((-err, tick, lo, hi, val, err))
         total_val += val
         total_err += err
-        tick += 1
     heapq.heapify(heap)
-    count = len(heap)
+    tick = count = len(heap)
     sign = 1.0 if a < b else -1.0
     while total_err > max(tol, 1e-14 * abs(total_val)):
         if count >= max_subdivisions:

@@ -81,7 +81,7 @@ class TestVerify:
     def test_s_grid(self, capsys):
         code, out, _ = run_cli(capsys, [
             "verify", "--function", "pow:1,1.5", "--interval", "0", "1",
-            "--h", "t^s", "--s-grid", "0.25", "0.5"])
+            "--h", "t^s", "--s", "0.25", "0.5"])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["s"] for r in rows] == ["0.25", "0.5"]
@@ -228,6 +228,8 @@ class TestConfigErrors:
         ["verify", "--function", "poly:0,0,1", "--interval", "0", "inf"],
         ["hadamard", "--function", "poly:0,0,1", "--interval", "0", "inf"],
         ["compare", "--function", "poly:0,0,1", "--kinds", "bogus"],
+        # x^2 overflows the float range on a finite interval
+        ["verify", "--function", "poly:0,0,1", "--interval", "0", "1e200"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,

@@ -317,14 +317,29 @@ class TestWeightedMoment:
                 want = weighted_moment(HModulus.power(0.6), rp, side, refl)
                 assert got == pytest.approx(want, abs=1e-11)
 
-    def test_reciprocal_divergence(self):
-        rp = RuleParams(0.5, 1.0 / 3.0, 1.0)  # kink weight > 0 at t = 0
-        with pytest.raises(NotIntegrable):
-            weighted_moment(HModulus.reciprocal(), rp, Side.LEFT, False)
-        # weight vanishing at the singular endpoint keeps it finite
-        rp0 = RuleParams(0.5, 0.0, 1.0)
-        val = weighted_moment(HModulus.reciprocal(), rp0, Side.LEFT, False)
-        assert val == pytest.approx(0.5, abs=1e-11)  # int_0^{1/2} t/t dt
+    @pytest.mark.parametrize("alpha, lam, side, reflected, want", [
+        # the weight |t - kink| is nonzero at the singular endpoint
+        (0.5, 1.0 / 3.0, Side.LEFT, False, None),  # 1/t at t = 0
+        (0.0, 0.5, Side.LEFT, True, None),         # 1/(1-t) at t = 1
+        (1.0, 0.5, Side.RIGHT, False, None),       # 1/t at t = 0
+        (0.5, 0.5, Side.RIGHT, True, None),        # 1/(1-t) at t = 1
+        # it vanishes there: int t/t, int t/(1-t) over [0, 1/2] and
+        # int (1-t)/t, int (1-t)/(1-t) over [1/2, 1]
+        (0.5, 0.0, Side.LEFT, False, 0.5),
+        (0.5, 0.0, Side.LEFT, True, math.log(2.0) - 0.5),
+        (0.5, 0.0, Side.RIGHT, False, math.log(2.0) - 0.5),
+        (0.5, 0.0, Side.RIGHT, True, 0.5),
+    ], ids=["left-at-0", "left-reflected-at-1", "right-at-0",
+            "right-reflected-at-1", "finite-left", "finite-left-reflected",
+            "finite-right", "finite-right-reflected"])
+    def test_reciprocal_divergence(self, alpha, lam, side, reflected, want):
+        rp = RuleParams(alpha, lam, 1.0)
+        if want is None:
+            with pytest.raises(NotIntegrable):
+                weighted_moment(HModulus.reciprocal(), rp, side, reflected)
+        else:
+            val = weighted_moment(HModulus.reciprocal(), rp, side, reflected)
+            assert val == pytest.approx(want, abs=1e-11)
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(0.02, 0.98), lam=param_floats,
