@@ -85,18 +85,22 @@ def parse_function(spec: str):
     raise ConfigError(f"cannot parse function spec {spec!r}")
 
 
+_FIXED_MODULI = {"t": HModulus.identity, "1": HModulus.constant,
+                 "1/t": HModulus.reciprocal}
+
+
 def parse_modulus(spec: str, s: Optional[float]) -> HModulus:
-    if spec == "t":
-        return HModulus.identity()
+    """The modulus named by --h; s is --s, which only t^s reads."""
     if spec == "t^s":
         if s is None:
             raise ConfigError("--h t^s needs --s")
         return HModulus.power(s)
-    if spec == "1":
-        return HModulus.constant()
-    if spec == "1/t":
-        return HModulus.reciprocal()
-    raise ConfigError(f"unknown modulus {spec!r}")
+    if spec not in _FIXED_MODULI:
+        raise ConfigError(f"unknown modulus {spec!r}")
+    if s is not None:
+        # t, 1 and 1/t do not read s; each value would repeat the rows
+        raise ConfigError(f"--s applies only to --h t^s, not --h {spec}")
+    return _FIXED_MODULI[spec]()
 
 
 def _grid(values: Optional[List[float]], default: List[float]) -> List[float]:

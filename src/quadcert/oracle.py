@@ -41,6 +41,8 @@ _K15_CENTRE = (0.20948214108472782801, 0.41795918367346938776)
 def _kronrod_pair(g, lo, hi):
     """(K15 value, error estimate) on [lo, hi].
 
+    Each sample is converted to a Python float once, so the sums below run
+    on floats even when g returns numpy scalars (the conversion is exact).
     The estimate follows the QUADPACK recipe: the raw |K15 - G7| gap is
     amplified against the L1 deviation of the integrand from its mean, so
     that a kink sitting symmetrically inside the interval (where both rules
@@ -48,18 +50,24 @@ def _kronrod_pair(g, lo, hi):
     """
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = g(c)
+    fc = float(g(c))
     if not math.isfinite(fc):
-        raise NonFiniteSample(f"integrand non-finite at {c!r}")
+        raise NonFiniteSample(
+            f"integrand is {fc!r} at the centre node {c!r} "
+            f"of panel [{lo!r}, {hi!r}]")
     wk_centre, wg_centre = _K15_CENTRE
     kron = wk_centre * fc
     gauss = wg_centre * fc
     pairs = []
     for x, wk, wg in _K15_PAIRS:
-        f1 = g(c - half * x)
-        f2 = g(c + half * x)
+        x1, x2 = c - half * x, c + half * x
+        f1 = float(g(x1))
+        f2 = float(g(x2))
         if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise NonFiniteSample("integrand non-finite at interior node")
+            node, val = (x2, f2) if math.isfinite(f1) else (x1, f1)
+            raise NonFiniteSample(
+                f"integrand is {val!r} at the interior node {node!r} "
+                f"of panel [{lo!r}, {hi!r}]")
         pairs.append((f1, f2))
         kron += wk * (f1 + f2)
         gauss += wg * (f1 + f2)
@@ -83,21 +91,26 @@ class QuadratureResult:
     subdivisions: int
 
 
-def _panel(g, lo, hi):
-    """(refined value, error estimate) for the panel [lo, hi].
+def _panel(g, lo, hi, coarse=None):
+    """(refined value, error estimate, left K15, right K15) for [lo, hi].
 
     The value is the sum of the K15 results on the two halves.  The error
     estimate combines the halves' embedded-pair gaps with the discrepancy
-    against the single coarse K15 result, so a kink that happens to cancel
-    inside the pair at one scale is still detected at the other.
+    against the single coarse K15 result on [lo, hi], so a kink that
+    happens to cancel inside the pair at one scale is still detected at the
+    other.  A panel made by bisection inherits its coarse K15 from its
+    parent, which computed it as one of its halves, and pays 30 new
+    evaluations; a seed panel computes it too (45 evaluations).  The two
+    half values are returned for the panel's own children.
     """
     mid = 0.5 * (lo + hi)
-    v0, _ = _kronrod_pair(g, lo, hi)
+    if coarse is None:
+        coarse, _ = _kronrod_pair(g, lo, hi)
     v1, e1 = _kronrod_pair(g, lo, mid)
     v2, e2 = _kronrod_pair(g, mid, hi)
     value = v1 + v2
-    err = max(e1 + e2, abs(v0 - value) / 3.0)
-    return value, err
+    err = max(e1 + e2, abs(coarse - value) / 3.0)
+    return value, err, v1, v2
 
 
 def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
@@ -107,10 +120,14 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
 
     Globally adaptive bisection on a Gauss-Kronrod 7/15 pair with a
     two-level error estimate per panel; deterministic for fixed inputs.
+    Each seed panel costs 45 evaluations of g and each bisection 60: a
+    child panel's coarse K15 is the half-panel K15 its parent already
+    computed, so only the child's two halves (30 evaluations) are new.
     Endpoints are never sampled, so integrable endpoint singularities are
     tolerated.  The tolerance carries an implicit relative floor of ~1e-14
     of the running value, below which double precision cannot certify
-    further digits.
+    further digits.  ``subdivisions`` in the result counts the final
+    panels: the seed panels plus one per bisection.
 
     Known kinks or other isolated non-smooth points should be passed via
     break_points: a feature much narrower than the node spacing of a panel
@@ -124,11 +141,12 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     lo_end, hi_end = (a, b) if a < b else (b, a)
     cuts = sorted({x for x in break_points if lo_end < x < hi_end})
     edges = [lo_end] + cuts + [hi_end]
+    # heap entry: (-err, tick, lo, hi, value, err, left K15, right K15)
     heap = []
     total_val = total_err = 0.0
     for tick, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        val, err = _panel(g, lo, hi)
-        heap.append((-err, tick, lo, hi, val, err))
+        val, err, v1, v2 = _panel(g, lo, hi)
+        heap.append((-err, tick, lo, hi, val, err, v1, v2))
         total_val += val
         total_err += err
     heapq.heapify(heap)
@@ -136,16 +154,18 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     sign = 1.0 if a < b else -1.0
     while total_err > max(tol, 1e-14 * abs(total_val)):
         if count >= max_subdivisions:
+            _, _, lo, hi, _, worst, _, _ = heap[0]
             raise ToleranceNotReached(
-                f"error estimate {total_err:.3e} after {count} intervals")
-        _, _, lo, hi, v0, e0 = heapq.heappop(heap)
+                f"error estimate {total_err:.3e} after {count} intervals; "
+                f"largest panel estimate {worst:.3e} on [{lo!r}, {hi!r}]")
+        _, _, lo, hi, v0, e0, c1, c2 = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(g, lo, mid)
-        v2, e2 = _panel(g, mid, hi)
+        v1, e1, l1, r1 = _panel(g, lo, mid, c1)
+        v2, e2, l2, r2 = _panel(g, mid, hi, c2)
         total_val += v1 + v2 - v0
         total_err += e1 + e2 - e0
-        heapq.heappush(heap, (-e1, tick, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, tick + 1, mid, hi, v2, e2))
+        heapq.heappush(heap, (-e1, tick, lo, mid, v1, e1, l1, r1))
+        heapq.heappush(heap, (-e2, tick + 1, mid, hi, v2, e2, l2, r2))
         tick += 2
         count += 1
     # Re-sum for a sharper value once the partition is fixed.

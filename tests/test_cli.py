@@ -230,6 +230,12 @@ class TestConfigErrors:
         ["compare", "--function", "poly:0,0,1", "--kinds", "bogus"],
         # x^2 overflows the float range on a finite interval
         ["verify", "--function", "poly:0,0,1", "--interval", "0", "1e200"],
+        # --s on a modulus that does not read it
+        ["verify", "--function", "poly:0,0,1", "--s", "0.3", "0.5"],
+        ["sweep", "--function", "poly:0,0,1", "--h", "1", "--s", "0.3"],
+        ["compare", "--function", "poly:0,0,1", "--h", "1/t", "--s", "0.5",
+         "--kinds", "power-mean"],
+        ["hadamard", "--function", "poly:0,0,1", "--s", "0.5"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,

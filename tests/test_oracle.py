@@ -141,6 +141,82 @@ class TestIntegrateAdaptive:
         assert res.value == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
 
+class TestEvaluationCount:
+    # (integrand, a, b, break points, QuadratureResult).  The results are
+    # pinned to the last digit: keeping the half-panel K15 values and
+    # converting samples to float must not move any bit.
+    CASES = {
+        "inv-sqrt": (lambda t: t ** -0.5, 0.0, 1.0, (),
+                     (1.9999999999999585, 8.496585182109842e-13, 80)),
+        "log": (math.log, 0.0, 1.0, (),
+                (-0.9999999999999984, 6.680512117425364e-13, 40)),
+        "kink-sqrt": (lambda t: abs(t - 0.07) * math.sqrt(t), 0.0, 0.2, (),
+                      (0.003672846979288136, 7.107176495371645e-13, 32)),
+        "kink-sqrt-break": (lambda t: abs(t - 0.07) * math.sqrt(t),
+                            0.0, 0.2, (0.07,),
+                            (0.0036728469792916343, 6.171791229250933e-13,
+                             18)),
+        "exp": (lambda t: math.exp(-6.0 * t), 0.0, 5.0, (),
+                (0.16666666666665111, 5.383264216182059e-15, 3)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_evals_and_result(self, name):
+        g, a, b, break_points, pinned = self.CASES[name]
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return g(t)
+
+        res = integrate_adaptive(counted, a, b, oracle.TOL,
+                                 break_points=break_points)
+        assert repr(res) == repr(oracle.QuadratureResult(*pinned))
+        # subdivisions counts the final panels: seeds plus one per
+        # bisection.  A seed panel costs 45 evaluations, a bisection 60.
+        seeds = len(break_points) + 1
+        assert calls[0] == 45 * seeds + 60 * (res.subdivisions - seeds)
+
+    def test_numpy_samples_give_floats(self):
+        # a numpy-scalar integrand gives the bits of its float twin, and
+        # the result holds plain floats
+        def g(t):
+            return math.exp(-6.0 * t)
+
+        res = integrate_adaptive(lambda t: np.float64(g(t)), 0.0, 5.0,
+                                 oracle.TOL)
+        assert type(res.value) is float
+        assert type(res.abs_error_estimate) is float
+        assert res == integrate_adaptive(g, 0.0, 5.0, oracle.TOL)
+
+
+class TestFailureMessages:
+    def test_interior_node(self):
+        # NaN only beyond 0.99: on [0, 1] the outermost right node is the
+        # first sample that sees it
+        node = 0.5 + 0.5 * oracle._K15_PAIRS[0][0]
+        with pytest.raises(NonFiniteSample) as exc:
+            integrate_adaptive(lambda t: math.nan if t > 0.99 else t,
+                               0.0, 1.0, 1e-12)
+        assert str(exc.value) == (f"integrand is nan at the interior node "
+                                  f"{node!r} of panel [0.0, 1.0]")
+
+    def test_centre_node(self):
+        with pytest.raises(NonFiniteSample) as exc:
+            integrate_adaptive(lambda t: math.inf, 2.0, 3.0, 1e-12)
+        assert str(exc.value) == ("integrand is inf at the centre node 2.5 "
+                                  "of panel [2.0, 3.0]")
+
+    def test_worst_panel(self):
+        # three bisections of [0, 1] all split the panel at the singularity
+        with pytest.raises(ToleranceNotReached) as exc:
+            integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0, 1e-12,
+                               max_subdivisions=4)
+        msg = str(exc.value)
+        assert "after 4 intervals" in msg
+        assert msg.endswith(" on [0.0, 0.125]")
+
+
 class TestRuleAndError:
     def test_simpson_exact_on_quadratic(self):
         tf = _convex_tf(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0)
