@@ -10,34 +10,39 @@ Low-level ``rhs_*`` evaluators take the interval width and the needed
 function objects; the ``bound_*`` wrappers consume a TestFunction and check
 its certificate.  ``evaluate_bound`` evaluates any bound on a TestFunction
 by name, a key of ``GENERAL_BOUNDS`` or one of ``PRIOR_BOUNDS``; these are
-the names the command line accepts.
+the names the command line accepts.  On a grid of rules (``RuleParams``
+with arrays) a bound gives the same bits as point by point, as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
+import numpy as np
+
+from .arrays import every, map_scalar, power
 from .classes import ClassKind, HModulus, TestFunction, h_eval, h_integral_01
 from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
 from .moments import (CaseBranch, RuleParams, Side, active_epsilons,
-                      active_gamma_upsilon, branch_select, weighted_moment)
+                      active_gamma_upsilon, at_points, branch_select,
+                      weighted_moment)
 
 
 @dataclass(frozen=True)
 class BoundResult:
-    """One evaluated bound: RHS value, governing branch, and diagnostics."""
+    """RHS value, governing branch and diagnostics; on a grid, arrays."""
 
-    value: float
-    branch: Optional[CaseBranch]
-    components: Dict[str, float]
+    value: Any
+    branch: Optional[Any]
+    components: Dict[str, Any]
 
 
-def _pow(x: float, e: float) -> float:
+def _pow(x, e: float):
     # x**0 := 1 even at x = 0, so q = 1 degrades to the q=1 corollary.
     if e == 0.0:
         return 1.0
-    return x ** e
+    return power(x, e)
 
 
 def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
@@ -48,11 +53,12 @@ def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
     mo_lr = weighted_moment(h, rp, Side.LEFT, reflected=True)
     mo_r = weighted_moment(h, rp, Side.RIGHT, reflected=False)
     mo_rr = weighted_moment(h, rp, Side.RIGHT, reflected=True)
-    big_a = d_b ** q * mo_l + d_a ** q * mo_lr
-    big_b = d_b ** q * mo_r + d_a ** q * mo_rr
+    db_q, da_q = d_b ** q, d_a ** q
+    big_a = db_q * mo_l + da_q * mo_lr
+    big_b = db_q * mo_r + da_q * mo_rr
     gc, uc = active_gamma_upsilon(rp)
-    value = width * (_pow(gc, 1.0 - 1.0 / q) * big_a ** (1.0 / q)
-                     + _pow(uc, 1.0 - 1.0 / q) * big_b ** (1.0 / q))
+    value = width * (_pow(gc, 1.0 - 1.0 / q) * power(big_a, 1.0 / q)
+                     + _pow(uc, 1.0 - 1.0 / q) * power(big_b, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "A": big_a, "B": big_b, "gamma": gc, "upsilon": uc})
 
@@ -83,12 +89,12 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
     q = rp.q
     h_int = h_integral_01(h)  # raises NotIntegrable for 1/t moduli
     alpha = rp.alpha
-    big_c = (1.0 - alpha) * (d_node ** q + d_a ** q)
-    big_d = alpha * (d_node ** q + d_b ** q)
+    big_c = (1.0 - alpha) * (power(d_node, q) + d_a ** q)
+    big_d = alpha * (power(d_node, q) + d_b ** q)
     eps_c, eps_d = active_epsilons(rp)
     pref = width * (1.0 / (p + 1.0)) ** (1.0 / p) * h_int ** (1.0 / q)
-    value = pref * (eps_c ** (1.0 / p) * big_c ** (1.0 / q)
-                    + eps_d ** (1.0 / p) * big_d ** (1.0 / q))
+    value = pref * (power(eps_c, 1.0 / p) * power(big_c, 1.0 / q)
+                    + power(eps_d, 1.0 / p) * power(big_d, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "C": big_c, "D": big_d, "eps_C": eps_c, "eps_D": eps_d,
         "h_integral": h_int})
@@ -98,7 +104,7 @@ def bound_holder_hconvex(tf: TestFunction, rp: RuleParams) -> BoundResult:
     h = _certified_h(tf, rp, ClassKind.H_CONVEX, "Hoelder bound")
     node = (1.0 - rp.alpha) * tf.b + rp.alpha * tf.a
     return rhs_holder_hconvex(h, rp, tf.width,
-                              abs(tf.f_prime(node)),
+                              abs(map_scalar(tf.f_prime, node)),
                               abs(tf.f_prime(tf.a)), abs(tf.f_prime(tf.b)))
 
 
@@ -111,13 +117,13 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
     if h_half == 0.0:
         raise DegenerateModulus("h(1/2) = 0")
     alpha = rp.alpha
-    big_e = (1.0 - alpha) * d_mid_left ** q
-    big_f = alpha * d_mid_right ** q
+    big_e = (1.0 - alpha) * power(d_mid_left, q)
+    big_f = alpha * power(d_mid_right, q)
     eps_e, eps_f = active_epsilons(rp)
     pref = width * (1.0 / (2.0 * h_half)) ** (1.0 / q) \
         * (1.0 / (p + 1.0)) ** (1.0 / p)
-    value = pref * (eps_e ** (1.0 / p) * big_e ** (1.0 / q)
-                    + eps_f ** (1.0 / p) * big_f ** (1.0 / q))
+    value = pref * (power(eps_e, 1.0 / p) * power(big_e, 1.0 / q)
+                    + power(eps_f, 1.0 / p) * power(big_f, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "E": big_e, "F": big_f, "eps_E": eps_e, "eps_F": eps_f,
         "h_half": h_half})
@@ -129,8 +135,8 @@ def bound_holder_hconcave(tf: TestFunction, rp: RuleParams) -> BoundResult:
     m_left = ((1.0 - alpha) * tf.b + (1.0 + alpha) * tf.a) / 2.0
     m_right = ((2.0 - alpha) * tf.b + alpha * tf.a) / 2.0
     return rhs_holder_hconcave(h, rp, tf.width,
-                               abs(tf.f_prime(m_left)),
-                               abs(tf.f_prime(m_right)))
+                               abs(map_scalar(tf.f_prime, m_left)),
+                               abs(map_scalar(tf.f_prime, m_right)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +148,7 @@ def rhs_general_convex(rp: RuleParams, width: float,
 
     Independent coding of the published cubic coefficient table and case
     ladder; the power-mean route with the identity modulus must reproduce it.
+    Scalar rules only: ``evaluate_bound`` calls it point by point on a grid.
     """
     alpha, lam, q = rp.alpha, rp.lam, rp.q
     w = alpha * lam
@@ -244,18 +251,13 @@ GENERAL_BOUNDS = {
     "holder": bound_holder_hconvex,
     "holder-concave": bound_holder_hconcave,
 }
-PRIOR_BOUNDS = ("general-convex", "midpoint-power-mean", "midpoint-holder",
-                "simpson-holder", "trapezoid-holder", "classical-simpson")
-
-_SIMPSON_PARAMS = (0.5, 1.0 / 3.0)
-_MIDPOINT_PARAMS = (0.5, 0.0)
-_TRAPEZOID_PARAMS = (0.5, 1.0)
-
-
-def _require_params(rp: RuleParams, fixed, name: str):
-    if abs(rp.alpha - fixed[0]) > 1e-12 or abs(rp.lam - fixed[1]) > 1e-12:
-        raise ParamMismatch(
-            f"{name} is fixed at alpha={fixed[0]}, lambda={fixed[1]}")
+# the (alpha, lambda) each prior bound is fixed at; general-convex takes any
+_FIXED_PARAMS = {"midpoint-power-mean": (0.5, 0.0),
+                 "midpoint-holder": (0.5, 0.0),
+                 "simpson-holder": (0.5, 1.0 / 3.0),
+                 "trapezoid-holder": (0.5, 1.0),
+                 "classical-simpson": (0.5, 1.0 / 3.0)}
+PRIOR_BOUNDS = ("general-convex", *_FIXED_PARAMS)
 
 
 def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
@@ -277,32 +279,33 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
     d_a = abs(tf.f_prime(tf.a))
     d_b = abs(tf.f_prime(tf.b))
     d_mid = abs(tf.f_prime(0.5 * (tf.a + tf.b)))
-    if name == "general-convex":
-        return rhs_general_convex(rp, width, d_a, d_b)
-    if name == "midpoint-power-mean":
-        _require_params(rp, _MIDPOINT_PARAMS, name)
-        return rhs_midpoint_power_mean(_need_s(s), rp.q, width, d_a, d_b)
-    if name == "midpoint-holder":
-        _require_params(rp, _MIDPOINT_PARAMS, name)
-        return rhs_midpoint_holder(_need_s(s), rp.require_p(), rp.q,
-                                   width, d_a, d_b)
-    if name == "simpson-holder":
-        _require_params(rp, _SIMPSON_PARAMS, name)
-        return rhs_simpson_holder(_need_s(s), rp.require_p(), rp.q,
-                                  width, d_mid, d_a, d_b)
-    if name == "trapezoid-holder":
-        _require_params(rp, _TRAPEZOID_PARAMS, name)
-        return rhs_trapezoid_holder(_need_s(s), rp.q, width, d_mid, d_a, d_b)
-    # the last of PRIOR_BOUNDS: classical-simpson
-    _require_params(rp, _SIMPSON_PARAMS, name)
-    if sup_f4 is None:
-        raise ParamMismatch("classical Simpson needs sup |f''''|")
-    return rhs_classical_simpson(sup_f4, width)
-
-
-def _need_s(s: Optional[float]) -> float:
+    if name == "general-convex":  # a scalar cross-check: point by point
+        res = at_points(lambda pt: rhs_general_convex(pt, width, d_a, d_b),
+                        rp, object)
+        if not isinstance(res, np.ndarray):
+            return res
+        field = np.frompyfunc(getattr, 2, 1)
+        return BoundResult(field(res, "value").astype(float),
+                           field(res, "branch"),
+                           {k: np.frompyfunc(lambda r: r.components[k], 1, 1)(
+                               res).astype(float) for k in ("A", "B")})
+    alpha, lam = _FIXED_PARAMS[name]
+    if not every((abs(rp.alpha - alpha) <= 1e-12)
+                 & (abs(rp.lam - lam) <= 1e-12)):
+        raise ParamMismatch(f"{name} is fixed at alpha={alpha}, lambda={lam}")
+    if name == "classical-simpson":
+        if sup_f4 is None:
+            raise ParamMismatch("classical Simpson needs sup |f''''|")
+        return rhs_classical_simpson(sup_f4, width)
     if s is None:
         raise ParamMismatch("this bound needs the class parameter s")
     if not 0.0 < s <= 1.0:
         raise DomainError("s must lie in (0, 1]")
-    return s
+    if name == "midpoint-power-mean":
+        return rhs_midpoint_power_mean(s, rp.q, width, d_a, d_b)
+    if name == "midpoint-holder":
+        return rhs_midpoint_holder(s, rp.require_p(), rp.q, width, d_a, d_b)
+    if name == "simpson-holder":
+        return rhs_simpson_holder(s, rp.require_p(), rp.q,
+                                  width, d_mid, d_a, d_b)
+    return rhs_trapezoid_holder(s, rp.q, width, d_mid, d_a, d_b)

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .arrays import map_scalar, power
 from .errors import DomainError, EvaluationError, NotIntegrable
 
 
@@ -202,8 +203,11 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     def g(v):
         return np.abs(_eval_maybe_vector(tf.f_prime, v)) ** cert.exponent_q
 
-    h_a = np.array([h_eval(cert.h, float(al)) for al in alphas])
-    h_1a = np.array([h_eval(cert.h, float(1.0 - al)) for al in alphas])
+    h_on = {HKind.IDENTITY: lambda t: t, HKind.CONSTANT: np.ones_like,
+            HKind.POWER: lambda t: power(t, cert.h.s_param),
+            HKind.RECIPROCAL: lambda t: 1.0 / t}.get(
+        cert.h.kind, lambda t: map_scalar(cert.h, t))  # custom: by sample
+    h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
     gx, gy = g(xs), g(ys)
     gmid = g(alphas * xs + (1.0 - alphas) * ys)
     slack = gmid - (h_a * gx + h_1a * gy)

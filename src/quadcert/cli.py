@@ -7,10 +7,11 @@ certificate), 2 configuration error, 3 oracle failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +32,7 @@ _SOUND_SLACK = 1e-9
 
 SWEEP_COLUMNS = ["alpha", "lambda", "q", "s", "p",
                  "bound_kind", "branch", "lhs", "rhs", "ratio"]
+_BRANCH_NAME = np.frompyfunc(lambda branch: branch.value, 1, 1)
 
 
 class ConfigError(Exception):
@@ -63,13 +65,9 @@ def parse_function(spec: str):
                 raise ValueError
             dcoeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
 
-            def f(x, c=tuple(coeffs)):
-                return sum(ck * x ** k for k, ck in enumerate(c))
-
-            def fp(x, c=tuple(dcoeffs)):
-                return sum(ck * x ** k for k, ck in enumerate(c))
-
-            return f, fp
+            def poly(c):
+                return lambda x: sum(ck * x ** k for k, ck in enumerate(c))
+            return poly(coeffs), poly(dcoeffs)
         if name == "pow":
             beta_s, r_s = rest.split(",")
             beta, r = float(beta_s), float(r_s)
@@ -103,13 +101,6 @@ def parse_modulus(spec: str, s: Optional[float]) -> HModulus:
     return _FIXED_MODULI[spec]()
 
 
-def _grid(values: Optional[List[float]], default: List[float]) -> List[float]:
-    out = values if values is not None else default
-    if not out:
-        raise ConfigError("empty parameter grid")
-    return out
-
-
 def _build_tf(args, q: float, s: Optional[float]) -> TestFunction:
     f, fp = parse_function(args.function)
     h = parse_modulus(args.h, s)
@@ -123,113 +114,124 @@ def _build_tf(args, q: float, s: Optional[float]) -> TestFunction:
         raise ConfigError(str(exc))
 
 
-def _iter_rows(args):
-    """Yield one evaluated row per grid point, in grid order."""
-    alphas = _grid(args.alpha_grid, [0.5])
-    lams = _grid(args.lambda_grid, [1.0 / 3.0])
-    qs = _grid(args.q_grid, [1.0])
+def _on_grid(evaluate, q: float, alphas, lams):
+    """evaluate(RuleParams) on the whole grid; after an error, again point by
+    point in row order, so the error raised is the first failing row's."""
+    try:
+        return evaluate(RuleParams(alphas, lams, q))
+    except Exception:
+        for alpha, lam in itertools.product(alphas.ravel().tolist(),
+                                            lams.tolist()):
+            evaluate(RuleParams(alpha, lam, q))
+        raise
+
+
+def _axes(args, default_q: float):
+    """The alpha column, the lambda row and the q values of a grid command."""
+    grids = [(args.alpha_grid, [0.5]), (args.lambda_grid, [1.0 / 3.0]),
+             (args.q_grid, [default_q])]
+    alphas, lams, qs = (default if given is None else given
+                        for given, default in grids)
+    if not (alphas and lams and qs):
+        raise ConfigError("empty parameter grid")
+    return np.array(alphas)[:, None], np.array(lams), qs
+
+
+def _iter_blocks(args, rejected_branch: str):
+    """Yield each (q, s) block: per column one value or an array over it."""
+    alphas, lams, qs = _axes(args, 1.0)
     for q, s in itertools.product(qs, args.s):
         tf = _build_tf(args, q, s)
         rep = certify_membership(tf, n_samples=args.samples, seed=args.seed)
         mean = oracle.mean_value(tf)
-        for alpha, lam in itertools.product(alphas, lams):
-            row = {"alpha": alpha, "lambda": lam, "q": q, "s": s,
-                   "bound_kind": args.bound}
-            if not rep.holds:
-                row.update(branch="", lhs=None, rhs=None,
-                           status="rejected", sound=False)
-                yield row
-                continue
-            rp = RuleParams(alpha, lam, q)
-            lhs = abs(oracle.rule_value(tf, alpha, lam) - mean)
+
+        def evaluate(rp):
+            lhs = abs(oracle.rule_value(tf, rp.alpha, rp.lam) - mean)
             res = bnd.evaluate_bound(args.bound, tf, rp)
-            # exp: specs evaluate through numpy; a numpy.bool_ would print
-            # as 1 in CSV and cannot be encoded as JSON
-            sound = bool(lhs <= res.value + _SOUND_SLACK * (1.0 + res.value))
+            rhs, positive = res.value, res.value > 0.0
             # power-mean uses no conjugate exponent
-            row.update(p=None if args.bound == "power-mean" else rp.p,
-                       branch=res.branch.value, lhs=lhs, rhs=res.value,
-                       status="ok", sound=sound)
-            yield row
+            return {"p": None if args.bound == "power-mean" else rp.p,
+                    "branch": _BRANCH_NAME(res.branch), "lhs": lhs,
+                    "rhs": rhs, "margin": rhs - lhs,
+                    "ratio": np.where(positive,
+                                      lhs / np.where(positive, rhs, 1.0),
+                                      np.where(lhs == 0.0, 0.0, np.inf)),
+                    "sound": lhs <= rhs + _SOUND_SLACK * (1.0 + rhs)}
+        yield {"alpha": alphas, "lambda": lams, "q": q, "s": s,
+               "bound_kind": args.bound,
+               **(_on_grid(evaluate, q, alphas, lams) if rep.holds else
+                  {"branch": rejected_branch, "sound": False})}
 
 
-def _write_table(rows, columns, fmt, out_path):
+def _rows(block, columns, fmt=lambda value: value):
+    """The block's rows in grid order; each stored value is formatted once."""
+    shape = np.broadcast_shapes(*map(np.shape, block.values()))
+    return zip(*(np.broadcast_to(np.asarray(fmt(block.get(c)), dtype=object),
+                                 shape).ravel().tolist() for c in columns))
+
+
+def _write_table(blocks, columns, fmt, out_path):
+    """Write the rows of every block as CSV or as a JSON list of objects."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
-        text = "\n".join(lines) + "\n"
+        cell = np.frompyfunc(_fmt, 1, 1)
+        text = "\n".join([",".join(columns)] + [
+            ",".join(row) for b in blocks for row in _rows(b, columns, cell)])
     else:
-        text = json.dumps(
-            [{c: row.get(c) for c in columns} for row in rows],
-            indent=2, sort_keys=True) + "\n"
-    if out_path:
+        text = json.dumps([dict(zip(columns, row)) for b in blocks
+                           for row in _rows(b, columns)],
+                          indent=2, sort_keys=True)
+    if not out_path:
+        sys.stdout.write(text + "\n")
+        return
+    try:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror}")
 
 
 def cmd_verify(args) -> int:
     columns = ["alpha", "lambda", "q", "s", "branch",
                "lhs", "rhs", "margin", "sound"]
-    rows = []
-    first_bad = None
-    for row in _iter_rows(args):
-        if row["status"] == "ok":
-            row["margin"] = row["rhs"] - row["lhs"]
-        else:
-            row["margin"] = None
-            row["branch"] = "rejected"
-        rows.append(row)
-        if not row["sound"] and first_bad is None:
-            first_bad = row
-    _write_table(rows, columns, args.format, args.out)
-    if first_bad is not None:
-        print("first violation:",
-              {c: first_bad.get(c) for c in columns}, file=sys.stderr)
+    blocks = list(_iter_blocks(args, "rejected"))
+    _write_table(blocks, columns, args.format, args.out)
+    bad = next((b for b in blocks if not np.all(b["sound"])), None)
+    if bad is not None:
+        row = next(r for r in _rows(bad, columns) if not r[-1])
+        print("first violation:", dict(zip(columns, row)), file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    rows = []
-    all_sound = True
-    for row in _iter_rows(args):
-        if row["status"] != "ok":
-            all_sound = False
-            row["ratio"] = None
-        else:
-            row["ratio"] = row["lhs"] / row["rhs"] if row["rhs"] > 0.0 \
-                else (0.0 if row["lhs"] == 0.0 else float("inf"))
-            all_sound = all_sound and row["sound"]
-        rows.append(row)
-    _write_table(rows, SWEEP_COLUMNS, args.format, args.out)
-    return EXIT_OK if all_sound else EXIT_VIOLATION
+    blocks = list(_iter_blocks(args, ""))
+    _write_table(blocks, SWEEP_COLUMNS, args.format, args.out)
+    sound = all(np.all(block["sound"]) for block in blocks)
+    return EXIT_OK if sound else EXIT_VIOLATION
 
 
 def cmd_compare(args) -> int:
     kind_names = args.kinds.split(",")
-    rows = []
-    alphas = _grid(args.alpha_grid, [0.5])
-    lams = _grid(args.lambda_grid, [1.0 / 3.0])
-    qs = _grid(args.q_grid, [2.0])
+    blocks = []
+    alphas, lams, qs = _axes(args, 2.0)
     for q, s in itertools.product(qs, args.s):
         tf = _build_tf(args, q, s)
-        for alpha, lam in itertools.product(alphas, lams):
-            rp = RuleParams(alpha, lam, q)
-            row = {"alpha": alpha, "lambda": lam, "q": q, "s": s, "p": rp.p}
-            best_name, best_val = None, None
-            for name in kind_names:
-                res = bnd.evaluate_bound(name, tf, rp, s=s,
-                                         sup_f4=args.sup_f4)
-                row[name] = res.value
-                if best_val is None or res.value < best_val:
-                    best_name, best_val = name, res.value
-            row["argmin"] = best_name
-            rows.append(row)
+
+        def evaluate(rp):
+            values = [bnd.evaluate_bound(name, tf, rp, s=s,
+                                         sup_f4=args.sup_f4).value
+                      for name in kind_names]
+            best, argmin = values[0], kind_names[0]
+            for name, value in zip(kind_names[1:], values[1:]):
+                better = value < best  # a tie keeps the earlier kind
+                best = np.where(better, value, best)
+                argmin = np.where(better, name, argmin)
+            return {"alpha": alphas, "lambda": lams, "q": q, "s": s,
+                    "p": rp.p, **dict(zip(kind_names, values)),
+                    "argmin": argmin}
+        blocks.append(_on_grid(evaluate, q, alphas, lams))
     columns = ["alpha", "lambda", "q", "s", "p"] + kind_names + ["argmin"]
-    _write_table(rows, columns, args.format, args.out)
+    _write_table(blocks, columns, args.format, args.out)
     return EXIT_OK
 
 
@@ -287,13 +289,14 @@ def _add_function_args(p):
     p.add_argument("--function", required=True,
                    help="poly:c0,c1,... | pow:beta,r | exp:k")
     p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
-                   default=[0.0, 1.0])
+                   default=(0.0, 1.0))
     p.add_argument("--h", default="t", help="modulus: t | t^s | 1 | 1/t")
 
 
 def _add_grid_args(p):
     """Flags of the grid commands verify, sweep and compare."""
-    p.add_argument("--s", type=float, nargs="+", default=[None],
+    # defaults are shared by every parse of the one parser: keep them immutable
+    p.add_argument("--s", type=float, nargs="+", default=(None,),
                    help="one or more values of s for --h t^s")
     p.add_argument("--alpha-grid", type=float, nargs="*", default=None)
     p.add_argument("--lambda-grid", type=float, nargs="*", default=None)
@@ -305,6 +308,7 @@ def _add_grid_args(p):
                    help="declare an h-concave certificate")
 
 
+@functools.cache  # built once: every parse reuses it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quadcert",

@@ -4,16 +4,21 @@ Everything here is a closed form for an integral of the shape
 ``int |t - w| * h(.) dt`` or ``int |t - w|^p dt`` over one of the two kernel
 subintervals [0, 1-alpha] and [1-alpha, 1], with the kink at w = alpha*lambda
 on the left and at 1 - lambda*(1-alpha) on the right.  Custom moduli fall
-back to adaptive quadrature split at the kink.
+back to adaptive quadrature split at the kink.  alpha and lambda are floats,
+or arrays that broadcast to a grid of rules; branches are chosen per point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Any, Optional, Tuple
 
+import numpy as np
+
+from .arrays import every, power, select
 from .classes import HKind, HModulus, h_eval
 from .errors import DomainError, NotIntegrable
 
@@ -22,18 +27,18 @@ from .errors import DomainError, NotIntegrable
 class RuleParams:
     """Quadrature-rule parameters (alpha, lambda) with exponent q.
 
-    The conjugate p (1/p + 1/q = 1) is derived from q; only the Hoelder
-    paths use it, and they need q > 1.
+    alpha and lam may be arrays: a grid of rules sharing q.  The conjugate p
+    (1/p + 1/q = 1) is derived from q; only the Hoelder paths use it.
     """
 
-    alpha: float
-    lam: float
+    alpha: Any
+    lam: Any
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+        if not every((0.0 <= self.alpha) & (self.alpha <= 1.0)):
             raise DomainError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.lam <= 1.0:
+        if not every((0.0 <= self.lam) & (self.lam <= 1.0)):
             raise DomainError("lambda must lie in [0, 1]")
         if not 1.0 <= self.q < math.inf:
             raise DomainError("q must be finite and >= 1")
@@ -48,6 +53,15 @@ class RuleParams:
         if p is None:
             raise DomainError("the conjugate exponent p needs q > 1")
         return p
+
+
+def at_points(fn, rp: RuleParams, dtype=float):
+    """fn(rp) for one rule; on a grid, fn at each point, as a grid array."""
+    grid = np.broadcast(rp.alpha, rp.lam)
+    if grid.shape == ():
+        return fn(rp)
+    return np.array([fn(RuleParams(float(a), float(lm), rp.q))
+                     for a, lm in grid], dtype).reshape(grid.shape)
 
 
 class CaseBranch(Enum):
@@ -77,9 +91,9 @@ def branch_select(rp: RuleParams) -> CaseBranch:
     LEFT_OF_LOWER; otherwise RIGHT_OF_UPPER.
     """
     left, right = kinks_inside(rp)
-    if left and right:
-        return CaseBranch.MID_ORDER
-    return CaseBranch.LEFT_OF_LOWER if right else CaseBranch.RIGHT_OF_UPPER
+    return select(left & right, CaseBranch.MID_ORDER,
+                  select(right, CaseBranch.LEFT_OF_LOWER,
+                         CaseBranch.RIGHT_OF_UPPER))
 
 
 def gamma_coeffs(rp: RuleParams):
@@ -117,11 +131,10 @@ def epsilon_coeffs(rp: RuleParams):
     w = alpha * lam
     u = 1.0 - alpha
     lu = lam * u
-    e1 = w ** (p + 1.0) + abs(u - w) ** (p + 1.0)
-    e2 = w ** (p + 1.0) - abs(w - u) ** (p + 1.0)
-    e3 = lu ** (p + 1.0) + abs(alpha - lu) ** (p + 1.0)
-    e4 = lu ** (p + 1.0) - abs(lu - alpha) ** (p + 1.0)
-    return e1, e2, e3, e4
+    # |x - y| and |y - x| are the same float, so each power is taken once
+    w_p, gap_l = power(w, p + 1.0), power(abs(u - w), p + 1.0)
+    lu_p, gap_r = power(lu, p + 1.0), power(abs(alpha - lu), p + 1.0)
+    return w_p + gap_l, w_p - gap_l, lu_p + gap_r, lu_p - gap_r
 
 
 def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
@@ -129,50 +142,47 @@ def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
     left, right = kinks_inside(rp)
     g1, g2 = gamma_coeffs(rp)
     v1, v2 = upsilon_coeffs(rp)
-    return (_clamp_moment(g2 if left else g1),
-            _clamp_moment(v2 if right else v1))
+    return (_clamp_moment(select(left, g2, g1)),
+            _clamp_moment(select(right, v2, v1)))
 
 
 def active_epsilons(rp: RuleParams) -> Tuple[float, float]:
     """(eps_left, eps_right): the active p-power moment numerators."""
     left, right = kinks_inside(rp)
     e1, e2, e3, e4 = epsilon_coeffs(rp)
-    return (_clamp_moment(e1 if left else e2),
-            _clamp_moment(e3 if right else e4))
+    return (_clamp_moment(select(left, e1, e2)),
+            _clamp_moment(select(right, e3, e4)))
 
 
-class MuEtaStar(NamedTuple):
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: float
-    eta1: float
-    eta2: float
-    eta3: float
-    eta4: float
+MuEtaStar = namedtuple("MuEtaStar", "mu1 mu2 mu3 mu4 eta1 eta2 eta3 eta4")
 
 
-def _mu_eta(rp: RuleParams, s: float) -> MuEtaStar:
+class Side(Enum):
+    LEFT = "left"    # integral over [0, 1-alpha], kink at alpha*lam
+    RIGHT = "right"  # integral over [1-alpha, 1], kink at 1-lam*(1-alpha)
+
+
+def _power_pair(rp: RuleParams, s: float, side: Side, reflected: bool):
+    """The (kink inside, kink outside) pair of mu_eta_star for one moment."""
     alpha, lam = rp.alpha, rp.lam
-    w = alpha * lam
     u = 1.0 - alpha
-    lu = lam * u
-    hi = 1.0 - lu
+    w, lu = alpha * lam, lam * u
+    pw = power if isinstance(w, np.ndarray) else pow  # pow: fast on floats
     s1, s2 = s + 1.0, s + 2.0
     c = 2.0 / (s1 * s2)
-    mu1 = w ** s2 * c - w * u ** s1 / s1 + u ** s2 / s2
-    mu2 = ((1.0 - w) ** s2 * c
-           - (1.0 - w) * (1.0 + alpha ** s1) / s1
-           + (1.0 + alpha ** s2) / s2)
-    mu3 = w * u ** s1 / s1 - u ** s2 / s2
-    mu4 = (w - 1.0) * (1.0 - alpha ** s1) / s1 + (1.0 - alpha ** s2) / s2
-    eta1 = (1.0 - u ** s2) / s2 - hi * (1.0 - u ** s1) / s1
-    eta2 = lu * alpha ** s1 / s1 - alpha ** s2 / s2
-    eta3 = (hi ** s2 * c
-            - (1.0 + u ** s1) * hi / s1
-            + (1.0 + u ** s2) / s2)
-    eta4 = lu ** s2 * c - lu * alpha ** s1 / s1 + alpha ** s2 / s2
-    return MuEtaStar(mu1, mu2, mu3, mu4, eta1, eta2, eta3, eta4)
+    base = alpha if reflected else u
+    b1, b2 = pw(base, s1), pw(base, s2)
+    if side is Side.LEFT and not reflected:
+        return pw(w, s2) * c - w * b1 / s1 + b2 / s2, w * b1 / s1 - b2 / s2
+    if side is Side.LEFT:
+        return (pw(1.0 - w, s2) * c - (1.0 - w) * (1.0 + b1) / s1
+                + (1.0 + b2) / s2,
+                (w - 1.0) * (1.0 - b1) / s1 + (1.0 - b2) / s2)
+    if not reflected:
+        hi = 1.0 - lu
+        return (pw(hi, s2) * c - (1.0 + b1) * hi / s1 + (1.0 + b2) / s2,
+                (1.0 - b2) / s2 - hi * (1.0 - b1) / s1)
+    return (pw(lu, s2) * c - lu * b1 / s1 + b2 / s2, lu * b1 / s1 - b2 / s2)
 
 
 def mu_eta_star(rp: RuleParams, s: float) -> MuEtaStar:
@@ -184,52 +194,46 @@ def mu_eta_star(rp: RuleParams, s: float) -> MuEtaStar:
     """
     if not 0.0 < s <= 1.0:
         raise DomainError("s must lie in (0, 1]")
-    return _mu_eta(rp, s)
-
-
-class Side(Enum):
-    LEFT = "left"    # integral over [0, 1-alpha], kink at alpha*lam
-    RIGHT = "right"  # integral over [1-alpha, 1], kink at 1-lam*(1-alpha)
+    (mu1, mu3), (mu2, mu4), (eta3, eta1), (eta4, eta2) = (
+        _power_pair(rp, s, side, reflected)
+        for side in Side for reflected in (False, True))
+    return MuEtaStar(mu1, mu2, mu3, mu4, eta1, eta2, eta3, eta4)
 
 
 def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
-                    reflected: bool) -> float:
+                    reflected: bool):
     """int |t - kink| * h(t) dt (or h(1-t) if reflected) over one side.
 
     Closed form for the identity/power/constant kinds; adaptive quadrature
-    split at the interior kink otherwise.  Raises NotIntegrable when a
-    reciprocal modulus makes the moment diverge.
+    split at the interior kink otherwise, one grid point at a time.  Raises
+    NotIntegrable when a reciprocal modulus makes the moment diverge.
     """
-    if _side_empty(rp, side):
-        return 0.0
-
-    if h.kind in (HKind.IDENTITY, HKind.POWER):
-        me = _mu_eta(rp, 1.0 if h.kind is HKind.IDENTITY else h.s_param)
-        left, right = kinks_inside(rp)
-        # each pair is (kink inside the side, kink outside it)
-        if side is Side.LEFT:
-            pair = (me.mu2, me.mu4) if reflected else (me.mu1, me.mu3)
-            return _clamp_moment(pair[0] if left else pair[1])
-        pair = (me.eta4, me.eta2) if reflected else (me.eta3, me.eta1)
-        return _clamp_moment(pair[0] if right else pair[1])
-
     if h.kind is HKind.CONSTANT:
-        gamma, upsilon = active_gamma_upsilon(rp)
-        return gamma if side is Side.LEFT else upsilon
+        pair = (gamma_coeffs(rp) if side is Side.LEFT
+                else upsilon_coeffs(rp))[::-1]  # (inside, outside)
+    elif h.kind in (HKind.IDENTITY, HKind.POWER):
+        s = 1.0 if h.kind is HKind.IDENTITY else h.s_param
+        pair = _power_pair(rp, s, side, reflected)
+    else:
+        return at_points(
+            lambda pt: _numeric_moment(h, pt, side, reflected), rp)
+    inside = kinks_inside(rp)[side is Side.RIGHT]
+    # an empty side is 0 whatever its closed form rounds to
+    return _clamp_moment(select(_side_empty(rp, side), 0.0,
+                                select(inside, *pair)))
 
-    if h.kind is HKind.RECIPROCAL:
-        _check_reciprocal_divergence(rp, side, reflected)
-    return _numeric_moment(h, rp, side, reflected)
 
-
-def _side_empty(rp: RuleParams, side: Side) -> bool:
+def _side_empty(rp: RuleParams, side: Side):
     # [0, 1-alpha] or [1-alpha, 1] has zero length once 1-alpha is rounded
     return 1.0 - rp.alpha == (0.0 if side is Side.LEFT else 1.0)
 
 
-def _clamp_moment(val: float) -> float:
+def _clamp_moment(val):
     # The one clamp policy for every active moment and coefficient: they are
     # >= 0, so absorb cancellation-level negatives and refuse larger ones.
+    if isinstance(val, np.ndarray):
+        _clamp_moment(float(val.min(initial=0.0)))  # the refusal, if any
+        return np.where(val < 0.0, 0.0, val)
     if val < 0.0:
         if val < -1e-13:
             raise AssertionError(f"active moment branch came out negative: {val!r}")
@@ -237,35 +241,24 @@ def _clamp_moment(val: float) -> float:
     return val
 
 
-def _check_reciprocal_divergence(rp: RuleParams, side: Side, reflected: bool):
-    alpha, lam = rp.alpha, rp.lam
-    u = 1.0 - alpha
-    if side is Side.LEFT:
-        if not reflected:
-            # 1/t blows up at 0 unless the weight |t - alpha*lam| vanishes there
-            if alpha * lam > 0.0:
-                raise NotIntegrable("left moment of 1/t diverges at 0")
-        elif u == 1.0:
-            raise NotIntegrable("reflected left moment of 1/t diverges at 1")
-    else:
-        if not reflected:
-            if u == 0.0:
-                raise NotIntegrable("right moment of 1/t diverges at 0")
-        elif lam * u > 0.0:
-            raise NotIntegrable("reflected right moment of 1/t diverges at 1")
-
-
 def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool) -> float:
     from .oracle import TOL, integrate_adaptive  # local: avoids a cycle
+    if _side_empty(rp, side):
+        return 0.0
     alpha, lam = rp.alpha, rp.lam
     u = 1.0 - alpha
-    if side is Side.LEFT:
-        lo, hi_lim = 0.0, u
-        kink = alpha * lam
-    else:
-        lo, hi_lim = u, 1.0
-        kink = 1.0 - lam * u
+    # 1/t blows up at 0 (reflected: at 1) unless the side stops short of
+    # that end or its weight |t - kink| vanishes there
+    diverges = {(Side.LEFT, False): alpha * lam > 0.0,
+                (Side.LEFT, True): u == 1.0,
+                (Side.RIGHT, False): u == 0.0,
+                (Side.RIGHT, True): lam * u > 0.0}[side, reflected]
+    if h.kind is HKind.RECIPROCAL and diverges:
+        raise NotIntegrable(f"{'reflected ' * reflected}{side.value} moment "
+                            f"of 1/t diverges at {int(reflected)}")
+    lo, hi_lim, kink = ((0.0, u, alpha * lam) if side is Side.LEFT
+                        else (u, 1.0, 1.0 - lam * u))
 
     def integrand(t):
         arg = 1.0 - t if reflected else t
@@ -281,10 +274,8 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
     return total
 
 
-def abs_moment_p(rp: RuleParams, side: Side) -> float:
+def abs_moment_p(rp: RuleParams, side: Side):
     """int |t - kink|^p dt over one side; closed piecewise form."""
     p = rp.require_p()
-    if _side_empty(rp, side):
-        return 0.0
-    eps_left, eps_right = active_epsilons(rp)
-    return (eps_left if side is Side.LEFT else eps_right) / (p + 1.0)
+    eps = active_epsilons(rp)[side is Side.RIGHT]
+    return select(_side_empty(rp, side), 0.0, eps / (p + 1.0))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+from .arrays import map_scalar
 from .classes import (ClassKind, HKind, TestFunction, h_eval, h_integral_01)
 from .errors import (ClassMismatch, DegenerateModulus, NonFiniteSample,
                      ToleranceNotReached)
@@ -173,11 +174,12 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     return QuadratureResult(value, total_err, count)
 
 
-def rule_value(tf: TestFunction, alpha: float, lam: float) -> float:
-    """The generalized rule lam*(alpha f(a) + (1-alpha) f(b)) + (1-lam) f(node)."""
+def rule_value(tf: TestFunction, alpha, lam):
+    """The generalized rule lam*(alpha f(a) + (1-alpha) f(b)) + (1-lam) f(node);
+    on arrays alpha, lam, f is called once per node, on floats."""
     node = alpha * tf.a + (1.0 - alpha) * tf.b
     return (lam * (alpha * tf.f(tf.a) + (1.0 - alpha) * tf.f(tf.b))
-            + (1.0 - lam) * tf.f(node))
+            + (1.0 - lam) * map_scalar(tf.f, node))
 
 
 def mean_value(tf: TestFunction) -> float:

@@ -7,6 +7,7 @@ expressions and compared against the general evaluation paths.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from quadcert import (
     evaluate_bound, integrate_adaptive, lhs_error,
 )
 from quadcert.bounds import (
-    rhs_general_convex, rhs_holder_hconcave, rhs_holder_hconvex,
+    GENERAL_BOUNDS, rhs_general_convex, rhs_holder_hconcave, rhs_holder_hconvex,
     rhs_midpoint_holder, rhs_midpoint_power_mean, rhs_power_mean,
     rhs_simpson_holder, rhs_trapezoid_holder,
 )
@@ -392,3 +393,61 @@ class TestInternalConsistency:
             + (c["upsilon"] ** (1.0 - 1.0 / q) if q > 1.0 else 1.0) \
             * c["B"] ** (1.0 / q)
         assert res.value == pytest.approx(rebuilt, rel=1e-14, abs=1e-15)
+
+
+# alpha on both sides of 1/2 by one ulp and at the ends; lambda at the
+# midpoint, Simpson and trapezoid values
+GRID_ALPHAS = [0.0, 0.1, math.nextafter(0.5, 0.0), 0.5,
+               math.nextafter(0.5, 1.0), 0.77, 1.0]
+GRID_LAMS = [0.0, 0.2, 1.0 / 3.0, 0.6, 1.0]
+
+
+def _same_bits(grid_value, point_values, shape):
+    got = np.broadcast_to(np.asarray(grid_value, dtype=float), shape)
+    want = np.array(point_values, dtype=float).reshape(shape)
+    return got.tobytes() == want.tobytes()
+
+
+GRID_MODULI = {
+    "t": HModulus.identity(), "t^0.4": HModulus.power(0.4),
+    "t^1": HModulus.power(1.0), "1": HModulus.constant(),
+    "1/t": HModulus.reciprocal(),
+    "custom": HModulus.custom(lambda t: math.sqrt(t) + 0.25),
+}
+
+
+class TestGridEqualsPoints:
+    """One call on an (alpha, lambda) grid gives the bits of point calls."""
+
+    CASES = [(bound, h) for bound in GENERAL_BOUNDS for h in GRID_MODULI
+             # no finite h-integral for 1/t
+             if not (bound == "holder" and h == "1/t")] \
+        + [("general-convex", "t")]
+
+    @pytest.mark.parametrize("bound, h", CASES)
+    def test_value_branch_components(self, bound, h):
+        alphas, lams = GRID_ALPHAS, GRID_LAMS
+        if h == "1/t" and bound == "power-mean":
+            # the 1/t moments converge only at lambda = 0, 0 < alpha < 1
+            alphas, lams = [0.1, 0.5, 0.77], [0.0]
+        elif h == "custom":  # quadrature per point: keep the grid small
+            alphas, lams = [0.0, 0.5, 0.77, 1.0], [0.0, 1.0 / 3.0, 1.0]
+        kind = ClassKind.H_CONCAVE if bound == "holder-concave" \
+            else ClassKind.H_CONVEX
+        cert = ClassCertificate(kind, GRID_MODULI[h], 2.0)
+        tf = TestFunction(lambda x: x ** 3 / 3.0 + x, lambda x: x * x + 1.0,
+                          0.2, 1.7, cert, skip_derivative_check=True)
+        grid = evaluate_bound(
+            bound, tf, RuleParams(np.array(alphas)[:, None],
+                                  np.array(lams), 2.0))
+        points = [evaluate_bound(bound, tf, RuleParams(al, lm, 2.0))
+                  for al in alphas for lm in lams]
+        shape = (len(alphas), len(lams))
+        assert all(type(p.value) is float for p in points)
+        assert _same_bits(grid.value, [p.value for p in points], shape)
+        assert np.broadcast_to(grid.branch, shape).ravel().tolist() \
+            == [p.branch for p in points]
+        assert set(grid.components) == set(points[0].components)
+        for key, value in grid.components.items():
+            assert _same_bits(value, [p.components[key] for p in points],
+                              shape), key

@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcert import (
-    ClassCertificate, ClassKind, HKind, HModulus, TestFunction,
-    certify_membership, h_eval, h_integral_01, integrate_adaptive,
+    ClassCertificate, ClassKind, HKind, HModulus, MembershipReport,
+    TestFunction, certify_membership, h_eval, h_integral_01,
+    integrate_adaptive,
 )
 from quadcert.errors import DomainError, EvaluationError, NotIntegrable
 
@@ -164,3 +166,52 @@ class TestCertifyMembership:
         tf = TestFunction(lambda x: c2 * x * x + c1 * x,
                           lambda x: 2.0 * c2 * x + c1, -1.0, 2.0, cert)
         assert certify_membership(tf, n_samples=2000).holds
+
+
+def _loop_membership(tf, n_samples, seed):
+    """certify_membership with h evaluated one sample at a time by h_eval."""
+    cert = tf.certificate
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(tf.a, tf.b, n_samples)
+    ys = rng.uniform(tf.a, tf.b, n_samples)
+    alphas = np.clip(rng.uniform(0.0, 1.0, n_samples), 1e-9, 1.0 - 1e-9)
+
+    def g(v):
+        return np.abs(tf.f_prime(v)) ** cert.exponent_q
+
+    h_a = np.array([h_eval(cert.h, float(al)) for al in alphas])
+    h_1a = np.array([h_eval(cert.h, float(1.0 - al)) for al in alphas])
+    gx, gy = g(xs), g(ys)
+    gmid = g(alphas * xs + (1.0 - alphas) * ys)
+    slack = gmid - (h_a * gx + h_1a * gy)
+    if cert.class_kind is ClassKind.H_CONCAVE:
+        slack = -slack
+    worst = float(np.max(slack))
+    scale = float(max(np.max(gx), np.max(gy), np.max(gmid)))
+    if worst <= 1e-12 * (1.0 + scale):
+        return MembershipReport(True, worst, None)
+    i = int(np.argmax(slack))
+    return MembershipReport(False, worst,
+                            (float(xs[i]), float(ys[i]), float(alphas[i])))
+
+
+class TestMembershipOnArrays:
+    """The named moduli are sampled as arrays, to the same bits as a loop."""
+
+    MODULI = [HModulus.identity(), HModulus.power(0.3), HModulus.power(1.0),
+              HModulus.constant(), HModulus.reciprocal()]
+    # (f', interval, q): |f'|^q convex and positive, and one that is not
+    FUNCTIONS = [(lambda x: 1.0 + x + 0.9 * x * x, (0.0, 1.5), 1.7),
+                 (lambda x: 1.0 - 3.0 * x * x, (-1.0, 1.0), 1.0)]
+
+    @pytest.mark.parametrize("h", MODULI, ids=lambda h: h.kind.value
+                             + str(h.s_param or ""))
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_report_matches_loop(self, h, kind, which):
+        fp, (a, b), q = self.FUNCTIONS[which]
+        tf = TestFunction(lambda x: x, fp, a, b, ClassCertificate(kind, h, q),
+                          skip_derivative_check=True)
+        for seed in (0, 1, 2):
+            got = certify_membership(tf, n_samples=500, seed=seed)
+            assert got == _loop_membership(tf, 500, seed)

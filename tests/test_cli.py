@@ -65,6 +65,12 @@ class TestVerify:
         assert code == 0 and out == ""
         assert target.read_text().startswith("alpha,lambda,q,s,branch")
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, VERIFY_SQUARE + [
+            "--out", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: cannot write {tmp_path}: ")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_exp_sound_flag_is_boolean(self, capsys, fmt):
         # exp: specs evaluate through numpy, so the comparison behind the
@@ -236,6 +242,8 @@ class TestConfigErrors:
         ["compare", "--function", "poly:0,0,1", "--h", "1/t", "--s", "0.5",
          "--kinds", "power-mean"],
         ["hadamard", "--function", "poly:0,0,1", "--s", "0.5"],
+        # an output file that cannot be opened
+        ["verify", "--function", "poly:0,0,1", "--out", "/nonexistent/x.csv"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,
@@ -244,6 +252,141 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert "config error" in err
+
+
+# alpha on both sides of 1/2 by one ulp and at the ends, lambda at the
+# midpoint, Simpson and trapezoid values
+EDGE_GRID = ["--alpha-grid", "0", "0.49999999999999994", "0.5",
+             "0.5000000000000001", "1",
+             "--lambda-grid", "0", "0.3333333333333333", "1"]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# file name -> (exit code, argv); the files hold the standard output
+GOLDEN = {
+    "verify_t.csv": (0, [
+        "verify", "--function", "poly:0,1,0.5,0.3", "--interval", "0", "1.5",
+        *EDGE_GRID, "--q-grid", "1", "2.5"]),
+    "verify_t.json": (0, [
+        "verify", "--function", "poly:0,1,0.5,0.3", "--interval", "0", "1.5",
+        *EDGE_GRID, "--q-grid", "1", "2.5", "--format", "json"]),
+    "verify_ts.csv": (0, [
+        "verify", "--function", "exp:-1.3", "--interval", "-0.5", "1",
+        "--h", "t^s", "--s", "0.4", "0.9", *EDGE_GRID, "--q-grid", "1", "2"]),
+    "verify_1.csv": (0, [
+        "verify", "--function", "pow:1.2,2.5", "--interval", "0.3", "1.8",
+        "--h", "1", *EDGE_GRID, "--q-grid", "1.5"]),
+    "verify_reciprocal.csv": (0, [
+        "verify", "--function", "poly:0,1,0.5,0.3", "--interval", "0", "1.5",
+        "--h", "1/t", "--alpha-grid", "0.3", "0.5", "--lambda-grid", "0"]),
+    "verify_holder.csv": (0, [
+        "verify", "--function", "poly:0.5,-1,0.5,0.25", "--interval", "1.5",
+        "2.7", "--bound", "holder", *EDGE_GRID, "--q-grid", "1.5", "3"]),
+    "verify_holder.json": (0, [
+        "verify", "--function", "exp:0.8", "--interval", "0", "1.3",
+        "--bound", "holder", *EDGE_GRID, "--q-grid", "2", "--format",
+        "json"]),
+    "verify_holder_concave.csv": (0, [
+        "verify", "--function", "pow:1,1.4", "--interval", "0.1", "1.6",
+        "--concave", "--bound", "holder-concave", *EDGE_GRID,
+        "--q-grid", "2"]),
+    "verify_rejected.csv": (1, [
+        "verify", "--function", "poly:0,1,0,-1", "--interval", "-1", "1",
+        *EDGE_GRID]),
+    "verify_rejected.json": (1, [
+        "verify", "--function", "poly:0,1,0,-1", "--interval", "-1", "1",
+        *EDGE_GRID, "--format", "json"]),
+    "sweep_ts.csv": (0, [
+        "sweep", "--function", "exp:0.7", "--interval", "0", "2",
+        "--h", "t^s", "--s", "0.5", *EDGE_GRID, "--q-grid", "1", "2"]),
+    "sweep_holder.json": (0, [
+        "sweep", "--function", "poly:0,1,0.5,0.3", "--interval", "0", "1.5",
+        "--bound", "holder", *EDGE_GRID, "--q-grid", "1.5", "--format",
+        "json"]),
+    "sweep_rejected.csv": (1, [
+        "sweep", "--function", "poly:0,1,0,-1", "--interval", "-1", "1",
+        *EDGE_GRID]),
+    "compare.csv": (0, [
+        "compare", "--function", "pow:1,2.2", "--interval", "0.2", "1.2",
+        *EDGE_GRID, "--q-grid", "2", "3",
+        "--kinds", "power-mean,holder,general-convex"]),
+    "compare.json": (0, [
+        "compare", "--function", "exp:-0.6", "--interval", "0", "1",
+        *EDGE_GRID, "--kinds", "holder,power-mean,holder,general-convex",
+        "--format", "json"]),
+    "compare_prior.csv": (0, [
+        "compare", "--function", "pow:1,1.5", "--interval", "0", "1",
+        "--h", "t^s", "--s", "0.5", "--q-grid", "2", "--alpha-grid", "0.5",
+        "--lambda-grid", "0",
+        "--kinds", "midpoint-power-mean,power-mean,midpoint-holder"]),
+}
+
+
+class TestGoldenOutput:
+    """Standard output byte for byte as committed in tests/golden."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_matches_file(self, capsys, name):
+        code, argv = GOLDEN[name]
+        got_code, out, _ = run_cli(capsys, argv)
+        assert got_code == code
+        assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+class TestFirstError:
+    """A grid that fails reports the error of its first failing row."""
+
+    CASES = [
+        # (0, 0) has the divergent reflected-left moment; (0.5, 0.3) the
+        # left one, which a whole-grid check of that moment would meet first
+        (["verify", "--function", "poly:0,1,0.5,0.3", "--interval", "0",
+          "1.5", "--h", "1/t", "--alpha-grid", "0", "0.5",
+          "--lambda-grid", "0", "0.3"],
+         "reflected left moment of 1/t diverges at 1"),
+        (["sweep", "--function", "poly:0,1,0.5,0.3", "--interval", "0",
+          "1.5", "--h", "1/t", "--alpha-grid", "0.5", "1",
+          "--lambda-grid", "0", "1"],
+         "left moment of 1/t diverges at 0"),
+        # the second kind fails on the first row, the first on the second
+        (["compare", "--function", "pow:1,1.5", "--interval", "0", "1",
+          "--h", "t^s", "--s", "0.5", "--q-grid", "2", "--alpha-grid", "0.5",
+          "--lambda-grid", "0", "1",
+          "--kinds", "midpoint-holder,trapezoid-holder"],
+         "trapezoid-holder is fixed at alpha=0.5, lambda=1.0"),
+        # lambda is out of range on the second row, alpha on the third
+        (["verify", "--function", "poly:0,0,1", "--alpha-grid", "0.5", "2",
+          "--lambda-grid", "0.3", "-1"],
+         "lambda must lie in [0, 1]"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CASES,
+                             ids=[str(i) for i in range(len(CASES))])
+    def test_exit_and_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    def test_first_rejected_row(self, capsys):
+        code, _, err = run_cli(capsys, GOLDEN["verify_rejected.csv"][1])
+        assert code == 1
+        assert err == (
+            "first violation: {'alpha': 0.0, 'lambda': 0.0, 'q': 1.0, "
+            "'s': None, 'branch': 'rejected', 'lhs': None, 'rhs': None, "
+            "'margin': None, 'sound': False}\n")
+
+
+class TestParserReuse:
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_do_not_leak(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "verify", "--function", "pow:1,1.5", "--h", "t^s",
+            "--s", "0.25", "0.5"])
+        assert code == 0
+        code, out, _ = run_cli(capsys, VERIFY_SQUARE)
+        assert code == 0
+        assert [r["s"] for r in csv.DictReader(io.StringIO(out))] == [""]
+        # defaults are shared by every parse, so they are immutable
+        args = cli.build_parser().parse_args(VERIFY_SQUARE[:3])
+        assert args.s == (None,) and args.interval == (0.0, 1.0)
 
 
 class TestUnknownFlags:
