@@ -84,17 +84,22 @@ def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
 
 def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
                        d_node: float, d_a: float, d_b: float) -> BoundResult:
-    """Hoelder route RHS; d_node is |f'| at the interior node (1-a)b+aa."""
+    """Hoelder route RHS; d_node is |f'| at the interior node (1-a)b+aa.
+
+    The d's are floats for one rule and grid arrays only on a grid of rules.
+    """
     p = rp.require_p()
     q = rp.q
     h_int = h_integral_01(h)  # raises NotIntegrable for 1/t moduli
     alpha = rp.alpha
-    big_c = (1.0 - alpha) * (power(d_node, q) + d_a ** q)
-    big_d = alpha * (power(d_node, q) + d_b ** q)
     eps_c, eps_d = active_epsilons(rp)
+    # one rule: the builtin pow, the same bits without the helper's cost
+    pw = power if isinstance(eps_c, np.ndarray) else pow
+    big_c = (1.0 - alpha) * (pw(d_node, q) + d_a ** q)
+    big_d = alpha * (pw(d_node, q) + d_b ** q)
     pref = width * (1.0 / (p + 1.0)) ** (1.0 / p) * h_int ** (1.0 / q)
-    value = pref * (power(eps_c, 1.0 / p) * power(big_c, 1.0 / q)
-                    + power(eps_d, 1.0 / p) * power(big_d, 1.0 / q))
+    value = pref * (pw(eps_c, 1.0 / p) * pw(big_c, 1.0 / q)
+                    + pw(eps_d, 1.0 / p) * pw(big_d, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "C": big_c, "D": big_d, "eps_C": eps_c, "eps_D": eps_d,
         "h_integral": h_int})
@@ -110,20 +115,24 @@ def bound_holder_hconvex(tf: TestFunction, rp: RuleParams) -> BoundResult:
 
 def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
                         d_mid_left: float, d_mid_right: float) -> BoundResult:
-    """Concave-route RHS; the d's are |f'| at the two subinterval midpoints."""
+    """Concave-route RHS; the d's are |f'| at the two subinterval midpoints.
+
+    The d's are floats for one rule and grid arrays only on a grid of rules.
+    """
     p = rp.require_p()
     q = rp.q
     h_half = h_eval(h, 0.5)
     if h_half == 0.0:
         raise DegenerateModulus("h(1/2) = 0")
     alpha = rp.alpha
-    big_e = (1.0 - alpha) * power(d_mid_left, q)
-    big_f = alpha * power(d_mid_right, q)
     eps_e, eps_f = active_epsilons(rp)
+    pw = power if isinstance(eps_e, np.ndarray) else pow  # as above
+    big_e = (1.0 - alpha) * pw(d_mid_left, q)
+    big_f = alpha * pw(d_mid_right, q)
     pref = width * (1.0 / (2.0 * h_half)) ** (1.0 / q) \
         * (1.0 / (p + 1.0)) ** (1.0 / p)
-    value = pref * (power(eps_e, 1.0 / p) * power(big_e, 1.0 / q)
-                    + power(eps_f, 1.0 / p) * power(big_f, 1.0 / q))
+    value = pref * (pw(eps_e, 1.0 / p) * pw(big_e, 1.0 / q)
+                    + pw(eps_f, 1.0 / p) * pw(big_f, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "E": big_e, "F": big_f, "eps_E": eps_e, "eps_F": eps_f,
         "h_half": h_half})

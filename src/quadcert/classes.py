@@ -98,7 +98,8 @@ def h_eval(h: HModulus, t: float) -> float:
 
 
 def h_integral_01(h: HModulus) -> float:
-    """Integral of the modulus over (0, 1); closed form for the named kinds."""
+    """Integral of the modulus over (0, 1); closed form for the named kinds,
+    tanh-sinh quadrature for a custom one."""
     if not h.integrable_on_unit():
         raise NotIntegrable("modulus is not integrable on (0, 1)")
     if h.kind is HKind.IDENTITY:
@@ -107,8 +108,8 @@ def h_integral_01(h: HModulus) -> float:
         return 1.0 / (h.s_param + 1.0)
     if h.kind is HKind.CONSTANT:
         return 1.0
-    from .oracle import TOL, integrate_adaptive  # oracle depends on us
-    return integrate_adaptive(lambda t: h_eval(h, t), 0.0, 1.0, TOL).value
+    from .tanhsinh import integrate  # local: the oracle depends on us
+    return integrate(lambda t: h_eval(h, t), 0.0, 1.0)
 
 
 class ClassKind(Enum):

@@ -3,9 +3,11 @@
 Everything here is a closed form for an integral of the shape
 ``int |t - w| * h(.) dt`` or ``int |t - w|^p dt`` over one of the two kernel
 subintervals [0, 1-alpha] and [1-alpha, 1], with the kink at w = alpha*lambda
-on the left and at 1 - lambda*(1-alpha) on the right.  Custom moduli fall
-back to adaptive quadrature split at the kink.  alpha and lambda are floats,
-or arrays that broadcast to a grid of rules; branches are chosen per point.
+on the left and at 1 - lambda*(1-alpha) on the right.  Moments of custom
+and 1/t moduli are integrated instead, split at the kink, by the tanh-sinh
+rule of :mod:`quadcert.tanhsinh`, which hands a piece it does not settle to
+the oracle's adaptive integrator.  alpha and lambda are floats, or arrays
+that broadcast to a grid of rules; branches are chosen per point.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from . import tanhsinh
 from .arrays import every, power, select
 from .classes import HKind, HModulus, h_eval
 from .errors import DomainError, NotIntegrable
@@ -131,9 +134,10 @@ def epsilon_coeffs(rp: RuleParams):
     w = alpha * lam
     u = 1.0 - alpha
     lu = lam * u
+    pw = power if isinstance(w, np.ndarray) else pow  # pow: fast on floats
     # |x - y| and |y - x| are the same float, so each power is taken once
-    w_p, gap_l = power(w, p + 1.0), power(abs(u - w), p + 1.0)
-    lu_p, gap_r = power(lu, p + 1.0), power(abs(alpha - lu), p + 1.0)
+    w_p, gap_l = pw(w, p + 1.0), pw(abs(u - w), p + 1.0)
+    lu_p, gap_r = pw(lu, p + 1.0), pw(abs(alpha - lu), p + 1.0)
     return w_p + gap_l, w_p - gap_l, lu_p + gap_r, lu_p - gap_r
 
 
@@ -204,7 +208,7 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool):
     """int |t - kink| * h(t) dt (or h(1-t) if reflected) over one side.
 
-    Closed form for the identity/power/constant kinds; adaptive quadrature
+    Closed form for the identity/power/constant kinds; tanh-sinh quadrature
     split at the interior kink otherwise, one grid point at a time.  Raises
     NotIntegrable when a reciprocal modulus makes the moment diverge.
     """
@@ -243,7 +247,6 @@ def _clamp_moment(val):
 
 def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool) -> float:
-    from .oracle import TOL, integrate_adaptive  # local: avoids a cycle
     if _side_empty(rp, side):
         return 0.0
     alpha, lam = rp.alpha, rp.lam
@@ -270,7 +273,7 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
     pieces = [(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim \
         else [(lo, hi_lim)]
     for plo, phi in pieces:
-        total += integrate_adaptive(integrand, plo, phi, TOL).value
+        total += tanhsinh.integrate(integrand, plo, phi)
     return total
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcert import (
-    CaseBranch, HModulus, RuleParams, Side, abs_moment_p, branch_select,
+    CaseBranch, ClassCertificate, ClassKind, HModulus, RuleParams, Side,
+    TestFunction, abs_moment_p, bound_power_mean, branch_select,
     epsilon_coeffs, gamma_coeffs, integrate_adaptive, mu_eta_star,
     upsilon_coeffs, weighted_moment,
 )
@@ -364,3 +365,63 @@ class TestWeightedMoment:
             for side in Side:
                 for refl in (False, True):
                     assert weighted_moment(h, rp, side, refl) >= 0.0
+
+
+def _exact_moment(weight, cuts, rp, side, reflected):
+    """int |t - kink| * weight(t or 1-t) over one side, split at the kink
+    and at the cuts; Simpson's rule is exact on each quadratic piece."""
+    u = 1.0 - rp.alpha
+    lo, hi, kink = ((0.0, u, rp.alpha * rp.lam) if side is Side.LEFT
+                    else (u, 1.0, 1.0 - rp.lam * u))
+    inner = [1.0 - c if reflected else c for c in cuts] + [kink]
+    edges = sorted({lo, hi} | {x for x in inner if lo < x < hi})
+
+    def g(t):
+        return abs(t - kink) * weight(1.0 - t if reflected else t)
+
+    return sum((x1 - x0) / 6.0 * (g(x0) + 4.0 * g(0.5 * (x0 + x1)) + g(x1))
+               for x0, x1 in zip(edges, edges[1:]))
+
+
+class TestInteriorKinkModulus:
+    """A custom modulus with a kink inside a moment piece, h = |t - c| + 0.1.
+
+    No endpoint-clustered rule settles on such a piece, so its moments
+    must still come out right from the adaptive fallback.
+    """
+
+    RULES = [(0.5, 1.0 / 3.0), (0.3, 0.6), (0.8, 0.2), (0.5, 0.0),
+             (0.1, 0.9)]
+
+    @pytest.mark.parametrize("c", [0.5, 0.37, 0.123456])
+    def test_weighted_moment(self, c):
+        weight = lambda t: abs(t - c) + 0.1
+        h = HModulus.custom(weight)
+        for alpha, lam in self.RULES:
+            rp = RuleParams(alpha, lam, 1.0)
+            for side in Side:
+                for refl in (False, True):
+                    want = _exact_moment(weight, [c], rp, side, refl)
+                    assert weighted_moment(h, rp, side, refl) == \
+                        pytest.approx(want, abs=1e-11)
+
+    @pytest.mark.parametrize("c", [0.5, 0.37, 0.123456])
+    def test_bound_power_mean(self, c):
+        # only the bound's arithmetic is checked, not the certificate
+        h = HModulus.custom(lambda t: abs(t - c) + 0.1)
+        tf = TestFunction(lambda x: x ** 3, lambda x: 3.0 * x * x, 0.5, 1.5,
+                          ClassCertificate(ClassKind.H_CONVEX, h, 2.0))
+        d_a2, d_b2 = 0.75 ** 2, 6.75 ** 2
+        for alpha, lam in self.RULES:
+            rp = RuleParams(alpha, lam, 2.0)
+
+            def m(side, refl, weight=h.fn):
+                return _exact_moment(weight, [c], rp, side, refl)
+
+            big_a = d_b2 * m(Side.LEFT, False) + d_a2 * m(Side.LEFT, True)
+            big_b = d_b2 * m(Side.RIGHT, False) + d_a2 * m(Side.RIGHT, True)
+            plain_l = m(Side.LEFT, False, lambda t: 1.0)
+            plain_r = m(Side.RIGHT, False, lambda t: 1.0)
+            want = math.sqrt(plain_l * big_a) + math.sqrt(plain_r * big_b)
+            assert bound_power_mean(tf, rp).value == pytest.approx(
+                want, rel=1e-10)

@@ -1,0 +1,101 @@
+"""Tests for the tanh-sinh rule of the bound path's numeric moments.
+
+Values are checked against closed forms; the rule's independence from the
+oracle is checked by making the oracle's integrator unusable.
+"""
+
+import math
+
+import pytest
+
+from quadcert import (ClassCertificate, ClassKind, HModulus, RuleParams,
+                      TestFunction, bound_power_mean, h_integral_01, oracle,
+                      tanhsinh)
+from quadcert.errors import NonFiniteSample
+
+K = 0.3  # the weight kink of the |t - K| cases
+
+
+@pytest.mark.parametrize("g, a, b, exact", [
+    (lambda t: t ** 3 - 2.0 * t + 1.0, 0.0, 1.0, 0.25),
+    (math.sqrt, 0.0, 1.0, 2.0 / 3.0),
+    # the two pieces of a moment split at its weight kink, and the whole
+    # interval, where the kink is interior and the rule falls back
+    (lambda t: abs(t - K) * t ** 0.7, 0.0, K,
+     K ** 2.7 * (1.0 / 1.7 - 1.0 / 2.7)),
+    (lambda t: abs(t - K) * t ** 0.7, K, 1.0,
+     (1.0 - K ** 2.7) / 2.7 - K * (1.0 - K ** 1.7) / 1.7),
+    (lambda t: abs(t - K) * t ** 0.7, 0.0, 1.0,
+     2.0 * K ** 2.7 * (1.0 / 1.7 - 1.0 / 2.7) + 1.0 / 2.7 - K / 1.7),
+    (lambda t: t ** -0.5, 0.0, 1.0, 2.0),
+    (math.log, 0.0, 1.0, -1.0),
+], ids=["cubic", "sqrt", "kinked-left", "kinked-right", "kinked-whole",
+        "inv-sqrt", "log"])
+def test_closed_forms(g, a, b, exact):
+    assert abs(tanhsinh.integrate(g, a, b) - exact) <= oracle.TOL
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 0.7), (-2.0, 1e-3),
+                                  (0.1, 0.1 + 1e-9)])
+def test_ends_never_sampled(a, b):
+    def g(t):
+        if not a < t < b:
+            raise AssertionError(f"sampled {t!r} outside ({a!r}, {b!r})")
+        return math.sqrt(t - a) + abs(t - 0.5 * (a + b))
+
+    tanhsinh.integrate(g, a, b)
+
+
+def test_nan_sample_raises():
+    with pytest.raises(NonFiniteSample, match="nan"):
+        tanhsinh.integrate(lambda t: math.nan if t > 0.9 else t, 0.0, 1.0)
+
+
+def test_sqrt_evaluation_count():
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return math.sqrt(t)
+
+    tanhsinh.integrate(g, 0.0, 1.0)
+    assert len(calls) == 62
+
+
+def test_node_table():
+    # levels 0..4 hold 145 nodes: 9 * 2^k + 1 at level k
+    assert 1 + 2 * sum(len(level) for level in tanhsinh._LEVELS) == 145
+
+
+class TestIndependentOfOracle:
+    """The bound path's moments settle without the oracle's integrator."""
+
+    @pytest.fixture(autouse=True)
+    def no_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle.integrate_adaptive was called")
+
+        monkeypatch.setattr(oracle, "integrate_adaptive", refuse)
+
+    @pytest.mark.parametrize("fn, twin", [
+        (math.sqrt, HModulus.power(0.5)),
+        (lambda t: math.sin(0.5 * math.pi * t), None),
+    ], ids=["sqrt", "sin"])
+    def test_bound_power_mean(self, fn, twin):
+        def tf_for(h):
+            cert = ClassCertificate(ClassKind.H_CONVEX, h, 2.0)
+            return TestFunction(lambda x: x ** 3, lambda x: 3.0 * x * x,
+                                0.5, 1.5, cert)
+
+        for alpha, lam in [(0.5, 1.0 / 3.0), (0.2, 0.7), (0.9, 0.1),
+                           (0.5, 0.0)]:
+            rp = RuleParams(alpha, lam, 2.0)
+            got = bound_power_mean(tf_for(HModulus.custom(fn)), rp).value
+            assert math.isfinite(got) and got > 0.0
+            if twin is not None:
+                want = bound_power_mean(tf_for(twin), rp).value
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_h_integral(self):
+        assert h_integral_01(HModulus.custom(math.sqrt)) == pytest.approx(
+            2.0 / 3.0, abs=oracle.TOL)
