@@ -2,7 +2,9 @@
 
 numpy's +, -, *, /, abs and comparisons round as Python floats do; its
 vectorised power can differ from Python's ``**`` in the last ulp, so every
-power of an array goes through :func:`power`.
+power, of a float or of an array, goes through :func:`power`.  A zero
+exponent gives the float 1.0 at every point, 0 and NaN included, as
+Python's ``**`` does; the q = 1 bounds take their gamma**0 factors so.
 """
 
 import numpy as np
@@ -10,6 +12,8 @@ import numpy as np
 
 def power(x, e):
     """x ** e; on an array, Python's float power element by element."""
+    if e == 0.0:
+        return 1.0
     if not isinstance(x, np.ndarray):
         return x ** e
     return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)

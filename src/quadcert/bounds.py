@@ -19,14 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-import numpy as np
-
-from .arrays import every, map_scalar, power
+from .arrays import every, map_scalar, power, select
 from .classes import ClassKind, HModulus, TestFunction, h_eval, h_integral_01
 from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
 from .moments import (CaseBranch, RuleParams, Side, active_epsilons,
-                      active_gamma_upsilon, at_points, branch_select,
-                      weighted_moment)
+                      active_gamma_upsilon, branch_select, weighted_moment)
 
 
 @dataclass(frozen=True)
@@ -36,13 +33,6 @@ class BoundResult:
     value: Any
     branch: Optional[Any]
     components: Dict[str, Any]
-
-
-def _pow(x, e: float):
-    # x**0 := 1 even at x = 0, so q = 1 degrades to the q=1 corollary.
-    if e == 0.0:
-        return 1.0
-    return power(x, e)
 
 
 def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
@@ -57,8 +47,9 @@ def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
     big_a = db_q * mo_l + da_q * mo_lr
     big_b = db_q * mo_r + da_q * mo_rr
     gc, uc = active_gamma_upsilon(rp)
-    value = width * (_pow(gc, 1.0 - 1.0 / q) * power(big_a, 1.0 / q)
-                     + _pow(uc, 1.0 - 1.0 / q) * power(big_b, 1.0 / q))
+    # gc**0 is 1 even at gc = 0, so q = 1 degrades to the q=1 corollary
+    value = width * (power(gc, 1.0 - 1.0 / q) * power(big_a, 1.0 / q)
+                     + power(uc, 1.0 - 1.0 / q) * power(big_b, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "A": big_a, "B": big_b, "gamma": gc, "upsilon": uc})
 
@@ -93,13 +84,11 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
     h_int = h_integral_01(h)  # raises NotIntegrable for 1/t moduli
     alpha = rp.alpha
     eps_c, eps_d = active_epsilons(rp)
-    # one rule: the builtin pow, the same bits without the helper's cost
-    pw = power if isinstance(eps_c, np.ndarray) else pow
-    big_c = (1.0 - alpha) * (pw(d_node, q) + d_a ** q)
-    big_d = alpha * (pw(d_node, q) + d_b ** q)
+    big_c = (1.0 - alpha) * (power(d_node, q) + d_a ** q)
+    big_d = alpha * (power(d_node, q) + d_b ** q)
     pref = width * (1.0 / (p + 1.0)) ** (1.0 / p) * h_int ** (1.0 / q)
-    value = pref * (pw(eps_c, 1.0 / p) * pw(big_c, 1.0 / q)
-                    + pw(eps_d, 1.0 / p) * pw(big_d, 1.0 / q))
+    value = pref * (power(eps_c, 1.0 / p) * power(big_c, 1.0 / q)
+                    + power(eps_d, 1.0 / p) * power(big_d, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "C": big_c, "D": big_d, "eps_C": eps_c, "eps_D": eps_d,
         "h_integral": h_int})
@@ -126,13 +115,12 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
         raise DegenerateModulus("h(1/2) = 0")
     alpha = rp.alpha
     eps_e, eps_f = active_epsilons(rp)
-    pw = power if isinstance(eps_e, np.ndarray) else pow  # as above
-    big_e = (1.0 - alpha) * pw(d_mid_left, q)
-    big_f = alpha * pw(d_mid_right, q)
+    big_e = (1.0 - alpha) * power(d_mid_left, q)
+    big_f = alpha * power(d_mid_right, q)
     pref = width * (1.0 / (2.0 * h_half)) ** (1.0 / q) \
         * (1.0 / (p + 1.0)) ** (1.0 / p)
-    value = pref * (pw(eps_e, 1.0 / p) * pw(big_e, 1.0 / q)
-                    + pw(eps_f, 1.0 / p) * pw(big_f, 1.0 / q))
+    value = pref * (power(eps_e, 1.0 / p) * power(big_e, 1.0 / q)
+                    + power(eps_f, 1.0 / p) * power(big_f, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "E": big_e, "F": big_f, "eps_E": eps_e, "eps_F": eps_f,
         "h_half": h_half})
@@ -157,39 +145,40 @@ def rhs_general_convex(rp: RuleParams, width: float,
 
     Independent coding of the published cubic coefficient table and case
     ladder; the power-mean route with the identity modulus must reproduce it.
-    Scalar rules only: ``evaluate_bound`` calls it point by point on a grid.
+    On a grid of rules the case is chosen per point, as for a single rule.
     """
     alpha, lam, q = rp.alpha, rp.lam, rp.q
     w = alpha * lam
     u = 1.0 - alpha
     lu = lam * u
     hi = 1.0 - lu
+    u3, a3 = power(u, 3.0), power(alpha, 3.0)
     g1 = u * (w - u / 2.0)
     g2 = w * w - g1
     v1 = alpha * ((1.0 + u) / 2.0 - hi)
     v2 = (1.0 + u * u) / 2.0 - (lam + 1.0) * u * hi
-    mu1 = (w ** 3 + u ** 3) / 3.0 - w * u * u / 2.0
-    mu2 = (1.0 + alpha ** 3 + (1.0 - w) ** 3) / 3.0 \
+    mu1 = (power(w, 3.0) + u3) / 3.0 - w * u * u / 2.0
+    mu2 = (1.0 + a3 + power(1.0 - w, 3.0)) / 3.0 \
         - (1.0 - w) * (1.0 + alpha * alpha) / 2.0
-    mu3 = w * u * u / 2.0 - u ** 3 / 3.0
-    mu4 = (w - 1.0) * (1.0 - alpha * alpha) / 2.0 + (1.0 - alpha ** 3) / 3.0
-    eta1 = (1.0 - u ** 3) / 3.0 - hi / 2.0 * alpha * (2.0 - alpha)
-    eta2 = lu * alpha * alpha / 2.0 - alpha ** 3 / 3.0
-    eta3 = hi ** 3 / 3.0 - hi / 2.0 * (1.0 + u * u) + (1.0 + u ** 3) / 3.0
-    eta4 = lu ** 3 / 3.0 - lu * alpha * alpha / 2.0 + alpha ** 3 / 3.0
-    if w <= u and u <= hi:
-        branch = CaseBranch.MID_ORDER
-        gc, ma, mb, uc, ea, eb = g2, mu1, mu2, v2, eta3, eta4
-    elif u <= hi:
-        branch = CaseBranch.LEFT_OF_LOWER
-        gc, ma, mb, uc, ea, eb = g1, mu3, mu4, v2, eta3, eta4
-    else:
-        branch = CaseBranch.RIGHT_OF_UPPER
-        gc, ma, mb, uc, ea, eb = g2, mu1, mu2, v1, eta1, eta2
-    big_a = max(ma * d_b ** q + mb * d_a ** q, 0.0)
-    big_b = max(ea * d_b ** q + eb * d_a ** q, 0.0)
-    value = width * (_pow(gc, 1.0 - 1.0 / q) * big_a ** (1.0 / q)
-                     + _pow(uc, 1.0 - 1.0 / q) * big_b ** (1.0 / q))
+    mu3 = w * u * u / 2.0 - u3 / 3.0
+    mu4 = (w - 1.0) * (1.0 - alpha * alpha) / 2.0 + (1.0 - a3) / 3.0
+    eta1 = (1.0 - u3) / 3.0 - hi / 2.0 * alpha * (2.0 - alpha)
+    eta2 = lu * alpha * alpha / 2.0 - a3 / 3.0
+    eta3 = power(hi, 3.0) / 3.0 - hi / 2.0 * (1.0 + u * u) + (1.0 + u3) / 3.0
+    eta4 = power(lu, 3.0) / 3.0 - lu * alpha * alpha / 2.0 + a3 / 3.0
+    mid, lower = (w <= u) & (u <= hi), u <= hi
+    # the three cases in ladder order, each chosen per point
+    gc, ma, mb, uc, ea, eb, branch = (
+        select(mid, m, select(lower, lo, r)) for m, lo, r in zip(
+            (g2, mu1, mu2, v2, eta3, eta4, CaseBranch.MID_ORDER),
+            (g1, mu3, mu4, v2, eta3, eta4, CaseBranch.LEFT_OF_LOWER),
+            (g2, mu1, mu2, v1, eta1, eta2, CaseBranch.RIGHT_OF_UPPER)))
+    db_q, da_q = d_b ** q, d_a ** q
+    # select(x < 0, 0, x) is max(x, 0.0) at every point, -0.0 and NaN kept
+    big_a, big_b = (select(x < 0.0, 0.0, x)
+                    for x in (ma * db_q + mb * da_q, ea * db_q + eb * da_q))
+    value = width * (power(gc, 1.0 - 1.0 / q) * power(big_a, 1.0 / q)
+                     + power(uc, 1.0 - 1.0 / q) * power(big_b, 1.0 / q))
     return BoundResult(value, branch, {"A": big_a, "B": big_b})
 
 
@@ -288,16 +277,8 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
     d_a = abs(tf.f_prime(tf.a))
     d_b = abs(tf.f_prime(tf.b))
     d_mid = abs(tf.f_prime(0.5 * (tf.a + tf.b)))
-    if name == "general-convex":  # a scalar cross-check: point by point
-        res = at_points(lambda pt: rhs_general_convex(pt, width, d_a, d_b),
-                        rp, object)
-        if not isinstance(res, np.ndarray):
-            return res
-        field = np.frompyfunc(getattr, 2, 1)
-        return BoundResult(field(res, "value").astype(float),
-                           field(res, "branch"),
-                           {k: np.frompyfunc(lambda r: r.components[k], 1, 1)(
-                               res).astype(float) for k in ("A", "B")})
+    if name == "general-convex":
+        return rhs_general_convex(rp, width, d_a, d_b)
     alpha, lam = _FIXED_PARAMS[name]
     if not every((abs(rp.alpha - alpha) <= 1e-12)
                  & (abs(rp.lam - lam) <= 1e-12)):

@@ -166,7 +166,8 @@ class TestFunction:
             x = self.a + width * (i + 1) / (_N_DERIV_POINTS + 1)
             fd = (self.f(x + step) - self.f(x - step)) / (2.0 * step)
             dv = self.f_prime(x)
-            if abs(fd - dv) > _DERIV_REL_TOL * (1.0 + abs(dv)):
+            # written so that a NaN difference fails the check too
+            if not abs(fd - dv) <= _DERIV_REL_TOL * (1.0 + abs(dv)):
                 raise DomainError(
                     f"f_prime inconsistent with f at x={x!r}: "
                     f"finite difference {fd!r} vs declared {dv!r}")

@@ -10,6 +10,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -56,27 +57,28 @@ def parse_function(spec: str):
       poly:c0,c1,...   f(x) = sum c_k x^k
       pow:beta,r       f(x) = beta * x^r          (r > 0, domain x >= 0)
       exp:k            f(x) = exp(k x)
+
+    Every parameter must be a finite float.
     """
     try:
         name, _, rest = spec.partition(":")
+        params = [float(c) for c in rest.split(",")]
+        if not all(map(math.isfinite, params)):
+            raise ValueError
         if name == "poly":
-            coeffs = [float(c) for c in rest.split(",")]
-            if not coeffs:
-                raise ValueError
-            dcoeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
+            dcoeffs = [k * c for k, c in enumerate(params)][1:] or [0.0]
 
             def poly(c):
                 return lambda x: sum(ck * x ** k for k, ck in enumerate(c))
-            return poly(coeffs), poly(dcoeffs)
+            return poly(params), poly(dcoeffs)
         if name == "pow":
-            beta_s, r_s = rest.split(",")
-            beta, r = float(beta_s), float(r_s)
+            beta, r = params
             if r <= 0.0:
                 raise ValueError
             return (lambda x: beta * x ** r,
                     lambda x: beta * r * x ** (r - 1.0))
         if name == "exp":
-            k = float(rest)
+            (k,) = params
             return (lambda x: np.exp(k * x), lambda x: k * np.exp(k * x))
     except (ValueError, TypeError):
         pass

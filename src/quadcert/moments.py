@@ -58,13 +58,13 @@ class RuleParams:
         return p
 
 
-def at_points(fn, rp: RuleParams, dtype=float):
+def at_points(fn, rp: RuleParams):
     """fn(rp) for one rule; on a grid, fn at each point, as a grid array."""
     grid = np.broadcast(rp.alpha, rp.lam)
     if grid.shape == ():
         return fn(rp)
     return np.array([fn(RuleParams(float(a), float(lm), rp.q))
-                     for a, lm in grid], dtype).reshape(grid.shape)
+                     for a, lm in grid]).reshape(grid.shape)
 
 
 class CaseBranch(Enum):
@@ -134,10 +134,9 @@ def epsilon_coeffs(rp: RuleParams):
     w = alpha * lam
     u = 1.0 - alpha
     lu = lam * u
-    pw = power if isinstance(w, np.ndarray) else pow  # pow: fast on floats
     # |x - y| and |y - x| are the same float, so each power is taken once
-    w_p, gap_l = pw(w, p + 1.0), pw(abs(u - w), p + 1.0)
-    lu_p, gap_r = pw(lu, p + 1.0), pw(abs(alpha - lu), p + 1.0)
+    w_p, gap_l = power(w, p + 1.0), power(abs(u - w), p + 1.0)
+    lu_p, gap_r = power(lu, p + 1.0), power(abs(alpha - lu), p + 1.0)
     return w_p + gap_l, w_p - gap_l, lu_p + gap_r, lu_p - gap_r
 
 
@@ -171,22 +170,21 @@ def _power_pair(rp: RuleParams, s: float, side: Side, reflected: bool):
     alpha, lam = rp.alpha, rp.lam
     u = 1.0 - alpha
     w, lu = alpha * lam, lam * u
-    pw = power if isinstance(w, np.ndarray) else pow  # pow: fast on floats
     s1, s2 = s + 1.0, s + 2.0
     c = 2.0 / (s1 * s2)
     base = alpha if reflected else u
-    b1, b2 = pw(base, s1), pw(base, s2)
+    b1, b2 = power(base, s1), power(base, s2)
     if side is Side.LEFT and not reflected:
-        return pw(w, s2) * c - w * b1 / s1 + b2 / s2, w * b1 / s1 - b2 / s2
+        return power(w, s2) * c - w * b1 / s1 + b2 / s2, w * b1 / s1 - b2 / s2
     if side is Side.LEFT:
-        return (pw(1.0 - w, s2) * c - (1.0 - w) * (1.0 + b1) / s1
+        return (power(1.0 - w, s2) * c - (1.0 - w) * (1.0 + b1) / s1
                 + (1.0 + b2) / s2,
                 (w - 1.0) * (1.0 - b1) / s1 + (1.0 - b2) / s2)
     if not reflected:
         hi = 1.0 - lu
-        return (pw(hi, s2) * c - (1.0 + b1) * hi / s1 + (1.0 + b2) / s2,
+        return (power(hi, s2) * c - (1.0 + b1) * hi / s1 + (1.0 + b2) / s2,
                 (1.0 - b2) / s2 - hi * (1.0 - b1) / s1)
-    return (pw(lu, s2) * c - lu * b1 / s1 + b2 / s2, lu * b1 / s1 - b2 / s2)
+    return (power(lu, s2) * c - lu * b1 / s1 + b2 / s2, lu * b1 / s1 - b2 / s2)
 
 
 def mu_eta_star(rp: RuleParams, s: float) -> MuEtaStar:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadcert import bounds, moments
 from quadcert import (
     ClassCertificate, ClassKind, HModulus, RuleParams, TestFunction,
     bound_holder_hconcave, bound_holder_hconvex, bound_power_mean,
@@ -451,3 +452,38 @@ class TestGridEqualsPoints:
         for key, value in grid.components.items():
             assert _same_bits(value, [p.components[key] for p in points],
                               shape), key
+
+
+# every moments helper a general bound uses; the cross-check must need none
+MOMENT_HELPERS = ("kinks_inside", "branch_select", "gamma_coeffs",
+                  "upsilon_coeffs", "active_gamma_upsilon", "active_epsilons",
+                  "weighted_moment")
+
+
+class TestGeneralConvexIndependent:
+    """rhs_general_convex stays an independent coding of the prior bound."""
+
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    def test_no_moments_helper_used(self, monkeypatch, q):
+        rules = [RuleParams(0.3, 0.6, q),
+                 RuleParams(np.array(GRID_ALPHAS)[:, None],
+                            np.array(GRID_LAMS), q)]
+        want = [rhs_general_convex(rp, 1.7, 0.8, 2.1) for rp in rules]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("moments helper called")
+
+        for mod in (moments, bounds):
+            for name in MOMENT_HELPERS:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, boom)
+        with pytest.raises(AssertionError):  # the patch is in force
+            bound_power_mean(_tf_square(q), rules[0])
+        for rp, ref in zip(rules, want):
+            got = rhs_general_convex(rp, 1.7, 0.8, 2.1)
+            shape = np.shape(ref.value)
+            assert _same_bits(got.value, np.ravel(ref.value), shape)
+            assert np.array_equal(got.branch, ref.branch)
+            for key in ("A", "B"):
+                assert _same_bits(got.components[key],
+                                  np.ravel(ref.components[key]), shape)

@@ -99,6 +99,21 @@ class TestCertificateAndFunction:
         with pytest.raises(DomainError):
             TestFunction(lambda x: x * x, lambda x: 3.0 * x, 0.0, 1.0, cert)
 
+    @pytest.mark.parametrize("f, fp", [
+        (lambda x: math.nan * x, lambda x: math.nan),
+        (lambda x: x * x, lambda x: math.nan),
+        (lambda x: math.nan, lambda x: 2.0 * x),
+        # f overflows: inf - inf is a NaN difference against an inf f'
+        (lambda x: 1e308 * x ** 3, lambda x: 3e308 * x * x),
+        (lambda x: math.inf * x, lambda x: math.inf),
+    ], ids=["nan-both", "nan-derivative", "nan-f", "overflow", "inf"])
+    def test_non_finite_derivative_rejected(self, f, fp):
+        # a NaN comparison is false, so a check of "difference > tol" alone
+        # would wave these through
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with pytest.raises(DomainError):
+            TestFunction(f, fp, 0.0, 2.0, cert)
+
     def test_width(self):
         cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, -1.0, 3.0, cert)

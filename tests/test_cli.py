@@ -244,6 +244,14 @@ class TestConfigErrors:
         ["hadamard", "--function", "poly:0,0,1", "--s", "0.5"],
         # an output file that cannot be opened
         ["verify", "--function", "poly:0,0,1", "--out", "/nonexistent/x.csv"],
+        # non-finite function parameters
+        ["verify", "--function", "pow:1,nan"],
+        ["verify", "--function", "poly:nan"],
+        ["verify", "--function", "exp:nan"],
+        ["verify", "--function", "poly:0,inf"],
+        ["verify", "--function", "pow:nan,2"],
+        # finite parameters, but f overflows to inf on the interval
+        ["verify", "--function", "poly:0,0,0,1e308", "--interval", "0", "2"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,
