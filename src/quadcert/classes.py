@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -78,23 +79,39 @@ class HModulus:
     def __call__(self, t: float) -> float:
         return h_eval(self, t)
 
+    @cached_property
+    def evaluator(self) -> Callable[[float], float]:
+        """h on one float t, its kind decided once per modulus.
+
+        It does not check that t lies in (0, 1); :func:`h_eval` does.  A
+        custom modulus's value must be finite and nonnegative, else
+        EvaluationError.
+        """
+        if self.kind is HKind.IDENTITY:
+            return lambda t: t
+        if self.kind is HKind.POWER:
+            s = self.s_param
+            return lambda t: t ** s
+        if self.kind is HKind.CONSTANT:
+            return lambda t: 1.0
+        if self.kind is HKind.RECIPROCAL:
+            return lambda t: 1.0 / t
+        fn = self.fn
+
+        def custom(t):
+            val = float(fn(t))
+            if not math.isfinite(val) or val < 0.0:
+                raise EvaluationError(
+                    f"custom modulus returned {val!r} at t={t!r}")
+            return val
+        return custom
+
 
 def h_eval(h: HModulus, t: float) -> float:
     """Evaluate the modulus at t in (0, 1)."""
     if not 0.0 < t < 1.0:
         raise DomainError(f"modulus argument {t!r} outside (0, 1)")
-    if h.kind is HKind.IDENTITY:
-        return t
-    if h.kind is HKind.POWER:
-        return t ** h.s_param
-    if h.kind is HKind.CONSTANT:
-        return 1.0
-    if h.kind is HKind.RECIPROCAL:
-        return 1.0 / t
-    val = float(h.fn(t))
-    if not math.isfinite(val) or val < 0.0:
-        raise EvaluationError(f"custom modulus returned {val!r} at t={t!r}")
-    return val
+    return h.evaluator(t)
 
 
 def h_integral_01(h: HModulus) -> float:
@@ -109,7 +126,7 @@ def h_integral_01(h: HModulus) -> float:
     if h.kind is HKind.CONSTANT:
         return 1.0
     from .tanhsinh import integrate  # local: the oracle depends on us
-    return integrate(lambda t: h_eval(h, t), 0.0, 1.0)
+    return integrate(h.evaluator, 0.0, 1.0)
 
 
 class ClassKind(Enum):
@@ -170,7 +187,7 @@ class TestFunction:
             if not abs(fd - dv) <= _DERIV_REL_TOL * (1.0 + abs(dv)):
                 raise DomainError(
                     f"f_prime inconsistent with f at x={x!r}: "
-                    f"finite difference {fd!r} vs declared {dv!r}")
+                    f"finite difference {fd} vs declared {dv}")
 
     @property
     def width(self) -> float:
@@ -195,6 +212,8 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     cert = tf.certificate
     rng = np.random.default_rng(seed)
     xs = rng.uniform(tf.a, tf.b, n_samples)
@@ -208,7 +227,7 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     h_on = {HKind.IDENTITY: lambda t: t, HKind.CONSTANT: np.ones_like,
             HKind.POWER: lambda t: power(t, cert.h.s_param),
             HKind.RECIPROCAL: lambda t: 1.0 / t}.get(
-        cert.h.kind, lambda t: map_scalar(cert.h, t))  # custom: by sample
+        cert.h.kind, lambda t: map_scalar(cert.h.evaluator, t))  # by sample
     h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
     gx, gy = g(xs), g(ys)
     gmid = g(alphas * xs + (1.0 - alphas) * ys)

@@ -270,6 +270,8 @@ def _identity_corpus(seed: int, n_cases: int):
 def cmd_identity(args) -> int:
     if args.cases < 1:
         raise ConfigError("--cases must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be at least 0")
     worst = 0.0
     for tf, rp in _identity_corpus(args.seed, args.cases):
         worst = max(worst, oracle.lemma_identity_residual(tf, rp))

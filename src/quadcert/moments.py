@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tanhsinh
 from .arrays import every, power, select
-from .classes import HKind, HModulus, h_eval
+from .classes import HKind, HModulus
 from .errors import DomainError, NotIntegrable
 
 
@@ -261,11 +261,15 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
     lo, hi_lim, kink = ((0.0, u, alpha * lam) if side is Side.LEFT
                         else (u, 1.0, 1.0 - lam * u))
 
-    def integrand(t):
-        arg = 1.0 - t if reflected else t
-        if arg <= 0.0 or arg >= 1.0:
-            return 0.0  # measure-zero endpoint of the modulus domain
-        return abs(t - kink) * h_eval(h, arg)
+    h_at = h.evaluator
+    # an argument on 0 or 1 is a measure-zero endpoint of h's domain: 0 there
+    if reflected:
+        def integrand(t):
+            arg = 1.0 - t
+            return abs(t - kink) * h_at(arg) if 0.0 < arg < 1.0 else 0.0
+    else:
+        def integrand(t):
+            return abs(t - kink) * h_at(t) if 0.0 < t < 1.0 else 0.0
 
     total = 0.0
     pieces = [(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim \

@@ -48,32 +48,36 @@ def integrate(g: Callable[[float], float], a: float, b: float) -> float:
 
     Levels are refined until two successive ones differ by at most
     max(TOL, 1e-14 |value|), from level 2 on.  A node that rounds onto a
-    or b is skipped, so g is never called at an end.  If level MAX_LEVEL
-    has not settled, the piece is integrated by
-    ``oracle.integrate_adaptive`` instead.
+    or b is skipped, so g is never called at an end.  Each level's nodes
+    are evaluated together, in the order of the node table, by one call
+    of g per node on a Python float; a non-finite sample raises
+    NonFiniteSample naming the first such node.  If level MAX_LEVEL has
+    not settled, the piece is integrated by ``oracle.integrate_adaptive``
+    instead.
     """
     half = 0.5 * (b - a)
-    terms = []
-
-    def sample(x, w):
-        if x == a or x == b:
-            return
-        fx = float(g(x))
-        if not math.isfinite(fx):
-            raise NonFiniteSample(
-                f"integrand is {fx!r} at the tanh-sinh node {x!r} "
-                f"of [{a!r}, {b!r}]")
-        terms.append(w * fx)
-
-    sample(0.5 * (a + b), 0.5 * math.pi)
+    terms = _terms(g, [(0.5 * (a + b), 0.5 * math.pi)], a, b)
     prev = None
     for k, level in enumerate(_LEVELS):
-        for offset, w in level:
-            sample(a + half * offset, w)
-            sample(b - half * offset, w)
+        terms += _terms(g, [(x, w) for offset, w in level
+                            for x in (a + half * offset, b - half * offset)],
+                        a, b)
         value = half * 2.0 ** -k * math.fsum(terms)
         if k >= 2 and abs(value - prev) <= max(oracle.TOL,
                                                1e-14 * abs(value)):
             return value
         prev = value
     return oracle.integrate_adaptive(g, a, b, oracle.TOL).value
+
+
+def _terms(g, nodes, a, b):
+    """w * g(x) for each (x, w) of nodes, in order, g called one float at a
+    time; a node that rounds onto a or b is skipped."""
+    nodes = [(x, w) for x, w in nodes if a != x != b]
+    fx = [float(g(x)) for x, _ in nodes]
+    if not all(map(math.isfinite, fx)):
+        x, v = next((x, v) for (x, _), v in zip(nodes, fx)
+                    if not math.isfinite(v))
+        raise NonFiniteSample(f"integrand is {v!r} at the tanh-sinh node "
+                              f"{x!r} of [{a!r}, {b!r}]")
+    return [w * v for (_, w), v in zip(nodes, fx)]

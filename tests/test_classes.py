@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from quadcert import (
     ClassCertificate, ClassKind, HKind, HModulus, MembershipReport,
-    TestFunction, certify_membership, h_eval, h_integral_01,
-    integrate_adaptive,
+    RuleParams, Side, TestFunction, certify_membership, h_eval,
+    h_integral_01, integrate_adaptive, weighted_moment,
 )
 from quadcert.errors import DomainError, EvaluationError, NotIntegrable
 
@@ -39,6 +39,33 @@ class TestHEval:
 
     def test_callable_shorthand(self):
         assert HModulus.power(0.5)(0.25) == pytest.approx(0.5)
+
+
+class TestBadCustomValues:
+    """Every caller of a custom modulus refuses a NaN, negative or infinite
+    value, wherever in (0, 1) it appears."""
+
+    @pytest.fixture(params=[math.nan, -1.0, math.inf],
+                    ids=["nan", "negative", "inf"])
+    def h(self, request):
+        bad = request.param
+        return HModulus.custom(lambda t: t if 0.1 < t < 0.9 else bad)
+
+    def test_weighted_moment(self, h):
+        for reflected in (False, True):
+            with pytest.raises(EvaluationError, match="custom modulus"):
+                weighted_moment(h, RuleParams(0.5, 1.0 / 3.0, 1.0),
+                                Side.RIGHT, reflected)
+
+    def test_h_integral(self, h):
+        with pytest.raises(EvaluationError, match="custom modulus"):
+            h_integral_01(h)
+
+    def test_certify_membership(self, h):
+        cert = ClassCertificate(ClassKind.H_CONVEX, h, 1.0)
+        tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, cert)
+        with pytest.raises(EvaluationError, match="custom modulus"):
+            certify_membership(tf, n_samples=200)
 
 
 class TestHIntegral:
@@ -98,6 +125,14 @@ class TestCertificateAndFunction:
         cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
         with pytest.raises(DomainError):
             TestFunction(lambda x: x * x, lambda x: 3.0 * x, 0.0, 1.0, cert)
+
+    def test_derivative_mismatch_message_plain_numbers(self):
+        # numpy scalars print as plain numbers, not as np.float64(...)
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with pytest.raises(DomainError, match="f_prime inconsistent") as exc:
+            TestFunction(np.exp, lambda x: 2.0 * np.exp(x), 0.0, 1.0, cert)
+        assert "np.float64(" not in str(exc.value)
+        assert f"declared {2.0 * np.exp(1.0 / 12.0)}" in str(exc.value)
 
     @pytest.mark.parametrize("f, fp", [
         (lambda x: math.nan * x, lambda x: math.nan),
@@ -163,6 +198,8 @@ class TestCertifyMembership:
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, cert)
         with pytest.raises(DomainError):
             certify_membership(tf, n_samples=0)
+        with pytest.raises(DomainError, match="seed"):
+            certify_membership(tf, seed=-1)
 
     def test_deterministic_given_seed(self):
         cert = ClassCertificate(ClassKind.H_CONCAVE, HModulus.identity(), 1.0)

@@ -252,6 +252,10 @@ class TestConfigErrors:
         ["verify", "--function", "pow:nan,2"],
         # finite parameters, but f overflows to inf on the interval
         ["verify", "--function", "poly:0,0,0,1e308", "--interval", "0", "2"],
+        # a seed numpy's generator refuses
+        ["verify", "--function", "poly:0,0,1", "--seed", "-1"],
+        ["sweep", "--function", "poly:0,0,1", "--seed", "-1"],
+        ["identity", "--seed", "-1"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,

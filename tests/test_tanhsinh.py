@@ -46,9 +46,64 @@ def test_ends_never_sampled(a, b):
     tanhsinh.integrate(g, a, b)
 
 
+def _reference_integrate(g, a, b):
+    """The rule one node at a time, as first written: the reference that
+    the level-at-once evaluation must match bit for bit."""
+    half = 0.5 * (b - a)
+    terms = []
+
+    def sample(x, w):
+        if x == a or x == b:
+            return
+        fx = float(g(x))
+        if not math.isfinite(fx):
+            raise NonFiniteSample(
+                f"integrand is {fx!r} at the tanh-sinh node {x!r} "
+                f"of [{a!r}, {b!r}]")
+        terms.append(w * fx)
+
+    sample(0.5 * (a + b), 0.5 * math.pi)
+    prev = None
+    for k, level in enumerate(tanhsinh._LEVELS):
+        for offset, w in level:
+            sample(a + half * offset, w)
+            sample(b - half * offset, w)
+        value = half * 2.0 ** -k * math.fsum(terms)
+        if k >= 2 and abs(value - prev) <= max(oracle.TOL,
+                                               1e-14 * abs(value)):
+            return value
+        prev = value
+    return oracle.integrate_adaptive(g, a, b, oracle.TOL).value
+
+
+@pytest.mark.parametrize("g, a, b", [
+    (lambda t: t ** 3 - 2.0 * t + 1.0, 0.0, 1.0),
+    (math.sqrt, 0.0, 1.0),
+    (lambda t: t ** 0.7 * abs(t - K), 0.0, K),
+    (lambda t: t ** 0.7 * abs(t - K), K, 1.0),
+    (lambda t: math.sin(0.5 * math.pi * t), 0.2, 0.9),
+    (lambda t: t * (2.0 - t), 0.0, 1.0),
+    (lambda t: t ** -0.5, 0.0, 1.0),
+    # an interior kink does not settle: both hand the piece to the oracle
+    (lambda t: t ** 0.7 * abs(t - K), 0.0, 1.0),
+    # a width of a few ulps, where nodes round onto the ends
+    (math.sqrt, 0.1, 0.1 + 1e-16),
+], ids=["cubic", "sqrt", "kinked-left", "kinked-right", "sin", "t(2-t)",
+        "inv-sqrt", "kinked-fallback", "tiny"])
+def test_matches_node_by_node_reference(g, a, b):
+    assert tanhsinh.integrate(g, a, b) == _reference_integrate(g, a, b)
+
+
 def test_nan_sample_raises():
-    with pytest.raises(NonFiniteSample, match="nan"):
-        tanhsinh.integrate(lambda t: math.nan if t > 0.9 else t, 0.0, 1.0)
+    def g(t):
+        return math.nan if t > 0.9 else t
+
+    with pytest.raises(NonFiniteSample, match="nan") as got:
+        tanhsinh.integrate(g, 0.0, 1.0)
+    # the message names the first non-finite node, as node by node
+    with pytest.raises(NonFiniteSample) as want:
+        _reference_integrate(g, 0.0, 1.0)
+    assert str(got.value) == str(want.value)
 
 
 def test_sqrt_evaluation_count():
@@ -95,6 +150,21 @@ class TestIndependentOfOracle:
             if twin is not None:
                 want = bound_power_mean(tf_for(twin), rp).value
                 assert got == pytest.approx(want, rel=1e-12)
+
+    def test_bound_evaluation_count(self):
+        # Simpson's rule, q = 2: the modulus is called on Python floats only
+        args = []
+
+        def sqrt(t):
+            args.append(t)
+            return math.sqrt(t)
+
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.custom(sqrt), 2.0)
+        tf = TestFunction(lambda x: x ** 3, lambda x: 3.0 * x * x, 0.5, 1.5,
+                          cert)
+        bound_power_mean(tf, RuleParams(0.5, 1.0 / 3.0, 2.0))
+        assert len(args) == 414
+        assert {type(t) for t in args} == {float}
 
     def test_h_integral(self):
         assert h_integral_01(HModulus.custom(math.sqrt)) == pytest.approx(
