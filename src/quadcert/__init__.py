@@ -13,7 +13,7 @@ from .classes import (ClassCertificate, ClassKind, HKind, HModulus,
                       h_eval, h_integral_01)
 from .moments import (CaseBranch, RuleParams, Side, abs_moment_p,
                       branch_select, epsilon_coeffs, gamma_coeffs,
-                      mu_eta_star, upsilon_coeffs, weighted_moment)
+                      upsilon_coeffs, weighted_moment)
 from .bounds import (BoundResult, bound_holder_hconcave,
                      bound_holder_hconvex, bound_power_mean, evaluate_bound)
 from .oracle import (HadamardResult, HadamardVariant, QuadratureResult,

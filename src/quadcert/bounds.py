@@ -35,6 +35,11 @@ class BoundResult:
     components: Dict[str, Any]
 
 
+def is_sound(lhs, rhs):
+    """lhs <= rhs up to 1e-9*(1 + rhs): when a row or a proposition holds."""
+    return lhs <= rhs + 1e-9 * (1.0 + rhs)
+
+
 def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
                    d_a: float, d_b: float) -> BoundResult:
     """Power-mean route RHS from the endpoint derivative magnitudes."""

@@ -29,8 +29,6 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
-_SOUND_SLACK = 1e-9
-
 SWEEP_COLUMNS = ["alpha", "lambda", "q", "s", "p",
                  "bound_kind", "branch", "lhs", "rhs", "ratio"]
 _BRANCH_NAME = np.frompyfunc(lambda branch: branch.value, 1, 1)
@@ -158,7 +156,7 @@ def _iter_blocks(args, rejected_branch: str):
                     "ratio": np.where(positive,
                                       lhs / np.where(positive, rhs, 1.0),
                                       np.where(lhs == 0.0, 0.0, np.inf)),
-                    "sound": lhs <= rhs + _SOUND_SLACK * (1.0 + rhs)}
+                    "sound": bnd.is_sound(lhs, rhs)}
         yield {"alpha": alphas, "lambda": lams, "q": q, "s": s,
                "bound_kind": args.bound,
                **(_on_grid(evaluate, q, alphas, lams) if rep.holds else

@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import rhs_holder_hconvex, rhs_power_mean
+from .bounds import is_sound, rhs_holder_hconvex, rhs_power_mean
 from .classes import HModulus
 from .errors import DomainError
 from .moments import RuleParams
-
-_PROP_SLACK = 1e-9
 
 
 def weighted_arith_mean(a: float, b: float, alpha: float) -> float:
@@ -88,7 +86,7 @@ def proposition1_check(a: float, b: float, alpha: float, lam: float,
     inner = rhs_power_mean(HModulus.power(q * s), RuleParams(alpha, lam, q),
                            b - a, d_a=a ** s, d_b=b ** s)
     rhs = (s + 1.0) * inner.value
-    return PropositionResult(lhs, rhs, lhs <= rhs + _PROP_SLACK * (1.0 + rhs))
+    return PropositionResult(lhs, rhs, is_sound(lhs, rhs))
 
 
 def proposition2_check(a: float, b: float, alpha: float, lam: float,
@@ -108,4 +106,4 @@ def proposition2_check(a: float, b: float, alpha: float, lam: float,
                                b - a, weighted_arith_mean(a, b, alpha) ** s,
                                a ** s, b ** s)
     rhs = (s + 1.0) * inner.value
-    return PropositionResult(lhs, rhs, lhs <= rhs + _PROP_SLACK * (1.0 + rhs))
+    return PropositionResult(lhs, rhs, is_sound(lhs, rhs))

@@ -13,7 +13,6 @@ that broadcast to a grid of rules; branches are chosen per point.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Tuple
@@ -140,74 +139,61 @@ def epsilon_coeffs(rp: RuleParams):
     return w_p + gap_l, w_p - gap_l, lu_p + gap_r, lu_p - gap_r
 
 
-def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
-    """(gamma, upsilon): the plain left and right moments int |t - kink| dt."""
-    left, right = kinks_inside(rp)
-    g1, g2 = gamma_coeffs(rp)
-    v1, v2 = upsilon_coeffs(rp)
-    return (_clamp_moment(select(left, g2, g1)),
-            _clamp_moment(select(right, v2, v1)))
-
-
-def active_epsilons(rp: RuleParams) -> Tuple[float, float]:
-    """(eps_left, eps_right): the active p-power moment numerators."""
-    left, right = kinks_inside(rp)
-    e1, e2, e3, e4 = epsilon_coeffs(rp)
-    return (_clamp_moment(select(left, e1, e2)),
-            _clamp_moment(select(right, e3, e4)))
-
-
-MuEtaStar = namedtuple("MuEtaStar", "mu1 mu2 mu3 mu4 eta1 eta2 eta3 eta4")
-
-
 class Side(Enum):
     LEFT = "left"    # integral over [0, 1-alpha], kink at alpha*lam
     RIGHT = "right"  # integral over [1-alpha, 1], kink at 1-lam*(1-alpha)
 
 
+def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
+    """(gamma, upsilon): the plain left and right moments int |t - kink| dt."""
+    g1, g2 = gamma_coeffs(rp)
+    v1, v2 = upsilon_coeffs(rp)
+    return _active(rp, Side.LEFT, g2, g1), _active(rp, Side.RIGHT, v2, v1)
+
+
+def active_epsilons(rp: RuleParams) -> Tuple[float, float]:
+    """(eps_left, eps_right): the active p-power moment numerators."""
+    e1, e2, e3, e4 = epsilon_coeffs(rp)
+    return _active(rp, Side.LEFT, e1, e2), _active(rp, Side.RIGHT, e3, e4)
+
+
+def _active(rp: RuleParams, side: Side, inside, outside):
+    """One side's moment from its (kink inside, kink outside) forms.
+
+    Chosen by :func:`kinks_inside`; 0 on an empty side; clamped.
+    """
+    chosen = select(kinks_inside(rp)[side is Side.RIGHT], inside, outside)
+    return _clamp_moment(select(_side_empty(rp, side), 0.0, chosen))
+
+
 def _power_pair(rp: RuleParams, s: float, side: Side, reflected: bool):
-    """The (kink inside, kink outside) pair of mu_eta_star for one moment."""
+    """(kink inside, kink outside) forms of one moment with weight t^s.
+
+    t -> 1-t maps a reflected moment onto the other side, so two forms
+    cover four: int_0^base |t - k| t^s dt for the left plain and right
+    reflected moments, int_base^1 for the left reflected and right plain.
+    """
     alpha, lam = rp.alpha, rp.lam
     u = 1.0 - alpha
-    w, lu = alpha * lam, lam * u
     s1, s2 = s + 1.0, s + 2.0
     c = 2.0 / (s1 * s2)
     base = alpha if reflected else u
     b1, b2 = power(base, s1), power(base, s2)
-    if side is Side.LEFT and not reflected:
-        return power(w, s2) * c - w * b1 / s1 + b2 / s2, w * b1 / s1 - b2 / s2
-    if side is Side.LEFT:
-        return (power(1.0 - w, s2) * c - (1.0 - w) * (1.0 + b1) / s1
-                + (1.0 + b2) / s2,
-                (w - 1.0) * (1.0 - b1) / s1 + (1.0 - b2) / s2)
-    if not reflected:
-        hi = 1.0 - lu
-        return (power(hi, s2) * c - (1.0 + b1) * hi / s1 + (1.0 + b2) / s2,
-                (1.0 - b2) / s2 - hi * (1.0 - b1) / s1)
-    return (power(lu, s2) * c - lu * b1 / s1 + b2 / s2, lu * b1 / s1 - b2 / s2)
-
-
-def mu_eta_star(rp: RuleParams, s: float) -> MuEtaStar:
-    """The eight power-modulus moment closed forms, h(t) = t^s, s in (0, 1].
-
-    mu1/mu3 are the two branch values of the left moment with weight h(t),
-    mu2/mu4 the reflected-weight h(1-t) pair; eta3/eta1 and eta4/eta2 are
-    the right-side analogues.
-    """
-    if not 0.0 < s <= 1.0:
-        raise DomainError("s must lie in (0, 1]")
-    (mu1, mu3), (mu2, mu4), (eta3, eta1), (eta4, eta2) = (
-        _power_pair(rp, s, side, reflected)
-        for side in Side for reflected in (False, True))
-    return MuEtaStar(mu1, mu2, mu3, mu4, eta1, eta2, eta3, eta4)
+    if (side is Side.LEFT) != reflected:
+        k = alpha * lam if side is Side.LEFT else lam * u
+        return power(k, s2) * c - k * b1 / s1 + b2 / s2, k * b1 / s1 - b2 / s2
+    k = 1.0 - (alpha * lam if side is Side.LEFT else lam * u)
+    return (power(k, s2) * c - k * (1.0 + b1) / s1 + (1.0 + b2) / s2,
+            (1.0 - b2) / s2 - k * (1.0 - b1) / s1)
 
 
 def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool):
     """int |t - kink| * h(t) dt (or h(1-t) if reflected) over one side.
 
-    Closed form for the identity/power/constant kinds; tanh-sinh quadrature
-    split at the interior kink otherwise, one grid point at a time.  Raises
+    The one entry point for h-weighted moments: closed form for the
+    identity/power/constant kinds, tanh-sinh quadrature split at the
+    interior kink otherwise, one grid point at a time.  Raises
     NotIntegrable when a reciprocal modulus makes the moment diverge.
     """
     if h.kind is HKind.CONSTANT:
@@ -219,10 +205,7 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
     else:
         return at_points(
             lambda pt: _numeric_moment(h, pt, side, reflected), rp)
-    inside = kinks_inside(rp)[side is Side.RIGHT]
-    # an empty side is 0 whatever its closed form rounds to
-    return _clamp_moment(select(_side_empty(rp, side), 0.0,
-                                select(inside, *pair)))
+    return _active(rp, side, *pair)
 
 
 def _side_empty(rp: RuleParams, side: Side):
@@ -231,8 +214,8 @@ def _side_empty(rp: RuleParams, side: Side):
 
 
 def _clamp_moment(val):
-    # The one clamp policy for every active moment and coefficient: they are
-    # >= 0, so absorb cancellation-level negatives and refuse larger ones.
+    # An active moment is >= 0: absorb cancellation-level negatives and
+    # refuse larger ones.
     if isinstance(val, np.ndarray):
         _clamp_moment(float(val.min(initial=0.0)))  # the refusal, if any
         return np.where(val < 0.0, 0.0, val)
@@ -281,6 +264,4 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
 
 def abs_moment_p(rp: RuleParams, side: Side):
     """int |t - kink|^p dt over one side; closed piecewise form."""
-    p = rp.require_p()
-    eps = active_epsilons(rp)[side is Side.RIGHT]
-    return select(_side_empty(rp, side), 0.0, eps / (p + 1.0))
+    return active_epsilons(rp)[side is Side.RIGHT] / (rp.require_p() + 1.0)

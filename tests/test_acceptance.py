@@ -26,7 +26,7 @@ from quadcert.bounds import (
     rhs_trapezoid_holder,
 )
 from quadcert.cli import _identity_corpus
-from quadcert.moments import Side, abs_moment_p, mu_eta_star, weighted_moment
+from quadcert.moments import Side, abs_moment_p, weighted_moment
 
 
 def _report(capsys, num: int, desc: str, ok: bool, detail: str):
@@ -332,12 +332,10 @@ def test_criterion_4_reduction_suite(capsys):
         alpha = float(rng.uniform(0.0, 1.0))
         lam = float(rng.uniform(0.0, 1.0))
         rp = RuleParams(alpha, lam, 1.0)
-        me = mu_eta_star(rp, 1.0)
-        w, u, k = alpha * lam, 1.0 - alpha, 1.0 - lam * (1.0 - alpha)
-        active = (me.mu1 if w <= u else me.mu3,
-                  me.mu2 if w <= u else me.mu4,
-                  me.eta3 if u <= k else me.eta1,
-                  me.eta4 if u <= k else me.eta2)
+        h = HModulus.identity()
+        active = tuple(weighted_moment(h, rp, side, refl)
+                       for side in (Side.LEFT, Side.RIGHT)
+                       for refl in (False, True))
         cubic = _cubic_mu_eta(alpha, lam)
         worst_abs = max(worst_abs,
                         max(abs(x - y) for x, y in zip(active, cubic)))

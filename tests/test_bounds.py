@@ -19,9 +19,9 @@ from quadcert import (
     evaluate_bound, integrate_adaptive, lhs_error,
 )
 from quadcert.bounds import (
-    GENERAL_BOUNDS, rhs_general_convex, rhs_holder_hconcave, rhs_holder_hconvex,
-    rhs_midpoint_holder, rhs_midpoint_power_mean, rhs_power_mean,
-    rhs_simpson_holder, rhs_trapezoid_holder,
+    GENERAL_BOUNDS, is_sound, rhs_general_convex, rhs_holder_hconcave,
+    rhs_holder_hconvex, rhs_midpoint_holder, rhs_midpoint_power_mean,
+    rhs_power_mean, rhs_simpson_holder, rhs_trapezoid_holder,
 )
 from quadcert.errors import (ClassMismatch, DegenerateModulus, DomainError,
                              NotIntegrable, ParamMismatch)
@@ -454,10 +454,19 @@ class TestGridEqualsPoints:
                               shape), key
 
 
+class TestIsSound:
+    def test_relative_slack(self):
+        # lhs may exceed rhs by 1e-9 * (1 + rhs) and no more
+        assert is_sound(1.0 + 1e-9, 1.0)
+        assert not is_sound(1.0 + 3e-9, 1.0)
+        assert is_sound(np.array([0.0, 2.0]),
+                        np.array([0.0, 1.0])).tolist() == [True, False]
+
+
 # every moments helper a general bound uses; the cross-check must need none
 MOMENT_HELPERS = ("kinks_inside", "branch_select", "gamma_coeffs",
                   "upsilon_coeffs", "active_gamma_upsilon", "active_epsilons",
-                  "weighted_moment")
+                  "weighted_moment", "_active")
 
 
 class TestGeneralConvexIndependent:

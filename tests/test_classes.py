@@ -86,6 +86,14 @@ class TestHIntegral:
         with pytest.raises(NotIntegrable):
             h_integral_01(declared)
 
+    def test_custom_constructions_agree(self):
+        # the field and the classmethod default alike: integrable on (0, 1)
+        via_field = HModulus(HKind.CUSTOM, fn=math.sqrt)
+        via_method = HModulus.custom(math.sqrt)
+        assert via_field == via_method
+        assert h_integral_01(via_field) == h_integral_01(via_method) \
+            == pytest.approx(2.0 / 3.0, abs=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(s=st.floats(0.05, 1.0))
     def test_power_closed_form_vs_quadrature(self, s):

@@ -84,6 +84,13 @@ class TestVerify:
         else:
             assert list(csv.DictReader(io.StringIO(out)))[0]["sound"] == "true"
 
+    def test_steep_exact_derivative_accepted(self, capsys):
+        # exp: declares the exact f'; steepness alone is no config error
+        code, out, err = run_cli(capsys, [
+            "verify", "--function", "exp:250", "--interval", "0", "1"])
+        assert (code, err) == (0, "")
+        assert list(csv.DictReader(io.StringIO(out)))[0]["sound"] == "true"
+
     def test_s_grid(self, capsys):
         code, out, _ = run_cli(capsys, [
             "verify", "--function", "pow:1,1.5", "--interval", "0", "1",

@@ -8,6 +8,7 @@ general evaluation paths.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +16,15 @@ from hypothesis import strategies as st
 from quadcert import (
     CaseBranch, ClassCertificate, ClassKind, HModulus, RuleParams, Side,
     TestFunction, abs_moment_p, bound_power_mean, branch_select,
-    epsilon_coeffs, gamma_coeffs, integrate_adaptive, mu_eta_star,
-    upsilon_coeffs, weighted_moment,
+    epsilon_coeffs, gamma_coeffs, integrate_adaptive, upsilon_coeffs,
+    weighted_moment,
 )
+from quadcert.arrays import power
 from quadcert.bounds import (rhs_holder_hconcave, rhs_holder_hconvex,
                              rhs_power_mean)
 from quadcert.errors import DomainError, NotIntegrable
+from quadcert.moments import (_power_pair, active_epsilons,
+                              active_gamma_upsilon)
 
 param_floats = st.floats(0.0, 1.0)
 
@@ -256,32 +260,126 @@ class TestAbsMomentP:
 
 
 class TestMuEtaStar:
-    def test_s_range(self):
-        with pytest.raises(DomainError):
-            mu_eta_star(RuleParams(0.5, 0.5, 1.0), 0.0)
-        with pytest.raises(DomainError):
-            mu_eta_star(RuleParams(0.5, 0.5, 1.0), 1.2)
+    """The paper's t^s moments mu*/eta*, read through weighted_moment."""
 
     def test_s1_matches_cubic_forms(self):
         # at s=1 the power-modulus moments reduce to the plain cubic table
+        h = HModulus.identity()
         for alpha, lam in [(0.5, 1.0 / 3.0), (0.3, 0.8), (0.9, 0.2),
                            (0.0, 0.5), (1.0, 0.7)]:
             rp = RuleParams(alpha, lam, 1.0)
-            me = mu_eta_star(rp, 1.0)
             w, u = alpha * lam, 1.0 - alpha
-            mu1 = (w ** 3 + u ** 3) / 3.0 - w * u * u / 2.0
-            assert me.mu1 == pytest.approx(mu1, abs=1e-14)
-            eta4 = (lam * u) ** 3 / 3.0 - lam * u * alpha ** 2 / 2.0 \
-                + alpha ** 3 / 3.0
-            assert me.eta4 == pytest.approx(eta4, abs=1e-14)
+            if w <= u:
+                mu1 = (w ** 3 + u ** 3) / 3.0 - w * u * u / 2.0
+                assert weighted_moment(h, rp, Side.LEFT, False) == \
+                    pytest.approx(mu1, abs=1e-14)
+            if u <= 1.0 - lam * u:
+                eta4 = (lam * u) ** 3 / 3.0 - lam * u * alpha ** 2 / 2.0 \
+                    + alpha ** 3 / 3.0
+                assert weighted_moment(h, rp, Side.RIGHT, True) == \
+                    pytest.approx(eta4, abs=1e-14)
 
     def test_boundary_zeroes(self):
-        me = mu_eta_star(RuleParams(1.0, 1.0, 1.0), 0.5)
-        assert me.mu3 == pytest.approx(0.0, abs=1e-15)
+        rp = RuleParams(1.0, 1.0, 1.0)
+        mu3 = weighted_moment(HModulus.power(0.5), rp, Side.LEFT, False)
+        assert mu3 == pytest.approx(0.0, abs=1e-15)
 
     def test_midpoint_left_moment(self):
-        me = mu_eta_star(RuleParams(0.5, 0.0, 1.0), 0.5)
-        assert me.mu1 == pytest.approx(0.5 ** 2.5 / 2.5, abs=1e-15)
+        mu1 = weighted_moment(HModulus.power(0.5), RuleParams(0.5, 0.0, 1.0),
+                              Side.LEFT, False)
+        assert mu1 == pytest.approx(0.5 ** 2.5 / 2.5, abs=1e-15)
+
+
+def _four_form_power_pair(rp, s, side, reflected):
+    """The t^s moment pairs written out as four forms, one per moment."""
+    alpha, lam = rp.alpha, rp.lam
+    u = 1.0 - alpha
+    w, lu = alpha * lam, lam * u
+    s1, s2 = s + 1.0, s + 2.0
+    c = 2.0 / (s1 * s2)
+    base = alpha if reflected else u
+    b1, b2 = power(base, s1), power(base, s2)
+    if side is Side.LEFT and not reflected:
+        return power(w, s2) * c - w * b1 / s1 + b2 / s2, w * b1 / s1 - b2 / s2
+    if side is Side.LEFT:
+        return (power(1.0 - w, s2) * c - (1.0 - w) * (1.0 + b1) / s1
+                + (1.0 + b2) / s2,
+                (w - 1.0) * (1.0 - b1) / s1 + (1.0 - b2) / s2)
+    if not reflected:
+        hi = 1.0 - lu
+        return (power(hi, s2) * c - (1.0 + b1) * hi / s1 + (1.0 + b2) / s2,
+                (1.0 - b2) / s2 - hi * (1.0 - b1) / s1)
+    return (power(lu, s2) * c - lu * b1 / s1 + b2 / s2, lu * b1 / s1 - b2 / s2)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+EDGE_ALPHAS = [0.0, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+               1.0]
+EDGE_LAMS = [0.0, 1.0 / 3.0, 1.0]
+
+
+class TestMirroredPowerForms:
+    """The two mirrored t^s forms give the bits of the four written out."""
+
+    @staticmethod
+    def _rules():
+        rng = np.random.default_rng(5)
+        alphas = EDGE_ALPHAS + rng.uniform(0.0, 1.0, 40).tolist()
+        lams = EDGE_LAMS + rng.uniform(0.0, 1.0, 40).tolist()
+        return alphas, lams
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+    def test_same_bits_on_floats(self, s):
+        alphas, lams = self._rules()
+        for alpha in alphas:
+            for lam in lams:
+                rp = RuleParams(alpha, lam, 1.0)
+                for side in Side:
+                    for refl in (False, True):
+                        got = _power_pair(rp, s, side, refl)
+                        want = _four_form_power_pair(rp, s, side, refl)
+                        assert [_bits(x) for x in got] == \
+                            [_bits(x) for x in want], (alpha, lam, side, refl)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+    def test_same_bits_on_a_grid(self, s):
+        alphas, lams = self._rules()
+        rp = RuleParams(np.array(alphas)[:, None], np.array(lams), 1.0)
+        for side in Side:
+            for refl in (False, True):
+                got = _power_pair(rp, s, side, refl)
+                want = _four_form_power_pair(rp, s, side, refl)
+                assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+class TestEmptySide:
+    """A side of zero length has every moment exactly 0.
+
+    alpha = 1e-17 rounds 1 - alpha to 1, which empties the right side;
+    alpha = 1 empties the left side.
+    """
+
+    MODULI = [HModulus.constant(), HModulus.identity(), HModulus.power(0.5),
+              HModulus.reciprocal(), HModulus.custom(math.sqrt)]
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha, side", [(1e-17, Side.RIGHT),
+                                             (1.0, Side.LEFT)])
+    def test_every_moment_is_zero(self, alpha, side, lam):
+        rp = RuleParams(alpha, lam, 2.0)
+        i = side is Side.RIGHT
+        assert active_gamma_upsilon(rp)[i] == 0.0
+        assert active_epsilons(rp)[i] == 0.0
+        comps = rhs_power_mean(HModulus.identity(), rp, 1.0, 0.7,
+                               2.1).components
+        assert comps[("gamma", "upsilon")[i]] == 0.0
+        assert abs_moment_p(rp, side) == 0.0
+        for h in self.MODULI:
+            for refl in (False, True):
+                assert weighted_moment(h, rp, side, refl) == 0.0, (h, refl)
 
 
 class TestWeightedMoment:
@@ -293,7 +391,9 @@ class TestWeightedMoment:
     def test_identity_equals_s1_moment(self):
         rp = RuleParams(0.5, 1.0 / 3.0, 1.0)
         val = weighted_moment(HModulus.identity(), rp, Side.LEFT, False)
-        assert val == pytest.approx(mu_eta_star(rp, 1.0).mu1, abs=1e-15)
+        w, u = 0.5 / 3.0, 0.5
+        mu1 = (w ** 3 + u ** 3) / 3.0 - w * u * u / 2.0
+        assert val == pytest.approx(mu1, abs=1e-15)
 
     def test_power_midpoint(self):
         rp = RuleParams(0.5, 0.0, 1.0)
