@@ -16,6 +16,7 @@ with arrays) a bound gives the same bits as point by point, as arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -241,8 +242,8 @@ def rhs_classical_simpson(sup_f4: float, width: float) -> BoundResult:
     Note: the printed factor is (b-a)^2; the textbook mean-form constant is
     (b-a)^4/2880.  On unit-width intervals the two agree.
     """
-    if sup_f4 < 0.0:
-        raise DomainError("sup |f''''| must be nonnegative")
+    if not 0.0 <= sup_f4 < math.inf:
+        raise DomainError("sup |f''''| must be finite and nonnegative")
     return BoundResult(sup_f4 * width ** 2 / 2880.0, None, {})
 
 
@@ -264,14 +265,13 @@ PRIOR_BOUNDS = ("general-convex", *_FIXED_PARAMS)
 
 
 def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
-                   s: Optional[float] = None,
                    sup_f4: Optional[float] = None) -> BoundResult:
     """Evaluate the bound called ``name`` on this function.
 
-    A general bound checks the certificate and ignores s and sup_f4.  The
-    prior bounds are evaluated as printed: all but general-convex hold only
-    at their fixed (alpha, lambda), the s-convex ones need the class
-    parameter s, and classical-simpson needs sup |f''''|.
+    A general bound checks the certificate and ignores sup_f4.  The prior
+    bounds are evaluated as printed: all but general-convex hold only at
+    their fixed (alpha, lambda), the s-convex ones read s from a t^s
+    certificate, and classical-simpson needs sup |f''''|.
     """
     general = GENERAL_BOUNDS.get(name)
     if general is not None:
@@ -292,10 +292,9 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
         if sup_f4 is None:
             raise ParamMismatch("classical Simpson needs sup |f''''|")
         return rhs_classical_simpson(sup_f4, width)
+    s = tf.certificate.h.s_param
     if s is None:
         raise ParamMismatch("this bound needs the class parameter s")
-    if not 0.0 < s <= 1.0:
-        raise DomainError("s must lie in (0, 1]")
     if name == "midpoint-power-mean":
         return rhs_midpoint_power_mean(s, rp.q, width, d_a, d_b)
     if name == "midpoint-holder":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -69,29 +69,20 @@ class HModulus:
                integrable_on_unit: bool = True) -> "HModulus":
         return cls(HKind.CUSTOM, fn=fn, custom_integrable=integrable_on_unit)
 
-    def integrable_on_unit(self) -> bool:
-        if self.kind is HKind.RECIPROCAL:
-            return False
-        if self.kind is HKind.CUSTOM:
-            return self.custom_integrable
-        return True
-
-    def __call__(self, t: float) -> float:
-        return h_eval(self, t)
-
     @cached_property
     def evaluator(self) -> Callable[[float], float]:
-        """h on one float t, its kind decided once per modulus.
+        """h at t, its kind decided once per modulus.
 
-        It does not check that t lies in (0, 1); :func:`h_eval` does.  A
-        custom modulus's value must be finite and nonnegative, else
-        EvaluationError.
+        A named kind also takes an array of t, to the bits of its float
+        values; a custom modulus's fn takes one float.  It does not check
+        that t lies in (0, 1); :func:`h_eval` does.  A custom modulus's
+        value must be finite and nonnegative, else EvaluationError.
         """
         if self.kind is HKind.IDENTITY:
             return lambda t: t
         if self.kind is HKind.POWER:
             s = self.s_param
-            return lambda t: t ** s
+            return lambda t: power(t, s)
         if self.kind is HKind.CONSTANT:
             return lambda t: 1.0
         if self.kind is HKind.RECIPROCAL:
@@ -108,7 +99,7 @@ class HModulus:
 
 
 def h_eval(h: HModulus, t: float) -> float:
-    """Evaluate the modulus at t in (0, 1)."""
+    """Evaluate the modulus at one point t, checked to lie in (0, 1)."""
     if not 0.0 < t < 1.0:
         raise DomainError(f"modulus argument {t!r} outside (0, 1)")
     return h.evaluator(t)
@@ -116,15 +107,16 @@ def h_eval(h: HModulus, t: float) -> float:
 
 def h_integral_01(h: HModulus) -> float:
     """Integral of the modulus over (0, 1); closed form for the named kinds,
-    tanh-sinh quadrature for a custom one."""
-    if not h.integrable_on_unit():
-        raise NotIntegrable("modulus is not integrable on (0, 1)")
+    tanh-sinh quadrature for a custom one.  NotIntegrable for 1/t and for a
+    custom modulus declared non-integrable; a named kind ignores the flag."""
     if h.kind is HKind.IDENTITY:
         return 0.5
     if h.kind is HKind.POWER:
         return 1.0 / (h.s_param + 1.0)
     if h.kind is HKind.CONSTANT:
         return 1.0
+    if h.kind is HKind.RECIPROCAL or not h.custom_integrable:
+        raise NotIntegrable("modulus is not integrable on (0, 1)")
     from .tanhsinh import integrate  # local: the oracle depends on us
     return integrate(h.evaluator, 0.0, 1.0)
 
@@ -217,7 +209,8 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     Draws (x, y, alpha) triples and reports the worst signed violation of
     g(alpha*x + (1-alpha)*y) <= h(alpha)*g(x) + h(1-alpha)*g(y) (inequality
     reversed for h-concave certificates).  A sampled certificate, not a
-    proof: it guards against user error only.
+    proof: it guards against user error only.  OverflowError when a sample
+    of g is not a finite float, since the inequality is then undecided.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -231,16 +224,21 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     alphas = np.clip(rng.uniform(0.0, 1.0, n_samples), 1e-9, 1.0 - 1e-9)
 
     def g(v):
-        return np.abs(_eval_maybe_vector(tf.f_prime, v)) ** cert.exponent_q
+        out = np.abs(_eval_maybe_vector(tf.f_prime, v)) ** cert.exponent_q
+        if not np.isfinite(out).all():
+            raise OverflowError("|f'|^q is not finite at a sampled point")
+        return out
 
-    h_on = {HKind.IDENTITY: lambda t: t, HKind.CONSTANT: np.ones_like,
-            HKind.POWER: lambda t: power(t, cert.h.s_param),
-            HKind.RECIPROCAL: lambda t: 1.0 / t}.get(
-        cert.h.kind, lambda t: map_scalar(cert.h.evaluator, t))  # by sample
+    h_on = cert.h.evaluator
+    if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
+        h_on = partial(map_scalar, h_on)
     h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
-    gx, gy = g(xs), g(ys)
-    gmid = g(alphas * xs + (1.0 - alphas) * ys)
-    slack = gmid - (h_a * gx + h_1a * gy)
+    # with every g finite, an h*g that overflows to inf still gives the
+    # sign its exact value would
+    with np.errstate(over="ignore"):
+        gx, gy = g(xs), g(ys)
+        gmid = g(alphas * xs + (1.0 - alphas) * ys)
+        slack = gmid - (h_a * gx + h_1a * gy)
     if cert.class_kind is ClassKind.H_CONCAVE:
         slack = -slack
     worst = float(np.max(slack))

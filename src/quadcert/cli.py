@@ -108,10 +108,7 @@ def _build_tf(args, q: float, s: Optional[float]) -> TestFunction:
         else ClassKind.H_CONVEX
     cert = ClassCertificate(kind, h, q)
     a, b = args.interval
-    try:
-        return TestFunction(f, fp, a, b, cert)
-    except DomainError as exc:
-        raise ConfigError(str(exc))
+    return TestFunction(f, fp, a, b, cert)
 
 
 def _on_grid(evaluate, q: float, alphas, lams):
@@ -218,7 +215,7 @@ def cmd_compare(args) -> int:
         tf = _build_tf(args, q, s)
 
         def evaluate(rp):
-            values = [bnd.evaluate_bound(name, tf, rp, s=s,
+            values = [bnd.evaluate_bound(name, tf, rp,
                                          sup_f4=args.sup_f4).value
                       for name in kind_names]
             best, argmin = values[0], kind_names[0]

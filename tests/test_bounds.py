@@ -19,9 +19,10 @@ from quadcert import (
     evaluate_bound, integrate_adaptive, lhs_error,
 )
 from quadcert.bounds import (
-    GENERAL_BOUNDS, is_sound, rhs_general_convex, rhs_holder_hconcave,
-    rhs_holder_hconvex, rhs_midpoint_holder, rhs_midpoint_power_mean,
-    rhs_power_mean, rhs_simpson_holder, rhs_trapezoid_holder,
+    GENERAL_BOUNDS, is_sound, rhs_classical_simpson, rhs_general_convex,
+    rhs_holder_hconcave, rhs_holder_hconvex, rhs_midpoint_holder,
+    rhs_midpoint_power_mean, rhs_power_mean, rhs_simpson_holder,
+    rhs_trapezoid_holder,
 )
 from quadcert.errors import (ClassMismatch, DegenerateModulus, DomainError,
                              NotIntegrable, ParamMismatch)
@@ -311,26 +312,32 @@ class TestPriorBounds:
         assert lhs_error(tf, rp) <= res.value + 1e-9
 
     def test_midpoint_powermean_s1_square(self):
-        tf = _tf_square(q=2.0)
+        tf = _tf_square(q=2.0, h=HModulus.power(1.0))
         rp = RuleParams(0.5, 0.0, 2.0)
-        res = evaluate_bound("midpoint-power-mean", tf, rp, s=1.0)
+        res = evaluate_bound("midpoint-power-mean", tf, rp)
         pref = 1.0 / 8.0 * (1.0 / 3.0) ** 0.5
         expected = pref * ((2.0 * 4.0) ** 0.5 + (1.0 * 4.0) ** 0.5)
         assert res.value == pytest.approx(expected, rel=1e-13)
 
     def test_param_mismatch(self):
-        tf = _tf_square(q=2.0)
+        tf = _tf_square(q=2.0, h=HModulus.power(1.0))
         with pytest.raises(ParamMismatch):
             evaluate_bound("midpoint-power-mean", tf,
-                           RuleParams(0.5, 0.5, 2.0), s=1.0)
-        with pytest.raises(ParamMismatch):
-            evaluate_bound("midpoint-power-mean", tf,
-                           RuleParams(0.5, 0.0, 2.0))  # missing s
+                           RuleParams(0.5, 0.5, 2.0))
+        # s comes from a t^s certificate; the identity modulus carries none
+        with pytest.raises(ParamMismatch, match="class parameter s"):
+            evaluate_bound("midpoint-power-mean", _tf_square(q=2.0),
+                           RuleParams(0.5, 0.0, 2.0))
         with pytest.raises(ParamMismatch):
             evaluate_bound("classical-simpson", tf,
                            RuleParams(0.5, 1.0 / 3.0, 2.0))  # missing sup_f4
         with pytest.raises(ParamMismatch, match="unknown bound"):
             evaluate_bound("bogus", tf, RuleParams(0.5, 0.5, 2.0))
+
+    @pytest.mark.parametrize("sup_f4", [-1.0, math.nan, math.inf])
+    def test_classical_simpson_needs_finite_nonnegative_sup(self, sup_f4):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            rhs_classical_simpson(sup_f4, 1.0)
 
     def test_midpoint_holder_matches_general_chain(self):
         # published midpoint conjugate-exponent form vs the general route

@@ -12,6 +12,8 @@ from quadcert import (
     RuleParams, Side, TestFunction, certify_membership, h_eval,
     h_integral_01, integrate_adaptive, weighted_moment,
 )
+from quadcert.arrays import map_scalar, power
+from quadcert.classes import _eval_maybe_vector
 from quadcert.errors import DomainError, EvaluationError, NotIntegrable
 
 
@@ -36,9 +38,6 @@ class TestHEval:
         nonfinite = HModulus.custom(lambda t: float("inf"))
         with pytest.raises(EvaluationError):
             h_eval(nonfinite, 0.5)
-
-    def test_callable_shorthand(self):
-        assert HModulus.power(0.5)(0.25) == pytest.approx(0.5)
 
 
 class TestBadCustomValues:
@@ -77,7 +76,6 @@ class TestHIntegral:
     def test_reciprocal_not_integrable(self):
         with pytest.raises(NotIntegrable):
             h_integral_01(HModulus.reciprocal())
-        assert not HModulus.reciprocal().integrable_on_unit()
 
     def test_custom_numeric(self):
         h = HModulus.custom(lambda t: t * (1.0 - t))
@@ -275,3 +273,101 @@ class TestMembershipOnArrays:
         for seed in (0, 1, 2):
             got = certify_membership(tf, n_samples=500, seed=seed)
             assert got == _loop_membership(tf, 500, seed)
+
+
+class TestEvaluatorOnArrays:
+    """A named kind's evaluator takes an array, to the bits of its floats."""
+
+    @pytest.mark.parametrize("h", TestMembershipOnArrays.MODULI,
+                             ids=lambda h: h.kind.value + str(h.s_param or ""))
+    def test_array_equals_floats(self, h):
+        # certify_membership's clipped alpha samples, and both clip values
+        alphas = np.clip(np.random.default_rng(0).uniform(0.0, 1.0, 2000),
+                         1e-9, 1.0 - 1e-9)
+        alphas = np.concatenate([alphas, [1e-9, 1.0 - 1e-9]])
+        for t in (alphas, 1.0 - alphas):
+            got = np.broadcast_to(h.evaluator(t), t.shape)  # h = 1: a scalar
+            want = np.array([h.evaluator(v) for v in t.tolist()])
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _table_membership(tf, n_samples, seed):
+    """certify_membership written out with its own per-kind table of h on
+    arrays: the reference for sampling h through its evaluator."""
+    cert = tf.certificate
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(tf.a, tf.b, n_samples)
+    ys = rng.uniform(tf.a, tf.b, n_samples)
+    alphas = np.clip(rng.uniform(0.0, 1.0, n_samples), 1e-9, 1.0 - 1e-9)
+
+    def g(v):
+        return np.abs(_eval_maybe_vector(tf.f_prime, v)) ** cert.exponent_q
+
+    h_on = {HKind.IDENTITY: lambda t: t, HKind.CONSTANT: np.ones_like,
+            HKind.POWER: lambda t: power(t, cert.h.s_param),
+            HKind.RECIPROCAL: lambda t: 1.0 / t}.get(
+        cert.h.kind, lambda t: map_scalar(cert.h.evaluator, t))
+    h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
+    gx, gy = g(xs), g(ys)
+    gmid = g(alphas * xs + (1.0 - alphas) * ys)
+    slack = gmid - (h_a * gx + h_1a * gy)
+    if cert.class_kind is ClassKind.H_CONCAVE:
+        slack = -slack
+    worst = float(np.max(slack))
+    scale = float(max(np.max(gx), np.max(gy), np.max(gmid)))
+    tol = 1e-12 * (1.0 + scale)
+    if worst <= tol:
+        return MembershipReport(True, worst, None)
+    i = int(np.argmax(slack))
+    return MembershipReport(False, worst,
+                            (float(xs[i]), float(ys[i]), float(alphas[i])))
+
+
+class TestMembershipMatchesPerKindTable:
+    """Sampling h through its evaluator reports what a per-kind table of h
+    on arrays did, for every kind and a holding and a failing certificate."""
+
+    MODULI = [*TestMembershipOnArrays.MODULI, HModulus.custom(math.sqrt)]
+    # (f', interval, q): |f'|^q convex and positive, not convex, concave and
+    # positive, and 0, which every certificate admits
+    FUNCTIONS = [(lambda x: 1.0 + x + 0.9 * x * x, (0.0, 1.5), 1.7),
+                 (lambda x: 1.0 - 3.0 * x * x, (-1.0, 1.0), 1.0),
+                 (lambda x: np.sqrt(x + 1.0), (0.0, 2.0), 1.0),
+                 (lambda x: 0.0 * x, (0.0, 1.0), 2.0)]
+
+    @pytest.mark.parametrize("h", MODULI, ids=lambda h: h.kind.value
+                             + str(h.s_param or ""))
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_report_equals_table(self, h, kind):
+        outcomes = set()
+        for fp, (a, b), q in self.FUNCTIONS:
+            tf = TestFunction(lambda x: x, fp, a, b,
+                              ClassCertificate(kind, h, q),
+                              skip_derivative_check=True)
+            for seed in (0, 1):
+                got = certify_membership(tf, n_samples=500, seed=seed)
+                want = _table_membership(tf, 500, seed)
+                assert got.holds == want.holds
+                assert got.worst_violation == want.worst_violation
+                assert got.witness == want.witness
+                outcomes.add(got.holds)
+        assert outcomes == {True, False}
+
+
+class TestMembershipOverflow:
+    def test_non_finite_power_raises(self):
+        # (2x)^2000 is convex, but not a float for x above about 0.5
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(),
+                                2000.0)
+        tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, cert)
+        with pytest.raises(OverflowError, match="not finite"):
+            certify_membership(tf, n_samples=200)
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_overflowing_h_times_g_decides(self, kind):
+        # 2^1023 is a float, h(alpha) * 2^1023 is not once h exceeds 2
+        cert = ClassCertificate(kind, HModulus.reciprocal(), 1023.0)
+        tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, cert)
+        rep = certify_membership(tf, n_samples=2000)
+        assert rep.holds is (kind is ClassKind.H_CONVEX)

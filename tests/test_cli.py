@@ -263,6 +263,14 @@ class TestConfigErrors:
         ["verify", "--function", "poly:0,0,1", "--seed", "-1"],
         ["sweep", "--function", "poly:0,0,1", "--seed", "-1"],
         ["identity", "--seed", "-1"],
+        # |f'|^q = (2x)^2000 overflows the float range on [0, 1]
+        ["verify", "--function", "poly:0,0,1", "--q-grid", "2000"],
+        ["sweep", "--function", "poly:0,0,1", "--q-grid", "2000"],
+        # a non-finite bound on the fourth derivative
+        ["compare", "--function", "poly:0,0,1", "--kinds",
+         "classical-simpson", "--sup-f4", "nan"],
+        ["compare", "--function", "poly:0,0,1", "--kinds",
+         "classical-simpson", "--sup-f4", "inf"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,
