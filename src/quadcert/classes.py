@@ -168,19 +168,27 @@ class TestFunction:
         if not self.skip_derivative_check:
             self._check_derivative()
 
+    # an f that overflows is reported by central, not by numpy warnings
+    @np.errstate(over="ignore", invalid="ignore")
     def _check_derivative(self):
         width = self.b - self.a
         step = width * 1e-5
 
         def central(x, h):
-            return (self.f(x + h) - self.f(x - h)) / (2.0 * h)
+            if x - h == x or x + h == x:
+                raise DomainError(f"interval too narrow to check f' at "
+                                  f"x={x!r}: a step of {h!r} does not move x")
+            fd = (self.f(x + h) - self.f(x - h)) / (2.0 * h)
+            if not np.isfinite(fd):  # np.isfinite also takes complex values
+                raise DomainError(f"f is not finite near x={x!r}")
+            return fd
 
         for i in range(_N_DERIV_POINTS):
             x = self.a + width * (i + 1) / (_N_DERIV_POINTS + 1)
             fd = central(x, step)
             dv = self.f_prime(x)
             gate = _DERIV_REL_TOL * (1.0 + abs(dv))
-            # written so that a NaN difference fails the check too
+            # written so that a NaN declared f' fails the check too
             if not abs(fd - dv) <= gate:
                 # a Richardson step cancels the h^2 error that a steep exact
                 # f', such as that of exp(250 x), shows

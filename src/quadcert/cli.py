@@ -20,8 +20,7 @@ from . import bounds as bnd
 from . import oracle
 from .classes import (ClassCertificate, ClassKind, HModulus, TestFunction,
                       certify_membership)
-from .errors import (DomainError, NonFiniteSample, NotIntegrable,
-                     ParamMismatch, ToleranceNotReached)
+from .errors import ConfigError, NonFiniteSample, ToleranceNotReached
 from .moments import RuleParams
 
 EXIT_OK = 0
@@ -32,10 +31,6 @@ EXIT_ORACLE = 3
 SWEEP_COLUMNS = ["alpha", "lambda", "q", "s", "p",
                  "bound_kind", "branch", "lhs", "rhs", "ratio"]
 _BRANCH_NAME = np.frompyfunc(lambda branch: branch.value, 1, 1)
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
@@ -345,7 +340,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, ParamMismatch, NotIntegrable) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:

@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
+class ConfigError(ValueError):
+    """An input the checks cannot run with; the command line exits 2."""
+
+
+class DomainError(ConfigError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
@@ -9,7 +13,7 @@ class EvaluationError(ValueError):
     """A user-supplied callable returned a negative or non-finite value."""
 
 
-class NotIntegrable(ValueError):
+class NotIntegrable(ConfigError):
     """The requested integral diverges (e.g. 1/t moduli on (0,1))."""
 
 
@@ -29,5 +33,5 @@ class DegenerateModulus(DomainError):
     """h(1/2) = 0, so the concave-path prefactor is undefined."""
 
 
-class ParamMismatch(ValueError):
+class ParamMismatch(ConfigError):
     """Rule parameters conflict with the fixed parameters of a named bound."""

@@ -193,19 +193,16 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
 
     The one entry point for h-weighted moments: closed form for the
     identity/power/constant kinds, tanh-sinh quadrature split at the
-    interior kink otherwise, one grid point at a time.  Raises
+    interior kink otherwise, one grid point at a time; for h = 1, the
+    gamma or upsilon of :func:`active_gamma_upsilon`.  Raises
     NotIntegrable when a reciprocal modulus makes the moment diverge.
     """
     if h.kind is HKind.CONSTANT:
-        pair = (gamma_coeffs(rp) if side is Side.LEFT
-                else upsilon_coeffs(rp))[::-1]  # (inside, outside)
-    elif h.kind in (HKind.IDENTITY, HKind.POWER):
+        return active_gamma_upsilon(rp)[side is Side.RIGHT]
+    if h.kind in (HKind.IDENTITY, HKind.POWER):
         s = 1.0 if h.kind is HKind.IDENTITY else h.s_param
-        pair = _power_pair(rp, s, side, reflected)
-    else:
-        return at_points(
-            lambda pt: _numeric_moment(h, pt, side, reflected), rp)
-    return _active(rp, side, *pair)
+        return _active(rp, side, *_power_pair(rp, s, side, reflected))
+    return at_points(lambda pt: _numeric_moment(h, pt, side, reflected), rp)
 
 
 def _side_empty(rp: RuleParams, side: Side):

@@ -225,12 +225,14 @@ class HadamardVariant(Enum):
     H_CONVEX = "h_convex"              # general modulus chain
 
 
-_VARIANT_HKIND = {
-    HadamardVariant.CLASSICAL: (HKind.IDENTITY,),
-    HadamardVariant.S_CONVEX: (HKind.POWER,),
-    HadamardVariant.GODUNOVA_LEVIN: (HKind.RECIPROCAL,),
-    HadamardVariant.P_FUNCTION: (HKind.CONSTANT,),
-    HadamardVariant.H_CONVEX: tuple(HKind),
+# variant -> (modulus kinds it accepts, factor): each chain is the h-convex
+# chain f(m)/(2h(1/2)) <= mean <= (f(a)+f(b)) * int_0^1 h times its factor
+_VARIANTS = {
+    HadamardVariant.CLASSICAL: ((HKind.IDENTITY,), 1.0),
+    HadamardVariant.S_CONVEX: ((HKind.POWER,), 1.0),
+    HadamardVariant.GODUNOVA_LEVIN: ((HKind.RECIPROCAL,), 4.0),
+    HadamardVariant.P_FUNCTION: ((HKind.CONSTANT,), 2.0),
+    HadamardVariant.H_CONVEX: (tuple(HKind), 1.0),
 }
 
 _HADAMARD_SLACK = 1e-10
@@ -254,30 +256,27 @@ def hadamard_check(tf: TestFunction, variant: HadamardVariant
     cert = tf.certificate
     if cert.class_kind is not ClassKind.H_CONVEX:
         raise ClassMismatch("Hadamard chains need an h-convex certificate")
-    if cert.h.kind not in _VARIANT_HKIND[variant]:
+    kinds, factor = _VARIANTS[variant]
+    if cert.h.kind not in kinds:
         raise ClassMismatch(
             f"modulus kind {cert.h.kind} does not match variant {variant}")
 
     mid_val = tf.f(0.5 * (tf.a + tf.b))
     end_sum = tf.f(tf.a) + tf.f(tf.b)
-    mean = mean_value(tf)
+    middle = factor * mean_value(tf)
 
-    if variant is HadamardVariant.CLASSICAL:
-        left, middle, right = mid_val, mean, 0.5 * end_sum
-    elif variant is HadamardVariant.S_CONVEX:
+    if variant is HadamardVariant.S_CONVEX:
+        # its printed constants: via h(1/2) and int h they move up to 2 ulp
         s = cert.h.s_param
-        left, middle, right = 2.0 ** (s - 1.0) * mid_val, mean, end_sum / (s + 1.0)
-    elif variant is HadamardVariant.GODUNOVA_LEVIN:
-        left, middle, right = mid_val, 4.0 * mean, None
-    elif variant is HadamardVariant.P_FUNCTION:
-        left, middle, right = mid_val, 2.0 * mean, 2.0 * end_sum
+        left, right = 2.0 ** (s - 1.0) * mid_val, end_sum / (s + 1.0)
     else:
         h_half = h_eval(cert.h, 0.5)
         if h_half == 0.0:
             raise DegenerateModulus("h(1/2) = 0")
-        left = mid_val / (2.0 * h_half)
-        middle = mean
-        right = end_sum * h_integral_01(cert.h)
+        # 2h(1/2)/factor is 1.0 for the printed chains; 1/t has no integral
+        left = mid_val / (2.0 * h_half / factor)
+        right = (None if variant is HadamardVariant.GODUNOVA_LEVIN
+                 else factor * end_sum * h_integral_01(cert.h))
 
     holds = left <= middle + _HADAMARD_SLACK and (
         right is None or middle <= right + _HADAMARD_SLACK)

@@ -1,6 +1,7 @@
 """Tests for the modulus registry and class-membership certificates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,47 @@ class TestCertificateAndFunction:
         cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
         with pytest.raises(DomainError):
             TestFunction(f, fp, 0.0, 2.0, cert)
+
+    @pytest.mark.parametrize("a, b, x", [
+        (0.0, 1e-320, "8.35e-322"),         # the step underflows to 0
+        (1.0, 1.0000000000000002, "1.0"),  # x + step rounds back to x
+    ])
+    def test_too_narrow_to_difference(self, a, b, x):
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with pytest.raises(DomainError, match=f"interval too narrow to check "
+                                              f"f' at x={x}: a step of "):
+            TestFunction(lambda x: x * x, lambda x: 2.0 * x, a, b, cert)
+
+    def test_richardson_step_must_move_x(self):
+        # the step, 3/4 of an ulp of x, moves x by one ulp and misses the
+        # gate; its half, the Richardson step, rounds back to x
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        a, b = 1.0, 1.0 + 0.75 * 2.0 ** -52 / 1e-5
+        half = (b - a) * 1e-5 / 2.0
+        with pytest.raises(DomainError, match=re.escape(
+                f"a step of {half!r} does not move x")):
+            TestFunction(lambda x: x * x, lambda x: 2.0 * x, a, b, cert)
+
+    @pytest.mark.parametrize("f, fp, b, x", [
+        (lambda x: np.exp(1000.0 * x), lambda x: 1000.0 * np.exp(1000.0 * x),
+         1.0, "0.75"),
+        (lambda x: 1e308 * x ** 3, lambda x: 3e308 * x * x,
+         2.0, "0.8333333333333334"),
+    ], ids=["numpy-overflow", "float-overflow"])
+    def test_non_finite_f_named(self, f, fp, b, x):
+        # not "f_prime inconsistent", and no numpy RuntimeWarning, which
+        # the suite turns into an error
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with pytest.raises(DomainError,
+                           match=f"^f is not finite near x={x}$"):
+            TestFunction(f, fp, 0.0, b, cert)
+
+    def test_complex_difference_is_a_mismatch(self):
+        # x ** 1.5 is complex for x < 0: finite, so f' is what is blamed
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with pytest.raises(DomainError, match="f_prime inconsistent"):
+            TestFunction(lambda x: x ** 1.5, lambda x: 1.5 * x ** 0.5,
+                         -1.0, 1.0, cert)
 
     def test_width(self):
         cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)

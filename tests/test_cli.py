@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quadcert import bounds, cli, oracle
+from quadcert import bounds, cli, errors, oracle
 from quadcert.errors import ToleranceNotReached
 
 
@@ -271,6 +271,14 @@ class TestConfigErrors:
          "classical-simpson", "--sup-f4", "nan"],
         ["compare", "--function", "poly:0,0,1", "--kinds",
          "classical-simpson", "--sup-f4", "inf"],
+        # intervals too narrow for the derivative check's step to move x
+        ["verify", "--function", "poly:0,0,1", "--interval", "0", "1e-320"],
+        ["verify", "--function", "poly:0,0,1", "--interval", "1",
+         "1.0000000000000002"],
+        # f overflows at a derivative check point (no numpy warning either:
+        # pytest turns one into an error)
+        ["verify", "--function", "exp:1000", "--interval", "0", "1"],
+        ["hadamard", "--function", "exp:800", "--interval", "0", "1"],
     ]
 
     @pytest.mark.parametrize("argv", CASES,
@@ -453,6 +461,30 @@ class TestReadmeExamples:
     def test_exits_zero(self, capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 0, err
+
+
+class TestConfigErrorFamily:
+    """errors.ConfigError is the one family that exits 2."""
+
+    def test_one_class(self):
+        assert cli.ConfigError is errors.ConfigError
+        for exc in (errors.DomainError, errors.DegenerateModulus,
+                    errors.ParamMismatch, errors.NotIntegrable):
+            assert issubclass(exc, errors.ConfigError)
+        # these still escape main; the benchmark pins that traceback
+        for exc in (errors.ClassMismatch, errors.EvaluationError):
+            assert not issubclass(exc, errors.ConfigError)
+
+    @pytest.mark.parametrize("exc", [errors.ConfigError, errors.DomainError,
+                                     errors.ParamMismatch,
+                                     errors.NotIntegrable])
+    def test_exit_two(self, capsys, monkeypatch, exc):
+        def boom(tf):
+            raise exc("forced")
+
+        monkeypatch.setattr(cli.oracle, "mean_value", boom)
+        code, out, err = run_cli(capsys, VERIFY_SQUARE)
+        assert (code, out, err) == (2, "", "config error: forced\n")
 
 
 class TestOracleFailure:

@@ -1,0 +1,193 @@
+"""An exact rational referee for the closed forms.
+
+Every float is a rational number, so ``fractions.Fraction`` recomputes,
+from the exact values of the float inputs and with no rounding at all:
+
+- the plain moments gamma and upsilon (h = 1), the t-weighted moments
+  mu/eta (h = t, s = 1, both reflections) and the p-power numerators
+  epsilon at p = 2, which are integrals of |t - kink| times a polynomial;
+- for cubics f, the error of the (alpha, lambda) rule against the mean
+  integral and the power-mean bound at q = 1, whose moments are those
+  same integrals.
+
+This referee shares nothing with the float closed forms or with the
+Gauss-Kronrod oracle.  Each tolerance below is the largest error measured
+on these inputs, rounded up, and says where it was measured.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from quadcert import (ClassCertificate, ClassKind, HModulus, RuleParams,
+                      Side, TestFunction, bound_power_mean, weighted_moment)
+from quadcert.moments import active_epsilons, active_gamma_upsilon
+
+# weights as polynomial coefficients in t, lowest degree first
+ONE = [Fraction(1)]                        # h = 1
+T = [Fraction(0), Fraction(1)]             # h(t) = t
+ONE_MINUS_T = [Fraction(1), Fraction(-1)]  # h(1 - t) for h = t
+
+# 33 x 33 dyadic grid: every alpha*lam, 1 - alpha and lam*(1 - alpha) is
+# exact in floating point, so only the closed forms themselves can round
+DYADIC = np.arange(33) / 32.0
+# seeded non-dyadic floats, with the ends and the midpoint
+_RNG = np.random.default_rng(20121)
+OTHER = np.concatenate([[0.0, 0.5, 1.0], _RNG.uniform(0.0, 1.0, 17)])
+
+
+def _abs_moment(lo, hi, kink, weight):
+    """int_lo^hi |t - kink| * weight(t) dt; weight lists the coefficients
+    of a polynomial in t, lowest degree first."""
+    prod = [Fraction(0)] * (len(weight) + 1)  # (t - kink) * weight(t)
+    for i, c in enumerate(weight):
+        prod[i + 1] += c
+        prod[i] -= kink * c
+    coeffs = [c / (i + 1) for i, c in enumerate(prod)][::-1]
+
+    def anti(x):  # int_0^x (t - kink) * weight(t) dt, by Horner's rule
+        value = Fraction(0)
+        for c in coeffs:
+            value = (value + c) * x
+        return value
+    cut = min(max(kink, lo), hi)  # the sign of t - kink changes here
+    return anti(lo) + anti(hi) - 2 * anti(cut)
+
+
+def _side(alpha, lam, side):
+    """(lo, hi, kink) of one kernel side, exactly."""
+    a, lm = Fraction(alpha), Fraction(lam)
+    u = 1 - a
+    return (Fraction(0), u, a * lm) if side is Side.LEFT \
+        else (u, Fraction(1), 1 - lm * u)
+
+
+def _exact_moment(alpha, lam, side, weight):
+    return _abs_moment(*_side(alpha, lam, side), weight)
+
+
+def _exact_epsilon(alpha, lam, side):
+    """(p + 1) * int |t - kink|^p dt over one side, at p = 2."""
+    lo, hi, kink = _side(alpha, lam, side)
+    return (hi - kink) ** 3 - (lo - kink) ** 3
+
+
+def _worst_error(grid, computed, exact):
+    """Largest |float - exact| over the grid, as a float."""
+    alphas, lams = grid
+    return max(abs(Fraction(float(computed[i, j]))
+                   - exact(float(alphas[i, 0]), float(lams[j])))
+               for i in range(alphas.shape[0]) for j in range(lams.size))
+
+
+def _grid(axis):
+    return axis[:, None], axis
+
+
+@pytest.mark.parametrize("axis, tol", [
+    # exact on the dyadic grid; 2.0e-16 measured on the other floats
+    (DYADIC, 0.0), (OTHER, 2.5e-16),
+], ids=["dyadic", "other"])
+def test_gamma_upsilon(axis, tol):
+    alphas, lams = _grid(axis)
+    rp = RuleParams(alphas, lams, 1.0)
+    gamma, upsilon = active_gamma_upsilon(rp)
+    for side, plain in ((Side.LEFT, gamma), (Side.RIGHT, upsilon)):
+        for reflected in (False, True):
+            # h = 1 reads the same gamma and upsilon, to the bit
+            via_h = weighted_moment(HModulus.constant(), rp, side, reflected)
+            assert np.array_equal(via_h, plain)
+        worst = _worst_error((alphas, lams), plain, lambda a, lm:
+                             _exact_moment(a, lm, side, ONE))
+        assert worst <= tol, (side, float(worst))
+
+
+@pytest.mark.parametrize("axis, tol", [
+    # 1.1e-16 measured on the dyadic grid, 1.5e-16 on the other floats
+    (DYADIC, 1.5e-16), (OTHER, 2e-16),
+], ids=["dyadic", "other"])
+def test_mu_eta_at_s1(axis, tol):
+    alphas, lams = _grid(axis)
+    rp = RuleParams(alphas, lams, 1.0)
+    for side in Side:
+        for reflected, weight in ((False, T), (True, ONE_MINUS_T)):
+            got = weighted_moment(HModulus.identity(), rp, side, reflected)
+            worst = _worst_error((alphas, lams), got, lambda a, lm:
+                                 _exact_moment(a, lm, side, weight))
+            assert worst <= tol, (side, reflected, float(worst))
+
+
+@pytest.mark.parametrize("axis, tol", [
+    # exact on the dyadic grid; 2.2e-16 measured on the other floats
+    (DYADIC, 0.0), (OTHER, 3e-16),
+], ids=["dyadic", "other"])
+def test_epsilon_at_p2(axis, tol):
+    alphas, lams = _grid(axis)
+    rp = RuleParams(alphas, lams, 2.0)
+    assert rp.p == 2.0
+    for side, got in zip(Side, active_epsilons(rp)):
+        worst = _worst_error((alphas, lams), got, lambda a, lm:
+                             _exact_epsilon(a, lm, side))
+        assert worst <= tol, (side, float(worst))
+
+
+# cubics c0 + c1 x + c2 x^2 + c3 x^3 on [a, b] whose |f'| is convex: f' is
+# a quadratic of one sign, so |f'| is convex, hence h-convex for h = t and
+# for h = 1 (a nonnegative convex function is a P-function)
+CUBICS = [
+    ((0.0, 0.0, 0.0, 1.0), 0.5, 2.0),
+    ((0.0, 2.0, -1.0, 1.0 / 3.0), -1.0, 2.5),         # f' = (x-1)^2 + 1
+    ((0.1, 1.0, 0.5, 0.25), -0.7, 1.3),
+    ((1.0, 0.0, 0.0, -1.0), 0.2, 1.7),                # f' = -3x^2 < 0
+]
+
+
+def _poly(coeffs, x):
+    return sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def _exact_lhs(coeffs, a, b, alpha, lam):
+    """|rule - mean| of the cubic with these coefficients, exactly."""
+    c = [Fraction(x) for x in coeffs]
+    anti = [Fraction(0)] + [ck / (k + 1) for k, ck in enumerate(c)]
+    fa, fb = Fraction(a), Fraction(b)
+    al, lm = Fraction(alpha), Fraction(lam)
+    node = al * fa + (1 - al) * fb
+    rule = lm * (al * _poly(c, fa) + (1 - al) * _poly(c, fb)) \
+        + (1 - lm) * _poly(c, node)
+    return abs(rule - (_poly(anti, fb) - _poly(anti, fa)) / (fb - fa))
+
+
+@pytest.mark.parametrize("h, weights", [
+    (HModulus.identity(), (T, ONE_MINUS_T)),
+    (HModulus.constant(), (ONE, ONE)),
+], ids=["t", "1"])
+def test_power_mean_rows(h, weights):
+    """At q = 1 the bound is (b - a) * (|f'(b)| * M + |f'(a)| * M_r), where
+    M and M_r sum the moments of h(t) and of h(1 - t) over both sides:
+    t -> t*b + (1-t)*a puts h(t) on f'(b) and h(1-t) on f'(a)."""
+    axis = np.concatenate([np.arange(9) / 8.0, OTHER[3:6]]).tolist()
+    moments = {(alpha, lam): [sum(_exact_moment(alpha, lam, side, w)
+                                  for side in Side) for w in weights]
+               for alpha in axis for lam in axis}
+    rp = RuleParams(np.array(axis)[:, None], np.array(axis), 1.0)
+    cert = ClassCertificate(ClassKind.H_CONVEX, h, 1.0)
+    worst_rel = 0.0
+    for coeffs, a, b in CUBICS:
+        dcoeffs = [k * ck for k, ck in enumerate(coeffs)][1:]
+        tf = TestFunction(lambda x, c=coeffs: _poly(c, x),
+                          lambda x, c=dcoeffs: _poly(c, x), a, b, cert)
+        rhs = bound_power_mean(tf, rp).value
+        dc = [Fraction(x) for x in dcoeffs]
+        d_a, d_b = abs(_poly(dc, Fraction(a))), abs(_poly(dc, Fraction(b)))
+        for i, alpha in enumerate(axis):
+            for j, lam in enumerate(axis):
+                m, m_r = moments[alpha, lam]
+                rhs_x = (Fraction(b) - Fraction(a)) * (d_b * m + d_a * m_r)
+                assert _exact_lhs(coeffs, a, b, alpha, lam) <= rhs_x, \
+                    (coeffs, alpha, lam)
+                worst_rel = max(worst_rel, float(
+                    abs(Fraction(float(rhs[i, j])) - rhs_x) / rhs_x))
+    # relative error of the float bound: 1.4e-15 measured
+    assert worst_rel <= 2e-15

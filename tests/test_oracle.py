@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from quadcert import oracle
 from quadcert import (
     ClassCertificate, ClassKind, HadamardVariant, HModulus, RuleParams,
-    TestFunction, hadamard_check, integrate_adaptive,
+    TestFunction, h_integral_01, hadamard_check, integrate_adaptive,
     lemma_identity_residual, lhs_error, mean_value, rule_value,
 )
-from quadcert.errors import (ClassMismatch, NonFiniteSample,
+from quadcert.errors import (ClassMismatch, DegenerateModulus,
+                             NonFiniteSample, NotIntegrable,
                              ToleranceNotReached)
 
 
@@ -343,6 +344,83 @@ class TestHadamard:
                            0.0, 1.0, cert)
         with pytest.raises(ClassMismatch):
             hadamard_check(ctf, HadamardVariant.CLASSICAL)
+
+
+def _written_out_chain(tf, variant):
+    """(left, middle, right, holds) of the five chains as printed, one
+    branch each: the reference for the one-table form."""
+    h = tf.certificate.h
+    mid_val = tf.f(0.5 * (tf.a + tf.b))
+    end_sum = tf.f(tf.a) + tf.f(tf.b)
+    mean = mean_value(tf)
+    if variant is HadamardVariant.CLASSICAL:
+        left, middle, right = mid_val, mean, 0.5 * end_sum
+    elif variant is HadamardVariant.S_CONVEX:
+        s = h.s_param
+        left, middle, right = (2.0 ** (s - 1.0) * mid_val, mean,
+                               end_sum / (s + 1.0))
+    elif variant is HadamardVariant.GODUNOVA_LEVIN:
+        left, middle, right = mid_val, 4.0 * mean, None
+    elif variant is HadamardVariant.P_FUNCTION:
+        left, middle, right = mid_val, 2.0 * mean, 2.0 * end_sum
+    else:
+        left = mid_val / (2.0 * h.evaluator(0.5))
+        middle, right = mean, end_sum * h_integral_01(h)
+    holds = left <= middle + 1e-10 and (right is None
+                                        or middle <= right + 1e-10)
+    return left, middle, right, holds
+
+
+class TestHadamardMatchesWrittenOutChains:
+    """Each variant, as the h-convex chain times its factor, gives the bits
+    of its own printed chain, also near the ends of the float range (at
+    1e-310, f is subnormal)."""
+
+    V = HadamardVariant
+    MODULI = [
+        (V.CLASSICAL, HModulus.identity()),
+        (V.S_CONVEX, HModulus.power(0.3)),
+        (V.S_CONVEX, HModulus.power(1.0)),
+        (V.GODUNOVA_LEVIN, HModulus.reciprocal()),
+        (V.P_FUNCTION, HModulus.constant()),
+        (V.H_CONVEX, HModulus.identity()),
+        (V.H_CONVEX, HModulus.power(0.6)),
+        (V.H_CONVEX, HModulus.constant()),
+        (V.H_CONVEX, HModulus.custom(lambda t: t * (1.0 - t) + 0.3)),
+    ]
+    # the last two are concave, so some of their chains fail
+    FUNCTIONS = [lambda x: x * x + 1.0, np.exp, lambda x: 2.0 - x * x,
+                 lambda x: -math.exp(x)]
+
+    @pytest.mark.parametrize("variant, h", MODULI,
+                             ids=[f"{v.value}-{h.kind.value}"
+                                  for v, h in MODULI])
+    def test_bits(self, variant, h):
+        cert = ClassCertificate(ClassKind.H_CONVEX, h, 1.0)
+        held = set()
+        for scale in (1e-310, 1e-300, 1.0, 1e300):
+            for fn in self.FUNCTIONS:
+                for a, b in ((0.0, 1.0), (0.3, 2.7), (-1.5, 0.25)):
+                    tf = TestFunction(lambda x, fn=fn: scale * fn(x),
+                                      lambda x: 0.0, a, b, cert,
+                                      skip_derivative_check=True)
+                    res = hadamard_check(tf, variant)
+                    got = (res.left, res.middle, res.right, res.holds)
+                    # repr tells a float from np.float64, and -0.0 from 0.0
+                    assert repr(got) == repr(_written_out_chain(tf, variant))
+                    held.add(res.holds)
+        assert held == {True, False}
+
+    def test_h_convex_keeps_its_errors(self):
+        def tf(h):
+            cert = ClassCertificate(ClassKind.H_CONVEX, h, 1.0)
+            return TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0,
+                                cert)
+        with pytest.raises(NotIntegrable):
+            hadamard_check(tf(HModulus.reciprocal()), HadamardVariant.H_CONVEX)
+        with pytest.raises(DegenerateModulus):
+            hadamard_check(tf(HModulus.custom(lambda t: abs(t - 0.5))),
+                           HadamardVariant.H_CONVEX)
 
 
 def test_mean_value_scaling():
