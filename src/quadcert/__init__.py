@@ -11,9 +11,9 @@ oracle.
 from .classes import (ClassCertificate, ClassKind, HKind, HModulus,
                       MembershipReport, TestFunction, certify_membership,
                       h_eval, h_integral_01)
-from .moments import (CaseBranch, RuleParams, Side, abs_moment_p,
-                      branch_select, epsilon_coeffs, gamma_coeffs,
-                      upsilon_coeffs, weighted_moment)
+from .moments import (RuleParams, Side, abs_moment_p, branch_select,
+                      epsilon_coeffs, gamma_coeffs, upsilon_coeffs,
+                      weighted_moment)
 from .bounds import (BoundResult, bound_holder_hconcave,
                      bound_holder_hconvex, bound_power_mean, evaluate_bound)
 from .oracle import (HadamardResult, HadamardVariant, QuadratureResult,

@@ -23,8 +23,8 @@ from typing import Any, Dict, Optional
 from .arrays import every, map_scalar, power, select
 from .classes import ClassKind, HModulus, TestFunction, h_eval, h_integral_01
 from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
-from .moments import (CaseBranch, RuleParams, Side, active_epsilons,
-                      active_gamma_upsilon, branch_select, weighted_moment)
+from .moments import (RuleParams, Side, active_epsilons, active_gamma_upsilon,
+                      branch_select, weighted_moment)
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,9 @@ def rhs_general_convex(rp: RuleParams, width: float,
     # the three cases in ladder order, each chosen per point
     gc, ma, mb, uc, ea, eb, branch = (
         select(mid, m, select(lower, lo, r)) for m, lo, r in zip(
-            (g2, mu1, mu2, v2, eta3, eta4, CaseBranch.MID_ORDER),
-            (g1, mu3, mu4, v2, eta3, eta4, CaseBranch.LEFT_OF_LOWER),
-            (g2, mu1, mu2, v1, eta1, eta2, CaseBranch.RIGHT_OF_UPPER)))
+            (g2, mu1, mu2, v2, eta3, eta4, "mid_order"),
+            (g1, mu3, mu4, v2, eta3, eta4, "left_of_lower"),
+            (g2, mu1, mu2, v1, eta1, eta2, "right_of_upper")))
     db_q, da_q = d_b ** q, d_a ** q
     # select(x < 0, 0, x) is max(x, 0.0) at every point, -0.0 and NaN kept
     big_a, big_b = (select(x < 0.0, 0.0, x)

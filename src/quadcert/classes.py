@@ -37,7 +37,6 @@ class HModulus:
     kind: HKind
     s_param: Optional[float] = None
     fn: Optional[Callable[[float], float]] = None
-    custom_integrable: bool = True
 
     def __post_init__(self):
         if self.kind is HKind.POWER:
@@ -65,9 +64,8 @@ class HModulus:
         return cls(HKind.RECIPROCAL)
 
     @classmethod
-    def custom(cls, fn: Callable[[float], float],
-               integrable_on_unit: bool = True) -> "HModulus":
-        return cls(HKind.CUSTOM, fn=fn, custom_integrable=integrable_on_unit)
+    def custom(cls, fn: Callable[[float], float]) -> "HModulus":
+        return cls(HKind.CUSTOM, fn=fn)
 
     @cached_property
     def evaluator(self) -> Callable[[float], float]:
@@ -107,15 +105,16 @@ def h_eval(h: HModulus, t: float) -> float:
 
 def h_integral_01(h: HModulus) -> float:
     """Integral of the modulus over (0, 1); closed form for the named kinds,
-    tanh-sinh quadrature for a custom one.  NotIntegrable for 1/t and for a
-    custom modulus declared non-integrable; a named kind ignores the flag."""
+    tanh-sinh quadrature for a custom one.  NotIntegrable for 1/t; a custom
+    modulus that diverges fails at its first infinite sample instead, with
+    EvaluationError."""
     if h.kind is HKind.IDENTITY:
         return 0.5
     if h.kind is HKind.POWER:
         return 1.0 / (h.s_param + 1.0)
     if h.kind is HKind.CONSTANT:
         return 1.0
-    if h.kind is HKind.RECIPROCAL or not h.custom_integrable:
+    if h.kind is HKind.RECIPROCAL:
         raise NotIntegrable("modulus is not integrable on (0, 1)")
     from .tanhsinh import integrate  # local: the oracle depends on us
     return integrate(h.evaluator, 0.0, 1.0)
@@ -175,28 +174,43 @@ class TestFunction:
         step = width * 1e-5
 
         def central(x, h):
+            """The difference at step h, and |f(x + h)| + |f(x - h)|."""
             if x - h == x or x + h == x:
                 raise DomainError(f"interval too narrow to check f' at "
                                   f"x={x!r}: a step of {h!r} does not move x")
-            fd = (self.f(x + h) - self.f(x - h)) / (2.0 * h)
+            hi, lo = self.f(x + h), self.f(x - h)
+            fd = (hi - lo) / (2.0 * h)
             if not np.isfinite(fd):  # np.isfinite also takes complex values
                 raise DomainError(f"f is not finite near x={x!r}")
-            return fd
+            return fd, abs(hi) + abs(lo)
 
         for i in range(_N_DERIV_POINTS):
             x = self.a + width * (i + 1) / (_N_DERIV_POINTS + 1)
-            fd = central(x, step)
+            fd, size = central(x, step)
             dv = self.f_prime(x)
             gate = _DERIV_REL_TOL * (1.0 + abs(dv))
             # written so that a NaN declared f' fails the check too
-            if not abs(fd - dv) <= gate:
-                # a Richardson step cancels the h^2 error that a steep exact
-                # f', such as that of exp(250 x), shows
-                fd = (4.0 * central(x, step / 2.0) - fd) / 3.0
-            if not abs(fd - dv) <= gate:
+            if abs(fd - dv) <= gate:
+                continue
+            # a Richardson step cancels the h^2 error that a steep exact f',
+            # such as that of exp(250 x), shows
+            half, half_size = central(x, step / 2.0)
+            fd = (4.0 * half - fd) / 3.0
+            miss = abs(fd - dv)
+            if miss <= gate:
+                continue
+            # rounding f and x +- h moves a difference at step h by up to
+            # 2^-52 (|f(x + h)| + |f(x - h)| + |x f'(x)|) / h, and fd by 4/3
+            # of that at the half step and 1/3 of it at the step
+            noise = 2.0 ** -52 * (8.0 * half_size + size
+                                  + 9.0 * abs(x * dv)) / (3.0 * step)
+            if miss <= noise:
                 raise DomainError(
-                    f"f_prime inconsistent with f at x={x!r}: "
-                    f"finite difference {fd} vs declared {dv}")
+                    f"interval too narrow to check f' at x={x!r}: rounding "
+                    f"can move the finite difference by up to {noise:.3g}, "
+                    f"and it misses f' by only {miss:.3g}")
+            raise DomainError(f"f_prime inconsistent with f at x={x!r}: "
+                              f"finite difference {fd} vs declared {dv}")
 
     @property
     def width(self) -> float:

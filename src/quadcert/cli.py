@@ -30,7 +30,6 @@ EXIT_ORACLE = 3
 
 SWEEP_COLUMNS = ["alpha", "lambda", "q", "s", "p",
                  "bound_kind", "branch", "lhs", "rhs", "ratio"]
-_BRANCH_NAME = np.frompyfunc(lambda branch: branch.value, 1, 1)
 
 
 def _fmt(x) -> str:
@@ -143,7 +142,7 @@ def _iter_blocks(args, rejected_branch: str):
             rhs, positive = res.value, res.value > 0.0
             # power-mean uses no conjugate exponent
             return {"p": None if args.bound == "power-mean" else rp.p,
-                    "branch": _BRANCH_NAME(res.branch), "lhs": lhs,
+                    "branch": res.branch, "lhs": lhs,
                     "rhs": rhs, "margin": rhs - lhs,
                     "ratio": np.where(positive,
                                       lhs / np.where(positive, rhs, 1.0),
@@ -210,9 +209,16 @@ def cmd_compare(args) -> int:
         tf = _build_tf(args, q, s)
 
         def evaluate(rp):
-            values = [bnd.evaluate_bound(name, tf, rp,
-                                         sup_f4=args.sup_f4).value
-                      for name in kind_names]
+            # |f'|^q of an exp: spec, a numpy float, overflows to inf with a
+            # warning where a poly: spec's raises OverflowError; a bound
+            # that is not finite is that error too
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = [bnd.evaluate_bound(name, tf, rp,
+                                             sup_f4=args.sup_f4).value
+                          for name in kind_names]
+            for name, value in zip(kind_names, values):
+                if not np.isfinite(value).all():
+                    raise OverflowError(f"the {name} bound is not finite")
             best, argmin = values[0], kind_names[0]
             for name, value in zip(kind_names[1:], values[1:]):
                 better = value < best  # a tie keeps the earlier kind

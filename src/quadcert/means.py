@@ -62,11 +62,10 @@ def _mean_rule_error(a: float, b: float, alpha: float, lam: float,
     return abs(rule - p_log_mean(a, b, s + 1.0) ** (s + 1.0))
 
 
-def _check_prop_domain(a, b, alpha, lam, q, s):
+def _check_prop_domain(a, b, q, s):
+    """0 < a < b and s in (0, 1/q); RuleParams checks alpha, lambda, q."""
     if not 0.0 < a < b:
         raise DomainError("need 0 < a < b")
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= lam <= 1.0:
-        raise DomainError("alpha, lambda must lie in [0, 1]")
     if not 0.0 < s < 1.0 / q:
         raise DomainError("need s in (0, 1/q)")
 
@@ -79,12 +78,11 @@ def proposition1_check(a: float, b: float, alpha: float, lam: float,
     q*s, so the RHS is the power-modulus bound at exponent q*s, scaled by
     (s+1).
     """
-    if q < 1.0:
-        raise DomainError("need q >= 1")
-    _check_prop_domain(a, b, alpha, lam, q, s)
+    rp = RuleParams(alpha, lam, q)
+    _check_prop_domain(a, b, q, s)
     lhs = _mean_rule_error(a, b, alpha, lam, s)
-    inner = rhs_power_mean(HModulus.power(q * s), RuleParams(alpha, lam, q),
-                           b - a, d_a=a ** s, d_b=b ** s)
+    inner = rhs_power_mean(HModulus.power(q * s), rp, b - a,
+                           d_a=a ** s, d_b=b ** s)
     rhs = (s + 1.0) * inner.value
     return PropositionResult(lhs, rhs, is_sound(lhs, rhs))
 
@@ -98,12 +96,13 @@ def proposition2_check(a: float, b: float, alpha: float, lam: float,
     with |f'|/(s+1) at the node A_alpha(a,b) and at a and b, scaled by
     (s+1).  p must be the conjugate of q; the bound derives it from q.
     """
+    rp = RuleParams(alpha, lam, q)
     if q <= 1.0 or p <= 1.0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise DomainError("need conjugate p, q > 1")
-    _check_prop_domain(a, b, alpha, lam, q, s)
+    _check_prop_domain(a, b, q, s)
     lhs = _mean_rule_error(a, b, alpha, lam, s)
-    inner = rhs_holder_hconvex(HModulus.power(s), RuleParams(alpha, lam, q),
-                               b - a, weighted_arith_mean(a, b, alpha) ** s,
+    inner = rhs_holder_hconvex(HModulus.power(s), rp, b - a,
+                               weighted_arith_mean(a, b, alpha) ** s,
                                a ** s, b ** s)
     rhs = (s + 1.0) * inner.value
     return PropositionResult(lhs, rhs, is_sound(lhs, rhs))

@@ -57,23 +57,6 @@ class RuleParams:
         return p
 
 
-def at_points(fn, rp: RuleParams):
-    """fn(rp) for one rule; on a grid, fn at each point, as a grid array."""
-    grid = np.broadcast(rp.alpha, rp.lam)
-    if grid.shape == ():
-        return fn(rp)
-    return np.array([fn(RuleParams(float(a), float(lm), rp.q))
-                     for a, lm in grid]).reshape(grid.shape)
-
-
-class CaseBranch(Enum):
-    """Ordering of 1-alpha against [alpha*lam, 1 - lam*(1-alpha)]."""
-
-    MID_ORDER = "mid_order"            # alpha*lam <= 1-alpha <= 1-lam*(1-alpha)
-    RIGHT_OF_UPPER = "right_of_upper"  # alpha*lam <= 1-lam*(1-alpha) <= 1-alpha
-    LEFT_OF_LOWER = "left_of_lower"    # 1-alpha <= alpha*lam <= 1-lam*(1-alpha)
-
-
 def kinks_inside(rp: RuleParams) -> Tuple[bool, bool]:
     """Per-side branch rule: (left, right) kink inside its own subinterval.
 
@@ -86,16 +69,18 @@ def kinks_inside(rp: RuleParams) -> Tuple[bool, bool]:
     return rp.alpha * rp.lam <= u, u <= 1.0 - rp.lam * u
 
 
-def branch_select(rp: RuleParams) -> CaseBranch:
+def branch_select(rp: RuleParams):
     """Name the pair of per-side comparisons of :func:`kinks_inside`.
 
-    Both kinks inside is MID_ORDER; only the right kink inside is
-    LEFT_OF_LOWER; otherwise RIGHT_OF_UPPER.
+    The name orders 1-alpha against [alpha*lam, 1 - lam*(1-alpha)]; on a
+    grid, a numpy string array of names:
+      "mid_order"       alpha*lam <= 1-alpha <= 1-lam*(1-alpha), both inside
+      "left_of_lower"   1-alpha <= alpha*lam <= 1-lam*(1-alpha), right inside
+      "right_of_upper"  alpha*lam <= 1-lam*(1-alpha) <= 1-alpha, otherwise
     """
     left, right = kinks_inside(rp)
-    return select(left & right, CaseBranch.MID_ORDER,
-                  select(right, CaseBranch.LEFT_OF_LOWER,
-                         CaseBranch.RIGHT_OF_UPPER))
+    return select(left & right, "mid_order",
+                  select(right, "left_of_lower", "right_of_upper"))
 
 
 def gamma_coeffs(rp: RuleParams):
@@ -202,7 +187,12 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
     if h.kind in (HKind.IDENTITY, HKind.POWER):
         s = 1.0 if h.kind is HKind.IDENTITY else h.s_param
         return _active(rp, side, *_power_pair(rp, s, side, reflected))
-    return at_points(lambda pt: _numeric_moment(h, pt, side, reflected), rp)
+    grid = np.broadcast(rp.alpha, rp.lam)
+    if grid.shape == ():
+        return _numeric_moment(h, rp, side, reflected)
+    return np.array([_numeric_moment(h, RuleParams(float(a), float(lm), rp.q),
+                                     side, reflected)
+                     for a, lm in grid]).reshape(grid.shape)
 
 
 def _side_empty(rp: RuleParams, side: Side):

@@ -22,6 +22,8 @@ from .errors import (ClassMismatch, DegenerateModulus, NonFiniteSample,
 
 # Absolute tolerance of every oracle integral (mean_value: times the width)
 TOL = 1e-12
+# Panels after which integrate_adaptive gives up with ToleranceNotReached
+_MAX_SUBDIVISIONS = 1_000_000
 
 # QUADPACK's qk15 constants on [-1, 1], rounded to 20 digits so that each
 # parses to the nearest double: one row (abscissa, Kronrod weight, Gauss
@@ -115,7 +117,7 @@ def _panel(g, lo, hi, coarse=None):
 
 
 def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
-                       tol: float, max_subdivisions: int = 1_000_000,
+                       tol: float,
                        break_points: tuple = ()) -> QuadratureResult:
     """Integrate g over [a, b] to absolute tolerance tol.
 
@@ -154,7 +156,7 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     tick = count = len(heap)
     sign = 1.0 if a < b else -1.0
     while total_err > max(tol, 1e-14 * abs(total_val)):
-        if count >= max_subdivisions:
+        if count >= _MAX_SUBDIVISIONS:
             _, _, lo, hi, _, worst, _, _ = heap[0]
             raise ToleranceNotReached(
                 f"error estimate {total_err:.3e} after {count} intervals; "

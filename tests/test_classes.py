@@ -81,9 +81,12 @@ class TestHIntegral:
     def test_custom_numeric(self):
         h = HModulus.custom(lambda t: t * (1.0 - t))
         assert h_integral_01(h) == pytest.approx(1.0 / 6.0, abs=1e-12)
-        declared = HModulus.custom(lambda t: 1.0 / t, integrable_on_unit=False)
-        with pytest.raises(NotIntegrable):
-            h_integral_01(declared)
+
+    def test_divergent_custom(self):
+        # a custom modulus counts as integrable: 1/t as a custom modulus
+        # fails at its first infinite sample, not with NotIntegrable
+        with pytest.raises(EvaluationError, match="returned inf"):
+            h_integral_01(HModulus.custom(lambda t: 1.0 / t))
 
     def test_custom_constructions_agree(self):
         # the field and the classmethod default alike: integrable on (0, 1)
@@ -165,6 +168,14 @@ class TestCertificateAndFunction:
         with pytest.raises(DomainError, match=f"interval too narrow to check "
                                               f"f' at x={x}: a step of "):
             TestFunction(lambda x: x * x, lambda x: 2.0 * x, a, b, cert)
+
+    def test_wrong_derivative_blamed_on_narrow_interval(self):
+        # rounding can move the difference by about 2e-4 on [1, 1 + 1e-6],
+        # far less than this f' misses by
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with pytest.raises(DomainError, match="f_prime inconsistent"):
+            TestFunction(lambda x: x * x, lambda x: 3.0 * x, 1.0, 1.000001,
+                         cert)
 
     def test_richardson_step_must_move_x(self):
         # the step, 3/4 of an ulp of x, moves x by one ulp and misses the

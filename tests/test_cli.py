@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -224,6 +225,20 @@ class TestCompare:
 
 
 class TestConfigErrors:
+    # intervals narrow next to |x|, where rounding f(x +- h) swamps the
+    # difference of an exact f': "interval too narrow to check f' at x=...:
+    # rounding can move the finite difference by up to ...", not a wrong f'
+    ROUNDING = [
+        *(["verify", "--function", "poly:0,0,1", "--interval", "1", b]
+          for b in ("1.0000000001", "1.000000001", "1.00000001",
+                    "1.0000001", "1.000001")),
+        *(["verify", "--function", "exp:1", "--interval", "100", b]
+          for b in ("100.000001", "100.00000001")),
+    ]
+    # |f'(1)|^3 of exp:300, a numpy float, overflows to inf
+    COMPARE_OVERFLOW = ["compare", "--function", "exp:300", "--interval", "0",
+                        "1", "--q-grid", "3", "--kinds",
+                        "power-mean,general-convex"]
     CASES = [
         ["verify", "--function", "nope:1"],
         ["verify", "--function", "poly:0,0,1", "--alpha-grid"],
@@ -279,6 +294,8 @@ class TestConfigErrors:
         # pytest turns one into an error)
         ["verify", "--function", "exp:1000", "--interval", "0", "1"],
         ["hadamard", "--function", "exp:800", "--interval", "0", "1"],
+        *ROUNDING,
+        COMPARE_OVERFLOW,
     ]
 
     @pytest.mark.parametrize("argv", CASES,
@@ -287,6 +304,22 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("argv", ROUNDING,
+                             ids=[argv[-1] for argv in ROUNDING])
+    def test_rounding_named(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert re.fullmatch(r"config error: interval too narrow to check f' "
+                            r"at x=\S+: rounding can move the finite "
+                            r"difference by up to \S+, and it misses f' by "
+                            r"only \S+\n", err)
+
+    def test_compare_overflow_named(self, capsys):
+        code, out, err = run_cli(capsys, self.COMPARE_OVERFLOW)
+        assert (code, out, err) == (
+            2, "", "config error: overflow: the power-mean bound is not "
+                   "finite\n")
 
 
 # alpha on both sides of 1/2 by one ulp and at the ends, lambda at the

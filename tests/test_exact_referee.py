@@ -8,20 +8,25 @@ from the exact values of the float inputs and with no rounding at all:
   epsilon at p = 2, which are integrals of |t - kink| times a polynomial;
 - for cubics f, the error of the (alpha, lambda) rule against the mean
   integral and the power-mean bound at q = 1, whose moments are those
-  same integrals.
+  same integrals.  The exact error referees the oracle's rule and mean
+  values and the lhs column that ``verify`` prints.
 
 This referee shares nothing with the float closed forms or with the
 Gauss-Kronrod oracle.  Each tolerance below is the largest error measured
 on these inputs, rounded up, and says where it was measured.
 """
 
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from quadcert import (ClassCertificate, ClassKind, HModulus, RuleParams,
-                      Side, TestFunction, bound_power_mean, weighted_moment)
+                      Side, TestFunction, bound_power_mean, oracle,
+                      weighted_moment)
+from quadcert.cli import main, parse_function
 from quadcert.moments import active_epsilons, active_gamma_upsilon
 
 # weights as polynomial coefficients in t, lowest degree first
@@ -147,8 +152,9 @@ def _poly(coeffs, x):
     return sum(c * x ** k for k, c in enumerate(coeffs))
 
 
-def _exact_lhs(coeffs, a, b, alpha, lam):
-    """|rule - mean| of the cubic with these coefficients, exactly."""
+def _exact_rule_mean(coeffs, a, b, alpha, lam):
+    """(rule, mean) of the cubic with these coefficients, exactly; the node
+    alpha*a + (1-alpha)*b too."""
     c = [Fraction(x) for x in coeffs]
     anti = [Fraction(0)] + [ck / (k + 1) for k, ck in enumerate(c)]
     fa, fb = Fraction(a), Fraction(b)
@@ -156,7 +162,13 @@ def _exact_lhs(coeffs, a, b, alpha, lam):
     node = al * fa + (1 - al) * fb
     rule = lm * (al * _poly(c, fa) + (1 - al) * _poly(c, fb)) \
         + (1 - lm) * _poly(c, node)
-    return abs(rule - (_poly(anti, fb) - _poly(anti, fa)) / (fb - fa))
+    return rule, (_poly(anti, fb) - _poly(anti, fa)) / (fb - fa)
+
+
+def _exact_lhs(coeffs, a, b, alpha, lam):
+    """|rule - mean| of the cubic with these coefficients, exactly."""
+    rule, mean = _exact_rule_mean(coeffs, a, b, alpha, lam)
+    return abs(rule - mean)
 
 
 @pytest.mark.parametrize("h, weights", [
@@ -191,3 +203,60 @@ def test_power_mean_rows(h, weights):
                     abs(Fraction(float(rhs[i, j])) - rhs_x) / rhs_x))
     # relative error of the float bound: 1.4e-15 measured
     assert worst_rel <= 2e-15
+
+
+# the lhs column: seeded cubics on seeded intervals, a 21 x 21 grid of
+# seeded (alpha, lambda); the rule and the mean need no class of f
+_LHS_RNG = np.random.default_rng(20123)
+LHS_CUBICS = [(tuple(_LHS_RNG.uniform(-3.0, 3.0, 4).tolist()), a,
+               a + float(_LHS_RNG.uniform(0.5, 3.0)))
+              for a in _LHS_RNG.uniform(-2.0, 1.0, 12).tolist()]
+LHS_ALPHAS, LHS_LAMS = _LHS_RNG.uniform(0.0, 1.0, (2, 21)).tolist()
+# |lhs - exact lhs| over the exact max(|rule|, |mean|): 1.76e-15 measured
+# on the rows of test_lhs_rows, on a cubic whose terms cancel, and 4.0e-16
+# on those of test_verify_lhs_column
+LHS_TOL = 1.8e-15
+
+
+def _lhs_error(coeffs, a, b, lhs):
+    """Worst |lhs - exact lhs| / max(|rule|, |mean|) over the grid rows, in
+    row order (alpha outer, lambda inner)."""
+    worst = 0.0
+    rows = ((al, lm) for al in LHS_ALPHAS for lm in LHS_LAMS)
+    for (alpha, lam), got in zip(rows, lhs, strict=True):
+        rule, mean = _exact_rule_mean(coeffs, a, b, alpha, lam)
+        worst = max(worst, float(abs(Fraction(got) - abs(rule - mean))
+                                 / max(abs(rule), abs(mean))))
+    return worst
+
+
+def _spec(coeffs):
+    return "poly:" + ",".join(map(repr, coeffs))
+
+
+def test_lhs_rows():
+    """oracle.rule_value and oracle.mean_value, as the CLI combines them."""
+    cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+    worst = 0.0
+    for coeffs, a, b in LHS_CUBICS:
+        f, fp = parse_function(_spec(coeffs))
+        tf = TestFunction(f, fp, a, b, cert)
+        rule = oracle.rule_value(tf, np.array(LHS_ALPHAS)[:, None],
+                                 np.array(LHS_LAMS))
+        lhs = abs(rule - oracle.mean_value(tf))
+        worst = max(worst, _lhs_error(coeffs, a, b, lhs.ravel().tolist()))
+    assert worst <= LHS_TOL, worst
+
+
+def test_verify_lhs_column(capsys):
+    coeffs, a, b = CUBICS[2]  # |f'| convex: the certificate holds
+    code = main(["verify", "--function", _spec(coeffs), "--interval",
+                 repr(a), repr(b),
+                 "--alpha-grid", *map(repr, LHS_ALPHAS),
+                 "--lambda-grid", *map(repr, LHS_LAMS)])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0 and len(rows) == 21 * 21
+    assert [(float(r["alpha"]), float(r["lambda"])) for r in rows] == \
+        [(al, lm) for al in LHS_ALPHAS for lm in LHS_LAMS]
+    worst = _lhs_error(coeffs, a, b, [float(r["lhs"]) for r in rows])
+    assert worst <= LHS_TOL, worst

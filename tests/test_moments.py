@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcert import (
-    CaseBranch, ClassCertificate, ClassKind, HModulus, RuleParams, Side,
+    ClassCertificate, ClassKind, HModulus, RuleParams, Side,
     TestFunction, abs_moment_p, bound_power_mean, branch_select,
     epsilon_coeffs, gamma_coeffs, integrate_adaptive, upsilon_coeffs,
     weighted_moment,
@@ -95,29 +95,26 @@ def _three_way_ladder(alpha, lam):
     lo = alpha * lam
     hi = 1.0 - lam * (1.0 - alpha)
     if lo <= u <= hi:
-        return CaseBranch.MID_ORDER
+        return "mid_order"
     if hi <= u:
-        return CaseBranch.RIGHT_OF_UPPER
-    return CaseBranch.LEFT_OF_LOWER
+        return "right_of_upper"
+    return "left_of_lower"
 
 
 class TestBranchSelect:
     def test_simpson_point(self):
-        assert branch_select(RuleParams(0.5, 1.0 / 3.0, 1.0)) \
-            is CaseBranch.MID_ORDER
+        assert branch_select(RuleParams(0.5, 1.0 / 3.0, 1.0)) == "mid_order"
 
     def test_tie_goes_to_first(self):
         # alpha=1/2, lambda=1 makes all three order statistics equal 1/2
-        assert branch_select(RuleParams(0.5, 1.0, 1.0)) is CaseBranch.MID_ORDER
+        assert branch_select(RuleParams(0.5, 1.0, 1.0)) == "mid_order"
 
     def test_left_of_lower(self):
-        assert branch_select(RuleParams(0.9, 0.9, 1.0)) \
-            is CaseBranch.LEFT_OF_LOWER
+        assert branch_select(RuleParams(0.9, 0.9, 1.0)) == "left_of_lower"
 
     def test_right_of_upper(self):
         # 1 - alpha = 0.9 above 1 - lambda(1-alpha) = 0.28
-        assert branch_select(RuleParams(0.1, 0.8, 1.0)) \
-            is CaseBranch.RIGHT_OF_UPPER
+        assert branch_select(RuleParams(0.1, 0.8, 1.0)) == "right_of_upper"
 
     @settings(max_examples=100, deadline=None)
     @given(alpha=param_floats, lam=param_floats)
@@ -130,7 +127,7 @@ class TestBranchSelect:
     def test_edges_and_ties_match_three_way_ladder(self, alpha, lam):
         rp = RuleParams(alpha, lam, 2.0)
         want = _three_way_ladder(alpha, lam)
-        assert branch_select(rp) is want
+        assert branch_select(rp) == want
         h = HModulus.identity()
         routes = [rhs_power_mean(h, rp, 1.0, 0.7, 2.1),
                   rhs_holder_hconvex(h, rp, 1.0, 1.3, 0.7, 2.1),
@@ -141,9 +138,9 @@ class TestBranchSelect:
         v1, v2 = upsilon_coeffs(rp)
         e1, e2, e3, e4 = epsilon_coeffs(rp)
         gamma, upsilon, eps_l, eps_r = {
-            CaseBranch.MID_ORDER: (g2, v2, e1, e3),
-            CaseBranch.RIGHT_OF_UPPER: (g2, v1, e1, e4),
-            CaseBranch.LEFT_OF_LOWER: (g1, v2, e2, e3)}[want]
+            "mid_order": (g2, v2, e1, e3),
+            "right_of_upper": (g2, v1, e1, e4),
+            "left_of_lower": (g1, v2, e2, e3)}[want]
         comps = routes[0].components
         assert (comps["gamma"], comps["upsilon"]) == \
             (max(gamma, 0.0), max(upsilon, 0.0))

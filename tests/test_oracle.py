@@ -116,10 +116,10 @@ class TestIntegrateAdaptive:
         res = integrate_adaptive(lambda t: t, 1.0, 1.0, 1e-12)
         assert res.value == 0.0 and res.subdivisions == 0
 
-    def test_subdivision_cap(self):
+    def test_subdivision_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 4)
         with pytest.raises(ToleranceNotReached):
-            integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0, 1e-12,
-                               max_subdivisions=4)
+            integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0, 1e-12)
 
     def test_non_finite_sample(self):
         with pytest.raises(NonFiniteSample):
@@ -208,11 +208,11 @@ class TestFailureMessages:
         assert str(exc.value) == ("integrand is inf at the centre node 2.5 "
                                   "of panel [2.0, 3.0]")
 
-    def test_worst_panel(self):
+    def test_worst_panel(self, monkeypatch):
         # three bisections of [0, 1] all split the panel at the singularity
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 4)
         with pytest.raises(ToleranceNotReached) as exc:
-            integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0, 1e-12,
-                               max_subdivisions=4)
+            integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0, 1e-12)
         msg = str(exc.value)
         assert "after 4 intervals" in msg
         assert msg.endswith(" on [0.0, 0.125]")
