@@ -10,7 +10,7 @@ oracle.
 
 from .classes import (ClassCertificate, ClassKind, HKind, HModulus,
                       MembershipReport, TestFunction, certify_membership,
-                      h_eval, h_integral_01)
+                      h_half, h_integral_01)
 from .moments import (RuleParams, Side, abs_moment_p, branch_select,
                       epsilon_coeffs, gamma_coeffs, upsilon_coeffs,
                       weighted_moment)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .arrays import every, map_scalar, power, select
-from .classes import ClassKind, HModulus, TestFunction, h_eval, h_integral_01
-from .errors import ClassMismatch, DegenerateModulus, DomainError, ParamMismatch
+from .classes import ClassKind, HModulus, TestFunction, h_half, h_integral_01
+from .errors import ClassMismatch, DomainError, ParamMismatch
 from .moments import (RuleParams, Side, active_epsilons, active_gamma_upsilon,
                       branch_select, weighted_moment)
 
@@ -90,8 +90,9 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
     h_int = h_integral_01(h)  # raises NotIntegrable for 1/t moduli
     alpha = rp.alpha
     eps_c, eps_d = active_epsilons(rp)
-    big_c = (1.0 - alpha) * (power(d_node, q) + d_a ** q)
-    big_d = alpha * (power(d_node, q) + d_b ** q)
+    d_node_q = power(d_node, q)
+    big_c = (1.0 - alpha) * (d_node_q + d_a ** q)
+    big_d = alpha * (d_node_q + d_b ** q)
     pref = width * (1.0 / (p + 1.0)) ** (1.0 / p) * h_int ** (1.0 / q)
     value = pref * (power(eps_c, 1.0 / p) * power(big_c, 1.0 / q)
                     + power(eps_d, 1.0 / p) * power(big_d, 1.0 / q))
@@ -116,20 +117,18 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
     """
     p = rp.require_p()
     q = rp.q
-    h_half = h_eval(h, 0.5)
-    if h_half == 0.0:
-        raise DegenerateModulus("h(1/2) = 0")
+    h_mid = h_half(h)
     alpha = rp.alpha
     eps_e, eps_f = active_epsilons(rp)
     big_e = (1.0 - alpha) * power(d_mid_left, q)
     big_f = alpha * power(d_mid_right, q)
-    pref = width * (1.0 / (2.0 * h_half)) ** (1.0 / q) \
+    pref = width * (1.0 / (2.0 * h_mid)) ** (1.0 / q) \
         * (1.0 / (p + 1.0)) ** (1.0 / p)
     value = pref * (power(eps_e, 1.0 / p) * power(big_e, 1.0 / q)
                     + power(eps_f, 1.0 / p) * power(big_f, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "E": big_e, "F": big_f, "eps_E": eps_e, "eps_F": eps_f,
-        "h_half": h_half})
+        "h_half": h_mid})
 
 
 def bound_holder_hconcave(tf: TestFunction, rp: RuleParams) -> BoundResult:

@@ -19,7 +19,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .arrays import map_scalar, power
-from .errors import DomainError, EvaluationError, NotIntegrable
+from .errors import (DegenerateModulus, DomainError, EvaluationError,
+                     NotIntegrable)
 
 
 class HKind(Enum):
@@ -73,8 +74,8 @@ class HModulus:
 
         A named kind also takes an array of t, to the bits of its float
         values; a custom modulus's fn takes one float.  It does not check
-        that t lies in (0, 1); :func:`h_eval` does.  A custom modulus's
-        value must be finite and nonnegative, else EvaluationError.
+        that t lies in (0, 1).  A custom modulus's value must be finite and
+        nonnegative, else EvaluationError.
         """
         if self.kind is HKind.IDENTITY:
             return lambda t: t
@@ -96,11 +97,12 @@ class HModulus:
         return custom
 
 
-def h_eval(h: HModulus, t: float) -> float:
-    """Evaluate the modulus at one point t, checked to lie in (0, 1)."""
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"modulus argument {t!r} outside (0, 1)")
-    return h.evaluator(t)
+def h_half(h: HModulus) -> float:
+    """h(1/2), which bounds and chains divide by; DegenerateModulus if 0."""
+    val = h.evaluator(0.5)
+    if val == 0.0:
+        raise DegenerateModulus("h(1/2) = 0")
+    return val
 
 
 def h_integral_01(h: HModulus) -> float:

@@ -28,6 +28,8 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
+MEMBERSHIP_SAMPLES = 2000  # per (q, s) block of verify and sweep
+
 SWEEP_COLUMNS = ["alpha", "lambda", "q", "s", "p",
                  "bound_kind", "branch", "lhs", "rhs", "ratio"]
 
@@ -40,6 +42,12 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     return "%.17g" % x
+
+
+def _json_value(x):
+    """x for the JSON writer; a non-finite float, which JSON has no token
+    for, becomes the text the CSV prints."""
+    return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def parse_function(spec: str):
@@ -133,7 +141,7 @@ def _iter_blocks(args, rejected_branch: str):
     alphas, lams, qs = _axes(args, 1.0)
     for q, s in itertools.product(qs, args.s):
         tf = _build_tf(args, q, s)
-        rep = certify_membership(tf, n_samples=args.samples, seed=args.seed)
+        rep = certify_membership(tf, MEMBERSHIP_SAMPLES, seed=args.seed)
         mean = oracle.mean_value(tf)
 
         def evaluate(rp):
@@ -163,13 +171,13 @@ def _rows(block, columns, fmt=lambda value: value):
 
 def _write_table(blocks, columns, fmt, out_path):
     """Write the rows of every block as CSV or as a JSON list of objects."""
+    cell = np.frompyfunc(_fmt if fmt == "csv" else _json_value, 1, 1)
     if fmt == "csv":
-        cell = np.frompyfunc(_fmt, 1, 1)
         text = "\n".join([",".join(columns)] + [
             ",".join(row) for b in blocks for row in _rows(b, columns, cell)])
     else:
         text = json.dumps([dict(zip(columns, row)) for b in blocks
-                           for row in _rows(b, columns)],
+                           for row in _rows(b, columns, cell)],
                           indent=2, sort_keys=True)
     if not out_path:
         sys.stdout.write(text + "\n")
@@ -219,11 +227,8 @@ def cmd_compare(args) -> int:
             for name, value in zip(kind_names, values):
                 if not np.isfinite(value).all():
                     raise OverflowError(f"the {name} bound is not finite")
-            best, argmin = values[0], kind_names[0]
-            for name, value in zip(kind_names[1:], values[1:]):
-                better = value < best  # a tie keeps the earlier kind
-                best = np.where(better, value, best)
-                argmin = np.where(better, name, argmin)
+            argmin = np.array(kind_names)[  # a tie: the kind listed first
+                np.argmin(np.broadcast_arrays(*values), axis=0)]
             return {"alpha": alphas, "lambda": lams, "q": q, "s": s,
                     "p": rp.p, **dict(zip(kind_names, values)),
                     "argmin": argmin}
@@ -321,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "hadamard":
             _add_grid_args(p)
         if name in ("verify", "sweep"):
-            p.add_argument("--samples", type=int, default=2000,
-                           help="membership-check sample count")
             p.add_argument("--bound", default="power-mean",
                            choices=list(bnd.GENERAL_BOUNDS))
         p.set_defaults(func=fn)

@@ -16,9 +16,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .arrays import map_scalar
-from .classes import (ClassKind, HKind, TestFunction, h_eval, h_integral_01)
-from .errors import (ClassMismatch, DegenerateModulus, NonFiniteSample,
-                     ToleranceNotReached)
+from .classes import ClassKind, HKind, TestFunction, h_half, h_integral_01
+from .errors import ClassMismatch, NonFiniteSample, ToleranceNotReached
 
 # Absolute tolerance of every oracle integral (mean_value: times the width)
 TOL = 1e-12
@@ -126,11 +125,12 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     Each seed panel costs 45 evaluations of g and each bisection 60: a
     child panel's coarse K15 is the half-panel K15 its parent already
     computed, so only the child's two halves (30 evaluations) are new.
-    Endpoints are never sampled, so integrable endpoint singularities are
-    tolerated.  The tolerance carries an implicit relative floor of ~1e-14
-    of the running value, below which double precision cannot certify
-    further digits.  ``subdivisions`` in the result counts the final
-    panels: the seed panels plus one per bisection.
+    A node rounds onto an end only on a panel a few ulps wide: an
+    integrable singularity at 0 is tolerated, but 1/sqrt(1 - t) on [0, 1]
+    ends in its own ZeroDivisionError.  The tolerance carries an implicit
+    relative floor of ~1e-14 of the running value, below which double
+    precision cannot certify further digits.  ``subdivisions`` in the
+    result counts the final panels: the seed panels plus one per bisection.
 
     Known kinks or other isolated non-smooth points should be passed via
     break_points: a feature much narrower than the node spacing of a panel
@@ -214,8 +214,8 @@ def lemma_identity_residual(tf: TestFunction, rp) -> float:
     def right(t):
         return (t - shift) * tf.f_prime(t * b + (1.0 - t) * a)
 
-    i1 = integrate_adaptive(left, 0.0, u, TOL).value if u > 0.0 else 0.0
-    i2 = integrate_adaptive(right, u, 1.0, TOL).value if u < 1.0 else 0.0
+    i1 = integrate_adaptive(left, 0.0, u, TOL).value
+    i2 = integrate_adaptive(right, u, 1.0, TOL).value
     return abs(lhs - width * (i1 + i2))
 
 
@@ -272,11 +272,8 @@ def hadamard_check(tf: TestFunction, variant: HadamardVariant
         s = cert.h.s_param
         left, right = 2.0 ** (s - 1.0) * mid_val, end_sum / (s + 1.0)
     else:
-        h_half = h_eval(cert.h, 0.5)
-        if h_half == 0.0:
-            raise DegenerateModulus("h(1/2) = 0")
         # 2h(1/2)/factor is 1.0 for the printed chains; 1/t has no integral
-        left = mid_val / (2.0 * h_half / factor)
+        left = mid_val / (2.0 * h_half(cert.h) / factor)
         right = (None if variant is HadamardVariant.GODUNOVA_LEVIN
                  else factor * end_sum * h_integral_01(cert.h))
 

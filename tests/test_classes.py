@@ -10,35 +10,33 @@ from hypothesis import strategies as st
 
 from quadcert import (
     ClassCertificate, ClassKind, HKind, HModulus, MembershipReport,
-    RuleParams, Side, TestFunction, certify_membership, h_eval,
+    RuleParams, Side, TestFunction, certify_membership, h_half,
     h_integral_01, integrate_adaptive, weighted_moment,
 )
 from quadcert.arrays import map_scalar, power
 from quadcert.classes import _eval_maybe_vector
-from quadcert.errors import DomainError, EvaluationError, NotIntegrable
+from quadcert.errors import (DegenerateModulus, DomainError, EvaluationError,
+                             NotIntegrable)
 
 
-class TestHEval:
+class TestHHalf:
     def test_named_kinds(self):
-        assert h_eval(HModulus.identity(), 0.25) == 0.25
-        assert h_eval(HModulus.power(0.5), 0.25) == pytest.approx(0.5)
-        assert h_eval(HModulus.constant(), 0.7) == 1.0
-        assert h_eval(HModulus.reciprocal(), 0.5) == pytest.approx(2.0)
-
-    def test_domain(self):
-        for t in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(DomainError):
-                h_eval(HModulus.identity(), t)
+        assert h_half(HModulus.identity()) == 0.5
+        assert h_half(HModulus.power(0.3)) == pytest.approx(2.0 ** -0.3)
+        assert h_half(HModulus.constant()) == 1.0
+        assert h_half(HModulus.reciprocal()) == 2.0
 
     def test_custom(self):
         h = HModulus.custom(lambda t: t * (1.0 - t))
-        assert h_eval(h, 0.5) == pytest.approx(0.25)
-        bad = HModulus.custom(lambda t: -1.0)
-        with pytest.raises(EvaluationError):
-            h_eval(bad, 0.5)
-        nonfinite = HModulus.custom(lambda t: float("inf"))
-        with pytest.raises(EvaluationError):
-            h_eval(nonfinite, 0.5)
+        assert h_half(h) == pytest.approx(0.25)
+        with pytest.raises(DegenerateModulus, match=r"h\(1/2\) = 0"):
+            h_half(HModulus.custom(lambda t: 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf],
+                             ids=["nan", "negative", "inf"])
+    def test_bad_custom_value(self, bad):
+        with pytest.raises(EvaluationError, match="custom modulus"):
+            h_half(HModulus.custom(lambda t: bad))
 
 
 class TestBadCustomValues:
@@ -100,8 +98,7 @@ class TestHIntegral:
     @given(s=st.floats(0.05, 1.0))
     def test_power_closed_form_vs_quadrature(self, s):
         h = HModulus.power(s)
-        numeric = integrate_adaptive(lambda t: h_eval(h, t),
-                                     0.0, 1.0, 1e-13).value
+        numeric = integrate_adaptive(h.evaluator, 0.0, 1.0, 1e-13).value
         assert abs(h_integral_01(h) - numeric) <= 1e-12
 
 
@@ -280,7 +277,7 @@ class TestCertifyMembership:
 
 
 def _loop_membership(tf, n_samples, seed):
-    """certify_membership with h evaluated one sample at a time by h_eval."""
+    """certify_membership with h evaluated one sample at a time."""
     cert = tf.certificate
     rng = np.random.default_rng(seed)
     xs = rng.uniform(tf.a, tf.b, n_samples)
@@ -290,8 +287,8 @@ def _loop_membership(tf, n_samples, seed):
     def g(v):
         return np.abs(tf.f_prime(v)) ** cert.exponent_q
 
-    h_a = np.array([h_eval(cert.h, float(al)) for al in alphas])
-    h_1a = np.array([h_eval(cert.h, float(1.0 - al)) for al in alphas])
+    h_a = np.array([cert.h.evaluator(float(al)) for al in alphas])
+    h_1a = np.array([cert.h.evaluator(float(1.0 - al)) for al in alphas])
     gx, gy = g(xs), g(ys)
     gmid = g(alphas * xs + (1.0 - alphas) * ys)
     slack = gmid - (h_a * gx + h_1a * gy)

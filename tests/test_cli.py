@@ -133,6 +133,28 @@ class TestSweep:
             assert float(rc["rhs"]) == pytest.approx(rj["rhs"], rel=1e-15)
             assert float(rc["ratio"]) == pytest.approx(rj["ratio"], rel=1e-15)
 
+    def test_json_strict_non_finite(self, capsys):
+        # lhs is rounding noise (4.4e-16) where the bound is exactly 0, so
+        # the ratio is inf; JSON has no token for it and prints the CSV text
+        argv = ["sweep", "--function", "poly:3.3", "--interval", "0.1", "0.7",
+                "--alpha-grid", "0.3", "0.7", "0.9",
+                "--lambda-grid", "0.3", "0.6"]
+        code, out_csv, _ = run_cli(capsys, argv)
+        assert code == 0
+        code, out_json, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"not a JSON token: {token}")
+        rows_json = json.loads(out_json, parse_constant=reject)
+        rows_csv = list(csv.DictReader(io.StringIO(out_csv)))
+        assert [r["ratio"] for r in rows_csv].count("inf") == 3
+        for rc, rj in zip(rows_csv, rows_json, strict=True):
+            if rc["ratio"] == "inf":
+                assert rj["ratio"] == "inf"
+            else:
+                assert float(rc["ratio"]) == rj["ratio"]
+
     def test_p_column(self, capsys):
         # p is derived from q for the Hoelder bounds; power-mean uses none
         _, out, _ = run_cli(capsys, self.ARGS)
@@ -177,6 +199,23 @@ class TestCompare:
         assert float(rows[0]["power-mean"]) <= \
             float(rows[0]["midpoint-power-mean"]) * (1.0 + 1e-12)
         assert rows[0]["argmin"] == "power-mean"
+
+    @pytest.mark.parametrize("kinds", [
+        "general-convex,power-mean,classical-simpson",
+        "classical-simpson,power-mean,general-convex"])
+    def test_argmin_tie_first_listed(self, capsys, kinds):
+        # f' = 0 and sup |f^(4)| = 0: every bound is exactly 0
+        argv = ["compare", "--function", "poly:1", "--interval", "0", "1",
+                "--q-grid", "2", "--sup-f4", "0", "--kinds", kinds]
+        first = kinds.split(",")[0]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert {row[k] for k in kinds.split(",")} == {"0"}
+        assert row["argmin"] == first
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert [r["argmin"] for r in json.loads(out)] == [first]
 
     def test_classical_simpson_needs_sup(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -465,8 +504,10 @@ class TestUnknownFlags:
          "--samples", "5"],
         ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
          "--bound", "holder"],
+        ["verify", "--function", "poly:0,0,1", "--samples", "5"],
+        ["sweep", "--function", "poly:0,0,1", "--samples", "5"],
     ], ids=["hadamard-concave", "verify-sup-f4", "compare-samples",
-            "compare-bound"])
+            "compare-bound", "verify-samples", "sweep-samples"])
     def test_parser_rejects(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
