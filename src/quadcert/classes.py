@@ -5,7 +5,8 @@ gives ordinary nonnegative convex functions, h(t)=t^s the s-convex class in
 the second sense, h(t)=1 the P-functions, and h(t)=1/t the Godunova-Levin
 class.  A :class:`TestFunction` bundles an evaluable (f, f') pair with the
 class certificate claimed for |f'|^q; :func:`certify_membership` spot-checks
-that claim by sampling.
+that claim by sampling.  It keeps the last draw of f' samples, so checks
+of one f' with several q, h or classes evaluate f' once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from collections.abc import Hashable
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -235,23 +237,19 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     reversed for h-concave certificates).  A sampled certificate, not a
     proof: it guards against user error only.  OverflowError when a sample
     of g is not a finite float, since the inequality is then undecided.
+
+    The draw and |f'| at its points depend on (f', a, b, n_samples, seed)
+    only, so consecutive checks of one f' object with different q, h or
+    class reuse them; each check computes its own |f'|^q, h and slack.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     cert = tf.certificate
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(tf.a, tf.b, n_samples)
-    ys = rng.uniform(tf.a, tf.b, n_samples)
-    # alpha in {0, 1} is outside the quantified range of the class definition.
-    alphas = np.clip(rng.uniform(0.0, 1.0, n_samples), 1e-9, 1.0 - 1e-9)
-
-    def g(v):
-        out = np.abs(_eval_maybe_vector(tf.f_prime, v)) ** cert.exponent_q
-        if not np.isfinite(out).all():
-            raise OverflowError("|f'|^q is not finite at a sampled point")
-        return out
+    draw = (_derivative_draw if isinstance(tf.f_prime, Hashable)
+            else _derivative_draw.__wrapped__)
+    xs, ys, alphas, *abs_fp = draw(tf.f_prime, tf.a, tf.b, n_samples, seed)
 
     h_on = cert.h.evaluator
     if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
@@ -260,8 +258,9 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     # with every g finite, an h*g that overflows to inf still gives the
     # sign its exact value would
     with np.errstate(over="ignore"):
-        gx, gy = g(xs), g(ys)
-        gmid = g(alphas * xs + (1.0 - alphas) * ys)
+        gx, gy, gmid = (d ** cert.exponent_q for d in abs_fp)
+        if not all(np.isfinite(g).all() for g in (gx, gy, gmid)):
+            raise OverflowError("|f'|^q is not finite at a sampled point")
         slack = gmid - (h_a * gx + h_1a * gy)
     if cert.class_kind is ClassKind.H_CONCAVE:
         slack = -slack
@@ -273,6 +272,25 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     i = int(np.argmax(slack))
     return MembershipReport(False, worst,
                             (float(xs[i]), float(ys[i]), float(alphas[i])))
+
+
+@lru_cache(maxsize=1)
+def _derivative_draw(f_prime, a, b, n_samples, seed):
+    """The (x, y, alpha) samples and |f'| at x, y and alpha*x + (1-alpha)*y,
+    as read-only arrays: xs, ys, alphas, |f'(xs)|, |f'(ys)|, |f'(mids)|."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(a, b, n_samples)
+    ys = rng.uniform(a, b, n_samples)
+    # alpha in {0, 1} is outside the quantified range of the class definition.
+    alphas = np.clip(rng.uniform(0.0, 1.0, n_samples), 1e-9, 1.0 - 1e-9)
+    # an f' that overflows is caught as a non-finite |f'|^q
+    with np.errstate(over="ignore"):
+        draw = (xs, ys, alphas,
+                *(np.abs(_eval_maybe_vector(f_prime, v))
+                  for v in (xs, ys, alphas * xs + (1.0 - alphas) * ys)))
+    for arr in draw:
+        arr.flags.writeable = False
+    return draw
 
 
 def _eval_maybe_vector(fn, v):

@@ -14,7 +14,7 @@ from quadcert import (
     h_integral_01, integrate_adaptive, weighted_moment,
 )
 from quadcert.arrays import map_scalar, power
-from quadcert.classes import _eval_maybe_vector
+from quadcert.classes import _derivative_draw, _eval_maybe_vector
 from quadcert.errors import (DegenerateModulus, DomainError, EvaluationError,
                              NotIntegrable)
 
@@ -323,6 +323,93 @@ class TestMembershipOnArrays:
         for seed in (0, 1, 2):
             got = certify_membership(tf, n_samples=500, seed=seed)
             assert got == _loop_membership(tf, 500, seed)
+
+
+def _counted(fp):
+    """fp and the list of the sizes of the arguments it is called with."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return fp(x)
+    return counted, sizes
+
+
+class TestDerivativeDrawMemo:
+    """certify_membership keeps its last f' draw: the same f' object with
+    the same interval, sample count and seed evaluates f' once, and every
+    other check draws again."""
+
+    FP = staticmethod(lambda x: 1.0 + x + 0.9 * x * x)  # convex, positive
+
+    @staticmethod
+    def _tf(fp, a=0.0, b=1.5, kind=ClassKind.H_CONVEX,
+            h=HModulus.identity(), q=1.0):
+        return TestFunction(lambda x: x, fp, a, b,
+                            ClassCertificate(kind, h, q),
+                            skip_derivative_check=True)
+
+    def test_same_f_prime_draws_once(self):
+        fp, sizes = _counted(self.FP)
+        for q in (1.0, 2.0, 3.5):
+            certify_membership(self._tf(fp, q=q), n_samples=300, seed=4)
+        assert sizes == [300] * 3
+
+    def test_equal_values_distinct_object_draws_again(self):
+        (fp1, sizes1), (fp2, sizes2) = _counted(self.FP), _counted(self.FP)
+        first = certify_membership(self._tf(fp1), n_samples=300, seed=4)
+        second = certify_membership(self._tf(fp2), n_samples=300, seed=4)
+        assert first == second
+        assert sizes1 == sizes2 == [300] * 3
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 5}, {"n_samples": 301}, {"a": 0.1}, {"b": 1.6}])
+    def test_other_draw_evaluates_again(self, change):
+        fp, sizes = _counted(self.FP)
+        draw = {"a": 0.0, "b": 1.5, "n_samples": 300, "seed": 4}
+        other = {**draw, **change}
+        for d in (draw, other, draw):
+            got = certify_membership(self._tf(fp, d["a"], d["b"]),
+                                     d["n_samples"], d["seed"])
+            assert got == _loop_membership(self._tf(self.FP, d["a"], d["b"]),
+                                           d["n_samples"], d["seed"])
+        n = other["n_samples"]
+        assert sizes == [300] * 3 + [n] * 3 + [300] * 3
+
+    def test_reports_match_loop_across_certificates(self):
+        # one f' and one draw under every certificate; the concave claims
+        # fail, so witnesses are compared too
+        fp, sizes = _counted(self.FP)
+        outcomes = set()
+        for kind in ClassKind:
+            for h in (HModulus.identity(), HModulus.power(0.4)):
+                for q in (1.0, 2.0):
+                    got = certify_membership(
+                        self._tf(fp, kind=kind, h=h, q=q), 500, seed=3)
+                    want = _loop_membership(
+                        self._tf(self.FP, kind=kind, h=h, q=q), 500, 3)
+                    assert got == want
+                    outcomes.add(got.holds)
+        assert outcomes == {True, False}
+        assert sizes == [500] * 3
+
+    def test_draw_is_read_only(self):
+        for arr in _derivative_draw(self.FP, 0.0, 1.5, 50, 0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_unhashable_f_prime(self):
+        class Derivative:  # __eq__ without __hash__: not hashable
+            def __eq__(self, other):
+                return isinstance(other, Derivative)
+
+            def __call__(self, x):
+                return 1.0 + x * x
+
+        tf = self._tf(Derivative())
+        assert certify_membership(tf, n_samples=200, seed=1) \
+            == _loop_membership(tf, 200, 1)
 
 
 class TestEvaluatorOnArrays:

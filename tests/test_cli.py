@@ -2,17 +2,20 @@
 
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quadcert import bounds, cli, errors, oracle
+from quadcert import bounds, classes, cli, errors, oracle
 from quadcert.errors import ToleranceNotReached
 
 
@@ -217,6 +220,17 @@ class TestCompare:
         assert code == 0
         assert [r["argmin"] for r in json.loads(out)] == [first]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_kind(self, capsys, fmt):
+        # it printed the power-mean column twice in CSV and once in JSON
+        code, out, err = run_cli(capsys, [
+            "compare", "--function", "poly:0,0,1",
+            "--kinds", "power-mean,holder,power-mean", "--q-grid", "2",
+            "--alpha-grid", "0.5", "--lambda-grid", "0.5", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == ("config error: --kinds names 'power-mean' "
+                       "more than once\n")
+
     def test_classical_simpson_needs_sup(self, capsys):
         code, _, err = run_cli(capsys, [
             "compare", "--function", "poly:0,0,0,0,1",
@@ -417,7 +431,7 @@ GOLDEN = {
         "--kinds", "power-mean,holder,general-convex"]),
     "compare.json": (0, [
         "compare", "--function", "exp:-0.6", "--interval", "0", "1",
-        *EDGE_GRID, "--kinds", "holder,power-mean,holder,general-convex",
+        *EDGE_GRID, "--kinds", "holder,power-mean,general-convex",
         "--format", "json"]),
     "compare_prior.csv": (0, [
         "compare", "--function", "pow:1,1.5", "--interval", "0", "1",
@@ -436,6 +450,62 @@ class TestGoldenOutput:
         got_code, out, _ = run_cli(capsys, argv)
         assert got_code == code
         assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+class TestOncePerJob:
+    """A job parses f, checks f', draws the f' samples and takes the mean
+    once, and each (q, s) block prints what it prints alone."""
+
+    @pytest.mark.parametrize("argv", [
+        [*VERIFY_SQUARE, "--q-grid", "1", "1.5", "2"],
+        ["sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
+         "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"],
+    ], ids=["verify", "sweep"])
+    def test_counts(self, capsys, monkeypatch, argv):
+        counts = {"parse": 0, "check": 0, "draw": 0, "mean": 0}
+        parse = cli.parse_function
+        check = classes.TestFunction._check_derivative
+        mean_value = oracle.mean_value
+
+        def counting_parse(spec):
+            f, fp = parse(spec)
+            counts["parse"] += 1
+
+            def counted_fp(x):
+                counts["draw"] += np.size(x) == cli.MEMBERSHIP_SAMPLES
+                return fp(x)
+            return f, counted_fp
+
+        def counting_check(tf):
+            counts["check"] += 1
+            return check(tf)
+
+        def counting_mean(tf):
+            counts["mean"] += 1
+            return mean_value(tf)
+
+        monkeypatch.setattr(cli, "parse_function", counting_parse)
+        monkeypatch.setattr(classes.TestFunction, "_check_derivative",
+                            counting_check)
+        monkeypatch.setattr(oracle, "mean_value", counting_mean)
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        # the draw evaluates f' at x, at y and between them
+        assert counts == {"parse": 1, "check": 1, "draw": 3, "mean": 1}
+
+    def test_blocks_equal_single_runs(self, capsys):
+        base = ["verify", "--function", "exp:0.7", "--interval", "0", "2",
+                "--h", "t^s", *EDGE_GRID]
+        qs, ss = ["1", "2"], ["0.4", "0.8"]
+        code, out, _ = run_cli(capsys, [*base, "--q-grid", *qs, "--s", *ss])
+        header, *rows = out.splitlines()
+        assert code == 0 and len(rows) == 4 * 15
+        single = []
+        for q, s in itertools.product(qs, ss):
+            code, out, _ = run_cli(capsys, [*base, "--q-grid", q, "--s", s])
+            assert code == 0 and out.splitlines()[0] == header
+            single += out.splitlines()[1:]
+        assert rows == single
 
 
 class TestFirstError:
@@ -595,7 +665,37 @@ class TestIdentityAndHadamard:
         assert "right= holds=True" in out
 
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
 class TestSubprocess:
+    # each exits 2 with one "config error:" line on stderr and nothing else,
+    # such as a numpy warning, which in-process runs turn into errors
+    ONE_LINE_ERRORS = [
+        # f overflows at a derivative check point
+        ["--function", "exp:1000", "--interval", "0", "1"],
+        # an interval too narrow to difference
+        ["--function", "poly:0,0,1", "--interval", "0", "1e-320"],
+        # the second block's |f'|^3 overflows on the first block's draw
+        ["--function", "exp:300", "--interval", "0", "1", "--q-grid", "1",
+         "3"],
+        # the first block's |f'|^2 overflows before the job's mean, which
+        # would take about 40 s and fail in the oracle
+        ["--function", "poly:0,0,0,1e300", "--interval", "-1", "1",
+         "--q-grid", "2", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", ONE_LINE_ERRORS,
+                             ids=lambda argv: argv[1])
+    def test_one_config_error_line(self, argv):
+        r = subprocess.run([sys.executable, "-m", "quadcert", "verify", *argv],
+                           capture_output=True, text=True, timeout=30,
+                           env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+        assert r.returncode == 2
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("config error: ")
+        assert "RuntimeWarning" not in r.stderr
+
     def test_module_entry_deterministic(self, tmp_path):
         argv = [sys.executable, "-m", "quadcert", "sweep",
                 "--function", "exp:1", "--interval", "0", "1",
