@@ -60,23 +60,26 @@ def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
         "A": big_a, "B": big_b, "gamma": gc, "upsilon": uc})
 
 
-def _certified_h(tf: TestFunction, rp: RuleParams, kind: ClassKind,
-                 what: str) -> HModulus:
+def certificate_class(name: str) -> ClassKind:
+    """h-concave for holder-concave, h-convex for every other bound."""
+    return ClassKind.H_CONCAVE if name == "holder-concave" \
+        else ClassKind.H_CONVEX
+
+
+def _certified_h(tf: TestFunction, rp: RuleParams, name: str) -> HModulus:
     """The certificate's modulus, once its class and exponent fit the rule."""
-    cert = tf.certificate
+    cert, kind = tf.certificate, certificate_class(name)
     if cert.class_kind is not kind:
         raise ClassMismatch(
-            f"{what} needs an {kind.value.replace('_', '-')} certificate")
+            f"{name} needs an {kind.value.replace('_', '-')} certificate")
     if abs(cert.exponent_q - rp.q) > 1e-12:
         raise ParamMismatch("rule q disagrees with the certificate exponent")
     return cert.h
 
 
 def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    h = _certified_h(tf, rp, ClassKind.H_CONVEX, "power-mean bound")
-    d_a = abs(tf.f_prime(tf.a))
-    d_b = abs(tf.f_prime(tf.b))
-    return rhs_power_mean(h, rp, tf.width, d_a, d_b)
+    h = _certified_h(tf, rp, "power-mean")
+    return rhs_power_mean(h, rp, tf.width, *tf.endpoint_derivatives)
 
 
 def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
@@ -102,11 +105,11 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
 
 
 def bound_holder_hconvex(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    h = _certified_h(tf, rp, ClassKind.H_CONVEX, "Hoelder bound")
+    h = _certified_h(tf, rp, "holder")
     node = (1.0 - rp.alpha) * tf.b + rp.alpha * tf.a
     return rhs_holder_hconvex(h, rp, tf.width,
                               abs(map_scalar(tf.f_prime, node)),
-                              abs(tf.f_prime(tf.a)), abs(tf.f_prime(tf.b)))
+                              *tf.endpoint_derivatives)
 
 
 def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
@@ -132,7 +135,7 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
 
 
 def bound_holder_hconcave(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    h = _certified_h(tf, rp, ClassKind.H_CONCAVE, "this route")
+    h = _certified_h(tf, rp, "holder-concave")
     alpha = rp.alpha
     m_left = ((1.0 - alpha) * tf.b + (1.0 + alpha) * tf.a) / 2.0
     m_right = ((2.0 - alpha) * tf.b + alpha * tf.a) / 2.0
@@ -278,8 +281,7 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
     if name not in PRIOR_BOUNDS:
         raise ParamMismatch(f"unknown bound {name!r}")
     width = tf.width
-    d_a = abs(tf.f_prime(tf.a))
-    d_b = abs(tf.f_prime(tf.b))
+    d_a, d_b = tf.endpoint_derivatives
     d_mid = abs(tf.f_prime(0.5 * (tf.a + tf.b)))
     if name == "general-convex":
         return rhs_general_convex(rp, width, d_a, d_b)

@@ -220,6 +220,16 @@ class TestFunction:
     def width(self) -> float:
         return self.b - self.a
 
+    @cached_property
+    def endpoint_derivatives(self) -> Tuple[float, float]:
+        """|f'(a)| and |f'(b)|; DomainError at an end where f' divides by 0."""
+        def at(end, x):
+            try:
+                return abs(self.f_prime(x))
+            except ZeroDivisionError:
+                raise DomainError(f"f' is undefined at the end {end}={x!r}")
+        return at("a", self.a), at("b", self.b)
+
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -235,8 +245,8 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     Draws (x, y, alpha) triples and reports the worst signed violation of
     g(alpha*x + (1-alpha)*y) <= h(alpha)*g(x) + h(1-alpha)*g(y) (inequality
     reversed for h-concave certificates).  A sampled certificate, not a
-    proof: it guards against user error only.  OverflowError when a sample
-    of g is not a finite float, since the inequality is then undecided.
+    proof: it guards against user error only.  A sample where f' is NaN
+    raises DomainError, one where g is not a finite float OverflowError.
 
     The draw and |f'| at its points depend on (f', a, b, n_samples, seed)
     only, so consecutive checks of one f' object with different q, h or
@@ -283,11 +293,13 @@ def _derivative_draw(f_prime, a, b, n_samples, seed):
     ys = rng.uniform(a, b, n_samples)
     # alpha in {0, 1} is outside the quantified range of the class definition.
     alphas = np.clip(rng.uniform(0.0, 1.0, n_samples), 1e-9, 1.0 - 1e-9)
-    # an f' that overflows is caught as a non-finite |f'|^q
-    with np.errstate(over="ignore"):
+    # an f' that overflows is caught as a non-finite |f'|^q, a NaN one here
+    with np.errstate(over="ignore", invalid="ignore"):
         draw = (xs, ys, alphas,
                 *(np.abs(_eval_maybe_vector(f_prime, v))
                   for v in (xs, ys, alphas * xs + (1.0 - alphas) * ys)))
+    if any(np.isnan(d).any() for d in draw[3:]):
+        raise DomainError("f' is NaN at a sampled point")
     for arr in draw:
         arr.flags.writeable = False
     return draw

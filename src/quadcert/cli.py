@@ -103,17 +103,13 @@ def parse_modulus(spec: str, s: Optional[float]) -> HModulus:
     return _FIXED_MODULI[spec]()
 
 
-def _job_tfs(args, blocks):
-    """Yield the TestFunction of each (q, s) in blocks, one per block.
-
-    The spec is parsed once.  The first block's TestFunction checks f'
-    against f; the later ones share its (f, f', a, b) and skip the check.
-    """
+def _job_tfs(args, blocks, kinds):
+    """Yield the TestFunction of each (q, s) in blocks and class in kinds.
+    The spec is parsed once; the first TestFunction checks f' against f,
+    the later ones share its (f, f', a, b) and skip the check."""
     f, fp = parse_function(args.function)
-    kind = ClassKind.H_CONCAVE if getattr(args, "concave", False) \
-        else ClassKind.H_CONVEX
     a, b = args.interval
-    for i, (q, s) in enumerate(blocks):
+    for i, ((q, s), kind) in enumerate(itertools.product(blocks, kinds)):
         cert = ClassCertificate(kind, parse_modulus(args.h, s), q)
         yield TestFunction(f, fp, a, b, cert, skip_derivative_check=i > 0)
 
@@ -141,12 +137,12 @@ def _axes(args, default_q: float):
     return np.array(alphas)[:, None], np.array(lams), qs
 
 
-def _iter_blocks(args, rejected_branch: str):
+def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
     """Yield each (q, s) block: per column one value or an array over it."""
     alphas, lams, qs = _axes(args, 1.0)
     blocks = list(itertools.product(qs, args.s))
     mean = None
-    for (q, s), tf in zip(blocks, _job_tfs(args, blocks)):
+    for (q, s), tf in zip(blocks, _job_tfs(args, blocks, [kind])):
         rep = certify_membership(tf, MEMBERSHIP_SAMPLES, seed=args.seed)
         if mean is None:  # of f on [a, b], which every block shares
             mean = oracle.mean_value(tf)
@@ -199,7 +195,8 @@ def _write_table(blocks, columns, fmt, out_path):
 def cmd_verify(args) -> int:
     columns = ["alpha", "lambda", "q", "s", "branch",
                "lhs", "rhs", "margin", "sound"]
-    blocks = list(_iter_blocks(args, "rejected"))
+    kind = ClassKind.H_CONCAVE if args.concave else ClassKind.H_CONVEX
+    blocks = list(_iter_blocks(args, kind, "rejected"))
     _write_table(blocks, columns, args.format, args.out)
     bad = next((b for b in blocks if not np.all(b["sound"])), None)
     if bad is not None:
@@ -210,7 +207,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    blocks = list(_iter_blocks(args, ""))
+    blocks = list(_iter_blocks(args, bnd.certificate_class(args.bound), ""))
     _write_table(blocks, SWEEP_COLUMNS, args.format, args.out)
     sound = all(np.all(block["sound"]) for block in blocks)
     return EXIT_OK if sound else EXIT_VIOLATION
@@ -224,16 +221,19 @@ def cmd_compare(args) -> int:
     blocks = []
     alphas, lams, qs = _axes(args, 2.0)
     grid = list(itertools.product(qs, args.s))
-    for (q, s), tf in zip(grid, _job_tfs(args, grid)):
+    classes = list(dict.fromkeys(map(bnd.certificate_class, kind_names)))
+    job = _job_tfs(args, grid, classes)
+    for q, s in grid:
+        tfs = {kind: next(job) for kind in classes}
 
         def evaluate(rp):
             # |f'|^q of an exp: spec, a numpy float, overflows to inf with a
             # warning where a poly: spec's raises OverflowError; a bound
             # that is not finite is that error too
             with np.errstate(over="ignore", invalid="ignore"):
-                values = [bnd.evaluate_bound(name, tf, rp,
-                                             sup_f4=args.sup_f4).value
-                          for name in kind_names]
+                values = [bnd.evaluate_bound(
+                    name, tfs[bnd.certificate_class(name)], rp,
+                    sup_f4=args.sup_f4).value for name in kind_names]
             for name, value in zip(kind_names, values):
                 if not np.isfinite(value).all():
                     raise OverflowError(f"the {name} bound is not finite")
@@ -291,7 +291,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
-    (tf,) = _job_tfs(args, [(1.0, args.s)])
+    (tf,) = _job_tfs(args, [(1.0, args.s)], [ClassKind.H_CONVEX])
     variant = oracle.HadamardVariant(args.variant)
     res = oracle.hadamard_check(tf, variant)
     print(f"left={_fmt(res.left)} middle={_fmt(res.middle)} "
@@ -319,8 +319,6 @@ def _add_grid_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--concave", action="store_true",
-                   help="declare an h-concave certificate")
 
 
 @functools.cache  # built once: every parse reuses it
@@ -339,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bound", default="power-mean",
                            choices=list(bnd.GENERAL_BOUNDS))
         p.set_defaults(func=fn)
+    sub.choices["verify"].add_argument("--concave", action="store_true",
+                                       help="declare an h-concave certificate")
     pc = sub.choices["compare"]
     pc.add_argument("--kinds", required=True,
                     help="comma list of: " + ",".join(

@@ -135,6 +135,40 @@ class TestPowerMeanRoute:
         with pytest.raises(ParamMismatch):
             bound_power_mean(_tf_square(q=2.0), RuleParams(0.5, 0.5, 1.0))
 
+    def test_certificate_class(self):
+        assert [bounds.certificate_class(name) for name in
+                [*GENERAL_BOUNDS, *bounds.PRIOR_BOUNDS]] == \
+            [ClassKind.H_CONVEX] * 2 + [ClassKind.H_CONCAVE] \
+            + [ClassKind.H_CONVEX] * 6
+
+    @pytest.mark.parametrize("name", GENERAL_BOUNDS)
+    def test_class_guard_names_the_bound(self, name):
+        kind = bounds.certificate_class(name)
+        other, = set(ClassKind) - {kind}
+        tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0,
+                          ClassCertificate(other, HModulus.identity(), 2.0))
+        with pytest.raises(ClassMismatch) as exc:
+            evaluate_bound(name, tf, RuleParams(0.5, 0.5, 2.0))
+        assert str(exc.value) == \
+            f"{name} needs an {kind.value.replace('_', '-')} certificate"
+
+    def test_endpoint_derivatives_read_once(self):
+        # every bound reads |f'(a)| and |f'(b)| from one evaluation each
+        seen = []
+
+        def fp(x):
+            seen.append(x)
+            return -2.0 * x
+        tf = TestFunction(lambda x: -x * x, fp, 0.5, 2.0,
+                          ClassCertificate(ClassKind.H_CONVEX,
+                                           HModulus.identity(), 2.0),
+                          skip_derivative_check=True)
+        rp = RuleParams(0.5, 0.0, 2.0)
+        for name in ("power-mean", "holder", "general-convex"):
+            evaluate_bound(name, tf, rp)
+        assert tf.endpoint_derivatives == (1.0, 4.0)
+        assert (seen.count(0.5), seen.count(2.0)) == (1, 1)
+
     def test_reciprocal_modulus_diverges(self):
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0,
                           ClassCertificate(ClassKind.H_CONVEX,
@@ -440,9 +474,8 @@ class TestGridEqualsPoints:
             alphas, lams = [0.1, 0.5, 0.77], [0.0]
         elif h == "custom":  # quadrature per point: keep the grid small
             alphas, lams = [0.0, 0.5, 0.77, 1.0], [0.0, 1.0 / 3.0, 1.0]
-        kind = ClassKind.H_CONCAVE if bound == "holder-concave" \
-            else ClassKind.H_CONVEX
-        cert = ClassCertificate(kind, GRID_MODULI[h], 2.0)
+        cert = ClassCertificate(bounds.certificate_class(bound),
+                                GRID_MODULI[h], 2.0)
         tf = TestFunction(lambda x: x ** 3 / 3.0 + x, lambda x: x * x + 1.0,
                           0.2, 1.7, cert, skip_derivative_check=True)
         grid = evaluate_bound(

@@ -501,6 +501,15 @@ class TestMembershipOverflow:
         with pytest.raises(OverflowError, match="not finite"):
             certify_membership(tf, n_samples=200)
 
+    def test_infinite_derivative_stays_an_overflow(self):
+        # |f'| itself overflows to inf: not finite, and not a NaN
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        tf = TestFunction(lambda x: np.exp(800.0 * x),
+                          lambda x: 800.0 * np.exp(800.0 * x), 0.0, 1.0,
+                          cert, skip_derivative_check=True)
+        with pytest.raises(OverflowError, match="not finite"):
+            certify_membership(tf, n_samples=200)
+
     @pytest.mark.parametrize("kind", list(ClassKind))
     def test_overflowing_h_times_g_decides(self, kind):
         # 2^1023 is a float, h(alpha) * 2^1023 is not once h exceeds 2
@@ -508,3 +517,13 @@ class TestMembershipOverflow:
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, cert)
         rep = certify_membership(tf, n_samples=2000)
         assert rep.holds is (kind is ClassKind.H_CONVEX)
+
+    def test_nan_sample_is_a_domain_error(self):
+        # x ** 0.5 of a negative array is NaN, and numpy gives no warning
+        # that pytest would turn into an error
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        tf = TestFunction(lambda x: x ** 1.5, lambda x: 1.5 * x ** 0.5,
+                          -2.0, -1.0, cert, skip_derivative_check=True)
+        with pytest.raises(DomainError,
+                           match="^f' is NaN at a sampled point$"):
+            certify_membership(tf, n_samples=200)

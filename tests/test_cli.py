@@ -173,8 +173,19 @@ class TestSweep:
     def test_violation_exit(self, capsys):
         code, out, _ = run_cli(capsys, [
             "sweep", "--function", "poly:0,0,1", "--interval", "-1", "1",
-            "--concave", "--bound", "holder-concave", "--q-grid", "2.0"])
+            "--bound", "holder-concave", "--q-grid", "2.0"])
         assert code == 1
+
+    @pytest.mark.parametrize("spec, interval, expected", [
+        ("poly:0,0,1", ["-1", "1"], 1),     # |f'|^2 = 4x^2 is convex
+        ("pow:1,1.4", ["0.1", "1.6"], 0),   # |f'|^2 = 1.96x^0.8 is concave
+    ], ids=["convex", "concave"])
+    def test_bound_names_the_class(self, capsys, spec, interval, expected):
+        # holder-concave certifies an h-concave |f'|^q; no flag declares it
+        code, _, err = run_cli(capsys, [
+            "sweep", "--function", spec, "--interval", *interval,
+            "--bound", "holder-concave", "--q-grid", "2"])
+        assert code == expected, err
 
 
 class TestCompare:
@@ -251,8 +262,7 @@ class TestCompare:
     KINDS = {
         "power-mean": ["--alpha-grid", "0.3", "--lambda-grid", "0.6"],
         "holder": ["--alpha-grid", "0.3", "--lambda-grid", "0.6"],
-        "holder-concave": ["--alpha-grid", "0.3", "--lambda-grid", "0.6",
-                           "--concave"],
+        "holder-concave": ["--alpha-grid", "0.3", "--lambda-grid", "0.6"],
         "general-convex": ["--alpha-grid", "0.3", "--lambda-grid", "0.6"],
         "midpoint-power-mean": ["--lambda-grid", "0"],
         "midpoint-holder": ["--lambda-grid", "0"],
@@ -275,6 +285,28 @@ class TestCompare:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         assert math.isfinite(float(rows[0][name]))
+
+
+    def test_mixed_classes(self, capsys):
+        # power-mean reads an h-convex certificate and holder-concave an
+        # h-concave one; each column is what its bound prints alone
+        common = ["--function", "pow:1,1.4", "--interval", "0.1", "1.6",
+                  *EDGE_GRID, "--q-grid", "2"]
+        code, out, err = run_cli(capsys, [
+            "compare", *common, "--kinds", "power-mean,holder-concave"])
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 15
+        code, out, err = run_cli(capsys, [
+            "verify", *common, "--concave", "--bound", "holder-concave"])
+        assert code == 0, err
+        assert [r["holder-concave"] for r in rows] == \
+            [r["rhs"] for r in csv.DictReader(io.StringIO(out))]
+        code, out, err = run_cli(capsys, [
+            "compare", *common, "--kinds", "power-mean"])
+        assert code == 0, err
+        assert [r["power-mean"] for r in rows] == \
+            [r["power-mean"] for r in csv.DictReader(io.StringIO(out))]
 
 
 class TestConfigErrors:
@@ -367,6 +399,27 @@ class TestConfigErrors:
                             r"at x=\S+: rounding can move the finite "
                             r"difference by up to \S+, and it misses f' by "
                             r"only \S+\n", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["sweep"], ["sweep", "--bound", "holder", "--q-grid", "2"],
+        ["compare", "--kinds", "general-convex"],
+        ["compare", "--kinds", "holder,midpoint-power-mean", "--lambda-grid",
+         "0"]], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_undefined_end_named(self, capsys, argv):
+        # the bounds read |f'(a)| and f' = 0.5x^-0.5 divides by zero at 0
+        code, out, err = run_cli(capsys, [
+            *argv, "--function", "pow:1,0.5", "--interval", "0", "1"])
+        assert (code, out, err) == (
+            2, "", "config error: f' is undefined at the end a=0.0\n")
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_nan_derivative_named(self, capsys, command):
+        # f' = 1.5x^0.5 is NaN on a numpy array of negative x; it was called
+        # an overflow, or a scalar retry ended in a TypeError
+        code, out, err = run_cli(capsys, [
+            command, "--function", "pow:1,1.5", "--interval", "-2", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "config error: f' is NaN at a sampled point\n"
 
     def test_compare_overflow_named(self, capsys):
         code, out, err = run_cli(capsys, self.COMPARE_OVERFLOW)
@@ -576,8 +629,13 @@ class TestUnknownFlags:
          "--bound", "holder"],
         ["verify", "--function", "poly:0,0,1", "--samples", "5"],
         ["sweep", "--function", "poly:0,0,1", "--samples", "5"],
+        # the bound names the certificate class
+        ["sweep", "--function", "poly:0,0,1", "--concave"],
+        ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
+         "--concave"],
     ], ids=["hadamard-concave", "verify-sup-f4", "compare-samples",
-            "compare-bound", "verify-samples", "sweep-samples"])
+            "compare-bound", "verify-samples", "sweep-samples",
+            "sweep-concave", "compare-concave"])
     def test_parser_rejects(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -683,6 +741,10 @@ class TestSubprocess:
         # would take about 40 s and fail in the oracle
         ["--function", "poly:0,0,0,1e300", "--interval", "-1", "1",
          "--q-grid", "2", "1"],
+        # f' divides by zero at the end a = 0
+        ["--function", "pow:1,0.5", "--interval", "0", "1"],
+        # f' is NaN at the sampled points
+        ["--function", "pow:1,1.5", "--interval", "-2", "-1"],
     ]
 
     @pytest.mark.parametrize("argv", ONE_LINE_ERRORS,

@@ -1,0 +1,123 @@
+"""Sharpness witnesses: at q = 1 the power-mean bound is attained.
+
+The rule's error is (1/w) int K f' over [a, b], w = b - a, with the kernel
+K(x) = x - a - lam*alpha*w left of the node c = alpha*a + (1-alpha)*b and
+x - b + lam*(1-alpha)*w right of it.  Writing x = (1-t)a + tb, the bound's
+proof uses two inequalities:
+
+- |int K f'| <= int |K| |f'|;
+- |f'(x)| <= h(t)|f'(b)| + h(1-t)|f'(a)|, the h-convexity of |f'| at q = 1.
+
+The witness f' = sgn(K) * (h(t) D_b + h(1-t) D_a) makes both equalities, so
+its exact error is the bound at |f'(a)| = D_a, |f'(b)| = D_b.  For h = t
+that envelope is |f'| itself, an affine function and so convex, with
+|f'(a)| = D_a and |f'(b)| = D_b.  For h = 1 the envelope is D_a + D_b inside
+the interval; |f'| set to D_a and D_b at the two ends themselves is a
+P-function, and changes no integral.
+
+The witness has corners where K changes sign (and, for h = 1, jumps at
+the ends), so it is not a differentiable f as the paper assumes; smoothed
+witnesses approach the same error from below.  It is evaluated here in
+exact rational arithmetic, from the rule and the mean of the witness f
+itself, sharing nothing with the closed-form moments.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from quadcert import HModulus, RuleParams
+from quadcert.bounds import rhs_general_convex, rhs_power_mean
+
+# the envelope h(t) D_b + h(1-t) D_a as (constant, slope) in t
+ENVELOPES = {
+    "t": lambda d_a, d_b: (d_a, d_b - d_a),
+    "1": lambda d_a, d_b: (d_a + d_b, Fraction(0)),
+}
+MODULI = {"t": HModulus.identity(), "1": HModulus.constant()}
+
+
+def witness_error(alpha, lam, a, b, d_a, d_b, h):
+    """|rule - mean| of the witness f, f(a) = 0, exactly."""
+    alpha, lam, a, b, d_a, d_b = map(Fraction, (alpha, lam, a, b, d_a, d_b))
+    w, u = b - a, 1 - alpha
+    c0, c1 = ENVELOPES[h](d_a, d_b)
+    # pieces of [0, 1] in t on which K keeps its sign: (end, kink of K)
+    ends = [(t, alpha * lam) for t in (alpha * lam, u) if 0 < t <= u]
+    ends += [(t, 1 - lam * u) for t in (1 - lam * u, Fraction(1))
+             if u < t <= 1]
+
+    def g(t):  # int_0^t of the envelope
+        return c0 * t + c1 * t * t / 2
+
+    def g2(t):  # int_0^t g
+        return c0 * t * t / 2 + c1 * t ** 3 / 6
+
+    values = {Fraction(0): Fraction(0)}  # F(t) = f(x(t)) at the piece ends
+    t0, f0, mean = Fraction(0), Fraction(0), Fraction(0)
+    for t1, kink in ends:
+        # on (t0, t1), F(t) = f0 + sign * w * (g(t) - g(t0))
+        sign = 1 if (t0 + t1) / 2 > kink else -1
+        mean += (t1 - t0) * (f0 - sign * w * g(t0)) \
+            + sign * w * (g2(t1) - g2(t0))
+        f0 += sign * w * (g(t1) - g(t0))
+        values[t1], t0 = f0, t1
+    rule = lam * (alpha * values[0] + u * values[1]) + (1 - lam) * values[u]
+    return abs(rule - mean)
+
+
+def _rows(seed, n):
+    """(alpha, lam, a, b, |f'(a)|, |f'(b)|): seeded, with the rule ends."""
+    rng = np.random.default_rng(seed)
+    rows = [(alpha, lam, -0.5, 1.5, 0.7, 2.0)
+            for alpha in (0.0, 0.5, 1.0) for lam in (0.0, 1.0 / 3.0, 1.0)]
+    for _ in range(n):
+        alpha, lam = rng.uniform(0.0, 1.0, 2)
+        a = rng.uniform(-2.0, 2.0)
+        b = a + rng.uniform(0.1, 3.0)
+        d_a, d_b = rng.uniform(0.0, 3.0, 2)
+        rows.append(tuple(map(float, (alpha, lam, a, b, d_a, d_b))))
+    return rows
+
+
+ROWS = _rows(20121, 1000)
+# largest |rhs / exact - 1| measured on ROWS: 2.28e-15 for power-mean with
+# h = t, 1.25e-15 with h = 1 and 2.12e-15 for general-convex, each at a row
+# where b - a rounds.  Any one of rhs_power_mean's four moments scaled by
+# 1 + 1e-12 fails both power-mean tests, and any one of rhs_general_convex's
+# eight mu and eta its test; its gamma and upsilon enter at q = 1 only as
+# the power 0, so no q = 1 test can see them
+REL_TOL = 3e-15
+
+
+def _worst(rhs, h):
+    worst = 0.0
+    for alpha, lam, a, b, d_a, d_b in ROWS:
+        exact = witness_error(alpha, lam, a, b, d_a, d_b, h)
+        value = rhs(RuleParams(alpha, lam, 1.0), b - a, d_a, d_b).value
+        worst = max(worst, abs(float(Fraction(value) / exact - 1)))
+    return worst
+
+
+@pytest.mark.parametrize("h", MODULI)
+def test_power_mean_attained(h):
+    worst = _worst(lambda rp, *args: rhs_power_mean(MODULI[h], rp, *args), h)
+    assert worst <= REL_TOL, worst
+
+
+def test_general_convex_attained():
+    # the prior convex bound is the power-mean route at h = t
+    assert _worst(rhs_general_convex, "t") <= REL_TOL
+
+
+@pytest.mark.parametrize("rule, h, ends", [
+    # midpoint rule, f' = 2x: f = x^2, then 1/2 - x^2 past x = 1/2, whose
+    # mean is 0 and value at 1/2 is 1/4
+    ((0.5, 0.0), "t", (0.0, 2.0)),
+    # trapezoid rule, f' = -1, then 1 past x = 1/2: f = -x, then x - 1,
+    # whose mean is -1/4 and end values are 0
+    ((0.5, 1.0), "1", (0.5, 0.5)),
+], ids=["midpoint", "trapezoid"])
+def test_witness_by_hand(rule, h, ends):
+    assert witness_error(*rule, 0.0, 1.0, *ends, h) == Fraction(1, 4)
