@@ -39,7 +39,8 @@ class HModulus:
 
     kind: HKind
     s_param: Optional[float] = None
-    fn: Optional[Callable[[float], float]] = None
+    # not hashed, so that a modulus is a key whatever its fn
+    fn: Optional[Callable[[float], float]] = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.kind is HKind.POWER:
@@ -249,22 +250,25 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     raises DomainError, one where g is not a finite float OverflowError.
 
     The draw and |f'| at its points depend on (f', a, b, n_samples, seed)
-    only, so consecutive checks of one f' object with different q, h or
-    class reuse them; each check computes its own |f'|^q, h and slack.
+    only, so consecutive checks of one f' object reuse them and, per
+    modulus, h on the draw; each check computes its own |f'|^q and slack.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     cert = tf.certificate
-    draw = (_derivative_draw if isinstance(tf.f_prime, Hashable)
-            else _derivative_draw.__wrapped__)
-    xs, ys, alphas, *abs_fp = draw(tf.f_prime, tf.a, tf.b, n_samples, seed)
-
-    h_on = cert.h.evaluator
-    if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
-        h_on = partial(map_scalar, h_on)
-    h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
+    hashable = isinstance(tf.f_prime, Hashable)
+    draw = _derivative_draw if hashable else _derivative_draw.__wrapped__
+    key = (tf.f_prime, tf.a, tf.b, n_samples, seed)
+    xs, ys, alphas, *abs_fp = draw(*key)
+    h_draws = _h_draws(*key) if hashable else {}
+    if cert.h not in h_draws:
+        h_on = cert.h.evaluator
+        if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
+            h_on = partial(map_scalar, h_on)
+        h_draws[cert.h] = h_on(alphas), h_on(1.0 - alphas)
+    h_a, h_1a = h_draws[cert.h]
     # with every g finite, an h*g that overflows to inf still gives the
     # sign its exact value would
     with np.errstate(over="ignore"):
@@ -303,6 +307,12 @@ def _derivative_draw(f_prime, a, b, n_samples, seed):
     for arr in draw:
         arr.flags.writeable = False
     return draw
+
+
+@lru_cache(maxsize=1)
+def _h_draws(f_prime, a, b, n_samples, seed):
+    """modulus -> (h(alphas), h(1 - alphas)) on that draw; checks fill it."""
+    return {}
 
 
 def _eval_maybe_vector(fn, v):

@@ -141,14 +141,18 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
     """Yield each (q, s) block: per column one value or an array over it."""
     alphas, lams, qs = _axes(args, 1.0)
     blocks = list(itertools.product(qs, args.s))
-    mean = None
+    mean = lhs = None  # no q or s moves either; lhs is |rule - mean|
     for (q, s), tf in zip(blocks, _job_tfs(args, blocks, [kind])):
         rep = certify_membership(tf, MEMBERSHIP_SAMPLES, seed=args.seed)
         if mean is None:  # of f on [a, b], which every block shares
             mean = oracle.mean_value(tf)
 
         def evaluate(rp):
-            lhs = abs(oracle.rule_value(tf, rp.alpha, rp.lam) - mean)
+            nonlocal lhs
+            # the job's first grid computes it for every block; a row of
+            # _on_grid's fallback, which ends the job, computes its own
+            if rp.alpha is not alphas or lhs is None:
+                lhs = abs(oracle.rule_value(tf, rp.alpha, rp.lam) - mean)
             res = bnd.evaluate_bound(args.bound, tf, rp)
             rhs, positive = res.value, res.value > 0.0
             # power-mean uses no conjugate exponent
@@ -172,13 +176,29 @@ def _rows(block, columns, fmt=lambda value: value):
                                  shape).ravel().tolist() for c in columns))
 
 
+def _csv_text(value):
+    """value's cells as _fmt prints them, in its shape; floats in one pass."""
+    if not isinstance(value, np.ndarray):
+        return np.array(_fmt(value), dtype=object)
+    if value.dtype.kind == "U":  # names
+        return value.astype(object)
+    if value.dtype.kind == "b":
+        return np.array(["false", "true"], dtype=object)[value.astype(int)]
+    cells = value.ravel().tolist()
+    return np.array(("\n".join(["%.17g"] * len(cells)) % tuple(cells))
+                    .split("\n"), dtype=object).reshape(value.shape)
+
+
 def _write_table(blocks, columns, fmt, out_path):
     """Write the rows of every block as CSV or as a JSON list of objects."""
-    cell = np.frompyfunc(_fmt if fmt == "csv" else _json_value, 1, 1)
-    if fmt == "csv":
-        text = "\n".join([",".join(columns)] + [
-            ",".join(row) for b in blocks for row in _rows(b, columns, cell)])
+    if fmt == "csv":  # each distinct object, such as an axis, formatted once
+        objs = {id(v): v for b in blocks for v in map(b.get, columns)}
+        texts = {key: _csv_text(value) for key, value in objs.items()}
+        rows = (",".join(row) for b in blocks
+                for row in _rows(b, columns, lambda v: texts[id(v)]))
+        text = "\n".join([",".join(columns), *rows])
     else:
+        cell = np.frompyfunc(_json_value, 1, 1)
         text = json.dumps([dict(zip(columns, row)) for b in blocks
                            for row in _rows(b, columns, cell)],
                           indent=2, sort_keys=True)

@@ -505,6 +505,85 @@ class TestGoldenOutput:
         assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
+def _reference_csv(blocks, columns):
+    """The CSV of blocks with _fmt applied cell by cell: an independent
+    restatement of the writer, which formats by column."""
+    lines = [",".join(columns)]
+    for block in blocks:
+        shape = np.broadcast_shapes(*map(np.shape, block.values()))
+        cells = [np.broadcast_to(np.asarray(block.get(c), dtype=object),
+                                 shape).ravel().tolist() for c in columns]
+        lines += [",".join(cli._fmt(x) for x in row) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    """The CSV writer prints what _fmt prints cell by cell."""
+
+    COLUMNS = ["alpha", "lambda", "q", "s", "p", "branch", "lhs", "rhs",
+               "sound", "note"]
+
+    def _blocks(self):
+        alphas = np.array([0.0, -0.0, 0.1, 1.0])[:, None]
+        lams = np.array([0.0, 1.0 / 3.0, 1.0])
+        lhs = np.array([[0.1, -0.0, np.inf], [np.nan, 1e-300, -np.inf],
+                        [2.0 / 3.0, 5e-324, 1.7976931348623157e308],
+                        [-1.5, 0.0, 3.0]])
+        rhs = lhs + 1.0
+        return [
+            {"alpha": alphas, "lambda": lams, "q": 2.5, "s": None,
+             "p": 2.5 / 1.5, "branch": np.where(lhs > 0.5, "mid_order",
+                                                "left_of_lower"),
+             "lhs": lhs, "rhs": rhs, "sound": lhs <= rhs, "note": "x"},
+            # a rejected block: no lhs, rhs or note, a Python False
+            {"alpha": alphas, "lambda": lams, "q": 1.0, "s": 0.5,
+             "branch": "rejected", "sound": False},
+            # the same lhs object again, as a job's blocks share it
+            {"alpha": alphas, "lambda": lams, "q": 3.0, "s": 0.5,
+             "p": 1.5, "branch": np.full(lhs.shape, "right_of_upper"),
+             "lhs": lhs, "rhs": rhs + 0.25, "sound": np.isfinite(lhs),
+             "note": True},
+        ]
+
+    def test_blocks(self, capsys):
+        blocks = self._blocks()
+        cli._write_table(blocks, self.COLUMNS, "csv", None)
+        out = capsys.readouterr().out
+        assert out == _reference_csv(blocks, self.COLUMNS)
+        # the cases are there: inf, -0, nan, empty cells, flags
+        assert {"inf", "-inf", "-0", "nan", "true", "false", ""} <= set(
+            out.replace("\n", ",").split(","))
+
+    @pytest.mark.parametrize("name", ["verify_ts.csv", "sweep_ts.csv",
+                                      "sweep_rejected.csv", "compare.csv",
+                                      "verify_holder_concave.csv"])
+    def test_jobs(self, capsys, monkeypatch, name):
+        """A job's blocks, such as two q and two s values, print what the
+        cell-by-cell reference prints, and each object is formatted once."""
+        written, formatted = [], []
+        write_table, csv_text = cli._write_table, cli._csv_text
+
+        def capture(blocks, columns, fmt, out_path):
+            written.append((blocks, columns))
+            return write_table(blocks, columns, fmt, out_path)
+
+        def counting_text(value):
+            formatted.append(value)
+            return csv_text(value)
+
+        monkeypatch.setattr(cli, "_write_table", capture)
+        monkeypatch.setattr(cli, "_csv_text", counting_text)
+        code, argv = GOLDEN[name]
+        got, out, _ = run_cli(capsys, argv)
+        assert got == code
+        ((blocks, columns),) = written
+        assert out == _reference_csv(blocks, columns)
+        ids = [id(value) for value in formatted]
+        assert len(ids) == len(set(ids))
+        if "lhs" in columns:  # a job's blocks share one lhs array
+            assert len({id(b["lhs"]) for b in blocks if "lhs" in b}) <= 1
+
+
 class TestOncePerJob:
     """A job parses f, checks f', draws the f' samples and takes the mean
     once, and each (q, s) block prints what it prints alone."""
@@ -559,6 +638,106 @@ class TestOncePerJob:
             assert code == 0 and out.splitlines()[0] == header
             single += out.splitlines()[1:]
         assert rows == single
+
+    # |f'| = sqrt(x) on [1, 2] is concave, so the q = 1 block is rejected;
+    # |f'|^2 is linear and |f'|^3 convex
+    FIRST_REJECTED = ["verify", "--function", "pow:0.6667,1.5", "--interval",
+                      "1", "2", *EDGE_GRID]
+
+    @pytest.mark.parametrize("argv, code", [
+        ([*FIRST_REJECTED, "--q-grid", "1", "2", "3"], 1),
+        (["sweep", "--function", "exp:0.7", "--interval", "0", "2",
+          "--h", "t^s", "--s", "0.4", "0.8", *EDGE_GRID], 0),
+    ], ids=["verify-3q-first-rejected", "sweep-2s"])
+    def test_rule_values_once(self, capsys, monkeypatch, argv, code):
+        """One rule_value call per job, on the whole grid: f is evaluated
+        at a, at b and at each rule node once."""
+        calls, nodes, inside = [], [], []
+        rule_value, parse = oracle.rule_value, cli.parse_function
+
+        def counting_rule(tf, alpha, lam):
+            calls.append(np.shape(alpha))
+            inside.append(True)
+            try:
+                return rule_value(tf, alpha, lam)
+            finally:
+                inside.pop()
+
+        def counting_parse(spec):
+            f, fp = parse(spec)
+
+            def counted_f(x):
+                if inside:
+                    nodes.append(x)
+                return f(x)
+            return counted_f, fp
+
+        monkeypatch.setattr(oracle, "rule_value", counting_rule)
+        monkeypatch.setattr(cli, "parse_function", counting_parse)
+        got, _, _ = run_cli(capsys, argv)
+        assert got == code
+        i = argv.index("--interval")
+        a, b = float(argv[i + 1]), float(argv[i + 2])
+        alphas = [float(x) for x in EDGE_GRID[1:6]]
+        assert calls == [(len(alphas), 1)]
+        assert nodes == [a, b, *(al * a + (1.0 - al) * b for al in alphas)]
+
+    def test_first_rejected_blocks_equal_single_runs(self, capsys):
+        argv = [*self.FIRST_REJECTED, "--q-grid", "1", "2", "3"]
+        code, out, _ = run_cli(capsys, argv)
+        header, *rows = out.splitlines()
+        assert code == 1 and len(rows) == 3 * 15
+        single = []
+        for q, want in [("1", 1), ("2", 0), ("3", 0)]:
+            code, out, _ = run_cli(capsys,
+                                   [*self.FIRST_REJECTED, "--q-grid", q])
+            assert code == want and out.splitlines()[0] == header
+            single += out.splitlines()[1:]
+        assert rows == single
+
+    @pytest.mark.parametrize("failing_q", [1.0, 2.0, 3.0])
+    def test_first_failing_row(self, capsys, monkeypatch, failing_q):
+        """A block whose bound fails on the grid reports the error of its
+        first failing row; the first block's grid call also computes the
+        rule values, a later block's reads them, and the point-by-point
+        fallback computes each row's own."""
+        calls = []
+        evaluate_bound, rule_value = bounds.evaluate_bound, oracle.rule_value
+
+        def failing_bound(name, tf, rp, **kw):
+            if rp.q == failing_q and np.any(rp.alpha >= 0.5):
+                raise errors.ConfigError(f"row {rp.alpha!r}, {rp.lam!r}")
+            return evaluate_bound(name, tf, rp, **kw)
+
+        def counting_rule(tf, alpha, lam):
+            calls.append(np.shape(alpha))
+            return rule_value(tf, alpha, lam)
+
+        monkeypatch.setattr(bounds, "evaluate_bound", failing_bound)
+        monkeypatch.setattr(oracle, "rule_value", counting_rule)
+        code, out, err = run_cli(capsys, [*VERIFY_SQUARE, *EDGE_GRID,
+                                          "--q-grid", "1", "2", "3"])
+        # rows run alpha by alpha; alpha = 0.5 is the third, lambda = 0 first
+        assert (code, out, err) == (2, "", "config error: row 0.5, 0.0\n")
+        assert calls == [(5, 1)] + [()] * 7
+
+    def test_h_on_draw_once_per_s(self, capsys, monkeypatch):
+        """h(alpha) and h(1 - alpha) on the membership draw are computed
+        once per value of s, not once per (q, s) block."""
+        sizes = []
+        power = classes.power
+
+        def counting_power(x, e):
+            sizes.append(np.size(x))
+            return power(x, e)
+
+        monkeypatch.setattr(classes, "power", counting_power)
+        code, _, _ = run_cli(capsys, [
+            "sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
+            "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"])
+        assert code == 0
+        # two values of s, each h(alpha) and h(1 - alpha)
+        assert sizes.count(cli.MEMBERSHIP_SAMPLES) == 2 * 2
 
 
 class TestFirstError:

@@ -1,4 +1,5 @@
-"""Sharpness witnesses: at q = 1 the power-mean bound is attained.
+"""Sharpness witnesses: at q = 1 the power-mean bound is attained, and
+at q > 1 with h = t it is sound where it is attained or nearly so.
 
 The rule's error is (1/w) int K f' over [a, b], w = b - a, with the kernel
 K(x) = x - a - lam*alpha*w left of the node c = alpha*a + (1-alpha)*b and
@@ -22,6 +23,7 @@ exact rational arithmetic, from the rule and the mean of the witness f
 itself, sharing nothing with the closed-form moments.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -41,21 +43,23 @@ MODULI = {"t": HModulus.identity(), "1": HModulus.constant()}
 def witness_error(alpha, lam, a, b, d_a, d_b, h):
     """|rule - mean| of the witness f, f(a) = 0, exactly."""
     alpha, lam, a, b, d_a, d_b = map(Fraction, (alpha, lam, a, b, d_a, d_b))
-    w, u = b - a, 1 - alpha
     c0, c1 = ENVELOPES[h](d_a, d_b)
+    return _rule_error(alpha, lam, b - a,
+                       lambda t: c0 * t + c1 * t * t / 2,   # int_0^t envelope
+                       lambda t: c0 * t * t / 2 + c1 * t ** 3 / 6)  # int g
+
+
+def _rule_error(alpha, lam, w, g, g2):
+    """|rule - mean| of the f with f(a) = 0 and f' = sgn(K) * g'(t), where
+    x = a + t*w and g2' = g; alpha, lam, w and the values of g and g2 are
+    numbers of one exact (or high-precision) type."""
+    one = type(alpha)(1)
+    u = one - alpha
     # pieces of [0, 1] in t on which K keeps its sign: (end, kink of K)
     ends = [(t, alpha * lam) for t in (alpha * lam, u) if 0 < t <= u]
-    ends += [(t, 1 - lam * u) for t in (1 - lam * u, Fraction(1))
-             if u < t <= 1]
-
-    def g(t):  # int_0^t of the envelope
-        return c0 * t + c1 * t * t / 2
-
-    def g2(t):  # int_0^t g
-        return c0 * t * t / 2 + c1 * t ** 3 / 6
-
-    values = {Fraction(0): Fraction(0)}  # F(t) = f(x(t)) at the piece ends
-    t0, f0, mean = Fraction(0), Fraction(0), Fraction(0)
+    ends += [(t, one - lam * u) for t in (one - lam * u, one) if u < t <= 1]
+    values = {0: 0 * one}  # F(t) = f(x(t)) at the piece ends
+    t0, f0, mean = 0 * one, 0 * one, 0 * one
     for t1, kink in ends:
         # on (t0, t1), F(t) = f0 + sign * w * (g(t) - g(t0))
         sign = 1 if (t0 + t1) / 2 > kink else -1
@@ -63,7 +67,7 @@ def witness_error(alpha, lam, a, b, d_a, d_b, h):
             + sign * w * (g2(t1) - g2(t0))
         f0 += sign * w * (g(t1) - g(t0))
         values[t1], t0 = f0, t1
-    rule = lam * (alpha * values[0] + u * values[1]) + (1 - lam) * values[u]
+    rule = lam * (alpha * values[0] + u * values[one]) + (1 - lam) * values[u]
     return abs(rule - mean)
 
 
@@ -121,3 +125,70 @@ def test_general_convex_attained():
 ], ids=["midpoint", "trapezoid"])
 def test_witness_by_hand(rule, h, ends):
     assert witness_error(*rule, 0.0, 1.0, *ends, h) == Fraction(1, 4)
+
+
+# q > 1, h = t.  The witness f' = sgn(K) * E^(1/q), with the envelope
+# E(t) = (1-t)|f'(a)|^q + t|f'(b)|^q, has a linear |f'|^q, so it is in the
+# class; the Hoelder step of the power-mean bound is an equality only where
+# |f'| is constant, so the bound is attained at |f'(a)| = |f'(b)| and
+# nearly so close to it.  These rows test soundness where it is in doubt.
+
+def witness_error_q(alpha, lam, a, b, d_a, d_b, q):
+    """|rule - mean| of the q > 1 witness, f(a) = 0, from the closed-form
+    antiderivatives of E^(1/q), in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        alpha, lam, a, b, d_a, d_b, q = map(
+            Decimal, (alpha, lam, a, b, d_a, d_b, q))
+        c0, c1, r = d_a ** q, d_b ** q - d_a ** q, 1 / q
+        if c1 == 0:  # E is the constant c0
+
+            def g(t):
+                return c0 ** r * t
+
+            def g2(t):
+                return c0 ** r * t * t / 2
+        else:
+
+            def g(t):
+                return (c0 + c1 * t) ** (r + 1) / ((r + 1) * c1)
+
+            def g2(t):
+                return (c0 + c1 * t) ** (r + 2) / ((r + 1) * (r + 2) * c1 ** 2)
+        return _rule_error(alpha, lam, b - a, g, g2)
+
+
+def _near_rows(seed, n):
+    """Seeded rows with |f'(b)| = |f'(a)| (every other one, and the rule
+    ends) or within 1% of it."""
+    rng = np.random.default_rng(seed)
+    rows = [(alpha, lam, -0.5, 1.5, 1.3, 1.3)
+            for alpha in (0.0, 0.5, 1.0) for lam in (0.0, 1.0 / 3.0, 1.0)]
+    for i in range(n):
+        alpha, lam = rng.uniform(0.0, 1.0, 2)
+        a = rng.uniform(-2.0, 2.0)
+        b = a + rng.uniform(0.1, 3.0)
+        d_a = rng.uniform(0.1, 3.0)
+        d_b = d_a * (1.0 + (i % 2) * rng.uniform(-0.01, 0.01))
+        rows.append(tuple(map(float, (alpha, lam, a, b, d_a, d_b))))
+    return rows
+
+
+NEAR_ROWS = _near_rows(20122, 200)
+# lhs / rhs - 1 measured on NEAR_ROWS: at most 8.8e-16 (q = 1.5, equal
+# ends), at least -6.5e-6 (q = 4); float rounding of rhs is the whole
+# excess.  Any one of rhs_power_mean's four moments, gamma or upsilon
+# scaled by 1 - 1e-12 fails the test at every q
+Q_TOL = 2e-15
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
+def test_power_mean_sound_at_boundary(q):
+    h = HModulus.identity()
+    excess = []
+    for alpha, lam, a, b, d_a, d_b in NEAR_ROWS:
+        lhs = witness_error_q(alpha, lam, a, b, d_a, d_b, q)
+        rhs = rhs_power_mean(h, RuleParams(alpha, lam, q), b - a, d_a, d_b)
+        excess.append(float(lhs / Decimal(rhs.value) - 1))
+    assert max(excess) <= Q_TOL
+    assert min(excess) >= -1e-5  # every row lies on or near the boundary
