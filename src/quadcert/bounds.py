@@ -282,7 +282,6 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
         raise ParamMismatch(f"unknown bound {name!r}")
     width = tf.width
     d_a, d_b = tf.endpoint_derivatives
-    d_mid = abs(tf.f_prime(0.5 * (tf.a + tf.b)))
     if name == "general-convex":
         return rhs_general_convex(rp, width, d_a, d_b)
     alpha, lam = _FIXED_PARAMS[name]
@@ -300,6 +299,7 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
         return rhs_midpoint_power_mean(s, rp.q, width, d_a, d_b)
     if name == "midpoint-holder":
         return rhs_midpoint_holder(s, rp.require_p(), rp.q, width, d_a, d_b)
+    d_mid = abs(tf.f_prime(0.5 * (tf.a + tf.b)))
     if name == "simpson-holder":
         return rhs_simpson_holder(s, rp.require_p(), rp.q,
                                   width, d_mid, d_a, d_b)

@@ -258,11 +258,10 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     if seed < 0:
         raise DomainError("seed must be >= 0")
     cert = tf.certificate
-    hashable = isinstance(tf.f_prime, Hashable)
-    draw = _derivative_draw if hashable else _derivative_draw.__wrapped__
-    key = (tf.f_prime, tf.a, tf.b, n_samples, seed)
-    xs, ys, alphas, *abs_fp = draw(*key)
-    h_draws = _h_draws(*key) if hashable else {}
+    draw = _derivative_draw if isinstance(tf.f_prime, Hashable) \
+        else _derivative_draw.__wrapped__
+    xs, ys, alphas, *abs_fp, h_draws = draw(tf.f_prime, tf.a, tf.b,
+                                            n_samples, seed)
     if cert.h not in h_draws:
         h_on = cert.h.evaluator
         if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
@@ -291,7 +290,8 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
 @lru_cache(maxsize=1)
 def _derivative_draw(f_prime, a, b, n_samples, seed):
     """The (x, y, alpha) samples and |f'| at x, y and alpha*x + (1-alpha)*y,
-    as read-only arrays: xs, ys, alphas, |f'(xs)|, |f'(ys)|, |f'(mids)|."""
+    as read-only arrays: xs, ys, alphas, |f'(xs)|, |f'(ys)|, |f'(mids)|;
+    then the dict modulus -> (h(alphas), h(1 - alphas)) that checks fill."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(a, b, n_samples)
     ys = rng.uniform(a, b, n_samples)
@@ -306,13 +306,7 @@ def _derivative_draw(f_prime, a, b, n_samples, seed):
         raise DomainError("f' is NaN at a sampled point")
     for arr in draw:
         arr.flags.writeable = False
-    return draw
-
-
-@lru_cache(maxsize=1)
-def _h_draws(f_prime, a, b, n_samples, seed):
-    """modulus -> (h(alphas), h(1 - alphas)) on that draw; checks fill it."""
-    return {}
+    return (*draw, {})
 
 
 def _eval_maybe_vector(fn, v):

@@ -138,35 +138,37 @@ def _axes(args, default_q: float):
 
 
 def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
-    """Yield each (q, s) block: per column one value or an array over it."""
+    """Yield each (q, s) block: per column one value or an array over it.
+    A rejected block evaluates its bound too, so a configuration error
+    shows; the first certified block takes the mean and lhs for the job."""
     alphas, lams, qs = _axes(args, 1.0)
     blocks = list(itertools.product(qs, args.s))
-    mean = lhs = None  # no q or s moves either; lhs is |rule - mean|
+    lhs = None  # |rule - mean|, which no q or s moves
     for (q, s), tf in zip(blocks, _job_tfs(args, blocks, [kind])):
         rep = certify_membership(tf, MEMBERSHIP_SAMPLES, seed=args.seed)
-        if mean is None:  # of f on [a, b], which every block shares
-            mean = oracle.mean_value(tf)
 
         def evaluate(rp):
-            nonlocal lhs
-            # the job's first grid computes it for every block; a row of
-            # _on_grid's fallback, which ends the job, computes its own
-            if rp.alpha is not alphas or lhs is None:
-                lhs = abs(oracle.rule_value(tf, rp.alpha, rp.lam) - mean)
             res = bnd.evaluate_bound(args.bound, tf, rp)
-            rhs, positive = res.value, res.value > 0.0
             # power-mean uses no conjugate exponent
             return {"p": None if args.bound == "power-mean" else rp.p,
-                    "branch": res.branch, "lhs": lhs,
-                    "rhs": rhs, "margin": rhs - lhs,
-                    "ratio": np.where(positive,
-                                      lhs / np.where(positive, rhs, 1.0),
-                                      np.where(lhs == 0.0, 0.0, np.inf)),
-                    "sound": bnd.is_sound(lhs, rhs)}
+                    "branch": res.branch, "rhs": res.value}
+        block = _on_grid(evaluate, q, alphas, lams)
+        if not rep.holds:
+            block = {"branch": rejected_branch, "sound": False}
+        else:
+            if lhs is None:
+                mean = oracle.mean_value(tf)
+                lhs = _on_grid(lambda rp: abs(oracle.rule_value(
+                    tf, rp.alpha, rp.lam) - mean), q, alphas, lams)
+            rhs = block["rhs"]
+            positive = rhs > 0.0
+            block.update(lhs=lhs, margin=rhs - lhs,
+                         ratio=np.where(positive,
+                                        lhs / np.where(positive, rhs, 1.0),
+                                        np.where(lhs == 0.0, 0.0, np.inf)),
+                         sound=bnd.is_sound(lhs, rhs))
         yield {"alpha": alphas, "lambda": lams, "q": q, "s": s,
-               "bound_kind": args.bound,
-               **(_on_grid(evaluate, q, alphas, lams) if rep.holds else
-                  {"branch": rejected_branch, "sound": False})}
+               "bound_kind": args.bound, **block}
 
 
 def _rows(block, columns, fmt=lambda value: value):

@@ -368,6 +368,25 @@ class TestPriorBounds:
         with pytest.raises(ParamMismatch, match="unknown bound"):
             evaluate_bound("bogus", tf, RuleParams(0.5, 0.5, 2.0))
 
+    @pytest.mark.parametrize("name", bounds.PRIOR_BOUNDS)
+    def test_f_prime_read_where_used(self, name):
+        """Every prior reads |f'(a)| and |f'(b)| from tf.endpoint_derivatives;
+        only simpson-holder and trapezoid-holder also read |f'((a + b)/2)|."""
+        calls = []
+
+        def fp(x):
+            calls.append(x)
+            return 2.0 * x
+
+        tf = TestFunction(lambda x: x * x, fp, 0.2, 1.0, ClassCertificate(
+            ClassKind.H_CONVEX, HModulus.power(0.5), 2.0),
+            skip_derivative_check=True)
+        assert tf.endpoint_derivatives == (0.4, 2.0)
+        alpha, lam = bounds._FIXED_PARAMS.get(name, (0.3, 0.6))
+        evaluate_bound(name, tf, RuleParams(alpha, lam, 2.0), sup_f4=24.0)
+        mid = [0.6] if name in ("simpson-holder", "trapezoid-holder") else []
+        assert calls == [0.2, 1.0, *mid]
+
     @pytest.mark.parametrize("sup_f4", [-1.0, math.nan, math.inf])
     def test_classical_simpson_needs_finite_nonnegative_sup(self, sup_f4):
         with pytest.raises(DomainError, match="finite and nonnegative"):

@@ -432,7 +432,10 @@ class TestDerivativeDrawMemo:
                 == _loop_membership(tf, 200, 1)
 
     def test_draw_is_read_only(self):
-        for arr in _derivative_draw(self.FP, 0.0, 1.5, 50, 0):
+        # the six arrays; the last item is the modulus -> h on the draw dict
+        *arrays, h_draws = _derivative_draw(self.FP, 0.0, 1.5, 50, 0)
+        assert len(arrays) == 6 and isinstance(h_draws, dict)
+        for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0

@@ -698,9 +698,9 @@ class TestOncePerJob:
     @pytest.mark.parametrize("failing_q", [1.0, 2.0, 3.0])
     def test_first_failing_row(self, capsys, monkeypatch, failing_q):
         """A block whose bound fails on the grid reports the error of its
-        first failing row; the first block's grid call also computes the
-        rule values, a later block's reads them, and the point-by-point
-        fallback computes each row's own."""
+        first failing row.  The bound comes before the rule values, so the
+        rule values are computed once on the grid by the first block whose
+        bound holds, and never point by point."""
         calls = []
         evaluate_bound, rule_value = bounds.evaluate_bound, oracle.rule_value
 
@@ -719,7 +719,7 @@ class TestOncePerJob:
                                           "--q-grid", "1", "2", "3"])
         # rows run alpha by alpha; alpha = 0.5 is the third, lambda = 0 first
         assert (code, out, err) == (2, "", "config error: row 0.5, 0.0\n")
-        assert calls == [(5, 1)] + [()] * 7
+        assert calls == ([(5, 1)] if failing_q > 1.0 else [])
 
     def test_h_on_draw_once_per_s(self, capsys, monkeypatch):
         """h(alpha) and h(1 - alpha) on the membership draw are computed
@@ -743,6 +743,10 @@ class TestOncePerJob:
 class TestFirstError:
     """A grid that fails reports the error of its first failing row."""
 
+    # |f'|^q of x - x^3 on [-1, 1] is not convex: every block is rejected
+    REJECTED = ["verify", "--function", "poly:0,1,0,-1", "--interval", "-1",
+                "1"]
+
     CASES = [
         # (0, 0) has the divergent reflected-left moment; (0.5, 0.3) the
         # left one, which a whole-grid check of that moment would meet first
@@ -764,6 +768,16 @@ class TestFirstError:
         (["verify", "--function", "poly:0,0,1", "--alpha-grid", "0.5", "2",
           "--lambda-grid", "0.3", "-1"],
          "lambda must lie in [0, 1]"),
+        # a rejected certificate does not hide a configuration error: the
+        # bound is evaluated before the block's certificate is read
+        ([*REJECTED, "--alpha-grid", "2", "-0.5", "--lambda-grid", "3"],
+         "alpha must lie in [0, 1]"),
+        ([*REJECTED, "--bound", "holder"],
+         "the conjugate exponent p needs q > 1"),
+        ([*REJECTED, "--h", "1/t", "--bound", "holder", "--q-grid", "2"],
+         "modulus is not integrable on (0, 1)"),
+        (["sweep", *REJECTED[1:], "--alpha-grid", "2", "--q-grid", "1", "2"],
+         "alpha must lie in [0, 1]"),
     ]
 
     @pytest.mark.parametrize("argv, message", CASES,
@@ -771,6 +785,18 @@ class TestFirstError:
     def test_exit_and_message(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_all_rejected_takes_no_mean(self, capsys, monkeypatch, command):
+        def unexpected(*args):
+            raise AssertionError("an all-rejected job needs no mean or rule")
+
+        monkeypatch.setattr(oracle, "mean_value", unexpected)
+        monkeypatch.setattr(oracle, "rule_value", unexpected)
+        code, out, err = run_cli(capsys, [command, *self.REJECTED[1:],
+                                          *EDGE_GRID, "--q-grid", "1", "2"])
+        assert code == 1 and "config error" not in err
+        assert len(out.splitlines()) == 1 + 2 * 15
 
     def test_first_rejected_row(self, capsys):
         code, _, err = run_cli(capsys, GOLDEN["verify_rejected.csv"][1])

@@ -218,6 +218,36 @@ class TestFailureMessages:
         assert msg.endswith(" on [0.0, 0.125]")
 
 
+# what a failing integral may raise: ZeroDivisionError, NonFiniteSample,
+# EvaluationError, ToleranceNotReached
+LOUD = (ArithmeticError, ValueError, RuntimeError)
+
+
+class TestNoSilentMiss:
+    """An integrable singularity at an end away from 0 must not give a wrong
+    value silently.  No float node reaches the part of 1/sqrt(1 - t) inside
+    the last ulp below 1, 2 sqrt(2^-53) = 2.1e-8 of its integral 2: an
+    integrand that counts 0 at t = 1.0, as skipping nodes that round onto
+    the end would make it, gives 1.999999978238728 with an estimate of
+    9.99e-13.  So each integral either raises or is right within its
+    estimate."""
+
+    def test_integrate_adaptive(self):
+        try:
+            res = integrate_adaptive(lambda t: 1.0 / math.sqrt(1.0 - t),
+                                     0.0, 1.0, 1e-12)
+        except LOUD:
+            return
+        assert abs(res.value - 2.0) <= res.abs_error_estimate
+
+    def test_h_integral_01(self):
+        try:
+            value = h_integral_01(HModulus.custom(lambda t: (1.0 - t) ** -0.5))
+        except LOUD:
+            return
+        assert abs(value - 2.0) <= 1e-12
+
+
 class TestRuleAndError:
     def test_simpson_exact_on_quadratic(self):
         tf = _convex_tf(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0)

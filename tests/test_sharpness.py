@@ -19,18 +19,22 @@ P-function, and changes no integral.
 The witness has corners where K changes sign (and, for h = 1, jumps at
 the ends), so it is not a differentiable f as the paper assumes; smoothed
 witnesses approach the same error from below.  It is evaluated here in
-exact rational arithmetic, from the rule and the mean of the witness f
-itself, sharing nothing with the closed-form moments.
+exact rational arithmetic (for h = t^s, in 60-digit decimal), from the rule
+and the mean of the witness f itself, sharing nothing with the closed-form
+moments.
 """
 
+import functools
+import itertools
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadcert import HModulus, RuleParams
+from quadcert import HModulus, RuleParams, bounds
 from quadcert.bounds import rhs_general_convex, rhs_power_mean
+from quadcert.moments import Side
 
 # the envelope h(t) D_b + h(1-t) D_a as (constant, slope) in t
 ENVELOPES = {
@@ -113,6 +117,67 @@ def test_power_mean_attained(h):
 def test_general_convex_attained():
     # the prior convex bound is the power-mean route at h = t
     assert _worst(rhs_general_convex, "t") <= REL_TOL
+
+
+# h = t^s, q = 1: the envelope D_b t^s + D_a (1-t)^s is not polynomial, so
+# its error comes from closed-form antiderivatives in 60-digit decimal
+# arithmetic, on a seeded subset of ROWS (all 1,009 rows take about 6 s
+# per s).  Largest |rhs / exact - 1| measured on TS_ROWS: 2.79e-15 at
+# s = 0.3 and 2.39e-15 at s = 0.7 (on all of ROWS: 2.79e-15 and 2.62e-15).
+
+def witness_error_ts(alpha, lam, a, b, d_a, d_b, s):
+    """|rule - mean| of the q = 1 witness for h = t^s, f(a) = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        alpha, lam, a, b, d_a, d_b, s = map(
+            Decimal, (alpha, lam, a, b, d_a, d_b, s))
+        s1, s2 = s + 1, s + 2
+
+        def g(t):  # int_0^t of the envelope
+            return (d_b * t ** s1 + d_a * (1 - (1 - t) ** s1)) / s1
+
+        def g2(t):  # int_0^t g
+            return (d_b * t ** s2 / s2
+                    + d_a * (t - (1 - (1 - t) ** s2) / s2)) / s1
+        return _rule_error(alpha, lam, b - a, g, g2)
+
+
+TS_ROWS = ROWS[:9] + [ROWS[i] for i in sorted(np.random.default_rng(
+    20123).choice(np.arange(9, len(ROWS)), 150, replace=False))]
+
+
+@functools.cache
+def _exact_ts(s):
+    return [witness_error_ts(*row, s) for row in TS_ROWS]
+
+
+def _worst_ts(s):
+    h, worst = HModulus.power(s), 0.0
+    for (alpha, lam, a, b, d_a, d_b), exact in zip(TS_ROWS, _exact_ts(s)):
+        value = rhs_power_mean(h, RuleParams(alpha, lam, 1.0), b - a,
+                               d_a, d_b).value
+        worst = max(worst, abs(float(Decimal(value) / exact - 1)))
+    return worst
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_power_mean_attained_ts(s):
+    assert _worst_ts(s) <= REL_TOL
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+@pytest.mark.parametrize("side, mirrored",
+                         itertools.product(Side, (False, True)))
+def test_ts_scaled_moment_fails(monkeypatch, s, side, mirrored):
+    # a mutation check: one t^s moment 1 + 1e-12 too large is seen
+    moment = bounds.weighted_moment
+
+    def scaled(h, rp, at, reflected):
+        m = moment(h, rp, at, reflected=reflected)
+        return m * (1.0 + 1e-12) if (at, reflected) == (side, mirrored) else m
+
+    monkeypatch.setattr(bounds, "weighted_moment", scaled)
+    assert _worst_ts(s) > REL_TOL
 
 
 @pytest.mark.parametrize("rule, h, ends", [
