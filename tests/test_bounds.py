@@ -477,16 +477,26 @@ GRID_MODULI = {
 }
 
 
+# the (bound, modulus) pairs of the grid test; no finite h-integral for 1/t
+GRID_CASES = [(bound, h) for bound in GENERAL_BOUNDS for h in GRID_MODULI
+              if not (bound == "holder" and h == "1/t")] \
+    + [("general-convex", "t")]
+
+
 class TestGridEqualsPoints:
-    """One call on an (alpha, lambda) grid gives the bits of point calls."""
+    """One call on an (alpha, lambda) grid gives the bits of point calls.
 
-    CASES = [(bound, h) for bound in GENERAL_BOUNDS for h in GRID_MODULI
-             # no finite h-integral for 1/t
-             if not (bound == "holder" and h == "1/t")] \
-        + [("general-convex", "t")]
+    At q = 1, 1.5 and 3.7 the exponents 1/q and 1 - 1/q differ; at q = 2
+    both are 0.5, and those cases keep the ids they had as the only ones.
+    """
 
-    @pytest.mark.parametrize("bound, h", CASES)
-    def test_value_branch_components(self, bound, h):
+    PARAMS = [pytest.param(bound, h, q, id=f"{bound}-{h}" if q == 2.0
+                           else f"{bound}-{h}-q{q}")
+              for q in (1.0, 1.5, 2.0, 3.7) for bound, h in GRID_CASES
+              if q > 1.0 or "holder" not in bound]  # Hoelder needs q > 1
+
+    @pytest.mark.parametrize("bound, h, q", PARAMS)
+    def test_value_branch_components(self, bound, h, q):
         alphas, lams = GRID_ALPHAS, GRID_LAMS
         if h == "1/t" and bound == "power-mean":
             # the 1/t moments converge only at lambda = 0, 0 < alpha < 1
@@ -494,13 +504,13 @@ class TestGridEqualsPoints:
         elif h == "custom":  # quadrature per point: keep the grid small
             alphas, lams = [0.0, 0.5, 0.77, 1.0], [0.0, 1.0 / 3.0, 1.0]
         cert = ClassCertificate(bounds.certificate_class(bound),
-                                GRID_MODULI[h], 2.0)
+                                GRID_MODULI[h], q)
         tf = TestFunction(lambda x: x ** 3 / 3.0 + x, lambda x: x * x + 1.0,
                           0.2, 1.7, cert, skip_derivative_check=True)
         grid = evaluate_bound(
             bound, tf, RuleParams(np.array(alphas)[:, None],
-                                  np.array(lams), 2.0))
-        points = [evaluate_bound(bound, tf, RuleParams(al, lm, 2.0))
+                                  np.array(lams), q))
+        points = [evaluate_bound(bound, tf, RuleParams(al, lm, q))
                   for al in alphas for lm in lams]
         shape = (len(alphas), len(lams))
         assert all(type(p.value) is float for p in points)

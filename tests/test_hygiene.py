@@ -5,10 +5,17 @@ an __init__.py are its re-exports, so they count as used.  A module-level
 function, class or constant under src/ is unused when no file under src/,
 tests/ or bench/ names it (reads it, takes it as an attribute or imports
 it); dunder names are exempt.
+
+No module of the package but arrays.py names numpy's power ufuncs: numpy
+may run np.power as SIMD code that moves the last ulp of ``**`` on some
+machines and not on others, so a bound that called it could pass the
+goldens on one machine and fail them on another.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 ROOTS = ("src", "tests", "bench")
@@ -68,9 +75,47 @@ def _unused_definitions(trees):
     return unused
 
 
+def _numpy_powers(trees):
+    """Each np.power, numpy.power or float_power under src/quadcert but in
+    arrays.py, the one module that takes powers of arrays."""
+    found = []
+    for path, tree in trees.items():
+        if path.parts[:2] != ("src", "quadcert") or path.name == "arrays.py":
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                hit = n.attr == "float_power" or (
+                    n.attr == "power" and isinstance(n.value, ast.Name)
+                    and n.value.id in ("np", "numpy"))
+            elif isinstance(n, ast.ImportFrom):
+                hit = n.module == "numpy" and any(
+                    a.name in ("power", "float_power") for a in n.names)
+            else:
+                hit = isinstance(n, ast.Name) and n.id == "float_power"
+            if hit:
+                found.append(f"{path}:{n.lineno}")
+    return found
+
+
 def test_no_unused_imports():
     assert _unused_imports(_trees()) == []
 
 
 def test_no_unused_definitions():
     assert _unused_definitions(_trees()) == []
+
+
+def test_no_numpy_power_outside_arrays():
+    assert _numpy_powers(_trees()) == []
+
+
+@pytest.mark.parametrize("source", ["y = np.power(x, 0.5)",
+                                    "y = numpy.float_power(x, 0.5)",
+                                    "from numpy import power"])
+def test_numpy_power_scan_sees(source):
+    tree = ast.parse(source)
+    assert _numpy_powers({Path("src/quadcert/bounds.py"): tree}) \
+        == ["src/quadcert/bounds.py:1"]
+    assert _numpy_powers({Path("src/quadcert/arrays.py"): tree}) == []
+    assert _numpy_powers({Path("src/quadcert/bounds.py"):
+                          ast.parse("h = HModulus.power(0.5)")}) == []
