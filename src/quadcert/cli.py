@@ -217,6 +217,9 @@ def _write_table(blocks, columns, fmt, out_path):
 def cmd_verify(args) -> int:
     columns = ["alpha", "lambda", "q", "s", "branch",
                "lhs", "rhs", "margin", "sound"]
+    if args.concave and args.bound != "holder-concave":
+        raise ConfigError(f"--concave declares an h-concave certificate, "
+                          f"and {args.bound} needs an h-convex one")
     kind = ClassKind.H_CONCAVE if args.concave else ClassKind.H_CONVEX
     blocks = list(_iter_blocks(args, kind, "rejected"))
     _write_table(blocks, columns, args.format, args.out)
@@ -359,8 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bound", default="power-mean",
                            choices=list(bnd.GENERAL_BOUNDS))
         p.set_defaults(func=fn)
-    sub.choices["verify"].add_argument("--concave", action="store_true",
-                                       help="declare an h-concave certificate")
+    sub.choices["verify"].add_argument(
+        "--concave", action="store_true",
+        help="declare an h-concave certificate, which --bound "
+             "holder-concave needs and no other bound takes")
     pc = sub.choices["compare"]
     pc.add_argument("--kinds", required=True,
                     help="comma list of: " + ",".join(

@@ -7,7 +7,9 @@ on the left and at 1 - lambda*(1-alpha) on the right.  Moments of custom
 and 1/t moduli are integrated instead, split at the kink, by the tanh-sinh
 rule of :mod:`quadcert.tanhsinh`, which hands a piece it does not settle to
 the oracle's adaptive integrator.  alpha and lambda are floats, or arrays
-that broadcast to a grid of rules; branches are chosen per point.
+that broadcast to a grid of rules; branches are chosen per point.  Each
+RuleParams keeps one :class:`RuleTable`, so the bounds evaluated on it share
+the kinks, the branch masks and every closed-form moment.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -29,8 +32,10 @@ from .errors import DomainError, NotIntegrable
 class RuleParams:
     """Quadrature-rule parameters (alpha, lambda) with exponent q.
 
-    alpha and lam may be arrays: a grid of rules sharing q.  The conjugate p
-    (1/p + 1/q = 1) is derived from q; only the Hoelder paths use it.
+    alpha and lam may be arrays: a grid of rules sharing q.  An array is
+    kept as a read-only copy, so no later write to the caller's array can
+    make :attr:`table` stale.  The conjugate p (1/p + 1/q = 1) is derived
+    from q; only the Hoelder paths use it.
     """
 
     alpha: Any
@@ -38,6 +43,12 @@ class RuleParams:
     q: float
 
     def __post_init__(self):
+        for name in ("alpha", "lam"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
         if not every((0.0 <= self.alpha) & (self.alpha <= 1.0)):
             raise DomainError("alpha must lie in [0, 1]")
         if not every((0.0 <= self.lam) & (self.lam <= 1.0)):
@@ -56,21 +67,61 @@ class RuleParams:
             raise DomainError("the conjugate exponent p needs q > 1")
         return p
 
+    @cached_property
+    def table(self) -> RuleTable:
+        """The rule's geometry and moments, built on first use."""
+        return RuleTable(self.alpha, self.lam)
 
-def kinks_inside(rp: RuleParams) -> Tuple[bool, bool]:
-    """Per-side branch rule: (left, right) kink inside its own subinterval.
 
-    left is alpha*lam <= 1-alpha (the left kink lies in [0, 1-alpha]);
-    right is 1-alpha <= 1-lam*(1-alpha) (the right kink lies in
-    [1-alpha, 1]).  Each side's moments depend only on its own comparison.
-    A tie counts as inside; at a tie the two formulas of that side agree.
+class Side(Enum):
+    LEFT = "left"    # integral over [0, 1-alpha], kink at alpha*lam
+    RIGHT = "right"  # integral over [1-alpha, 1], kink at 1-lam*(1-alpha)
+
+
+class RuleTable:
+    """What the bounds share about one rule or grid of rules.
+
+    The geometry is computed on construction: u = 1-alpha, the left kink
+    w = alpha*lam, lu = lam*(1-alpha), the right kink hi = 1-lu, and per
+    side (index 0 left, 1 right) the kink-inside and empty masks.  The
+    branch names, the active gamma/upsilon and epsilons and the four t^s
+    moments of each s are filled in on first use by :func:`branch_select`,
+    :func:`active_gamma_upsilon`, :func:`active_epsilons` and
+    :func:`weighted_moment`, so the bounds evaluated on one RuleParams
+    compute each once.  Moments integrated numerically are not kept.
     """
-    u = 1.0 - rp.alpha
-    return rp.alpha * rp.lam <= u, u <= 1.0 - rp.lam * u
+
+    __slots__ = ("alpha", "u", "w", "lu", "hi", "inside", "empty", "branch",
+                 "gamma_upsilon", "epsilons", "power_moments")
+
+    def __init__(self, alpha, lam):
+        self.alpha = alpha
+        self.u = u = 1.0 - alpha
+        self.w = w = alpha * lam
+        self.lu = lu = lam * u
+        self.hi = hi = 1.0 - lu
+        # the one branch rule: a side takes its kink-inside forms where the
+        # left kink lies in [0, 1-alpha] (alpha*lam <= 1-alpha), or the right
+        # one in [1-alpha, 1] (1-alpha <= 1-lam*(1-alpha)); a tie counts as
+        # inside, and there the two forms of that side agree
+        self.inside = (w <= u, u <= hi)
+        # [0, 1-alpha] or [1-alpha, 1] has zero length once 1-alpha is rounded
+        self.empty = (u == 0.0, u == 1.0)
+        self.branch = self.gamma_upsilon = self.epsilons = None
+        # s -> {(right side, reflected): active moment}
+        self.power_moments = {}
+
+    def active(self, i: int, inside, outside):
+        """Side i's moment from its (kink inside, kink outside) forms.
+
+        0 on an empty side; clamped.
+        """
+        chosen = select(self.inside[i], inside, outside)
+        return _clamp_moment(select(self.empty[i], 0.0, chosen))
 
 
 def branch_select(rp: RuleParams):
-    """Name the pair of per-side comparisons of :func:`kinks_inside`.
+    """Name the pair of per-side comparisons of the table's ``inside``.
 
     The name orders 1-alpha against [alpha*lam, 1 - lam*(1-alpha)]; on a
     grid, a numpy string array of names:
@@ -78,9 +129,12 @@ def branch_select(rp: RuleParams):
       "left_of_lower"   1-alpha <= alpha*lam <= 1-lam*(1-alpha), right inside
       "right_of_upper"  alpha*lam <= 1-lam*(1-alpha) <= 1-alpha, otherwise
     """
-    left, right = kinks_inside(rp)
-    return select(left & right, "mid_order",
-                  select(right, "left_of_lower", "right_of_upper"))
+    tab = rp.table
+    if tab.branch is None:
+        left, right = tab.inside
+        tab.branch = select(left & right, "mid_order",
+                            select(right, "left_of_lower", "right_of_upper"))
+    return tab.branch
 
 
 def gamma_coeffs(rp: RuleParams):
@@ -89,8 +143,7 @@ def gamma_coeffs(rp: RuleParams):
     gamma2 is the value when alpha*lam <= 1-alpha, gamma1 when >=; the
     inactive one may be negative.
     """
-    u = 1.0 - rp.alpha
-    w = rp.alpha * rp.lam
+    u, w = rp.table.u, rp.table.w
     g1 = u * (w - u / 2.0)
     g2 = w * w - g1
     return g1, g2
@@ -101,75 +154,70 @@ def upsilon_coeffs(rp: RuleParams):
 
     upsilon1 applies when 1-lam*(1-alpha) <= 1-alpha, upsilon2 when >=.
     """
-    alpha, lam = rp.alpha, rp.lam
-    u = 1.0 - alpha
-    hi = 1.0 - lam * u
+    u, hi = rp.table.u, rp.table.hi
     # (1 - u^2)/2 factored as alpha*(1 + u)/2 to avoid cancellation when
     # alpha is tiny
-    v1 = alpha * ((1.0 + u) / 2.0 - hi)
-    v2 = (1.0 + u * u) / 2.0 - (lam + 1.0) * u * hi
+    v1 = rp.alpha * ((1.0 + u) / 2.0 - hi)
+    v2 = (1.0 + u * u) / 2.0 - (rp.lam + 1.0) * u * hi
     return v1, v2
 
 
 def epsilon_coeffs(rp: RuleParams):
     """(eps1..eps4): the p-power moment numerators, eps_i/(p+1) per branch."""
     p = rp.require_p()
-    alpha, lam = rp.alpha, rp.lam
-    w = alpha * lam
-    u = 1.0 - alpha
-    lu = lam * u
+    tab = rp.table
+    w, u, lu = tab.w, tab.u, tab.lu
     # |x - y| and |y - x| are the same float, so each power is taken once
     w_p, gap_l = power(w, p + 1.0), power(abs(u - w), p + 1.0)
-    lu_p, gap_r = power(lu, p + 1.0), power(abs(alpha - lu), p + 1.0)
+    lu_p, gap_r = power(lu, p + 1.0), power(abs(rp.alpha - lu), p + 1.0)
     return w_p + gap_l, w_p - gap_l, lu_p + gap_r, lu_p - gap_r
-
-
-class Side(Enum):
-    LEFT = "left"    # integral over [0, 1-alpha], kink at alpha*lam
-    RIGHT = "right"  # integral over [1-alpha, 1], kink at 1-lam*(1-alpha)
 
 
 def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
     """(gamma, upsilon): the plain left and right moments int |t - kink| dt."""
-    g1, g2 = gamma_coeffs(rp)
-    v1, v2 = upsilon_coeffs(rp)
-    return _active(rp, Side.LEFT, g2, g1), _active(rp, Side.RIGHT, v2, v1)
+    tab = rp.table
+    if tab.gamma_upsilon is None:
+        g1, g2 = gamma_coeffs(rp)
+        v1, v2 = upsilon_coeffs(rp)
+        tab.gamma_upsilon = tab.active(0, g2, g1), tab.active(1, v2, v1)
+    return tab.gamma_upsilon
 
 
 def active_epsilons(rp: RuleParams) -> Tuple[float, float]:
     """(eps_left, eps_right): the active p-power moment numerators."""
-    e1, e2, e3, e4 = epsilon_coeffs(rp)
-    return _active(rp, Side.LEFT, e1, e2), _active(rp, Side.RIGHT, e3, e4)
+    tab = rp.table
+    if tab.epsilons is None:
+        e1, e2, e3, e4 = epsilon_coeffs(rp)
+        tab.epsilons = tab.active(0, e1, e2), tab.active(1, e3, e4)
+    return tab.epsilons
 
 
-def _active(rp: RuleParams, side: Side, inside, outside):
-    """One side's moment from its (kink inside, kink outside) forms.
+def _power_forms(tab: RuleTable, s: float):
+    """(kink inside, kink outside) forms of the four moments with weight t^s.
 
-    Chosen by :func:`kinks_inside`; 0 on an empty side; clamped.
+    Keyed by (right side, reflected).  x -> 1-x maps a reflected moment onto
+    the other side, so two forms cover four: int_0^b |x - k| x^s dx gives
+    the left plain and right reflected moments (b = 1-alpha and alpha), and
+    int_b^1 the left reflected and right plain ones (b = alpha and
+    1-alpha).  Each power of 1-alpha and of alpha is taken once.
     """
-    chosen = select(kinks_inside(rp)[side is Side.RIGHT], inside, outside)
-    return _clamp_moment(select(_side_empty(rp, side), 0.0, chosen))
-
-
-def _power_pair(rp: RuleParams, s: float, side: Side, reflected: bool):
-    """(kink inside, kink outside) forms of one moment with weight t^s.
-
-    t -> 1-t maps a reflected moment onto the other side, so two forms
-    cover four: int_0^base |t - k| t^s dt for the left plain and right
-    reflected moments, int_base^1 for the left reflected and right plain.
-    """
-    alpha, lam = rp.alpha, rp.lam
-    u = 1.0 - alpha
     s1, s2 = s + 1.0, s + 2.0
     c = 2.0 / (s1 * s2)
-    base = alpha if reflected else u
-    b1, b2 = power(base, s1), power(base, s2)
-    if (side is Side.LEFT) != reflected:
-        k = alpha * lam if side is Side.LEFT else lam * u
-        return power(k, s2) * c - k * b1 / s1 + b2 / s2, k * b1 / s1 - b2 / s2
-    k = 1.0 - (alpha * lam if side is Side.LEFT else lam * u)
-    return (power(k, s2) * c - k * (1.0 + b1) / s1 + (1.0 + b2) / s2,
-            (1.0 - b2) / s2 - k * (1.0 - b1) / s1)
+
+    def lower(k, b1, b2):  # int_0^b, from b^(s+1) and b^(s+2)
+        kb = k * b1 / s1
+        return power(k, s2) * c - kb + b2 / s2, kb - b2 / s2
+
+    def upper(k, b1, b2):  # int_b^1
+        return (power(k, s2) * c - k * (1.0 + b1) / s1 + (1.0 + b2) / s2,
+                (1.0 - b2) / s2 - k * (1.0 - b1) / s1)
+
+    u1, u2 = power(tab.u, s1), power(tab.u, s2)
+    a1, a2 = power(tab.alpha, s1), power(tab.alpha, s2)
+    return {(False, False): lower(tab.w, u1, u2),
+            (False, True): upper(1.0 - tab.w, a1, a2),
+            (True, False): upper(tab.hi, u1, u2),
+            (True, True): lower(tab.lu, a1, a2)}
 
 
 def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
@@ -177,27 +225,28 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
     """int |t - kink| * h(t) dt (or h(1-t) if reflected) over one side.
 
     The one entry point for h-weighted moments: closed form for the
-    identity/power/constant kinds, tanh-sinh quadrature split at the
-    interior kink otherwise, one grid point at a time; for h = 1, the
-    gamma or upsilon of :func:`active_gamma_upsilon`.  Raises
-    NotIntegrable when a reciprocal modulus makes the moment diverge.
+    identity/power/constant kinds, kept in the rule's table, tanh-sinh
+    quadrature split at the interior kink otherwise, one grid point at a
+    time; for h = 1, the gamma or upsilon of :func:`active_gamma_upsilon`.
+    Raises NotIntegrable when a reciprocal modulus makes the moment diverge.
     """
     if h.kind is HKind.CONSTANT:
         return active_gamma_upsilon(rp)[side is Side.RIGHT]
     if h.kind in (HKind.IDENTITY, HKind.POWER):
         s = 1.0 if h.kind is HKind.IDENTITY else h.s_param
-        return _active(rp, side, *_power_pair(rp, s, side, reflected))
+        tab = rp.table
+        moments = tab.power_moments.get(s)
+        if moments is None:
+            moments = tab.power_moments[s] = {
+                key: tab.active(key[0], *forms)
+                for key, forms in _power_forms(tab, s).items()}
+        return moments[side is Side.RIGHT, reflected]
     grid = np.broadcast(rp.alpha, rp.lam)
     if grid.shape == ():
         return _numeric_moment(h, rp, side, reflected)
     return np.array([_numeric_moment(h, RuleParams(float(a), float(lm), rp.q),
                                      side, reflected)
                      for a, lm in grid]).reshape(grid.shape)
-
-
-def _side_empty(rp: RuleParams, side: Side):
-    # [0, 1-alpha] or [1-alpha, 1] has zero length once 1-alpha is rounded
-    return 1.0 - rp.alpha == (0.0 if side is Side.LEFT else 1.0)
 
 
 def _clamp_moment(val):
@@ -215,21 +264,21 @@ def _clamp_moment(val):
 
 def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool) -> float:
-    if _side_empty(rp, side):
+    tab = rp.table
+    if tab.empty[side is Side.RIGHT]:
         return 0.0
-    alpha, lam = rp.alpha, rp.lam
-    u = 1.0 - alpha
+    u = tab.u
     # 1/t blows up at 0 (reflected: at 1) unless the side stops short of
     # that end or its weight |t - kink| vanishes there
-    diverges = {(Side.LEFT, False): alpha * lam > 0.0,
+    diverges = {(Side.LEFT, False): tab.w > 0.0,
                 (Side.LEFT, True): u == 1.0,
                 (Side.RIGHT, False): u == 0.0,
-                (Side.RIGHT, True): lam * u > 0.0}[side, reflected]
+                (Side.RIGHT, True): tab.lu > 0.0}[side, reflected]
     if h.kind is HKind.RECIPROCAL and diverges:
         raise NotIntegrable(f"{'reflected ' * reflected}{side.value} moment "
                             f"of 1/t diverges at {int(reflected)}")
-    lo, hi_lim, kink = ((0.0, u, alpha * lam) if side is Side.LEFT
-                        else (u, 1.0, 1.0 - lam * u))
+    lo, hi_lim, kink = ((0.0, u, tab.w) if side is Side.LEFT
+                        else (u, 1.0, tab.hi))
 
     h_at = h.evaluator
     # an argument on 0 or 1 is a measure-zero endpoint of h's domain: 0 there

@@ -532,10 +532,11 @@ class TestIsSound:
                         np.array([0.0, 1.0])).tolist() == [True, False]
 
 
-# every moments helper a general bound uses; the cross-check must need none
-MOMENT_HELPERS = ("kinks_inside", "branch_select", "gamma_coeffs",
-                  "upsilon_coeffs", "active_gamma_upsilon", "active_epsilons",
-                  "weighted_moment", "_active")
+# every moments helper a general bound uses, and the rule table they read;
+# the cross-check must need none
+MOMENT_HELPERS = ("branch_select", "gamma_coeffs", "upsilon_coeffs",
+                  "epsilon_coeffs", "active_gamma_upsilon", "active_epsilons",
+                  "weighted_moment", "_power_forms", "RuleTable")
 
 
 class TestGeneralConvexIndependent:
@@ -547,6 +548,7 @@ class TestGeneralConvexIndependent:
                  RuleParams(np.array(GRID_ALPHAS)[:, None],
                             np.array(GRID_LAMS), q)]
         want = [rhs_general_convex(rp, 1.7, 0.8, 2.1) for rp in rules]
+        assert not any("table" in vars(rp) for rp in rules)  # never built
 
         def boom(*args, **kwargs):
             raise AssertionError("moments helper called")

@@ -390,6 +390,16 @@ class TestConfigErrors:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("bound", ["power-mean", "holder"])
+    def test_concave_needs_holder_concave(self, capsys, bound):
+        # --concave with a bound that reads an h-convex certificate
+        code, out, err = run_cli(capsys, [
+            "verify", "--function", "pow:1,1.4", "--interval", "0.1", "1.6",
+            "--q-grid", "2", "--concave", "--bound", bound])
+        assert (code, out, err) == (
+            2, "", f"config error: --concave declares an h-concave "
+            f"certificate, and {bound} needs an h-convex one\n")
+
     @pytest.mark.parametrize("argv", ROUNDING,
                              ids=[argv[-1] for argv in ROUNDING])
     def test_rounding_named(self, capsys, argv):

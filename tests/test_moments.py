@@ -6,6 +6,8 @@ the weight kink), and internal consistency between the specialized and the
 general evaluation paths.
 """
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -14,16 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcert import (
-    ClassCertificate, ClassKind, HModulus, RuleParams, Side,
-    TestFunction, abs_moment_p, bound_power_mean, branch_select,
-    epsilon_coeffs, gamma_coeffs, integrate_adaptive, upsilon_coeffs,
+    ClassCertificate, ClassKind, HKind, HModulus, RuleParams, Side,
+    TestFunction, abs_moment_p, bound_holder_hconcave, bound_holder_hconvex,
+    bound_power_mean, bounds, branch_select, epsilon_coeffs, evaluate_bound,
+    gamma_coeffs, integrate_adaptive, moments, upsilon_coeffs,
     weighted_moment,
 )
 from quadcert.arrays import power
 from quadcert.bounds import (rhs_holder_hconcave, rhs_holder_hconvex,
                              rhs_power_mean)
 from quadcert.errors import DomainError, NotIntegrable
-from quadcert.moments import (_power_pair, active_epsilons,
+from quadcert.moments import (_power_forms, active_epsilons,
                               active_gamma_upsilon)
 
 param_floats = st.floats(0.0, 1.0)
@@ -336,7 +339,8 @@ class TestMirroredPowerForms:
                 rp = RuleParams(alpha, lam, 1.0)
                 for side in Side:
                     for refl in (False, True):
-                        got = _power_pair(rp, s, side, refl)
+                        got = _power_forms(rp.table, s)[
+                            side is Side.RIGHT, refl]
                         want = _four_form_power_pair(rp, s, side, refl)
                         assert [_bits(x) for x in got] == \
                             [_bits(x) for x in want], (alpha, lam, side, refl)
@@ -347,7 +351,7 @@ class TestMirroredPowerForms:
         rp = RuleParams(np.array(alphas)[:, None], np.array(lams), 1.0)
         for side in Side:
             for refl in (False, True):
-                got = _power_pair(rp, s, side, refl)
+                got = _power_forms(rp.table, s)[side is Side.RIGHT, refl]
                 want = _four_form_power_pair(rp, s, side, refl)
                 assert [_bits(x) for x in got] == [_bits(x) for x in want]
 
@@ -522,3 +526,117 @@ class TestInteriorKinkModulus:
             want = math.sqrt(plain_l * big_a) + math.sqrt(plain_r * big_b)
             assert bound_power_mean(tf, rp).value == pytest.approx(
                 want, rel=1e-10)
+
+
+def _tf_cubic(h, q, kind=ClassKind.H_CONVEX):
+    """x^3 on [0.5, 1.5]; the bounds read only its |f'| and certificate."""
+    return TestFunction(lambda x: x ** 3, lambda x: 3.0 * x * x, 0.5, 1.5,
+                        ClassCertificate(kind, h, q))
+
+
+def _same_result(got, want):
+    """Value, branch and components of two BoundResults, bit for bit."""
+    return (_bits(got.value) == _bits(want.value)
+            and np.array_equal(got.branch, want.branch)
+            and got.components.keys() == want.components.keys()
+            and all(_bits(got.components[k]) == _bits(want.components[k])
+                    for k in want.components))
+
+
+class TestRuleTable:
+    """Each RuleParams keeps one table, so the bounds evaluated on it share
+    the branch masks, gamma/upsilon, the epsilons and the t^s moments."""
+
+    @staticmethod
+    def _grid():  # 5x5, with the ties and ends of EDGE_ALPHAS and EDGE_LAMS
+        return np.array(EDGE_ALPHAS)[:, None], np.array(EDGE_LAMS + [0.6, 0.9])
+
+    def test_twelve_array_powers(self, monkeypatch):
+        # u^(s+1), u^(s+2), alpha^(s+1), alpha^(s+2) and the four kinks^(s+2)
+        # in the table, and the bound's four outer powers
+        tf = _tf_cubic(HModulus.power(0.4), 2.0)
+        rp = RuleParams(*self._grid(), 2.0)
+        on_arrays = []
+
+        def counted(x, e):
+            on_arrays.append(isinstance(x, np.ndarray))
+            return power(x, e)
+
+        for mod in (moments, bounds):
+            monkeypatch.setattr(mod, "power", counted)
+        bound_power_mean(tf, rp)
+        assert sum(on_arrays) == 12
+
+    @pytest.mark.parametrize("h", [HModulus.identity(), HModulus.power(0.4),
+                                   HModulus.constant()],
+                             ids=["t", "t^0.4", "1"])
+    def test_each_shared_part_computed_once(self, monkeypatch, h):
+        counts = collections.Counter()
+
+        def spy(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("gamma_coeffs", "upsilon_coeffs", "epsilon_coeffs",
+                     "_power_forms"):
+            monkeypatch.setattr(moments, name,
+                                spy(name, getattr(moments, name)))
+        select = moments.select
+
+        def counted_select(cond, if_true, if_false):
+            if isinstance(if_true, str) and if_true == "mid_order":
+                counts["branch"] += 1
+            return select(cond, if_true, if_false)
+
+        monkeypatch.setattr(moments, "select", counted_select)
+        rp = RuleParams(*self._grid(), 2.0)
+        convex, concave = _tf_cubic(h, 2.0), _tf_cubic(
+            h, 2.0, ClassKind.H_CONCAVE)
+        for bound, tf in [(bound_power_mean, convex),
+                          (bound_holder_hconvex, convex),
+                          (bound_holder_hconcave, concave),
+                          (bound_power_mean, convex)]:
+            bound(tf, rp)
+        assert counts == collections.Counter(
+            gamma_coeffs=1, upsilon_coeffs=1, epsilon_coeffs=1, branch=1,
+            _power_forms=h.kind is not HKind.CONSTANT)
+
+    KINDS = ("power-mean", "holder", "holder-concave", "general-convex")
+
+    @pytest.mark.parametrize("h", [HModulus.identity(), HModulus.power(0.4),
+                                   HModulus.constant()],
+                             ids=["t", "t^0.4", "1"])
+    def test_kinds_in_any_order_match_fresh_rules(self, h):
+        tfs = {kind: _tf_cubic(h, 2.0, bounds.certificate_class(kind))
+               for kind in self.KINDS}
+        fresh = {kind: evaluate_bound(kind, tfs[kind],
+                                      RuleParams(*self._grid(), 2.0))
+                 for kind in self.KINDS}
+        for order in itertools.permutations(self.KINDS):
+            rp = RuleParams(*self._grid(), 2.0)  # shared, as compare does
+            for kind in order:
+                assert _same_result(evaluate_bound(kind, tfs[kind], rp),
+                                    fresh[kind]), (order, kind)
+
+    def test_caller_write_leaves_bounds_unchanged(self):
+        alphas, lams = self._grid()
+        tf = _tf_cubic(HModulus.power(0.4), 2.0)
+        want = bound_power_mean(tf, RuleParams(alphas.copy(), lams.copy(),
+                                               2.0))
+        rp = RuleParams(alphas, lams, 2.0)
+        alphas[:] = 0.25  # before the table is built
+        lams[:] = 0.75
+        first = bound_power_mean(tf, rp)
+        alphas[:] = 0.9  # and after
+        lams[:] = 0.1
+        assert _same_result(first, want)
+        assert _same_result(bound_power_mean(tf, rp), want)
+
+    def test_rule_arrays_are_read_only(self):
+        rp = RuleParams(*self._grid(), 2.0)
+        with pytest.raises(ValueError):
+            rp.alpha[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            rp.lam[0] = 0.5

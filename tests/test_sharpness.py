@@ -257,3 +257,28 @@ def test_power_mean_sound_at_boundary(q):
         excess.append(float(lhs / Decimal(rhs.value) - 1))
     assert max(excess) <= Q_TOL
     assert min(excess) >= -1e-5  # every row lies on or near the boundary
+
+
+def simpson_error_x4(a, b):
+    """|Simpson's rule - mean| of x^4 on [a, b], exactly."""
+    a, b = Fraction(a), Fraction(b)
+    alpha, lam = Fraction(1, 2), Fraction(1, 3)
+    rule = lam * (alpha * a ** 4 + (1 - alpha) * b ** 4) \
+        + (1 - lam) * (alpha * a + (1 - alpha) * b) ** 4
+    return abs(rule - (b ** 5 - a ** 5) / (5 * (b - a)))
+
+
+def test_simpson_x4_attains_the_textbook_constant():
+    # f'''' = 24: the mean-form error (b-a)^4 sup|f''''|/2880 is attained
+    # exactly; on [0, 3] the mean is 81/5 and the rule gives 135/8
+    for a, b in [(0, 3), (-1, 2)]:
+        assert simpson_error_x4(a, b) == Fraction(27, 40) \
+            == Fraction(3) ** 4 * 24 / 2880
+    # the printed (b-a)^2 constant: 0.075 on [0, 3], below the error
+    assert bounds.rhs_classical_simpson(24.0, 3.0).value == 0.075
+    for width in (Fraction(1, 2), Fraction(3, 4), 2, 3, 5):
+        error = simpson_error_x4(0, width)
+        assert error == Fraction(width) ** 4 * 24 / 2880
+        printed = Fraction(
+            bounds.rhs_classical_simpson(24.0, float(width)).value)
+        assert (printed < error) == (width > 1), width
