@@ -39,8 +39,7 @@ class HModulus:
 
     kind: HKind
     s_param: Optional[float] = None
-    # not hashed, so that a modulus is a key whatever its fn
-    fn: Optional[Callable[[float], float]] = field(default=None, hash=False)
+    fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.kind is HKind.POWER:
@@ -250,8 +249,8 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     raises DomainError, one where g is not a finite float OverflowError.
 
     The draw and |f'| at its points depend on (f', a, b, n_samples, seed)
-    only, so consecutive checks of one f' object reuse them and, per
-    modulus, h on the draw; each check computes its own |f'|^q and slack.
+    only, so consecutive checks of one f' object reuse them; each check
+    computes its own h on the draw, |f'|^q and slack.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -260,14 +259,11 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     cert = tf.certificate
     draw = _derivative_draw if isinstance(tf.f_prime, Hashable) \
         else _derivative_draw.__wrapped__
-    xs, ys, alphas, *abs_fp, h_draws = draw(tf.f_prime, tf.a, tf.b,
-                                            n_samples, seed)
-    if cert.h not in h_draws:
-        h_on = cert.h.evaluator
-        if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
-            h_on = partial(map_scalar, h_on)
-        h_draws[cert.h] = h_on(alphas), h_on(1.0 - alphas)
-    h_a, h_1a = h_draws[cert.h]
+    xs, ys, alphas, *abs_fp = draw(tf.f_prime, tf.a, tf.b, n_samples, seed)
+    h_on = cert.h.evaluator
+    if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
+        h_on = partial(map_scalar, h_on)
+    h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
     # with every g finite, an h*g that overflows to inf still gives the
     # sign its exact value would
     with np.errstate(over="ignore"):
@@ -290,8 +286,7 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
 @lru_cache(maxsize=1)
 def _derivative_draw(f_prime, a, b, n_samples, seed):
     """The (x, y, alpha) samples and |f'| at x, y and alpha*x + (1-alpha)*y,
-    as read-only arrays: xs, ys, alphas, |f'(xs)|, |f'(ys)|, |f'(mids)|;
-    then the dict modulus -> (h(alphas), h(1 - alphas)) that checks fill."""
+    as read-only arrays: xs, ys, alphas, |f'(xs)|, |f'(ys)|, |f'(mids)|."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(a, b, n_samples)
     ys = rng.uniform(a, b, n_samples)
@@ -306,7 +301,7 @@ def _derivative_draw(f_prime, a, b, n_samples, seed):
         raise DomainError("f' is NaN at a sampled point")
     for arr in draw:
         arr.flags.writeable = False
-    return (*draw, {})
+    return draw
 
 
 def _eval_maybe_vector(fn, v):

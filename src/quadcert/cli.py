@@ -369,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.choices["compare"]
     pc.add_argument("--kinds", required=True,
                     help="comma list of: " + ",".join(
-                        [*bnd.GENERAL_BOUNDS, *bnd.PRIOR_BOUNDS]))
+                        [*bnd.GENERAL_BOUNDS, *bnd.PRIOR_BOUNDS])
+                    + "; the argmin column ranks the printed values and is "
+                      "not a soundness verdict")
     pc.add_argument("--sup-f4", type=float, default=None)
     ph = sub.choices["hadamard"]
     ph.add_argument("--s", type=float, default=None)

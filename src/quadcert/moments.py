@@ -8,16 +8,15 @@ and 1/t moduli are integrated instead, split at the kink, by the tanh-sinh
 rule of :mod:`quadcert.tanhsinh`, which hands a piece it does not settle to
 the oracle's adaptive integrator.  alpha and lambda are floats, or arrays
 that broadcast to a grid of rules; branches are chosen per point.  Each
-RuleParams keeps one :class:`RuleTable`, so the bounds evaluated on it share
-the kinks, the branch masks and every closed-form moment.
+RuleParams holds its own kinks and branch masks and a memo of its
+closed-form moments, which the bounds evaluated on it share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -34,13 +33,30 @@ class RuleParams:
 
     alpha and lam may be arrays: a grid of rules sharing q.  An array is
     kept as a read-only copy, so no later write to the caller's array can
-    make :attr:`table` stale.  The conjugate p (1/p + 1/q = 1) is derived
-    from q; only the Hoelder paths use it.
+    make the rule's geometry or memo stale.  The conjugate p (1/p + 1/q = 1)
+    is derived from q; only the Hoelder paths use it.
+
+    The geometry is computed on construction: u = 1-alpha, the left kink
+    w = alpha*lam, lu = lam*(1-alpha), the right kink hi = 1-lu, and per
+    side (index 0 left, 1 right) the kink-inside and empty masks.  ``memo``
+    holds what :func:`branch_select`, :func:`active_gamma_upsilon`,
+    :func:`active_epsilons` and :func:`weighted_moment` compute on first
+    use: the branch names, the active gamma/upsilon and epsilons and, keyed
+    by s, the four t^s moments; so the bounds evaluated on one RuleParams
+    compute each once.  Moments integrated numerically are not kept.  None
+    of these take part in repr, == or hash.
     """
 
     alpha: Any
     lam: Any
     q: float
+    u: Any = field(init=False, repr=False, compare=False)
+    w: Any = field(init=False, repr=False, compare=False)
+    lu: Any = field(init=False, repr=False, compare=False)
+    hi: Any = field(init=False, repr=False, compare=False)
+    inside: Tuple[Any, Any] = field(init=False, repr=False, compare=False)
+    empty: Tuple[Any, Any] = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha", "lam"):
@@ -55,6 +71,18 @@ class RuleParams:
             raise DomainError("lambda must lie in [0, 1]")
         if not 1.0 <= self.q < math.inf:
             raise DomainError("q must be finite and >= 1")
+        u = 1.0 - self.alpha
+        w = self.alpha * self.lam
+        lu = self.lam * u
+        hi = 1.0 - lu
+        # the one branch rule: a side takes its kink-inside forms where the
+        # left kink lies in [0, 1-alpha] (alpha*lam <= 1-alpha), or the right
+        # one in [1-alpha, 1] (1-alpha <= 1-lam*(1-alpha)); a tie counts as
+        # inside, and there the two forms of that side agree.  [0, 1-alpha]
+        # or [1-alpha, 1] is empty once 1-alpha is rounded to 0 or 1.  The
+        # instance is frozen, so the derived fields go into its dict directly.
+        vars(self).update(u=u, w=w, lu=lu, hi=hi, inside=(w <= u, u <= hi),
+                          empty=(u == 0.0, u == 1.0), memo={})
 
     @property
     def p(self) -> Optional[float]:
@@ -67,61 +95,23 @@ class RuleParams:
             raise DomainError("the conjugate exponent p needs q > 1")
         return p
 
-    @cached_property
-    def table(self) -> RuleTable:
-        """The rule's geometry and moments, built on first use."""
-        return RuleTable(self.alpha, self.lam)
-
 
 class Side(Enum):
     LEFT = "left"    # integral over [0, 1-alpha], kink at alpha*lam
     RIGHT = "right"  # integral over [1-alpha, 1], kink at 1-lam*(1-alpha)
 
 
-class RuleTable:
-    """What the bounds share about one rule or grid of rules.
+def _active(rp: RuleParams, i: int, inside, outside):
+    """Side i's moment from its (kink inside, kink outside) forms.
 
-    The geometry is computed on construction: u = 1-alpha, the left kink
-    w = alpha*lam, lu = lam*(1-alpha), the right kink hi = 1-lu, and per
-    side (index 0 left, 1 right) the kink-inside and empty masks.  The
-    branch names, the active gamma/upsilon and epsilons and the four t^s
-    moments of each s are filled in on first use by :func:`branch_select`,
-    :func:`active_gamma_upsilon`, :func:`active_epsilons` and
-    :func:`weighted_moment`, so the bounds evaluated on one RuleParams
-    compute each once.  Moments integrated numerically are not kept.
+    0 on an empty side; clamped.
     """
-
-    __slots__ = ("alpha", "u", "w", "lu", "hi", "inside", "empty", "branch",
-                 "gamma_upsilon", "epsilons", "power_moments")
-
-    def __init__(self, alpha, lam):
-        self.alpha = alpha
-        self.u = u = 1.0 - alpha
-        self.w = w = alpha * lam
-        self.lu = lu = lam * u
-        self.hi = hi = 1.0 - lu
-        # the one branch rule: a side takes its kink-inside forms where the
-        # left kink lies in [0, 1-alpha] (alpha*lam <= 1-alpha), or the right
-        # one in [1-alpha, 1] (1-alpha <= 1-lam*(1-alpha)); a tie counts as
-        # inside, and there the two forms of that side agree
-        self.inside = (w <= u, u <= hi)
-        # [0, 1-alpha] or [1-alpha, 1] has zero length once 1-alpha is rounded
-        self.empty = (u == 0.0, u == 1.0)
-        self.branch = self.gamma_upsilon = self.epsilons = None
-        # s -> {(right side, reflected): active moment}
-        self.power_moments = {}
-
-    def active(self, i: int, inside, outside):
-        """Side i's moment from its (kink inside, kink outside) forms.
-
-        0 on an empty side; clamped.
-        """
-        chosen = select(self.inside[i], inside, outside)
-        return _clamp_moment(select(self.empty[i], 0.0, chosen))
+    chosen = select(rp.inside[i], inside, outside)
+    return _clamp_moment(select(rp.empty[i], 0.0, chosen))
 
 
 def branch_select(rp: RuleParams):
-    """Name the pair of per-side comparisons of the table's ``inside``.
+    """Name the pair of per-side comparisons of the rule's ``inside``.
 
     The name orders 1-alpha against [alpha*lam, 1 - lam*(1-alpha)]; on a
     grid, a numpy string array of names:
@@ -129,12 +119,13 @@ def branch_select(rp: RuleParams):
       "left_of_lower"   1-alpha <= alpha*lam <= 1-lam*(1-alpha), right inside
       "right_of_upper"  alpha*lam <= 1-lam*(1-alpha) <= 1-alpha, otherwise
     """
-    tab = rp.table
-    if tab.branch is None:
-        left, right = tab.inside
-        tab.branch = select(left & right, "mid_order",
-                            select(right, "left_of_lower", "right_of_upper"))
-    return tab.branch
+    branch = rp.memo.get("branch")
+    if branch is None:
+        left, right = rp.inside
+        branch = rp.memo["branch"] = select(
+            left & right, "mid_order",
+            select(right, "left_of_lower", "right_of_upper"))
+    return branch
 
 
 def gamma_coeffs(rp: RuleParams):
@@ -143,7 +134,7 @@ def gamma_coeffs(rp: RuleParams):
     gamma2 is the value when alpha*lam <= 1-alpha, gamma1 when >=; the
     inactive one may be negative.
     """
-    u, w = rp.table.u, rp.table.w
+    u, w = rp.u, rp.w
     g1 = u * (w - u / 2.0)
     g2 = w * w - g1
     return g1, g2
@@ -154,7 +145,7 @@ def upsilon_coeffs(rp: RuleParams):
 
     upsilon1 applies when 1-lam*(1-alpha) <= 1-alpha, upsilon2 when >=.
     """
-    u, hi = rp.table.u, rp.table.hi
+    u, hi = rp.u, rp.hi
     # (1 - u^2)/2 factored as alpha*(1 + u)/2 to avoid cancellation when
     # alpha is tiny
     v1 = rp.alpha * ((1.0 + u) / 2.0 - hi)
@@ -165,8 +156,7 @@ def upsilon_coeffs(rp: RuleParams):
 def epsilon_coeffs(rp: RuleParams):
     """(eps1..eps4): the p-power moment numerators, eps_i/(p+1) per branch."""
     p = rp.require_p()
-    tab = rp.table
-    w, u, lu = tab.w, tab.u, tab.lu
+    w, u, lu = rp.w, rp.u, rp.lu
     # |x - y| and |y - x| are the same float, so each power is taken once
     w_p, gap_l = power(w, p + 1.0), power(abs(u - w), p + 1.0)
     lu_p, gap_r = power(lu, p + 1.0), power(abs(rp.alpha - lu), p + 1.0)
@@ -175,24 +165,26 @@ def epsilon_coeffs(rp: RuleParams):
 
 def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
     """(gamma, upsilon): the plain left and right moments int |t - kink| dt."""
-    tab = rp.table
-    if tab.gamma_upsilon is None:
+    pair = rp.memo.get("gamma_upsilon")
+    if pair is None:
         g1, g2 = gamma_coeffs(rp)
         v1, v2 = upsilon_coeffs(rp)
-        tab.gamma_upsilon = tab.active(0, g2, g1), tab.active(1, v2, v1)
-    return tab.gamma_upsilon
+        pair = rp.memo["gamma_upsilon"] = (_active(rp, 0, g2, g1),
+                                           _active(rp, 1, v2, v1))
+    return pair
 
 
 def active_epsilons(rp: RuleParams) -> Tuple[float, float]:
     """(eps_left, eps_right): the active p-power moment numerators."""
-    tab = rp.table
-    if tab.epsilons is None:
+    pair = rp.memo.get("epsilons")
+    if pair is None:
         e1, e2, e3, e4 = epsilon_coeffs(rp)
-        tab.epsilons = tab.active(0, e1, e2), tab.active(1, e3, e4)
-    return tab.epsilons
+        pair = rp.memo["epsilons"] = (_active(rp, 0, e1, e2),
+                                      _active(rp, 1, e3, e4))
+    return pair
 
 
-def _power_forms(tab: RuleTable, s: float):
+def _power_forms(rp: RuleParams, s: float):
     """(kink inside, kink outside) forms of the four moments with weight t^s.
 
     Keyed by (right side, reflected).  x -> 1-x maps a reflected moment onto
@@ -212,12 +204,12 @@ def _power_forms(tab: RuleTable, s: float):
         return (power(k, s2) * c - k * (1.0 + b1) / s1 + (1.0 + b2) / s2,
                 (1.0 - b2) / s2 - k * (1.0 - b1) / s1)
 
-    u1, u2 = power(tab.u, s1), power(tab.u, s2)
-    a1, a2 = power(tab.alpha, s1), power(tab.alpha, s2)
-    return {(False, False): lower(tab.w, u1, u2),
-            (False, True): upper(1.0 - tab.w, a1, a2),
-            (True, False): upper(tab.hi, u1, u2),
-            (True, True): lower(tab.lu, a1, a2)}
+    u1, u2 = power(rp.u, s1), power(rp.u, s2)
+    a1, a2 = power(rp.alpha, s1), power(rp.alpha, s2)
+    return {(False, False): lower(rp.w, u1, u2),
+            (False, True): upper(1.0 - rp.w, a1, a2),
+            (True, False): upper(rp.hi, u1, u2),
+            (True, True): lower(rp.lu, a1, a2)}
 
 
 def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
@@ -225,7 +217,7 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
     """int |t - kink| * h(t) dt (or h(1-t) if reflected) over one side.
 
     The one entry point for h-weighted moments: closed form for the
-    identity/power/constant kinds, kept in the rule's table, tanh-sinh
+    identity/power/constant kinds, kept in the rule's memo, tanh-sinh
     quadrature split at the interior kink otherwise, one grid point at a
     time; for h = 1, the gamma or upsilon of :func:`active_gamma_upsilon`.
     Raises NotIntegrable when a reciprocal modulus makes the moment diverge.
@@ -234,12 +226,11 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
         return active_gamma_upsilon(rp)[side is Side.RIGHT]
     if h.kind in (HKind.IDENTITY, HKind.POWER):
         s = 1.0 if h.kind is HKind.IDENTITY else h.s_param
-        tab = rp.table
-        moments = tab.power_moments.get(s)
+        moments = rp.memo.get(s)
         if moments is None:
-            moments = tab.power_moments[s] = {
-                key: tab.active(key[0], *forms)
-                for key, forms in _power_forms(tab, s).items()}
+            moments = rp.memo[s] = {
+                key: _active(rp, key[0], *forms)
+                for key, forms in _power_forms(rp, s).items()}
         return moments[side is Side.RIGHT, reflected]
     grid = np.broadcast(rp.alpha, rp.lam)
     if grid.shape == ():
@@ -264,21 +255,20 @@ def _clamp_moment(val):
 
 def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool) -> float:
-    tab = rp.table
-    if tab.empty[side is Side.RIGHT]:
+    if rp.empty[side is Side.RIGHT]:
         return 0.0
-    u = tab.u
+    u = rp.u
     # 1/t blows up at 0 (reflected: at 1) unless the side stops short of
     # that end or its weight |t - kink| vanishes there
-    diverges = {(Side.LEFT, False): tab.w > 0.0,
+    diverges = {(Side.LEFT, False): rp.w > 0.0,
                 (Side.LEFT, True): u == 1.0,
                 (Side.RIGHT, False): u == 0.0,
-                (Side.RIGHT, True): tab.lu > 0.0}[side, reflected]
+                (Side.RIGHT, True): rp.lu > 0.0}[side, reflected]
     if h.kind is HKind.RECIPROCAL and diverges:
         raise NotIntegrable(f"{'reflected ' * reflected}{side.value} moment "
                             f"of 1/t diverges at {int(reflected)}")
-    lo, hi_lim, kink = ((0.0, u, tab.w) if side is Side.LEFT
-                        else (u, 1.0, tab.hi))
+    lo, hi_lim, kink = ((0.0, u, rp.w) if side is Side.LEFT
+                        else (u, 1.0, rp.hi))
 
     h_at = h.evaluator
     # an argument on 0 or 1 is a measure-zero endpoint of h's domain: 0 there

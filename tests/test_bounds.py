@@ -5,6 +5,7 @@ published coefficient forms; those are re-derived here as independent
 expressions and compared against the general evaluation paths.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -532,11 +533,12 @@ class TestIsSound:
                         np.array([0.0, 1.0])).tolist() == [True, False]
 
 
-# every moments helper a general bound uses, and the rule table they read;
-# the cross-check must need none
+# every moments helper a general bound uses, and the rule's derived fields
+# (kinks, masks, memo) they read; the cross-check must need none
 MOMENT_HELPERS = ("branch_select", "gamma_coeffs", "upsilon_coeffs",
                   "epsilon_coeffs", "active_gamma_upsilon", "active_epsilons",
-                  "weighted_moment", "_power_forms", "RuleTable")
+                  "weighted_moment", "_power_forms", "_active")
+DERIVED = tuple(f.name for f in dataclasses.fields(RuleParams) if not f.init)
 
 
 class TestGeneralConvexIndependent:
@@ -548,7 +550,11 @@ class TestGeneralConvexIndependent:
                  RuleParams(np.array(GRID_ALPHAS)[:, None],
                             np.array(GRID_LAMS), q)]
         want = [rhs_general_convex(rp, 1.7, 0.8, 2.1) for rp in rules]
-        assert not any("table" in vars(rp) for rp in rules)  # never built
+        assert {"w", "inside", "memo"} <= set(DERIVED)
+        for rp in rules:  # a read of any derived field now fails
+            for name in DERIVED:
+                del vars(rp)[name]
+            assert not any(hasattr(rp, name) for name in DERIVED)
 
         def boom(*args, **kwargs):
             raise AssertionError("moments helper called")

@@ -393,30 +393,6 @@ class TestDerivativeDrawMemo:
         assert outcomes == {True, False}
         assert sizes == [500] * 3
 
-    def test_modulus_on_draw_once(self):
-        # q outer and the modulus inner, as a job's (q, s) blocks run: each
-        # modulus evaluates h(alpha) and h(1 - alpha) on the draw once
-        calls = []
-
-        def modulus(power):
-            def fn(t):
-                calls.append(power)
-                return t ** power
-            return fn
-
-        fns = {0.5: modulus(0.5), 0.8: modulus(0.8)}
-        fp, sizes = _counted(self.FP)
-        for q in (1.0, 2.0):
-            for power, fn in fns.items():
-                got = certify_membership(
-                    self._tf(fp, h=HModulus.custom(fn), q=q), 300, seed=2)
-                uncounted = HModulus.custom(lambda t, e=power: t ** e)
-                want = _loop_membership(
-                    self._tf(self.FP, h=uncounted, q=q), 300, 2)
-                assert got == want
-        assert calls == [0.5] * 600 + [0.8] * 600
-        assert sizes == [300] * 3
-
     def test_unhashable_modulus_fn(self):
         class Modulus:  # __eq__ without __hash__: not hashable
             def __eq__(self, other):
@@ -432,9 +408,8 @@ class TestDerivativeDrawMemo:
                 == _loop_membership(tf, 200, 1)
 
     def test_draw_is_read_only(self):
-        # the six arrays; the last item is the modulus -> h on the draw dict
-        *arrays, h_draws = _derivative_draw(self.FP, 0.0, 1.5, 50, 0)
-        assert len(arrays) == 6 and isinstance(h_draws, dict)
+        arrays = _derivative_draw(self.FP, 0.0, 1.5, 50, 0)
+        assert len(arrays) == 6
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

@@ -731,24 +731,6 @@ class TestOncePerJob:
         assert (code, out, err) == (2, "", "config error: row 0.5, 0.0\n")
         assert calls == ([(5, 1)] if failing_q > 1.0 else [])
 
-    def test_h_on_draw_once_per_s(self, capsys, monkeypatch):
-        """h(alpha) and h(1 - alpha) on the membership draw are computed
-        once per value of s, not once per (q, s) block."""
-        sizes = []
-        power = classes.power
-
-        def counting_power(x, e):
-            sizes.append(np.size(x))
-            return power(x, e)
-
-        monkeypatch.setattr(classes, "power", counting_power)
-        code, _, _ = run_cli(capsys, [
-            "sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
-            "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"])
-        assert code == 0
-        # two values of s, each h(alpha) and h(1 - alpha)
-        assert sizes.count(cli.MEMBERSHIP_SAMPLES) == 2 * 2
-
 
 class TestFirstError:
     """A grid that fails reports the error of its first failing row."""

@@ -7,6 +7,7 @@ general evaluation paths.
 """
 
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -339,8 +340,7 @@ class TestMirroredPowerForms:
                 rp = RuleParams(alpha, lam, 1.0)
                 for side in Side:
                     for refl in (False, True):
-                        got = _power_forms(rp.table, s)[
-                            side is Side.RIGHT, refl]
+                        got = _power_forms(rp, s)[side is Side.RIGHT, refl]
                         want = _four_form_power_pair(rp, s, side, refl)
                         assert [_bits(x) for x in got] == \
                             [_bits(x) for x in want], (alpha, lam, side, refl)
@@ -351,7 +351,7 @@ class TestMirroredPowerForms:
         rp = RuleParams(np.array(alphas)[:, None], np.array(lams), 1.0)
         for side in Side:
             for refl in (False, True):
-                got = _power_forms(rp.table, s)[side is Side.RIGHT, refl]
+                got = _power_forms(rp, s)[side is Side.RIGHT, refl]
                 want = _four_form_power_pair(rp, s, side, refl)
                 assert [_bits(x) for x in got] == [_bits(x) for x in want]
 
@@ -544,8 +544,9 @@ def _same_result(got, want):
 
 
 class TestRuleTable:
-    """Each RuleParams keeps one table, so the bounds evaluated on it share
-    the branch masks, gamma/upsilon, the epsilons and the t^s moments."""
+    """Each RuleParams holds its kinks and branch masks and a memo, so the
+    bounds evaluated on it share the branch names, gamma/upsilon, the
+    epsilons and the t^s moments."""
 
     @staticmethod
     def _grid():  # 5x5, with the ties and ends of EDGE_ALPHAS and EDGE_LAMS
@@ -553,7 +554,7 @@ class TestRuleTable:
 
     def test_twelve_array_powers(self, monkeypatch):
         # u^(s+1), u^(s+2), alpha^(s+1), alpha^(s+2) and the four kinks^(s+2)
-        # in the table, and the bound's four outer powers
+        # in the memo, and the bound's four outer powers
         tf = _tf_cubic(HModulus.power(0.4), 2.0)
         rp = RuleParams(*self._grid(), 2.0)
         on_arrays = []
@@ -626,7 +627,7 @@ class TestRuleTable:
         want = bound_power_mean(tf, RuleParams(alphas.copy(), lams.copy(),
                                                2.0))
         rp = RuleParams(alphas, lams, 2.0)
-        alphas[:] = 0.25  # before the table is built
+        alphas[:] = 0.25  # before the memo is filled
         lams[:] = 0.75
         first = bound_power_mean(tf, rp)
         alphas[:] = 0.9  # and after
@@ -640,3 +641,21 @@ class TestRuleTable:
             rp.alpha[0, 0] = 0.5
         with pytest.raises(ValueError):
             rp.lam[0] = 0.5
+
+    @pytest.mark.parametrize("name", ["alpha", "lam", "w", "memo"])
+    def test_fields_are_frozen(self, name):
+        for rp in (RuleParams(0.3, 0.6, 2.0), RuleParams(*self._grid(), 2.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rp, name, 0.5)
+
+    def test_memo_outside_repr_eq_and_hash(self):
+        rp, twin = RuleParams(0.3, 0.6, 2.0), RuleParams(0.3, 0.6, 2.0)
+        before = repr(rp), hash(rp), rp == twin
+        assert before == ("RuleParams(alpha=0.3, lam=0.6, q=2.0)", hash(twin),
+                          True)
+        for kind in self.KINDS:
+            evaluate_bound(kind, _tf_cubic(HModulus.power(0.4), 2.0,
+                                           bounds.certificate_class(kind)), rp)
+        assert rp.memo.keys() == {"branch", "gamma_upsilon", "epsilons", 0.4}
+        assert (repr(rp), hash(rp), rp == twin) == before
+        assert rp != RuleParams(0.3, 0.6, 2.5)
