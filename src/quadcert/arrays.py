@@ -13,14 +13,16 @@ import numpy as np
 
 def power(x, e):
     """x ** e; on an array, np.float_power; ``**`` per element if a base is
-    < 0 or NaN or a result not finite: Python's errors and complexes hold."""
+    < 0 or NaN or a result not finite: Python's errors and complexes hold.
+    With no base < 0 or NaN, every result lies in [0, inf], so min(x) and
+    max(y) decide; max alone would pass (-1e300) ** 3.0 = -inf."""
     if e == 0.0:
         return 1.0
     if not isinstance(x, np.ndarray):
         return x ** e
     with np.errstate(all="ignore"):
         y = np.float_power(x, e, out=np.empty(x.shape))
-        if (x >= 0.0).all() and np.isfinite(y).all():
+        if x.min(initial=0.0) >= 0.0 and y.max(initial=0.0) < np.inf:
             return y
     return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
 

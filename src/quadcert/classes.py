@@ -246,7 +246,9 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     g(alpha*x + (1-alpha)*y) <= h(alpha)*g(x) + h(1-alpha)*g(y) (inequality
     reversed for h-concave certificates).  A sampled certificate, not a
     proof: it guards against user error only.  A sample where f' is NaN
-    raises DomainError, one where g is not a finite float OverflowError.
+    raises DomainError, one where g is not a finite float OverflowError;
+    each g is >= 0 and not NaN, so the largest g, which scales the slack
+    tolerance, is finite exactly when all are.
 
     The draw and |f'| at its points depend on (f', a, b, n_samples, seed)
     only, so consecutive checks of one f' object reuse them; each check
@@ -268,13 +270,13 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     # sign its exact value would
     with np.errstate(over="ignore"):
         gx, gy, gmid = (d ** cert.exponent_q for d in abs_fp)
-        if not all(np.isfinite(g).all() for g in (gx, gy, gmid)):
+        scale = float(max(gx.max(), gy.max(), gmid.max()))
+        if not scale < math.inf:
             raise OverflowError("|f'|^q is not finite at a sampled point")
         slack = gmid - (h_a * gx + h_1a * gy)
     if cert.class_kind is ClassKind.H_CONCAVE:
         slack = -slack
     worst = float(np.max(slack))
-    scale = float(max(np.max(gx), np.max(gy), np.max(gmid)))
     tol = 1e-12 * (1.0 + scale)
     if worst <= tol:
         return MembershipReport(True, worst, None)

@@ -156,10 +156,9 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
         if not rep.holds:
             block = {"branch": rejected_branch, "sound": False}
         else:
-            if lhs is None:
+            if lhs is None:  # f runs in row order; the first bad row raises
                 mean = oracle.mean_value(tf)
-                lhs = _on_grid(lambda rp: abs(oracle.rule_value(
-                    tf, rp.alpha, rp.lam) - mean), q, alphas, lams)
+                lhs = abs(oracle.rule_value(tf, alphas, lams) - mean)
             rhs = block["rhs"]
             positive = rhs > 0.0
             block.update(lhs=lhs, margin=rhs - lhs,
@@ -172,10 +171,12 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
 
 
 def _rows(block, columns, fmt=lambda value: value):
-    """The block's rows in grid order; each stored value is formatted once."""
+    """The block's rows, lists in grid order; each value formatted once."""
     shape = np.broadcast_shapes(*map(np.shape, block.values()))
-    return zip(*(np.broadcast_to(np.asarray(fmt(block.get(c)), dtype=object),
-                                 shape).ravel().tolist() for c in columns))
+    cells = np.empty((*shape, len(columns)), dtype=object)
+    for j, c in enumerate(columns):
+        cells[..., j] = fmt(block.get(c))
+    return cells.reshape(-1, len(columns)).tolist()
 
 
 def _csv_text(value):

@@ -49,6 +49,19 @@ class TestPowerParity:
         with pytest.raises(OverflowError):
             power(np.array([2.0, BIG, 3.0]), 1.3)
 
+    def test_negative_overflow_raises(self):
+        # float_power gives -inf, which only the min(x) >= 0 test sends to
+        # the fallback, where (-1e300) ** 3.0 raises
+        with pytest.raises(OverflowError):
+            power(np.array([-1e300, 2.0]), 3.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    @pytest.mark.filterwarnings("error")
+    def test_empty_stays_empty(self, shape):
+        got = power(np.empty(shape), 1.3)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == shape
+
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_to_negative_power_raises(self, zero):
         with pytest.raises(ZeroDivisionError):

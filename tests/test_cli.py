@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -515,16 +516,30 @@ class TestGoldenOutput:
         assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
+def _reference_rows(block, columns):
+    """The block's rows cell by cell, each column broadcast on its own: an
+    independent restatement of cli._rows, which fills one object array."""
+    shape = np.broadcast_shapes(*map(np.shape, block.values()))
+    cells = [np.broadcast_to(np.asarray(block.get(c), dtype=object),
+                             shape).ravel().tolist() for c in columns]
+    return list(zip(*cells))
+
+
 def _reference_csv(blocks, columns):
     """The CSV of blocks with _fmt applied cell by cell: an independent
     restatement of the writer, which formats by column."""
     lines = [",".join(columns)]
     for block in blocks:
-        shape = np.broadcast_shapes(*map(np.shape, block.values()))
-        cells = [np.broadcast_to(np.asarray(block.get(c), dtype=object),
-                                 shape).ravel().tolist() for c in columns]
-        lines += [",".join(cli._fmt(x) for x in row) for row in zip(*cells)]
+        lines += [",".join(map(cli._fmt, row))
+                  for row in _reference_rows(block, columns)]
     return "\n".join(lines) + "\n"
+
+
+def _reference_json(blocks, columns):
+    """The JSON of blocks with _json_value applied cell by cell."""
+    rows = [dict(zip(columns, map(cli._json_value, row)))
+            for block in blocks for row in _reference_rows(block, columns)]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 class TestCsvWriter:
@@ -564,6 +579,18 @@ class TestCsvWriter:
         assert {"inf", "-inf", "-0", "nan", "true", "false", ""} <= set(
             out.replace("\n", ",").split(","))
 
+    def test_blocks_json(self, capsys):
+        """The same blocks as JSON: what json.dumps prints of the rows built
+        cell by cell, non-finite floats as the CSV text and None as null."""
+        blocks = self._blocks()
+        cli._write_table(blocks, self.COLUMNS, "json", None)
+        out = capsys.readouterr().out
+        assert out == _reference_json(blocks, self.COLUMNS)
+        rows = json.loads(out)
+        assert len(rows) == 3 * 12
+        assert {"inf", "-inf", "nan"} <= {r["lhs"] for r in rows}
+        assert rows[12]["lhs"] is None and rows[12]["sound"] is False
+
     @pytest.mark.parametrize("name", ["verify_ts.csv", "sweep_ts.csv",
                                       "sweep_rejected.csv", "compare.csv",
                                       "verify_holder_concave.csv"])
@@ -592,6 +619,39 @@ class TestCsvWriter:
         assert len(ids) == len(set(ids))
         if "lhs" in columns:  # a job's blocks share one lhs array
             assert len({id(b["lhs"]) for b in blocks if "lhs" in b}) <= 1
+
+
+class TestFirstViolation:
+    def test_row_past_the_first(self, capsys, monkeypatch):
+        """verify names the first unsound row of the first unsound block,
+        as the cell-by-cell reference builds it, also where that row is not
+        the block's first."""
+        written = []
+        write_table, evaluate_bound = cli._write_table, bounds.evaluate_bound
+
+        def capture(blocks, columns, fmt, out_path):
+            written.append((blocks, columns))
+            return write_table(blocks, columns, fmt, out_path)
+
+        def unsound_late(name, tf, rp, **kw):
+            # the q = 2 block's bound is -1 from alpha = 0.5 on
+            res = evaluate_bound(name, tf, rp, **kw)
+            if rp.q != 2.0:
+                return res
+            return dataclasses.replace(
+                res, value=np.where(rp.alpha >= 0.5, -1.0, res.value))
+
+        monkeypatch.setattr(cli, "_write_table", capture)
+        monkeypatch.setattr(bounds, "evaluate_bound", unsound_late)
+        code, _, err = run_cli(capsys, [*VERIFY_SQUARE, *EDGE_GRID,
+                                        "--q-grid", "1", "2"])
+        assert code == 1
+        ((blocks, columns),) = written
+        rows = _reference_rows(blocks[1], columns)
+        i = next(i for i, row in enumerate(rows) if not row[-1])
+        assert i == 6  # alpha = 0.5 is the third alpha, of three lambdas
+        assert err == f"first violation: {dict(zip(columns, rows[i]))}\n"
+        assert rows[i][:4] == (0.5, 0.0, 2.0, None)
 
 
 class TestOncePerJob:
@@ -634,6 +694,30 @@ class TestOncePerJob:
         assert code == 0
         # the draw evaluates f' at x, at y and between them
         assert counts == {"parse": 1, "check": 1, "draw": 3, "mean": 1}
+
+    @pytest.mark.parametrize("argv, n_blocks", [
+        ([*VERIFY_SQUARE, *EDGE_GRID, "--q-grid", "1", "1.5", "2"], 3),
+        (["sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
+          "--h", "t^s", "--s", "0.3", "0.6", *EDGE_GRID, "--q-grid", "1",
+          "2"], 4),
+        (["compare", "--function", "exp:0.7", "--interval", "0", "2",
+          "--h", "t^s", "--s", "0.4", "0.8", *EDGE_GRID, "--q-grid", "1.5",
+          "2", "--kinds", "power-mean,holder"], 4),
+    ], ids=["verify", "sweep", "compare"])
+    def test_one_rule_per_block(self, capsys, monkeypatch, argv, n_blocks):
+        """Each (q, s) block builds one RuleParams on its grid, which its
+        bounds share; the lhs of the first certified block needs none."""
+        shapes = []
+        rule_params = cli.RuleParams
+
+        def counting_rule_params(alpha, lam, q):
+            shapes.append((np.shape(alpha), np.shape(lam)))
+            return rule_params(alpha, lam, q)
+
+        monkeypatch.setattr(cli, "RuleParams", counting_rule_params)
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert shapes == [((5, 1), (3,))] * n_blocks
 
     def test_blocks_equal_single_runs(self, capsys):
         base = ["verify", "--function", "exp:0.7", "--interval", "0", "2",

@@ -33,7 +33,8 @@ import numpy as np
 import pytest
 
 from quadcert import HModulus, RuleParams, bounds
-from quadcert.bounds import rhs_general_convex, rhs_power_mean
+from quadcert.bounds import (rhs_general_convex, rhs_midpoint_power_mean,
+                             rhs_power_mean)
 from quadcert.moments import Side
 
 # the envelope h(t) D_b + h(1-t) D_a as (constant, slope) in t
@@ -117,6 +118,19 @@ def test_power_mean_attained(h):
 def test_general_convex_attained():
     # the prior convex bound is the power-mean route at h = t
     assert _worst(rhs_general_convex, "t") <= REL_TOL
+
+
+def test_midpoint_power_mean_attained():
+    # the published midpoint bound at s = 1 is the power-mean route at
+    # (1/2, 0) with h = t, so the h = t witness of the midpoint rule attains
+    # it.  Largest |rhs / exact - 1| measured on ROWS: 3.2e-16; c_hi scaled
+    # by 1 + 1e-12 fails this test
+    worst = 0.0
+    for _, _, a, b, d_a, d_b in ROWS:
+        exact = witness_error(0.5, 0.0, a, b, d_a, d_b, "t")
+        value = rhs_midpoint_power_mean(1.0, 1.0, b - a, d_a, d_b).value
+        worst = max(worst, abs(float(Fraction(value) / exact - 1)))
+    assert worst <= REL_TOL, worst
 
 
 # h = t^s, q = 1: the envelope D_b t^s + D_a (1-t)^s is not polynomial, so
