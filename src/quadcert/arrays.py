@@ -3,26 +3,46 @@
 numpy's +, -, *, /, abs and comparisons round as Python floats do, and
 np.float_power is the C ``pow`` that Python's ``**`` calls.  np.power is not
 used: numpy may run it as SIMD code that moves the last ulp.  Every power
-goes through :func:`power`.  A zero exponent gives the float 1.0 at every
-point, 0 and NaN included, as Python's ``**`` does; the q = 1 bounds take
-their gamma**0 factors so.
+goes through :func:`power` but one: the ``d ** q`` of
+:func:`quadcert.classes.certify_membership` on its sampled draw is numpy's
+``**``, because only the sampled verdict reads the result.  A zero
+exponent gives the float 1.0 at every point, 0 and NaN included, as
+Python's ``**`` does; the q = 1 bounds take their gamma**0 factors so.
 """
 
+import math
+
 import numpy as np
+
+# |ln| of every result of power's unguarded path stays below this: e**-700
+# and e**700 lie well inside the normal doubles, whose ln spans about
+# [-708.4, 709.8], so no such power underflows or overflows
+_LOG_RESULT_LIMIT = 700.0
 
 
 def power(x, e):
     """x ** e; on an array, np.float_power; ``**`` per element if a base is
     < 0 or NaN or a result not finite: Python's errors and complexes hold.
-    With no base < 0 or NaN, every result lies in [0, inf], so min(x) and
-    max(y) decide; max alone would pass (-1e300) ** 3.0 = -inf."""
+
+    On an array whose bases are finite and > 0 and whose results, bounded by
+    min(x) ** e and max(x) ** e, are normal, no floating-point flag can rise,
+    so np.float_power runs with no np.errstate and no check of its result.
+    Any other array takes the guarded path: with no base < 0 or NaN, every
+    result lies in [0, inf], so min(x) and max(y) decide; max alone would
+    pass (-1e300) ** 3.0 = -inf.  Both paths give the same bits."""
     if e == 0.0:
         return 1.0
     if not isinstance(x, np.ndarray):
         return x ** e
+    lo = x.min(initial=math.inf)
+    if x.ndim and 0.0 < lo < math.inf:  # a 0-d result is no ndarray
+        hi = x.max()
+        if (hi < math.inf and abs(e * math.log(lo)) < _LOG_RESULT_LIMIT
+                and abs(e * math.log(hi)) < _LOG_RESULT_LIMIT):
+            return np.float_power(x, e)
     with np.errstate(all="ignore"):
         y = np.float_power(x, e, out=np.empty(x.shape))
-        if x.min(initial=0.0) >= 0.0 and y.max(initial=0.0) < np.inf:
+        if lo >= 0.0 and y.max(initial=0.0) < np.inf:
             return y
     return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import sys
+from gettext import gettext
 from typing import Optional
 
 import numpy as np
@@ -69,7 +70,15 @@ def parse_function(spec: str):
             dcoeffs = [k * c for k, c in enumerate(params)][1:] or [0.0]
 
             def poly(c):
-                return lambda x: sum(ck * x ** k for k, ck in enumerate(c))
+                def evaluate(x):
+                    # left to right from the integer 0, as sum() added
+                    # before Python 3.12, whose compensated sum moves the
+                    # last bit
+                    total = 0
+                    for k, ck in enumerate(c):
+                        total = total + ck * x ** k
+                    return total
+                return evaluate
             return poly(params), poly(dcoeffs)
         if name == "pow":
             beta, r = params
@@ -347,8 +356,14 @@ def _add_grid_args(p):
     p.add_argument("--out", default=None)
 
 
-@functools.cache  # built once: every parse reuses it
 def build_parser() -> argparse.ArgumentParser:
+    """The quadcert parser; built once, every parse reuses it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """The parent parser and the {command: parser} of its subparsers."""
     ap = argparse.ArgumentParser(
         prog="quadcert",
         description="Certified error bounds for blended quadrature rules")
@@ -382,11 +397,25 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--cases", type=int, default=200)
     pi.add_argument("--seed", type=int, default=0)
     pi.set_defaults(func=cmd_identity)
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv):
+    """argv's namespace, as build_parser().parse_args gives it.  A command's
+    argv goes to that command's parser alone; only argv that names no
+    command, such as -h or a misspelt command, goes to the parent."""
+    ap, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return ap.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:  # reported by the parent, as its own parse does
+        ap.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

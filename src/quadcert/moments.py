@@ -244,7 +244,10 @@ def _clamp_moment(val):
     # An active moment is >= 0: absorb cancellation-level negatives and
     # refuse larger ones.
     if isinstance(val, np.ndarray):
-        _clamp_moment(float(val.min(initial=0.0)))  # the refusal, if any
+        low = val.min(initial=0.0)
+        if low >= 0.0:  # nothing to absorb; NaN takes the path below
+            return val
+        _clamp_moment(float(low))  # the refusal, if any
         return np.where(val < 0.0, 0.0, val)
     if val < 0.0:
         if val < -1e-13:

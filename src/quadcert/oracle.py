@@ -137,8 +137,10 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     is invisible to any sampling rule, so panels are seeded to start and
     end at those points.  Break points outside (a, b) are ignored.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN included
         raise ValueError("tol must be positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"the ends must be finite, not [{a!r}, {b!r}]")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     lo_end, hi_end = (a, b) if a < b else (b, a)

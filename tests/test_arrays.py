@@ -1,10 +1,12 @@
 """Tests for the float-or-array helpers of the bound layer."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from quadcert import arrays
 from quadcert.arrays import every, power, select
 
 
@@ -88,6 +90,64 @@ class TestPowerParity:
     def test_zero_dim_raises(self):
         with pytest.raises(ZeroDivisionError):
             power(np.array(0.0), -1.0)
+
+
+class TestPowerFastPath:
+    """Arrays that no floating-point flag can rise on skip np.errstate."""
+
+    @pytest.fixture
+    def errstates(self, monkeypatch):
+        """The number of np.errstate blocks power enters."""
+        entered = []
+        errstate = np.errstate
+
+        def counting(**kw):
+            entered.append(kw)
+            return errstate(**kw)
+
+        monkeypatch.setattr(arrays.np, "errstate", counting)
+        return entered
+
+    @pytest.mark.parametrize("e", [0.4, 2.3])
+    def test_in_range_skips_errstate(self, errstates, e):
+        x = np.random.default_rng(5).uniform(0.05, 3.0, (5, 5))
+        got = power(x, e)
+        assert errstates == []
+        assert type(got) is np.ndarray and got.shape == (5, 5)
+        assert _bits(got) == _bits(_python_power(x, e))
+
+    @pytest.mark.parametrize("x, e", [
+        ([0.5, 0.0], 0.4), ([0.5, -0.0], 2.3), ([0.5, -0.25], 2.0),
+        ([0.5, math.nan], 0.4), ([0.5, math.inf], 0.4),
+        ([0.5, 1e-300], 1.1),     # 1e-330 is subnormal
+        ([0.5, 1e-150], 2.3),     # so is 1e-345
+        ([0.5, 1e200], 2.3),      # 1e460 overflows
+        ([0.5, 1e-200], -2.0),    # so does 1e400
+        ([0.5, 1e300], -1.1),     # and this underflows
+    ], ids=["zero", "negative-zero", "negative", "nan", "inf",
+            "subnormal", "subnormal-square", "overflow", "negative-e",
+            "negative-e-underflow"])
+    def test_guarded_path_otherwise(self, errstates, x, e):
+        x = np.array(x)
+        with contextlib.suppress(ArithmeticError):
+            power(x, e)
+        assert len(errstates) == 1
+
+    def test_subnormal_bases_with_normal_results(self, errstates):
+        x = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 1.0])
+        with np.errstate(all="raise"):
+            got = power(x, 0.4)
+        assert errstates == [{"all": "raise"}]
+        assert _bits(got) == _bits(_python_power(x, 0.4))
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_no_flag_raised(self, e):
+        # the parity sample in blocks of about 25, the size of a 5x5 grid;
+        # ** raises on none of these, so power must not either
+        x = np.append(BASES, BIG) if e <= 1.0 else BASES
+        with np.errstate(all="raise"):
+            got = [power(block, e) for block in np.array_split(x, x.size // 25)]
+        assert _bits(np.concatenate(got)) == _bits(_python_power(x, e))
 
 
 class TestPower:

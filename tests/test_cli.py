@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -900,23 +901,27 @@ class TestParserReuse:
         assert args.s == (None,) and args.interval == (0.0, 1.0)
 
 
+UNKNOWN_FLAGS = [
+    ["hadamard", "--function", "poly:0,0,1", "--concave"],
+    ["verify", "--function", "poly:0,0,1", "--sup-f4", "1"],
+    ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
+     "--samples", "5"],
+    ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
+     "--bound", "holder"],
+    ["verify", "--function", "poly:0,0,1", "--samples", "5"],
+    ["sweep", "--function", "poly:0,0,1", "--samples", "5"],
+    # the bound names the certificate class
+    ["sweep", "--function", "poly:0,0,1", "--concave"],
+    ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
+     "--concave"],
+]
+
+
 class TestUnknownFlags:
-    @pytest.mark.parametrize("argv", [
-        ["hadamard", "--function", "poly:0,0,1", "--concave"],
-        ["verify", "--function", "poly:0,0,1", "--sup-f4", "1"],
-        ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
-         "--samples", "5"],
-        ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
-         "--bound", "holder"],
-        ["verify", "--function", "poly:0,0,1", "--samples", "5"],
-        ["sweep", "--function", "poly:0,0,1", "--samples", "5"],
-        # the bound names the certificate class
-        ["sweep", "--function", "poly:0,0,1", "--concave"],
-        ["compare", "--function", "poly:0,0,1", "--kinds", "power-mean",
-         "--concave"],
-    ], ids=["hadamard-concave", "verify-sup-f4", "compare-samples",
-            "compare-bound", "verify-samples", "sweep-samples",
-            "sweep-concave", "compare-concave"])
+    @pytest.mark.parametrize("argv", UNKNOWN_FLAGS, ids=[
+        "hadamard-concave", "verify-sup-f4", "compare-samples",
+        "compare-bound", "verify-samples", "sweep-samples",
+        "sweep-concave", "compare-concave"])
     def test_parser_rejects(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -944,6 +949,119 @@ class TestReadmeExamples:
     def test_exits_zero(self, capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 0, err
+
+
+def _parse_outcome(capsys, parse, argv):
+    """parse(argv)'s namespace, or its exit code; with what it printed."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+class TestParsePath:
+    """main parses a command's argv with that command's parser alone."""
+
+    ARGV = [*(argv for _, argv in GOLDEN.values()), *_readme_cli_examples(),
+            *UNKNOWN_FLAGS,
+            ["verify", "--func", "poly:0,0,1"],  # an abbreviated flag
+            ["verify", "--function", "poly:0,0,1", "--interval", "0", "x"],
+            ["verify"],                          # no --function
+            ["sweep", "--function", "poly:0,0,1", "--x", "1", "--y"],
+            [], ["-h"], ["--help"], ["verify", "-h"], ["frob"],
+            ["frob", "--function", "poly:0,0,1"]]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: shlex.join(argv))
+    def test_same_as_parent_parse(self, capsys, argv):
+        want = _parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert _parse_outcome(capsys, cli._parse_args, argv) == want
+
+    def test_command_argv_skips_parent(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the parent parser read a command's argv")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        code, out, _ = run_cli(capsys, VERIFY_SQUARE)
+        assert code == 0 and out.startswith("alpha,lambda,q,s,branch")
+        # leftovers are still reported as the parent's own error
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*VERIFY_SQUARE, "--samples", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "quadcert: error: unrecognized arguments: --samples 5\n")
+
+
+def _left_to_right(coeffs, x):
+    """sum_k c_k x^k added left to right from the integer 0."""
+    total = 0
+    for k, ck in enumerate(coeffs):
+        total = total + ck * x ** k
+    return total
+
+
+def _compensated(coeffs, x):
+    """The same terms summed as sum() of floats has since Python 3.12."""
+    total = comp = 0.0
+    for k, ck in enumerate(coeffs):
+        term = ck * x ** k
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+class TestPolyOrder:
+    """poly: sums its terms left to right on every Python version."""
+
+    COEFFS = [0.0, 1.0, 0.5, 0.3]
+    DCOEFFS = [1.0, 1.0, 3 * 0.3]
+
+    @staticmethod
+    def _bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    def test_points_where_the_orders_differ(self):
+        f, fp = cli.parse_function("poly:0,1,0.5,0.3")
+        xs = np.random.default_rng(24).uniform(0.0, 1.5, 1000).tolist()
+        for fn, coeffs in ((f, self.COEFFS), (fp, self.DCOEFFS)):
+            moved = [x for x in xs if _left_to_right(coeffs, x)
+                     != _compensated(coeffs, x)]
+            assert len(moved) > 100
+            got = [fn(x) for x in moved]
+            want = [_left_to_right(coeffs, x) for x in moved]
+            assert self._bits(got) == self._bits(want)
+
+    def test_signed_zero(self):
+        f, _ = cli.parse_function("poly:-0.0")
+        assert self._bits(f(2.0)) == self._bits(0 + -0.0) == self._bits(0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, x):
+        f, fp = cli.parse_function("poly:0,1,0.5,0.3")
+        assert self._bits(f(x)) == self._bits(_left_to_right(self.COEFFS, x))
+        assert self._bits(fp(x)) == self._bits(
+            _left_to_right(self.DCOEFFS, x))
+
+    def test_overflow_raises(self):
+        f, _ = cli.parse_function("poly:0,1,0.5,0.3")
+        for form in (f, functools.partial(_left_to_right, self.COEFFS),
+                     functools.partial(_compensated, self.COEFFS)):
+            with pytest.raises(OverflowError):
+                form(1e200)
+
+    def test_array_argument(self):
+        f, fp = cli.parse_function("poly:0,1,0.5,0.3")
+        x = np.random.default_rng(25).uniform(0.0, 1.5, (4, 5))
+        assert self._bits(f(x)) == self._bits(_left_to_right(self.COEFFS, x))
+        assert self._bits(fp(x)) == self._bits(
+            _left_to_right(self.DCOEFFS, x))
 
 
 class TestConfigErrorFamily:

@@ -27,7 +27,7 @@ from quadcert.arrays import power
 from quadcert.bounds import (rhs_holder_hconcave, rhs_holder_hconvex,
                              rhs_power_mean)
 from quadcert.errors import DomainError, NotIntegrable
-from quadcert.moments import (_power_forms, active_epsilons,
+from quadcert.moments import (_clamp_moment, _power_forms, active_epsilons,
                               active_gamma_upsilon)
 
 param_floats = st.floats(0.0, 1.0)
@@ -659,3 +659,28 @@ class TestRuleTable:
         assert rp.memo.keys() == {"branch", "gamma_upsilon", "epsilons", 0.4}
         assert (repr(rp), hash(rp), rp == twin) == before
         assert rp != RuleParams(0.3, 0.6, 2.5)
+
+
+class TestClampMoment:
+    def test_nonnegative_array_returned_as_is(self):
+        val = np.array([[0.0, -0.0], [0.25, math.inf]])
+        assert _clamp_moment(val) is val
+
+    @pytest.mark.parametrize("val, want", [
+        ([0.5, -1e-16, -0.0], [0.5, 0.0, -0.0]),
+        ([-1e-13, 2.0], [0.0, 2.0]),
+        # a NaN hides the minimum; the negative next to it still goes
+        ([math.nan, -1e-16], [math.nan, 0.0]),
+    ])
+    def test_cancellation_negatives_zeroed(self, val, want):
+        got = _clamp_moment(np.array(val))
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("val", [-1e-16, -1e-13])
+    def test_cancellation_negative_float_zeroed(self, val):
+        assert _clamp_moment(val) == 0.0
+
+    @pytest.mark.parametrize("val", [-1.1e-13, np.array([0.5, -1e-12])])
+    def test_larger_negatives_refused(self, val):
+        with pytest.raises(AssertionError, match="came out negative"):
+            _clamp_moment(val)

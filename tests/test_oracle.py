@@ -129,6 +129,20 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError):
             integrate_adaptive(lambda t: t, 0.0, 1.0, 0.0)
 
+    def test_nan_tol(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_adaptive(math.sin, 0.0, 1.0, math.nan)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0),
+                                      (math.nan, 0.0), (0.0, math.nan),
+                                      (math.inf, math.inf)])
+    def test_non_finite_end(self, a, b):
+        def g(t):
+            raise AssertionError(f"the integrand ran at {t!r}")
+        with pytest.raises(ValueError, match="ends must be finite") as exc:
+            integrate_adaptive(g, a, b, 1e-12)
+        assert not isinstance(exc.value, NonFiniteSample)
+
     @settings(max_examples=30, deadline=None)
     @given(k=st.floats(-3.0, 3.0), b=st.floats(0.2, 4.0))
     @example(k=5e-324, b=1.5)
