@@ -7,12 +7,15 @@ exponentially toward both ends.  Integrable endpoint singularities such as
 sqrt(t), t^-1/2 or log t therefore settle in a few levels, where adaptive
 Gauss-Kronrod needs thousands of samples.  An interior kink or other
 feature away from the ends does not settle; such a piece falls back to the
-oracle's adaptive integrator.
+oracle's adaptive integrator.  Each level's node offsets and weights are
+tabled once, at import, in node order, so a level is one pass: g at each
+node, one finiteness scan, the products w g(x) added to math.fsum's terms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 from . import oracle
@@ -24,23 +27,21 @@ _T_MAX = 4.5
 
 
 def _level(k: int):
-    """(offset, weight) of each t > 0 that level k adds to the rule.
-
-    The two nodes of t lie offset*(b-a)/2 inside either end; the offset
-    1 - tanh(u) is formed as exp(-u)/cosh(u) so it keeps its digits.
-    """
+    """(offset, weight) of each t > 0 that level k adds to the rule: its two
+    nodes lie offset*(b-a)/2 inside either end, the offset 1 - tanh(u)
+    formed as exp(-u)/cosh(u) so it keeps its digits."""
     step = 2.0 ** -k
-    out = []
     # level 0 takes every integer t, each later level the odd multiples
     for j in range(1, int(_T_MAX / step) + 1, 1 if k == 0 else 2):
-        t = j * step
-        u = 0.5 * math.pi * math.sinh(t)
-        out.append((math.exp(-u) / math.cosh(u),
-                    0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2))
-    return tuple(out)
+        u = 0.5 * math.pi * math.sinh(j * step)
+        yield (math.exp(-u) / math.cosh(u),
+               0.5 * math.pi * math.cosh(j * step) / math.cosh(u) ** 2)
 
 
-_LEVELS = tuple(_level(k) for k in range(MAX_LEVEL + 1))
+_LEVELS = tuple(tuple(_level(k)) for k in range(MAX_LEVEL + 1))
+# per level, in node order: the offsets, and each weight at both its nodes
+_OFFSETS = tuple(tuple(offset for offset, _ in level) for level in _LEVELS)
+_WEIGHTS = tuple(tuple(w for _, w in level for _ in "ab") for level in _LEVELS)
 
 
 def integrate(g: Callable[[float], float], a: float, b: float) -> float:
@@ -49,19 +50,22 @@ def integrate(g: Callable[[float], float], a: float, b: float) -> float:
     Levels are refined until two successive ones differ by at most
     max(TOL, 1e-14 |value|), from level 2 on.  A node that rounds onto a
     or b is skipped, so g is never called at an end.  Each level's nodes
-    are evaluated together, in the order of the node table, by one call
+    are evaluated in one pass, in the order of the node table, by one call
     of g per node on a Python float; a non-finite sample raises
-    NonFiniteSample naming the first such node.  If level MAX_LEVEL has
-    not settled, the piece is integrated by ``oracle.integrate_adaptive``
-    instead.
+    NonFiniteSample naming the first such node.  If level MAX_LEVEL has not
+    settled, ``oracle.integrate_adaptive`` integrates the piece instead.
     """
-    half = 0.5 * (b - a)
-    terms = _terms(g, [(0.5 * (a + b), 0.5 * math.pi)], a, b)
-    prev = None
-    for k, level in enumerate(_LEVELS):
-        terms += _terms(g, [(x, w) for offset, w in level
-                            for x in (a + half * offset, b - half * offset)],
-                        a, b)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    # a skipped node counts +0.0, which leaves math.fsum's sum as it is
+    fx = [g(mid) if a != mid != b else 0.0]
+    _require_finite(fx, lambda: [mid], a, b)
+    terms = [0.5 * math.pi * fx[0]]
+    for k, offsets in enumerate(_OFFSETS):
+        fx = [g(x) if a != x != b else 0.0 for offset in offsets
+              for x in (a + half * offset, b - half * offset)]
+        _require_finite(fx, lambda: [x for offset in offsets for x in (
+            a + half * offset, b - half * offset)], a, b)
+        terms += map(operator.mul, _WEIGHTS[k], fx)
         value = half * 2.0 ** -k * math.fsum(terms)
         if k >= 2 and abs(value - prev) <= max(oracle.TOL,
                                                1e-14 * abs(value)):
@@ -70,14 +74,10 @@ def integrate(g: Callable[[float], float], a: float, b: float) -> float:
     return oracle.integrate_adaptive(g, a, b, oracle.TOL).value
 
 
-def _terms(g, nodes, a, b):
-    """w * g(x) for each (x, w) of nodes, in order, g called one float at a
-    time; a node that rounds onto a or b is skipped."""
-    nodes = [(x, w) for x, w in nodes if a != x != b]
-    fx = [float(g(x)) for x, _ in nodes]
+def _require_finite(fx, nodes, a, b):
+    """NonFiniteSample at the first of nodes() whose sample is not finite."""
     if not all(map(math.isfinite, fx)):
-        x, v = next((x, v) for (x, _), v in zip(nodes, fx)
+        x, v = next((x, v) for x, v in zip(nodes(), fx)
                     if not math.isfinite(v))
-        raise NonFiniteSample(f"integrand is {v!r} at the tanh-sinh node "
-                              f"{x!r} of [{a!r}, {b!r}]")
-    return [w * v for (_, w), v in zip(nodes, fx)]
+        raise NonFiniteSample(f"integrand is {float(v)!r} at the tanh-sinh "
+                              f"node {x!r} of [{a!r}, {b!r}]")

@@ -10,6 +10,11 @@ No module of the package but arrays.py names numpy's power ufuncs: numpy
 may run np.power as SIMD code that moves the last ulp of ``**`` on some
 machines and not on others, so a bound that called it could pass the
 goldens on one machine and fail them on another.
+
+No module of the package names the builtin sum: since Python 3.12 it adds
+floats with compensation, so a sum of the same floats has other last bits
+on 3.12 and later than on 3.10 and 3.11.  The package adds floats with
+math.fsum, correctly rounded on every version, or in a plain loop.
 """
 
 import ast
@@ -97,6 +102,16 @@ def _numpy_powers(trees):
     return found
 
 
+def _builtin_sums(trees):
+    """Each name sum under src/quadcert: the builtin, or a name that
+    shadows it."""
+    return [f"{path}:{n.lineno}"
+            for path, tree in trees.items()
+            if path.parts[:2] == ("src", "quadcert")
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id == "sum"]
+
+
 def test_no_unused_imports():
     assert _unused_imports(_trees()) == []
 
@@ -107,6 +122,21 @@ def test_no_unused_definitions():
 
 def test_no_numpy_power_outside_arrays():
     assert _numpy_powers(_trees()) == []
+
+
+def test_no_builtin_sum():
+    assert _builtin_sums(_trees()) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("y = sum(xs)", ["src/quadcert/tanhsinh.py:1"]),
+    ("y = math.fsum(xs)", []),
+    ("y = np.sum(xs)", []),
+])
+def test_builtin_sum_scan_sees(source, hits):
+    tree = ast.parse(source)
+    assert _builtin_sums({Path("src/quadcert/tanhsinh.py"): tree}) == hits
+    assert _builtin_sums({Path("tests/test_tanhsinh.py"): tree}) == []
 
 
 @pytest.mark.parametrize("source", ["y = np.power(x, 0.5)",

@@ -443,6 +443,17 @@ class TestWeightedMoment:
             val = weighted_moment(HModulus.reciprocal(), rp, side, reflected)
             assert val == pytest.approx(want, abs=1e-11)
 
+    @pytest.mark.xfail(strict=True, reason="h is called at 1 - t, which "
+                       "rounds to 1 within 1e-16 of t = 0 and counts as 0")
+    def test_reflected_moment_singular_at_one(self):
+        # h(1 - t) = t^-1/2: int_0^1/2 |t - 1/4| t^-1/2 dt in closed form;
+        # the rule returns 0.21548219928863815, 3.85e-9 short
+        h = HModulus.custom(lambda t: (1.0 - t) ** -0.5)
+        exact = (1.0 / 6.0 + 2.0 / 3.0 * (0.5 ** 1.5 - 0.125)
+                 - 0.5 * (0.5 ** 0.5 - 0.5))
+        got = weighted_moment(h, RuleParams(0.5, 0.5, 1.0), Side.LEFT, True)
+        assert abs(got - exact) <= 1e-12
+
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(0.02, 0.98), lam=param_floats,
            s=st.floats(0.1, 1.0))

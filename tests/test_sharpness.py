@@ -109,9 +109,18 @@ def _worst(rhs, h):
     return worst
 
 
-@pytest.mark.parametrize("h", MODULI)
-def test_power_mean_attained(h):
-    worst = _worst(lambda rp, *args: rhs_power_mean(MODULI[h], rp, *args), h)
+# the named moduli, and the same as custom ones, whose moments come from the
+# tanh-sinh rule: largest |rhs / exact - 1| on ROWS 1.29e-15 for custom
+# h = t and 1.04e-15 for custom h = 1
+ATTAINED = {h: (MODULI[h], h) for h in MODULI}
+ATTAINED.update({"custom-t": (HModulus.custom(lambda t: t), "t"),
+                 "custom-1": (HModulus.custom(lambda t: 1.0), "1")})
+
+
+@pytest.mark.parametrize("case", ATTAINED)
+def test_power_mean_attained(case):
+    modulus, h = ATTAINED[case]
+    worst = _worst(lambda rp, *args: rhs_power_mean(modulus, rp, *args), h)
     assert worst <= REL_TOL, worst
 
 

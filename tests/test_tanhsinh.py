@@ -1,17 +1,20 @@
 """Tests for the tanh-sinh rule of the bound path's numeric moments.
 
-Values are checked against closed forms; the rule's independence from the
-oracle is checked by making the oracle's integrator unusable.
+Values are checked against closed forms, and their bits, the moments' and
+the samples' against a node-by-node reference; the rule's independence from
+the oracle is checked by making the oracle's integrator unusable.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from quadcert import (ClassCertificate, ClassKind, HModulus, RuleParams,
-                      TestFunction, bound_power_mean, h_integral_01, oracle,
-                      tanhsinh)
-from quadcert.errors import NonFiniteSample
+                      Side, TestFunction, bound_power_mean, h_integral_01,
+                      oracle, tanhsinh, weighted_moment)
+from quadcert.errors import (NonFiniteSample, NotIntegrable,
+                             ToleranceNotReached)
 
 K = 0.3  # the weight kink of the |t - K| cases
 
@@ -48,7 +51,7 @@ def test_ends_never_sampled(a, b):
 
 def _reference_integrate(g, a, b):
     """The rule one node at a time, as first written: the reference that
-    the level-at-once evaluation must match bit for bit."""
+    the one pass per level must match bit for bit."""
     half = 0.5 * (b - a)
     terms = []
 
@@ -104,6 +107,84 @@ def test_nan_sample_raises():
     with pytest.raises(NonFiniteSample) as want:
         _reference_integrate(g, 0.0, 1.0)
     assert str(got.value) == str(want.value)
+
+
+def _moment_rules(seed, n):
+    """Scalar (alpha, lam): the ends 0 and 1, alpha within 1e-15 of them,
+    where a piece is a few ulps wide, and n seeded ones."""
+    rng = np.random.default_rng(seed)
+    rules = [(alpha, lam) for alpha in (0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0)
+             for lam in (0.0, 1.0 / 3.0, 1.0)]
+    return rules + [tuple(map(float, rng.uniform(0.0, 1.0, 2)))
+                    for _ in range(n)]
+
+
+def _moment_outcomes(h, rules):
+    """repr of each of the four moments per rule, or the error it raises."""
+    out = []
+    for alpha, lam in rules:
+        rp = RuleParams(alpha, lam, 1.0)
+        for side in Side:
+            for reflected in (False, True):
+                try:
+                    out.append(repr(weighted_moment(h, rp, side, reflected)))
+                except (NotIntegrable, ToleranceNotReached) as exc:
+                    out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("h, lam", [
+    (HModulus.custom(math.sqrt), None),
+    (HModulus.custom(lambda t: t ** 0.7), None),
+    # 1/t converges on every side at lam = 0 only
+    (HModulus.reciprocal(), 0.0),
+], ids=["sqrt", "t^0.7", "1/t"])
+def test_moments_match_node_by_node_reference(h, lam, monkeypatch):
+    rules = _moment_rules(2505, 12)
+    if lam is not None:
+        rules = sorted({(alpha, lam) for alpha, _ in rules})
+    # at alpha = 1e-15, the reflected left moment of 1/t ends 1e-15 short of
+    # its pole at 1: neither rule settles, and the fallback gives up with
+    # ToleranceNotReached after 42 s at the full cap, both alike
+    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 1000)
+    got = _moment_outcomes(h, rules)
+    monkeypatch.setattr(tanhsinh, "integrate", _reference_integrate)
+    assert got == _moment_outcomes(h, rules)
+
+
+def test_samples_match_node_by_node_reference():
+    # an interior kink: every level up to MAX_LEVEL, then the fallback
+    def sampled(integrate):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t ** 0.7 * abs(t - K)
+
+        integrate(g, 0.0, 1.0)
+        return calls
+
+    got = sampled(tanhsinh.integrate)
+    assert len(got) > 145 and got == sampled(_reference_integrate)
+
+
+def _level0_node():
+    """The upper node of level 0's second offset on [0, 1]."""
+    return 1.0 - 0.5 * tanhsinh._LEVELS[0][1][0]
+
+
+@pytest.mark.parametrize("bad", [lambda: 0.5, _level0_node],
+                         ids=["centre", "level-0"])
+def test_nan_node_message_matches_reference(bad):
+    def g(t):
+        return math.nan if t == bad() else t
+
+    with pytest.raises(NonFiniteSample) as got:
+        tanhsinh.integrate(g, 0.0, 1.0)
+    with pytest.raises(NonFiniteSample) as want:
+        _reference_integrate(g, 0.0, 1.0)
+    assert str(got.value) == str(want.value)
+    assert repr(bad()) in str(got.value)
 
 
 def test_sqrt_evaluation_count():
