@@ -6,10 +6,12 @@ subintervals [0, 1-alpha] and [1-alpha, 1], with the kink at w = alpha*lambda
 on the left and at 1 - lambda*(1-alpha) on the right.  Moments of custom
 and 1/t moduli are integrated instead, split at the kink, by the tanh-sinh
 rule of :mod:`quadcert.tanhsinh`, which hands a piece it does not settle to
-the oracle's adaptive integrator.  alpha and lambda are floats, or arrays
-that broadcast to a grid of rules; branches are chosen per point.  Each
-RuleParams holds its own kinks and branch masks and a memo of its
-closed-form moments, which the bounds evaluated on it share.
+the oracle's adaptive integrator; a custom modulus's plain and reflected
+moments of one side, weighted as a power-mean bound needs them, take one
+pass together.  alpha and lambda are floats, or arrays that broadcast to a
+grid of rules; branches are chosen per point.  Each RuleParams holds its
+own kinks and branch masks and a memo of its closed-form moments, which the
+bounds evaluated on it share.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool):
     """int |t - kink| * h(t) dt (or h(1-t) if reflected) over one side.
 
-    The one entry point for h-weighted moments: closed form for the
+    The one entry point for single h-weighted moments: closed form for the
     identity/power/constant kinds, kept in the rule's memo, tanh-sinh
     quadrature split at the interior kink otherwise, one grid point at a
     time; for h = 1, the gamma or upsilon of :func:`active_gamma_upsilon`.
@@ -256,6 +258,14 @@ def _clamp_moment(val):
     return val
 
 
+def _pieces(rp: RuleParams, side: Side):
+    """(kink, pieces): side's kink and its ends, split there if inside."""
+    lo, hi_lim, kink = ((0.0, rp.u, rp.w) if side is Side.LEFT
+                        else (rp.u, 1.0, rp.hi))
+    return kink, ([(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim
+                  else [(lo, hi_lim)])
+
+
 def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool) -> float:
     if rp.empty[side is Side.RIGHT]:
@@ -270,8 +280,7 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
     if h.kind is HKind.RECIPROCAL and diverges:
         raise NotIntegrable(f"{'reflected ' * reflected}{side.value} moment "
                             f"of 1/t diverges at {int(reflected)}")
-    lo, hi_lim, kink = ((0.0, u, rp.w) if side is Side.LEFT
-                        else (u, 1.0, rp.hi))
+    kink, pieces = _pieces(rp, side)
 
     h_at = h.evaluator
     # an argument on 0 or 1 is a measure-zero endpoint of h's domain: 0 there
@@ -284,11 +293,59 @@ def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
             return abs(t - kink) * h_at(t) if 0.0 < t < 1.0 else 0.0
 
     total = 0.0
-    pieces = [(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim \
-        else [(lo, hi_lim)]
     for plo, phi in pieces:
         total += tanhsinh.integrate(integrand, plo, phi)
     return total
+
+
+def weighted_pair(h: HModulus, rp: RuleParams, side: Side,
+                  c_plain, c_reflected):
+    """c_plain * M + c_reflected * M_r for a custom modulus h, where M and
+    M_r are one side's plain and reflected :func:`weighted_moment`.
+
+    The two moments are integrated together, one tanh-sinh pass per piece
+    on |t - kink| * (w_p h(t) + w_r h(1-t)) with w = c/(c_plain +
+    c_reflected), and the sum is scaled back.  The weights sum to 1, so each
+    piece settles to TOL on a convex combination of the two moments, and
+    the error is at most (c_plain + c_reflected) * TOL, as for the two
+    moments apart.  Where that sum is 0 or not finite, the two moments are
+    taken apart, which keeps their 0, inf or NaN.  The coefficients may be
+    arrays; on a grid one point at a time.  DomainError for any other kind
+    of modulus, whose moments weighted_moment gives.
+    """
+    if h.kind is not HKind.CUSTOM:
+        raise DomainError("weighted_pair integrates custom moduli only")
+    grid = np.broadcast(rp.alpha, rp.lam, c_plain, c_reflected)
+    if grid.shape == ():
+        return _numeric_pair(h, rp, side, c_plain, c_reflected)
+    return np.array([_numeric_pair(h, RuleParams(float(a), float(lm), rp.q),
+                                   side, float(cp), float(cr))
+                     for a, lm, cp, cr in grid]).reshape(grid.shape)
+
+
+def _numeric_pair(h: HModulus, rp: RuleParams, side: Side,
+                  c_plain: float, c_reflected: float) -> float:
+    scale = c_plain + c_reflected
+    if not 0.0 < scale < math.inf:
+        return (c_plain * _numeric_moment(h, rp, side, False)
+                + c_reflected * _numeric_moment(h, rp, side, True))
+    if rp.empty[side is Side.RIGHT]:
+        return 0.0
+    kink, pieces = _pieces(rp, side)
+    h_at, w_p, w_r = h.evaluator, c_plain / scale, c_reflected / scale
+
+    def integrand(t):
+        arg = 1.0 - t
+        # as in the moments apart: h(1-t) counts 0 where 1-t rounds to 1;
+        # 0 < 1-t < 1 implies 0 < t < 1
+        if 0.0 < arg < 1.0:
+            return abs(t - kink) * (w_p * h_at(t) + w_r * h_at(arg))
+        return abs(t - kink) * (w_p * h_at(t)) if 0.0 < t < 1.0 else 0.0
+
+    total = 0.0
+    for plo, phi in pieces:
+        total += tanhsinh.integrate(integrand, plo, phi)
+    return scale * total
 
 
 def abs_moment_p(rp: RuleParams, side: Side):

@@ -26,9 +26,9 @@ from quadcert import (
 from quadcert.arrays import power
 from quadcert.bounds import (rhs_holder_hconcave, rhs_holder_hconvex,
                              rhs_power_mean)
-from quadcert.errors import DomainError, NotIntegrable
+from quadcert.errors import DomainError, EvaluationError, NotIntegrable
 from quadcert.moments import (_clamp_moment, _power_forms, active_epsilons,
-                              active_gamma_upsilon)
+                              active_gamma_upsilon, weighted_pair)
 
 param_floats = st.floats(0.0, 1.0)
 
@@ -537,6 +537,164 @@ class TestInteriorKinkModulus:
             want = math.sqrt(plain_l * big_a) + math.sqrt(plain_r * big_b)
             assert bound_power_mean(tf, rp).value == pytest.approx(
                 want, rel=1e-10)
+
+
+def _pair_inputs(rng):
+    """Rules with alpha at and within 1e-15 of its ends, then seeded ones;
+    seeded coefficients |f'|^2, then pairs with one of them 0."""
+    rules = [(alpha, lam) for alpha in (0.0, 1e-15, 1.0 - 1e-15, 1.0)
+             for lam in (0.0, 0.3, 1.0)]
+    rules += [tuple(map(float, rng.uniform(0.0, 1.0, 2))) for _ in range(12)]
+    coeffs = [tuple(map(float, rng.uniform(0.0, 3.0, 2) ** 2))
+              for _ in range(3)]
+    return rules, coeffs + [(0.0, 1.7), (2.2, 0.0)]
+
+
+class TestWeightedPair:
+    """A custom modulus's plain and reflected moments of one side, weighted
+    by c_plain and c_reflected, in one tanh-sinh pass per piece."""
+
+    # the bench's scalar-only moduli, and a kink that only the adaptive
+    # fallback integrates (in the pair, at 0.37 and 0.63 in one piece)
+    SMOOTH = {"sqrt": math.sqrt, "pow": lambda t: math.pow(t, 0.7),
+              "sin": lambda t: math.sin(0.5 * math.pi * t),
+              "quad": lambda t: t * (2.0 - t)}
+    KINKED = lambda t: abs(t - 0.37) + 0.1
+    RULES, COEFFS = _pair_inputs(np.random.default_rng(20126))
+
+    @staticmethod
+    def _apart(h, rp, side, c_plain, c_reflected):
+        return (c_plain * weighted_moment(h, rp, side, False)
+                + c_reflected * weighted_moment(h, rp, side, True))
+
+    def _cases(self, rules):
+        for (alpha, lam), coeffs in itertools.product(rules, self.COEFFS):
+            for side in Side:
+                yield RuleParams(alpha, lam, 2.0), side, coeffs
+
+    @pytest.mark.parametrize("name", SMOOTH)
+    def test_matches_moments_apart(self, name):
+        # largest |pair / apart - 1| measured: 4.4e-16 (sin: 3.3e-16)
+        h = HModulus.custom(self.SMOOTH[name])
+        for rp, side, coeffs in self._cases(self.RULES):
+            want = self._apart(h, rp, side, *coeffs)
+            assert weighted_pair(h, rp, side, *coeffs) == pytest.approx(
+                want, rel=1e-15, abs=0.0), (rp, side, coeffs)
+
+    def test_kinked_matches_moments_apart(self):
+        # each piece settles to TOL = 1e-12 on the weights' convex
+        # combination; largest |pair - apart| / (c_plain + c_reflected)
+        # measured 1.3e-12, against TestInteriorKinkModulus's 1e-11
+        h = HModulus.custom(TestWeightedPair.KINKED)
+        for rp, side, coeffs in self._cases(TestInteriorKinkModulus.RULES):
+            want = self._apart(h, rp, side, *coeffs)
+            got = weighted_pair(h, rp, side, *coeffs)
+            assert abs(got - want) <= 1e-11 * sum(coeffs), (rp, side, coeffs)
+
+    @pytest.mark.parametrize("name", [*SMOOTH, "kinked"])
+    def test_scaled_coefficients_cost_the_same(self, name):
+        # the pair settles on c/(c_plain + c_reflected), not on c: both
+        # coefficients 1e6 times larger scale the value and not the count
+        fn = self.SMOOTH.get(name, TestWeightedPair.KINKED)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return fn(t)
+
+        h = HModulus.custom(counted)
+        for rp, side, coeffs in self._cases(self.RULES[:18]):
+            calls.clear()
+            value = weighted_pair(h, rp, side, *coeffs)
+            n = len(calls)
+            calls.clear()
+            big = weighted_pair(h, rp, side, *(1e6 * c for c in coeffs))
+            assert len(calls) == n, (rp, side, coeffs)
+            assert big == pytest.approx(1e6 * value, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("name", SMOOTH)
+    def test_no_more_samples_than_moments_apart(self, name):
+        # one pass calls h twice per node; summed over the cases it samples
+        # h no more often than the two moments apart (the kinked modulus
+        # does: its fallback sees both kinks in one piece)
+        calls = []
+        fn = self.SMOOTH[name]
+
+        def counted(t):
+            calls.append(t)
+            return fn(t)
+
+        h = HModulus.custom(counted)
+        pair = apart = 0
+        for rp, side, coeffs in self._cases(self.RULES):
+            calls.clear()
+            weighted_pair(h, rp, side, *coeffs)
+            pair += len(calls)
+            calls.clear()
+            self._apart(h, rp, side, *coeffs)
+            apart += len(calls)
+        assert pair <= apart
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 0.0), (math.inf, 1.0), (1.0, math.inf), (math.inf, 0.0),
+        (math.nan, 1.0), (-1.0, 1.0)],
+        ids=["zero", "inf-plain", "inf-reflected", "inf-zero", "nan",
+             "zero-sum"])
+    def test_edge_coefficients_take_moments_apart(self, coeffs):
+        # a sum that is 0 or not finite cannot be divided out; the moments
+        # apart keep today's 0, inf or NaN, on an empty side too
+        h = HModulus.custom(math.sqrt)
+        for alpha in (0.0, 0.4, 1.0):
+            rp = RuleParams(alpha, 0.3, 2.0)
+            for side in Side:
+                assert _bits(weighted_pair(h, rp, side, *coeffs)) == \
+                    _bits(self._apart(h, rp, side, *coeffs)), (alpha, side)
+
+    @pytest.mark.parametrize("d", [0.0, 1e200], ids=["zero", "overflow"])
+    def test_edge_bound_matches_moments_apart(self, monkeypatch, d):
+        # f'(a) = f'(b) = 0, or a |f'|^q that overflows to inf: the bound
+        # keeps the 0 or inf of the four moments apart
+        h = HModulus.custom(math.sqrt)
+        d = np.float64(d)
+        rp = RuleParams(0.5, 1.0 / 3.0, 2.0)
+        with np.errstate(over="ignore"):
+            got = rhs_power_mean(h, rp, 1.0, d, d)
+            monkeypatch.setattr(bounds, "weighted_pair", self._apart)
+            want = rhs_power_mean(h, rp, 1.0, d, d)
+        assert _same_result(got, want)
+        assert got.value == (0.0 if d == 0.0 else math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf],
+                             ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("d", [0.0, 2.0])
+    def test_bad_modulus_raises_through_bound(self, bad, d):
+        # with or without the coefficients' edge, a bad value is refused
+        h = HModulus.custom(lambda t: t if 0.1 < t < 0.9 else bad)
+        tf = TestFunction(lambda x: d * x, lambda x: d, 0.0, 1.0,
+                          ClassCertificate(ClassKind.H_CONVEX, h, 2.0))
+        with pytest.raises(EvaluationError, match="custom modulus"):
+            bound_power_mean(tf, RuleParams(0.5, 1.0 / 3.0, 2.0))
+
+    @pytest.mark.parametrize("h", [HModulus.power(0.5), HModulus.constant(),
+                                   HModulus.reciprocal()],
+                             ids=["t^0.5", "1", "1/t"])
+    def test_named_moduli_refused(self, h):
+        # their moments are closed forms, or 1/t's with its divergence checks
+        with pytest.raises(DomainError, match="custom moduli only"):
+            weighted_pair(h, RuleParams(0.5, 0.0, 2.0), Side.LEFT, 1.3, 0.4)
+
+    def test_grid_matches_points(self):
+        h = HModulus.custom(math.sqrt)
+        alphas, lams = np.array([0.0, 0.3, 1.0])[:, None], np.array([0.2, 1.0])
+        grid = RuleParams(alphas, lams, 2.0)
+        c_plain = np.array([1.5, 0.0])
+        for side in Side:
+            got = weighted_pair(h, grid, side, c_plain, 0.7)
+            assert got.shape == (3, 2)
+            for i, j in itertools.product(range(3), range(2)):
+                rp = RuleParams(float(alphas[i, 0]), float(lams[j]), 2.0)
+                assert _bits(got[i, j]) == _bits(
+                    weighted_pair(h, rp, side, float(c_plain[j]), 0.7))
 
 
 def _tf_cubic(h, q, kind=ClassKind.H_CONVEX):

@@ -110,8 +110,10 @@ def _worst(rhs, h):
 
 
 # the named moduli, and the same as custom ones, whose moments come from the
-# tanh-sinh rule: largest |rhs / exact - 1| on ROWS 1.29e-15 for custom
-# h = t and 1.04e-15 for custom h = 1
+# tanh-sinh rule, each side's plain and reflected moment in one pass
+# (moments.weighted_pair): largest |rhs / exact - 1| on ROWS 1.11e-15 for
+# custom h = t and 1.08e-15 for custom h = 1.  Either coefficient of the
+# pair scaled by 1 + 1e-12 fails the custom h = t test
 ATTAINED = {h: (MODULI[h], h) for h in MODULI}
 ATTAINED.update({"custom-t": (HModulus.custom(lambda t: t), "t"),
                  "custom-1": (HModulus.custom(lambda t: 1.0), "1")})
@@ -201,6 +203,25 @@ def test_ts_scaled_moment_fails(monkeypatch, s, side, mirrored):
 
     monkeypatch.setattr(bounds, "weighted_moment", scaled)
     assert _worst_ts(s) > REL_TOL
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+def test_custom_scaled_pair_fails(monkeypatch, reflected):
+    # a mutation check: one coefficient of a custom modulus's moment pair
+    # 1 + 1e-12 too large is seen
+    pair = bounds.weighted_pair
+
+    def scaled(h, rp, side, c_plain, c_reflected):
+        if reflected:
+            c_reflected = c_reflected * (1.0 + 1e-12)
+        else:
+            c_plain = c_plain * (1.0 + 1e-12)
+        return pair(h, rp, side, c_plain, c_reflected)
+
+    monkeypatch.setattr(bounds, "weighted_pair", scaled)
+    modulus, h = ATTAINED["custom-t"]
+    worst = _worst(lambda rp, *args: rhs_power_mean(modulus, rp, *args), h)
+    assert worst > REL_TOL
 
 
 @pytest.mark.parametrize("rule, h, ends", [
