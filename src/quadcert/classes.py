@@ -314,4 +314,4 @@ def _eval_maybe_vector(fn, v):
             return out
     except Exception:
         pass
-    return np.array([float(fn(float(x))) for x in v])
+    return map_scalar(lambda t: float(fn(t)), v)

@@ -3,15 +3,17 @@
 Everything here is a closed form for an integral of the shape
 ``int |t - w| * h(.) dt`` or ``int |t - w|^p dt`` over one of the two kernel
 subintervals [0, 1-alpha] and [1-alpha, 1], with the kink at w = alpha*lambda
-on the left and at 1 - lambda*(1-alpha) on the right.  Moments of custom
-and 1/t moduli are integrated instead, split at the kink, by the tanh-sinh
-rule of :mod:`quadcert.tanhsinh`, which hands a piece it does not settle to
-the oracle's adaptive integrator; a custom modulus's plain and reflected
-moments of one side, weighted as a power-mean bound needs them, take one
-pass together.  alpha and lambda are floats, or arrays that broadcast to a
-grid of rules; branches are chosen per point.  Each RuleParams holds its
-own kinks and branch masks and a memo of its closed-form moments, which the
-bounds evaluated on it share.
+on the left and at 1 - lambda*(1-alpha) on the right, for every named
+modulus: t, t^s, 1 and 1/t.  Only a custom modulus's moments are
+integrated, split at the kink, by the tanh-sinh rule of
+:mod:`quadcert.tanhsinh`, which hands a piece it does not settle to the
+oracle's adaptive integrator; one side's plain and reflected moments,
+weighted as a power-mean bound needs them, take one pass together, and a
+single moment is such a pair with one weight 0.  alpha and lambda are
+floats, or arrays that broadcast to a grid of rules; branches are chosen
+per point, and the 1/t and custom moments are taken one point at a time.
+Each RuleParams holds its own kinks and branch masks and a memo of its
+closed-form moments, which the bounds evaluated on it share.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class RuleParams:
     :func:`active_epsilons` and :func:`weighted_moment` compute on first
     use: the branch names, the active gamma/upsilon and epsilons and, keyed
     by s, the four t^s moments; so the bounds evaluated on one RuleParams
-    compute each once.  Moments integrated numerically are not kept.  None
-    of these take part in repr, == or hash.
+    compute each once.  The 1/t and custom moments are not kept.  None of
+    these take part in repr, == or hash.
     """
 
     alpha: Any
@@ -218,11 +220,12 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
                     reflected: bool):
     """int |t - kink| * h(t) dt (or h(1-t) if reflected) over one side.
 
-    The one entry point for single h-weighted moments: closed form for the
-    identity/power/constant kinds, kept in the rule's memo, tanh-sinh
-    quadrature split at the interior kink otherwise, one grid point at a
-    time; for h = 1, the gamma or upsilon of :func:`active_gamma_upsilon`.
-    Raises NotIntegrable when a reciprocal modulus makes the moment diverge.
+    The one entry point for single h-weighted moments.  Every named kind
+    takes a closed form: t and t^s kept in the rule's memo, for h = 1 the
+    gamma or upsilon of :func:`active_gamma_upsilon`, and for h = 1/t
+    :func:`_reciprocal_moment` one grid point at a time, which raises
+    NotIntegrable where the moment diverges.  A custom modulus's moment is
+    :func:`weighted_pair` with coefficients (1, 0) or (0, 1).
     """
     if h.kind is HKind.CONSTANT:
         return active_gamma_upsilon(rp)[side is Side.RIGHT]
@@ -234,12 +237,54 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
                 key: _active(rp, key[0], *forms)
                 for key, forms in _power_forms(rp, s).items()}
         return moments[side is Side.RIGHT, reflected]
-    grid = np.broadcast(rp.alpha, rp.lam)
+    if h.kind is HKind.RECIPROCAL:
+        return _per_point(lambda r: _reciprocal_moment(r, side, reflected),
+                          rp)
+    return weighted_pair(h, rp, side, float(not reflected), float(reflected))
+
+
+def _per_point(fn, rp: RuleParams, *coeffs):
+    """fn(rp, *coeffs); on a grid, fn at each point, on a scalar rule and
+    Python-float coefficients."""
+    grid = np.broadcast(rp.alpha, rp.lam, *coeffs)
     if grid.shape == ():
-        return _numeric_moment(h, rp, side, reflected)
-    return np.array([_numeric_moment(h, RuleParams(float(a), float(lm), rp.q),
-                                     side, reflected)
-                     for a, lm in grid]).reshape(grid.shape)
+        return fn(rp, *coeffs)
+    return np.array([fn(RuleParams(float(a), float(lm), rp.q),
+                        *map(float, cs))
+                     for a, lm, *cs in grid]).reshape(grid.shape)
+
+
+def _reciprocal_moment(rp: RuleParams, side: Side, reflected: bool):
+    """The moment of h = 1/t on one rule, in closed form.
+
+    Where the kink sits on the pole the integrand is 1.  The other two are
+    F(x, k) = int_0^x |t - k|/(1 - t) dt: the left reflected moment at
+    (1-alpha, alpha*lam) and, by t -> 1-t, the right plain one at
+    (1 - u, 1 - hi), both differences exact.
+    """
+    right = side is Side.RIGHT
+    if rp.empty[right]:
+        return 0.0
+    u = rp.u
+    # 1/t blows up at 0 (reflected: at 1) unless the side stops short of
+    # that end or its weight |t - kink| vanishes there
+    if (rp.w > 0.0, u == 1.0, u == 0.0, rp.lu > 0.0)[2 * right + reflected]:
+        raise NotIntegrable(f"{'reflected ' * reflected}{side.value} moment "
+                            f"of 1/t diverges at {int(reflected)}")
+    if reflected == right:  # int_0^u t/t dt or int_u^1 (1-t)/(1-t) dt
+        return 1.0 - u if right else u
+    x, k = (1.0 - u, 1.0 - rp.hi) if right else (u, rp.w)
+    if k > x:
+        return k * x - (1.0 - k) * _m(x)
+    return (1.0 - k) * (_m(x) - 2.0 * _m(k)) - k * x + 2.0 * k * k
+
+
+def _m(x: float) -> float:
+    """-ln(1 - x) - x for 0 <= x < 1; below 1/4 the series of x^j/j from
+    j = 2, which does not cancel (the terms past j = 29 are < 2e-18 of it)."""
+    if x < 0.25:
+        return math.fsum(x ** j / j for j in range(2, 30))
+    return -math.log1p(-x) - x
 
 
 def _clamp_moment(val):
@@ -258,46 +303,6 @@ def _clamp_moment(val):
     return val
 
 
-def _pieces(rp: RuleParams, side: Side):
-    """(kink, pieces): side's kink and its ends, split there if inside."""
-    lo, hi_lim, kink = ((0.0, rp.u, rp.w) if side is Side.LEFT
-                        else (rp.u, 1.0, rp.hi))
-    return kink, ([(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim
-                  else [(lo, hi_lim)])
-
-
-def _numeric_moment(h: HModulus, rp: RuleParams, side: Side,
-                    reflected: bool) -> float:
-    if rp.empty[side is Side.RIGHT]:
-        return 0.0
-    u = rp.u
-    # 1/t blows up at 0 (reflected: at 1) unless the side stops short of
-    # that end or its weight |t - kink| vanishes there
-    diverges = {(Side.LEFT, False): rp.w > 0.0,
-                (Side.LEFT, True): u == 1.0,
-                (Side.RIGHT, False): u == 0.0,
-                (Side.RIGHT, True): rp.lu > 0.0}[side, reflected]
-    if h.kind is HKind.RECIPROCAL and diverges:
-        raise NotIntegrable(f"{'reflected ' * reflected}{side.value} moment "
-                            f"of 1/t diverges at {int(reflected)}")
-    kink, pieces = _pieces(rp, side)
-
-    h_at = h.evaluator
-    # an argument on 0 or 1 is a measure-zero endpoint of h's domain: 0 there
-    if reflected:
-        def integrand(t):
-            arg = 1.0 - t
-            return abs(t - kink) * h_at(arg) if 0.0 < arg < 1.0 else 0.0
-    else:
-        def integrand(t):
-            return abs(t - kink) * h_at(t) if 0.0 < t < 1.0 else 0.0
-
-    total = 0.0
-    for plo, phi in pieces:
-        total += tanhsinh.integrate(integrand, plo, phi)
-    return total
-
-
 def weighted_pair(h: HModulus, rp: RuleParams, side: Side,
                   c_plain, c_reflected):
     """c_plain * M + c_reflected * M_r for a custom modulus h, where M and
@@ -308,42 +313,50 @@ def weighted_pair(h: HModulus, rp: RuleParams, side: Side,
     c_reflected), and the sum is scaled back.  The weights sum to 1, so each
     piece settles to TOL on a convex combination of the two moments, and
     the error is at most (c_plain + c_reflected) * TOL, as for the two
-    moments apart.  Where that sum is 0 or not finite, the two moments are
-    taken apart, which keeps their 0, inf or NaN.  The coefficients may be
-    arrays; on a grid one point at a time.  DomainError for any other kind
-    of modulus, whose moments weighted_moment gives.
+    moments apart.  A zero coefficient leaves its h unsampled, so the
+    coefficients (1, 0) and (0, 1) give one moment alone.  Where the sum is
+    0 or not finite, the two moments are taken apart, which keeps their 0,
+    inf or NaN.  The coefficients may be arrays; on a grid one point at a
+    time.  DomainError for any other kind of modulus, whose moments
+    weighted_moment gives in closed form.
     """
     if h.kind is not HKind.CUSTOM:
         raise DomainError("weighted_pair integrates custom moduli only")
-    grid = np.broadcast(rp.alpha, rp.lam, c_plain, c_reflected)
-    if grid.shape == ():
-        return _numeric_pair(h, rp, side, c_plain, c_reflected)
-    return np.array([_numeric_pair(h, RuleParams(float(a), float(lm), rp.q),
-                                   side, float(cp), float(cr))
-                     for a, lm, cp, cr in grid]).reshape(grid.shape)
+    return _per_point(lambda r, cp, cr: _numeric_pair(h, r, side, cp, cr),
+                      rp, c_plain, c_reflected)
 
 
 def _numeric_pair(h: HModulus, rp: RuleParams, side: Side,
                   c_plain: float, c_reflected: float) -> float:
     scale = c_plain + c_reflected
     if not 0.0 < scale < math.inf:
-        return (c_plain * _numeric_moment(h, rp, side, False)
-                + c_reflected * _numeric_moment(h, rp, side, True))
+        return (c_plain * _numeric_pair(h, rp, side, 1.0, 0.0)
+                + c_reflected * _numeric_pair(h, rp, side, 0.0, 1.0))
     if rp.empty[side is Side.RIGHT]:
         return 0.0
-    kink, pieces = _pieces(rp, side)
+    lo, hi_lim, kink = ((0.0, rp.u, rp.w) if side is Side.LEFT
+                        else (rp.u, 1.0, rp.hi))
     h_at, w_p, w_r = h.evaluator, c_plain / scale, c_reflected / scale
 
-    def integrand(t):
+    # an argument on 0 or 1 is a measure-zero endpoint of h's domain: 0 there
+    def plain(t):
+        return abs(t - kink) * (w_p * h_at(t)) if 0.0 < t < 1.0 else 0.0
+
+    def reflected(t):
         arg = 1.0 - t
-        # as in the moments apart: h(1-t) counts 0 where 1-t rounds to 1;
+        return abs(t - kink) * (w_r * h_at(arg)) if 0.0 < arg < 1.0 else 0.0
+
+    def both(t):
+        arg = 1.0 - t
         # 0 < 1-t < 1 implies 0 < t < 1
         if 0.0 < arg < 1.0:
             return abs(t - kink) * (w_p * h_at(t) + w_r * h_at(arg))
-        return abs(t - kink) * (w_p * h_at(t)) if 0.0 < t < 1.0 else 0.0
+        return plain(t)
 
+    integrand = both if w_p and w_r else plain if w_p else reflected
     total = 0.0
-    for plo, phi in pieces:
+    for plo, phi in ([(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim
+                     else [(lo, hi_lim)]):
         total += tanhsinh.integrate(integrand, plo, phi)
     return scale * total
 

@@ -1,4 +1,4 @@
-"""Tanh-sinh quadrature for the bound path's numeric moments.
+"""Tanh-sinh quadrature for custom moduli: their moments and integral.
 
 The double-exponential rule of Takahasi & Mori (1974), with the level
 scheme of Bailey, Jeyabalan & Li (2005): x = tanh(pi/2 sinh t) maps the
@@ -7,9 +7,10 @@ exponentially toward both ends.  Integrable endpoint singularities such as
 sqrt(t), t^-1/2 or log t therefore settle in a few levels, where adaptive
 Gauss-Kronrod needs thousands of samples.  An interior kink or other
 feature away from the ends does not settle; such a piece falls back to the
-oracle's adaptive integrator.  Each level's node offsets and weights are
-tabled once, at import, in node order, so a level is one pass: g at each
-node, one finiteness scan, the products w g(x) added to math.fsum's terms.
+oracle's adaptive integrator.  A named modulus, 1/t too, never reaches
+this rule.  Each level's node offsets and weights are tabled once, at
+import, in node order, so a level is one pass: g at each node, one
+finiteness scan, the products w g(x) added to math.fsum's terms.
 """
 
 from __future__ import annotations

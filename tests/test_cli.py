@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadcert import bounds, classes, cli, errors, oracle
+from quadcert import bounds, classes, cli, errors, oracle, tanhsinh
 from quadcert.errors import ToleranceNotReached
 
 
@@ -1098,6 +1098,29 @@ class TestOracleFailure:
         code, _, err = run_cli(capsys, VERIFY_SQUARE)
         assert code == 3
         assert "oracle failure" in err
+
+
+class TestReciprocalNearAnEnd:
+    """1/t at lambda = 0 with alpha within 1e-15 or 1e-12 of 0: the left
+    reflected moment ends that close to its pole at 1, and its closed form
+    takes no quadrature.  Integrated, the first exited 3 after 1,000,000
+    panels and the second printed an rhs 3.1e-9 low (46.734064853752216)."""
+
+    @pytest.mark.parametrize("alpha, rhs", [
+        ("1e-15", "57.096863988511316"), ("1e-12", "46.734064856836248"),
+    ])
+    def test_verify(self, capsys, monkeypatch, alpha, rhs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1/t moment was integrated")
+
+        monkeypatch.setattr(tanhsinh, "integrate", refuse)
+        code, out, err = run_cli(capsys, [
+            "verify", "--function", "poly:0,1,0.5,0.3", "--interval", "0",
+            "1.5", "--h", "1/t", "--alpha-grid", alpha, "--lambda-grid",
+            "0"])
+        assert (code, err) == (0, "")
+        [row] = csv.DictReader(io.StringIO(out))
+        assert row["rhs"] == rhs
 
 
 class TestIdentityAndHadamard:

@@ -679,7 +679,7 @@ class TestWeightedPair:
                                    HModulus.reciprocal()],
                              ids=["t^0.5", "1", "1/t"])
     def test_named_moduli_refused(self, h):
-        # their moments are closed forms, or 1/t's with its divergence checks
+        # their moments are closed forms, 1/t's with its divergence checks
         with pytest.raises(DomainError, match="custom moduli only"):
             weighted_pair(h, RuleParams(0.5, 0.0, 2.0), Side.LEFT, 1.3, 0.4)
 

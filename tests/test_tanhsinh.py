@@ -1,8 +1,9 @@
-"""Tests for the tanh-sinh rule of the bound path's numeric moments.
+"""Tests for the tanh-sinh rule of the bound path's custom moments.
 
 Values are checked against closed forms, and their bits, the moments' and
 the samples' against a node-by-node reference; the rule's independence from
-the oracle is checked by making the oracle's integrator unusable.
+the oracle is checked by making the oracle's integrator unusable, and that
+only custom moduli reach the rule by making both unusable.
 """
 
 import math
@@ -10,11 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from quadcert import (ClassCertificate, ClassKind, HModulus, RuleParams,
-                      Side, TestFunction, bound_power_mean, h_integral_01,
-                      oracle, tanhsinh, weighted_moment)
-from quadcert.errors import (NonFiniteSample, NotIntegrable,
-                             ToleranceNotReached)
+from quadcert import (ClassCertificate, ClassKind, HKind, HModulus,
+                      RuleParams, Side, TestFunction, bound_power_mean,
+                      h_integral_01, oracle, tanhsinh, weighted_moment)
+from quadcert.errors import NonFiniteSample, NotIntegrable
 
 K = 0.3  # the weight kink of the |t - K| cases
 
@@ -120,36 +120,54 @@ def _moment_rules(seed, n):
 
 
 def _moment_outcomes(h, rules):
-    """repr of each of the four moments per rule, or the error it raises."""
-    out = []
-    for alpha, lam in rules:
-        rp = RuleParams(alpha, lam, 1.0)
-        for side in Side:
-            for reflected in (False, True):
-                try:
-                    out.append(repr(weighted_moment(h, rp, side, reflected)))
-                except (NotIntegrable, ToleranceNotReached) as exc:
-                    out.append(str(exc))
-    return out
+    """repr of each of the four moments per rule."""
+    return [repr(weighted_moment(h, RuleParams(alpha, lam, 1.0), side,
+                                 reflected))
+            for alpha, lam in rules for side in Side
+            for reflected in (False, True)]
 
 
-@pytest.mark.parametrize("h, lam", [
-    (HModulus.custom(math.sqrt), None),
-    (HModulus.custom(lambda t: t ** 0.7), None),
-    # 1/t converges on every side at lam = 0 only
-    (HModulus.reciprocal(), 0.0),
-], ids=["sqrt", "t^0.7", "1/t"])
-def test_moments_match_node_by_node_reference(h, lam, monkeypatch):
+@pytest.mark.parametrize("h", [HModulus.custom(math.sqrt),
+                               HModulus.custom(lambda t: t ** 0.7)],
+                         ids=["sqrt", "t^0.7"])
+def test_moments_match_node_by_node_reference(h, monkeypatch):
     rules = _moment_rules(2505, 12)
-    if lam is not None:
-        rules = sorted({(alpha, lam) for alpha, _ in rules})
-    # at alpha = 1e-15, the reflected left moment of 1/t ends 1e-15 short of
-    # its pole at 1: neither rule settles, and the fallback gives up with
-    # ToleranceNotReached after 42 s at the full cap, both alike
-    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 1000)
     got = _moment_outcomes(h, rules)
     monkeypatch.setattr(tanhsinh, "integrate", _reference_integrate)
     assert got == _moment_outcomes(h, rules)
+
+
+@pytest.mark.parametrize("h", [HModulus.identity(), HModulus.power(0.4),
+                               HModulus.constant(), HModulus.reciprocal()],
+                         ids=["t", "t^0.4", "1", "1/t"])
+def test_named_moments_take_no_quadrature(h, monkeypatch):
+    # every named modulus's moments are closed forms: neither the bound
+    # path's rule nor the oracle's integrator is called, at alpha within
+    # 1e-15 of its ends, where a 1/t moment ends that close to its pole
+    def refuse(*args, **kwargs):
+        raise AssertionError("a named modulus's moment was integrated")
+
+    monkeypatch.setattr(tanhsinh, "integrate", refuse)
+    monkeypatch.setattr(oracle, "integrate_adaptive", refuse)
+    rng = np.random.default_rng(2701)
+    rules = [(alpha, lam) for alpha in (0.0, 1e-15, 1.0 - 1e-15, 1.0)
+             for lam in (0.0, 1e-15, 0.5, 1.0)]
+    rules += [tuple(map(float, rng.uniform(0.0, 1.0, 2))) for _ in range(20)]
+    alphas, lams = np.array(rules).T
+    for rp in [RuleParams(alpha, lam, 1.0) for alpha, lam in rules] + [
+            RuleParams(alphas, 0.0, 1.0), RuleParams(alphas, lams, 1.0)]:
+        for side in Side:
+            for reflected in (False, True):
+                try:
+                    value = weighted_moment(h, rp, side, reflected)
+                except NotIntegrable:
+                    # 1/t alone diverges, and never at lam = 0 with
+                    # 0 < alpha < 1, where all four of its moments exist
+                    assert h.kind is HKind.RECIPROCAL
+                    assert not (np.all(rp.lam == 0.0) and np.all(
+                        (0.0 < rp.alpha) & (rp.alpha < 1.0)))
+                    continue
+                assert np.all(np.isfinite(value) & (value >= 0.0))
 
 
 def test_samples_match_node_by_node_reference():
