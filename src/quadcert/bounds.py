@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from .arrays import every, map_scalar, power, select
+from .arrays import every, power, select
 from .classes import (ClassKind, HKind, HModulus, TestFunction, h_half,
                       h_integral_01)
 from .errors import ClassMismatch, DomainError, ParamMismatch
@@ -115,7 +115,7 @@ def bound_holder_hconvex(tf: TestFunction, rp: RuleParams) -> BoundResult:
     h = _certified_h(tf, rp, "holder")
     node = (1.0 - rp.alpha) * tf.b + rp.alpha * tf.a
     return rhs_holder_hconvex(h, rp, tf.width,
-                              abs(map_scalar(tf.f_prime, node)),
+                              abs(tf.sample(tf.f_prime, node)),
                               *tf.endpoint_derivatives)
 
 
@@ -147,8 +147,8 @@ def bound_holder_hconcave(tf: TestFunction, rp: RuleParams) -> BoundResult:
     m_left = ((1.0 - alpha) * tf.b + (1.0 + alpha) * tf.a) / 2.0
     m_right = ((2.0 - alpha) * tf.b + alpha * tf.a) / 2.0
     return rhs_holder_hconcave(h, rp, tf.width,
-                               abs(map_scalar(tf.f_prime, m_left)),
-                               abs(map_scalar(tf.f_prime, m_right)))
+                               abs(tf.sample(tf.f_prime, m_left)),
+                               abs(tf.sample(tf.f_prime, m_right)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
         return rhs_midpoint_power_mean(s, rp.q, width, d_a, d_b)
     if name == "midpoint-holder":
         return rhs_midpoint_holder(s, rp.require_p(), rp.q, width, d_a, d_b)
-    d_mid = abs(tf.f_prime(0.5 * (tf.a + tf.b)))
+    d_mid = abs(tf.sample(tf.f_prime, 0.5 * (tf.a + tf.b)))
     if name == "simpson-holder":
         return rhs_simpson_holder(s, rp.require_p(), rp.q,
                                   width, d_mid, d_a, d_b)

@@ -220,15 +220,28 @@ class TestFunction:
     def width(self) -> float:
         return self.b - self.a
 
+    def sample(self, fn, x):
+        """fn(x) for fn f or f_prime, called as arrays.map_scalar calls it;
+        the bounds and the oracle read point values only so.  DomainError
+        names fn and the point where fn divides by zero or is complex."""
+        if isinstance(x, np.ndarray):
+            return map_scalar(partial(self.sample, fn), x)
+        try:
+            val = fn(x)
+            if not isinstance(val, complex):
+                return val
+            fault = "not real"
+        except ZeroDivisionError:
+            fault = "undefined"
+        at = {self.a: "the end a=", self.b: "the end b="}.get(x, "x=")
+        name = "f'" if fn is self.f_prime else "f"
+        raise DomainError(f"{name} is {fault} at {at}{float(x)!r}")
+
     @cached_property
     def endpoint_derivatives(self) -> Tuple[float, float]:
-        """|f'(a)| and |f'(b)|; DomainError at an end where f' divides by 0."""
-        def at(end, x):
-            try:
-                return abs(self.f_prime(x))
-            except ZeroDivisionError:
-                raise DomainError(f"f' is undefined at the end {end}={x!r}")
-        return at("a", self.a), at("b", self.b)
+        """|f'(a)| and |f'(b)|; DomainError at an end where sample fails."""
+        return (abs(self.sample(self.f_prime, self.a)),
+                abs(self.sample(self.f_prime, self.b)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .arrays import map_scalar
 from .classes import ClassKind, HKind, TestFunction, h_half, h_integral_01
 from .errors import ClassMismatch, NonFiniteSample, ToleranceNotReached
 
@@ -182,8 +181,8 @@ def rule_value(tf: TestFunction, alpha, lam):
     """The generalized rule lam*(alpha f(a) + (1-alpha) f(b)) + (1-lam) f(node);
     on arrays alpha, lam, f is called once per node, on floats."""
     node = alpha * tf.a + (1.0 - alpha) * tf.b
-    return (lam * (alpha * tf.f(tf.a) + (1.0 - alpha) * tf.f(tf.b))
-            + (1.0 - lam) * map_scalar(tf.f, node))
+    f_a, f_b, f_node = (tf.sample(tf.f, x) for x in (tf.a, tf.b, node))
+    return lam * (alpha * f_a + (1.0 - alpha) * f_b) + (1.0 - lam) * f_node
 
 
 def mean_value(tf: TestFunction) -> float:
@@ -265,8 +264,8 @@ def hadamard_check(tf: TestFunction, variant: HadamardVariant
         raise ClassMismatch(
             f"modulus kind {cert.h.kind} does not match variant {variant}")
 
-    mid_val = tf.f(0.5 * (tf.a + tf.b))
-    end_sum = tf.f(tf.a) + tf.f(tf.b)
+    mid_val = tf.sample(tf.f, 0.5 * (tf.a + tf.b))
+    end_sum = tf.sample(tf.f, tf.a) + tf.sample(tf.f, tf.b)
     middle = factor * mean_value(tf)
 
     if variant is HadamardVariant.S_CONVEX:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from quadcert import (
     ClassCertificate, ClassKind, HKind, HModulus, MembershipReport,
     RuleParams, Side, TestFunction, certify_membership, h_half,
-    h_integral_01, integrate_adaptive, weighted_moment,
+    h_integral_01, integrate_adaptive, lhs_error, weighted_moment,
 )
 from quadcert.arrays import map_scalar, power
 from quadcert.classes import _derivative_draw, _eval_maybe_vector
@@ -209,6 +209,72 @@ class TestCertificateAndFunction:
         cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, -1.0, 3.0, cert)
         assert tf.width == 4.0
+
+
+class TestSample:
+    """TestFunction.sample: the one way the bounds and the oracle's point
+    values call f or f', and its one failure policy."""
+
+    CERT = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+
+    def _tf(self, f, fp, a=0.0, b=1.0):
+        return TestFunction(f, fp, a, b, self.CERT, skip_derivative_check=True)
+
+    def test_first_failing_element_in_c_order(self):
+        # f' divides by zero at 0.5 and 0.75; C order meets 0.75 first,
+        # Fortran order 0.5
+        tf = self._tf(lambda x: x, lambda x: 1.0 / ((x - 0.5) * (x - 0.75)))
+        x = np.array([[0.25, 0.75], [0.5, 0.6]])
+        with pytest.raises(DomainError,
+                           match=r"^f' is undefined at x=0\.75$"):
+            tf.sample(tf.f_prime, x)
+        # f = x ** 1.5 is complex at -0.5 and -0.25, met in that order
+        tf = self._tf(lambda x: x ** 1.5, lambda x: 1.5 * x ** 0.5, -1.0)
+        x = np.array([[0.5, -0.5], [-0.25, 0.1]])
+        with pytest.raises(DomainError, match=r"^f is not real at x=-0\.5$"):
+            tf.sample(tf.f, x)
+
+    @pytest.mark.parametrize("x, end", [(0.0, "a=0.0"), (2.5, "b=2.5")])
+    def test_an_end_is_named_as_an_end(self, x, end):
+        def fp(t):
+            if t in (0.0, 2.5):
+                raise ZeroDivisionError
+            return 1j
+        tf = self._tf(lambda t: t, fp, 0.0, 2.5)
+        for point in (x, np.array([[x]])):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"f' is undefined at the end {end}") + "$"):
+                tf.sample(tf.f_prime, point)
+        with pytest.raises(DomainError,
+                           match=r"^f' is not real at x=1\.0$"):
+            tf.sample(tf.f_prime, 1.0)
+
+    @pytest.mark.parametrize("f", [lambda x: 0.3 * x ** 2.7 - x,
+                                   lambda x: np.exp(-1.3 * x)],
+                             ids=["float", "numpy"])
+    def test_same_bits_and_calls_as_direct(self, f):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        tf = self._tf(counted, lambda x: 1.0)
+        x = np.random.default_rng(28).uniform(0.0, 1.0, (3, 4))
+        got = tf.sample(tf.f, x)
+        assert len(calls) == 12 and all(type(v) is float for v in calls)
+        assert calls == x.ravel().tolist()
+        assert got.tobytes() == map_scalar(f, x).tobytes()
+        assert got.shape == x.shape
+        point = float(x[1, 2])
+        value = tf.sample(tf.f, point)
+        assert len(calls) == 13
+        assert type(value) is type(f(point)) and value == f(point)
+
+    def test_complex_f_in_lhs_error(self):
+        tf = self._tf(lambda x: x ** 1.5, lambda x: 1.5 * x ** 0.5, -2.0, -1.0)
+        with pytest.raises(DomainError,
+                           match=r"^f is not real at the end a=-2\.0$"):
+            lhs_error(tf, RuleParams(0.5, 1.0 / 3.0, 1.0))
 
 
 class TestCertifyMembership:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadcert import bounds, classes, cli, errors, oracle, tanhsinh
 from quadcert.errors import ToleranceNotReached
@@ -416,13 +419,35 @@ class TestConfigErrors:
         ["verify"], ["sweep"], ["sweep", "--bound", "holder", "--q-grid", "2"],
         ["compare", "--kinds", "general-convex"],
         ["compare", "--kinds", "holder,midpoint-power-mean", "--lambda-grid",
-         "0"]], ids=lambda argv: "-".join(argv[:3:2]))
+         "0"],
+        # alpha = 1 puts the holder node and the holder-concave left
+        # midpoint on a, which each bound reads before |f'(a)|
+        ["verify", "--bound", "holder", "--q-grid", "2", "--alpha-grid", "1",
+         "--lambda-grid", "0"],
+        ["verify", "--bound", "holder-concave", "--concave", "--q-grid", "2",
+         "--alpha-grid", "1", "--lambda-grid", "0"],
+        ["compare", "--kinds", "holder", "--q-grid", "2", "--alpha-grid", "1",
+         "--lambda-grid", "0"]],
+        ids=lambda argv: "-".join(argv[:3:2]))
     def test_undefined_end_named(self, capsys, argv):
         # the bounds read |f'(a)| and f' = 0.5x^-0.5 divides by zero at 0
         code, out, err = run_cli(capsys, [
             *argv, "--function", "pow:1,0.5", "--interval", "0", "1"])
         assert (code, out, err) == (
             2, "", "config error: f' is undefined at the end a=0.0\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["compare", "--kinds", "power-mean,general-convex"],
+         "f' is not real at the end a=-2.0"),
+        (["hadamard", "--h", "1/t", "--variant", "godunova_levin"],
+         "f is not real at x=-1.5"),
+    ], ids=["compare", "hadamard"])
+    def test_not_real_named(self, capsys, argv, line):
+        # f = x^1.5 and f' = 1.5x^0.5 are complex on [-2, -1]; compare reads
+        # f'(a) first and the Hadamard chain f at the midpoint
+        code, out, err = run_cli(capsys, [
+            *argv, "--function", "pow:1,1.5", "--interval", "-2", "-1"])
+        assert (code, out, err) == (2, "", f"config error: {line}\n")
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_nan_derivative_named(self, capsys, command):
@@ -438,6 +463,69 @@ class TestConfigErrors:
         assert (code, out, err) == (
             2, "", "config error: overflow: the power-mean bound is not "
                    "finite\n")
+
+    @pytest.mark.parametrize("spec", ["pow:1,0", "pow:1,-0.5"])
+    def test_pow_needs_positive_exponent(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["verify", "--function", spec])
+        assert (code, out, err) == (
+            2, "", f"config error: cannot parse function spec {spec!r}\n")
+
+
+@st.composite
+def _singular_pow_argv(draw):
+    """A verify, sweep or compare job on pow:beta,r with 0 < r < 1 on
+    [a, b], a = 0 or 0 < a < 1, its alpha grid holding 0 and 1."""
+    real = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    a = draw(st.sampled_from([0.0]) | real)
+    b = a + draw(st.floats(0.5, 2.0))
+    r = draw(real)
+    h = draw(st.sampled_from(["t", "t^s", "1", "1/t"]))
+    argv = ["--function", f"pow:{draw(st.floats(0.5, 2.0))!r},{r!r}",
+            "--interval", repr(a), repr(b), "--h", h,
+            "--alpha-grid", "0", "1",
+            *map(repr, draw(st.lists(real, max_size=2))),
+            "--lambda-grid", *map(repr, draw(st.lists(
+                st.floats(0.0, 1.0), min_size=1, max_size=2))),
+            "--q-grid", draw(st.sampled_from(["1", "2", "3.5"]))]
+    if h == "t^s":
+        argv += ["--s", repr(draw(st.floats(0.1, 1.0)))]
+    command = draw(st.sampled_from(["verify", "sweep", "compare"]))
+    if command == "verify":
+        bound = draw(st.sampled_from(
+            ["power-mean", "holder", "holder-concave"]))
+        argv += ["--bound", bound]
+        if bound == "holder-concave":
+            argv.append("--concave")
+    elif command == "sweep":
+        argv += ["--bound", draw(st.sampled_from(
+            ["holder", "holder-concave"]))]
+    else:
+        argv += ["--kinds", ",".join(draw(st.lists(
+            st.sampled_from(list(bounds.GENERAL_BOUNDS)),
+            min_size=1, max_size=3, unique=True)))]
+    return [command, *argv]
+
+
+class TestSampledPoints:
+    """f and f' are read at points through TestFunction.sample, so a
+    division by zero or a complex value there exits 2 with one line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_singular_pow_argv())
+    def test_documented_exit(self, argv):
+        """pow:beta,r with 0 < r < 1 on [a, b], a = 0 or 0 < a < 1: f' is
+        undefined at 0 and steep near it, and alpha = 1 puts the node on a.
+        Every such job exits 0, 1 or 2, and 2 with one "config error:" line.
+        a < 0 is left out: there f is complex, and a derivative check point
+        can land on 0, where f' raises a ZeroDivisionError that escapes
+        main; the benchmark pins that traceback (ROADMAP item 1)."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"config error: [^\n]*\n", err.getvalue())
 
 
 # alpha on both sides of 1/2 by one ulp and at the ends, lambda at the

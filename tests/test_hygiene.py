@@ -15,6 +15,10 @@ No module of the package names the builtin sum: since Python 3.12 it adds
 floats with compensation, so a sum of the same floats has other last bits
 on 3.12 and later than on 3.10 and 3.11.  The package adds floats with
 math.fsum, correctly rounded on every version, or in a plain loop.
+
+No call of an attribute named f or f_prime in bounds.py, moments.py,
+means.py or cli.py: they read the user's f and f' at a point only through
+TestFunction.sample, the one place that decides what a failure there means.
 """
 
 import ast
@@ -112,6 +116,21 @@ def _builtin_sums(trees):
             if isinstance(n, ast.Name) and n.id == "sum"]
 
 
+# the modules that read f and f' only through TestFunction.sample
+_SAMPLED_ONLY = ("bounds.py", "moments.py", "means.py", "cli.py")
+
+
+def _user_calls(trees):
+    """Each call of an attribute named f or f_prime in _SAMPLED_ONLY."""
+    return [f"{path}:{n.lineno}"
+            for path, tree in trees.items()
+            if path.parts[:2] == ("src", "quadcert")
+            and path.name in _SAMPLED_ONLY
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("f", "f_prime")]
+
+
 def test_no_unused_imports():
     assert _unused_imports(_trees()) == []
 
@@ -126,6 +145,23 @@ def test_no_numpy_power_outside_arrays():
 
 def test_no_builtin_sum():
     assert _builtin_sums(_trees()) == []
+
+
+def test_no_user_calls_outside_sample():
+    assert _user_calls(_trees()) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("d = abs(tf.f_prime(x))", ["src/quadcert/bounds.py:1"]),
+    ("y = self.f(x) + tf.f(b)", ["src/quadcert/bounds.py:1"] * 2),
+    ("d = abs(tf.sample(tf.f_prime, x))", []),
+    ("y = f(x)", []),
+])
+def test_user_call_scan_sees(source, hits):
+    tree = ast.parse(source)
+    assert _user_calls({Path("src/quadcert/bounds.py"): tree}) == hits
+    assert _user_calls({Path("src/quadcert/classes.py"): tree}) == []
+    assert _user_calls({Path("tests/bounds.py"): tree}) == []
 
 
 @pytest.mark.parametrize("source, hits", [
