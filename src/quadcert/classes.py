@@ -89,14 +89,39 @@ class HModulus:
         if self.kind is HKind.RECIPROCAL:
             return lambda t: 1.0 / t
         fn = self.fn
+        return lambda t: _custom_value(fn(t), t)
 
-        def custom(t):
-            val = float(fn(t))
-            if not math.isfinite(val) or val < 0.0:
-                raise EvaluationError(
-                    f"custom modulus returned {val!r} at t={t!r}")
-            return val
-        return custom
+
+def _custom_value(val, t) -> float:
+    """val, a custom modulus's value at t, as a float; EvaluationError
+    unless it is finite and nonnegative.  Every custom value is checked so,
+    once, however h is sampled."""
+    val = float(val)
+    if not 0.0 <= val < math.inf:  # NaN fails too
+        raise EvaluationError(f"custom modulus returned {val!r} at t={t!r}")
+    return val
+
+
+def _custom_on(fn, t: np.ndarray) -> np.ndarray:
+    """A custom modulus's fn at each element of the 1-d array t, as a float
+    array checked as :func:`_custom_value` checks one value.
+
+    fn runs once per element, on Python floats in order, and its values
+    are converted and tested as one array.  Where that conversion or the
+    test fails, the values are walked in order through _custom_value, so the
+    first bad one raises what the evaluator raises there (a None, which
+    numpy makes NaN, stays a TypeError), and fn is not called again.
+    """
+    ts = t.tolist()
+    raw = [fn(v) for v in ts]
+    try:
+        vals = np.array(raw, dtype=float)
+        if (vals.shape == t.shape and 0.0 <= vals.min()
+                and vals.max() < math.inf):
+            return vals
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return np.array([_custom_value(v, x) for v, x in zip(raw, ts)])
 
 
 def h_half(h: HModulus) -> float:
@@ -266,6 +291,14 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     The draw and |f'| at its points depend on (f', a, b, n_samples, seed)
     only, so consecutive checks of one f' object reuse them; each check
     computes its own h on the draw, |f'|^q and slack.
+
+    A named h takes the alpha and 1 - alpha arrays whole, through its
+    evaluator.  A custom h's fn runs once per sample, on Python floats,
+    all alpha and then all 1 - alpha, each pass checked as one array by
+    :func:`_custom_on`: a bad value raises what the evaluator raises for
+    it, naming the first bad sample in draw order, but only once fn has
+    run on the whole pass, so an fn that raises its own exception at a
+    later sample surfaces that exception instead.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -277,7 +310,7 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     xs, ys, alphas, *abs_fp = draw(tf.f_prime, tf.a, tf.b, n_samples, seed)
     h_on = cert.h.evaluator
     if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
-        h_on = partial(map_scalar, h_on)
+        h_on = partial(_custom_on, cert.h.fn)
     h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
     # with every g finite, an h*g that overflows to inf still gives the
     # sign its exact value would

@@ -146,6 +146,15 @@ def _axes(args, default_q: float):
     return np.array(alphas)[:, None], np.array(lams), qs
 
 
+def _evaluate_bound(name, tf, rp, **kwargs):
+    """bnd.evaluate_bound; a Python float power that overflows in it, such
+    as |f'(a)| ** q, is reported as that bound not being finite."""
+    try:
+        return bnd.evaluate_bound(name, tf, rp, **kwargs)
+    except OverflowError:
+        raise OverflowError(f"the {name} bound is not finite") from None
+
+
 def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
     """Yield each (q, s) block: per column one value or an array over it.
     A rejected block evaluates its bound too, so a configuration error
@@ -157,7 +166,7 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
         rep = certify_membership(tf, MEMBERSHIP_SAMPLES, seed=args.seed)
 
         def evaluate(rp):
-            res = bnd.evaluate_bound(args.bound, tf, rp)
+            res = _evaluate_bound(args.bound, tf, rp)
             # power-mean uses no conjugate exponent
             return {"p": None if args.bound == "power-mean" else rp.p,
                     "branch": res.branch, "rhs": res.value}
@@ -263,10 +272,10 @@ def cmd_compare(args) -> int:
 
         def evaluate(rp):
             # |f'|^q of an exp: spec, a numpy float, overflows to inf with a
-            # warning where a poly: spec's raises OverflowError; a bound
-            # that is not finite is that error too
+            # warning where a poly: or pow: spec's raises OverflowError,
+            # which _evaluate_bound names the same way
             with np.errstate(over="ignore", invalid="ignore"):
-                values = [bnd.evaluate_bound(
+                values = [_evaluate_bound(
                     name, tfs[bnd.certificate_class(name)], rp,
                     sup_f4=args.sup_f4).value for name in kind_names]
             for name, value in zip(kind_names, values):

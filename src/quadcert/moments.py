@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tanhsinh
 from .arrays import every, power, select
-from .classes import HKind, HModulus
+from .classes import HKind, HModulus, _custom_value
 from .errors import DomainError, NotIntegrable
 
 
@@ -336,21 +336,44 @@ def _numeric_pair(h: HModulus, rp: RuleParams, side: Side,
         return 0.0
     lo, hi_lim, kink = ((0.0, rp.u, rp.w) if side is Side.LEFT
                         else (rp.u, 1.0, rp.hi))
-    h_at, w_p, w_r = h.evaluator, c_plain / scale, c_reflected / scale
+    fn, inf = h.fn, math.inf
+    w_p, w_r = c_plain / scale, c_reflected / scale
 
-    # an argument on 0 or 1 is a measure-zero endpoint of h's domain: 0 there
+    # Each integrand calls h's fn at its node directly, not through
+    # HModulus.evaluator: a plain float in [0, inf) is used as it is, and
+    # any other value goes through classes._custom_value, the evaluator's
+    # own float-and-check, which raises its EvaluationError (float's
+    # TypeError for None) at once.  So, unlike certify_membership's array
+    # path, no call of fn follows a bad value.  An argument on 0 or 1 is a
+    # measure-zero endpoint of h's domain: 0 there.
     def plain(t):
-        return abs(t - kink) * (w_p * h_at(t)) if 0.0 < t < 1.0 else 0.0
+        if 0.0 < t < 1.0:
+            v = fn(t)
+            if type(v) is not float or not 0.0 <= v < inf:
+                v = _custom_value(v, t)
+            return abs(t - kink) * (w_p * v)
+        return 0.0
 
     def reflected(t):
         arg = 1.0 - t
-        return abs(t - kink) * (w_r * h_at(arg)) if 0.0 < arg < 1.0 else 0.0
+        if 0.0 < arg < 1.0:
+            v = fn(arg)
+            if type(v) is not float or not 0.0 <= v < inf:
+                v = _custom_value(v, arg)
+            return abs(t - kink) * (w_r * v)
+        return 0.0
 
     def both(t):
         arg = 1.0 - t
         # 0 < 1-t < 1 implies 0 < t < 1
         if 0.0 < arg < 1.0:
-            return abs(t - kink) * (w_p * h_at(t) + w_r * h_at(arg))
+            v = fn(t)
+            if type(v) is not float or not 0.0 <= v < inf:
+                v = _custom_value(v, t)
+            r = fn(arg)
+            if type(r) is not float or not 0.0 <= r < inf:
+                r = _custom_value(r, arg)
+            return abs(t - kink) * (w_p * v + w_r * r)
         return plain(t)
 
     integrand = both if w_p and w_r else plain if w_p else reflected

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from quadcert import (
     ClassCertificate, ClassKind, HKind, HModulus, MembershipReport,
-    RuleParams, Side, TestFunction, certify_membership, h_half,
-    h_integral_01, integrate_adaptive, lhs_error, weighted_moment,
+    RuleParams, Side, TestFunction, bound_power_mean, certify_membership,
+    h_half, h_integral_01, integrate_adaptive, lhs_error, weighted_moment,
 )
 from quadcert.arrays import map_scalar, power
 from quadcert.classes import _derivative_draw, _eval_maybe_vector
@@ -39,9 +39,37 @@ class TestHHalf:
             h_half(HModulus.custom(lambda t: bad))
 
 
+N_CHECKED = 200
+
+
+def _float_error(val):
+    """The message of the TypeError float(val) raises."""
+    with pytest.raises(TypeError) as info:
+        float(val)
+    return str(info.value)
+
+
+def _recording(values):
+    """A modulus fn that records its arguments and returns values.get(i, t)
+    at its i-th call, and the list it records into."""
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return values.get(len(calls) - 1, t)
+    return fn, calls
+
+
 class TestBadCustomValues:
     """Every caller of a custom modulus refuses a NaN, negative or infinite
-    value, wherever in (0, 1) it appears."""
+    value, wherever in (0, 1) it appears.
+
+    certify_membership runs a custom fn on all alpha samples, checks them,
+    then on all 1 - alpha samples, and checks those; the bound's pair
+    integrand checks each value before its next call.  A bad value raises
+    what HModulus.evaluator raises for it, EvaluationError with its message
+    for NaN, negative or infinite and float's TypeError for None, naming
+    the first bad sample in draw or node order."""
 
     @pytest.fixture(params=[math.nan, -1.0, math.inf],
                     ids=["nan", "negative", "inf"])
@@ -64,6 +92,88 @@ class TestBadCustomValues:
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, cert)
         with pytest.raises(EvaluationError, match="custom modulus"):
             certify_membership(tf, n_samples=200)
+
+    @staticmethod
+    def _tf(fn):
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.custom(fn), 1.0)
+        return TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0,
+                            cert)
+
+    @staticmethod
+    def _draw(tf):
+        """The alpha and 1 - alpha samples, as fn is called on them."""
+        alphas = _derivative_draw(tf.f_prime, tf.a, tf.b, N_CHECKED, 0)[2]
+        return alphas.tolist() + (1.0 - alphas).tolist()
+
+    def test_success_calls_every_sample_once_in_order(self):
+        fn, calls = _recording({})
+        tf = self._tf(fn)
+        assert certify_membership(tf, N_CHECKED).holds
+        assert calls == self._draw(tf)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, None],
+                             ids=["nan", "negative", "inf", "none"])
+    @pytest.mark.parametrize("first", [7, N_CHECKED + 7],
+                             ids=["alpha", "one-minus-alpha"])
+    def test_first_bad_sample_named(self, bad, first):
+        # a second bad value later in the same pass is not the one named
+        fn, calls = _recording({first: bad, first + 3: -2.0})
+        tf = self._tf(fn)
+        ts = self._draw(tf)
+        if bad is None:
+            with pytest.raises(TypeError) as info:
+                certify_membership(tf, N_CHECKED)
+            assert str(info.value) == _float_error(None)
+        else:
+            with pytest.raises(EvaluationError) as info:
+                certify_membership(tf, N_CHECKED)
+            assert str(info.value) == (f"custom modulus returned {bad!r} "
+                                       f"at t={ts[first]!r}")
+        # fn ran on the whole pass holding the bad value, and never after
+        end = N_CHECKED if first < N_CHECKED else 2 * N_CHECKED
+        assert calls == ts[:end]
+
+    def test_fn_runs_on_the_whole_pass_before_the_check(self):
+        # The one difference from a loop of evaluator calls, which would
+        # stop at the bad value at call 7: fn runs on every alpha sample
+        # before any value is checked, so its own error at a later sample
+        # surfaces instead.
+        def fn(t):
+            calls.append(t)
+            if len(calls) == 8:
+                return math.nan
+            if len(calls) == 12:
+                raise ZeroDivisionError("fn's own error")
+            return t
+
+        calls = []
+        with pytest.raises(ZeroDivisionError, match="fn's own error"):
+            certify_membership(self._tf(fn), N_CHECKED)
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, None],
+                             ids=["nan", "negative", "inf", "none"])
+    def test_pair_stops_at_the_first_bad_node(self, bad):
+        # D_a = 2 and D_b = 4 are both > 0, so each side samples h(t) and
+        # h(1 - t) in one integrand
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return t if 0.01 < t < 0.99 else bad
+
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.custom(fn), 2.0)
+        tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 1.0, 2.0, cert)
+        rp = RuleParams(0.5, 1.0 / 3.0, 2.0)
+        error = TypeError if bad is None else EvaluationError
+        with pytest.raises(error) as info:
+            bound_power_mean(tf, rp)
+        # the bad call is the last one, and every earlier one was good
+        assert not 0.01 < calls[-1] < 0.99
+        assert len(calls) > 1 and all(0.01 < t < 0.99 for t in calls[:-1])
+        assert str(info.value) == (
+            _float_error(None) if bad is None else
+            f"custom modulus returned {bad!r} at t={calls[-1]!r}")
 
 
 class TestHIntegral:
@@ -370,16 +480,24 @@ def _loop_membership(tf, n_samples, seed):
 
 
 class TestMembershipOnArrays:
-    """The named moduli are sampled as arrays, to the same bits as a loop."""
+    """Every modulus is sampled on the whole draw, a named one through its
+    evaluator on arrays and a custom one by one call of fn per sample, to
+    the same bits as a loop of evaluator calls."""
 
     MODULI = [HModulus.identity(), HModulus.power(0.3), HModulus.power(1.0),
               HModulus.constant(), HModulus.reciprocal()]
+    # scalar-only moduli; t^2 < t, so every positive |f'|^q is rejected
+    CUSTOM = {"sqrt": math.sqrt, "pow0.7": lambda t: t ** 0.7,
+              "sin": lambda t: math.sin(0.5 * math.pi * t),
+              "quad": lambda t: t * (2.0 - t), "square": lambda t: t * t}
     # (f', interval, q): |f'|^q convex and positive, and one that is not
     FUNCTIONS = [(lambda x: 1.0 + x + 0.9 * x * x, (0.0, 1.5), 1.7),
                  (lambda x: 1.0 - 3.0 * x * x, (-1.0, 1.0), 1.0)]
 
-    @pytest.mark.parametrize("h", MODULI, ids=lambda h: h.kind.value
-                             + str(h.s_param or ""))
+    @pytest.mark.parametrize("h", MODULI + [
+        pytest.param(HModulus.custom(fn), id=f"custom-{name}")
+        for name, fn in CUSTOM.items()],
+        ids=lambda h: h.kind.value + str(h.s_param or ""))
     @pytest.mark.parametrize("kind", list(ClassKind))
     @pytest.mark.parametrize("which", [0, 1])
     def test_report_matches_loop(self, h, kind, which):

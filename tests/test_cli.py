@@ -464,6 +464,21 @@ class TestConfigErrors:
             2, "", "config error: overflow: the power-mean bound is not "
                    "finite\n")
 
+    @pytest.mark.parametrize("argv, bound", [
+        (["verify"], "power-mean"),
+        (["sweep", "--bound", "holder"], "holder"),
+        (["compare", "--kinds", "general-convex"], "general-convex"),
+    ], ids=["verify", "sweep", "compare"])
+    def test_float_power_overflow_named(self, capsys, argv, bound):
+        # |f'(a)| = 0.5/sqrt(1e-300) = 5e149, a Python float whose cube,
+        # d_a ** q in the bound, overflows with a bare OverflowError
+        code, out, err = run_cli(capsys, [
+            *argv, "--function", "pow:1,0.5", "--interval", "1e-300", "1",
+            "--q-grid", "3"])
+        assert (code, out, err) == (
+            2, "", f"config error: overflow: the {bound} bound is not "
+                   f"finite\n")
+
     @pytest.mark.parametrize("spec", ["pow:1,0", "pow:1,-0.5"])
     def test_pow_needs_positive_exponent(self, capsys, spec):
         code, out, err = run_cli(capsys, ["verify", "--function", spec])

@@ -19,9 +19,20 @@ math.fsum, correctly rounded on every version, or in a plain loop.
 No call of an attribute named f or f_prime in bounds.py, moments.py,
 means.py or cli.py: they read the user's f and f' at a point only through
 TestFunction.sample, the one place that decides what a failure there means.
+
+No module of the package but classes.py and moments.py reads an attribute
+named fn: a custom modulus's fn is sampled only there, where each of its
+values is checked, and everywhere else through HModulus.evaluator.
+
+No import of a package that pyproject.toml does not list: under src/ only
+the standard library, numpy and quadcert itself; tests/ and bench/ may also
+import pytest, hypothesis and the bench's own modules.  mpmath, scipy or
+sympy may be installed where the suite runs, so only a bare environment
+would otherwise catch a stray import.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +142,47 @@ def _user_calls(trees):
             and n.func.attr in ("f", "f_prime")]
 
 
+# the modules that call a custom modulus's fn
+_FN_CALLERS = ("classes.py", "moments.py")
+
+
+def _fn_reads(trees):
+    """Each read of an attribute named fn under src/quadcert outside
+    _FN_CALLERS; reading it is how a module would call it."""
+    return [f"{path}:{n.lineno}"
+            for path, tree in trees.items()
+            if path.parts[:2] == ("src", "quadcert")
+            and path.name not in _FN_CALLERS
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "fn"]
+
+
+# beyond the standard library: what pyproject.toml lists, per root
+_PACKAGE_DEPS = {"numpy", "quadcert"}
+_TEST_DEPS = _PACKAGE_DEPS | {"pytest", "hypothesis", "run", "spans",
+                              "workloads"}
+
+
+def _unlisted_imports(trees):
+    """Each absolute import of a top-level name that is neither in the
+    standard library nor listed for its root."""
+    found = []
+    for path, tree in trees.items():
+        allowed = _PACKAGE_DEPS if path.parts[0] == "src" else _TEST_DEPS
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom) and not n.level:
+                names = [n.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in allowed:
+                    found.append(f"{path}:{n.lineno}: {top}")
+    return found
+
+
 def test_no_unused_imports():
     assert _unused_imports(_trees()) == []
 
@@ -149,6 +201,46 @@ def test_no_builtin_sum():
 
 def test_no_user_calls_outside_sample():
     assert _user_calls(_trees()) == []
+
+
+def test_fn_read_only_where_checked():
+    assert _fn_reads(_trees()) == []
+
+
+def test_only_listed_imports():
+    assert _unlisted_imports(_trees()) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("v = h.fn(t)", ["src/quadcert/bounds.py:1"]),
+    ("g = cert.h.fn", ["src/quadcert/bounds.py:1"]),
+    ("v = h.evaluator(t)", []),
+    ("v = fn(t)", []),
+])
+def test_fn_read_scan_sees(source, hits):
+    tree = ast.parse(source)
+    assert _fn_reads({Path("src/quadcert/bounds.py"): tree}) == hits
+    for caller in _FN_CALLERS:
+        assert _fn_reads({Path("src/quadcert", caller): tree}) == []
+    assert _fn_reads({Path("tests/test_bounds.py"): tree}) == []
+
+
+@pytest.mark.parametrize("source, src_hits, test_hits", [
+    ("import scipy.integrate", ["scipy"], ["scipy"]),
+    ("from mpmath import mp", ["mpmath"], ["mpmath"]),
+    ("import pytest", ["pytest"], []),
+    ("from workloads import build", ["workloads"], []),
+    ("import math, numpy as np", [], []),
+    ("from quadcert.arrays import power", [], []),
+    ("from . import oracle", [], []),
+])
+def test_unlisted_import_scan_sees(source, src_hits, test_hits):
+    tree = ast.parse(source)
+    for path, hits in (("src/quadcert/bounds.py", src_hits),
+                       ("tests/test_bounds.py", test_hits),
+                       ("bench/run.py", test_hits)):
+        assert _unlisted_imports({Path(path): tree}) \
+            == [f"{path}:1: {top}" for top in hits]
 
 
 @pytest.mark.parametrize("source, hits", [
