@@ -88,8 +88,16 @@ class HModulus:
             return lambda t: 1.0
         if self.kind is HKind.RECIPROCAL:
             return lambda t: 1.0 / t
-        fn = self.fn
-        return lambda t: _custom_value(fn(t), t)
+        fn, inf = self.fn, math.inf
+
+        # a plain float in [0, inf) is used as it is (NaN fails the test);
+        # any other value goes through _custom_value
+        def custom(t):
+            v = fn(t)
+            if type(v) is float and 0.0 <= v < inf:
+                return v
+            return _custom_value(v, t)
+        return custom
 
 
 def _custom_value(val, t) -> float:

@@ -39,11 +39,29 @@ _K15_PAIRS = (
 _K15_CENTRE = (0.20948214108472782801, 0.41795918367346938776)
 
 
+# The same constants unpacked for the straight-line kernel below: node
+# abscissa _Xi, Kronrod weight _Ki and Gauss weight _Gi of pair i, outermost
+# first, and the centre's weights.
+((_X1, _K1, _G1), (_X2, _K2, _G2), (_X3, _K3, _G3), (_X4, _K4, _G4),
+ (_X5, _K5, _G5), (_X6, _K6, _G6), (_X7, _K7, _G7)) = _K15_PAIRS
+_KC, _GC = _K15_CENTRE
+
+
 def _kronrod_pair(g, lo, hi):
     """(K15 value, error estimate) on [lo, hi].
 
-    Each sample is converted to a Python float once, so the sums below run
-    on floats even when g returns numpy scalars (the conversion is exact).
+    g is called at the 15 nodes in one fixed order: the centre c first,
+    then each symmetric pair from the outermost inward, c - half * x before
+    c + half * x.  Each sample is converted to a Python float once, so the
+    sums below run on floats even when g returns numpy scalars (the
+    conversion is exact).  Each pair is tested right after its two calls:
+    the sum s of two samples is finite exactly when both are, unless two
+    finite samples overflow, so s - s != 0.0 sends the pair to
+    _non_finite_pair, which raises NonFiniteSample for its first non-finite
+    sample and returns otherwise; g is not called past a bad pair.  The
+    code is written out pair by pair, with no per-pair loop to pay for; its
+    sums are left-to-right chains in pair order, the float operations of a
+    loop over _K15_PAIRS, so it gives a loop's bits.
     The estimate follows the QUADPACK recipe: the raw |K15 - G7| gap is
     amplified against the L1 deviation of the integrand from its mean, so
     that a kink sitting symmetrically inside the interval (where both rules
@@ -52,30 +70,60 @@ def _kronrod_pair(g, lo, hi):
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fc = float(g(c))
-    if not math.isfinite(fc):
+    if fc - fc != 0.0:
         raise NonFiniteSample(
             f"integrand is {fc!r} at the centre node {c!r} "
             f"of panel [{lo!r}, {hi!r}]")
-    wk_centre, wg_centre = _K15_CENTRE
-    kron = wk_centre * fc
-    gauss = wg_centre * fc
-    pairs = []
-    for x, wk, wg in _K15_PAIRS:
-        x1, x2 = c - half * x, c + half * x
-        f1 = float(g(x1))
-        f2 = float(g(x2))
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            node, val = (x2, f2) if math.isfinite(f1) else (x1, f1)
-            raise NonFiniteSample(
-                f"integrand is {val!r} at the interior node {node!r} "
-                f"of panel [{lo!r}, {hi!r}]")
-        pairs.append((f1, f2))
-        kron += wk * (f1 + f2)
-        gauss += wg * (f1 + f2)
+    a1 = float(g(c - half * _X1))
+    b1 = float(g(c + half * _X1))
+    s1 = a1 + b1
+    if s1 - s1 != 0.0:
+        _non_finite_pair(lo, hi, c, half, _X1, a1, b1)
+    a2 = float(g(c - half * _X2))
+    b2 = float(g(c + half * _X2))
+    s2 = a2 + b2
+    if s2 - s2 != 0.0:
+        _non_finite_pair(lo, hi, c, half, _X2, a2, b2)
+    a3 = float(g(c - half * _X3))
+    b3 = float(g(c + half * _X3))
+    s3 = a3 + b3
+    if s3 - s3 != 0.0:
+        _non_finite_pair(lo, hi, c, half, _X3, a3, b3)
+    a4 = float(g(c - half * _X4))
+    b4 = float(g(c + half * _X4))
+    s4 = a4 + b4
+    if s4 - s4 != 0.0:
+        _non_finite_pair(lo, hi, c, half, _X4, a4, b4)
+    a5 = float(g(c - half * _X5))
+    b5 = float(g(c + half * _X5))
+    s5 = a5 + b5
+    if s5 - s5 != 0.0:
+        _non_finite_pair(lo, hi, c, half, _X5, a5, b5)
+    a6 = float(g(c - half * _X6))
+    b6 = float(g(c + half * _X6))
+    s6 = a6 + b6
+    if s6 - s6 != 0.0:
+        _non_finite_pair(lo, hi, c, half, _X6, a6, b6)
+    a7 = float(g(c - half * _X7))
+    b7 = float(g(c + half * _X7))
+    s7 = a7 + b7
+    if s7 - s7 != 0.0:
+        _non_finite_pair(lo, hi, c, half, _X7, a7, b7)
+    kron = (_KC * fc + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4
+            + _K5 * s5 + _K6 * s6 + _K7 * s7)
+    # the Kronrod-only pairs' 0.0 * s terms are kept, so that gauss is the
+    # loop's float, NaN from an overflowed pair sum (0.0 * inf) included
+    gauss = (_GC * fc + _G1 * s1 + _G2 * s2 + _G3 * s3 + _G4 * s4
+             + _G5 * s5 + _G6 * s6 + _G7 * s7)
     mean = kron / 2.0
-    resasc = wk_centre * abs(fc - mean)
-    for (_, wk, _), (f1, f2) in zip(_K15_PAIRS, pairs):
-        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
+    resasc = (_KC * abs(fc - mean)
+              + _K1 * (abs(a1 - mean) + abs(b1 - mean))
+              + _K2 * (abs(a2 - mean) + abs(b2 - mean))
+              + _K3 * (abs(a3 - mean) + abs(b3 - mean))
+              + _K4 * (abs(a4 - mean) + abs(b4 - mean))
+              + _K5 * (abs(a5 - mean) + abs(b5 - mean))
+              + _K6 * (abs(a6 - mean) + abs(b6 - mean))
+              + _K7 * (abs(a7 - mean) + abs(b7 - mean)))
     resasc *= abs(half)
     kron *= half
     gauss *= half
@@ -83,6 +131,21 @@ def _kronrod_pair(g, lo, hi):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return kron, err
+
+
+def _non_finite_pair(lo, hi, c, half, x, f1, f2):
+    """Raise NonFiniteSample for the first non-finite of the samples f1 at
+    c - half * x and f2 at c + half * x on panel [lo, hi]; return if both
+    are finite (their sum overflowed)."""
+    if not math.isfinite(f1):
+        node, val = c - half * x, f1
+    elif not math.isfinite(f2):
+        node, val = c + half * x, f2
+    else:
+        return
+    raise NonFiniteSample(
+        f"integrand is {val!r} at the interior node {node!r} "
+        f"of panel [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)

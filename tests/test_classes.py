@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from quadcert import (
     ClassCertificate, ClassKind, HKind, HModulus, MembershipReport,
     RuleParams, Side, TestFunction, bound_power_mean, certify_membership,
-    h_half, h_integral_01, integrate_adaptive, lhs_error, weighted_moment,
+    h_half, h_integral_01, integrate_adaptive, lhs_error, tanhsinh,
+    weighted_moment,
 )
 from quadcert.arrays import map_scalar, power
-from quadcert.classes import _derivative_draw, _eval_maybe_vector
+from quadcert.classes import (_custom_value, _derivative_draw,
+                              _eval_maybe_vector)
 from quadcert.errors import (DegenerateModulus, DomainError, EvaluationError,
                              NotIntegrable)
 
@@ -203,6 +205,53 @@ class TestHIntegral:
         assert via_field == via_method
         assert h_integral_01(via_field) == h_integral_01(via_method) \
             == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @staticmethod
+    def _checked(fn):
+        """A custom modulus's value as a closure that calls _custom_value
+        on every sample, fn and the check as two calls: the reference the
+        evaluator's inline test must match."""
+        return lambda t: _custom_value(fn(t), t)
+
+    @staticmethod
+    def _outcome(thunk):
+        """(type, repr) of what thunk returns, or (type, message) of what
+        it raises."""
+        try:
+            val = thunk()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return type(val), repr(val)
+
+    @pytest.mark.parametrize("fn", [math.sqrt, lambda t: t * (2.0 - t),
+                                    lambda t: math.sin(0.5 * math.pi * t)],
+                             ids=["sqrt", "t(2-t)", "sin"])
+    def test_custom_calls_fn_once_per_node(self, fn):
+        got_fn, got = _recording({})
+        want_fn, want = _recording({})
+        value = h_integral_01(HModulus.custom(lambda t: fn(got_fn(t))))
+        reference = tanhsinh.integrate(
+            self._checked(lambda t: fn(want_fn(t))), 0.0, 1.0)
+        assert got == want
+        assert repr(value) == repr(reference)
+
+    @pytest.mark.parametrize("val", [math.nan, -1.0, math.inf, None, 3,
+                                     np.float64(0.25)],
+                             ids=["nan", "negative", "inf", "none", "int",
+                                  "numpy"])
+    def test_values_as_the_check_takes_them(self, val):
+        # a float outside [0, inf) or any other type takes _custom_value's
+        # path: its EvaluationError, float's TypeError, or a float
+        def fn(t):
+            return val
+
+        h = HModulus.custom(fn)
+        assert self._outcome(lambda: h.evaluator(0.3)) == \
+            self._outcome(lambda: _custom_value(val, 0.3))
+        assert self._outcome(lambda: h_integral_01(h)) == self._outcome(
+            lambda: tanhsinh.integrate(self._checked(fn), 0.0, 1.0))
+        if type(val) is not float and val is not None:  # int, numpy
+            assert type(h.evaluator(0.3)) is float
 
     @settings(max_examples=25, deadline=None)
     @given(s=st.floats(0.05, 1.0))

@@ -24,6 +24,11 @@ No module of the package but classes.py and moments.py reads an attribute
 named fn: a custom modulus's fn is sampled only there, where each of its
 values is checked, and everywhere else through HModulus.evaluator.
 
+No float literal in oracle.py outside the qk15 table (_K15_PAIRS and
+_K15_CENTRE) equals one of its constants or is as long as one (15 or more
+significant digits): the kernel reads the table's constants by name, so a
+retyped constant cannot drift from the one copy the tests check.
+
 No import of a package that pyproject.toml does not list: under src/ only
 the standard library, numpy and quadcert itself; tests/ and bench/ may also
 import pytest, hypothesis and the bench's own modules.  mpmath, scipy or
@@ -183,6 +188,42 @@ def _unlisted_imports(trees):
     return found
 
 
+# the assignments that hold oracle.py's qk15 constants
+_QK15_TABLES = ("_K15_PAIRS", "_K15_CENTRE")
+
+
+def _significant_digits(x):
+    return len(repr(abs(x)).split("e")[0].replace(".", "").strip("0"))
+
+
+def _qk15_table(tree):
+    """The nodes of the _QK15_TABLES assignments' values in tree."""
+    return [c for n in tree.body if isinstance(n, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in _QK15_TABLES
+                    for t in n.targets)
+            for c in ast.walk(n.value)]
+
+
+def _qk15_copies(trees):
+    """Each float literal in src/quadcert/oracle.py outside _QK15_TABLES
+    that equals a constant of the table or has 15 or more significant
+    digits."""
+    found = []
+    for path, tree in trees.items():
+        if path != Path("src/quadcert/oracle.py"):
+            continue
+        table = _qk15_table(tree)
+        values = {c.value for c in table if isinstance(c, ast.Constant)
+                  and type(c.value) is float and c.value != 0.0}
+        inside = {id(c) for c in table}
+        found += [f"{path}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and type(n.value) is float
+                  and id(n) not in inside
+                  and (n.value in values
+                       or _significant_digits(n.value) >= 15)]
+    return found
+
+
 def test_no_unused_imports():
     assert _unused_imports(_trees()) == []
 
@@ -209,6 +250,31 @@ def test_fn_read_only_where_checked():
 
 def test_only_listed_imports():
     assert _unlisted_imports(_trees()) == []
+
+
+def test_qk15_constants_only_in_their_table():
+    trees = _trees()
+    assert _qk15_copies(trees) == []
+    # the scan sees the whole table: the pairs' 7 abscissae, 7 Kronrod and
+    # 3 nonzero Gauss weights, and the centre's 2 weights
+    table = _qk15_table(trees[Path("src/quadcert/oracle.py")])
+    assert len([c for c in table if isinstance(c, ast.Constant)
+                and c.value != 0.0]) == 19
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("_K15_CENTRE = (0.20948214108472782801, 0.5)\n"
+     "_KC = 0.20948214108472782801", [2]),
+    ("_K15_PAIRS = ((0.25, 0.75, 0.0),)\nw = 0.75 * x", [2]),
+    ("_K15_CENTRE = (0.25, 0.5)\nw = 0.123456789012345", [2]),
+    ("_K15_PAIRS = ((0.25, 0.75, 0.0),)\n"
+     "((_X1, _K1, _G1),) = _K15_PAIRS\nw = 0.5 * _K1 + 0.0", []),
+])
+def test_qk15_copy_scan_sees(source, hits):
+    tree = ast.parse(source)
+    path = "src/quadcert/oracle.py"
+    assert _qk15_copies({Path(path): tree}) == [f"{path}:{n}" for n in hits]
+    assert _qk15_copies({Path("src/quadcert/bounds.py"): tree}) == []
 
 
 @pytest.mark.parametrize("source, hits", [

@@ -262,6 +262,181 @@ class TestNoSilentMiss:
         assert abs(value - 2.0) <= 1e-12
 
 
+# The loop form of oracle._kronrod_pair, kept verbatim as the referee of the
+# straight-line kernel: the same nodes in the same order, the same float
+# operations, the same failure messages.
+_K15_PAIRS, _K15_CENTRE = oracle._K15_PAIRS, oracle._K15_CENTRE
+
+
+def _loop_kronrod_pair(g, lo, hi):
+    c = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = float(g(c))
+    if not math.isfinite(fc):
+        raise NonFiniteSample(
+            f"integrand is {fc!r} at the centre node {c!r} "
+            f"of panel [{lo!r}, {hi!r}]")
+    wk_centre, wg_centre = _K15_CENTRE
+    kron = wk_centre * fc
+    gauss = wg_centre * fc
+    pairs = []
+    for x, wk, wg in _K15_PAIRS:
+        x1, x2 = c - half * x, c + half * x
+        f1 = float(g(x1))
+        f2 = float(g(x2))
+        if not (math.isfinite(f1) and math.isfinite(f2)):
+            node, val = (x2, f2) if math.isfinite(f1) else (x1, f1)
+            raise NonFiniteSample(
+                f"integrand is {val!r} at the interior node {node!r} "
+                f"of panel [{lo!r}, {hi!r}]")
+        pairs.append((f1, f2))
+        kron += wk * (f1 + f2)
+        gauss += wg * (f1 + f2)
+    mean = kron / 2.0
+    resasc = wk_centre * abs(fc - mean)
+    for (_, wk, _), (f1, f2) in zip(_K15_PAIRS, pairs):
+        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
+    resasc *= abs(half)
+    kron *= half
+    gauss *= half
+    err = abs(kron - gauss)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return kron, err
+
+
+def _traced(kernel, g, lo, hi):
+    """(repr of kernel's result, or the type and message of what it
+    raised; repr of each argument g was called with, in order)."""
+    args = []
+
+    def recorded(t):
+        args.append(repr(t))
+        return g(t)
+    try:
+        out = repr(kernel(recorded, lo, hi))
+    except Exception as exc:
+        out = (type(exc), str(exc))
+    return out, args
+
+
+def _referee_panels(rng):
+    """(g, lo, hi) for each integrand family, 300 panels each."""
+    def u(a, b):
+        return float(rng.uniform(a, b))
+
+    def polynomial():
+        k = [u(-3.0, 3.0) for _ in range(4)]
+        lo = u(-5.0, 5.0)
+        return (lambda t: ((k[3] * t + k[2]) * t + k[1]) * t + k[0],
+                lo, lo + u(1e-6, 4.0))
+
+    def numpy_scalar():
+        k = u(-2.0, 2.0)
+        lo = u(-3.0, 3.0)
+        return lambda t: np.exp(np.float64(k * t)), lo, lo + u(1e-3, 2.0)
+
+    def kink():
+        m, lo = u(0.0, 1.0), u(-0.5, 0.5)
+        hi = lo + u(0.1, 1.5)
+        if rng.random() < 0.3:  # the kink on the centre node
+            m = 0.5 * (lo + hi)
+        return lambda t: abs(t - m) * math.exp(t), lo, hi
+
+    def inv_sqrt():
+        pick = rng.random()
+        if pick < 0.2:  # a few subnormals wide: nodes round onto 0
+            return (lambda t: t ** -0.5, 0.0,
+                    int(rng.integers(1, 9)) * math.ulp(0.0))
+        lo = 0.0 if pick < 0.6 else 10.0 ** u(-300.0, -2.0)
+        return lambda t: t ** -0.5, lo, lo + 10.0 ** u(-12.0, 0.0)
+
+    def signed_zero():
+        m, lo = u(-1.0, 1.0), u(-2.0, 0.0)
+        return lambda t: math.copysign(0.0, t - m), lo, lo + u(0.5, 3.0)
+
+    def huge():
+        # finite samples near 1e308 of one sign, whose pair sums overflow
+        sign, k = (1.0 if rng.random() < 0.5 else -1.0), u(0.0, 0.4)
+        lo = u(-1.0, 1.0)
+        return (lambda t: sign * 1.7e308 * (0.6 + k * math.sin(t)),
+                lo, lo + u(0.1, 2.0))
+
+    def few_ulps():
+        lo = u(-10.0, 10.0)
+        hi = lo + int(rng.integers(1, 9)) * math.ulp(lo)
+        return lambda t: math.exp(t) + t * t, lo, hi
+
+    families = [polynomial, numpy_scalar, kink, inv_sqrt, signed_zero, huge,
+                few_ulps]
+    return [family() for family in families for _ in range(300)]
+
+
+class TestKernelAgainstReferee:
+    """oracle._kronrod_pair against the loop kernel it replaced: the same
+    bits, the same calls of g, the same failures."""
+
+    def test_panels(self):
+        panels = _referee_panels(np.random.default_rng(2030))
+        assert len(panels) >= 2000
+        outcomes = set()
+        for g, lo, hi in panels:
+            got = _traced(oracle._kronrod_pair, g, lo, hi)
+            assert got == _traced(_loop_kronrod_pair, g, lo, hi), (lo, hi)
+            outcomes.add(got[0][0] if isinstance(got[0], tuple)
+                         else "nan" in got[0] or "inf" in got[0])
+        # finite results, overflowed ones and the zero division at 0
+        assert outcomes == {False, True, ZeroDivisionError}
+
+    @staticmethod
+    def _both(script, lo, hi):
+        """_traced for the referee and for the kernel, each with a fresh g
+        that returns script(i, t) at its i-th call."""
+        def fresh():
+            calls = []
+
+            def g(t):
+                calls.append(t)
+                return script(len(calls) - 1, t)
+            return g
+        return (_traced(_loop_kronrod_pair, fresh(), lo, hi),
+                _traced(oracle._kronrod_pair, fresh(), lo, hi))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", range(15))
+    @pytest.mark.parametrize("partner", [False, True],
+                             ids=["alone", "partner-bad"])
+    def test_non_finite_sample(self, bad, position, partner):
+        # a non-finite sample at one call position (the centre is call 0,
+        # pair i calls 2i - 1 and 2i); with partner, the other call of its
+        # pair is non-finite too
+        bad_calls = {position}
+        if partner and position:
+            bad_calls.add(position + 1 if position % 2 else position - 1)
+        want, got = self._both(
+            lambda i, t: bad if i in bad_calls else t * t, 0.25, 1.5)
+        assert want[0][0] is NonFiniteSample
+        assert got == want
+        assert len(got[1]) == (position + 1 if position % 2 == 0
+                               else position + 2)
+
+    @pytest.mark.parametrize("position", range(15))
+    def test_g_raises(self, position):
+        class Raised(Exception):
+            pass
+
+        def script(i, t):
+            if i == position:
+                raise Raised(f"at call {position}")
+            return t
+
+        want, got = self._both(script, -1.0, 2.0)
+        assert got == want
+        assert got[0] == (Raised, f"at call {position}")
+        assert len(got[1]) == position + 1
+
+
 class TestRuleAndError:
     def test_simpson_exact_on_quadratic(self):
         tf = _convex_tf(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0)
