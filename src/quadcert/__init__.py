@@ -14,8 +14,7 @@ from .classes import (ClassCertificate, ClassKind, HKind, HModulus,
 from .moments import (RuleParams, Side, abs_moment_p, branch_select,
                       epsilon_coeffs, gamma_coeffs, upsilon_coeffs,
                       weighted_moment)
-from .bounds import (BoundResult, bound_holder_hconcave,
-                     bound_holder_hconvex, bound_power_mean, evaluate_bound)
+from .bounds import BoundResult, bound_power_mean, evaluate_bound
 from .oracle import (HadamardResult, HadamardVariant, QuadratureResult,
                      hadamard_check, integrate_adaptive,
                      lemma_identity_residual, lhs_error, mean_value,

@@ -1,24 +1,25 @@
-"""Right-hand sides of every certified error bound.
+"""Right-hand sides of every certified error bound, and the table of them.
 
 Three general bounds (power-mean and Hoelder routes for h-convex weights,
 Hoelder route for h-concave weights) and the previously published
 fixed-parameter bounds used for comparison.  Each general bound covers every
 modulus; the s-convex forms are the t^s modulus of the same evaluators.
 
-Low-level ``rhs_*`` evaluators take the interval width and the needed
-|f'| magnitudes directly so parameter grids can be swept without building
-function objects; the ``bound_*`` wrappers consume a TestFunction and check
-its certificate.  ``evaluate_bound`` evaluates any bound on a TestFunction
-by name, a key of ``GENERAL_BOUNDS`` or one of ``PRIOR_BOUNDS``; these are
-the names the command line accepts.  On a grid of rules (``RuleParams``
-with arrays) a bound gives the same bits as point by point, as arrays.
+``BOUNDS`` holds one ``Bound`` record per bound, keyed by the name the
+command line accepts, and ``evaluate_bound`` evaluates any bound on a
+TestFunction from its record alone.  An evaluator is called as
+``rhs(x, rp, width, *d)``, x being the modulus h, s or sup |f''''| and the
+d's |f'| at the points it reads, so grids are swept without building
+function objects; ``rhs_general_convex``, the independent cross-check, keeps
+its own signature.  On a grid of rules (``RuleParams`` with arrays) a bound
+gives the same bits as point by point, as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .arrays import every, power, select
 from .classes import (ClassKind, HKind, HModulus, TestFunction, h_half,
@@ -67,28 +68,6 @@ def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
         "A": big_a, "B": big_b, "gamma": gc, "upsilon": uc})
 
 
-def certificate_class(name: str) -> ClassKind:
-    """h-concave for holder-concave, h-convex for every other bound."""
-    return ClassKind.H_CONCAVE if name == "holder-concave" \
-        else ClassKind.H_CONVEX
-
-
-def _certified_h(tf: TestFunction, rp: RuleParams, name: str) -> HModulus:
-    """The certificate's modulus, once its class and exponent fit the rule."""
-    cert, kind = tf.certificate, certificate_class(name)
-    if cert.class_kind is not kind:
-        raise ClassMismatch(
-            f"{name} needs an {kind.value.replace('_', '-')} certificate")
-    if abs(cert.exponent_q - rp.q) > 1e-12:
-        raise ParamMismatch("rule q disagrees with the certificate exponent")
-    return cert.h
-
-
-def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    h = _certified_h(tf, rp, "power-mean")
-    return rhs_power_mean(h, rp, tf.width, *tf.endpoint_derivatives)
-
-
 def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
                        d_node: float, d_a: float, d_b: float) -> BoundResult:
     """Hoelder route RHS; d_node is |f'| at the interior node (1-a)b+aa.
@@ -111,14 +90,6 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
         "h_integral": h_int})
 
 
-def bound_holder_hconvex(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    h = _certified_h(tf, rp, "holder")
-    node = (1.0 - rp.alpha) * tf.b + rp.alpha * tf.a
-    return rhs_holder_hconvex(h, rp, tf.width,
-                              abs(tf.sample(tf.f_prime, node)),
-                              *tf.endpoint_derivatives)
-
-
 def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
                         d_mid_left: float, d_mid_right: float) -> BoundResult:
     """Concave-route RHS; the d's are |f'| at the two subinterval midpoints.
@@ -139,16 +110,6 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
     return BoundResult(value, branch_select(rp), {
         "E": big_e, "F": big_f, "eps_E": eps_e, "eps_F": eps_f,
         "h_half": h_mid})
-
-
-def bound_holder_hconcave(tf: TestFunction, rp: RuleParams) -> BoundResult:
-    h = _certified_h(tf, rp, "holder-concave")
-    alpha = rp.alpha
-    m_left = ((1.0 - alpha) * tf.b + (1.0 + alpha) * tf.a) / 2.0
-    m_right = ((2.0 - alpha) * tf.b + alpha * tf.a) / 2.0
-    return rhs_holder_hconcave(h, rp, tf.width,
-                               abs(tf.sample(tf.f_prime, m_left)),
-                               abs(tf.sample(tf.f_prime, m_right)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +158,10 @@ def rhs_general_convex(rp: RuleParams, width: float,
     return BoundResult(value, branch, {"A": big_a, "B": big_b})
 
 
-def rhs_midpoint_power_mean(s: float, q: float, width: float,
+def rhs_midpoint_power_mean(s: float, rp: RuleParams, width: float,
                             d_a: float, d_b: float) -> BoundResult:
     """Published midpoint bound for s-convex |f'|^q, q >= 1."""
+    q = rp.q
     c_hi = 2.0 ** (1.0 - s) + 1.0
     c_lo = 2.0 ** (1.0 - s)
     pref = width / 8.0 * (2.0 / ((s + 1.0) * (s + 2.0))) ** (1.0 / q)
@@ -208,9 +170,10 @@ def rhs_midpoint_power_mean(s: float, q: float, width: float,
     return BoundResult(value, None, {})
 
 
-def rhs_midpoint_holder(s: float, p: float, q: float, width: float,
+def rhs_midpoint_holder(s: float, rp: RuleParams, width: float,
                         d_a: float, d_b: float) -> BoundResult:
     """Published midpoint bound for s-convex |f'|^q via conjugate exponents."""
+    p, q = rp.require_p(), rp.q
     c_hi = 2.0 ** (1.0 - s) + s + 1.0
     c_lo = 2.0 ** (1.0 - s)
     pref = (width / 4.0) * (1.0 / (p + 1.0)) ** (1.0 / p) \
@@ -220,22 +183,24 @@ def rhs_midpoint_holder(s: float, p: float, q: float, width: float,
     return BoundResult(value, None, {})
 
 
-def rhs_simpson_holder(s: float, p: float, q: float, width: float,
-                       d_mid: float, d_a: float, d_b: float) -> BoundResult:
+def rhs_simpson_holder(s: float, rp: RuleParams, width: float,
+                       d_a: float, d_b: float, d_mid: float) -> BoundResult:
     """Published Simpson bound for s-convex |f'|^q via conjugate exponents."""
+    p, q = rp.require_p(), rp.q
     pref = width / 12.0 * ((1.0 + 2.0 ** (p + 1.0)) / (3.0 * (p + 1.0))) ** (1.0 / p)
     value = pref * (((d_mid ** q + d_a ** q) / (s + 1.0)) ** (1.0 / q)
                     + ((d_mid ** q + d_b ** q) / (s + 1.0)) ** (1.0 / q))
     return BoundResult(value, None, {})
 
 
-def rhs_trapezoid_holder(s: float, q: float, width: float,
-                         d_mid: float, d_a: float, d_b: float) -> BoundResult:
+def rhs_trapezoid_holder(s: float, rp: RuleParams, width: float,
+                         d_a: float, d_b: float, d_mid: float) -> BoundResult:
     """Published trapezoid bound for s-convex |f'|^q, q > 1.
 
     Stated for s in (0, 1); s = 1 is allowed here since the formula is
-    continuous in s.
+    continuous in s.  Its exponent (q - 1)/q is 1/p.
     """
+    q = rp.q
     if q <= 1.0:
         raise DomainError("this bound needs q > 1")
     pref = width / 2.0 * ((q - 1.0) / (2.0 * (2.0 * q - 1.0))) ** ((q - 1.0) / q) \
@@ -245,8 +210,9 @@ def rhs_trapezoid_holder(s: float, q: float, width: float,
     return BoundResult(value, None, {})
 
 
-def rhs_classical_simpson(sup_f4: float, width: float) -> BoundResult:
-    """Classical fourth-derivative Simpson estimate, as printed.
+def rhs_classical_simpson(sup_f4: float, rp: RuleParams, width: float,
+                          *d: float) -> BoundResult:
+    """Classical fourth-derivative Simpson estimate, as printed; no q or d.
 
     Note: the printed factor is (b-a)^2; the textbook mean-form constant is
     (b-a)^4/2880.  On unit-width intervals the two agree.
@@ -259,55 +225,87 @@ def rhs_classical_simpson(sup_f4: float, width: float) -> BoundResult:
 # ---------------------------------------------------------------------------
 # Every bound by name.
 
-GENERAL_BOUNDS = {
-    "power-mean": bound_power_mean,
-    "holder": bound_holder_hconvex,
-    "holder-concave": bound_holder_hconcave,
+@dataclass(frozen=True)
+class Bound:
+    """What one named bound needs, and its evaluator."""
+
+    class_kind: ClassKind  # the class its certificate must name
+    fixed: Optional[Tuple[float, float]]  # its (alpha, lambda); None: any
+    reads: Tuple[str, ...]  # where it reads |f'|, in order: an end or in _AT
+    takes: Optional[str]  # x of its rhs: "h", "s", "sup_f4" or nothing
+    uses_p: bool  # whether it uses, and prints, the conjugate exponent p
+    rhs: Callable[..., BoundResult]
+
+
+_CONVEX, _ENDS, _SIMPSON = ClassKind.H_CONVEX, ("a", "b"), (0.5, 1.0 / 3.0)
+BOUNDS = {
+    "power-mean": Bound(_CONVEX, None, _ENDS, "h", False, rhs_power_mean),
+    "holder": Bound(_CONVEX, None, ("node", *_ENDS), "h", True,
+                    rhs_holder_hconvex),
+    "holder-concave": Bound(ClassKind.H_CONCAVE, None, ("left", "right"),
+                            "h", True, rhs_holder_hconcave),
+    "general-convex": Bound(_CONVEX, None, _ENDS, None, False,
+                            lambda _, *args: rhs_general_convex(*args)),
+    "midpoint-power-mean": Bound(_CONVEX, (0.5, 0.0), _ENDS, "s", False,
+                                 rhs_midpoint_power_mean),
+    "midpoint-holder": Bound(_CONVEX, (0.5, 0.0), _ENDS, "s", True,
+                             rhs_midpoint_holder),
+    "simpson-holder": Bound(_CONVEX, _SIMPSON, (*_ENDS, "centre"), "s", True,
+                            rhs_simpson_holder),
+    "trapezoid-holder": Bound(_CONVEX, (0.5, 1.0), (*_ENDS, "centre"), "s",
+                              True, rhs_trapezoid_holder),
+    "classical-simpson": Bound(_CONVEX, _SIMPSON, _ENDS, "sup_f4", False,
+                               rhs_classical_simpson),
 }
-# the (alpha, lambda) each prior bound is fixed at; general-convex takes any
-_FIXED_PARAMS = {"midpoint-power-mean": (0.5, 0.0),
-                 "midpoint-holder": (0.5, 0.0),
-                 "simpson-holder": (0.5, 1.0 / 3.0),
-                 "trapezoid-holder": (0.5, 1.0),
-                 "classical-simpson": (0.5, 1.0 / 3.0)}
-PRIOR_BOUNDS = ("general-convex", *_FIXED_PARAMS)
+# the interior points where a bound reads |f'|, from (a, b, alpha): the
+# Hoelder node, the midpoints of [a, node] and [node, b], and the centre
+_AT = {"node": lambda a, b, al: (1.0 - al) * b + al * a,
+       "left": lambda a, b, al: ((1.0 - al) * b + (1.0 + al) * a) / 2.0,
+       "right": lambda a, b, al: ((2.0 - al) * b + al * a) / 2.0,
+       "centre": lambda a, b, al: 0.5 * (a + b)}
+# what a bound that takes s or sup_f4 raises without it
+_MISSING = {"s": "this bound needs the class parameter s",
+            "sup_f4": "classical Simpson needs sup |f''''|"}
+
+
+def _abs_f_prime(tf: TestFunction, rp: RuleParams, point: str):
+    """|f'| at one of a record's reads; the ends are read once per tf."""
+    if point in _ENDS:
+        return tf.endpoint_derivatives[_ENDS.index(point)]
+    return abs(tf.sample(tf.f_prime, _AT[point](tf.a, tf.b, rp.alpha)))
 
 
 def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
                    sup_f4: Optional[float] = None) -> BoundResult:
-    """Evaluate the bound called ``name`` on this function.
-
-    A general bound checks the certificate and ignores sup_f4.  The prior
-    bounds are evaluated as printed: all but general-convex hold only at
-    their fixed (alpha, lambda), the s-convex ones read s from a t^s
-    certificate, and classical-simpson needs sup |f''''|.
-    """
-    general = GENERAL_BOUNDS.get(name)
-    if general is not None:
-        return general(tf, rp)
-    if name not in PRIOR_BOUNDS:
+    """Evaluate the bound called ``name`` on this function, as its record
+    says.  Every check of the configuration comes before f' is called: a
+    bound that takes h checks the certificate's class and exponent, a
+    fixed-parameter bound the rule, and s or sup_f4 must be there."""
+    bound = BOUNDS.get(name)
+    if bound is None:
         raise ParamMismatch(f"unknown bound {name!r}")
-    width = tf.width
-    d_a, d_b = tf.endpoint_derivatives
-    if name == "general-convex":
-        return rhs_general_convex(rp, width, d_a, d_b)
-    alpha, lam = _FIXED_PARAMS[name]
-    if not every((abs(rp.alpha - alpha) <= 1e-12)
-                 & (abs(rp.lam - lam) <= 1e-12)):
-        raise ParamMismatch(f"{name} is fixed at alpha={alpha}, lambda={lam}")
-    if name == "classical-simpson":
-        if sup_f4 is None:
-            raise ParamMismatch("classical Simpson needs sup |f''''|")
-        return rhs_classical_simpson(sup_f4, width)
-    s = tf.certificate.h.s_param
-    if s is None:
-        raise ParamMismatch("this bound needs the class parameter s")
-    if name == "midpoint-power-mean":
-        return rhs_midpoint_power_mean(s, rp.q, width, d_a, d_b)
-    if name == "midpoint-holder":
-        return rhs_midpoint_holder(s, rp.require_p(), rp.q, width, d_a, d_b)
-    d_mid = abs(tf.sample(tf.f_prime, 0.5 * (tf.a + tf.b)))
-    if name == "simpson-holder":
-        return rhs_simpson_holder(s, rp.require_p(), rp.q,
-                                  width, d_mid, d_a, d_b)
-    return rhs_trapezoid_holder(s, rp.q, width, d_mid, d_a, d_b)
+    cert = tf.certificate
+    x = {"h": cert.h, "s": cert.h.s_param, "sup_f4": sup_f4}.get(bound.takes)
+    if bound.takes == "h":
+        kind = bound.class_kind
+        if cert.class_kind is not kind:
+            raise ClassMismatch(
+                f"{name} needs an {kind.value.replace('_', '-')} certificate")
+        if abs(cert.exponent_q - rp.q) > 1e-12:
+            raise ParamMismatch(
+                "rule q disagrees with the certificate exponent")
+    if bound.fixed is not None:
+        alpha, lam = bound.fixed
+        if not every((abs(rp.alpha - alpha) <= 1e-12)
+                     & (abs(rp.lam - lam) <= 1e-12)):
+            raise ParamMismatch(
+                f"{name} is fixed at alpha={alpha}, lambda={lam}")
+    if x is None and bound.takes in _MISSING:
+        raise ParamMismatch(_MISSING[bound.takes])
+    d = [_abs_f_prime(tf, rp, point) for point in bound.reads]
+    return bound.rhs(x, rp, tf.width, *d)
+
+
+def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:
+    """The power-mean bound on this function."""
+    return evaluate_bound("power-mean", tf, rp)

@@ -167,8 +167,7 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
 
         def evaluate(rp):
             res = _evaluate_bound(args.bound, tf, rp)
-            # power-mean uses no conjugate exponent
-            return {"p": None if args.bound == "power-mean" else rp.p,
+            return {"p": rp.p if bnd.BOUNDS[args.bound].uses_p else None,
                     "branch": res.branch, "rhs": res.value}
         block = _on_grid(evaluate, q, alphas, lams)
         if not rep.holds:
@@ -236,10 +235,10 @@ def _write_table(blocks, columns, fmt, out_path):
 def cmd_verify(args) -> int:
     columns = ["alpha", "lambda", "q", "s", "branch",
                "lhs", "rhs", "margin", "sound"]
-    if args.concave and args.bound != "holder-concave":
+    kind = ClassKind.H_CONCAVE if args.concave else ClassKind.H_CONVEX
+    if args.concave and bnd.BOUNDS[args.bound].class_kind is not kind:
         raise ConfigError(f"--concave declares an h-concave certificate, "
                           f"and {args.bound} needs an h-convex one")
-    kind = ClassKind.H_CONCAVE if args.concave else ClassKind.H_CONVEX
     blocks = list(_iter_blocks(args, kind, "rejected"))
     _write_table(blocks, columns, args.format, args.out)
     bad = next((b for b in blocks if not np.all(b["sound"])), None)
@@ -251,7 +250,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    blocks = list(_iter_blocks(args, bnd.certificate_class(args.bound), ""))
+    blocks = list(_iter_blocks(args, bnd.BOUNDS[args.bound].class_kind, ""))
     _write_table(blocks, SWEEP_COLUMNS, args.format, args.out)
     sound = all(np.all(block["sound"]) for block in blocks)
     return EXIT_OK if sound else EXIT_VIOLATION
@@ -262,10 +261,13 @@ def cmd_compare(args) -> int:
     for name in kind_names:  # a repeated kind would repeat its column
         if kind_names.count(name) > 1:
             raise ConfigError(f"--kinds names {name!r} more than once")
+        if name not in bnd.BOUNDS:
+            raise ConfigError(f"unknown bound {name!r}")
     blocks = []
     alphas, lams, qs = _axes(args, 2.0)
     grid = list(itertools.product(qs, args.s))
-    classes = list(dict.fromkeys(map(bnd.certificate_class, kind_names)))
+    class_of = {name: bnd.BOUNDS[name].class_kind for name in kind_names}
+    classes = list(dict.fromkeys(class_of.values()))
     job = _job_tfs(args, grid, classes)
     for q, s in grid:
         tfs = {kind: next(job) for kind in classes}
@@ -275,9 +277,9 @@ def cmd_compare(args) -> int:
             # warning where a poly: or pow: spec's raises OverflowError,
             # which _evaluate_bound names the same way
             with np.errstate(over="ignore", invalid="ignore"):
-                values = [_evaluate_bound(
-                    name, tfs[bnd.certificate_class(name)], rp,
-                    sup_f4=args.sup_f4).value for name in kind_names]
+                values = [_evaluate_bound(name, tfs[class_of[name]], rp,
+                                          sup_f4=args.sup_f4).value
+                          for name in kind_names]
             for name, value in zip(kind_names, values):
                 if not np.isfinite(value).all():
                     raise OverflowError(f"the {name} bound is not finite")
@@ -384,8 +386,8 @@ def _parsers():
         if name != "hadamard":
             _add_grid_args(p)
         if name in ("verify", "sweep"):
-            p.add_argument("--bound", default="power-mean",
-                           choices=list(bnd.GENERAL_BOUNDS))
+            p.add_argument("--bound", default="power-mean", choices=[
+                key for key, b in bnd.BOUNDS.items() if b.takes == "h"])
         p.set_defaults(func=fn)
     sub.choices["verify"].add_argument(
         "--concave", action="store_true",
@@ -393,8 +395,7 @@ def _parsers():
              "holder-concave needs and no other bound takes")
     pc = sub.choices["compare"]
     pc.add_argument("--kinds", required=True,
-                    help="comma list of: " + ",".join(
-                        [*bnd.GENERAL_BOUNDS, *bnd.PRIOR_BOUNDS])
+                    help="comma list of: " + ",".join(bnd.BOUNDS)
                     + "; the argmin column ranks the printed values and is "
                       "not a soundness verdict")
     pc.add_argument("--sup-f4", type=float, default=None)

@@ -15,8 +15,8 @@ import numpy as np
 
 from quadcert import (
     ClassCertificate, ClassKind, HadamardVariant, HModulus, RuleParams,
-    TestFunction, bound_holder_hconcave, bound_holder_hconvex,
-    bound_power_mean, certify_membership, hadamard_check,
+    TestFunction, bound_power_mean, certify_membership, evaluate_bound,
+    hadamard_check,
     lemma_identity_residual, mean_value, proposition1_check,
     proposition2_check, rule_value,
 )
@@ -226,9 +226,8 @@ def test_criterion_3_soundness_sweep(capsys):
     n_pairs = 650
     checked, violations = 0, 0
     worst_margin = float("inf")
-    for group, evaluate in ((pm, bound_power_mean),
-                            (hc, bound_holder_hconvex),
-                            (cc, bound_holder_hconcave)):
+    for group, name in ((pm, "power-mean"), (hc, "holder"),
+                        (cc, "holder-concave")):
         for tf in group:
             assert certify_membership(tf, n_samples=3000, seed=5).holds
             mean = mean_value(tf)
@@ -238,7 +237,7 @@ def test_criterion_3_soundness_sweep(capsys):
             for alpha, lam in zip(alphas, lams):
                 rp = RuleParams(alpha, lam, q)
                 lhs = abs(rule_value(tf, alpha, lam) - mean)
-                rhs = evaluate(tf, rp).value
+                rhs = evaluate_bound(name, tf, rp).value
                 checked += 1
                 worst_margin = min(worst_margin, rhs - lhs)
                 if lhs > rhs + 1e-9:
@@ -324,7 +323,7 @@ def test_criterion_4_reduction_suite(capsys):
         printed2 = _printed_simpson_holder(s, rp2.p, q2, 1.0, d_m, d_a, d_b)
         worst_rel = max(worst_rel, abs(ours2 - printed2) / (1.0 + printed2))
         # ... and the specialization coincides with the prior Simpson bound
-        prior2 = rhs_simpson_holder(s, rp2.p, q2, 1.0, d_m, d_a, d_b).value
+        prior2 = rhs_simpson_holder(s, rp2, 1.0, d_a, d_b, d_m).value
         worst_rel = max(worst_rel, abs(ours2 - prior2) / (1.0 + prior2))
 
     # s = 1 collapses the weighted moments to the plain cubic moments
@@ -360,7 +359,7 @@ def test_criterion_5_dominance(capsys):
                     rp = RuleParams(0.5, 0.0, q)
                     new = rhs_power_mean(HModulus.power(s), rp, 1.0,
                                          d_a, d_b).value
-                    old = rhs_midpoint_power_mean(s, q, 1.0, d_a, d_b).value
+                    old = rhs_midpoint_power_mean(s, rp, 1.0, d_a, d_b).value
                     worst1 = max(worst1, new - old)
                     n1 += 1
     for s in s_grid:
@@ -371,8 +370,8 @@ def test_criterion_5_dominance(capsys):
                         rp = RuleParams(0.5, 1.0, q)
                         new = rhs_holder_hconvex(HModulus.power(s), rp, 1.0,
                                                  d_m, d_a, d_b).value
-                        old = rhs_trapezoid_holder(s, q, 1.0,
-                                                   d_m, d_a, d_b).value
+                        old = rhs_trapezoid_holder(s, rp, 1.0,
+                                                   d_a, d_b, d_m).value
                         worst2 = max(worst2, new - old)
                         n2 += 1
     ok = n1 >= 1000 and n2 >= 1000 and worst1 <= 1e-12 and worst2 <= 1e-12

@@ -6,6 +6,7 @@ expressions and compared against the general evaluation paths.
 """
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -13,22 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcert import bounds, moments
+from quadcert import bounds, cli, moments
 from quadcert import (
     ClassCertificate, ClassKind, HModulus, RuleParams, TestFunction,
-    bound_holder_hconcave, bound_holder_hconvex, bound_power_mean,
-    evaluate_bound, integrate_adaptive, lhs_error,
+    bound_power_mean, evaluate_bound, integrate_adaptive, lhs_error,
 )
 from quadcert.bounds import (
-    GENERAL_BOUNDS, is_sound, rhs_classical_simpson, rhs_general_convex,
+    BOUNDS, is_sound, rhs_classical_simpson, rhs_general_convex,
     rhs_holder_hconcave, rhs_holder_hconvex, rhs_midpoint_holder,
     rhs_midpoint_power_mean, rhs_power_mean, rhs_simpson_holder,
     rhs_trapezoid_holder,
 )
-from quadcert.errors import (ClassMismatch, DegenerateModulus, DomainError,
-                             NotIntegrable, ParamMismatch)
+from quadcert.errors import (ClassMismatch, ConfigError, DegenerateModulus,
+                             DomainError, NotIntegrable, ParamMismatch)
 
 pos_mag = st.floats(0.01, 10.0)
+# the bounds that take the certified h: the choices of --bound
+H_BOUNDS = [name for name, b in BOUNDS.items() if b.takes == "h"]
 
 
 def _tf_square(q=1.0, h=None, a=0.0, b=1.0):
@@ -136,15 +138,9 @@ class TestPowerMeanRoute:
         with pytest.raises(ParamMismatch):
             bound_power_mean(_tf_square(q=2.0), RuleParams(0.5, 0.5, 1.0))
 
-    def test_certificate_class(self):
-        assert [bounds.certificate_class(name) for name in
-                [*GENERAL_BOUNDS, *bounds.PRIOR_BOUNDS]] == \
-            [ClassKind.H_CONVEX] * 2 + [ClassKind.H_CONCAVE] \
-            + [ClassKind.H_CONVEX] * 6
-
-    @pytest.mark.parametrize("name", GENERAL_BOUNDS)
+    @pytest.mark.parametrize("name", H_BOUNDS)
     def test_class_guard_names_the_bound(self, name):
-        kind = bounds.certificate_class(name)
+        kind = BOUNDS[name].class_kind
         other, = set(ClassKind) - {kind}
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0,
                           ClassCertificate(other, HModulus.identity(), 2.0))
@@ -221,7 +217,7 @@ class TestPrintedSpecializations:
     def test_simpson_holder_equals_prior(self, s, q, d_m, d_a, d_b):
         rp = RuleParams(0.5, 1.0 / 3.0, q)
         ours = rhs_holder_hconvex(HModulus.power(s), rp, 1.0, d_m, d_a, d_b)
-        prior = rhs_simpson_holder(s, rp.p, q, 1.0, d_m, d_a, d_b)
+        prior = rhs_simpson_holder(s, rp, 1.0, d_a, d_b, d_m)
         assert ours.value == pytest.approx(prior.value, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -245,10 +241,11 @@ class TestHolderHConvex:
 
     def test_requires_conjugate(self):
         with pytest.raises(DomainError):
-            bound_holder_hconvex(_tf_square(q=1.0), RuleParams(0.5, 0.5, 1.0))
+            evaluate_bound("holder", _tf_square(q=1.0),
+                           RuleParams(0.5, 0.5, 1.0))
         # q = 2 fixes p = 2; no separate conjugate is passed
-        res = bound_holder_hconvex(_tf_square(q=2.0),
-                                   RuleParams(0.5, 0.5, 2.0))
+        res = evaluate_bound("holder", _tf_square(q=2.0),
+                             RuleParams(0.5, 0.5, 2.0))
         assert res.value > 0.0
 
     def test_reciprocal_inadmissible(self):
@@ -260,7 +257,7 @@ class TestHolderHConvex:
         # both C and D use |f'| at the interior node (1-alpha)b + alpha*a
         tf = _tf_square(q=2.0)
         rp = RuleParams(0.25, 0.5, 2.0)
-        res = bound_holder_hconvex(tf, rp)
+        res = evaluate_bound("holder", tf, rp)
         node = 0.75 * 1.0 + 0.25 * 0.0
         d_node = 2.0 * node
         assert res.components["C"] == pytest.approx(
@@ -300,7 +297,7 @@ class TestHolderHConcave:
         # (a+b+2b)/4 of the interval
         tf = self._concave_tf()
         rp = RuleParams(0.5, 1.0, 2.0)
-        res = bound_holder_hconcave(tf, rp)
+        res = evaluate_bound("holder-concave", tf, rp)
         m_left, m_right = 0.25, 0.75
         assert res.components["E"] == pytest.approx(
             0.5 * (1.25 * m_left ** 0.25) ** 2, rel=1e-13)
@@ -310,7 +307,7 @@ class TestHolderHConcave:
     def test_soundness_spot(self):
         tf = self._concave_tf()
         rp = RuleParams(0.5, 1.0 / 3.0, 2.0)
-        res = bound_holder_hconcave(tf, rp)
+        res = evaluate_bound("holder-concave", tf, rp)
         assert lhs_error(tf, rp) <= res.value + 1e-9
 
     def test_degenerate_modulus(self):
@@ -321,20 +318,22 @@ class TestHolderHConcave:
 
     def test_class_guard(self):
         with pytest.raises(ClassMismatch):
-            bound_holder_hconcave(_tf_square(q=2.0),
-                                  RuleParams(0.5, 0.5, 2.0))
+            evaluate_bound("holder-concave", _tf_square(q=2.0),
+                           RuleParams(0.5, 0.5, 2.0))
 
 
 class TestPriorBounds:
     def test_trapezoid_prefactor_q2(self):
         # (q-1)/(2(2q-1)) = 1/6 at q = 2
-        res = rhs_trapezoid_holder(1.0, 2.0, 1.0, 1.0, 1.0, 1.0)
+        res = rhs_trapezoid_holder(1.0, RuleParams(0.5, 1.0, 2.0), 1.0,
+                                   1.0, 1.0, 1.0)
         expected = 0.5 * (1.0 / 6.0) ** 0.5 * (1.0 / 2.0) ** 0.5 * 2.0 * 2.0 ** 0.5
         assert res.value == pytest.approx(expected, rel=1e-13)
 
     def test_trapezoid_needs_q_above_one(self):
         with pytest.raises(DomainError):
-            rhs_trapezoid_holder(0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
+            rhs_trapezoid_holder(0.5, RuleParams(0.5, 1.0, 1.0), 1.0,
+                                 1.0, 1.0, 1.0)
 
     def test_classical_simpson_quartic(self):
         tf = TestFunction(lambda x: x ** 4, lambda x: 4.0 * x ** 3, 0.0, 1.0,
@@ -369,36 +368,19 @@ class TestPriorBounds:
         with pytest.raises(ParamMismatch, match="unknown bound"):
             evaluate_bound("bogus", tf, RuleParams(0.5, 0.5, 2.0))
 
-    @pytest.mark.parametrize("name", bounds.PRIOR_BOUNDS)
-    def test_f_prime_read_where_used(self, name):
-        """Every prior reads |f'(a)| and |f'(b)| from tf.endpoint_derivatives;
-        only simpson-holder and trapezoid-holder also read |f'((a + b)/2)|."""
-        calls = []
-
-        def fp(x):
-            calls.append(x)
-            return 2.0 * x
-
-        tf = TestFunction(lambda x: x * x, fp, 0.2, 1.0, ClassCertificate(
-            ClassKind.H_CONVEX, HModulus.power(0.5), 2.0),
-            skip_derivative_check=True)
-        assert tf.endpoint_derivatives == (0.4, 2.0)
-        alpha, lam = bounds._FIXED_PARAMS.get(name, (0.3, 0.6))
-        evaluate_bound(name, tf, RuleParams(alpha, lam, 2.0), sup_f4=24.0)
-        mid = [0.6] if name in ("simpson-holder", "trapezoid-holder") else []
-        assert calls == [0.2, 1.0, *mid]
-
     @pytest.mark.parametrize("sup_f4", [-1.0, math.nan, math.inf])
     def test_classical_simpson_needs_finite_nonnegative_sup(self, sup_f4):
         with pytest.raises(DomainError, match="finite and nonnegative"):
-            rhs_classical_simpson(sup_f4, 1.0)
+            rhs_classical_simpson(sup_f4, RuleParams(0.5, 1.0 / 3.0, 1.0),
+                                  1.0)
 
     def test_midpoint_holder_matches_general_chain(self):
         # published midpoint conjugate-exponent form vs the general route
         s, q = 0.6, 2.0
         p = q / (q - 1.0)
         d_a, d_b = 1.4, 2.2
-        ours = rhs_midpoint_holder(s, p, q, 1.0, d_a, d_b).value
+        ours = rhs_midpoint_holder(s, RuleParams(0.5, 0.0, q), 1.0,
+                                   d_a, d_b).value
         pref = 0.25 * (1.0 / (p + 1.0)) ** (1.0 / p) \
             * (1.0 / (s + 1.0)) ** (2.0 / q)
         want = pref * (((2 ** (1 - s) + s + 1) * d_a ** q
@@ -408,6 +390,111 @@ class TestPriorBounds:
         assert ours == pytest.approx(want, rel=1e-14)
 
 
+# what an evaluator calls |f'| at each point a record can read
+D_NAME = {"a": "d_a", "b": "d_b", "node": "d_node", "left": "d_mid_left",
+          "right": "d_mid_right", "centre": "d_mid"}
+
+
+def _walk_tf(kind, q, fp=lambda x: 2.0 * x, h=None):
+    """x^2 on [0.2, 1]; f' as given, the certificate's class and q as given,
+    h = t^0.5 unless given, so every record finds what it takes."""
+    return TestFunction(lambda x: x * x, fp, 0.2, 1.0, ClassCertificate(
+        kind, h or HModulus.power(0.5), q), skip_derivative_check=True)
+
+
+class TestBoundsTable:
+    """Each record of bounds.BOUNDS against what evaluate_bound does."""
+
+    @pytest.mark.parametrize("name", BOUNDS)
+    def test_record(self, name):
+        bound = BOUNDS[name]
+        alpha, lam = bound.fixed or (0.3, 0.6)
+        kind, (other,) = bound.class_kind, set(ClassKind) - {bound.class_kind}
+
+        def rule(q=2.0, **kw):
+            return RuleParams(kw.get("alpha", alpha), kw.get("lam", lam), q)
+
+        # |f'| is read where the record says, in its order; the points are
+        # the rule's node alpha a + (1 - alpha) b, the midpoints of
+        # [a, node] and [node, b], and the centre
+        seen = []
+
+        def fp(x):
+            seen.append(x)
+            return 2.0 * x
+
+        a, b = 0.2, 1.0
+        node = alpha * a + (1.0 - alpha) * b
+        at = {"a": a, "b": b, "node": node, "left": (a + node) / 2.0,
+              "right": (node + b) / 2.0, "centre": (a + b) / 2.0}
+        res = evaluate_bound(name, _walk_tf(kind, 2.0, fp), rule(),
+                             sup_f4=24.0)
+        assert math.isfinite(res.value)
+        assert seen == pytest.approx([at[p] for p in bound.reads],
+                                     rel=1e-15)
+        assert len(set(seen)) == len(seen)
+        # ... and handed on in that order: the evaluator's |f'| parameters
+        # name the same points (general-convex's adapter and
+        # classical-simpson's *d name none)
+        d_names = [n for n in inspect.signature(bound.rhs).parameters
+                   if n.startswith("d_")]
+        assert d_names in ([], [D_NAME[p] for p in bound.reads])
+
+        # a bound that takes h checks its class; no other reads a class,
+        # and the prior bounds are stated for an s-convex |f'|^q
+        wrong = _walk_tf(other, 2.0)
+        if bound.takes == "h":
+            with pytest.raises(ClassMismatch) as exc:
+                evaluate_bound(name, wrong, rule())
+            assert str(exc.value) == f"{name} needs an " \
+                f"{kind.value.replace('_', '-')} certificate"
+        else:
+            assert kind is ClassKind.H_CONVEX
+            evaluate_bound(name, wrong, rule(), sup_f4=24.0)
+
+        # a fixed-parameter bound holds only at its (alpha, lambda)
+        for off in (rule(alpha=0.3), rule(lam=0.6)):
+            if bound.fixed is None:
+                evaluate_bound(name, _walk_tf(kind, 2.0), off, sup_f4=24.0)
+                continue
+            with pytest.raises(ParamMismatch) as exc:
+                evaluate_bound(name, _walk_tf(kind, 2.0), off, sup_f4=24.0)
+            assert str(exc.value) == \
+                f"{name} is fixed at alpha={alpha}, lambda={lam}"
+
+        # s comes from a t^s certificate, and sup_f4 from the caller
+        missing = {"s": "this bound needs the class parameter s",
+                   "sup_f4": "classical Simpson needs sup |f''''|"}
+        bare = _walk_tf(kind, 2.0, h=HModulus.identity())
+        if bound.takes in missing:
+            with pytest.raises(ParamMismatch) as exc:
+                evaluate_bound(name, bare, rule())
+            assert str(exc.value) == missing[bound.takes]
+        else:
+            evaluate_bound(name, bare, rule())
+
+        # the conjugate exponent p = q/(q - 1) has no value at q = 1
+        tf = _walk_tf(kind, 1.0)
+        if bound.uses_p:
+            with pytest.raises(ConfigError):
+                evaluate_bound(name, tf, rule(1.0), sup_f4=24.0)
+        else:
+            evaluate_bound(name, tf, rule(1.0), sup_f4=24.0)
+
+    def test_cli_lists_the_table(self):
+        _, commands = cli._parsers()
+
+        def option(command, dest):
+            return next(action for action in commands[command]._actions
+                        if action.dest == dest)
+        for command in ("verify", "sweep"):
+            assert option(command, "bound").choices == H_BOUNDS
+        kinds = option("compare", "kinds").help
+        assert kinds.startswith(f"comma list of: {','.join(BOUNDS)}; ")
+        assert H_BOUNDS == ["power-mean", "holder", "holder-concave"]
+        assert len(BOUNDS) == 9
+
+
 class TestDominance:
     @settings(max_examples=50, deadline=None)
     @given(s=st.floats(0.1, 1.0), q=st.floats(1.0, 4.0),
@@ -415,7 +502,7 @@ class TestDominance:
     def test_midpoint_powermean_dominates(self, s, q, d_a, d_b):
         rp = RuleParams(0.5, 0.0, q)
         new = rhs_power_mean(HModulus.power(s), rp, 1.0, d_a, d_b).value
-        old = rhs_midpoint_power_mean(s, q, 1.0, d_a, d_b).value
+        old = rhs_midpoint_power_mean(s, rp, 1.0, d_a, d_b).value
         assert new <= old * (1.0 + 1e-12) + 1e-15
 
     @settings(max_examples=50, deadline=None)
@@ -425,7 +512,7 @@ class TestDominance:
         rp = RuleParams(0.5, 1.0, q)
         new = rhs_holder_hconvex(HModulus.power(s), rp, 1.0,
                                  d_m, d_a, d_b).value
-        old = rhs_trapezoid_holder(s, q, 1.0, d_m, d_a, d_b).value
+        old = rhs_trapezoid_holder(s, rp, 1.0, d_a, d_b, d_m).value
         assert new <= old * (1.0 + 1e-12) + 1e-15
 
 
@@ -479,7 +566,7 @@ GRID_MODULI = {
 
 
 # the (bound, modulus) pairs of the grid test; no finite h-integral for 1/t
-GRID_CASES = [(bound, h) for bound in GENERAL_BOUNDS for h in GRID_MODULI
+GRID_CASES = [(bound, h) for bound in H_BOUNDS for h in GRID_MODULI
               if not (bound == "holder" and h == "1/t")] \
     + [("general-convex", "t")]
 
@@ -504,7 +591,7 @@ class TestGridEqualsPoints:
             alphas, lams = [0.1, 0.5, 0.77], [0.0]
         elif h == "custom":  # quadrature per point: keep the grid small
             alphas, lams = [0.0, 0.5, 0.77, 1.0], [0.0, 1.0 / 3.0, 1.0]
-        cert = ClassCertificate(bounds.certificate_class(bound),
+        cert = ClassCertificate(BOUNDS[bound].class_kind,
                                 GRID_MODULI[h], q)
         tf = TestFunction(lambda x: x ** 3 / 3.0 + x, lambda x: x * x + 1.0,
                           0.2, 1.7, cert, skip_derivative_check=True)

@@ -30,6 +30,9 @@ def run_cli(capsys, argv):
     return code, out.out, out.err
 
 
+# the bounds that take the certified h: the choices of --bound
+H_BOUNDS = [name for name, b in bounds.BOUNDS.items() if b.takes == "h"]
+
 VERIFY_SQUARE = [
     "verify", "--function", "poly:0,0,1", "--interval", "0", "1",
 ]
@@ -277,8 +280,7 @@ class TestCompare:
     }
 
     def test_kinds_cover_the_table(self):
-        assert set(self.KINDS) == {*bounds.GENERAL_BOUNDS,
-                                   *bounds.PRIOR_BOUNDS}
+        assert list(self.KINDS) == list(bounds.BOUNDS)
 
     @pytest.mark.parametrize("name", KINDS)
     def test_every_bound_by_name(self, capsys, name):
@@ -427,7 +429,10 @@ class TestConfigErrors:
         ["verify", "--bound", "holder-concave", "--concave", "--q-grid", "2",
          "--alpha-grid", "1", "--lambda-grid", "0"],
         ["compare", "--kinds", "holder", "--q-grid", "2", "--alpha-grid", "1",
-         "--lambda-grid", "0"]],
+         "--lambda-grid", "0"],
+        # classical-simpson prints no |f'| term, but it reads both ends
+        ["compare", "--kinds", "classical-simpson", "--sup-f4", "24",
+         "--lambda-grid", "0.3333333333333333"]],
         ids=lambda argv: "-".join(argv[:3:2]))
     def test_undefined_end_named(self, capsys, argv):
         # the bounds read |f'(a)| and f' = 0.5x^-0.5 divides by zero at 0
@@ -435,6 +440,23 @@ class TestConfigErrors:
             *argv, "--function", "pow:1,0.5", "--interval", "0", "1"])
         assert (code, out, err) == (
             2, "", "config error: f' is undefined at the end a=0.0\n")
+
+    def test_unknown_kind_named(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "compare", "--function", "poly:0,0,1", "--kinds", "bogus"])
+        assert (code, out, err) == (
+            2, "", "config error: unknown bound 'bogus'\n")
+
+    def test_configuration_before_user_code(self, capsys):
+        # two faults: the rule is off midpoint-power-mean's fixed point, and
+        # f' = 0.5x^-0.5 is undefined at a = 0; the rule is checked first
+        code, out, err = run_cli(capsys, [
+            "compare", "--function", "pow:1,0.5", "--interval", "0", "1",
+            "--h", "t^s", "--s", "0.5", "--q-grid", "2",
+            "--kinds", "midpoint-power-mean"])
+        assert (code, out, err) == (
+            2, "", "config error: midpoint-power-mean is fixed at "
+                   "alpha=0.5, lambda=0.0\n")
 
     @pytest.mark.parametrize("argv, line", [
         (["compare", "--kinds", "power-mean,general-convex"],
@@ -516,7 +538,7 @@ def _singular_pow_argv(draw):
             ["holder", "holder-concave"]))]
     else:
         argv += ["--kinds", ",".join(draw(st.lists(
-            st.sampled_from(list(bounds.GENERAL_BOUNDS)),
+            st.sampled_from(H_BOUNDS),
             min_size=1, max_size=3, unique=True)))]
     return [command, *argv]
 

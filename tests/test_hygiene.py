@@ -29,6 +29,11 @@ _K15_CENTRE) equals one of its constants or is as long as one (15 or more
 significant digits): the kernel reads the table's constants by name, so a
 retyped constant cannot drift from the one copy the tests check.
 
+A string literal under src/quadcert that names a bound (a key of
+bounds.BOUNDS) is a key of that table, --bound's default in cli.py, or the
+name bounds.py passes to its own evaluate_bound: the table is the one place
+that knows what a bound needs, so no other code branches on a bound's name.
+
 No import of a package that pyproject.toml does not list: under src/ only
 the standard library, numpy and quadcert itself; tests/ and bench/ may also
 import pytest, hypothesis and the bench's own modules.  mpmath, scipy or
@@ -162,6 +167,50 @@ def _fn_reads(trees):
             if isinstance(n, ast.Attribute) and n.attr == "fn"]
 
 
+_BOUNDS_PY = Path("src/quadcert/bounds.py")
+
+
+def _table_keys(tree):
+    """The key nodes of the BOUNDS = {...} assignment in tree."""
+    return [k for n in tree.body if isinstance(n, ast.Assign)
+            and isinstance(n.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id == "BOUNDS"
+                    for t in n.targets)
+            for k in n.value.keys]
+
+
+def _allowed_names(path, tree):
+    """The nodes of tree where a bound name may be written."""
+    allowed = _table_keys(tree) if path == _BOUNDS_PY else []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        if path == _BOUNDS_PY and isinstance(n.func, ast.Name) \
+                and n.func.id == "evaluate_bound" and n.args:
+            allowed.append(n.args[0])
+        elif path.name == "cli.py" and isinstance(n.func, ast.Attribute) \
+                and n.func.attr == "add_argument" and n.args \
+                and getattr(n.args[0], "value", None) == "--bound":
+            allowed += [k.value for k in n.keywords if k.arg == "default"]
+    return {id(n) for n in allowed}
+
+
+def _bound_name_literals(trees):
+    """Each string literal under src/quadcert that equals a key of the
+    BOUNDS table and is not written where _allowed_names allows it."""
+    names = {k.value for k in _table_keys(trees[_BOUNDS_PY])}
+    found = []
+    for path, tree in trees.items():
+        if path.parts[:2] != ("src", "quadcert"):
+            continue
+        allowed = _allowed_names(path, tree)
+        found += [f"{path}:{line}" for line in sorted(
+            n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and n.value in names and id(n) not in allowed)]
+    return found
+
+
 # beyond the standard library: what pyproject.toml lists, per root
 _PACKAGE_DEPS = {"numpy", "quadcert"}
 _TEST_DEPS = _PACKAGE_DEPS | {"pytest", "hypothesis", "run", "spans",
@@ -246,6 +295,35 @@ def test_no_user_calls_outside_sample():
 
 def test_fn_read_only_where_checked():
     assert _fn_reads(_trees()) == []
+
+
+def test_bound_names_only_in_the_table():
+    trees = _trees()
+    assert _bound_name_literals(trees) == []
+    # the scan sees the whole table
+    assert len(_table_keys(trees[_BOUNDS_PY])) == 9
+
+
+_SCAN_TABLE = 'BOUNDS = {"one": 1, "two": 2}'
+
+
+@pytest.mark.parametrize("path, source, hits", [
+    ("bounds.py", _SCAN_TABLE + '\nname = "one"\n'
+                                'x = evaluate_bound("two", tf, rp)', [2]),
+    ("bounds.py", _SCAN_TABLE + '\nif name == "two":\n    y = "one bound"',
+     [2]),
+    ("cli.py", 'p.add_argument("--bound", default="one")\n'
+               'p.add_argument("--kinds", default="two")\n'
+               'if args.bound == "one":\n    pass', [2, 3]),
+    ("cli.py", 'res = bnd.evaluate_bound("one", tf, rp)', [1]),
+])
+def test_bound_name_scan_sees(path, source, hits):
+    # a bounds.py source brings its own table, which replaces the bare one
+    trees = {_BOUNDS_PY: ast.parse(_SCAN_TABLE),
+             Path("src/quadcert", path): ast.parse(source),
+             Path("tests/test_cli.py"): ast.parse(source)}
+    assert _bound_name_literals(trees) \
+        == [f"src/quadcert/{path}:{n}" for n in hits]
 
 
 def test_only_listed_imports():

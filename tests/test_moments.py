@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from quadcert import (
     ClassCertificate, ClassKind, HKind, HModulus, RuleParams, Side,
-    TestFunction, abs_moment_p, bound_holder_hconcave, bound_holder_hconvex,
-    bound_power_mean, bounds, branch_select, epsilon_coeffs, evaluate_bound,
+    TestFunction, abs_moment_p, bound_power_mean, bounds, branch_select,
+    epsilon_coeffs, evaluate_bound,
     gamma_coeffs, integrate_adaptive, moments, upsilon_coeffs,
     weighted_moment,
 )
@@ -764,11 +764,10 @@ class TestRuleTable:
         rp = RuleParams(*self._grid(), 2.0)
         convex, concave = _tf_cubic(h, 2.0), _tf_cubic(
             h, 2.0, ClassKind.H_CONCAVE)
-        for bound, tf in [(bound_power_mean, convex),
-                          (bound_holder_hconvex, convex),
-                          (bound_holder_hconcave, concave),
-                          (bound_power_mean, convex)]:
-            bound(tf, rp)
+        for bound, tf in [("power-mean", convex), ("holder", convex),
+                          ("holder-concave", concave),
+                          ("power-mean", convex)]:
+            evaluate_bound(bound, tf, rp)
         assert counts == collections.Counter(
             gamma_coeffs=1, upsilon_coeffs=1, epsilon_coeffs=1, branch=1,
             _power_forms=h.kind is not HKind.CONSTANT)
@@ -779,7 +778,7 @@ class TestRuleTable:
                                    HModulus.constant()],
                              ids=["t", "t^0.4", "1"])
     def test_kinds_in_any_order_match_fresh_rules(self, h):
-        tfs = {kind: _tf_cubic(h, 2.0, bounds.certificate_class(kind))
+        tfs = {kind: _tf_cubic(h, 2.0, bounds.BOUNDS[kind].class_kind)
                for kind in self.KINDS}
         fresh = {kind: evaluate_bound(kind, tfs[kind],
                                       RuleParams(*self._grid(), 2.0))
@@ -824,7 +823,7 @@ class TestRuleTable:
                           True)
         for kind in self.KINDS:
             evaluate_bound(kind, _tf_cubic(HModulus.power(0.4), 2.0,
-                                           bounds.certificate_class(kind)), rp)
+                                           bounds.BOUNDS[kind].class_kind), rp)
         assert rp.memo.keys() == {"branch", "gamma_upsilon", "epsilons", 0.4}
         assert (repr(rp), hash(rp), rp == twin) == before
         assert rp != RuleParams(0.3, 0.6, 2.5)

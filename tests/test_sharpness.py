@@ -139,7 +139,8 @@ def test_midpoint_power_mean_attained():
     worst = 0.0
     for _, _, a, b, d_a, d_b in ROWS:
         exact = witness_error(0.5, 0.0, a, b, d_a, d_b, "t")
-        value = rhs_midpoint_power_mean(1.0, 1.0, b - a, d_a, d_b).value
+        value = rhs_midpoint_power_mean(1.0, RuleParams(0.5, 0.0, 1.0),
+                                        b - a, d_a, d_b).value
         worst = max(worst, abs(float(Fraction(value) / exact - 1)))
     assert worst <= REL_TOL, worst
 
@@ -312,6 +313,9 @@ def simpson_error_x4(a, b):
     return abs(rule - (b ** 5 - a ** 5) / (5 * (b - a)))
 
 
+SIMPSON = RuleParams(0.5, 1.0 / 3.0, 1.0)  # classical-simpson's rule
+
+
 def test_simpson_x4_attains_the_textbook_constant():
     # f'''' = 24: the mean-form error (b-a)^4 sup|f''''|/2880 is attained
     # exactly; on [0, 3] the mean is 81/5 and the rule gives 135/8
@@ -319,10 +323,10 @@ def test_simpson_x4_attains_the_textbook_constant():
         assert simpson_error_x4(a, b) == Fraction(27, 40) \
             == Fraction(3) ** 4 * 24 / 2880
     # the printed (b-a)^2 constant: 0.075 on [0, 3], below the error
-    assert bounds.rhs_classical_simpson(24.0, 3.0).value == 0.075
+    assert bounds.rhs_classical_simpson(24.0, SIMPSON, 3.0).value == 0.075
     for width in (Fraction(1, 2), Fraction(3, 4), 2, 3, 5):
         error = simpson_error_x4(0, width)
         assert error == Fraction(width) ** 4 * 24 / 2880
         printed = Fraction(
-            bounds.rhs_classical_simpson(24.0, float(width)).value)
+            bounds.rhs_classical_simpson(24.0, SIMPSON, float(width)).value)
         assert (printed < error) == (width > 1), width
