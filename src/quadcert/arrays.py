@@ -48,9 +48,7 @@ def power(x, e):
 
 
 def map_scalar(fn, x):
-    """fn(x); on an array, one call per element, each on a Python float."""
-    if not isinstance(x, np.ndarray):
-        return fn(x)
+    """fn on an array x: one call per element, each on a Python float."""
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 

@@ -210,9 +210,9 @@ def rhs_trapezoid_holder(s: float, rp: RuleParams, width: float,
     return BoundResult(value, None, {})
 
 
-def rhs_classical_simpson(sup_f4: float, rp: RuleParams, width: float,
-                          *d: float) -> BoundResult:
-    """Classical fourth-derivative Simpson estimate, as printed; no q or d.
+def rhs_classical_simpson(sup_f4: float, rp: RuleParams,
+                          width: float) -> BoundResult:
+    """Classical fourth-derivative Simpson estimate, as printed; no q or f'.
 
     Note: the printed factor is (b-a)^2; the textbook mean-form constant is
     (b-a)^4/2880.  On unit-width intervals the two agree.
@@ -254,7 +254,7 @@ BOUNDS = {
                             rhs_simpson_holder),
     "trapezoid-holder": Bound(_CONVEX, (0.5, 1.0), (*_ENDS, "centre"), "s",
                               True, rhs_trapezoid_holder),
-    "classical-simpson": Bound(_CONVEX, _SIMPSON, _ENDS, "sup_f4", False,
+    "classical-simpson": Bound(_CONVEX, _SIMPSON, (), "sup_f4", False,
                                rhs_classical_simpson),
 }
 # the interior points where a bound reads |f'|, from (a, b, alpha): the
@@ -280,7 +280,11 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
     """Evaluate the bound called ``name`` on this function, as its record
     says.  Every check of the configuration comes before f' is called: a
     bound that takes h checks the certificate's class and exponent, a
-    fixed-parameter bound the rule, and s or sup_f4 must be there."""
+    fixed-parameter bound the rule, and s or sup_f4 must be there.  A bound
+    that is inf or NaN at any point, or overflows a Python float on the way
+    (|f'(a)| ** q can), raises OverflowError("the <name> bound is not
+    finite"); numpy's inf warns first unless the caller's np.errstate says
+    otherwise."""
     bound = BOUNDS.get(name)
     if bound is None:
         raise ParamMismatch(f"unknown bound {name!r}")
@@ -303,7 +307,13 @@ def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,
     if x is None and bound.takes in _MISSING:
         raise ParamMismatch(_MISSING[bound.takes])
     d = [_abs_f_prime(tf, rp, point) for point in bound.reads]
-    return bound.rhs(x, rp, tf.width, *d)
+    try:
+        res = bound.rhs(x, rp, tf.width, *d)
+        if every(res.value < math.inf):  # NaN fails too
+            return res
+    except OverflowError:
+        pass
+    raise OverflowError(f"the {name} bound is not finite")
 
 
 def bound_power_mean(tf: TestFunction, rp: RuleParams) -> BoundResult:

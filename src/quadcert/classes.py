@@ -215,7 +215,10 @@ class TestFunction:
             if x - h == x or x + h == x:
                 raise DomainError(f"interval too narrow to check f' at "
                                   f"x={x!r}: a step of {h!r} does not move x")
-            hi, lo = self.f(x + h), self.f(x - h)
+            try:
+                hi, lo = self.f(x + h), self.f(x - h)
+            except OverflowError:  # a Python float, where numpy gives inf
+                hi = lo = math.nan
             fd = (hi - lo) / (2.0 * h)
             if not np.isfinite(fd):  # np.isfinite also takes complex values
                 raise DomainError(f"f is not finite near x={x!r}")
@@ -254,9 +257,9 @@ class TestFunction:
         return self.b - self.a
 
     def sample(self, fn, x):
-        """fn(x) for fn f or f_prime, called as arrays.map_scalar calls it;
-        the bounds and the oracle read point values only so.  DomainError
-        names fn and the point where fn divides by zero or is complex."""
+        """fn(x) for fn f or f_prime, per element on an array; the bounds
+        and the oracle read point values only so.  DomainError names fn and
+        the point where fn divides by zero, overflows or is complex."""
         if isinstance(x, np.ndarray):
             return map_scalar(partial(self.sample, fn), x)
         try:
@@ -266,6 +269,8 @@ class TestFunction:
             fault = "not real"
         except ZeroDivisionError:
             fault = "undefined"
+        except OverflowError:
+            fault = "not finite"
         at = {self.a: "the end a=", self.b: "the end b="}.get(x, "x=")
         name = "f'" if fn is self.f_prime else "f"
         raise DomainError(f"{name} is {fault} at {at}{float(x)!r}")

@@ -434,8 +434,7 @@ class TestBoundsTable:
                                      rel=1e-15)
         assert len(set(seen)) == len(seen)
         # ... and handed on in that order: the evaluator's |f'| parameters
-        # name the same points (general-convex's adapter and
-        # classical-simpson's *d name none)
+        # name the same points (general-convex's adapter names none)
         d_names = [n for n in inspect.signature(bound.rhs).parameters
                    if n.startswith("d_")]
         assert d_names in ([], [D_NAME[p] for p in bound.reads])
@@ -493,6 +492,63 @@ class TestBoundsTable:
         assert kinds.startswith(f"comma list of: {','.join(BOUNDS)}; ")
         assert H_BOUNDS == ["power-mean", "holder", "holder-concave"]
         assert len(BOUNDS) == 9
+
+
+class TestNotFinite:
+    """A bound that is inf or NaN certifies nothing: evaluate_bound raises
+    OverflowError naming it, for every caller."""
+
+    @staticmethod
+    def _steep_tf():
+        # f' = 300 e^(300 x) on [0, 1]: |f'(1)| ** 3 is about 1.9e398, a
+        # numpy float that overflows to inf
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 3.0)
+        return TestFunction(lambda x: np.exp(300.0 * x),
+                            lambda x: 300.0 * np.exp(300.0 * x), 0.0, 1.0,
+                            cert)
+
+    @pytest.mark.parametrize("name", ["power-mean", "holder",
+                                      "general-convex"])
+    @pytest.mark.parametrize("rp", [
+        RuleParams(0.5, 1.0 / 3.0, 3.0),
+        RuleParams(np.array([[0.25], [0.5]]), np.array([0.0, 1.0]), 3.0),
+    ], ids=["point", "grid"])
+    def test_numpy_inf_named(self, name, rp):
+        with np.errstate(over="ignore"), pytest.raises(OverflowError) as exc:
+            evaluate_bound(name, self._steep_tf(), rp)
+        assert str(exc.value) == f"the {name} bound is not finite"
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, np.array([[1.0, math.nan]]),
+        np.array([[math.inf, 1.0]])], ids=["nan", "inf", "grid-nan",
+                                           "grid-inf"])
+    def test_value_not_finite_named(self, monkeypatch, value):
+        monkeypatch.setitem(BOUNDS, "holder", dataclasses.replace(
+            BOUNDS["holder"],
+            rhs=lambda *args: bounds.BoundResult(value, None, {})))
+        with pytest.raises(OverflowError) as exc:
+            evaluate_bound("holder", _walk_tf(ClassKind.H_CONVEX, 2.0),
+                           RuleParams(0.3, 0.6, 2.0))
+        assert str(exc.value) == "the holder bound is not finite"
+
+    def test_python_overflow_named(self, monkeypatch):
+        def rhs(*args):
+            return 1e200 ** 2.0  # OverflowError on a Python float
+        monkeypatch.setitem(BOUNDS, "holder", dataclasses.replace(
+            BOUNDS["holder"], rhs=rhs))
+        with pytest.raises(OverflowError) as exc:
+            evaluate_bound("holder", _walk_tf(ClassKind.H_CONVEX, 2.0),
+                           RuleParams(0.3, 0.6, 2.0))
+        assert str(exc.value) == "the holder bound is not finite"
+
+    def test_f_prime_overflow_named_by_sample(self):
+        # |f'(b)| itself overflows: sample names f' and the end first
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 2.0)
+        tf = TestFunction(lambda x: x ** 400, lambda x: 400.0 * x ** 399,
+                          0.0, 8.0, cert, skip_derivative_check=True)
+        with pytest.raises(DomainError,
+                           match=r"^f' is not finite at the end b=8\.0$"):
+            evaluate_bound("general-convex", tf, RuleParams(0.5, 0.5, 2.0))
 
 
 class TestDominance:

@@ -348,7 +348,9 @@ class TestCertificateAndFunction:
          1.0, "0.75"),
         (lambda x: 1e308 * x ** 3, lambda x: 3e308 * x * x,
          2.0, "0.8333333333333334"),
-    ], ids=["numpy-overflow", "float-overflow"])
+        # x ** 400 raises OverflowError on a Python float past about 5.9
+        (lambda x: x ** 400, lambda x: 400.0 * x ** 399, 8.0, "6.0"),
+    ], ids=["numpy-overflow", "float-overflow", "float-power-overflow"])
     def test_non_finite_f_named(self, f, fp, b, x):
         # not "f_prime inconsistent", and no numpy RuntimeWarning, which
         # the suite turns into an error
@@ -407,6 +409,15 @@ class TestSample:
         with pytest.raises(DomainError,
                            match=r"^f' is not real at x=1\.0$"):
             tf.sample(tf.f_prime, 1.0)
+
+    def test_overflow_named(self):
+        # x ** 400 raises OverflowError on a Python float past about 5.9
+        tf = self._tf(lambda x: x ** 400, lambda x: 400.0 * x ** 399, 0.0, 8.0)
+        with pytest.raises(DomainError,
+                           match=r"^f is not finite at the end b=8\.0$"):
+            tf.sample(tf.f, 8.0)
+        with pytest.raises(DomainError, match=r"^f' is not finite at x=7\.0$"):
+            tf.sample(tf.f_prime, np.array([1.0, 7.0]))
 
     @pytest.mark.parametrize("f", [lambda x: 0.3 * x ** 2.7 - x,
                                    lambda x: np.exp(-1.3 * x)],

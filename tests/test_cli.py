@@ -429,10 +429,7 @@ class TestConfigErrors:
         ["verify", "--bound", "holder-concave", "--concave", "--q-grid", "2",
          "--alpha-grid", "1", "--lambda-grid", "0"],
         ["compare", "--kinds", "holder", "--q-grid", "2", "--alpha-grid", "1",
-         "--lambda-grid", "0"],
-        # classical-simpson prints no |f'| term, but it reads both ends
-        ["compare", "--kinds", "classical-simpson", "--sup-f4", "24",
-         "--lambda-grid", "0.3333333333333333"]],
+         "--lambda-grid", "0"]],
         ids=lambda argv: "-".join(argv[:3:2]))
     def test_undefined_end_named(self, capsys, argv):
         # the bounds read |f'(a)| and f' = 0.5x^-0.5 divides by zero at 0
@@ -440,6 +437,19 @@ class TestConfigErrors:
             *argv, "--function", "pow:1,0.5", "--interval", "0", "1"])
         assert (code, out, err) == (
             2, "", "config error: f' is undefined at the end a=0.0\n")
+
+    def test_classical_simpson_reads_no_f_prime(self, capsys):
+        # (b - a)^2 sup|f''''| / 2880 has no |f'| term, so an f' that is
+        # undefined at a = 0 does not stop it
+        code, out, err = run_cli(capsys, [
+            "compare", "--function", "pow:1,0.5", "--interval", "0", "1",
+            "--kinds", "classical-simpson", "--sup-f4", "24",
+            "--lambda-grid", "0.3333333333333333"])
+        assert (code, err) == (0, "")
+        assert "%.17g" % (1.0 ** 2 * 24.0 / 2880.0) == "0.0083333333333333332"
+        assert out == ("alpha,lambda,q,s,p,classical-simpson,argmin\n"
+                       "0.5,0.33333333333333331,2,,2,0.0083333333333333332,"
+                       "classical-simpson\n")
 
     def test_unknown_kind_named(self, capsys):
         code, out, err = run_cli(capsys, [
@@ -500,6 +510,26 @@ class TestConfigErrors:
         assert (code, out, err) == (
             2, "", f"config error: overflow: the {bound} bound is not "
                    f"finite\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["verify", "--function", "poly:0,0,1", "--interval", "0", "1e200"],
+         "f is not finite near x=8.333333333333333e+198"),
+        (["sweep", "--function", "poly:0,0,0,1", "--interval", "1e120",
+          "2e120"], "f is not finite near x=1.0833333333333334e+120"),
+        (["compare", "--function", "pow:1,2", "--interval", "1e200", "2e200",
+          "--kinds", "power-mean"],
+         "f is not finite near x=1.0833333333333333e+200"),
+        (["hadamard", "--function", "poly:0,0,1", "--interval", "0",
+          "1e200"], "f is not finite near x=8.333333333333333e+198"),
+        # 1145.8^100 at the last check point is finite, 1250^100 is not
+        (["hadamard", "--function", "poly:" + "0," * 100 + "1",
+          "--interval", "0", "1250"], "f is not finite at the end b=1250.0"),
+    ], ids=["verify", "sweep", "compare", "hadamard", "hadamard-end"])
+    def test_float_overflow_of_f_named(self, capsys, argv, line):
+        # x ** k of a poly: or pow: spec raises OverflowError on a Python
+        # float; the derivative check and TestFunction.sample name f and x
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", f"config error: {line}\n")
 
     @pytest.mark.parametrize("spec", ["pow:1,0", "pow:1,-0.5"])
     def test_pow_needs_positive_exponent(self, capsys, spec):

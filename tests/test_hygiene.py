@@ -34,6 +34,11 @@ bounds.BOUNDS) is a key of that table, --bound's default in cli.py, or the
 name bounds.py passes to its own evaluate_bound: the table is the one place
 that knows what a bound needs, so no other code branches on a bound's name.
 
+cli.py constructs no OverflowError and writes no "bound is not finite":
+bounds.evaluate_bound alone decides that a bound which is inf or NaN, or
+overflows a Python float, is not finite, so every command and every API
+caller meets the one rule.
+
 No import of a package that pyproject.toml does not list: under src/ only
 the standard library, numpy and quadcert itself; tests/ and bench/ may also
 import pytest, hypothesis and the bench's own modules.  mpmath, scipy or
@@ -211,6 +216,22 @@ def _bound_name_literals(trees):
     return found
 
 
+def _cli_overflow_rules(trees):
+    """Each OverflowError that src/quadcert/cli.py constructs or names in a
+    raise, and each of its string literals that says a bound is not
+    finite."""
+    return [f"{path}:{n.lineno}"
+            for path, tree in trees.items()
+            if path == Path("src/quadcert/cli.py")
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "OverflowError"
+            or isinstance(n, ast.Raise) and isinstance(n.exc, ast.Name)
+            and n.exc.id == "OverflowError"
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and "bound is not finite" in n.value]
+
+
 # beyond the standard library: what pyproject.toml lists, per root
 _PACKAGE_DEPS = {"numpy", "quadcert"}
 _TEST_DEPS = _PACKAGE_DEPS | {"pytest", "hypothesis", "run", "spans",
@@ -324,6 +345,23 @@ def test_bound_name_scan_sees(path, source, hits):
              Path("tests/test_cli.py"): ast.parse(source)}
     assert _bound_name_literals(trees) \
         == [f"src/quadcert/{path}:{n}" for n in hits]
+
+
+def test_no_overflow_rule_in_cli():
+    assert _cli_overflow_rules(_trees()) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ('raise OverflowError(f"the {name} bound is not finite")', [1, 1]),
+    ("if not ok:\n    raise OverflowError", [2]),
+    ('msg = "the power-mean bound is not finite"', [1]),
+    ("try:\n    pass\nexcept OverflowError as exc:\n    print(exc)", []),
+])
+def test_cli_overflow_scan_sees(source, hits):
+    tree = ast.parse(source)
+    assert _cli_overflow_rules({Path("src/quadcert/cli.py"): tree}) \
+        == [f"src/quadcert/cli.py:{n}" for n in hits]
+    assert _cli_overflow_rules({Path("src/quadcert/bounds.py"): tree}) == []
 
 
 def test_only_listed_imports():
