@@ -7,6 +7,12 @@ class.  A :class:`TestFunction` bundles an evaluable (f, f') pair with the
 class certificate claimed for |f'|^q; :func:`certify_membership` spot-checks
 that claim by sampling.  It keeps the last draw of f' samples, so checks
 of one f' with several q, h or classes evaluate f' once.
+
+This is the one module that calls a custom modulus's fn and checks what it
+returns: a value must be a float, or convert to one, in [0, inf), else
+EvaluationError naming t.  Every other module samples h through
+:attr:`HModulus.evaluator`, at a float or on a 1-d array, or integrates its
+weighted moments on :meth:`HModulus.moment_integrand`.
 """
 
 from __future__ import annotations
@@ -72,12 +78,18 @@ class HModulus:
 
     @cached_property
     def evaluator(self) -> Callable[[float], float]:
-        """h at t, its kind decided once per modulus.
+        """h at t, a float or a 1-d array of floats, its kind decided once
+        per modulus.
 
-        A named kind also takes an array of t, to the bits of its float
-        values; a custom modulus's fn takes one float.  It does not check
-        that t lies in (0, 1).  A custom modulus's value must be finite and
-        nonnegative, else EvaluationError.
+        A named kind takes an array whole, to the bits of its float values.
+        A custom modulus's fn takes one float: a plain float value in [0, inf)
+        is used as it is, and any other goes through :func:`_custom_value`.
+        On an array fn runs once per element, on Python floats in order, and
+        its values are converted and tested as one array; where that fails,
+        they are walked in order through _custom_value, so the first bad one
+        raises what a float t raises there (a None, which numpy makes NaN,
+        stays a TypeError), but only once fn has run on the whole array.
+        It does not check that t lies in (0, 1).
         """
         if self.kind is HKind.IDENTITY:
             return lambda t: t
@@ -90,14 +102,68 @@ class HModulus:
             return lambda t: 1.0 / t
         fn, inf = self.fn, math.inf
 
-        # a plain float in [0, inf) is used as it is (NaN fails the test);
-        # any other value goes through _custom_value
         def custom(t):
+            if isinstance(t, np.ndarray):
+                ts = t.tolist()
+                raw = [fn(v) for v in ts]
+                try:
+                    vals = np.array(raw, dtype=float)
+                    if (vals.shape == t.shape and 0.0 <= vals.min()
+                            and vals.max() < inf):
+                        return vals
+                except (TypeError, ValueError, OverflowError):
+                    pass
+                return np.array([_custom_value(v, x) for v, x in zip(raw, ts)])
             v = fn(t)
             if type(v) is float and 0.0 <= v < inf:
                 return v
             return _custom_value(v, t)
         return custom
+
+    def moment_integrand(self, kink: float, w_p: float,
+                         w_r: float) -> Callable[[float], float]:
+        """|t - kink| * (w_p h(t) + w_r h(1 - t)) for a custom modulus, the
+        integrand of one side's weighted moment pair; a zero weight leaves
+        its h unsampled.
+
+        Each of its three forms calls fn at its node directly, not through
+        the evaluator, and checks the value inline as the evaluator does, so
+        no call of fn follows a bad value.  An argument on 0 or 1 is a
+        measure-zero end of h's domain: 0 there.
+        """
+        fn, inf = self.fn, math.inf
+
+        def plain(t):
+            if 0.0 < t < 1.0:
+                v = fn(t)
+                if type(v) is not float or not 0.0 <= v < inf:
+                    v = _custom_value(v, t)
+                return abs(t - kink) * (w_p * v)
+            return 0.0
+
+        def reflected(t):
+            arg = 1.0 - t
+            if 0.0 < arg < 1.0:
+                v = fn(arg)
+                if type(v) is not float or not 0.0 <= v < inf:
+                    v = _custom_value(v, arg)
+                return abs(t - kink) * (w_r * v)
+            return 0.0
+
+        def both(t):
+            arg = 1.0 - t
+            # 0 < 1-t < 1 implies 0 < t < 1
+            if 0.0 < arg < 1.0:
+                v = fn(t)
+                if type(v) is not float or not 0.0 <= v < inf:
+                    v = _custom_value(v, t)
+                r = fn(arg)
+                if type(r) is not float or not 0.0 <= r < inf:
+                    r = _custom_value(r, arg)
+                return abs(t - kink) * (w_p * v + w_r * r)
+            return plain(t)
+
+        return both if w_p and w_r else plain if w_p else reflected
 
 
 def _custom_value(val, t) -> float:
@@ -108,28 +174,6 @@ def _custom_value(val, t) -> float:
     if not 0.0 <= val < math.inf:  # NaN fails too
         raise EvaluationError(f"custom modulus returned {val!r} at t={t!r}")
     return val
-
-
-def _custom_on(fn, t: np.ndarray) -> np.ndarray:
-    """A custom modulus's fn at each element of the 1-d array t, as a float
-    array checked as :func:`_custom_value` checks one value.
-
-    fn runs once per element, on Python floats in order, and its values
-    are converted and tested as one array.  Where that conversion or the
-    test fails, the values are walked in order through _custom_value, so the
-    first bad one raises what the evaluator raises there (a None, which
-    numpy makes NaN, stays a TypeError), and fn is not called again.
-    """
-    ts = t.tolist()
-    raw = [fn(v) for v in ts]
-    try:
-        vals = np.array(raw, dtype=float)
-        if (vals.shape == t.shape and 0.0 <= vals.min()
-                and vals.max() < math.inf):
-            return vals
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return np.array([_custom_value(v, x) for v, x in zip(raw, ts)])
 
 
 def h_half(h: HModulus) -> float:
@@ -227,23 +271,32 @@ class TestFunction:
         for i in range(_N_DERIV_POINTS):
             x = self.a + width * (i + 1) / (_N_DERIV_POINTS + 1)
             fd, size = central(x, step)
-            dv = self.f_prime(x)
+            try:
+                dv = self.f_prime(x)
+            except OverflowError:  # a Python float, where numpy gives inf
+                dv = math.inf
+            if abs(dv) == math.inf:  # which no gate could refuse
+                raise DomainError(f"f' is not finite at x={x!r}")
             gate = _DERIV_REL_TOL * (1.0 + abs(dv))
             # written so that a NaN declared f' fails the check too
             if abs(fd - dv) <= gate:
                 continue
             # a Richardson step cancels the h^2 error that a steep exact f',
-            # such as that of exp(250 x), shows
+            # such as that of exp(250 x), shows; (4 half - fd)/3, written so
+            # that it overflows only where half and fd do
             half, half_size = central(x, step / 2.0)
-            fd = (4.0 * half - fd) / 3.0
+            fd = half + (half - fd) / 3.0
             miss = abs(fd - dv)
             if miss <= gate:
                 continue
             # rounding f and x +- h moves a difference at step h by up to
             # 2^-52 (|f(x + h)| + |f(x - h)| + |x f'(x)|) / h, and fd by 4/3
-            # of that at the half step and 1/3 of it at the step
-            noise = 2.0 ** -52 * (8.0 * half_size + size
-                                  + 9.0 * abs(x * dv)) / (3.0 * step)
+            # of that at the half step and 1/3 of it at the step; 2^-52
+            # scales f' before x does, so that only a noise past the float
+            # range overflows
+            eps = 2.0 ** -52
+            noise = (eps * (8.0 * half_size + size)
+                     + 9.0 * abs(x * (eps * dv))) / (3.0 * step)
             if miss <= noise:
                 raise DomainError(
                     f"interval too narrow to check f' at x={x!r}: rounding "
@@ -303,15 +356,9 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
 
     The draw and |f'| at its points depend on (f', a, b, n_samples, seed)
     only, so consecutive checks of one f' object reuse them; each check
-    computes its own h on the draw, |f'|^q and slack.
-
-    A named h takes the alpha and 1 - alpha arrays whole, through its
-    evaluator.  A custom h's fn runs once per sample, on Python floats,
-    all alpha and then all 1 - alpha, each pass checked as one array by
-    :func:`_custom_on`: a bad value raises what the evaluator raises for
-    it, naming the first bad sample in draw order, but only once fn has
-    run on the whole pass, so an fn that raises its own exception at a
-    later sample surfaces that exception instead.
+    computes its own h on the draw, |f'|^q and slack.  h takes the alpha
+    and then the 1 - alpha samples as two arrays, through
+    :attr:`HModulus.evaluator`.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -321,10 +368,7 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     draw = _derivative_draw if isinstance(tf.f_prime, Hashable) \
         else _derivative_draw.__wrapped__
     xs, ys, alphas, *abs_fp = draw(tf.f_prime, tf.a, tf.b, n_samples, seed)
-    h_on = cert.h.evaluator
-    if cert.h.kind is HKind.CUSTOM:  # its fn takes one float at a time
-        h_on = partial(_custom_on, cert.h.fn)
-    h_a, h_1a = h_on(alphas), h_on(1.0 - alphas)
+    h_a, h_1a = cert.h.evaluator(alphas), cert.h.evaluator(1.0 - alphas)
     # with every g finite, an h*g that overflows to inf still gives the
     # sign its exact value would
     with np.errstate(over="ignore"):

@@ -7,7 +7,9 @@ on the left and at 1 - lambda*(1-alpha) on the right, for every named
 modulus: t, t^s, 1 and 1/t.  Only a custom modulus's moments are
 integrated, split at the kink, by the tanh-sinh rule of
 :mod:`quadcert.tanhsinh`, which hands a piece it does not settle to the
-oracle's adaptive integrator; one side's plain and reflected moments,
+oracle's adaptive integrator, on the integrand that
+:meth:`HModulus.moment_integrand` builds: :mod:`quadcert.classes` alone
+calls a custom modulus's fn.  One side's plain and reflected moments,
 weighted as a power-mean bound needs them, take one pass together, and a
 single moment is such a pair with one weight 0.  alpha and lambda are
 floats, or arrays that broadcast to a grid of rules; branches are chosen
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import tanhsinh
 from .arrays import every, power, select
-from .classes import HKind, HModulus, _custom_value
+from .classes import HKind, HModulus
 from .errors import DomainError, NotIntegrable
 
 
@@ -310,7 +312,8 @@ def weighted_pair(h: HModulus, rp: RuleParams, side: Side,
 
     The two moments are integrated together, one tanh-sinh pass per piece
     on |t - kink| * (w_p h(t) + w_r h(1-t)) with w = c/(c_plain +
-    c_reflected), and the sum is scaled back.  The weights sum to 1, so each
+    c_reflected), :meth:`HModulus.moment_integrand`, and the sum is scaled
+    back.  The weights sum to 1, so each
     piece settles to TOL on a convex combination of the two moments, and
     the error is at most (c_plain + c_reflected) * TOL, as for the two
     moments apart.  A zero coefficient leaves its h unsampled, so the
@@ -336,47 +339,7 @@ def _numeric_pair(h: HModulus, rp: RuleParams, side: Side,
         return 0.0
     lo, hi_lim, kink = ((0.0, rp.u, rp.w) if side is Side.LEFT
                         else (rp.u, 1.0, rp.hi))
-    fn, inf = h.fn, math.inf
-    w_p, w_r = c_plain / scale, c_reflected / scale
-
-    # Each integrand calls h's fn at its node directly, not through
-    # HModulus.evaluator: a plain float in [0, inf) is used as it is, and
-    # any other value goes through classes._custom_value, the evaluator's
-    # own float-and-check, which raises its EvaluationError (float's
-    # TypeError for None) at once.  So, unlike certify_membership's array
-    # path, no call of fn follows a bad value.  An argument on 0 or 1 is a
-    # measure-zero endpoint of h's domain: 0 there.
-    def plain(t):
-        if 0.0 < t < 1.0:
-            v = fn(t)
-            if type(v) is not float or not 0.0 <= v < inf:
-                v = _custom_value(v, t)
-            return abs(t - kink) * (w_p * v)
-        return 0.0
-
-    def reflected(t):
-        arg = 1.0 - t
-        if 0.0 < arg < 1.0:
-            v = fn(arg)
-            if type(v) is not float or not 0.0 <= v < inf:
-                v = _custom_value(v, arg)
-            return abs(t - kink) * (w_r * v)
-        return 0.0
-
-    def both(t):
-        arg = 1.0 - t
-        # 0 < 1-t < 1 implies 0 < t < 1
-        if 0.0 < arg < 1.0:
-            v = fn(t)
-            if type(v) is not float or not 0.0 <= v < inf:
-                v = _custom_value(v, t)
-            r = fn(arg)
-            if type(r) is not float or not 0.0 <= r < inf:
-                r = _custom_value(r, arg)
-            return abs(t - kink) * (w_p * v + w_r * r)
-        return plain(t)
-
-    integrand = both if w_p and w_r else plain if w_p else reflected
+    integrand = h.moment_integrand(kink, c_plain / scale, c_reflected / scale)
     total = 0.0
     for plo, phi in ([(lo, kink), (kink, hi_lim)] if lo < kink < hi_lim
                      else [(lo, hi_lim)]):

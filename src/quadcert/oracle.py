@@ -13,10 +13,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .classes import ClassKind, HKind, TestFunction, h_half, h_integral_01
-from .errors import ClassMismatch, NonFiniteSample, ToleranceNotReached
+from .errors import (ClassMismatch, DomainError, NonFiniteSample,
+                     ToleranceNotReached)
 
 # Absolute tolerance of every oracle integral (mean_value: times the width)
 TOL = 1e-12
@@ -248,10 +250,30 @@ def rule_value(tf: TestFunction, alpha, lam):
     return lam * (alpha * f_a + (1.0 - alpha) * f_b) + (1.0 - lam) * f_node
 
 
+def _integral_of(tf: TestFunction, fn, integrand, a, b, tol) -> float:
+    """The value of integrate_adaptive(integrand(fn), a, b, tol), where fn
+    is tf.f or tf.f_prime and the integrand calls it raw at each node.
+
+    Where fn divides by zero, overflows or is complex there, the integral
+    is taken once more on integrand(partial(tf.sample, fn)), which meets
+    the same nodes in the same order, and the DomainError with which
+    TestFunction.sample names fn and the node is raised; if the replay
+    passes, the first exception stands.
+    """
+    try:
+        return integrate_adaptive(integrand(fn), a, b, tol).value
+    except (ZeroDivisionError, OverflowError, TypeError):
+        try:
+            integrate_adaptive(integrand(partial(tf.sample, fn)), a, b, tol)
+        except DomainError as named:
+            raise named from None
+        raise
+
+
 def mean_value(tf: TestFunction) -> float:
     """(1/(b-a)) * integral of f over [a, b], to TOL relative to the width."""
-    res = integrate_adaptive(tf.f, tf.a, tf.b, TOL * tf.width)
-    return res.value / tf.width
+    return _integral_of(tf, tf.f, lambda f: f, tf.a, tf.b,
+                        TOL * tf.width) / tf.width
 
 
 def lhs_error(tf: TestFunction, rp) -> float:
@@ -272,14 +294,14 @@ def lemma_identity_residual(tf: TestFunction, rp) -> float:
     shift = 1.0 - lam * u
     lhs = rule_value(tf, alpha, lam) - mean_value(tf)
 
-    def left(t):
-        return (t - w) * tf.f_prime(t * b + (1.0 - t) * a)
+    def left(fp):
+        return lambda t: (t - w) * fp(t * b + (1.0 - t) * a)
 
-    def right(t):
-        return (t - shift) * tf.f_prime(t * b + (1.0 - t) * a)
+    def right(fp):
+        return lambda t: (t - shift) * fp(t * b + (1.0 - t) * a)
 
-    i1 = integrate_adaptive(left, 0.0, u, TOL).value
-    i2 = integrate_adaptive(right, u, 1.0, TOL).value
+    i1 = _integral_of(tf, tf.f_prime, left, 0.0, u, TOL)
+    i2 = _integral_of(tf, tf.f_prime, right, u, 1.0, TOL)
     return abs(lhs - width * (i1 + i2))
 
 

@@ -8,9 +8,12 @@ sqrt(t), t^-1/2 or log t therefore settle in a few levels, where adaptive
 Gauss-Kronrod needs thousands of samples.  An interior kink or other
 feature away from the ends does not settle; such a piece falls back to the
 oracle's adaptive integrator.  A named modulus, 1/t too, never reaches
-this rule.  Each level's node offsets and weights are tabled once, at
-import, in node order, so a level is one pass: g at each node, one
-finiteness scan, the products w g(x) added to math.fsum's terms.
+this rule.  Its integrands come from :mod:`quadcert.classes`, which alone
+calls a custom modulus's fn and checks its values: HModulus.evaluator for
+the integral of h and HModulus.moment_integrand for the moments.  Each
+level's node offsets and weights are tabled once, at import, in node
+order, so a level is one pass: g at each node, one finiteness scan, the
+products w g(x) added to math.fsum's terms.
 """
 
 from __future__ import annotations

@@ -62,6 +62,13 @@ def _recording(values):
     return fn, calls
 
 
+def _evaluator_passes(tf):
+    """h's evaluator on the alpha and then the 1 - alpha array of the draw
+    that certify_membership(tf, N_CHECKED) makes."""
+    alphas = _derivative_draw(tf.f_prime, tf.a, tf.b, N_CHECKED, 0)[2]
+    return [tf.certificate.h.evaluator(t) for t in (alphas, 1.0 - alphas)]
+
+
 class TestBadCustomValues:
     """Every caller of a custom modulus refuses a NaN, negative or infinite
     value, wherever in (0, 1) it appears.
@@ -118,22 +125,29 @@ class TestBadCustomValues:
     @pytest.mark.parametrize("first", [7, N_CHECKED + 7],
                              ids=["alpha", "one-minus-alpha"])
     def test_first_bad_sample_named(self, bad, first):
-        # a second bad value later in the same pass is not the one named
-        fn, calls = _recording({first: bad, first + 3: -2.0})
-        tf = self._tf(fn)
-        ts = self._draw(tf)
-        if bad is None:
-            with pytest.raises(TypeError) as info:
-                certify_membership(tf, N_CHECKED)
-            assert str(info.value) == _float_error(None)
-        else:
-            with pytest.raises(EvaluationError) as info:
-                certify_membership(tf, N_CHECKED)
-            assert str(info.value) == (f"custom modulus returned {bad!r} "
-                                       f"at t={ts[first]!r}")
-        # fn ran on the whole pass holding the bad value, and never after
-        end = N_CHECKED if first < N_CHECKED else 2 * N_CHECKED
-        assert calls == ts[:end]
+        # certify_membership, and the evaluator on the arrays it passes
+        for check in (lambda tf: certify_membership(tf, N_CHECKED),
+                      _evaluator_passes):
+            # a second bad value later in the same pass is not the one named
+            fn, calls = _recording({first: bad, first + 3: -2.0})
+            tf = self._tf(fn)
+            ts = self._draw(tf)
+            if bad is None:
+                with pytest.raises(TypeError) as info:
+                    check(tf)
+                assert str(info.value) == _float_error(None)
+            else:
+                with pytest.raises(EvaluationError) as info:
+                    check(tf)
+                assert str(info.value) == (f"custom modulus returned "
+                                           f"{bad!r} at t={ts[first]!r}")
+            # what the evaluator raises for that value at that float
+            with pytest.raises(type(info.value),
+                               match="^" + re.escape(str(info.value)) + "$"):
+                HModulus.custom(lambda t: bad).evaluator(ts[first])
+            # fn ran on the whole pass holding the bad value, and never after
+            end = N_CHECKED if first < N_CHECKED else 2 * N_CHECKED
+            assert calls == ts[:end]
 
     def test_fn_runs_on_the_whole_pass_before_the_check(self):
         # The one difference from a loop of evaluator calls, which would
@@ -346,7 +360,8 @@ class TestCertificateAndFunction:
     @pytest.mark.parametrize("f, fp, b, x", [
         (lambda x: np.exp(1000.0 * x), lambda x: 1000.0 * np.exp(1000.0 * x),
          1.0, "0.75"),
-        (lambda x: 1e308 * x ** 3, lambda x: 3e308 * x * x,
+        # 1e308 * (3 x^2) is finite below x = 0.77, where 3e308 x^2 is not
+        (lambda x: 1e308 * x ** 3, lambda x: 1e308 * (3.0 * x * x),
          2.0, "0.8333333333333334"),
         # x ** 400 raises OverflowError on a Python float past about 5.9
         (lambda x: x ** 400, lambda x: 400.0 * x ** 399, 8.0, "6.0"),
@@ -358,6 +373,42 @@ class TestCertificateAndFunction:
         with pytest.raises(DomainError,
                            match=f"^f is not finite near x={x}$"):
             TestFunction(f, fp, 0.0, b, cert)
+
+    @pytest.mark.parametrize("fp, x", [
+        (lambda x: math.inf, "0.08333333333333333"),
+        (lambda x: -math.inf if x > 0.5 else 2.0 * x, "0.5833333333333334"),
+        (lambda x: np.float64(math.inf) * x, "0.08333333333333333"),
+        # a Python float power that raises OverflowError
+        (lambda x: 1e300 ** (2.0 + x), "0.08333333333333333"),
+    ], ids=["inf", "minus-inf", "numpy-inf", "float-overflow"])
+    def test_infinite_derivative_named(self, fp, x):
+        # a gate of 1e-6 (1 + |f'|) is inf there, which no difference fails
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with pytest.raises(DomainError,
+                           match=f"^f' is not finite at x={x}$"):
+            TestFunction(lambda x: x * x, fp, 0.0, 1.0, cert)
+
+    def test_richardson_step_does_not_overflow(self):
+        # at x = 5.82, 4 times the half-step difference of x^400 is past the
+        # float range, though the difference and f' are not: the check
+        # passes, and on [0, 10] fails where f itself overflows
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+
+        def tf(b, scale=1.0):
+            return TestFunction(lambda x: x ** 400,
+                                lambda x: scale * 400.0 * x ** 399,
+                                0.0 if b > 6.0 else 5.815, b, cert)
+
+        assert tf(6.35).width == 6.35
+        with pytest.raises(DomainError,
+                           match="^f is not finite near x=6.666666666666667$"):
+            tf(10.0)
+        # a wrong f' where |x f'| is past the float range is blamed, not
+        # the interval
+        with pytest.raises(DomainError,
+                           match="^f_prime inconsistent with f at "
+                                 "x=5.8165000000000004: "):
+            tf(5.833, scale=1.01)
 
     def test_complex_difference_is_a_mismatch(self):
         # x ** 1.5 is complex for x < 0: finite, so f' is what is blamed
@@ -673,10 +724,12 @@ class TestDerivativeDrawMemo:
 
 
 class TestEvaluatorOnArrays:
-    """A named kind's evaluator takes an array, to the bits of its floats."""
+    """Every kind's evaluator takes a 1-d array, to the bits of its floats."""
 
-    @pytest.mark.parametrize("h", TestMembershipOnArrays.MODULI,
-                             ids=lambda h: h.kind.value + str(h.s_param or ""))
+    @pytest.mark.parametrize("h", TestMembershipOnArrays.MODULI + [
+        pytest.param(HModulus.custom(fn), id=f"custom-{name}")
+        for name, fn in TestMembershipOnArrays.CUSTOM.items()],
+        ids=lambda h: h.kind.value + str(h.s_param or ""))
     def test_array_equals_floats(self, h):
         # certify_membership's clipped alpha samples, and both clip values
         alphas = np.clip(np.random.default_rng(0).uniform(0.0, 1.0, 2000),

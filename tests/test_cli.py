@@ -521,10 +521,15 @@ class TestConfigErrors:
          "f is not finite near x=1.0833333333333333e+200"),
         (["hadamard", "--function", "poly:0,0,1", "--interval", "0",
           "1e200"], "f is not finite near x=8.333333333333333e+198"),
+        # the derivative check passes; the oracle's mean meets x^2 past the
+        # float range first
+        (["verify", "--function", "poly:0,0,1", "--interval", "0",
+          "1.4e154"], "f is not finite at x=1.394018759784569e+154"),
         # 1145.8^100 at the last check point is finite, 1250^100 is not
         (["hadamard", "--function", "poly:" + "0," * 100 + "1",
           "--interval", "0", "1250"], "f is not finite at the end b=1250.0"),
-    ], ids=["verify", "sweep", "compare", "hadamard", "hadamard-end"])
+    ], ids=["verify", "sweep", "compare", "hadamard", "verify-mean",
+            "hadamard-end"])
     def test_float_overflow_of_f_named(self, capsys, argv, line):
         # x ** k of a poly: or pow: spec raises OverflowError on a Python
         # float; the derivative check and TestFunction.sample name f and x

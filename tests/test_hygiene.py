@@ -20,9 +20,9 @@ No call of an attribute named f or f_prime in bounds.py, moments.py,
 means.py or cli.py: they read the user's f and f' at a point only through
 TestFunction.sample, the one place that decides what a failure there means.
 
-No module of the package but classes.py and moments.py reads an attribute
-named fn: a custom modulus's fn is sampled only there, where each of its
-values is checked, and everywhere else through HModulus.evaluator.
+No module of the package but classes.py reads an attribute named fn: a
+custom modulus's fn is sampled only there, through HModulus.evaluator and
+HModulus.moment_integrand, where each of its values is checked.
 
 No float literal in oracle.py outside the qk15 table (_K15_PAIRS and
 _K15_CENTRE) equals one of its constants or is as long as one (15 or more
@@ -158,7 +158,7 @@ def _user_calls(trees):
 
 
 # the modules that call a custom modulus's fn
-_FN_CALLERS = ("classes.py", "moments.py")
+_FN_CALLERS = ("classes.py",)
 
 
 def _fn_reads(trees):
@@ -402,6 +402,8 @@ def test_qk15_copy_scan_sees(source, hits):
 def test_fn_read_scan_sees(source, hits):
     tree = ast.parse(source)
     assert _fn_reads({Path("src/quadcert/bounds.py"): tree}) == hits
+    assert _fn_reads({Path("src/quadcert/moments.py"): tree}) \
+        == [hit.replace("bounds", "moments") for hit in hits]
     for caller in _FN_CALLERS:
         assert _fn_reads({Path("src/quadcert", caller): tree}) == []
     assert _fn_reads({Path("tests/test_bounds.py"): tree}) == []

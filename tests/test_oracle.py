@@ -7,6 +7,7 @@ it gets the most direct scrutiny here.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from quadcert import (
     TestFunction, h_integral_01, hadamard_check, integrate_adaptive,
     lemma_identity_residual, lhs_error, mean_value, rule_value,
 )
-from quadcert.errors import (ClassMismatch, DegenerateModulus,
+from quadcert.errors import (ClassMismatch, DegenerateModulus, DomainError,
                              NonFiniteSample, NotIntegrable,
                              ToleranceNotReached)
 
@@ -646,3 +647,77 @@ def test_mean_value_scaling():
     tf = _convex_tf(lambda x: x * x, lambda x: 2.0 * x, 2.0, 5.0)
     assert mean_value(tf) == pytest.approx((125.0 - 8.0) / 3.0 / 3.0,
                                            rel=1e-12)
+
+
+def _raw(tf, f=None, f_prime=None):
+    """tf with f or f' replaced, unchecked."""
+    return TestFunction(f or tf.f, f_prime or tf.f_prime, tf.a, tf.b,
+                        tf.certificate, skip_derivative_check=True)
+
+
+class TestFailureOfFNamed:
+    """mean_value and the f' integrals of lemma_identity_residual call f and
+    f' raw; where one fails, a replay through TestFunction.sample names it
+    and its node."""
+
+    BASE = _convex_tf(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0)
+
+    @staticmethod
+    def _recorded(fn):
+        """fn, and a list that records each point it is called at."""
+        nodes = []
+
+        def recorded(x):
+            nodes.append(x)
+            return fn(x)
+        return recorded, nodes
+
+    @pytest.mark.parametrize("f, fault", [
+        (lambda x: 1.0 / (x - 0.5), "undefined"),
+        (lambda x: (x - 0.7) ** 0.5, "not real"),
+        (lambda x: (20.0 * x) ** 300, "not finite"),
+    ], ids=["zero-division", "complex", "float-overflow"])
+    def test_mean_names_f(self, f, fault):
+        f, nodes = self._recorded(f)
+        with pytest.raises(DomainError) as info:
+            mean_value(_raw(self.BASE, f=f))
+        assert str(info.value) == f"f is {fault} at x={nodes[-1]!r}"
+
+    def test_success_path_calls_f_once_per_node(self):
+        f, nodes = self._recorded(lambda x: x * x)
+        value = mean_value(_raw(self.BASE, f=f))
+        g, want = self._recorded(lambda x: x * x)
+        assert value == integrate_adaptive(g, 0.0, 1.0, oracle.TOL).value
+        assert nodes == want
+
+    def test_non_finite_sample_stays(self):
+        # f is called on one pass only: a NaN is the oracle's own failure
+        f, nodes = self._recorded(lambda x: math.nan if x > 0.9 else x)
+        with pytest.raises(NonFiniteSample):
+            mean_value(_raw(self.BASE, f=f))
+        assert nodes[-1] > 0.9 and all(x <= 0.9 for x in nodes[:-1])
+
+    def test_first_exception_stands_when_the_replay_passes(self):
+        calls = []
+
+        def f(x):  # fails at its first call only
+            calls.append(x)
+            if len(calls) == 1:
+                raise OverflowError("f's own overflow")
+            return x
+
+        with pytest.raises(OverflowError, match="^f's own overflow$"):
+            mean_value(_raw(self.BASE, f=f))
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize("fp, line", [
+        # the first node of each integral, its centre, maps to x = 2.5 on
+        # the left and to x = 7.5 on the right
+        (lambda x: x ** 400, "f' is not finite at x=7.5"),
+        (lambda x: 1.0 / (x - 2.5), "f' is undefined at x=2.5"),
+    ], ids=["float-overflow", "zero-division"])
+    def test_lemma_residual_names_f_prime(self, fp, line):
+        tf = _convex_tf(lambda x: x, lambda x: 1.0, 0.0, 10.0)
+        with pytest.raises(DomainError, match=f"^{re.escape(line)}$"):
+            lemma_identity_residual(_raw(tf, f_prime=fp),
+                                    RuleParams(0.5, 0.5, 1.0))
