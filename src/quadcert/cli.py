@@ -322,6 +322,8 @@ def cmd_identity(args) -> int:
     return EXIT_OK if worst <= 1e-9 else EXIT_VIOLATION
 
 
+# an f that overflows is reported by the oracle, not by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_hadamard(args) -> int:
     (tf,) = _job_tfs(args, [(1.0, args.s)], [ClassKind.H_CONVEX])
     variant = oracle.HadamardVariant(args.variant)

@@ -22,7 +22,8 @@ class ToleranceNotReached(RuntimeError):
 
 
 class NonFiniteSample(ValueError):
-    """The integrand returned NaN or infinity at an interior node."""
+    """The integrand returned NaN or infinity at an interior node, or an
+    integral of finite samples came out NaN or infinite."""
 
 
 class ClassMismatch(ValueError):

@@ -195,6 +195,9 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
     relative floor of ~1e-14 of the running value, below which double
     precision cannot certify further digits.  ``subdivisions`` in the
     result counts the final panels: the seed panels plus one per bisection.
+    An integral whose value or error estimate is not finite, such as one
+    that overflows the float range from finite samples, raises
+    NonFiniteSample naming [a, b] and the value.
 
     Known kinks or other isolated non-smooth points should be passed via
     break_points: a feature much narrower than the node spacing of a panel
@@ -237,6 +240,12 @@ def integrate_adaptive(g: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, (-e2, tick + 1, mid, hi, v2, e2, l2, r2))
         tick += 2
         count += 1
+    # inf or NaN ends the loop above as a settled total would: an integral
+    # past the float range is a failure, not a value
+    if not (math.isfinite(total_val) and math.isfinite(total_err)):
+        raise NonFiniteSample(
+            f"integral over [{a!r}, {b!r}] is {sign * total_val!r} with "
+            f"error estimate {total_err!r}")
     # Re-sum for a sharper value once the partition is fixed.
     value = sign * math.fsum(item[4] for item in heap)
     return QuadratureResult(value, total_err, count)

@@ -11,15 +11,16 @@ oracle's adaptive integrator.  A named modulus, 1/t too, never reaches
 this rule.  Its integrands come from :mod:`quadcert.classes`, which alone
 calls a custom modulus's fn and checks its values: HModulus.evaluator for
 the integral of h and HModulus.moment_integrand for the moments.  Each
-level's node offsets and weights are tabled once, at import, in node
-order, so a level is one pass: g at each node, one finiteness scan, the
-products w g(x) added to math.fsum's terms.
+level's (offset, weight) pairs are tabled once, at import, and a level is
+one loop over them: per pair the node offset*(b-a)/2 above a and then the
+one below b, each sample tested as it arrives and its product w g(x)
+appended to math.fsum's terms, with no separate finiteness scan and no
+weight table in node order.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable
 
 from . import oracle
@@ -43,9 +44,6 @@ def _level(k: int):
 
 
 _LEVELS = tuple(tuple(_level(k)) for k in range(MAX_LEVEL + 1))
-# per level, in node order: the offsets, and each weight at both its nodes
-_OFFSETS = tuple(tuple(offset for offset, _ in level) for level in _LEVELS)
-_WEIGHTS = tuple(tuple(w for _, w in level for _ in "ab") for level in _LEVELS)
 
 
 def integrate(g: Callable[[float], float], a: float, b: float) -> float:
@@ -54,22 +52,34 @@ def integrate(g: Callable[[float], float], a: float, b: float) -> float:
     Levels are refined until two successive ones differ by at most
     max(TOL, 1e-14 |value|), from level 2 on.  A node that rounds onto a
     or b is skipped, so g is never called at an end.  Each level's nodes
-    are evaluated in one pass, in the order of the node table, by one call
-    of g per node on a Python float; a non-finite sample raises
-    NonFiniteSample naming the first such node.  If level MAX_LEVEL has not
+    are evaluated in the order of the node table, by one call of g per node
+    on a Python float; a non-finite sample raises NonFiniteSample naming
+    its node, and g is not called past it.  If level MAX_LEVEL has not
     settled, ``oracle.integrate_adaptive`` integrates the piece instead.
     """
+    isfinite = math.isfinite
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     # a skipped node counts +0.0, which leaves math.fsum's sum as it is
-    fx = [g(mid) if a != mid != b else 0.0]
-    _require_finite(fx, lambda: [mid], a, b)
-    terms = [0.5 * math.pi * fx[0]]
-    for k, offsets in enumerate(_OFFSETS):
-        fx = [g(x) if a != x != b else 0.0 for offset in offsets
-              for x in (a + half * offset, b - half * offset)]
-        _require_finite(fx, lambda: [x for offset in offsets for x in (
-            a + half * offset, b - half * offset)], a, b)
-        terms += map(operator.mul, _WEIGHTS[k], fx)
+    fx = g(mid) if a != mid != b else 0.0
+    if not isfinite(fx):
+        _non_finite(fx, mid, a, b)
+    terms = [0.5 * math.pi * fx]
+    append = terms.append
+    for k, level in enumerate(_LEVELS):
+        # the pair's node above a, then its node below b, written out: a
+        # loop over (a + d, b - d) would build a tuple per pair
+        for offset, w in level:
+            d = half * offset
+            x = a + d
+            fx = g(x) if a != x != b else 0.0
+            if not isfinite(fx):
+                _non_finite(fx, x, a, b)
+            append(w * fx)
+            x = b - d
+            fx = g(x) if a != x != b else 0.0
+            if not isfinite(fx):
+                _non_finite(fx, x, a, b)
+            append(w * fx)
         value = half * 2.0 ** -k * math.fsum(terms)
         if k >= 2 and abs(value - prev) <= max(oracle.TOL,
                                                1e-14 * abs(value)):
@@ -78,10 +88,7 @@ def integrate(g: Callable[[float], float], a: float, b: float) -> float:
     return oracle.integrate_adaptive(g, a, b, oracle.TOL).value
 
 
-def _require_finite(fx, nodes, a, b):
-    """NonFiniteSample at the first of nodes() whose sample is not finite."""
-    if not all(map(math.isfinite, fx)):
-        x, v = next((x, v) for x, v in zip(nodes(), fx)
-                    if not math.isfinite(v))
-        raise NonFiniteSample(f"integrand is {float(v)!r} at the tanh-sinh "
-                              f"node {x!r} of [{a!r}, {b!r}]")
+def _non_finite(fx, x, a, b):
+    """Raise NonFiniteSample for the sample fx at the node x of [a, b]."""
+    raise NonFiniteSample(f"integrand is {float(fx)!r} at the tanh-sinh "
+                          f"node {x!r} of [{a!r}, {b!r}]")

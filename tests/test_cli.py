@@ -1340,6 +1340,31 @@ class TestSubprocess:
         assert r.stderr.startswith("config error: ")
         assert "RuntimeWarning" not in r.stderr
 
+    # each exits 3 with one "oracle failure:" line on stderr and nothing else
+    ONE_LINE_ORACLE_FAILURES = [
+        # x^3 is finite on the interval, but its integral overflows: the
+        # oracle once took the inf as settled and printed lhs=inf, exit 1
+        ["verify", "--function", "poly:0,0,0,1", "--interval", "0", "2e102",
+         "--alpha-grid", "0.5", "--lambda-grid", "0.3333333333333333",
+         "--q-grid", "1"],
+        ["hadamard", "--function", "poly:0,0,0,1", "--interval", "0",
+         "5.6e102"],
+        # f is inf at an oracle node: numpy's overflow warning stays silent
+        ["hadamard", "--function", "exp:800", "--interval", "-1", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", ONE_LINE_ORACLE_FAILURES,
+                             ids=["verify-poly", "hadamard-poly",
+                                  "hadamard-exp"])
+    def test_one_oracle_failure_line(self, argv):
+        r = subprocess.run([sys.executable, "-m", "quadcert", *argv],
+                           capture_output=True, text=True, timeout=30,
+                           env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+        assert (r.returncode, r.stdout) == (3, "")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("oracle failure: ")
+        assert "RuntimeWarning" not in r.stderr
+
     def test_module_entry_deterministic(self, tmp_path):
         argv = [sys.executable, "-m", "quadcert", "sweep",
                 "--function", "exp:1", "--interval", "0", "1",

@@ -223,6 +223,22 @@ class TestFailureMessages:
         assert str(exc.value) == ("integrand is inf at the centre node 2.5 "
                                   "of panel [2.0, 3.0]")
 
+    @pytest.mark.parametrize("g, a, b, msg", [
+        # finite samples whose integral is past the float range: a total
+        # of inf once met the stop test's relative floor, 1e-14 * inf
+        (lambda t: 1.7e308, 0.0, 2.0,
+         "integral over [0.0, 2.0] is inf with error estimate inf"),
+        (lambda t: 1.7e308, 2.0, 0.0,
+         "integral over [2.0, 0.0] is -inf with error estimate inf"),
+        # inf - inf: a NaN total once failed the stop test's > and ended it
+        (lambda t: 1.7e308 if t < 1.0 else -1.7e308, 0.0, 2.0,
+         "integral over [0.0, 2.0] is nan with error estimate nan"),
+    ], ids=["inf", "reversed", "nan"])
+    def test_overflowed_integral(self, g, a, b, msg):
+        with pytest.raises(NonFiniteSample) as exc:
+            integrate_adaptive(g, a, b, 1e-12)
+        assert str(exc.value) == msg
+
     def test_worst_panel(self, monkeypatch):
         # three bisections of [0, 1] all split the panel at the singularity
         monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 4)

@@ -15,6 +15,7 @@ from quadcert import (ClassCertificate, ClassKind, HKind, HModulus,
                       RuleParams, Side, TestFunction, bound_power_mean,
                       h_integral_01, oracle, tanhsinh, weighted_moment)
 from quadcert.errors import NonFiniteSample, NotIntegrable
+from quadcert.moments import weighted_pair
 
 K = 0.3  # the weight kink of the |t - K| cases
 
@@ -120,11 +121,17 @@ def _moment_rules(seed, n):
 
 
 def _moment_outcomes(h, rules):
-    """repr of each of the four moments per rule."""
-    return [repr(weighted_moment(h, RuleParams(alpha, lam, 1.0), side,
-                                 reflected))
-            for alpha, lam in rules for side in Side
-            for reflected in (False, True)]
+    """repr of each of the four moments per rule, and of each side's pair
+    with both coefficients nonzero, the integrand every custom power-mean
+    bound integrates."""
+    outcomes = []
+    for alpha, lam in rules:
+        rp = RuleParams(alpha, lam, 1.0)
+        for side in Side:
+            outcomes += [repr(weighted_moment(h, rp, side, reflected))
+                         for reflected in (False, True)]
+            outcomes.append(repr(weighted_pair(h, rp, side, 0.7, 1.3)))
+    return outcomes
 
 
 @pytest.mark.parametrize("h", [HModulus.custom(math.sqrt),
@@ -194,15 +201,24 @@ def _level0_node():
 @pytest.mark.parametrize("bad", [lambda: 0.5, _level0_node],
                          ids=["centre", "level-0"])
 def test_nan_node_message_matches_reference(bad):
-    def g(t):
-        return math.nan if t == bad() else t
+    def failed(integrate):
+        """The error integrate raises, and the nodes at which g was called."""
+        calls = []
 
-    with pytest.raises(NonFiniteSample) as got:
-        tanhsinh.integrate(g, 0.0, 1.0)
-    with pytest.raises(NonFiniteSample) as want:
-        _reference_integrate(g, 0.0, 1.0)
-    assert str(got.value) == str(want.value)
-    assert repr(bad()) in str(got.value)
+        def g(t):
+            calls.append(t)
+            return math.nan if t == bad() else t
+
+        with pytest.raises(NonFiniteSample) as err:
+            integrate(g, 0.0, 1.0)
+        return str(err.value), calls
+
+    got, got_calls = failed(tanhsinh.integrate)
+    want, want_calls = failed(_reference_integrate)
+    assert got == want
+    assert repr(bad()) in got
+    # g is not called past the bad node
+    assert got_calls == want_calls and got_calls[-1] == bad()
 
 
 def test_sqrt_evaluation_count():
