@@ -4,9 +4,14 @@ A modulus ``h`` on (0,1) selects one of the nested function classes: h(t)=t
 gives ordinary nonnegative convex functions, h(t)=t^s the s-convex class in
 the second sense, h(t)=1 the P-functions, and h(t)=1/t the Godunova-Levin
 class.  A :class:`TestFunction` bundles an evaluable (f, f') pair with the
-class certificate claimed for |f'|^q; :func:`certify_membership` spot-checks
-that claim by sampling.  It keeps the last draw of f' samples, so checks
-of one f' with several q, h or classes evaluate f' once.
+class certificate claimed for |f'|^q; :func:`certify_membership` decides
+that claim.  For an f given as a :class:`FunctionSpec` (the command line's
+poly:, exp: and pow: families) and a named modulus it decides exactly
+whether |f'|^q is convex, or concave, on [a, b]: a convex |f'|^q is h-convex
+for t, t^s, 1 and 1/t, and for h = t convexity (concavity) is the claim
+itself.  Every other claim is spot-checked by sampling, which keeps the last
+draw of f' samples, so checks of one f' with several q, h or classes
+evaluate f' once.
 
 This is the one module that calls a custom modulus's fn and checks what it
 returns: a value must be a float, or convert to one, in [0, inf), else
@@ -219,6 +224,108 @@ class ClassCertificate:
             raise DomainError("certificate exponent q must be finite and >= 1")
 
 
+@dataclass(frozen=True)
+class FunctionSpec:
+    """An f of one of three families, by its finite float parameters:
+    ``poly`` (c0, c1, ...) for sum c_k x^k, ``pow`` (beta, r) with r > 0
+    for beta x^r, and ``exp`` (k,) for exp(k x).
+
+    :meth:`functions` builds the (f, f') pair that is evaluated, and
+    :meth:`shape_failure` decides exactly whether that f' makes |f'|^q
+    convex or concave.  The parameters are kept as floats; DomainError for
+    any other family or parameters.
+    """
+
+    family: str
+    params: Tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+        arity = {"poly": len(self.params), "pow": 2, "exp": 1}
+        if not (self.params and len(self.params) == arity.get(self.family)
+                and all(map(math.isfinite, self.params))
+                and (self.family != "pow" or self.params[1] > 0.0)):
+            raise DomainError(f"not a function spec: {self!r}")
+
+    @cached_property
+    def derivative_coeffs(self) -> Tuple[float, ...]:
+        """The float coefficients of f' for poly, lowest degree first."""
+        return tuple([k * c for k, c in enumerate(self.params)][1:] or [0.0])
+
+    def functions(self):
+        """(f, f'), each taking a float or an array."""
+        if self.family == "poly":
+            return _poly(self.params), _poly(self.derivative_coeffs)
+        if self.family == "pow":
+            beta, r = self.params
+            return (lambda x: beta * x ** r,
+                    lambda x: beta * r * x ** (r - 1.0))
+        (k,) = self.params
+        return lambda x: np.exp(k * x), lambda x: k * np.exp(k * x)
+
+    def shape_failure(self, q: float, a: float, b: float,
+                      concave: bool = False) -> Optional[float]:
+        """None when g = |f'|^q is convex on [a, b], or concave if concave;
+        else a point of [a, b] where g fails that second-order test.
+
+        Exact for the f' that :meth:`functions` evaluates, its float
+        parameters and q read as the dyadic rationals they are.  pow reads
+        x^(r - 1) as real, which it is for x >= 0 only: it needs a >= 0.
+        """
+        q, a, b = float(q), float(a), float(b)
+        middle = a + 0.5 * (b - a)
+        if self.family == "exp":  # g = |k|^q exp(q k x)
+            return middle if concave and self.params[0] != 0.0 else None
+        if self.family == "pow":
+            # g = |beta r|^q x^e with e = q (r - 1) is convex on x > 0 iff
+            # e (e - 1) >= 0; the signs of e and e - 1 in integers
+            beta, r = self.params
+            (qn, qd), (dn, dd) = (q.as_integer_ratio(),
+                                  (r - 1.0).as_integer_ratio())
+            above_one = qn * dn - qd * dd
+            fits = (dn >= 0 and above_one <= 0 if concave
+                    else dn <= 0 or above_one >= 0)
+            return None if fits or beta * r == 0.0 else middle
+        point = _poly_shape_failure(self.derivative_coeffs, q, a, b, concave)
+        return None if point is None else point[0] / point[1]
+
+
+def _poly(c):
+    """sum c_k x^k, added left to right from the integer 0, as sum() added
+    before Python 3.12, whose compensated sum moves the last bit."""
+    def evaluate(x):
+        total = 0
+        for k, ck in enumerate(c):
+            total = total + ck * x ** k
+        return total
+    return evaluate
+
+
+def _poly_shape_failure(coeffs, q, a, b, concave):
+    """:meth:`FunctionSpec.shape_failure` for the f' of these coefficients,
+    as a dyadic point.
+
+    Away from the zeros of p = f', g'' = q |p|^(q - 2) r with
+    r = (q - 1) p'^2 + p p'', so g is convex iff r >= 0 on [a, b]: at a zero
+    of p, g has a convex corner or a flat point.  g is concave iff r <= 0 on
+    [a, b] and p keeps one sign: a corner, where p changes sign, is convex.
+    """
+    # local: only this check needs it, so importing quadcert skips it
+    from .sturm import (add, derivative, integer_poly, mul, negative_point,
+                        sign_change, times)
+    p = integer_poly(coeffs)
+    if not p:
+        return None  # g = 0
+    dp = derivative(p)
+    qn, qd = q.as_integer_ratio()
+    r = add(times(qn - qd, mul(dp, dp)), times(qd, mul(p, derivative(dp))))
+    lo, hi = a.as_integer_ratio(), b.as_integer_ratio()
+    if not concave:
+        return negative_point(r, lo, hi)
+    point = negative_point(times(-1, r), lo, hi)
+    return sign_change(p, lo, hi) if point is None else point
+
+
 # Derivative cross-check: central differences at this many interior points.
 _N_DERIV_POINTS = 11
 _DERIV_REL_TOL = 1e-6
@@ -240,6 +347,9 @@ class TestFunction:
     b: float
     certificate: ClassCertificate
     skip_derivative_check: bool = field(default=False, repr=False)
+    # the family and parameters f and f' were built from, if known
+    spec: Optional[FunctionSpec] = field(default=None, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         # a finite width also rules out infinite and NaN endpoints
@@ -337,16 +447,32 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class MembershipReport:
+    """A verdict on a certificate.  ``route`` is "exact" or "sampled"; an
+    exact report has no samples, so its worst_violation is 0.0 and its
+    witness None, and an exact rejection names a ``point`` of [a, b] where
+    |f'|^q fails the second-order test."""
+
     holds: bool
     worst_violation: float
     witness: Optional[Tuple[float, float, float]]
+    # out of repr, which prints the three fields a report has always had
+    route: str = field(default="sampled", repr=False)
+    point: Optional[float] = field(default=None, repr=False)
 
 
 def certify_membership(tf: TestFunction, n_samples: int = 10_000,
                        seed: int = 0) -> MembershipReport:
-    """Sampled check of the certificate inequality for g = |f'|^q.
+    """Decide the certificate's claim for g = |f'|^q on [a, b].
 
-    Draws (x, y, alpha) triples and reports the worst signed violation of
+    Exactly, where tf.spec is set, h is named and the shape of g settles
+    the claim (:meth:`FunctionSpec.shape_failure`): a convex g is h-convex
+    for h = t, t^s, 1 and 1/t, since h(t) >= t on (0, 1) for each; and for
+    h = t, a g that is not convex (concave) is not h-convex (h-concave).
+
+    Every other claim is sampled: a custom h, a TestFunction without a
+    spec, pow with a < 0, h-concave with h other than t, and a g that is
+    not convex claimed h-convex for h other than t.  The sampled check draws
+    (x, y, alpha) triples and reports the worst signed violation of
     g(alpha*x + (1-alpha)*y) <= h(alpha)*g(x) + h(1-alpha)*g(y) (inequality
     reversed for h-concave certificates).  A sampled certificate, not a
     proof: it guards against user error only.  A sample where f' is NaN
@@ -365,6 +491,16 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     if seed < 0:
         raise DomainError("seed must be >= 0")
     cert = tf.certificate
+    identity = cert.h.kind is HKind.IDENTITY
+    concave = cert.class_kind is ClassKind.H_CONCAVE
+    if not (tf.spec is None or cert.h.kind is HKind.CUSTOM
+            or concave and not identity
+            or tf.spec.family == "pow" and tf.a < 0.0):
+        point = tf.spec.shape_failure(cert.exponent_q, tf.a, tf.b, concave)
+        if point is None:
+            return MembershipReport(True, 0.0, None, "exact")
+        if identity:
+            return MembershipReport(False, 0.0, None, "exact", point)
     draw = _derivative_draw if isinstance(tf.f_prime, Hashable) \
         else _derivative_draw.__wrapped__
     xs, ys, alphas, *abs_fp = draw(tf.f_prime, tf.a, tf.b, n_samples, seed)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import bounds as bnd
 from . import oracle
-from .classes import (ClassCertificate, ClassKind, HModulus, TestFunction,
-                      certify_membership)
+from .classes import (ClassCertificate, ClassKind, FunctionSpec, HModulus,
+                      TestFunction, certify_membership)
 from .errors import ConfigError, NonFiniteSample, ToleranceNotReached
 from .moments import RuleParams
 
@@ -29,7 +29,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
-MEMBERSHIP_SAMPLES = 2000  # f' samples per job of verify and sweep
+MEMBERSHIP_SAMPLES = 2000  # f' samples per sampled job of verify and sweep
 
 SWEEP_COLUMNS = ["alpha", "lambda", "q", "s", "p",
                  "bound_kind", "branch", "lhs", "rhs", "ratio"]
@@ -51,8 +51,8 @@ def _json_value(x):
     return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def parse_function(spec: str):
-    """Parse an inline function spec into (f, f_prime).
+def parse_spec(spec: str) -> FunctionSpec:
+    """Parse an inline function spec.
 
     Supported forms:
       poly:c0,c1,...   f(x) = sum c_k x^k
@@ -63,35 +63,14 @@ def parse_function(spec: str):
     """
     try:
         name, _, rest = spec.partition(":")
-        params = [float(c) for c in rest.split(",")]
-        if not all(map(math.isfinite, params)):
-            raise ValueError
-        if name == "poly":
-            dcoeffs = [k * c for k, c in enumerate(params)][1:] or [0.0]
-
-            def poly(c):
-                def evaluate(x):
-                    # left to right from the integer 0, as sum() added
-                    # before Python 3.12, whose compensated sum moves the
-                    # last bit
-                    total = 0
-                    for k, ck in enumerate(c):
-                        total = total + ck * x ** k
-                    return total
-                return evaluate
-            return poly(params), poly(dcoeffs)
-        if name == "pow":
-            beta, r = params
-            if r <= 0.0:
-                raise ValueError
-            return (lambda x: beta * x ** r,
-                    lambda x: beta * r * x ** (r - 1.0))
-        if name == "exp":
-            (k,) = params
-            return (lambda x: np.exp(k * x), lambda x: k * np.exp(k * x))
+        return FunctionSpec(name, tuple(float(c) for c in rest.split(",")))
     except (ValueError, TypeError):
-        pass
-    raise ConfigError(f"cannot parse function spec {spec!r}")
+        raise ConfigError(f"cannot parse function spec {spec!r}") from None
+
+
+def parse_function(spec: str):
+    """The (f, f_prime) pair of an inline function spec (see parse_spec)."""
+    return parse_spec(spec).functions()
 
 
 _FIXED_MODULI = {"t": HModulus.identity, "1": HModulus.constant,
@@ -114,13 +93,16 @@ def parse_modulus(spec: str, s: Optional[float]) -> HModulus:
 
 def _job_tfs(args, blocks, kinds):
     """Yield the TestFunction of each (q, s) in blocks and class in kinds.
-    The spec is parsed once; the first TestFunction checks f' against f,
-    the later ones share its (f, f', a, b) and skip the check."""
+    f and f' are built once, by parse_function, looked up at call time; the
+    first TestFunction checks f' against f, the later ones share its
+    (f, f', a, b, spec) and skip the check."""
+    spec = parse_spec(args.function)
     f, fp = parse_function(args.function)
     a, b = args.interval
     for i, ((q, s), kind) in enumerate(itertools.product(blocks, kinds)):
         cert = ClassCertificate(kind, parse_modulus(args.h, s), q)
-        yield TestFunction(f, fp, a, b, cert, skip_derivative_check=i > 0)
+        yield TestFunction(f, fp, a, b, cert, skip_derivative_check=i > 0,
+                           spec=spec)
 
 
 # a bound that overflows is reported by evaluate_bound, not by numpy warnings
@@ -350,7 +332,9 @@ def _add_grid_args(p):
     p.add_argument("--alpha-grid", type=float, nargs="*", default=None)
     p.add_argument("--lambda-grid", type=float, nargs="*", default=None)
     p.add_argument("--q-grid", type=float, nargs="*", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the membership samples of verify and "
+                        "sweep, drawn only for a claim not decided exactly")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from quadcert import (
     weighted_moment,
 )
 from quadcert.arrays import map_scalar, power
-from quadcert.classes import (_custom_value, _derivative_draw,
+from quadcert.classes import (FunctionSpec, _custom_value, _derivative_draw,
                               _eval_maybe_vector)
+from quadcert.sturm import negative_point
 from quadcert.errors import (DegenerateModulus, DomainError, EvaluationError,
                              NotIntegrable)
 
@@ -840,3 +842,190 @@ class TestMembershipOverflow:
         with pytest.raises(DomainError,
                            match="^f' is NaN at a sampled point$"):
             certify_membership(tf, n_samples=200)
+
+
+def _poly_value(coeffs, x):
+    """sum c_k x^k in exact rationals."""
+    total = Fraction(0)
+    for k, ck in enumerate(coeffs):
+        total += Fraction(ck) * x ** k
+    return total
+
+
+def _spec_rows(seed, n):
+    """(spec, a, b, q): poly of degree 1 to 5, exp and pow on a >= 0, with
+    q in {1, 1.5, 2, 3}."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        family = ("poly", "exp", "pow")[i % 3]
+        if family == "poly":
+            params = rng.uniform(-2.0, 2.0, int(rng.integers(2, 7)))
+            a = float(rng.uniform(-2.0, 1.0))
+        elif family == "exp":
+            params = [rng.uniform(-2.0, 2.0)]
+            a = float(rng.uniform(-1.0, 1.0))
+        else:
+            params = [rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)]
+            a = float(rng.uniform(0.0, 1.0))
+        spec = FunctionSpec(family, tuple(params))
+        b = a + float(rng.uniform(0.2, 2.0))
+        rows.append((spec, a, b, (1.0, 1.5, 2.0, 3.0)[int(rng.integers(4))]))
+    return rows
+
+
+def _both_routes(spec, a, b, q, kind, h=HModulus.identity()):
+    """certify_membership of the spec's (f, f') with and without the spec."""
+    f, fp = spec.functions()
+    cert = ClassCertificate(kind, h, q)
+    return [certify_membership(TestFunction(f, fp, a, b, cert, spec=given),
+                               n_samples=2000, seed=3)
+            for given in (spec, None)]
+
+
+class TestExactMembership:
+    """A claim on a FunctionSpec's |f'|^q with a named modulus is decided
+    exactly wherever convexity or concavity settles it."""
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_sampled_rejection_is_exact_rejection(self, kind):
+        outcomes = set()
+        for spec, a, b, q in _spec_rows(35, 240):
+            exact, sampled = _both_routes(spec, a, b, q, kind)
+            assert (exact.route, sampled.route) == ("exact", "sampled")
+            if not sampled.holds:
+                assert not exact.holds, (spec, a, b, q)
+            if not exact.holds:
+                assert a <= exact.point <= b
+                assert (exact.worst_violation, exact.witness) == (0.0, None)
+            outcomes.add((exact.holds, sampled.holds))
+        assert {(True, True), (False, False)} <= outcomes
+
+    def test_rejection_point_fails_second_order_test(self):
+        """Each convex rejection of a poly: row names a point where
+        r = (q - 1) p'^2 + p p'' < 0, p = f', in exact rationals."""
+        rejected = 0
+        for spec, a, b, q in _spec_rows(36, 240):
+            if spec.family != "poly":
+                continue
+            exact, _ = _both_routes(spec, a, b, q, ClassKind.H_CONVEX)
+            if exact.holds:
+                continue
+            rejected += 1
+            p = [Fraction(c) for c in spec.derivative_coeffs]
+            dp = [k * c for k, c in enumerate(p)][1:]
+            d2p = [k * c for k, c in enumerate(dp)][1:]
+            x = Fraction(exact.point)
+            r = ((Fraction(q) - 1) * _poly_value(dp, x) ** 2
+                 + _poly_value(p, x) * _poly_value(d2p, x))
+            assert r < 0, (spec, a, b, q, exact.point)
+        assert rejected > 10
+
+    @pytest.mark.parametrize("spec, a, b, q, kinds", [
+        # |f'|^2 = 1.0000667 x is linear: convex and concave
+        (FunctionSpec("pow", (0.6667, 1.5)), 1.0, 2.0, 2.0, list(ClassKind)),
+        # |f'| = 3x^2 has a double root inside the interval
+        (FunctionSpec("poly", (0.0, 0.0, 0.0, 1.0)), -1.0, 1.0, 1.0,
+         [ClassKind.H_CONVEX]),
+        # f' = 0
+        (FunctionSpec("poly", (5.0,)), -1.0, 1.0, 1.0, list(ClassKind)),
+        (FunctionSpec("poly", (5.0,)), -1.0, 1.0, 2.5, list(ClassKind)),
+        (FunctionSpec("exp", (0.0,)), -1.0, 1.0, 2.0, list(ClassKind)),
+    ], ids=["linear", "double-root", "constant-q1", "constant-q2.5",
+            "exp0"])
+    def test_boundary_members_pass(self, spec, a, b, q, kinds):
+        for kind in kinds:
+            exact, _ = _both_routes(spec, a, b, q, kind)
+            assert (exact.holds, exact.route) == (True, "exact")
+
+    @pytest.mark.parametrize("spec, a, b, kind, point", [
+        # |f'| = 2|x| has a convex corner at 0
+        (FunctionSpec("poly", (0.0, 0.0, 1.0)), -1.0, 1.0,
+         ClassKind.H_CONCAVE, 0.0),
+        # |f'| = 3|x^2 - 1/3|, concave between its roots +-0.577...
+        (FunctionSpec("poly", (0.0, -1.0, 0.0, 1.0)), -1.0, 1.0,
+         ClassKind.H_CONVEX, 0.0),
+        (FunctionSpec("exp", (0.5,)), -1.0, 2.0, ClassKind.H_CONCAVE, 0.5),
+        # |f'| = 0.75 x^-0.5 is convex, not concave
+        (FunctionSpec("pow", (1.5, 0.5)), 1.0, 3.0, ClassKind.H_CONCAVE,
+         2.0),
+    ], ids=["corner", "concave-stretch", "exp", "pow"])
+    def test_rejected_with_point(self, spec, a, b, kind, point):
+        exact, _ = _both_routes(spec, a, b, 1.0, kind)
+        assert (exact.holds, exact.route, exact.point) == (
+            False, "exact", point)
+
+    @pytest.mark.parametrize("h", [
+        HModulus.power(0.5), HModulus.constant(), HModulus.reciprocal()],
+        ids=["t^s", "1", "1/t"])
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_undecided_claim_is_sampled(self, h, kind):
+        """|f'| = 1.5 - x^2 on [-0.5, 0.5] is concave, not convex: under a
+        modulus other than t neither claim is settled by its shape."""
+        spec = FunctionSpec("poly", (0.0, 1.5, 0.0, -0.3333333333333333))
+        exact, sampled = _both_routes(spec, -0.5, 0.5, 1.0, kind, h)
+        assert exact == sampled and exact.route == "sampled"
+
+    def test_custom_modulus_is_sampled(self):
+        spec = FunctionSpec("poly", (0.0, 0.0, 1.0))
+        h = HModulus.custom(lambda t: t)
+        exact, sampled = _both_routes(spec, 0.0, 1.0, 1.0,
+                                      ClassKind.H_CONVEX, h)
+        assert exact == sampled and exact.route == "sampled"
+
+    def test_pow_below_zero_is_sampled(self):
+        # x ** 0.5 of a negative array is NaN: only the sampler meets it
+        spec = FunctionSpec("pow", (1.0, 1.5))
+        f, fp = spec.functions()
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        tf = TestFunction(f, fp, -2.0, -1.0, cert,
+                          skip_derivative_check=True, spec=spec)
+        with pytest.raises(DomainError, match="^f' is NaN at a sampled"):
+            certify_membership(tf, n_samples=200)
+
+    @pytest.mark.parametrize("family, params", [
+        ("sin", (1.0,)), ("poly", ()), ("poly", (1.0, math.inf)),
+        ("pow", (1.0,)), ("pow", (1.0, 0.0)), ("pow", (1.0, math.nan)),
+        ("exp", (1.0, 2.0))])
+    def test_invalid_spec(self, family, params):
+        with pytest.raises(DomainError, match="not a function spec"):
+            FunctionSpec(family, params)
+
+    def test_spec_stays_out_of_repr_and_equality(self):
+        spec = FunctionSpec("poly", (0.0, 0.0, 1.0))
+        f, fp = spec.functions()
+        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
+        with_spec = TestFunction(f, fp, 0.0, 1.0, cert, spec=spec)
+        without = TestFunction(f, fp, 0.0, 1.0, cert)
+        assert with_spec == without and repr(with_spec) == repr(without)
+
+
+class TestNegativePoint:
+    """sturm.negative_point against polynomials with known real roots,
+    single and multiple, some on the ends of the interval."""
+
+    def test_against_known_roots(self):
+        rng = np.random.default_rng(37)
+        for _ in range(400):
+            roots = [Fraction(int(rng.integers(-8, 9)),
+                              2 ** int(rng.integers(3)))
+                     for _ in range(int(rng.integers(0, 5)))]
+            roots += roots[:int(rng.integers(0, 3))]  # double or triple
+            coeffs = [Fraction(int(rng.choice([-3, -1, 1, 2])))]
+            for root in roots:  # times (x - root)
+                coeffs = [(coeffs[i - 1] if i else 0)
+                          - root * (coeffs[i] if i < len(coeffs) else 0)
+                          for i in range(len(coeffs) + 1)]
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            r = [int(c * scale) for c in coeffs]
+            lo = Fraction(int(rng.integers(-20, 11)), 4)
+            hi = lo + Fraction(int(rng.integers(1, 41)), 4)
+            got = negative_point(r, lo.as_integer_ratio(),
+                                 hi.as_integer_ratio())
+            cuts = sorted({lo, hi, *(x for x in roots if lo < x < hi)})
+            tests = [lo, hi, *((u + v) / 2 for u, v in zip(cuts, cuts[1:]))]
+            negative = any(_poly_value(r, x) < 0 for x in tests)
+            assert (got is not None) == negative, (roots, lo, hi)
+            if got is not None:
+                x = Fraction(*got)
+                assert lo <= x <= hi and _poly_value(r, x) < 0

@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -816,15 +817,21 @@ class TestFirstViolation:
 
 
 class TestOncePerJob:
-    """A job parses f, checks f', draws the f' samples and takes the mean
-    once, and each (q, s) block prints what it prints alone."""
+    """A job parses f, checks f' and takes the mean once, draws the f'
+    samples at most once, and none when every claim is decided exactly, and
+    each (q, s) block prints what it prints alone."""
 
-    @pytest.mark.parametrize("argv", [
-        [*VERIFY_SQUARE, "--q-grid", "1", "1.5", "2"],
-        ["sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
-         "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"],
-    ], ids=["verify", "sweep"])
-    def test_counts(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, draws", [
+        ([*VERIFY_SQUARE, "--q-grid", "1", "1.5", "2"], 0),
+        (["sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
+          "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"], 0),
+        # |f'| = 1.5 - x^2 is concave, so the h = 1 claim is sampled; it
+        # holds, since |f'|^q stays within a factor 2 on the interval
+        (["verify", "--function", "poly:0,1.5,0,-0.3333333333333333",
+          "--interval", "-0.5", "0.5", "--h", "1", "--q-grid", "1", "1.5",
+          "2"], 3),
+    ], ids=["verify", "sweep", "verify-sampled"])
+    def test_counts(self, capsys, monkeypatch, argv, draws):
         counts = {"parse": 0, "check": 0, "draw": 0, "mean": 0}
         parse = cli.parse_function
         check = classes.TestFunction._check_derivative
@@ -853,8 +860,32 @@ class TestOncePerJob:
         monkeypatch.setattr(oracle, "mean_value", counting_mean)
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
-        # the draw evaluates f' at x, at y and between them
-        assert counts == {"parse": 1, "check": 1, "draw": 3, "mean": 1}
+        # a draw evaluates f' at x, at y and between them
+        assert counts == {"parse": 1, "check": 1, "draw": draws, "mean": 1}
+
+    def test_exact_job_reads_f_prime_at_points_only(self, capsys,
+                                                    monkeypatch):
+        """An exp: job decided exactly calls f' at the derivative check's
+        11 points and at the ends each block's bound reads, one float at a
+        time."""
+        args, parse = [], cli.parse_function
+
+        def counting_parse(spec):
+            f, fp = parse(spec)
+
+            def counted_fp(x):
+                args.append(x)
+                return fp(x)
+            return f, counted_fp
+
+        monkeypatch.setattr(cli, "parse_function", counting_parse)
+        code, _, _ = run_cli(capsys, [
+            "verify", "--function", "exp:0.7", "--interval", "0", "2",
+            "--q-grid", "1.5", "2"])
+        assert code == 0
+        checked = [2.0 * (i + 1) / 12 for i in range(11)]
+        assert args == [*checked, 0.0, 2.0, 0.0, 2.0]
+        assert all(type(x) is float for x in args)
 
     @pytest.mark.parametrize("argv, n_blocks", [
         ([*VERIFY_SQUARE, *EDGE_GRID, "--q-grid", "1", "1.5", "2"], 3),
@@ -1042,6 +1073,62 @@ class TestFirstError:
             "first violation: {'alpha': 0.0, 'lambda': 0.0, 'q': 1.0, "
             "'s': None, 'branch': 'rejected', 'lhs': None, 'rhs': None, "
             "'margin': None, 'sound': False}\n")
+
+
+def _poly_at(coeffs, x):
+    """sum c_k x^k in exact rationals."""
+    total = Fraction(0)
+    for k, ck in enumerate(coeffs):
+        total += Fraction(ck) * x ** k
+    return total
+
+
+class TestDecidedExactly:
+    """|f'|^q of a poly: spec is decided exactly where 2,000 samples miss a
+    concave stretch of it."""
+
+    MISSED = [
+        # f' has a simple root near 0.635, and |f'| = -f' is concave on
+        # [0.598, 0.635], 1.6% of the interval: no sampled triple has both
+        # x and y there
+        ("poly:0,-0.004421288902905829,-0.47356586137783774,"
+         "0.5008978144347983", "0.5979144668972163", "2.9310356862168807"),
+        # f' = x^4 - 1e-5 x^2 + 1 is concave for |x| < 1.3e-3, where the
+        # sampled slack, 2.5e-11, lies inside the tolerance of 2.1e-12
+        ("poly:0,1,0,-3.3333333333333337e-06,0,0.2", "-0.5", "0.5"),
+    ]
+    IDS = ["root", "flat"]
+
+    @pytest.mark.parametrize("spec, a, b", MISSED, ids=IDS)
+    def test_rejected(self, capsys, spec, a, b):
+        code, out, err = run_cli(capsys, ["verify", "--function", spec,
+                                          "--interval", a, b])
+        header, *rows = out.splitlines()
+        assert code == 1 and len(rows) == 1
+        assert rows[0].split(",")[4] == "rejected"
+        assert "'branch': 'rejected'" in err
+
+    @pytest.mark.parametrize("spec, a, b", MISSED, ids=IDS)
+    def test_point_and_sampled_blind_spot(self, spec, a, b):
+        """The exact report names a point where r = p p'' < 0 (q = 1,
+        p = f'); the same f and f' as API callables are sampled and pass."""
+        fs = cli.parse_spec(spec)
+        f, fp = fs.functions()
+        a, b = float(a), float(b)
+        cert = classes.ClassCertificate(classes.ClassKind.H_CONVEX,
+                                        classes.HModulus.identity(), 1.0)
+        exact = classes.certify_membership(
+            classes.TestFunction(f, fp, a, b, cert, spec=fs),
+            cli.MEMBERSHIP_SAMPLES)
+        assert (exact.holds, exact.route) == (False, "exact")
+        p = fs.derivative_coeffs
+        p2 = [k * (k - 1) * Fraction(c) for k, c in enumerate(p)][2:]
+        x = Fraction(exact.point)
+        assert a <= exact.point <= b
+        assert _poly_at(p, x) * _poly_at(p2, x) < 0
+        sampled = classes.certify_membership(
+            classes.TestFunction(f, fp, a, b, cert), cli.MEMBERSHIP_SAMPLES)
+        assert (sampled.holds, sampled.route) == (True, "sampled")
 
 
 class TestParserReuse:
@@ -1316,11 +1403,13 @@ class TestSubprocess:
         ["--function", "exp:1000", "--interval", "0", "1"],
         # an interval too narrow to difference
         ["--function", "poly:0,0,1", "--interval", "0", "1e-320"],
-        # the second block's |f'|^3 overflows on the first block's draw
+        # |f'|^3 is convex, so the second block is certified exactly, and
+        # its power-mean bound is not finite
         ["--function", "exp:300", "--interval", "0", "1", "--q-grid", "1",
          "3"],
-        # the first block's |f'|^2 overflows before the job's mean, which
-        # would take about 40 s and fail in the oracle
+        # |f'|^2 is convex, so the first block is certified exactly, and its
+        # power-mean bound is not finite before the job's mean, which would
+        # take about 40 s and fail in the oracle
         ["--function", "poly:0,0,0,1e300", "--interval", "-1", "1",
          "--q-grid", "2", "1"],
         # f' divides by zero at the end a = 0
