@@ -9,9 +9,9 @@ integrated, split at the kink, by the tanh-sinh rule of
 :mod:`quadcert.tanhsinh`, which hands a piece it does not settle to the
 oracle's adaptive integrator, on the integrand that
 :meth:`HModulus.moment_integrand` builds: :mod:`quadcert.classes` alone
-calls a custom modulus's fn.  One side's plain and reflected moments,
-weighted as a power-mean bound needs them, take one pass together, and a
-single moment is such a pair with one weight 0.  alpha and lambda are
+calls a custom modulus's fn.  :func:`weighted_pair` takes one side's
+plain and reflected moments for any modulus, a custom pair in one pass, and
+a single custom moment is a pair with one weight 0.  alpha and lambda are
 floats, or arrays that broadcast to a grid of rules; branches are chosen
 per point, and the 1/t and custom moments are taken one point at a time.
 Each RuleParams holds its own kinks and branch masks and a memo of its
@@ -307,24 +307,25 @@ def _clamp_moment(val):
 
 def weighted_pair(h: HModulus, rp: RuleParams, side: Side,
                   c_plain, c_reflected):
-    """c_plain * M + c_reflected * M_r for a custom modulus h, where M and
-    M_r are one side's plain and reflected :func:`weighted_moment`.
+    """c_plain * M + c_reflected * M_r, where M and M_r are one side's
+    plain and reflected :func:`weighted_moment`, for every modulus.
 
-    The two moments are integrated together, one tanh-sinh pass per piece
-    on |t - kink| * (w_p h(t) + w_r h(1-t)) with w = c/(c_plain +
+    A named modulus reads both closed forms, whatever the coefficients, so
+    1/t raises NotIntegrable where either moment diverges.  A custom
+    modulus's two moments are integrated together, one tanh-sinh pass per
+    piece on |t - kink| * (w_p h(t) + w_r h(1-t)) with w = c/(c_plain +
     c_reflected), :meth:`HModulus.moment_integrand`, and the sum is scaled
-    back.  The weights sum to 1, so each
-    piece settles to TOL on a convex combination of the two moments, and
-    the error is at most (c_plain + c_reflected) * TOL, as for the two
-    moments apart.  A zero coefficient leaves its h unsampled, so the
-    coefficients (1, 0) and (0, 1) give one moment alone.  Where the sum is
-    0 or not finite, the two moments are taken apart, which keeps their 0,
-    inf or NaN.  The coefficients may be arrays; on a grid one point at a
-    time.  DomainError for any other kind of modulus, whose moments
-    weighted_moment gives in closed form.
+    back.  The weights sum to 1, so each piece settles to TOL on a convex
+    combination of the two moments, and the error is at most (c_plain +
+    c_reflected) * TOL, as for the two moments apart.  A zero coefficient
+    leaves its h unsampled, so the coefficients (1, 0) and (0, 1) give one
+    moment alone.  Where the sum is 0 or not finite, the two moments are
+    taken apart, which keeps their 0, inf or NaN.  The coefficients may be
+    arrays; on a grid, a custom pair is taken one point at a time.
     """
     if h.kind is not HKind.CUSTOM:
-        raise DomainError("weighted_pair integrates custom moduli only")
+        return (c_plain * weighted_moment(h, rp, side, False)
+                + c_reflected * weighted_moment(h, rp, side, True))
     return _per_point(lambda r, cp, cr: _numeric_pair(h, r, side, cp, cr),
                       rp, c_plain, c_reflected)
 

@@ -675,13 +675,46 @@ class TestWeightedPair:
         with pytest.raises(EvaluationError, match="custom modulus"):
             bound_power_mean(tf, RuleParams(0.5, 1.0 / 3.0, 2.0))
 
-    @pytest.mark.parametrize("h", [HModulus.power(0.5), HModulus.constant(),
-                                   HModulus.reciprocal()],
-                             ids=["t^0.5", "1", "1/t"])
-    def test_named_moduli_refused(self, h):
-        # their moments are closed forms, 1/t's with its divergence checks
-        with pytest.raises(DomainError, match="custom moduli only"):
-            weighted_pair(h, RuleParams(0.5, 0.0, 2.0), Side.LEFT, 1.3, 0.4)
+    NAMED = {"t": HModulus.identity(), "t^0.5": HModulus.power(0.5),
+             "1": HModulus.constant(), "1/t": HModulus.reciprocal()}
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_moduli_are_their_moments_apart(self, name):
+        # a named pair is c_plain * M + c_reflected * M_r to the bit; 1/t
+        # raises where either moment diverges, even at a zero coefficient
+        h, raised = self.NAMED[name], 0
+        for rp, side, coeffs in self._cases(self.RULES):
+            try:
+                want = self._apart(h, rp, side, *coeffs)
+            except NotIntegrable:
+                raised += 1
+                with pytest.raises(NotIntegrable):
+                    weighted_pair(h, rp, side, *coeffs)
+                continue
+            got = weighted_pair(h, rp, side, *coeffs)
+            assert _bits(got) == _bits(want), (rp, side, coeffs)
+        # 1/t: 190 of the 240 cases diverge, the other 50 are compared
+        assert raised == (190 if name == "1/t" else 0)
+        # where one moment diverges the pair raises whatever its weight
+        if name == "1/t":
+            for alpha, lam, coeffs in ((0.5, 0.3, (0.0, 1.7)),
+                                       (0.0, 0.3, (2.2, 0.0))):
+                with pytest.raises(NotIntegrable):
+                    weighted_pair(h, RuleParams(alpha, lam, 2.0), Side.LEFT,
+                                  *coeffs)
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_grid_is_its_moments_apart(self, name):
+        # on a grid too; 1/t's lambda = 0 keeps every point's moments finite
+        h = self.NAMED[name]
+        lams = np.array([0.0]) if name == "1/t" else np.array([0.0, 0.4, 1.0])
+        grid = RuleParams(np.array([0.1, 0.5, 0.9])[:, None], lams, 2.0)
+        c_plain = np.linspace(0.5, 2.5, lams.size)
+        for side in Side:
+            got = weighted_pair(h, grid, side, c_plain, 0.7)
+            assert got.shape == (3, lams.size)
+            assert _bits(got) == _bits(self._apart(h, grid, side, c_plain,
+                                                   0.7))
 
     def test_grid_matches_points(self):
         h = HModulus.custom(math.sqrt)

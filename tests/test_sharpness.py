@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadcert import HModulus, RuleParams, bounds
+from quadcert import HModulus, RuleParams, bounds, moments
 from quadcert.bounds import (rhs_general_convex, rhs_midpoint_power_mean,
                              rhs_power_mean)
 from quadcert.moments import Side
@@ -196,13 +196,13 @@ def test_power_mean_attained_ts(s):
                          itertools.product(Side, (False, True)))
 def test_ts_scaled_moment_fails(monkeypatch, s, side, mirrored):
     # a mutation check: one t^s moment 1 + 1e-12 too large is seen
-    moment = bounds.weighted_moment
+    moment = moments.weighted_moment
 
     def scaled(h, rp, at, reflected):
         m = moment(h, rp, at, reflected=reflected)
         return m * (1.0 + 1e-12) if (at, reflected) == (side, mirrored) else m
 
-    monkeypatch.setattr(bounds, "weighted_moment", scaled)
+    monkeypatch.setattr(moments, "weighted_moment", scaled)
     assert _worst_ts(s) > REL_TOL
 
 
