@@ -35,6 +35,26 @@ def log_mean(a: float, b: float) -> float:
     return (b - a) / (math.log(abs(b)) - math.log(abs(a)))
 
 
+def _power_mean_value(a: float, b: float, p: float) -> float:
+    """The mean of t^p over [a, b], (b^(p+1) - a^(p+1))/((p+1)(b-a)), for
+    0 < a != b and p != -1, in a form that does not cancel.
+
+    It is c^p expm1((p+1) L)/((p+1) x): c is the end whose power dominates
+    (the larger for p > -1, the smaller for p < -1), d the other, x = (d -
+    c)/c and L = ln(d/c), log1p(x) where |x| <= 1/2, so that d - c is
+    exact, and log(d/c) beyond.  The argument of expm1 is <= 0.
+    """
+    c, d = (max(a, b), min(a, b)) if p > -1.0 else (min(a, b), max(a, b))
+    x = (d - c) / c
+    log_ratio = math.log1p(x) if abs(x) <= 0.5 else math.log(d / c)
+    ratio = math.expm1((p + 1.0) * log_ratio) / (p + 1.0)
+    if p > -1.0:  # ratio/x lies between 1 and 1/(p+1)
+        return c ** p * (ratio / x)
+    # x is unbounded, and c^p can overflow where the mean does not: c^p/x
+    # is c^(p+1)/(d - c), and c^(p+1) is below c^p
+    return c ** (p + 1.0) * (ratio / (d - c))
+
+
 def p_log_mean(a: float, b: float, p: float) -> float:
     """((b^(p+1) - a^(p+1)) / ((p+1)(b-a)))^(1/p)."""
     if a <= 0.0 or b <= 0.0:
@@ -43,8 +63,7 @@ def p_log_mean(a: float, b: float, p: float) -> float:
         raise DomainError("p-logarithmic mean needs a != b")
     if p in (-1.0, 0.0):
         raise DomainError("p must avoid {-1, 0}")
-    return ((b ** (p + 1.0) - a ** (p + 1.0))
-            / ((p + 1.0) * (b - a))) ** (1.0 / p)
+    return _power_mean_value(a, b, p) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -59,7 +78,7 @@ def _mean_rule_error(a: float, b: float, alpha: float, lam: float,
     """|rule - mean integral| of t^(s+1), all in closed means."""
     rule = (lam * weighted_arith_mean(a ** (s + 1.0), b ** (s + 1.0), alpha)
             + (1.0 - lam) * weighted_arith_mean(a, b, alpha) ** (s + 1.0))
-    return abs(rule - p_log_mean(a, b, s + 1.0) ** (s + 1.0))
+    return abs(rule - _power_mean_value(a, b, s + 1.0))
 
 
 def _check_prop_domain(a, b, q, s):

@@ -29,6 +29,11 @@ _K15_CENTRE) equals one of its constants or is as long as one (15 or more
 significant digits): the kernel reads the table's constants by name, so a
 retyped constant cannot drift from the one copy the tests check.
 
+No module of the package but classes.py, moments.py and oracle.py reads a
+member of HKind: classes.py defines the kinds, moments.py alone decides
+which moduli have closed-form moments and which are integrated, and
+oracle.py keys its Hadamard table by kind.
+
 A string literal under src/quadcert that names a bound (a key of
 bounds.BOUNDS) is a key of that table, --bound's default in cli.py, or the
 name bounds.py passes to its own evaluate_bound: the table is the one place
@@ -170,6 +175,23 @@ def _fn_reads(trees):
             and path.name not in _FN_CALLERS
             for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and n.attr == "fn"]
+
+
+# the modules that read a member of HKind
+_HKIND_READERS = ("classes.py", "moments.py", "oracle.py")
+
+
+def _hkind_reads(trees):
+    """Each HKind.<member> under src/quadcert outside _HKIND_READERS, by
+    the bare name or as an attribute of a module."""
+    return [f"{path}:{n.lineno}"
+            for path, tree in trees.items()
+            if path.parts[:2] == ("src", "quadcert")
+            and path.name not in _HKIND_READERS
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and (getattr(n.value, "id", None) == "HKind"
+                 or getattr(n.value, "attr", None) == "HKind")]
 
 
 _BOUNDS_PY = Path("src/quadcert/bounds.py")
@@ -316,6 +338,25 @@ def test_no_user_calls_outside_sample():
 
 def test_fn_read_only_where_checked():
     assert _fn_reads(_trees()) == []
+
+
+def test_hkind_read_only_where_moments_are_decided():
+    assert _hkind_reads(_trees()) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("if h.kind is HKind.CUSTOM:\n    pass", [1]),
+    ("k = classes.HKind.POWER\nj = quadcert.HKind.CONSTANT", [1, 2]),
+    ("from .classes import HKind, HModulus", []),
+    ("kinds = tuple(HKind)", []),
+])
+def test_hkind_read_scan_sees(source, hits):
+    tree = ast.parse(source)
+    assert _hkind_reads({Path("src/quadcert/bounds.py"): tree}) \
+        == [f"src/quadcert/bounds.py:{n}" for n in hits]
+    for reader in _HKIND_READERS:
+        assert _hkind_reads({Path("src/quadcert", reader): tree}) == []
+    assert _hkind_reads({Path("tests/test_bounds.py"): tree}) == []
 
 
 def test_bound_names_only_in_the_table():

@@ -1,7 +1,9 @@
 """Tests for the special means and the two mean-inequality checks."""
 
 import math
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from quadcert import (
     p_log_mean, proposition1_check, proposition2_check, weighted_arith_mean,
 )
 from quadcert.errors import DomainError
-from quadcert.means import _mean_rule_error
+from quadcert.means import _mean_rule_error, _power_mean_value
 
 
 class TestMeans:
@@ -146,3 +148,89 @@ class TestProposition2:
         r1 = proposition1_check(*args, 2.0, 0.3)
         r2 = proposition2_check(*args, 2.0, 2.0, 0.3)
         assert r1.lhs == pytest.approx(r2.lhs, rel=1e-14)
+
+
+def _narrow(rng):
+    """a in [0.1, 5] and b = a + a * 10^u, u uniform in [-13, 0]."""
+    a = float(rng.uniform(0.1, 5.0))
+    return a, a + a * 10.0 ** float(rng.uniform(-13.0, 0.0))
+
+
+def _decimal_mean(a, b, p):
+    """(b^(p+1) - a^(p+1)) / ((p+1)(b-a)) to 60 digits, from the floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, p1 = Decimal(a), Decimal(b), Decimal(p) + 1
+        return (b ** p1 - a ** p1) / (p1 * (b - a))
+
+
+class TestNarrowIntervals:
+    """Widths down to 1e-13 a, where b^(p+1) - a^(p+1) cancels."""
+
+    def test_propositions_hold(self):
+        # lhs <= rhs with no slack; the largest lhs/rhs measured is 0.993,
+        # at a width of 4e-6 a with alpha near 1
+        rng = np.random.default_rng(3601)
+        for _ in range(300):
+            a, b = _narrow(rng)
+            alpha, lam = map(float, rng.uniform(0.0, 1.0, 2))
+            q = float(rng.uniform(1.2, 4.0))
+            s = float(rng.uniform(0.02, 0.98)) / q
+            for res in (proposition1_check(a, b, alpha, lam, q, s),
+                        proposition2_check(a, b, alpha, lam, q / (q - 1.0),
+                                           q, s)):
+                assert res.holds and res.lhs <= res.rhs, (a, b, alpha, lam,
+                                                          q, s, res)
+
+    def test_example(self):
+        # the cancelling mean gave lhs 1.93e-5 here, against rhs 2.04e-13
+        res = proposition1_check(1.0, 1.0 + 1e-12, 0.5, 1.0 / 3.0, 2.0, 0.3)
+        assert res.holds and res.lhs <= res.rhs
+
+    @pytest.mark.parametrize("draw", ["narrow", "wide", "extreme"])
+    def test_mean_matches_decimal_referee(self, draw):
+        # relative error at most 1e-15; the largest measured is 3.0e-16
+        # (narrow), 3.8e-16 (wide) and 2.5e-16 (extreme), for p in [-3, 3]
+        rng = np.random.default_rng(3602)
+        for _ in range(300):
+            p = float(rng.uniform(-3.0, 3.0))
+            if draw == "narrow":
+                a, b = _narrow(rng)
+            else:  # b/a up to 1e8, or from 1e8 to 1e250
+                lo, hi = (0.0, 8.0) if draw == "wide" else (8.0, 250.0)
+                a = 10.0 ** float(rng.uniform(-100.0, 0.0) if draw == "extreme"
+                                  else rng.uniform(-3.0, 3.0))
+                b = a * 10.0 ** float(rng.uniform(lo, hi))
+            want = _decimal_mean(a, b, p)
+            if not Decimal("1e-300") < want < Decimal("1e300"):
+                continue  # no float holds the mean
+            got = _power_mean_value(a, b, p)
+            assert abs(Decimal(got) / want - 1) <= Decimal("1e-15"), (a, b, p)
+
+    def test_extreme_ratios_stay_finite(self):
+        # b^(p+1) of the larger end, not a^p expm1(...)/u, which overflows
+        assert p_log_mean(1e-200, 1.0, 2.0) == pytest.approx(
+            math.sqrt(1.0 / 3.0), rel=1e-15)
+        # for p < -1, c^p = a^p overflows where the mean does not
+        mean = _power_mean_value(1e-252, 7.7e-70, -1.89)
+        assert math.isfinite(mean)
+        assert mean == pytest.approx(
+            float(_decimal_mean(1e-252, 7.7e-70, -1.89)), rel=1e-15)
+
+    def test_closed_lhs_matches_oracle(self):
+        # |closed - oracle| at most 2e-15 max(1, b^(s+1)); the largest
+        # measured is 4.0e-16 max(1, b^(s+1)).  No finite difference can
+        # check f' this narrow, so the check is skipped: f' is exact.
+        rng = np.random.default_rng(3603)
+        for _ in range(200):
+            a, b = _narrow(rng)
+            alpha, lam = map(float, rng.uniform(0.0, 1.0, 2))
+            s = float(rng.uniform(0.05, 0.9))
+            cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.power(s), 1.0)
+            tf = TestFunction(lambda x: x ** (s + 1.0),
+                              lambda x: (s + 1.0) * x ** s, a, b, cert,
+                              skip_derivative_check=True)
+            gap = abs(_mean_rule_error(a, b, alpha, lam, s)
+                      - lhs_error(tf, RuleParams(alpha, lam, 1.0)))
+            assert gap <= 2e-15 * max(1.0, b ** (s + 1.0)), (a, b, alpha,
+                                                             lam, s)

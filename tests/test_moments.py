@@ -695,13 +695,15 @@ class TestWeightedPair:
             assert _bits(got) == _bits(want), (rp, side, coeffs)
         # 1/t: 190 of the 240 cases diverge, the other 50 are compared
         assert raised == (190 if name == "1/t" else 0)
-        # where one moment diverges the pair raises whatever its weight
-        if name == "1/t":
-            for alpha, lam, coeffs in ((0.5, 0.3, (0.0, 1.7)),
-                                       (0.0, 0.3, (2.2, 0.0))):
-                with pytest.raises(NotIntegrable):
-                    weighted_pair(h, RuleParams(alpha, lam, 2.0), Side.LEFT,
-                                  *coeffs)
+
+    @pytest.mark.parametrize("alpha, coeffs", [(0.5, (0.0, 1.7)),
+                                               (0.0, (2.2, 0.0))])
+    def test_reciprocal_diverges_at_zero_coefficient(self, alpha, coeffs):
+        # the left plain moment of 1/t diverges at alpha = 0.5 and the
+        # reflected one at alpha = 0; each raises with its coefficient 0
+        rp = RuleParams(alpha, 0.3, 2.0)
+        with pytest.raises(NotIntegrable):
+            weighted_pair(HModulus.reciprocal(), rp, Side.LEFT, *coeffs)
 
     @pytest.mark.parametrize("name", NAMED)
     def test_named_grid_is_its_moments_apart(self, name):
