@@ -551,8 +551,9 @@ def _pair_inputs(rng):
 
 
 class TestWeightedPair:
-    """A custom modulus's plain and reflected moments of one side, weighted
-    by c_plain and c_reflected, in one tanh-sinh pass per piece."""
+    """One side's plain and reflected moments weighted by c_plain and
+    c_reflected: a named modulus's closed forms, and a custom modulus's in
+    one tanh-sinh pass per piece."""
 
     # the bench's scalar-only moduli, and a kink that only the adaptive
     # fallback integrates (in the pair, at 0.37 and 0.63 in one piece)
