@@ -9,6 +9,7 @@ closed-form inequalities between means; ``proposition1_check`` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .bounds import is_sound, rhs_holder_hconvex, rhs_power_mean
@@ -42,11 +43,17 @@ def _power_mean_value(a: float, b: float, p: float) -> float:
     It is c^p expm1((p+1) L)/((p+1) x): c is the end whose power dominates
     (the larger for p > -1, the smaller for p < -1), d the other, x = (d -
     c)/c and L = ln(d/c), log1p(x) where |x| <= 1/2, so that d - c is
-    exact, and log(d/c) beyond.  The argument of expm1 is <= 0.
+    exact, log(d/c) beyond, and log(d) - log(c) where d/c is not a normal
+    float.  The argument of expm1 is <= 0.
     """
     c, d = (max(a, b), min(a, b)) if p > -1.0 else (min(a, b), max(a, b))
     x = (d - c) / c
-    log_ratio = math.log1p(x) if abs(x) <= 0.5 else math.log(d / c)
+    if abs(x) <= 0.5:
+        log_ratio = math.log1p(x)
+    elif sys.float_info.min <= d / c <= sys.float_info.max:
+        log_ratio = math.log(d / c)
+    else:  # d/c underflows or overflows, or is subnormal and inexact
+        log_ratio = math.log(d) - math.log(c)
     ratio = math.expm1((p + 1.0) * log_ratio) / (p + 1.0)
     if p > -1.0:  # ratio/x lies between 1 and 1/(p+1)
         return c ** p * (ratio / x)

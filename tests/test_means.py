@@ -217,6 +217,17 @@ class TestNarrowIntervals:
         assert mean == pytest.approx(
             float(_decimal_mean(1e-252, 7.7e-70, -1.89)), rel=1e-15)
 
+    @pytest.mark.parametrize("a, b, p", [
+        (1e-200, 1e200, 0.5),  # d/c underflows to 0
+        (1e-300, 1e10, -1.001),  # d/c overflows to inf
+        (1e-160, 1e160, -0.999),  # d/c is subnormal, 1e-5 off in its log
+    ])
+    def test_ratio_past_normal_floats(self, a, b, p):
+        want = float(_decimal_mean(a, b, p))
+        assert _power_mean_value(a, b, p) == pytest.approx(want, rel=1e-15)
+        assert p_log_mean(a, b, p) == pytest.approx(want ** (1.0 / p),
+                                                    rel=1e-14)
+
     def test_closed_lhs_matches_oracle(self):
         # |closed - oracle| at most 2e-15 max(1, b^(s+1)); the largest
         # measured is 4.0e-16 max(1, b^(s+1)).  No finite difference can
