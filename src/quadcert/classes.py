@@ -289,6 +289,50 @@ class FunctionSpec:
         point = _poly_shape_failure(self.derivative_coeffs, q, a, b, concave)
         return None if point is None else point[0] / point[1]
 
+    @property
+    def zero_derivative(self) -> bool:
+        """Whether the f' that :meth:`functions` evaluates is 0."""
+        if self.family == "poly":
+            return not any(self.derivative_coeffs)
+        if self.family == "pow":
+            return self.params[0] * self.params[1] == 0.0
+        return self.params[0] == 0.0
+
+    def monotone_derivative(self, a: float, b: float) -> bool:
+        """Whether |f'| is monotone on [a, b]: always for exp, and for pow,
+        which needs a >= 0; for poly where p p' keeps one sign, p = f'."""
+        if self.family != "poly":
+            return True
+        from .sturm import derivative, integer_poly, mul, negative_point, times
+        p = integer_poly(self.derivative_coeffs)
+        r = mul(p, derivative(p))
+        lo, hi = float(a).as_integer_ratio(), float(b).as_integer_ratio()
+        return (negative_point(r, lo, hi) is None
+                or negative_point(times(-1, r), lo, hi) is None)
+
+    def p_test(self, q: float, a: float, b: float):
+        """For poly, whether g = |f'|^q is a P-function on [a, b]: True if
+        it is, a point of [a, b] where it fails, or None where the bounds
+        below cannot tell, as at an exact tie.
+
+        g >= 0 is one iff g(z) <= g(x) + g(y) for x <= z <= y, that is iff
+        g(z) - min g on [a, z] - min g on [z, b] <= 0 for every z.  Where
+        |f'| is monotone that excess peaks at an end of the stretch, so it
+        is tested at the roots of p' that are not roots of p = f': at a, b
+        and the roots of p it is <= 0.  Each root lies in a dyadic interval
+        on which the Sturm chain bounds p exactly and the q-th power is
+        rounded outward; the intervals are halved until the bounds of some
+        excess lie above 0, or those of every excess at or below it.
+        """
+        try:
+            verdict = _poly_p_test(self.derivative_coeffs, float(q),
+                                   float(a), float(b))
+        except OverflowError:  # a bound past the float range
+            return None
+        if verdict is True or verdict is None:
+            return verdict
+        return verdict[0] / verdict[1]
+
 
 def _poly(c):
     """sum c_k x^k, added left to right from the integer 0, as sum() added
@@ -324,6 +368,69 @@ def _poly_shape_failure(coeffs, q, a, b, concave):
         return negative_point(r, lo, hi)
     point = negative_point(times(-1, r), lo, hi)
     return sign_change(p, lo, hi) if point is None else point
+
+
+# P-test: halvings of the roots' intervals before the bounds count as a tie
+_P_TEST_HALVINGS = 200
+
+
+def _power_outward(x, q, to):
+    """x ** q, x a correctly rounded quotient, moved toward ``to`` past
+    every rounding: a step for x's, two for that of **, within an ulp."""
+    step = math.nextafter
+    return step(step(step(x, to) ** q, to), to)
+
+
+def _poly_p_test(coeffs, q, a, b):
+    """:meth:`FunctionSpec.p_test` for the f' of these coefficients, with a
+    dyadic point; OverflowError where a bound leaves the float range."""
+    from .sturm import (derivative, halve, has_root, integer_poly, midpoint,
+                        roots, strip_common, value_range)
+    p = integer_poly(coeffs)
+    dp = derivative(p)
+    if not dp:
+        return True  # g is constant
+    lo, hi = a.as_integer_ratio(), b.as_integer_ratio()
+    unit = max(c.as_integer_ratio()[1] for c in coeffs)  # p's scale
+
+    def g_range(x, y):
+        """Floats bounding g on [x, y], or None if p may vanish there."""
+        m, n, d = value_range(p, x, y)
+        if m < 0 < n:
+            return None
+        m, n = sorted((abs(m), abs(n)))
+        high = _power_outward(n / (d * unit), q, math.inf)
+        if high == math.inf:
+            raise OverflowError("|f'|^q is not finite")
+        return _power_outward(m / (d * unit), q, 0.0), high
+
+    ends = g_range(lo, lo), g_range(hi, hi)
+    free, peaks = roots(strip_common(dp, p), lo, hi)
+    zeros = None  # whether p has a root left, and right, of each peak
+    for _ in range(_P_TEST_HALVINGS):
+        ranges = [g_range(*iv) for iv in peaks]
+        if None not in ranges:
+            if zeros is None:  # once p keeps one sign on every interval
+                zeros = [(has_root(p, lo, l), has_root(p, u, hi))
+                         for l, u in peaks]
+            tie = False
+            for j, (g_lo, g_hi) in enumerate(ranges):
+                # bounds of g's least value on [a, z] and on [z, b]
+                left_zero, right_zero = zeros[j]
+                left = [ends[0], *ranges[:j]] + [(0.0, 0.0)] * left_zero
+                right = [ends[1], *ranges[j + 1:]] + [(0.0, 0.0)] * right_zero
+                l_lo, l_hi = map(min, zip(*left))
+                r_lo, r_hi = map(min, zip(*right))
+                if math.fsum((g_lo, -l_hi, -r_hi)) > 0.0:
+                    return midpoint(*peaks[j])
+                tie = tie or math.fsum((g_hi, -l_lo, -r_lo)) > 0.0
+            if not tie:
+                return True
+        halved = [halve(free, iv) for iv in peaks]
+        if halved == peaks:  # every root exact, and still a tie
+            return None
+        peaks = halved
+    return None
 
 
 # Derivative cross-check: central differences at this many interior points.
@@ -447,10 +554,14 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """A verdict on a certificate.  ``route`` is "exact" or "sampled"; an
-    exact report has no samples, so its worst_violation is 0.0 and its
+    """A verdict on a certificate.  ``route`` is "exact" or "sampled".
+
+    An exact report draws no samples: its worst_violation is 0.0 and its
     witness None, and an exact rejection names a ``point`` of [a, b] where
-    |f'|^q fails the second-order test."""
+    |f'|^q fails the second-order test or the P-test.  The one exception
+    is a rejection by the zero-class rule, which reads one f' value: it
+    names its point x, the witness (x, x, 0.5) and that witness's slack.
+    """
 
     holds: bool
     worst_violation: float
@@ -460,19 +571,40 @@ class MembershipReport:
     point: Optional[float] = field(default=None, repr=False)
 
 
+_EXACT_HOLDS = MembershipReport(True, 0.0, None, "exact")
+
+
 def certify_membership(tf: TestFunction, n_samples: int = 10_000,
                        seed: int = 0) -> MembershipReport:
     """Decide the certificate's claim for g = |f'|^q on [a, b].
 
-    Exactly, where tf.spec is set, h is named and the shape of g settles
-    the claim (:meth:`FunctionSpec.shape_failure`): a convex g is h-convex
-    for h = t, t^s, 1 and 1/t, since h(t) >= t on (0, 1) for each; and for
-    h = t, a g that is not convex (concave) is not h-convex (h-concave).
+    Exact routes come first, in this order; ``route`` names the one that
+    decided.  A spec is tf.spec, except pow on a < 0, where x^(r - 1) is
+    not real.
 
-    Every other claim is sampled: a custom h, a TestFunction without a
-    spec, pow with a < 0, h-concave with h other than t, and a g that is
-    not convex claimed h-convex for h other than t.  The sampled check draws
-    (x, y, alpha) triples and reports the worst signed violation of
+    - **Shape**, for a spec and a named h (:meth:`FunctionSpec.shape_failure`):
+      a convex g is h-convex for h = t, t^s, 1 and 1/t, since h(t) >= t on
+      (0, 1) for each; and for h = t, a g that is not convex (concave) is
+      not h-convex (h-concave).
+    - **Zero class**, for any h, h(1/2) read once: with x = y the class
+      inequality reads g(x) <= 2 h(1/2) g(x), so an h-convex claim with
+      h(1/2) < 1/2, or an h-concave one with h(1/2) > 1/2, holds for
+      g = 0 alone.  Among the named moduli that is every h-concave claim
+      under t^s (s < 1), 1 and 1/t.  A spec holds iff its f' is 0, read
+      from its parameters; any other f' is read once, at the midpoint x,
+      through :meth:`TestFunction.sample`, and rejected with the witness
+      (x, x, 0.5) when g(x) is finite and the slack there exceeds the
+      sampled check's tolerance.  Else the claim is sampled.
+    - **Monotone**, for a spec claimed h-convex under h = 1 or 1/t: a
+      monotone g >= 0 is a P-function and a Godunova-Levin function
+      (:meth:`FunctionSpec.monotone_derivative`).
+    - **P-test**, for a poly spec claimed h-convex under h = 1
+      (:meth:`FunctionSpec.p_test`); a tie it cannot separate is sampled.
+
+    Every other claim is sampled: a custom h that passes the h(1/2) test,
+    a TestFunction without a spec, and t^s and 1/t claims on a g that is
+    neither convex nor monotone.  The sampled check draws (x, y, alpha)
+    triples and reports the worst signed violation of
     g(alpha*x + (1-alpha)*y) <= h(alpha)*g(x) + h(1-alpha)*g(y) (inequality
     reversed for h-concave certificates).  A sampled certificate, not a
     proof: it guards against user error only.  A sample where f' is NaN
@@ -491,16 +623,50 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     if seed < 0:
         raise DomainError("seed must be >= 0")
     cert = tf.certificate
-    identity = cert.h.kind is HKind.IDENTITY
+    kind, q = cert.h.kind, cert.exponent_q
     concave = cert.class_kind is ClassKind.H_CONCAVE
-    if not (tf.spec is None or cert.h.kind is HKind.CUSTOM
-            or concave and not identity
-            or tf.spec.family == "pow" and tf.a < 0.0):
-        point = tf.spec.shape_failure(cert.exponent_q, tf.a, tf.b, concave)
+    spec = tf.spec
+    if spec is not None and spec.family == "pow" and tf.a < 0.0:
+        spec = None
+    if spec is not None and kind is not HKind.CUSTOM and (
+            kind is HKind.IDENTITY or not concave):
+        point = spec.shape_failure(q, tf.a, tf.b, concave)
         if point is None:
-            return MembershipReport(True, 0.0, None, "exact")
-        if identity:
+            return _EXACT_HOLDS
+        if kind is HKind.IDENTITY:
             return MembershipReport(False, 0.0, None, "exact", point)
+    half = cert.h.evaluator(0.5)
+    if (half > 0.5) if concave else (half < 0.5):
+        if spec is not None and spec.zero_derivative:
+            return _EXACT_HOLDS
+        x = tf.a + 0.5 * (tf.b - tf.a)
+        try:
+            g = abs(float(tf.sample(tf.f_prime, x))) ** q
+        except OverflowError:
+            g = math.inf
+        # the sampled check's slack and tolerance at the triple (x, x, 1/2)
+        slack = g - (half * g + half * g)
+        if concave:
+            slack = -slack
+        if g < math.inf and slack > 1e-12 * (1.0 + g):
+            return MembershipReport(False, slack, (x, x, 0.5), "exact", x)
+    elif spec is not None and not concave and kind in (HKind.CONSTANT,
+                                                       HKind.RECIPROCAL):
+        if spec.monotone_derivative(tf.a, tf.b):
+            return _EXACT_HOLDS
+        if kind is HKind.CONSTANT and spec.family == "poly":
+            verdict = spec.p_test(q, tf.a, tf.b)
+            if verdict is True:
+                return _EXACT_HOLDS
+            if verdict is not None:
+                return MembershipReport(False, 0.0, None, "exact", verdict)
+    return _sampled_membership(tf, n_samples, seed)
+
+
+def _sampled_membership(tf: TestFunction, n_samples: int,
+                        seed: int) -> MembershipReport:
+    """The sampled check of :func:`certify_membership`, whatever the claim."""
+    cert = tf.certificate
     draw = _derivative_draw if isinstance(tf.f_prime, Hashable) \
         else _derivative_draw.__wrapped__
     xs, ys, alphas, *abs_fp = draw(tf.f_prime, tf.a, tf.b, n_samples, seed)

@@ -131,9 +131,10 @@ def _axes(args, default_q: float):
 
 
 def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
-    """Yield each (q, s) block: per column one value or an array over it.
-    A rejected block evaluates its bound too, so a configuration error
-    shows; the first certified block takes the mean and lhs for the job."""
+    """Yield each (q, s) block, per column one value or an array over it,
+    with its membership report.  A rejected block evaluates its bound too,
+    so a configuration error shows; the first certified block takes the
+    mean and lhs for the job."""
     alphas, lams, qs = _axes(args, 1.0)
     blocks = list(itertools.product(qs, args.s))
     lhs = None  # |rule - mean|, which no q or s moves
@@ -159,7 +160,16 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
                                         np.where(lhs == 0.0, 0.0, np.inf)),
                          sound=bnd.is_sound(lhs, rhs))
         yield {"alpha": alphas, "lambda": lams, "q": q, "s": s,
-               "bound_kind": args.bound, **block}
+               "bound_kind": args.bound, **block}, rep
+
+
+def _rejection(block, rep) -> str:
+    """The stderr line that says where a block's claim was rejected."""
+    where = (f"|f'|^q fails at x={rep.point!r}" if rep.witness is None else
+             f"slack {rep.worst_violation!r} at (x, y, alpha) = "
+             f"{rep.witness!r}")
+    return (f"certificate rejected at q={block['q']!r}, s={block['s']!r} "
+            f"({rep.route}): {where}")
 
 
 def _rows(block, columns, fmt=lambda value: value):
@@ -214,8 +224,11 @@ def cmd_verify(args) -> int:
     if args.concave and bnd.BOUNDS[args.bound].class_kind is not kind:
         raise ConfigError(f"--concave declares an h-concave certificate, "
                           f"and {args.bound} needs an h-convex one")
-    blocks = list(_iter_blocks(args, kind, "rejected"))
+    blocks, reports = zip(*_iter_blocks(args, kind, "rejected"))
     _write_table(blocks, columns, args.format, args.out)
+    for block, rep in zip(blocks, reports):
+        if not rep.holds:
+            print(_rejection(block, rep), file=sys.stderr)
     bad = next((b for b in blocks if not np.all(b["sound"])), None)
     if bad is not None:
         row = next(r for r in _rows(bad, columns) if not r[-1])
@@ -225,7 +238,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    blocks = list(_iter_blocks(args, bnd.BOUNDS[args.bound].class_kind, ""))
+    blocks = [block for block, _ in _iter_blocks(
+        args, bnd.BOUNDS[args.bound].class_kind, "")]
     _write_table(blocks, SWEEP_COLUMNS, args.format, args.out)
     sound = all(np.all(block["sound"]) for block in blocks)
     return EXIT_OK if sound else EXIT_VIOLATION

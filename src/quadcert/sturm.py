@@ -5,8 +5,9 @@ trailing zero (0 is the empty list); :func:`integer_poly` makes one of a
 list of floats by a common power-of-two scale, which leaves every sign as
 it is.  A point is a dyadic rational (n, d), d a power of 2, as
 ``float.as_integer_ratio`` gives it, and every point made here is one too.
-Nothing is rounded, so :func:`negative_point` and :func:`sign_change`
-decide exactly.
+Nothing is rounded, so :func:`negative_point`, :func:`sign_change`,
+:func:`has_root` and :func:`roots` decide exactly, and :func:`value_range`
+bounds a polynomial in integers.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def _primitive(c):
     """c divided by the positive gcd of its coefficients."""
     g = math.gcd(*c)
     return [x // g for x in c] if g > 1 else c
+
+
+def _gcd(f, g):
+    """A greatest common divisor of f and g, g not 0, up to a factor."""
+    while g:
+        f, g = g, _pdiv(f, g)[1]
+    return f
+
+
+def strip_common(f, g):
+    """f divided by its gcd with g, up to a positive factor, g not 0: a
+    root that f has m times and g has k times is left max(m - k, 0) times,
+    so p' stripped of p keeps just the roots of p' that p lacks."""
+    return _pdiv(f, _gcd(g, f))[0] if f else f
 
 
 def _pdiv(f, g):
@@ -103,7 +118,8 @@ def _variations(chain, x):
     return count
 
 
-def _mid(x, y):
+def midpoint(x, y):
+    """(x + y) / 2."""
     (n1, d1), (n2, d2) = x, y
     d = max(d1, d2)
     return n1 * (d // d1) + n2 * (d // d2), 2 * d
@@ -132,7 +148,7 @@ def negative_point(r, lo, hi):
         roots = v_lo - v_hi - (r_hi == 0)
         if roots == 0 and (r_lo or r_hi) or roots == 1 and r_lo and r_hi:
             continue
-        mid = _mid(lo, hi)
+        mid = midpoint(lo, hi)
         r_mid = _value(r, mid)
         if r_mid < 0:
             return mid
@@ -140,6 +156,67 @@ def negative_point(r, lo, hi):
         pieces += [(mid, r_mid, v_mid, hi, r_hi, v_hi),
                    (lo, r_lo, v_lo, mid, r_mid, v_mid)]
     return None
+
+
+def has_root(r, lo, hi):
+    """Whether r, not 0, has a root in [lo, hi]."""
+    chain = _sturm_chain(r)
+    return (_value(r, lo) == 0
+            or _variations(chain, lo) > _variations(chain, hi))
+
+
+def roots(r, lo, hi):
+    """The distinct roots of r, not 0, in the open (lo, hi), in order: each
+    an interval (l, u) that holds it alone, where the square-free part of r
+    has opposite signs at l and u, or (x, x) on a root x.
+
+    Returns the square-free part too, which :func:`halve` reads.
+    """
+    chain = _sturm_chain(r)
+    free, found = chain[0], []
+    pieces = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    while pieces:  # the last piece pushed is the leftmost
+        l, v_l, u, v_u = pieces.pop()
+        count = v_l - v_u  # the roots in (l, u]
+        on_u = _value(free, u) == 0
+        if count == on_u:  # none in (l, u)
+            if on_u and u != hi:
+                found.append((u, u))
+            continue
+        if count == 1 and _value(free, l) != 0:
+            found.append((l, u))
+            continue
+        mid = midpoint(l, u)
+        v_mid = _variations(chain, mid)
+        pieces += [(mid, v_mid, u, v_u), (l, v_l, mid, v_mid)]
+    return free, found
+
+
+def halve(free, interval):
+    """The half of a root's interval from :func:`roots` that holds it."""
+    lo, hi = interval
+    if lo == hi:
+        return interval
+    mid = midpoint(lo, hi)
+    v = _value(free, mid)
+    if v == 0:
+        return mid, mid
+    return (mid, hi) if (v < 0) == (_value(free, lo) < 0) else (lo, mid)
+
+
+def value_range(c, lo, hi):
+    """Integers (m, n, d) with m/d <= c(x) <= n/d on [lo, hi], by interval
+    Horner steps; exact where lo = hi."""
+    (n1, d1), (n2, d2) = lo, hi
+    d = max(d1, d2)
+    x1, x2 = n1 * (d // d1), n2 * (d // d2)
+    m = n = c[-1] if c else 0
+    scale = 1
+    for ck in reversed(c[:-1]):
+        ends = (m * x1, m * x2, n * x1, n * x2)
+        scale *= d
+        m, n = min(ends) + ck * scale, max(ends) + ck * scale
+    return m, n, scale
 
 
 def sign_change(p, lo, hi):
@@ -150,7 +227,7 @@ def sign_change(p, lo, hi):
         return None
     # bisect until the midpoint rounds to the float of an end
     while True:
-        mid = _mid(neg, pos)
+        mid = midpoint(neg, pos)
         x = mid[0] / mid[1]
         v = _value(p, mid)
         if v == 0 or x in (neg[0] / neg[1], pos[0] / pos[1]):

@@ -17,7 +17,8 @@ from quadcert import (
 )
 from quadcert.arrays import map_scalar, power
 from quadcert.classes import (FunctionSpec, _custom_value, _derivative_draw,
-                              _eval_maybe_vector)
+                              _eval_maybe_vector, _sampled_membership)
+from quadcert import sturm
 from quadcert.sturm import negative_point
 from quadcert.errors import (DegenerateModulus, DomainError, EvaluationError,
                              NotIntegrable)
@@ -75,9 +76,10 @@ class TestBadCustomValues:
     """Every caller of a custom modulus refuses a NaN, negative or infinite
     value, wherever in (0, 1) it appears.
 
-    certify_membership runs a custom fn on all alpha samples, checks them,
-    then on all 1 - alpha samples, and checks those; the bound's pair
-    integrand checks each value before its next call.  A bad value raises
+    certify_membership reads h(1/2) once and checks it, then runs a custom
+    fn on all alpha samples, checks them, then on all 1 - alpha samples,
+    and checks those; the bound's pair integrand checks each value before
+    its next call.  A bad value raises
     what HModulus.evaluator raises for it, EvaluationError with its message
     for NaN, negative or infinite and float's TypeError for None, naming
     the first bad sample in draw or node order."""
@@ -120,18 +122,30 @@ class TestBadCustomValues:
         fn, calls = _recording({})
         tf = self._tf(fn)
         assert certify_membership(tf, N_CHECKED).holds
-        assert calls == self._draw(tf)
+        assert calls == [0.5] + self._draw(tf)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, None],
+                             ids=["nan", "negative", "inf", "none"])
+    def test_bad_half_named_first(self, bad):
+        fn, calls = _recording({0: bad})
+        with pytest.raises(TypeError if bad is None else EvaluationError,
+                           match=None if bad is None else
+                           re.escape(f"returned {bad!r} at t=0.5")):
+            certify_membership(self._tf(fn), N_CHECKED)
+        assert calls == [0.5]
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, None],
                              ids=["nan", "negative", "inf", "none"])
     @pytest.mark.parametrize("first", [7, N_CHECKED + 7],
                              ids=["alpha", "one-minus-alpha"])
     def test_first_bad_sample_named(self, bad, first):
-        # certify_membership, and the evaluator on the arrays it passes
-        for check in (lambda tf: certify_membership(tf, N_CHECKED),
-                      _evaluator_passes):
+        # certify_membership, whose first call is h(1/2), and the evaluator
+        # on the arrays it passes
+        for check, before in ((lambda tf: certify_membership(tf, N_CHECKED),
+                               [0.5]), (_evaluator_passes, [])):
             # a second bad value later in the same pass is not the one named
-            fn, calls = _recording({first: bad, first + 3: -2.0})
+            at = len(before) + first
+            fn, calls = _recording({at: bad, at + 3: -2.0})
             tf = self._tf(fn)
             ts = self._draw(tf)
             if bad is None:
@@ -149,7 +163,7 @@ class TestBadCustomValues:
                 HModulus.custom(lambda t: bad).evaluator(ts[first])
             # fn ran on the whole pass holding the bad value, and never after
             end = N_CHECKED if first < N_CHECKED else 2 * N_CHECKED
-            assert calls == ts[:end]
+            assert calls == before + ts[:end]
 
     def test_fn_runs_on_the_whole_pass_before_the_check(self):
         # The one difference from a loop of evaluator calls, which would
@@ -592,10 +606,31 @@ def _loop_membership(tf, n_samples, seed):
                             (float(xs[i]), float(ys[i]), float(alphas[i])))
 
 
+def _zero_class(h, kind):
+    """Whether the zero-class rule decides a claim: an h-convex one with
+    h(1/2) < 1/2, or an h-concave one with h(1/2) > 1/2."""
+    half = h.evaluator(0.5)
+    return half > 0.5 if kind is ClassKind.H_CONCAVE else half < 0.5
+
+
+def _matches_sampled(got, sampled, tf):
+    """got, certify_membership's report, is the sampled route's, or, for a
+    zero-class claim with f' != 0 at the midpoint x, an exact rejection at
+    x where the sampled route rejects too."""
+    x = tf.a + 0.5 * (tf.b - tf.a)
+    if not (_zero_class(tf.certificate.h, tf.certificate.class_kind)
+            and tf.f_prime(x) != 0.0):
+        return got == sampled
+    return (got.route, got.holds, got.witness, got.point, sampled.holds) \
+        == ("exact", False, (x, x, 0.5), x, False)
+
+
 class TestMembershipOnArrays:
     """Every modulus is sampled on the whole draw, a named one through its
     evaluator on arrays and a custom one by one call of fn per sample, to
-    the same bits as a loop of evaluator calls."""
+    the same bits as a loop of evaluator calls.  The sampled route is
+    compared for every claim; certify_membership decides the zero-class
+    ones exactly, and rejects them as the sampled route does."""
 
     MODULI = [HModulus.identity(), HModulus.power(0.3), HModulus.power(1.0),
               HModulus.constant(), HModulus.reciprocal()]
@@ -618,8 +653,10 @@ class TestMembershipOnArrays:
         tf = TestFunction(lambda x: x, fp, a, b, ClassCertificate(kind, h, q),
                           skip_derivative_check=True)
         for seed in (0, 1, 2):
+            sampled = _sampled_membership(tf, 500, seed)
+            assert sampled == _loop_membership(tf, 500, seed)
             got = certify_membership(tf, n_samples=500, seed=seed)
-            assert got == _loop_membership(tf, 500, seed)
+            assert _matches_sampled(got, sampled, tf)
 
 
 def _counted(fp):
@@ -674,21 +711,24 @@ class TestDerivativeDrawMemo:
         assert sizes == [300] * 3 + [n] * 3 + [300] * 3
 
     def test_reports_match_loop_across_certificates(self):
-        # one f' and one draw under every certificate; the concave claims
-        # fail, so witnesses are compared too
+        # one f' and one draw under every certificate, through the sampled
+        # route; the concave claims fail, so witnesses are compared too
         fp, sizes = _counted(self.FP)
         outcomes = set()
         for kind in ClassKind:
             for h in (HModulus.identity(), HModulus.power(0.4)):
                 for q in (1.0, 2.0):
-                    got = certify_membership(
-                        self._tf(fp, kind=kind, h=h, q=q), 500, seed=3)
-                    want = _loop_membership(
-                        self._tf(self.FP, kind=kind, h=h, q=q), 500, 3)
-                    assert got == want
+                    tf = self._tf(fp, kind=kind, h=h, q=q)
+                    plain = self._tf(self.FP, kind=kind, h=h, q=q)
+                    got = _sampled_membership(tf, 500, 3)
+                    assert got == _loop_membership(plain, 500, 3)
                     outcomes.add(got.holds)
+                    # certify_membership reuses the draw, or reads f' once
+                    assert _matches_sampled(certify_membership(tf, 500, 3),
+                                            got, plain)
         assert outcomes == {True, False}
-        assert sizes == [500] * 3
+        # the two concave t^0.4 claims are zero-class, each one f' call
+        assert sizes == [500] * 3 + [1] * 2
 
     def test_unhashable_modulus_fn(self):
         class Modulus:  # __eq__ without __hash__: not hashable
@@ -778,7 +818,8 @@ def _table_membership(tf, n_samples, seed):
 
 class TestMembershipMatchesPerKindTable:
     """Sampling h through its evaluator reports what a per-kind table of h
-    on arrays did, for every kind and a holding and a failing certificate."""
+    on arrays did, for every kind and a holding and a failing certificate;
+    certify_membership reports it too, but for the zero-class rejections."""
 
     MODULI = [*TestMembershipOnArrays.MODULI, HModulus.custom(math.sqrt)]
     # (f', interval, q): |f'|^q convex and positive, not convex, concave and
@@ -798,12 +839,14 @@ class TestMembershipMatchesPerKindTable:
                               ClassCertificate(kind, h, q),
                               skip_derivative_check=True)
             for seed in (0, 1):
-                got = certify_membership(tf, n_samples=500, seed=seed)
+                got = _sampled_membership(tf, 500, seed)
                 want = _table_membership(tf, 500, seed)
                 assert got.holds == want.holds
                 assert got.worst_violation == want.worst_violation
                 assert got.witness == want.witness
                 outcomes.add(got.holds)
+                assert _matches_sampled(
+                    certify_membership(tf, n_samples=500, seed=seed), got, tf)
         assert outcomes == {True, False}
 
 
@@ -875,12 +918,13 @@ def _spec_rows(seed, n):
 
 
 def _both_routes(spec, a, b, q, kind, h=HModulus.identity()):
-    """certify_membership of the spec's (f, f') with and without the spec."""
+    """certify_membership of the spec's (f, f'), and the sampled route on
+    the same f' without the spec."""
     f, fp = spec.functions()
     cert = ClassCertificate(kind, h, q)
-    return [certify_membership(TestFunction(f, fp, a, b, cert, spec=given),
-                               n_samples=2000, seed=3)
-            for given in (spec, None)]
+    return (certify_membership(TestFunction(f, fp, a, b, cert, spec=spec),
+                               n_samples=2000, seed=3),
+            _sampled_membership(TestFunction(f, fp, a, b, cert), 2000, 3))
 
 
 class TestExactMembership:
@@ -900,6 +944,27 @@ class TestExactMembership:
                 assert (exact.worst_violation, exact.witness) == (0.0, None)
             outcomes.add((exact.holds, sampled.holds))
         assert {(True, True), (False, False)} <= outcomes
+
+    @pytest.mark.parametrize("h", [
+        HModulus.power(0.5), HModulus.constant(), HModulus.reciprocal()],
+        ids=["t^s", "1", "1/t"])
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_sampled_rejection_is_exact_rejection_beyond_t(self, h, kind):
+        """Under t^s, 1 and 1/t a poly: claim that the sampled route
+        rejects is rejected; every h-concave claim and every h = 1 claim is
+        decided exactly, and a sampled one reports the sampled route's."""
+        routes = set()
+        for spec, a, b, q in _poly_rows(39, 150):
+            exact, sampled = _both_routes(spec, a, b, q, kind, h)
+            if not sampled.holds:
+                assert not exact.holds, (spec, a, b, q)
+            if exact.route == "sampled":
+                assert exact == sampled
+            routes.add(exact.route)
+        if kind is ClassKind.H_CONCAVE or h.kind is HKind.CONSTANT:
+            assert routes == {"exact"}
+        else:
+            assert routes == {"exact", "sampled"}
 
     def test_rejection_point_fails_second_order_test(self):
         """Each convex rejection of a poly: row names a point where
@@ -955,16 +1020,43 @@ class TestExactMembership:
         assert (exact.holds, exact.route, exact.point) == (
             False, "exact", point)
 
+    # |f'| = 1.5 - x^2 on [-0.5, 0.5] is concave, not convex, and not
+    # monotone: under a modulus other than t its shape settles no claim
+    CAP = FunctionSpec("poly", (0.0, 1.5, 0.0, -0.3333333333333333))
+
+    @pytest.mark.parametrize("h, kind", [
+        (HModulus.power(0.5), ClassKind.H_CONVEX),
+        (HModulus.reciprocal(), ClassKind.H_CONVEX)],
+        ids=["ClassKind.H_CONVEX-t^s", "ClassKind.H_CONVEX-1/t"])
+    def test_undecided_claim_is_sampled(self, h, kind):
+        """Nor does any other exact rule settle the t^s and 1/t claims."""
+        exact, sampled = _both_routes(self.CAP, -0.5, 0.5, 1.0, kind, h)
+        assert exact == sampled and exact.route == "sampled"
+
     @pytest.mark.parametrize("h", [
         HModulus.power(0.5), HModulus.constant(), HModulus.reciprocal()],
         ids=["t^s", "1", "1/t"])
-    @pytest.mark.parametrize("kind", list(ClassKind))
-    def test_undecided_claim_is_sampled(self, h, kind):
-        """|f'| = 1.5 - x^2 on [-0.5, 0.5] is concave, not convex: under a
-        modulus other than t neither claim is settled by its shape."""
-        spec = FunctionSpec("poly", (0.0, 1.5, 0.0, -0.3333333333333333))
-        exact, sampled = _both_routes(spec, -0.5, 0.5, 1.0, kind, h)
-        assert exact == sampled and exact.route == "sampled"
+    def test_concave_claim_is_zero_class(self, h):
+        """h(1/2) > 1/2, so the h-concave claims are rejected at the
+        midpoint 0, where f' = 1.5, with the sampled check's slack there;
+        the sampled route rejects them too."""
+        exact, sampled = _both_routes(self.CAP, -0.5, 0.5, 1.0,
+                                      ClassKind.H_CONCAVE, h)
+        half = h.evaluator(0.5)
+        assert (exact.holds, exact.route, exact.point, exact.witness) == (
+            False, "exact", 0.0, (0.0, 0.0, 0.5))
+        assert exact.worst_violation == -(1.5 - (half * 1.5 + half * 1.5))
+        assert not sampled.holds
+
+    def test_convex_claim_under_one_is_p_tested(self):
+        """|f'| lies in [1.25, 1.5], so g(z) <= g(x) + g(y) everywhere: the
+        P-test accepts, as the sampled route does."""
+        for q in (1.0, 1.5, 2.0):
+            exact, sampled = _both_routes(self.CAP, -0.5, 0.5, q,
+                                          ClassKind.H_CONVEX,
+                                          HModulus.constant())
+            assert (exact.holds, exact.route) == (True, "exact")
+            assert sampled.holds
 
     def test_custom_modulus_is_sampled(self):
         spec = FunctionSpec("poly", (0.0, 0.0, 1.0))
@@ -1000,6 +1092,410 @@ class TestExactMembership:
         assert with_spec == without and repr(with_spec) == repr(without)
 
 
+def _p_excess(spec, q, a, b, z, n=20001):
+    """g(z) - min g on [a, z] - min g on [z, b] over a float grid with z
+    on it: a grid minimum is >= the true one, so the true excess at z is
+    at least this, up to rounding."""
+    p = np.polynomial.Polynomial(spec.derivative_coeffs)
+    xs = np.union1d(np.linspace(a, b, n), [z])
+    g = np.abs(p(xs)) ** q
+    i = int(np.searchsorted(xs, z))
+    return float(g[i] - g[:i + 1].min() - g[i:].min())
+
+
+def _p_excess_at_peaks(spec, q, a, b):
+    """The largest g(z) - min g on [a, z] - min g on [z, b] over the float
+    roots of p' in (a, b), p = f', by numpy's roots; -inf if none."""
+    p = np.polynomial.Polynomial(spec.derivative_coeffs)
+    real = [r.real for r in p.deriv().roots() if abs(r.imag) < 1e-9]
+    zeros = [r.real for r in p.roots() if abs(r.imag) < 1e-9
+             and a <= r.real <= b]
+    peaks = sorted(r for r in real if a < r < b)
+    points = [a, *peaks, b]
+
+    def g(x):
+        return abs(p(x)) ** q
+    worst = -math.inf
+    for z in peaks:
+        left = [g(x) for x in points if x <= z]
+        left += [0.0] * any(x <= z for x in zeros)
+        right = [g(x) for x in points if x >= z]
+        right += [0.0] * any(x >= z for x in zeros)
+        worst = max(worst, float(g(z) - min(left) - min(right)))
+    return worst
+
+
+def _poly_rows(seed, n):
+    """(spec, a, b, q): poly of degree 2 to 6 with coefficients in [-2, 2],
+    on an interval of width 0.2 to 2, with q in {1, 1.5, 2, 3}."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        spec = FunctionSpec("poly",
+                            rng.uniform(-2.0, 2.0, int(rng.integers(3, 8))))
+        a = float(rng.uniform(-2.0, 1.0))
+        b = a + float(rng.uniform(0.2, 2.0))
+        rows.append((spec, a, b, (1.0, 1.5, 2.0, 3.0)[int(rng.integers(4))]))
+    return rows
+
+
+def _counted_h(fn):
+    """A custom modulus on fn and the list of the arguments it is called
+    with."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+    return HModulus.custom(counted), calls
+
+
+class TestZeroClassRule:
+    """With x = y the class inequality reads g(x) <= 2 h(1/2) g(x): an
+    h-convex claim with h(1/2) < 1/2, or an h-concave one with
+    h(1/2) > 1/2, holds for g = 0 alone, for any modulus."""
+
+    MODULI = [HModulus.power(0.3), HModulus.power(0.5), HModulus.power(0.9),
+              HModulus.constant(), HModulus.reciprocal()]
+    IDS = ["t^0.3", "t^0.5", "t^0.9", "1", "1/t"]
+    # specs whose f' is 0, and one that is not 0 at the midpoint of each
+    ZERO = [FunctionSpec("poly", (5.0,)), FunctionSpec("poly", (-1.0, 0.0)),
+            FunctionSpec("exp", (0.0,)), FunctionSpec("pow", (0.0, 1.5))]
+    NONZERO = [FunctionSpec("poly", (0.0, 1.0, 1.0)),
+               FunctionSpec("exp", (-0.5,)), FunctionSpec("pow", (2.0, 1.5))]
+
+    @staticmethod
+    def _tf(spec, kind, h, q=2.0, a=0.5, b=2.0, given=True):
+        """spec's (f, f') on [a, b] with f' counted, and its argument list."""
+        f, fp = spec.functions()
+        counted, sizes = _counted(fp)
+        cert = ClassCertificate(kind, h, q)
+        return TestFunction(f, counted, a, b, cert, spec=spec if given
+                            else None, skip_derivative_check=True), sizes
+
+    @pytest.mark.parametrize("h", MODULI, ids=IDS)
+    def test_concave_claim_on_spec(self, h):
+        for spec in self.ZERO:
+            tf, sizes = self._tf(spec, ClassKind.H_CONCAVE, h)
+            assert certify_membership(tf) == MembershipReport(
+                True, 0.0, None, "exact")
+            assert sizes == []  # read from the parameters
+        half = h.evaluator(0.5)
+        for spec in self.NONZERO:
+            tf, sizes = self._tf(spec, ClassKind.H_CONCAVE, h)
+            rep = certify_membership(tf)
+            g = abs(spec.functions()[1](1.25)) ** 2.0
+            assert rep == MembershipReport(
+                False, -(g - (half * g + half * g)), (1.25, 1.25, 0.5),
+                "exact", 1.25)
+            assert sizes == [1]
+            assert not _sampled_membership(tf, 2000, 0).holds
+
+    @pytest.mark.parametrize("h", MODULI, ids=IDS)
+    def test_slack_is_the_sampled_checks(self, h):
+        """The witness's slack is what the sampled check computes there."""
+        fp = TestMembershipOnArrays.FUNCTIONS[0][0]
+        tf = TestFunction(lambda x: x, fp, 0.0, 1.5,
+                          ClassCertificate(ClassKind.H_CONCAVE, h, 1.7),
+                          skip_derivative_check=True)
+        rep = certify_membership(tf)
+        x, y, alpha = (np.array([v]) for v in rep.witness)
+        gx, gy, gmid = (np.abs(fp(v)) ** 1.7
+                        for v in (x, y, alpha * x + (1.0 - alpha) * y))
+        slack = -(gmid - (h.evaluator(alpha) * gx
+                          + h.evaluator(1.0 - alpha) * gy))
+        assert rep.worst_violation == float(slack[0]) > 0.0
+
+    @pytest.mark.parametrize("h", [HModulus.identity(), HModulus.power(1.0),
+                                   HModulus.custom(lambda t: t)],
+                             ids=["t", "t^1", "custom-t"])
+    def test_never_at_half_one_half(self, h):
+        """h(1/2) = 1/2 decides nothing: a claim without a spec is
+        sampled."""
+        for kind in ClassKind:
+            tf, _ = self._tf(self.NONZERO[0], kind, h, given=False)
+            assert certify_membership(tf, 500) == _sampled_membership(
+                tf, 500, 0)
+
+    def test_convex_claims_of_named_moduli_untouched(self):
+        for h in self.MODULI:
+            tf, sizes = self._tf(self.NONZERO[0], ClassKind.H_CONVEX, h,
+                                 given=False)
+            assert certify_membership(tf, 500).route == "sampled"
+            assert sizes == [500] * 3
+
+    def test_custom_square_costs_one_call_each(self):
+        """h = t^2 has h(1/2) = 1/4: a false h-convex claim costs one h
+        call and one f' call, and the witness violates the class."""
+        h, calls = _counted_h(lambda t: t * t)
+        fp = TestMembershipOnArrays.FUNCTIONS[0][0]
+        counted, sizes = _counted(fp)
+        tf = TestFunction(lambda x: x, counted, 0.0, 1.5,
+                          ClassCertificate(ClassKind.H_CONVEX, h, 1.0),
+                          skip_derivative_check=True)
+        rep = certify_membership(tf)
+        assert (rep.holds, rep.route, rep.witness) == (
+            False, "exact", (0.75, 0.75, 0.5))
+        assert (calls, sizes) == ([0.5], [1])
+        g = fp(0.75)
+        assert rep.worst_violation == g - (0.25 * g + 0.25 * g) > 0.0
+
+    def test_custom_square_on_zero_spec(self):
+        h, calls = _counted_h(lambda t: t * t)
+        for spec in self.ZERO:
+            calls.clear()
+            tf, sizes = self._tf(spec, ClassKind.H_CONVEX, h)
+            assert certify_membership(tf) == MembershipReport(
+                True, 0.0, None, "exact")
+            assert (calls, sizes) == ([0.5], [])
+
+    def test_custom_true_claim_pays_one_h_call(self):
+        h, calls = _counted_h(math.sqrt)
+        tf, _ = self._tf(self.NONZERO[0], ClassKind.H_CONVEX, h, given=False)
+        assert certify_membership(tf, 300).holds
+        assert len(calls) == 1 + 2 * 300 and calls[0] == 0.5
+
+    @pytest.mark.parametrize("fp, a, b", [
+        # f' = 0 at the midpoint
+        (lambda x: 2.0 * x, -1.0, 1.0),
+        # g there within the sampled check's tolerance of 0
+        (lambda x: 1e-13 + 0.0 * x, 0.0, 1.0),
+        # f' is NaN there: the sampled check raises
+        (lambda x: np.sqrt(x - 0.75), 0.0, 1.0),
+    ], ids=["zero", "tiny", "nan"])
+    def test_undecided_midpoint_falls_through(self, fp, a, b):
+        tf = TestFunction(lambda x: x, fp, a, b,
+                          ClassCertificate(ClassKind.H_CONCAVE,
+                                           HModulus.constant(), 1.0),
+                          skip_derivative_check=True)
+        with np.errstate(invalid="ignore"):
+            try:
+                want = _sampled_membership(tf, 500, 0)
+            except DomainError:
+                with pytest.raises(DomainError, match="NaN at a sampled"):
+                    certify_membership(tf, 500)
+                return
+            assert certify_membership(tf, 500) == want
+
+    def test_overflowing_midpoint_falls_through(self):
+        cert = ClassCertificate(ClassKind.H_CONCAVE, HModulus.constant(), 2.0)
+        tf = TestFunction(lambda x: x, lambda x: np.exp(800.0 * x), 0.0, 1.0,
+                          cert, skip_derivative_check=True)
+        with pytest.raises(OverflowError, match="not finite at a sampled"):
+            certify_membership(tf, 200)
+
+    def test_pow_below_zero_reads_the_midpoint(self):
+        """pow on a < 0 is no spec here: its f' is read at the midpoint,
+        where it is not real."""
+        spec = FunctionSpec("pow", (1.0, 1.5))
+        f, fp = spec.functions()
+        cert = ClassCertificate(ClassKind.H_CONCAVE, HModulus.constant(), 1.0)
+        tf = TestFunction(f, fp, -2.0, -1.0, cert,
+                          skip_derivative_check=True, spec=spec)
+        with pytest.raises(DomainError,
+                           match=r"^f' is not real at x=-1\.5$"):
+            certify_membership(tf, 200)
+
+
+class TestMonotoneRule:
+    """A monotone g >= 0 is a P-function and a Godunova-Levin function:
+    h-convex claims under h = 1 and 1/t on a spec whose |f'| is monotone
+    hold exactly, with no f' call."""
+
+    @pytest.mark.parametrize("spec, a, b", [
+        # |f'| = |1 - x^2| on [0, 0.9]: decreasing, concave
+        (FunctionSpec("poly", (0.0, 1.0, 0.0, -1.0 / 3.0)), 0.0, 0.9),
+        # pow with 0 < q (r - 1) < 1: increasing and concave
+        (FunctionSpec("pow", (2.0, 1.5)), 0.0, 2.0),
+        (FunctionSpec("exp", (-1.0,)), -1.0, 1.0),
+    ], ids=["poly", "pow", "exp"])
+    @pytest.mark.parametrize("h", [HModulus.constant(),
+                                   HModulus.reciprocal()], ids=["1", "1/t"])
+    def test_monotone_holds_without_f_prime(self, spec, a, b, h):
+        tf, sizes = TestZeroClassRule._tf(spec, ClassKind.H_CONVEX, h,
+                                          q=1.0, a=a, b=b)
+        assert certify_membership(tf) == MembershipReport(
+            True, 0.0, None, "exact")
+        assert sizes == []
+        assert _sampled_membership(tf, 2000, 0).holds
+
+    @pytest.mark.parametrize("spec, a, b, monotone", [
+        (FunctionSpec("poly", (0.0, 1.0, 0.0, -1.0 / 3.0)), 0.0, 0.9, True),
+        (FunctionSpec("poly", (0.0, 1.0, 0.0, -1.0 / 3.0)), -0.1, 0.9,
+         False),
+        (FunctionSpec("poly", (0.0, -1.0, 0.0, 1.0 / 3.0)), -0.5, 3.0,
+         False),
+        # p = x^2 on [0, 1]: p p' = 2 x^3 >= 0, a root at the end
+        (FunctionSpec("poly", (0.0, 0.0, 0.0, 1.0 / 3.0)), 0.0, 1.0, True),
+        (FunctionSpec("poly", (0.0, 0.0, 0.0, 1.0 / 3.0)), -0.5, 1.0,
+         False),
+        (FunctionSpec("poly", (3.0, 2.0)), -1.0, 1.0, True),
+    ])
+    def test_monotone_derivative(self, spec, a, b, monotone):
+        assert spec.monotone_derivative(a, b) is monotone
+
+    def test_t_s_is_not_decided_by_monotonicity(self):
+        """g(z) <= alpha^s g(x) + (1 - alpha)^s g(y) can fail for a
+        monotone g, so a t^s claim on one is sampled."""
+        spec = FunctionSpec("pow", (2.0, 1.5))
+        tf, _ = TestZeroClassRule._tf(spec, ClassKind.H_CONVEX,
+                                      HModulus.power(0.5), q=1.0, a=0.0,
+                                      b=2.0)
+        assert certify_membership(tf, 500).route == "sampled"
+
+
+class TestPTest:
+    """h = 1: g >= 0 is a P-function on [a, b] iff g(z) <= min g on
+    [a, z] + min g on [z, b] for every z; a poly: claim is decided so,
+    exactly, but for a tie the bounds cannot separate."""
+
+    @staticmethod
+    def _claim(spec, a, b, q):
+        """certify_membership of the h = 1 claim, f' counted, and the
+        sampled route's report at the CLI's sample count and seed."""
+        tf, sizes = TestZeroClassRule._tf(spec, ClassKind.H_CONVEX,
+                                          HModulus.constant(), q=q, a=a, b=b)
+        rep = certify_membership(tf, 2000, 0)
+        return rep, list(sizes), _sampled_membership(tf, 2000, 0)
+
+    def test_corpus_against_float_referee(self):
+        """On a seeded corpus every h = 1 claim is decided exactly, with no
+        f' call, and agrees with the excess at numpy's roots of p' wherever
+        that is clear of 0; a sampled rejection is an exact one."""
+        rows = _poly_rows(37, 300)
+        rng = np.random.default_rng(38)
+        # dyadic coefficients and ends: shared roots and double roots
+        for _ in range(100):
+            spec = FunctionSpec("poly", tuple(
+                rng.integers(-8, 9, int(rng.integers(3, 8))) / 4.0))
+            a = float(rng.integers(-6, 3)) / 2.0
+            rows.append((spec, a, a + float(rng.integers(1, 6)) / 2.0,
+                         (1.0, 2.0, 3.0)[int(rng.integers(3))]))
+        verdicts = set()
+        for spec, a, b, q in rows:
+            rep, sizes, sampled = self._claim(spec, a, b, q)
+            assert (rep.route, sizes) == ("exact", []), (spec, a, b, q)
+            excess = _p_excess_at_peaks(spec, q, a, b)
+            if abs(excess) > 1e-9:
+                assert rep.holds is (excess < 0.0), (spec, a, b, q, excess)
+            if not sampled.holds:
+                assert not rep.holds, (spec, a, b, q)
+            if not rep.holds:
+                assert rep.witness is None and a < rep.point < b
+                assert rep.worst_violation == 0.0
+            verdicts.add((rep.holds, sampled.holds))
+        assert verdicts == {(True, True), (False, False), (False, True)}
+
+    # claims of _poly_rows(16, 600) that the sampled route, 2,000 samples
+    # at seed 0 as the CLI draws them, accepts, and that are not P-functions
+    FALSE_ACCEPTS = [
+        ((1.8068622139144157, -1.702258588652966, -0.5628700257368906,
+          -0.14367909218062502, 1.845525120102086, 1.061212630419202,
+          0.3657171319350421), 0.20128150985154925, 1.684422863592708, 1.0),
+        ((-0.12161402413717237, -0.6351374030360679, 0.6571364827383039,
+          1.6675939344911894, -0.566998568126198, -1.9895080334727182,
+          0.3004738812009191), 0.4943145319716482, 1.0983665001875753, 1.5),
+        ((0.370038686282125, 0.07731128294994871, 1.3300397318259773,
+          -0.771162953192615, -0.2581258834187725, 1.7648746370777721),
+         -1.569418279500324, -0.4866081766709336, 2.0),
+        ((0.5661856719743219, 0.8393163961719003, -0.7855442222113989,
+          0.003459916761220594, 0.5094765295326464, 0.24812525835825916,
+          1.4670794494565635), -1.849751969711884, -0.33589197636085966,
+         2.0),
+        ((-0.5362166365594292, -0.4331987289058685, -1.1911412400586734,
+          0.4595738363027566, -1.342352904868318, 0.707168875705956),
+         -0.5254372145235959, 1.1527788030482815, 1.5),
+        ((0.8533613230464647, -0.43478465981772274, -1.9564019956367877,
+          -1.235201094185007, 0.039954879729900306, 1.1845450416227257),
+         0.6823320902811432, 2.3330299034252615, 1.0),
+        ((1.4484105300143808, -1.1595377277684218, 1.5641764843179278,
+          1.0044617115031365, -1.0118290580612896), 0.7395443543207434,
+         1.8799470820387, 1.0),
+        ((-0.7050699620376477, -1.1977622581557514, 0.1313762741793325,
+          0.4510824912278335, -0.6629496756625111, 1.1701758486010005,
+          -1.1496560054133798), -1.0221684164485103, 0.018986331573767723,
+         1.0),
+    ]
+
+    def test_false_accepts_are_the_corpus(self):
+        found = []
+        for spec, a, b, q in _poly_rows(16, 600):
+            rep, _, sampled = self._claim(spec, a, b, q)
+            if sampled.holds and not rep.holds:
+                found.append((spec.params, a, b, q))
+        assert found == self.FALSE_ACCEPTS
+
+    @pytest.mark.parametrize("params, a, b, q", FALSE_ACCEPTS)
+    def test_sampled_false_accept_rejected(self, params, a, b, q):
+        spec = FunctionSpec("poly", params)
+        rep, sizes, sampled = self._claim(spec, a, b, q)
+        assert sampled.holds and sizes == []
+        assert (rep.holds, rep.route, rep.witness) == (False, "exact", None)
+        assert _p_excess(spec, q, a, b, rep.point) > 0.0
+
+    @pytest.mark.parametrize("params, a, b, q, holds", [
+        # 3|x^2 - 1/3| peaks at 0 between two roots: 1 > 0 + 0
+        ((0.0, -1.0, 0.0, 1.0), -1.0, 1.0, 1.0, False),
+        # 6 - 3x^2: g(0) = 36 > 9 + 9 at q = 2
+        ((0.0, 6.0, 0.0, -1.0), -1.0, 1.0, 2.0, False),
+        # |x^2 - 1| on [-3, 0.5]: peaks at 0, a root on its left
+        ((0.0, -1.0, 0.0, 1.0 / 3.0), -3.0, 0.5, 1.0, False),
+        # a double root of p at 0 and p' roots at 0 and 2/3: 4x^2 (1 - x)
+        ((0.0, 0.0, 0.0, 4.0 / 3.0, -1.0), -0.5, 1.0, 1.0, False),
+        ((0.0, 0.0, 0.0, 4.0 / 3.0, -1.0), 0.5, 0.9, 1.0, True),
+        # a constant, and a tiny one next to 1 that the float scale keeps
+        ((0.0, 2.0), -1.0, 1.0, 3.0, True),
+        ((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-300), -1.0, 1.0, 1.0,
+         True),
+    ], ids=["between-roots", "peak-q2", "root-left", "double-root",
+            "double-root-outside", "constant", "tiny-term"])
+    def test_decided(self, params, a, b, q, holds):
+        spec = FunctionSpec("poly", params)
+        assert spec.p_test(q, a, b) is True if holds \
+            else a <= spec.p_test(q, a, b) <= b
+        rep, sizes, _ = self._claim(spec, a, b, q)
+        assert (rep.holds, rep.route, sizes) == (holds, "exact", [])
+
+    def test_exact_tie_is_sampled(self):
+        """6 - 3x^2 on [-1, 1] at q = 1: g(0) = 6 = g(-1) + g(1)."""
+        spec = FunctionSpec("poly", (0.0, 6.0, 0.0, -1.0))
+        assert spec.p_test(1.0, -1.0, 1.0) is None
+        rep, sizes, sampled = self._claim(spec, -1.0, 1.0, 1.0)
+        assert rep == sampled and rep.route == "sampled"
+        assert sizes == [2000] * 3
+
+    def test_past_the_float_range_is_sampled(self):
+        """g = |1e300 (1 - 3x^2)|^3 is not a float: the sampled check
+        raises as it does for any such g."""
+        spec = FunctionSpec("poly", (0.0, 1e300, 0.0, -1e300))
+        assert spec.p_test(3.0, -1.0, 1.0) is None
+        tf, _ = TestZeroClassRule._tf(spec, ClassKind.H_CONVEX,
+                                      HModulus.constant(), q=3.0, a=-1.0,
+                                      b=1.0)
+        with pytest.raises(OverflowError, match="not finite"):
+            certify_membership(tf, 200)
+
+
+def _known_roots(rng):
+    """Dyadic roots, some double or triple, and the integer polynomial
+    with just these roots and a random leading coefficient."""
+    roots = [Fraction(int(rng.integers(-8, 9)), 2 ** int(rng.integers(3)))
+             for _ in range(int(rng.integers(0, 5)))]
+    roots += roots[:int(rng.integers(0, 3))]  # double or triple
+    coeffs = [Fraction(int(rng.choice([-3, -1, 1, 2])))]
+    for root in roots:  # times (x - root)
+        coeffs = [(coeffs[i - 1] if i else 0)
+                  - root * (coeffs[i] if i < len(coeffs) else 0)
+                  for i in range(len(coeffs) + 1)]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return roots, [int(c * scale) for c in coeffs]
+
+
+def _interval(rng):
+    lo = Fraction(int(rng.integers(-20, 11)), 4)
+    return lo, lo + Fraction(int(rng.integers(1, 41)), 4)
+
+
 class TestNegativePoint:
     """sturm.negative_point against polynomials with known real roots,
     single and multiple, some on the ends of the interval."""
@@ -1007,19 +1503,8 @@ class TestNegativePoint:
     def test_against_known_roots(self):
         rng = np.random.default_rng(37)
         for _ in range(400):
-            roots = [Fraction(int(rng.integers(-8, 9)),
-                              2 ** int(rng.integers(3)))
-                     for _ in range(int(rng.integers(0, 5)))]
-            roots += roots[:int(rng.integers(0, 3))]  # double or triple
-            coeffs = [Fraction(int(rng.choice([-3, -1, 1, 2])))]
-            for root in roots:  # times (x - root)
-                coeffs = [(coeffs[i - 1] if i else 0)
-                          - root * (coeffs[i] if i < len(coeffs) else 0)
-                          for i in range(len(coeffs) + 1)]
-            scale = math.lcm(*(c.denominator for c in coeffs))
-            r = [int(c * scale) for c in coeffs]
-            lo = Fraction(int(rng.integers(-20, 11)), 4)
-            hi = lo + Fraction(int(rng.integers(1, 41)), 4)
+            roots, r = _known_roots(rng)
+            lo, hi = _interval(rng)
             got = negative_point(r, lo.as_integer_ratio(),
                                  hi.as_integer_ratio())
             cuts = sorted({lo, hi, *(x for x in roots if lo < x < hi)})
@@ -1029,3 +1514,61 @@ class TestNegativePoint:
             if got is not None:
                 x = Fraction(*got)
                 assert lo <= x <= hi and _poly_value(r, x) < 0
+
+
+class TestRootIsolation:
+    """sturm's roots, halve, has_root, value_range and strip_common against
+    polynomials with known dyadic roots, some on the ends of the
+    interval."""
+
+    def test_roots_and_halve(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            roots, r = _known_roots(rng)
+            lo, hi = _interval(rng)
+            free, found = sturm.roots(r, lo.as_integer_ratio(),
+                                      hi.as_integer_ratio())
+            inside = sorted({x for x in roots if lo < x < hi})
+            assert len(found) == len(inside), (roots, lo, hi)
+            for root, interval in zip(inside, found):
+                for _ in range(12):
+                    u, v = (Fraction(*end) for end in interval)
+                    assert lo <= u <= root <= v <= hi
+                    assert u == v or (_poly_value(free, u)
+                                      * _poly_value(free, v) < 0)
+                    interval = sturm.halve(free, interval)
+
+    def test_has_root(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            roots, r = _known_roots(rng)
+            lo, hi = _interval(rng)
+            assert sturm.has_root(r, lo.as_integer_ratio(),
+                                  hi.as_integer_ratio()) \
+                is any(lo <= x <= hi for x in roots)
+
+    def test_value_range(self):
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            _, r = _known_roots(rng)
+            lo, hi = _interval(rng)
+            m, n, d = sturm.value_range(r, lo.as_integer_ratio(),
+                                        hi.as_integer_ratio())
+            for k in range(9):
+                value = _poly_value(r, lo + (hi - lo) * k / 8)
+                assert Fraction(m, d) <= value <= Fraction(n, d)
+            m, n, d = sturm.value_range(r, lo.as_integer_ratio(),
+                                        lo.as_integer_ratio())
+            assert Fraction(m, d) == Fraction(n, d) == _poly_value(r, lo)
+
+    def test_strip_common(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            (f_roots, f), (g_roots, g) = _known_roots(rng), _known_roots(rng)
+            # a root f has m times and g k times is left max(m - k, 0) times
+            kept = {x: f_roots.count(x) - g_roots.count(x)
+                    for x in f_roots if f_roots.count(x) > g_roots.count(x)}
+            out = sturm.strip_common(f, g)
+            assert len(out) - 1 == sum(kept.values())
+            for x in set(f_roots):
+                assert (_poly_value(out, x) == 0) is (x in kept)

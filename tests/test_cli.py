@@ -825,12 +825,17 @@ class TestOncePerJob:
         ([*VERIFY_SQUARE, "--q-grid", "1", "1.5", "2"], 0),
         (["sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
           "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"], 0),
-        # |f'| = 1.5 - x^2 is concave, so the h = 1 claim is sampled; it
-        # holds, since |f'|^q stays within a factor 2 on the interval
+        # |f'| = 1.5 - x^2 is concave and not monotone, so the t^s claim is
+        # sampled
+        (["verify", "--function", "poly:0,1.5,0,-0.3333333333333333",
+          "--interval", "-0.5", "0.5", "--h", "t^s", "--s", "0.5",
+          "--q-grid", "1", "1.5", "2"], 3),
+        # the h = 1 claim is P-tested: it holds, since |f'|^q stays within
+        # a factor 2 on the interval
         (["verify", "--function", "poly:0,1.5,0,-0.3333333333333333",
           "--interval", "-0.5", "0.5", "--h", "1", "--q-grid", "1", "1.5",
-          "2"], 3),
-    ], ids=["verify", "sweep", "verify-sampled"])
+          "2"], 0),
+    ], ids=["verify", "sweep", "verify-sampled", "verify-p-test"])
     def test_counts(self, capsys, monkeypatch, argv, draws):
         counts = {"parse": 0, "check": 0, "draw": 0, "mean": 0}
         parse = cli.parse_function
@@ -1070,9 +1075,70 @@ class TestFirstError:
         code, _, err = run_cli(capsys, GOLDEN["verify_rejected.csv"][1])
         assert code == 1
         assert err == (
+            "certificate rejected at q=1.0, s=None (exact): |f'|^q fails at "
+            "x=0.0\n"
             "first violation: {'alpha': 0.0, 'lambda': 0.0, 'q': 1.0, "
             "'s': None, 'branch': 'rejected', 'lhs': None, 'rhs': None, "
             "'margin': None, 'sound': False}\n")
+
+
+class TestRejectionLine:
+    """verify names where each rejected block's claim fails, one stderr
+    line per block: the exact point, or the witness and its slack."""
+
+    def test_zero_class_witness(self, capsys):
+        # h = 1 makes every h-concave claim on a nonzero f' false: the
+        # midpoint 0.5 is the witness, with the sampled check's slack there
+        code, out, err = run_cli(capsys, [
+            "verify", "--function", "exp:1", "--interval", "0", "1", "--h",
+            "1", "--concave", "--bound", "holder-concave", "--q-grid", "2",
+            "3"])
+        assert code == 1
+        assert [row.split(",")[4] for row in out.splitlines()[1:]] \
+            == ["rejected"] * 2
+        lines = err.splitlines()
+        for q, line in zip((2.0, 3.0), lines):
+            g = math.exp(0.5) ** q
+            assert line == (f"certificate rejected at q={q!r}, s=None "
+                            f"(exact): slack {-(g - (g + g))!r} at "
+                            f"(x, y, alpha) = (0.5, 0.5, 0.5)")
+        assert len(lines) == 3 and lines[2].startswith("first violation: ")
+
+    def test_sampled_witness(self, capsys):
+        # 3|x^2 - 1/3| under t^s: neither convex nor monotone, so sampled
+        argv = ["verify", "--function", "poly:0,-1,0,1", "--interval", "-1",
+                "1", "--h", "t^s", "--s", "0.5", "0.7"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for s, line in zip((0.5, 0.7), lines):
+            head = f"certificate rejected at q=1.0, s={s!r} (sampled): slack "
+            assert line.startswith(head) and " at (x, y, alpha) = (" in line
+
+    def test_sweep_prints_none(self, capsys):
+        code, _, err = run_cli(capsys, GOLDEN["sweep_rejected.csv"][1])
+        assert (code, err) == (1, "")
+
+    # two claims the sampled route accepts and the P-test rejects, from
+    # tests/test_classes.py's TestPTest.FALSE_ACCEPTS
+    @pytest.mark.parametrize("spec, a, b, q", [
+        ("poly:1.4484105300143808,-1.1595377277684218,1.5641764843179278,"
+         "1.0044617115031365,-1.0118290580612896", "0.7395443543207434",
+         "1.8799470820387", "1"),
+        ("poly:0.370038686282125,0.07731128294994871,1.3300397318259773,"
+         "-0.771162953192615,-0.2581258834187725,1.7648746370777721",
+         "-1.569418279500324", "-0.4866081766709336", "2"),
+    ], ids=["q1", "q2"])
+    def test_p_test_point(self, capsys, spec, a, b, q):
+        code, out, err = run_cli(capsys, [
+            "verify", "--function", spec, "--interval", a, b, "--h", "1",
+            "--q-grid", q])
+        assert code == 1 and out.splitlines()[1].split(",")[4] == "rejected"
+        line = err.splitlines()[0]
+        head = f"certificate rejected at q={float(q)!r}, s=None (exact): "
+        assert line.startswith(head + "|f'|^q fails at x=")
+        assert float(a) < float(line.rsplit("=", 1)[1]) < float(b)
 
 
 def _poly_at(coeffs, x):
