@@ -7,11 +7,11 @@ class.  A :class:`TestFunction` bundles an evaluable (f, f') pair with the
 class certificate claimed for |f'|^q; :func:`certify_membership` decides
 that claim.  For an f given as a :class:`FunctionSpec` (the command line's
 poly:, exp: and pow: families) and a named modulus it decides exactly
-whether |f'|^q is convex, or concave, on [a, b]: a convex |f'|^q is h-convex
-for t, t^s, 1 and 1/t, and for h = t convexity (concavity) is the claim
-itself.  Every other claim is spot-checked by sampling, which keeps the last
-draw of f' samples, so checks of one f' with several q, h or classes
-evaluate f' once.
+whether |f'|^q is convex, or concave, on [a, b], and a P-function: a convex
+|f'|^q is h-convex for t, t^s, 1 and 1/t, for h = t convexity (concavity)
+is the claim itself, and for h = 1 so is a P-function.  Every other claim
+is spot-checked by sampling, which keeps the last draw of f' samples, so
+checks of one f' with several q, h or classes evaluate f' once.
 
 This is the one module that calls a custom modulus's fn and checks what it
 returns: a value must be a float, or convert to one, in [0, inf), else
@@ -298,32 +298,24 @@ class FunctionSpec:
             return self.params[0] * self.params[1] == 0.0
         return self.params[0] == 0.0
 
-    def monotone_derivative(self, a: float, b: float) -> bool:
-        """Whether |f'| is monotone on [a, b]: always for exp, and for pow,
-        which needs a >= 0; for poly where p p' keeps one sign, p = f'."""
+    def p_test(self, q: float, a: float, b: float):
+        """Whether g = |f'|^q is a P-function on [a, b]: True if it is, a
+        point of [a, b] where it fails, or None where the bounds below
+        cannot tell, as at an exact tie or past the float range.
+
+        A monotone g >= 0 is one, so exp, and pow for a >= 0, are.  For
+        poly, g >= 0 is one iff g(z) - min g on [a, z] - min g on [z, b]
+        <= 0 for every z.  Where |f'| is monotone that excess peaks at an
+        end of the stretch, so it is tested at the roots of p' that are not
+        roots of p = f'.  Each root lies in a dyadic interval on which the
+        Sturm chain bounds p exactly and the q-th power is rounded outward;
+        the intervals are halved until the bounds of some excess lie above
+        0, or those of every excess at or below it, or |p| at the root lies
+        at or below |p| on a whole side, compared in integers: that settles
+        a monotone |f'| where the floats tie.
+        """
         if self.family != "poly":
             return True
-        from .sturm import derivative, integer_poly, mul, negative_point, times
-        p = integer_poly(self.derivative_coeffs)
-        r = mul(p, derivative(p))
-        lo, hi = float(a).as_integer_ratio(), float(b).as_integer_ratio()
-        return (negative_point(r, lo, hi) is None
-                or negative_point(times(-1, r), lo, hi) is None)
-
-    def p_test(self, q: float, a: float, b: float):
-        """For poly, whether g = |f'|^q is a P-function on [a, b]: True if
-        it is, a point of [a, b] where it fails, or None where the bounds
-        below cannot tell, as at an exact tie.
-
-        g >= 0 is one iff g(z) <= g(x) + g(y) for x <= z <= y, that is iff
-        g(z) - min g on [a, z] - min g on [z, b] <= 0 for every z.  Where
-        |f'| is monotone that excess peaks at an end of the stretch, so it
-        is tested at the roots of p' that are not roots of p = f': at a, b
-        and the roots of p it is <= 0.  Each root lies in a dyadic interval
-        on which the Sturm chain bounds p exactly and the q-th power is
-        rounded outward; the intervals are halved until the bounds of some
-        excess lie above 0, or those of every excess at or below it.
-        """
         try:
             verdict = _poly_p_test(self.derivative_coeffs, float(q),
                                    float(a), float(b))
@@ -394,7 +386,8 @@ def _poly_p_test(coeffs, q, a, b):
     unit = max(c.as_integer_ratio()[1] for c in coeffs)  # p's scale
 
     def g_range(x, y):
-        """Floats bounding g on [x, y], or None if p may vanish there."""
+        """(g_lo, g_hi, m, n, d), g_lo <= g <= g_hi and m/d <= |p| <= n/d
+        on [x, y], or None if p may vanish there."""
         m, n, d = value_range(p, x, y)
         if m < 0 < n:
             return None
@@ -402,9 +395,10 @@ def _poly_p_test(coeffs, q, a, b):
         high = _power_outward(n / (d * unit), q, math.inf)
         if high == math.inf:
             raise OverflowError("|f'|^q is not finite")
-        return _power_outward(m / (d * unit), q, 0.0), high
+        return _power_outward(m / (d * unit), q, 0.0), high, m, n, d
 
     ends = g_range(lo, lo), g_range(hi, hi)
+    zero = (0.0, 0.0, 0, 0, 1)  # the range of g at a root of p
     free, peaks = roots(strip_common(dp, p), lo, hi)
     zeros = None  # whether p has a root left, and right, of each peak
     for _ in range(_P_TEST_HALVINGS):
@@ -414,16 +408,19 @@ def _poly_p_test(coeffs, q, a, b):
                 zeros = [(has_root(p, lo, l), has_root(p, u, hi))
                          for l, u in peaks]
             tie = False
-            for j, (g_lo, g_hi) in enumerate(ranges):
+            for j, (g_lo, g_hi, _, n, d) in enumerate(ranges):
                 # bounds of g's least value on [a, z] and on [z, b]
                 left_zero, right_zero = zeros[j]
-                left = [ends[0], *ranges[:j]] + [(0.0, 0.0)] * left_zero
-                right = [ends[1], *ranges[j + 1:]] + [(0.0, 0.0)] * right_zero
-                l_lo, l_hi = map(min, zip(*left))
-                r_lo, r_hi = map(min, zip(*right))
+                left = [ends[0], *ranges[:j]] + [zero] * left_zero
+                right = [ends[1], *ranges[j + 1:]] + [zero] * right_zero
+                l_lo, l_hi, *_ = map(min, zip(*left))
+                r_lo, r_hi, *_ = map(min, zip(*right))
                 if math.fsum((g_lo, -l_hi, -r_hi)) > 0.0:
                     return midpoint(*peaks[j])
-                tie = tie or math.fsum((g_hi, -l_lo, -r_lo)) > 0.0
+                if math.fsum((g_hi, -l_lo, -r_lo)) > 0.0:
+                    tie = tie or not any(
+                        all(n * e <= m * d for _, _, m, _, e in side)
+                        for side in (left, right))
             if not tie:
                 return True
         halved = [halve(free, iv) for iv in peaks]
@@ -584,8 +581,8 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
 
     - **Shape**, for a spec and a named h (:meth:`FunctionSpec.shape_failure`):
       a convex g is h-convex for h = t, t^s, 1 and 1/t, since h(t) >= t on
-      (0, 1) for each; and for h = t, a g that is not convex (concave) is
-      not h-convex (h-concave).
+      (0, 1) for each; and for h = t, or t^s at s = 1, a g that is not
+      convex (concave) is not h-convex (h-concave).
     - **Zero class**, for any h, h(1/2) read once: with x = y the class
       inequality reads g(x) <= 2 h(1/2) g(x), so an h-convex claim with
       h(1/2) < 1/2, or an h-concave one with h(1/2) > 1/2, holds for
@@ -595,16 +592,15 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
       through :meth:`TestFunction.sample`, and rejected with the witness
       (x, x, 0.5) when g(x) is finite and the slack there exceeds the
       sampled check's tolerance.  Else the claim is sampled.
-    - **Monotone**, for a spec claimed h-convex under h = 1 or 1/t: a
-      monotone g >= 0 is a P-function and a Godunova-Levin function
-      (:meth:`FunctionSpec.monotone_derivative`).
-    - **P-test**, for a poly spec claimed h-convex under h = 1
-      (:meth:`FunctionSpec.p_test`); a tie it cannot separate is sampled.
+    - **P-test**, for a spec claimed h-convex under h = 1 or 1/t
+      (:meth:`FunctionSpec.p_test`): a P-function is the claim under 1,
+      and a Godunova-Levin function.  A point where g fails rejects an
+      h = 1 claim; a 1/t claim it fails, and a tie, are sampled.
 
     Every other claim is sampled: a custom h that passes the h(1/2) test,
-    a TestFunction without a spec, and t^s and 1/t claims on a g that is
-    neither convex nor monotone.  The sampled check draws (x, y, alpha)
-    triples and reports the worst signed violation of
+    a TestFunction without a spec, t^s claims on a g that is not convex,
+    and 1/t claims on a g that is not a P-function.  The sampled check
+    draws (x, y, alpha) triples and reports the worst signed violation of
     g(alpha*x + (1-alpha)*y) <= h(alpha)*g(x) + h(1-alpha)*g(y) (inequality
     reversed for h-concave certificates).  A sampled certificate, not a
     proof: it guards against user error only.  A sample where f' is NaN
@@ -628,12 +624,12 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     spec = tf.spec
     if spec is not None and spec.family == "pow" and tf.a < 0.0:
         spec = None
-    if spec is not None and kind is not HKind.CUSTOM and (
-            kind is HKind.IDENTITY or not concave):
+    is_t = kind is HKind.IDENTITY or cert.h.s_param == 1.0  # t, or t^1
+    if spec is not None and kind is not HKind.CUSTOM and (is_t or not concave):
         point = spec.shape_failure(q, tf.a, tf.b, concave)
         if point is None:
             return _EXACT_HOLDS
-        if kind is HKind.IDENTITY:
+        if is_t:
             return MembershipReport(False, 0.0, None, "exact", point)
     half = cert.h.evaluator(0.5)
     if (half > 0.5) if concave else (half < 0.5):
@@ -652,14 +648,11 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
             return MembershipReport(False, slack, (x, x, 0.5), "exact", x)
     elif spec is not None and not concave and kind in (HKind.CONSTANT,
                                                        HKind.RECIPROCAL):
-        if spec.monotone_derivative(tf.a, tf.b):
+        verdict = spec.p_test(q, tf.a, tf.b)
+        if verdict is True:
             return _EXACT_HOLDS
-        if kind is HKind.CONSTANT and spec.family == "poly":
-            verdict = spec.p_test(q, tf.a, tf.b)
-            if verdict is True:
-                return _EXACT_HOLDS
-            if verdict is not None:
-                return MembershipReport(False, 0.0, None, "exact", verdict)
+        if verdict is not None and kind is HKind.CONSTANT:
+            return MembershipReport(False, 0.0, None, "exact", verdict)
     return _sampled_membership(tf, n_samples, seed)
 
 

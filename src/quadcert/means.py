@@ -36,13 +36,10 @@ def log_mean(a: float, b: float) -> float:
     return (b - a) / (math.log(abs(b)) - math.log(abs(a)))
 
 
-def _log_ratio(a: float, b: float, p: float):
-    """(c, d, x, L) for the mean of t^p over [a, b], 0 < a != b, p != -1:
-    c is the end whose power dominates (the larger for p > -1, the smaller
-    for p < -1), d the other, x = (d - c)/c and L = ln(d/c), log1p(x)
-    where |x| <= 1/2, so that d - c is exact, log(d/c) beyond, and
-    log(d) - log(c) where d/c is not a normal float."""
-    c, d = (max(a, b), min(a, b)) if p > -1.0 else (min(a, b), max(a, b))
+def _log_ratio(c: float, d: float):
+    """(x, L) for ends c, d > 0, c != d: x = (d - c)/c and L = ln(d/c),
+    log1p(x) where |x| <= 1/2, so that d - c is exact, log(d/c) beyond,
+    and log(d) - log(c) where d/c is not a normal float."""
     x = (d - c) / c
     if abs(x) <= 0.5:
         log_ratio = math.log1p(x)
@@ -50,16 +47,18 @@ def _log_ratio(a: float, b: float, p: float):
         log_ratio = math.log(d / c)
     else:  # d/c underflows or overflows, or is subnormal and inexact
         log_ratio = math.log(d) - math.log(c)
-    return c, d, x, log_ratio
+    return x, log_ratio
 
 
 def _power_mean_value(a: float, b: float, p: float) -> float:
     """The mean of t^p over [a, b], (b^(p+1) - a^(p+1))/((p+1)(b-a)), for
     0 < a != b and p != -1, in a form that does not cancel: c^p
-    expm1((p+1) L)/((p+1) x), with c, x and L of :func:`_log_ratio`.  The
-    argument of expm1 is <= 0.
+    expm1((p+1) L)/((p+1) x), with x and L of :func:`_log_ratio` and c the
+    end whose power dominates, the larger for p > -1 and the smaller below.
+    The argument of expm1 is <= 0.
     """
-    c, d, x, log_ratio = _log_ratio(a, b, p)
+    c, d = (max(a, b), min(a, b)) if p > -1.0 else (min(a, b), max(a, b))
+    x, log_ratio = _log_ratio(c, d)
     ratio = math.expm1((p + 1.0) * log_ratio) / (p + 1.0)
     if p > -1.0:  # ratio/x lies between 1 and 1/(p+1)
         return c ** p * (ratio / x)
@@ -71,12 +70,14 @@ def _power_mean_value(a: float, b: float, p: float) -> float:
 def p_log_mean(a: float, b: float, p: float) -> float:
     """((b^(p+1) - a^(p+1)) / ((p+1)(b-a)))^(1/p).
 
-    For |p| > 1/2 the 1/p-th root of :func:`_power_mean_value`.  Nearer 0
-    that root would multiply the mean's error by 1/|p|, so it is taken as
-    c exp((log1p(y) - log1p(p))/p) with c and L of :func:`_log_ratio`: the
-    mean is c^p (1 + y)/(1 + p), y = e^L expm1(pL)/expm1(L).  e^L expm1(pL)
-    is written -e^((1+p)L) expm1(-pL) for p < 0, where expm1(pL) can
-    overflow; neither form cancels.
+    Taken as c exp(ln(R)/p), c = max(a, b) and R the mean over c^p, with
+    x and L of :func:`_log_ratio`, not as the 1/p-th root of the mean,
+    which multiplies its error by 1/|p| and fails where c^p is no float.
+    For p >= -1/2, R = (1 + y)/(1 + p), y = e^L expm1(pL)/expm1(L); e^L
+    expm1(pL) is written -e^((1+p)L) expm1(-pL) for p < 0, where expm1(pL)
+    can overflow; neither form cancels.  Below -1/2, R = expm1(u)/((p+1)x),
+    u = (p+1)L, and ln R = u + ln(-expm1(-u)/((p+1)x)) below -1, where e^u
+    can overflow.  The error, about 2^-53 |ln(c/L_p)|, is small near -1.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError("p-logarithmic mean needs a, b > 0")
@@ -84,9 +85,14 @@ def p_log_mean(a: float, b: float, p: float) -> float:
         raise DomainError("p-logarithmic mean needs a != b")
     if p in (-1.0, 0.0):
         raise DomainError("p must avoid {-1, 0}")
-    if abs(p) > 0.5:
-        return _power_mean_value(a, b, p) ** (1.0 / p)
-    c, _, _, log_ratio = _log_ratio(a, b, p)
+    c = max(a, b)
+    x, log_ratio = _log_ratio(c, min(a, b))
+    if p < -0.5:
+        u, k = (p + 1.0) * log_ratio, (p + 1.0) * x
+        log_r = (math.log(math.expm1(u) / k) if p > -1.0
+                 else u + math.log(-math.expm1(-u) / k))
+        t = log_r / p  # ln(L_p/c), past -745 where b/a is past 1e308
+        return c * math.exp(t) if t > -700.0 else math.exp(math.log(c) + t)
     if p > 0.0:
         y = math.exp(log_ratio) * math.expm1(p * log_ratio)
     else:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,17 @@ class TestBadCustomValues:
         tf = TestFunction(lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, cert)
         with pytest.raises(EvaluationError, match="custom modulus"):
             certify_membership(tf, n_samples=200)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf],
+                             ids=["nan", "negative", "inf"])
+    def test_pair_integrand_reflected_value(self, bad):
+        """The integrand that weighs h(t) and h(1 - t) checks h(1 - t) as
+        well, once h(t) has passed, and names 1 - t."""
+        h = HModulus.custom(lambda t: t if t < 0.9 else bad)
+        g = h.moment_integrand(0.3, 1.0, 2.0)
+        assert g(0.5) == 0.2 * (0.5 + 2.0 * 0.5)
+        with pytest.raises(EvaluationError, match=r"at t=0\.95$"):
+            g(0.05)
 
     @staticmethod
     def _tf(fn):
@@ -1021,17 +1033,24 @@ class TestExactMembership:
             False, "exact", point)
 
     # |f'| = 1.5 - x^2 on [-0.5, 0.5] is concave, not convex, and not
-    # monotone: under a modulus other than t its shape settles no claim
+    # monotone: under a modulus other than t its shape settles no claim.
+    # It is a P-function, so the P-test settles its 1 and 1/t claims
     CAP = FunctionSpec("poly", (0.0, 1.5, 0.0, -0.3333333333333333))
+    # |f'| = 3|x^2 - 1/3| on [-1, 1] is neither convex nor a P-function
+    NOT_P = FunctionSpec("poly", (0.0, -1.0, 0.0, 1.0))
 
-    @pytest.mark.parametrize("h, kind", [
-        (HModulus.power(0.5), ClassKind.H_CONVEX),
-        (HModulus.reciprocal(), ClassKind.H_CONVEX)],
+    @pytest.mark.parametrize("h, kind, spec, a, b", [
+        (HModulus.power(0.5), ClassKind.H_CONVEX, CAP, -0.5, 0.5),
+        (HModulus.reciprocal(), ClassKind.H_CONVEX, NOT_P, -1.0, 1.0)],
         ids=["ClassKind.H_CONVEX-t^s", "ClassKind.H_CONVEX-1/t"])
-    def test_undecided_claim_is_sampled(self, h, kind):
-        """Nor does any other exact rule settle the t^s and 1/t claims."""
-        exact, sampled = _both_routes(self.CAP, -0.5, 0.5, 1.0, kind, h)
+    def test_undecided_claim_is_sampled(self, h, kind, spec, a, b):
+        """Nor does any other exact rule settle the t^s claim, or the 1/t
+        claim on a g that is not a P-function, which the sampled route
+        rejects."""
+        exact, sampled = _both_routes(spec, a, b, 1.0, kind, h)
         assert exact == sampled and exact.route == "sampled"
+        if h.kind is HKind.RECIPROCAL:
+            assert not sampled.holds
 
     @pytest.mark.parametrize("h", [
         HModulus.power(0.5), HModulus.constant(), HModulus.reciprocal()],
@@ -1057,6 +1076,29 @@ class TestExactMembership:
                                           HModulus.constant())
             assert (exact.holds, exact.route) == (True, "exact")
             assert sampled.holds
+
+    def test_convex_claim_under_reciprocal_is_p_tested(self):
+        """A P-function is a Godunova-Levin function: the P-test accepts
+        the cap's 1/t claims exactly, and the sampled route accepts them."""
+        for q in (1.0, 1.5, 2.0):
+            exact, sampled = _both_routes(self.CAP, -0.5, 0.5, q,
+                                          ClassKind.H_CONVEX,
+                                          HModulus.reciprocal())
+            assert (exact.holds, exact.route) == (True, "exact")
+            assert sampled.holds
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_t_to_the_one_is_t(self, kind):
+        """h = t^s at s = 1 is h = t: each claim gets t's exact verdict and
+        point, where the h-concave claims were once sampled."""
+        routes = set()
+        for spec, a, b, q in _spec_rows(40, 90):
+            as_t, _ = _both_routes(spec, a, b, q, kind)
+            as_power, _ = _both_routes(spec, a, b, q, kind,
+                                       HModulus.power(1.0))
+            assert as_power == as_t, (spec, a, b, q)
+            routes.add((as_power.route, as_power.holds))
+        assert routes == {("exact", True), ("exact", False)}
 
     def test_custom_modulus_is_sampled(self):
         spec = FunctionSpec("poly", (0.0, 0.0, 1.0))
@@ -1299,8 +1341,8 @@ class TestZeroClassRule:
 
 class TestMonotoneRule:
     """A monotone g >= 0 is a P-function and a Godunova-Levin function:
-    h-convex claims under h = 1 and 1/t on a spec whose |f'| is monotone
-    hold exactly, with no f' call."""
+    the P-test accepts h-convex claims under h = 1 and 1/t on a spec whose
+    |f'| is monotone, exactly, with no f' call."""
 
     @pytest.mark.parametrize("spec, a, b", [
         # |f'| = |1 - x^2| on [0, 0.9]: decreasing, concave
@@ -1323,6 +1365,7 @@ class TestMonotoneRule:
         (FunctionSpec("poly", (0.0, 1.0, 0.0, -1.0 / 3.0)), 0.0, 0.9, True),
         (FunctionSpec("poly", (0.0, 1.0, 0.0, -1.0 / 3.0)), -0.1, 0.9,
          False),
+        # |x^2 - 1| on [-0.5, 3]: Godunova-Levin, not a P-function
         (FunctionSpec("poly", (0.0, -1.0, 0.0, 1.0 / 3.0)), -0.5, 3.0,
          False),
         # p = x^2 on [0, 1]: p p' = 2 x^3 >= 0, a root at the end
@@ -1332,7 +1375,72 @@ class TestMonotoneRule:
         (FunctionSpec("poly", (3.0, 2.0)), -1.0, 1.0, True),
     ])
     def test_monotone_derivative(self, spec, a, b, monotone):
-        assert spec.monotone_derivative(a, b) is monotone
+        """Each h = 1 and 1/t claim agrees with the sampled route, and one
+        on a monotone |f'| holds exactly with no f' call."""
+        for h in (HModulus.constant(), HModulus.reciprocal()):
+            tf, sizes = TestZeroClassRule._tf(spec, ClassKind.H_CONVEX, h,
+                                              q=1.0, a=a, b=b)
+            rep = certify_membership(tf, 2000, 0)
+            calls = list(sizes)
+            sampled = _sampled_membership(tf, 2000, 0)
+            if monotone:
+                assert (rep, calls) == (MembershipReport(
+                    True, 0.0, None, "exact"), [])
+            if rep.route == "sampled":
+                assert rep == sampled
+            assert rep.holds is sampled.holds, h
+
+    def test_godunova_levin_not_p_function(self):
+        """|x^2 - 1| on [-0.5, 3] fails the P-test at 0.15625, so its h = 1
+        claim is rejected exactly; that point settles no 1/t claim, which
+        is sampled, and holds."""
+        spec = FunctionSpec("poly", (0.0, -1.0, 0.0, 1.0 / 3.0))
+        one, _ = _both_routes(spec, -0.5, 3.0, 1.0, ClassKind.H_CONVEX,
+                              HModulus.constant())
+        assert (one.holds, one.route, one.point) == (False, "exact",
+                                                     0.15625)
+        exact, sampled = _both_routes(spec, -0.5, 3.0, 1.0,
+                                      ClassKind.H_CONVEX,
+                                      HModulus.reciprocal())
+        assert exact == sampled and exact.holds
+
+    @staticmethod
+    def _monotone(spec, a, b):
+        """Whether p p' keeps one sign on [a, b], p = f', read in exact
+        rationals on a grid of 201 points and at numpy's real roots of p p'
+        there: independent of the Sturm chains."""
+        p = np.polynomial.Polynomial(spec.derivative_coeffs)
+        pp = p * p.deriv()
+        points = [Fraction(x) for x in np.linspace(a, b, 201)]
+        points += [Fraction(float(r.real)) for r in pp.roots()
+                   if abs(r.imag) < 1e-9 and a < r.real < b]
+        coeffs = [Fraction(c) for c in spec.derivative_coeffs]
+        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+        signs = {(v > 0) - (v < 0) for v in (
+            _poly_value(coeffs, x) * _poly_value(dcoeffs, x)
+            for x in points)}
+        return not {-1, 1} <= signs
+
+    def test_corpus(self):
+        """On a seeded poly: corpus every claim on a monotone |f'| holds
+        exactly under 1 and 1/t, and every exact 1/t accept is one that
+        the sampled route accepts too."""
+        counts = {"monotone": 0, "exact-accept": 0, "sampled": 0}
+        for spec, a, b, q in _poly_rows(5, 120):
+            monotone = self._monotone(spec, a, b)
+            counts["monotone"] += monotone
+            for h in (HModulus.constant(), HModulus.reciprocal()):
+                exact, sampled = _both_routes(spec, a, b, q,
+                                              ClassKind.H_CONVEX, h)
+                if monotone:
+                    assert (exact.holds, exact.route) == (True, "exact"), (
+                        spec, a, b, q, h)
+                if h.kind is HKind.RECIPROCAL:
+                    if exact.route == "exact" and exact.holds:
+                        assert sampled.holds, (spec, a, b, q)
+                        counts["exact-accept"] += not monotone
+                    counts["sampled"] += exact.route == "sampled"
+        assert min(counts.values()) > 5, counts
 
     def test_t_s_is_not_decided_by_monotonicity(self):
         """g(z) <= alpha^s g(x) + (1 - alpha)^s g(y) can fail for a
@@ -1456,6 +1564,21 @@ class TestPTest:
         rep, sizes, _ = self._claim(spec, a, b, q)
         assert (rep.holds, rep.route, sizes) == (holds, "exact", [])
 
+    @pytest.mark.parametrize("b", [1.0 + 2.0 ** -40, 1.0 + 2.0 ** -20])
+    def test_monotone_float_tie_is_decided(self, b):
+        """p = x (x^2 - 3x + 3) rises from its root 0 through a flat point
+        at 1, where p = 1, to b: g(1) - g(0) - g(b) is a tie in floats,
+        and p(1) <= p(b) in integers settles it."""
+        spec = FunctionSpec("poly", (0.0, 0.0, 1.5, -1.0, 0.25))
+        for q in (1.0, 2.0):
+            assert spec.p_test(q, 0.0, b) is True
+            for h in (HModulus.constant(), HModulus.reciprocal()):
+                tf, sizes = TestZeroClassRule._tf(
+                    spec, ClassKind.H_CONVEX, h, q=q, a=0.0, b=b)
+                assert certify_membership(tf) == MembershipReport(
+                    True, 0.0, None, "exact")
+                assert sizes == []
+
     def test_exact_tie_is_sampled(self):
         """6 - 3x^2 on [-1, 1] at q = 1: g(0) = 6 = g(-1) + g(1)."""
         spec = FunctionSpec("poly", (0.0, 6.0, 0.0, -1.0))
@@ -1463,6 +1586,16 @@ class TestPTest:
         rep, sizes, sampled = self._claim(spec, -1.0, 1.0, 1.0)
         assert rep == sampled and rep.route == "sampled"
         assert sizes == [2000] * 3
+
+    @pytest.mark.parametrize("params, q, a, b", [
+        # |f'|^q is past the float range at the ends: the power overflows
+        ((0.0, 1e200, 0.0, -1e200 / 3.0), 2.0, -0.5, 0.5),
+        # f' = M x reaches the largest float M at b: |f'| is a float, and
+        # its bound rounded outward is not
+        ((0.0, 0.0, sys.float_info.max / 2.0), 1.0, 0.0, 1.0),
+    ], ids=["power", "outward"])
+    def test_bound_past_the_float_range_is_none(self, params, q, a, b):
+        assert FunctionSpec("poly", params).p_test(q, a, b) is None
 
     def test_past_the_float_range_is_sampled(self):
         """g = |1e300 (1 - 3x^2)|^3 is not a float: the sampled check
@@ -1514,6 +1647,14 @@ class TestNegativePoint:
             if got is not None:
                 x = Fraction(*got)
                 assert lo <= x <= hi and _poly_value(r, x) < 0
+
+
+def test_sign_change_bisects_to_an_ulp():
+    """-1 + 3x changes sign at 1/3, which no dyadic point is: the point
+    lies within an ulp of it, where the bisection stops."""
+    point = sturm.sign_change([-1, 3], (0, 1), (1, 1))
+    assert abs(Fraction(*point) - Fraction(1, 3)) <= Fraction(
+        math.ulp(1.0 / 3.0))
 
 
 class TestRootIsolation:

@@ -1140,6 +1140,17 @@ class TestRejectionLine:
         assert line.startswith(head + "|f'|^q fails at x=")
         assert float(a) < float(line.rsplit("=", 1)[1]) < float(b)
 
+    def test_t_to_the_one_is_decided_as_t(self, capsys):
+        # h = t^s at s = 1 is h = t: its claim is rejected exactly at the
+        # point --h t names, not sampled
+        code, _, err = run_cli(capsys, [
+            "verify", "--function", "poly:0,1,0,-1", "--interval", "-1",
+            "1", "--h", "t^s", "--s", "1"])
+        assert code == 1
+        assert err.splitlines()[0] == ("certificate rejected at q=1.0, "
+                                       "s=1.0 (exact): |f'|^q fails at "
+                                       "x=0.0")
+
 
 def _poly_at(coeffs, x):
     """sum c_k x^k in exact rationals."""

@@ -165,6 +165,14 @@ def _decimal_mean(a, b, p):
         return (b ** p1 - a ** p1) / (p1 * (b - a))
 
 
+def _decimal_p_log_mean(a, b, p):
+    """L_p(a, b), the 1/p-th power of :func:`_decimal_mean`, to 60 digits
+    from the floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (_decimal_mean(a, b, p).ln() / Decimal(p)).exp()
+
+
 class TestNarrowIntervals:
     """Widths down to 1e-13 a, where b^(p+1) - a^(p+1) cancels."""
 
@@ -226,8 +234,10 @@ class TestNarrowIntervals:
     def test_ratio_past_normal_floats(self, a, b, p):
         want = float(_decimal_mean(a, b, p))
         assert _power_mean_value(a, b, p) == pytest.approx(want, rel=1e-15)
-        assert p_log_mean(a, b, p) == pytest.approx(want ** (1.0 / p),
-                                                    rel=1e-14)
+        # the root of the referee's mean in Decimal: want ** (1 / p) in
+        # floats is itself 3.2e-14 off at p = -0.999
+        assert p_log_mean(a, b, p) == pytest.approx(
+            float(_decimal_p_log_mean(a, b, p)), rel=1e-14)
 
     @pytest.mark.parametrize("a, b", [
         (1.0, 1.0 + 1e-6), (1.0, 1.001), (1.0, 2.0), (1.0, 10.0),
@@ -236,10 +246,10 @@ class TestNarrowIntervals:
         """Within 1e-15 of an 80-digit referee for 0 < |p| <= 1/2, where a
         1/p-th root of the mean would multiply its error by 1/|p|: 1.0e-8
         off at p = 1e-8 on (1, 2).  The largest error measured is 4.7e-16;
-        the root stays beyond 1/2, p = 0.7 here but on the widest range,
-        where it is 1.9e-14 off."""
+        p = 0.7 on the widest range, where that root was 1.9e-14 off, is
+        7.9e-17 off."""
         for p in (1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2, -1e-2, 0.3,
-                  -0.3, 0.5, -0.5, *[0.7][:b < 1e100]):
+                  -0.3, 0.5, -0.5, 0.7):
             with localcontext() as ctx:
                 ctx.prec = 80
                 want = ((_decimal_mean(a, b, p).ln() / Decimal(p)).exp())
@@ -273,3 +283,75 @@ class TestNarrowIntervals:
                       - lhs_error(tf, RuleParams(alpha, lam, 1.0)))
             assert gap <= 2e-15 * max(1.0, b ** (s + 1.0)), (a, b, alpha,
                                                              lam, s)
+
+
+def _scaled_draws(rng, n, p_lo, p_hi, ratios):
+    """n (a, b, p), p uniform in (p_lo, p_hi), and b/a cycling through
+    ratios: "narrow" 1 + 1e-13 to 2 and "wide" 1 to 1e8, a anywhere in
+    1e+-250; "extreme" 1e8 to 1e250, and "past" from 1e-300 to 1e-160 to
+    1e160 to 1e300, past the float range; a and b swapped half the
+    time."""
+    rows = []
+    for i in range(n):
+        p = float(rng.uniform(p_lo, p_hi))
+        kind = ratios[i % len(ratios)]
+        if kind == "narrow":
+            a = 10.0 ** float(rng.uniform(-250.0, 250.0))
+            b = a + a * 10.0 ** float(rng.uniform(-13.0, 0.0))
+        elif kind == "wide":
+            a = 10.0 ** float(rng.uniform(-250.0, 242.0))
+            b = a * 10.0 ** float(rng.uniform(0.0, 8.0))
+        elif kind == "extreme":
+            a = 10.0 ** float(rng.uniform(-300.0, 0.0))
+            b = a * 10.0 ** float(rng.uniform(8.0, 250.0))
+        else:
+            a, b = (10.0 ** float(rng.uniform(lo, lo + 140.0))
+                    for lo in (-300.0, 160.0))
+        rows.append((b, a, p) if rng.uniform() < 0.5 else (a, b, p))
+    return rows
+
+
+class TestScaledPLogMean:
+    """L_p is homogeneous of degree 1, so it is a float wherever a and b
+    are, though c^p and the mean of t^p may leave the floats."""
+
+    @pytest.mark.parametrize("a, b, p", [
+        (1e200, 2e200, 2.0),  # c^p overflows
+        (1e-200, 1e200, 2.0),
+        (1e200, 2e200, -2.0),  # c^p underflows to 0
+        (1e-200, 2e-200, 2.0),  # the mean underflows to 0
+        (1e-200, 2e-200, -2.0),
+        (1e-200, 1e200, 0.7),
+    ])
+    def test_past_the_float_range(self, a, b, p):
+        want = _decimal_p_log_mean(a, b, p)
+        assert abs(Decimal(p_log_mean(a, b, p)) / want - 1) \
+            <= Decimal("1e-15")
+
+    @pytest.mark.parametrize("p", [-1.5, -3.0, -20.0])
+    def test_ratio_past_the_float_range(self, p):
+        # L_p / max(a, b) is below 1e-308 here, though L_p is a float
+        want = _decimal_p_log_mean(1e-300, 1e300, p)
+        assert abs(Decimal(p_log_mean(1e-300, 1e300, p)) / want - 1) \
+            <= Decimal("3e-13")
+
+    @pytest.mark.parametrize("seed, p_lo, p_hi, ratios, bound", [
+        (1, 0.5, 3.0, ("narrow", "wide", "extreme", "past"), "4e-16"),
+        (2, -0.5, 0.5, ("narrow", "wide", "extreme", "past"), "1e-15"),
+        (3, -1.0, -0.5, ("narrow", "wide", "extreme", "past"), "1e-15"),
+        (4, -3.0, -1.0, ("narrow", "wide"), "4e-15"),
+        (5, -3.0, -1.0, ("extreme", "past"), "3e-13"),
+    ], ids=["p>1/2", "|p|<=1/2", "-1<p<-1/2", "p<-1", "p<-1-extreme"])
+    def test_against_decimal_referee(self, seed, p_lo, p_hi, ratios, bound):
+        """Relative error against a 60-digit referee, within the bound of
+        each band.  The largest errors measured on these draws are 1.9e-16
+        (p > 1/2), 5.3e-16 (|p| <= 1/2), 5.7e-16 (-1 < p < -1/2), 1.2e-15
+        (p < -1, b/a up to 1e8) and 1.6e-13 (p < -1, b/a past 1e8, where
+        the error is about 2^-53 |ln(max(a, b)/L_p)|); over seeds 0 to 15
+        of each band they are 3.2e-16, 6.8e-16, 7.8e-16, 2.7e-15 and
+        2.1e-13."""
+        rng = np.random.default_rng(seed)
+        for a, b, p in _scaled_draws(rng, 100, p_lo, p_hi, ratios):
+            want = _decimal_p_log_mean(a, b, p)
+            assert abs(Decimal(p_log_mean(a, b, p)) / want - 1) \
+                <= Decimal(bound), (a, b, p)

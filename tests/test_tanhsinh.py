@@ -198,8 +198,15 @@ def _level0_node():
     return 1.0 - 0.5 * tanhsinh._LEVELS[0][1][0]
 
 
-@pytest.mark.parametrize("bad", [lambda: 0.5, _level0_node],
-                         ids=["centre", "level-0"])
+def _level0_low_node():
+    """The lower node of level 0's second offset on [0, 1], the pair's
+    node above a, sampled before its node below b."""
+    return 0.5 * tanhsinh._LEVELS[0][1][0]
+
+
+@pytest.mark.parametrize("bad", [lambda: 0.5, _level0_node,
+                                 _level0_low_node],
+                         ids=["centre", "level-0", "level-0-above-a"])
 def test_nan_node_message_matches_reference(bad):
     def failed(integrate):
         """The error integrate raises, and the nodes at which g was called."""
