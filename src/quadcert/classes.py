@@ -440,7 +440,11 @@ class TestFunction:
     """An (f, f') pair on [a, b] with a class certificate for |f'|^q.
 
     Construction verifies that ``f_prime`` actually differentiates ``f``
-    (central finite differences at interior points, 1e-6 relative).
+    (central finite differences at interior points, 1e-6 relative), unless
+    ``skip_derivative_check`` is set.  The CLI runs the check once per
+    ``verify``, ``sweep`` and ``hadamard`` job, which read f; ``compare``
+    reads f' alone, through ``sample``, and sets the flag, as do the later
+    TestFunctions of a job, which share the first one's (f, f', a, b).
     """
 
     __test__ = False  # not a test case, despite the class name

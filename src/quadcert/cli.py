@@ -91,17 +91,20 @@ def parse_modulus(spec: str, s: Optional[float]) -> HModulus:
     return _FIXED_MODULI[spec]()
 
 
-def _job_tfs(args, blocks, kinds):
+def _job_tfs(args, blocks, kinds, check=True):
     """Yield the TestFunction of each (q, s) in blocks and class in kinds.
-    f and f' are built once, by parse_function, looked up at call time; the
-    first TestFunction checks f' against f, the later ones share its
-    (f, f', a, b, spec) and skip the check."""
+    f and f' are built once, by parse_function, looked up at call time; with
+    check, the first TestFunction checks f' against f, and the later ones
+    share its (f, f', a, b, spec) and skip the check.  compare passes
+    check=False: its bounds read f' alone, through TestFunction.sample, which
+    names a bad point, so the check could only refuse argv it can print."""
     spec = parse_spec(args.function)
     f, fp = parse_function(args.function)
     a, b = args.interval
     for i, ((q, s), kind) in enumerate(itertools.product(blocks, kinds)):
         cert = ClassCertificate(kind, parse_modulus(args.h, s), q)
-        yield TestFunction(f, fp, a, b, cert, skip_derivative_check=i > 0,
+        yield TestFunction(f, fp, a, b, cert,
+                           skip_derivative_check=not check or i > 0,
                            spec=spec)
 
 
@@ -257,7 +260,7 @@ def cmd_compare(args) -> int:
     grid = list(itertools.product(qs, args.s))
     class_of = {name: bnd.BOUNDS[name].class_kind for name in kind_names}
     classes = list(dict.fromkeys(class_of.values()))
-    job = _job_tfs(args, grid, classes)
+    job = _job_tfs(args, grid, classes, check=False)
     for q, s in grid:
         tfs = {kind: next(job) for kind in classes}
 

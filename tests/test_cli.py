@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcert import bounds, classes, cli, errors, oracle, tanhsinh
 from quadcert.errors import ToleranceNotReached
+from quadcert.moments import RuleParams
 
 
 def run_cli(capsys, argv):
@@ -317,6 +318,51 @@ class TestCompare:
             [r["power-mean"] for r in csv.DictReader(io.StringIO(out))]
 
 
+class TestCompareReadsOnlyFPrime:
+    """compare's bounds read f' alone, so it does not check f' against
+    finite differences of f: what only that check refused prints."""
+
+    @pytest.mark.parametrize("spec, a, b", [
+        ("exp:1", 30.0, 30.000001), ("poly:0,0,1", 1.0, 1.000001)])
+    def test_narrow_interval_prints_its_bound(self, capsys, spec, a, b):
+        # rounding f(x +- h) swamps the finite difference here, and verify
+        # exits 2 with "interval too narrow to check f'"
+        code, out, err = run_cli(capsys, [
+            "compare", "--function", spec, "--interval", repr(a), repr(b),
+            "--kinds", "power-mean"])
+        assert (code, err) == (0, "")
+        (row,) = csv.DictReader(io.StringIO(out))
+        # compare's defaults: h = t, q = 2, alpha = 1/2, lambda = 1/3
+        cert = classes.ClassCertificate(classes.ClassKind.H_CONVEX,
+                                        classes.HModulus.identity(), 2.0)
+        tf = classes.TestFunction(*cli.parse_function(spec), a, b, cert,
+                                  skip_derivative_check=True,
+                                  spec=cli.parse_spec(spec))
+        want = bounds.evaluate_bound("power-mean", tf,
+                                     RuleParams(0.5, 1.0 / 3.0, 2.0))
+        assert row["power-mean"] == "%.17g" % want.value
+
+    def test_f_prime_not_real_at_a_named(self, capsys):
+        # f' = 0.5x^-0.5 is complex at a = -1 and undefined at 0; the
+        # derivative check met 0 first and raised ZeroDivisionError
+        code, out, err = run_cli(capsys, [
+            "compare", "--function", "pow:1,0.5", "--interval", "-1", "1",
+            "--kinds", "power-mean"])
+        assert (code, out, err) == (
+            2, "", "config error: f' is not real at the end a=-1.0\n")
+
+    def test_classical_simpson_reads_neither_f_nor_f_prime(self, capsys):
+        # exp(1000 x) overflows at the points the derivative check would
+        # difference, and the bound is (b - a)^2 sup|f''''| / 2880 alone
+        code, out, err = run_cli(capsys, [
+            "compare", "--kinds", "classical-simpson", "--sup-f4", "1",
+            "--function", "exp:1000", "--interval", "0", "1"])
+        assert (code, err) == (0, "")
+        assert out == ("alpha,lambda,q,s,p,classical-simpson,argmin\n"
+                       "0.5,0.33333333333333331,2,,2,%.17g,classical-simpson"
+                       "\n" % (1.0 / 2880.0))
+
+
 class TestConfigErrors:
     # intervals narrow next to |x|, where rounding f(x +- h) swamps the
     # difference of an exact f': "interval too narrow to check f' at x=...:
@@ -517,9 +563,10 @@ class TestConfigErrors:
          "f is not finite near x=8.333333333333333e+198"),
         (["sweep", "--function", "poly:0,0,0,1", "--interval", "1e120",
           "2e120"], "f is not finite near x=1.0833333333333334e+120"),
-        (["compare", "--function", "pow:1,2", "--interval", "1e200", "2e200",
+        # compare reads f' alone, and (1e200)^2 overflows in 3x^2 at a
+        (["compare", "--function", "pow:1,3", "--interval", "1e200", "2e200",
           "--kinds", "power-mean"],
-         "f is not finite near x=1.0833333333333333e+200"),
+         "f' is not finite at the end a=1e+200"),
         (["hadamard", "--function", "poly:0,0,1", "--interval", "0",
           "1e200"], "f is not finite near x=8.333333333333333e+198"),
         # the derivative check passes; the oracle's mean meets x^2 past the
@@ -533,7 +580,8 @@ class TestConfigErrors:
             "hadamard-end"])
     def test_float_overflow_of_f_named(self, capsys, argv, line):
         # x ** k of a poly: or pow: spec raises OverflowError on a Python
-        # float; the derivative check and TestFunction.sample name f and x
+        # float; the derivative check and TestFunction.sample name f or f'
+        # and x
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (2, "", f"config error: {line}\n")
 
@@ -579,9 +627,52 @@ def _singular_pow_argv(draw):
     return [command, *argv]
 
 
+@st.composite
+def _straddling_pow_compare_argv(draw):
+    """A compare job on pow:beta,r over [a, b], a < 0 <= b, on a grid whose
+    alpha = 1 and, where b = -a, alpha = 0.5 put a node on a and on 0."""
+    a = -draw(st.floats(0.1, 2.0))
+    b = draw(st.sampled_from([0.0, -a]) | st.floats(0.0, 2.0))
+    r = draw(st.sampled_from([1.0, 2.0, 3.0])
+             | st.floats(0.0, 3.0, exclude_min=True))
+    h = draw(st.sampled_from(["t", "t^s", "1", "1/t"]))
+    argv = ["compare", "--function", f"pow:{draw(st.floats(0.5, 2.0))!r},"
+            f"{r!r}", "--interval", repr(a), repr(b), "--h", h,
+            "--alpha-grid", "0", "0.5", "1", "--lambda-grid",
+            *map(repr, draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                     max_size=2))),
+            "--q-grid", draw(st.sampled_from(["1", "2", "3.5"])),
+            "--kinds", ",".join(draw(st.lists(st.sampled_from(H_BOUNDS),
+                                              min_size=1, max_size=3,
+                                              unique=True)))]
+    if h == "t^s":
+        argv += ["--s", repr(draw(st.floats(0.1, 1.0)))]
+    return argv
+
+
 class TestSampledPoints:
     """f and f' are read at points through TestFunction.sample, so a
     division by zero or a complex value there exits 2 with one line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_straddling_pow_compare_argv())
+    # a derivative check point lands on 0 here
+    @example(argv=["compare", "--function", "pow:1.5,0.5", "--interval",
+                   "-0.5", "0.5", "--kinds", "holder,general-convex",
+                   "--q-grid", "2"])
+    def test_compare_below_zero(self, argv):
+        """pow:beta,r on [a, b] with a < 0 <= b: f' is complex below 0 for
+        most r, and undefined at 0 for r < 1.  compare reads f' at points
+        only, so every such job exits 0, or 2 with one "config error:"
+        line; verify and sweep still difference f and are left out, as in
+        test_documented_exit."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"config error: [^\n]*\n", err.getvalue())
 
     @settings(max_examples=100, deadline=None)
     @given(argv=_singular_pow_argv())
@@ -590,8 +681,10 @@ class TestSampledPoints:
         undefined at 0 and steep near it, and alpha = 1 puts the node on a.
         Every such job exits 0, 1 or 2, and 2 with one "config error:" line.
         a < 0 is left out: there f is complex, and a derivative check point
-        can land on 0, where f' raises a ZeroDivisionError that escapes
-        main; the benchmark pins that traceback (ROADMAP item 1)."""
+        of verify or sweep can land on 0, where f' raises a
+        ZeroDivisionError that escapes main; the benchmark pins that
+        traceback (ROADMAP item 1).  compare, which runs no such check,
+        takes a < 0 in test_compare_below_zero."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -817,26 +910,33 @@ class TestFirstViolation:
 
 
 class TestOncePerJob:
-    """A job parses f, checks f' and takes the mean once, draws the f'
-    samples at most once, and none when every claim is decided exactly, and
+    """A verify or sweep job parses f, checks f' and takes the mean once,
+    draws the f' samples at most once, and none when every claim is decided
+    exactly; a compare job parses f once and does nothing else of these; and
     each (q, s) block prints what it prints alone."""
 
-    @pytest.mark.parametrize("argv, draws", [
-        ([*VERIFY_SQUARE, "--q-grid", "1", "1.5", "2"], 0),
+    # (f' checks, f' draws, means) of each job
+    @pytest.mark.parametrize("argv, want", [
+        ([*VERIFY_SQUARE, "--q-grid", "1", "1.5", "2"], (1, 0, 1)),
         (["sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
-          "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"], 0),
+          "--h", "t^s", "--s", "0.3", "0.6", "--q-grid", "1", "2"],
+         (1, 0, 1)),
         # |f'| = 1.5 - x^2 is concave and not monotone, so the t^s claim is
         # sampled
         (["verify", "--function", "poly:0,1.5,0,-0.3333333333333333",
           "--interval", "-0.5", "0.5", "--h", "t^s", "--s", "0.5",
-          "--q-grid", "1", "1.5", "2"], 3),
+          "--q-grid", "1", "1.5", "2"], (1, 3, 1)),
         # the h = 1 claim is P-tested: it holds, since |f'|^q stays within
         # a factor 2 on the interval
         (["verify", "--function", "poly:0,1.5,0,-0.3333333333333333",
           "--interval", "-0.5", "0.5", "--h", "1", "--q-grid", "1", "1.5",
-          "2"], 0),
-    ], ids=["verify", "sweep", "verify-sampled", "verify-p-test"])
-    def test_counts(self, capsys, monkeypatch, argv, draws):
+          "2"], (1, 0, 1)),
+        # two q blocks of two classes: compare reads f' at points only
+        (["compare", "--function", "poly:0,0,1", "--interval", "0", "1",
+          "--q-grid", "1.5", "2", "--kinds", "power-mean,holder-concave"],
+         (0, 0, 0)),
+    ], ids=["verify", "sweep", "verify-sampled", "verify-p-test", "compare"])
+    def test_counts(self, capsys, monkeypatch, argv, want):
         counts = {"parse": 0, "check": 0, "draw": 0, "mean": 0}
         parse = cli.parse_function
         check = classes.TestFunction._check_derivative
@@ -866,7 +966,8 @@ class TestOncePerJob:
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
         # a draw evaluates f' at x, at y and between them
-        assert counts == {"parse": 1, "check": 1, "draw": draws, "mean": 1}
+        assert counts == dict(zip(["parse", "check", "draw", "mean"],
+                                  (1, *want)))
 
     def test_exact_job_reads_f_prime_at_points_only(self, capsys,
                                                     monkeypatch):
