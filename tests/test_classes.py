@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -937,6 +938,81 @@ def _both_routes(spec, a, b, q, kind, h=HModulus.identity()):
     return (certify_membership(TestFunction(f, fp, a, b, cert, spec=spec),
                                n_samples=2000, seed=3),
             _sampled_membership(TestFunction(f, fp, a, b, cert), 2000, 3))
+
+
+def _derivative_cases(seed, n):
+    """n each of seeded poly: specs of degree 1 to 7, poly: specs whose f'
+    cancels, k (t - t0)^(k-1) near t0, exp: and pow: specs, with a point
+    of each; pow: at x > 0, where f is real."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        degree, t0 = int(rng.integers(1, 8)), float(rng.uniform(-2.0, 2.0))
+        cases += [
+            (FunctionSpec("poly", rng.uniform(-3.0, 3.0, degree + 1)),
+             float(rng.uniform(-2.0, 2.0))),
+            (FunctionSpec("poly", [0.0] + [math.comb(degree, k)
+                                           * (-t0) ** (degree - k)
+                                           for k in range(1, degree + 1)]),
+             t0 * (1.0 + float(rng.uniform(-1e-3, 1e-3)))),
+            (FunctionSpec("exp", [rng.uniform(-5.0, 5.0)]),
+             float(rng.uniform(-3.0, 3.0))),
+            (FunctionSpec("pow", [rng.uniform(-3.0, 3.0),
+                                  rng.uniform(0.1, 4.0)]),
+             float(rng.uniform(0.05, 3.0)))]
+    return cases
+
+
+def _decimal_f(spec, x):
+    """f of the spec at the Decimal x, from its parameters read exactly."""
+    p = [Decimal(c) for c in spec.params]
+    if spec.family == "poly":
+        return sum(c * x ** k for k, c in enumerate(p))
+    if spec.family == "pow":
+        return p[0] * x ** p[1]
+    return (p[0] * x).exp()
+
+
+def _decimal_derivative_terms(spec, x):
+    """The terms of f' at the Decimal x: k c_k x^(k-1) of poly, one of
+    pow and exp."""
+    p = [Decimal(c) for c in spec.params]
+    if spec.family == "poly":
+        return [k * c * x ** (k - 1) for k, c in enumerate(p) if k]
+    if spec.family == "pow":
+        return [p[0] * p[1] * x ** (p[1] - 1)]
+    return [p[0] * (p[0] * x).exp()]
+
+
+class TestSpecDerivative:
+    """The f' that FunctionSpec.functions() evaluates is the derivative of
+    its f: checked here once per family, so that a spec's f' needs no
+    finite-difference check against f at run time (ROADMAP item 17)."""
+
+    @pytest.mark.parametrize("seed", [1701, 1702])
+    def test_matches_decimal_difference_quotient(self, seed):
+        # a 50-digit central difference of f with step 1e-20 is f' to
+        # about 1e-30 of f; the float f' is within 4 ulps of the sum of
+        # its terms' magnitudes, so cancelling poly: terms do not trip
+        # it, times 1 + the error factor of the one rounded argument:
+        # |k x| of exp(k x), and |(r - 1) ln x| of x^(r - 1)
+        for spec, x in _derivative_cases(seed, 150):
+            fp = spec.functions()[1]
+            with localcontext() as ctx:
+                ctx.prec = 50
+                dx, xd = Decimal(10) ** -20, Decimal(x)
+                want = (_decimal_f(spec, xd + dx)
+                        - _decimal_f(spec, xd - dx)) / (2 * dx)
+                scale = float(sum(map(abs, _decimal_derivative_terms(
+                    spec, xd))))
+                err = float(abs(Decimal(float(fp(x))) - want))
+            if spec.family == "exp":
+                argument = abs(spec.params[0] * x)
+            elif spec.family == "pow":
+                argument = abs((spec.params[1] - 1.0) * math.log(x))
+            else:
+                argument = 0.0
+            assert err <= 4.0 * math.ulp(scale) * (1.0 + argument), (spec, x)
 
 
 class TestExactMembership:

@@ -1,9 +1,10 @@
 """Tests for the tanh-sinh rule of the bound path's custom moments.
 
 Values are checked against closed forms, and their bits, the moments' and
-the samples' against a node-by-node reference; the rule's independence from
-the oracle is checked by making the oracle's integrator unusable, and that
-only custom moduli reach the rule by making both unusable.
+the samples' against a node-by-node reference; the stop at level 3 on a
+geometric tail against that reference without it; the rule's independence
+from the oracle is checked by making the oracle's integrator unusable, and
+that only custom moduli reach the rule by making both unusable.
 """
 
 import math
@@ -39,6 +40,22 @@ def test_closed_forms(g, a, b, exact):
     assert abs(tanhsinh.integrate(g, a, b) - exact) <= oracle.TOL
 
 
+def test_tail_test_past_the_float_range():
+    # the kinked-whole integrand scaled by 2^900: squares of its level
+    # steps overflow, yet the tail test does not mistake it for settled,
+    # and it falls back as at scale 1
+    scale, nodes = 2.0 ** 900, []
+
+    def g(t):
+        nodes.append(t)
+        return scale * (abs(t - K) * t ** 0.7)
+
+    exact = 2.0 * K ** 2.7 * (1.0 / 1.7 - 1.0 / 2.7) + 1.0 / 2.7 - K / 1.7
+    assert abs(tanhsinh.integrate(g, 0.0, 1.0) / scale - exact) <= (
+        1e-14 * exact)
+    assert len(nodes) > 145
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 0.7), (-2.0, 1e-3),
                                   (0.1, 0.1 + 1e-9)])
 def test_ends_never_sampled(a, b):
@@ -50,9 +67,16 @@ def test_ends_never_sampled(a, b):
     tanhsinh.integrate(g, a, b)
 
 
-def _reference_integrate(g, a, b):
-    """The rule one node at a time, as first written: the reference that
-    the one pass per level must match bit for bit."""
+def _reference_levels(g, a, b, tail=True):
+    """The rule one node at a time, as first written: its value, the level
+    it stopped at, or None where it fell back to the oracle, and the sum of
+    each level it walked.
+
+    A level ends the walk from level 2 on when it lies within tolerance of
+    the level before.  With tail, level 3 also ends it when the ratio r of
+    its step to level 2's is below 1 and the geometric tail of the steps
+    to come, step r / (1 - r), is within tolerance; tail=False is the rule
+    before that test."""
     half = 0.5 * (b - a)
     terms = []
 
@@ -67,17 +91,30 @@ def _reference_integrate(g, a, b):
         terms.append(w * fx)
 
     sample(0.5 * (a + b), 0.5 * math.pi)
-    prev = None
+    values = []
     for k, level in enumerate(tanhsinh._LEVELS):
         for offset, w in level:
             sample(a + half * offset, w)
             sample(b - half * offset, w)
-        value = half * 2.0 ** -k * math.fsum(terms)
-        if k >= 2 and abs(value - prev) <= max(oracle.TOL,
-                                               1e-14 * abs(value)):
-            return value
-        prev = value
-    return oracle.integrate_adaptive(g, a, b, oracle.TOL).value
+        values.append(half * 2.0 ** -k * math.fsum(terms))
+        if k < 2:
+            continue
+        tol = max(oracle.TOL, 1e-14 * abs(values[k]))
+        step, step_before = (abs(values[k] - values[k - 1]),
+                             abs(values[k - 1] - values[k - 2]))
+        if step <= tol:
+            return values[k], k, values
+        if tail and k == 3 and step < step_before:
+            r = step / step_before
+            if step * r / (1.0 - r) <= tol:
+                return values[k], k, values
+    return oracle.integrate_adaptive(g, a, b, oracle.TOL).value, None, values
+
+
+def _reference_integrate(g, a, b):
+    """The node-by-node reference that the one pass per level must match
+    bit for bit."""
+    return _reference_levels(g, a, b)[0]
 
 
 @pytest.mark.parametrize("g, a, b", [
@@ -120,18 +157,27 @@ def _moment_rules(seed, n):
                     for _ in range(n)]
 
 
-def _moment_outcomes(h, rules):
-    """repr of each of the four moments per rule, and of each side's pair
-    with both coefficients nonzero, the integrand every custom power-mean
-    bound integrates."""
-    outcomes = []
+def _moment_calls(h, rules):
+    """(scale, call) for each of the four moments per rule, and for each
+    side's pair with both coefficients nonzero, the integrand every custom
+    power-mean bound integrates; scale is the sum of the coefficients.
+    Each call is to be made before the next is drawn."""
     for alpha, lam in rules:
         rp = RuleParams(alpha, lam, 1.0)
         for side in Side:
-            outcomes += [repr(weighted_moment(h, rp, side, reflected))
-                         for reflected in (False, True)]
-            outcomes.append(repr(weighted_pair(h, rp, side, 0.7, 1.3)))
-    return outcomes
+            for reflected in (False, True):
+                yield 1.0, lambda: weighted_moment(h, rp, side, reflected)
+            yield 2.0, lambda: weighted_pair(h, rp, side, 0.7, 1.3)
+
+
+def _moment_values(h, rules):
+    """The value of each of :func:`_moment_calls`."""
+    return [call() for _, call in _moment_calls(h, rules)]
+
+
+def _moment_outcomes(h, rules):
+    """repr of each of :func:`_moment_values`."""
+    return list(map(repr, _moment_values(h, rules)))
 
 
 @pytest.mark.parametrize("h", [HModulus.custom(math.sqrt),
@@ -142,6 +188,56 @@ def test_moments_match_node_by_node_reference(h, monkeypatch):
     got = _moment_outcomes(h, rules)
     monkeypatch.setattr(tanhsinh, "integrate", _reference_integrate)
     assert got == _moment_outcomes(h, rules)
+
+
+# the bench's four scalar-only custom moduli
+SCALAR_MODULI = [math.sqrt, lambda t: math.pow(t, 0.7),
+                 lambda t: math.sin(0.5 * math.pi * t),
+                 lambda t: t * (2.0 - t)]
+SCALAR_IDS = ["sqrt", "t^0.7", "sin", "t(2-t)"]
+
+
+def _nodes(integrate, g, a, b):
+    """integrate's value of g over [a, b], and the nodes it sampled."""
+    nodes = []
+
+    def counted(t):
+        nodes.append(t)
+        return g(t)
+
+    return integrate(counted, a, b), nodes
+
+
+@pytest.mark.parametrize("fn", SCALAR_MODULI, ids=SCALAR_IDS)
+def test_moments_near_two_level_rule(fn):
+    # stopping at level 3 on a geometric tail moves a moment or pair off
+    # the value of the rule that stops on two levels alone by no more than
+    # the tails its pieces accepted, to rounding, and spares level 4 on
+    # some piece of each modulus
+    integrate, tails, spared = tanhsinh.integrate, [], []
+
+    def two_level(g, a, b):
+        _, nodes = _nodes(integrate, g, a, b)
+        (_, level, sums), want = _nodes(_reference_levels, g, a, b)
+        # the rule samples the reference's nodes, so stops at its level
+        assert nodes == want
+        value, before, _ = _reference_levels(g, a, b, tail=False)
+        if (before, level) == (4, 3):
+            d2, d3 = abs(sums[2] - sums[1]), abs(sums[3] - sums[2])
+            tails.append(d3 * d3 / (d2 - d3))
+        return value
+
+    h = HModulus.custom(fn)
+    for scale, call in _moment_calls(h, _moment_rules(4001, 16)):
+        got = call()
+        tails.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tanhsinh, "integrate", two_level)
+            want = call()
+        assert abs(got - want) <= (1e-15 * max(1.0, abs(want))
+                                   + scale * sum(tails))
+        spared += tails
+    assert spared
 
 
 @pytest.mark.parametrize("h", [HModulus.identity(), HModulus.power(0.4),
@@ -274,20 +370,60 @@ class TestIndependentOfOracle:
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_bound_evaluation_count(self):
-        # Simpson's rule, q = 2: the modulus is called on Python floats only
+        # q = 2, with the two-level rule's bits: at (0.2, 0.7), and for sin
+        # at Simpson's rule, level 3 stops on its geometric tail where that
+        # rule took 418 and 614 calls, walking level 4; the modulus is
+        # called on Python floats only
+        for fn, alpha, lam, calls, value in [
+                (math.sqrt, 0.5, 1.0 / 3.0, 414, 0.7733466156370936),
+                (math.sqrt, 0.2, 0.7, 316, 1.9266815134697826),
+                (SCALAR_MODULI[2], 0.5, 1.0 / 3.0, 414, 0.759323588258594)]:
+            args = []
+
+            def h(t):
+                args.append(t)
+                return fn(t)
+
+            cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.custom(h),
+                                    2.0)
+            tf = TestFunction(lambda x: x ** 3, lambda x: 3.0 * x * x, 0.5,
+                              1.5, cert)
+            got = bound_power_mean(tf, RuleParams(alpha, lam, 2.0)).value
+            assert (len(args), got) == (calls, value)
+            assert {type(t) for t in args} == {float}
+
+    def test_h_integral_evaluation_count(self):
+        # level 3 stops on its geometric tail, where the two-level rule
+        # walked level 4: 123 calls and 0.6366197723675813
         args = []
 
-        def sqrt(t):
+        def sin(t):
             args.append(t)
-            return math.sqrt(t)
+            return math.sin(0.5 * math.pi * t)
 
-        cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.custom(sqrt), 2.0)
-        tf = TestFunction(lambda x: x ** 3, lambda x: 3.0 * x * x, 0.5, 1.5,
-                          cert)
-        bound_power_mean(tf, RuleParams(0.5, 1.0 / 3.0, 2.0))
-        assert len(args) == 414
-        assert {type(t) for t in args} == {float}
+        value = h_integral_01(HModulus.custom(sin))
+        assert (len(args), value) == (62, 2.0 / math.pi)
 
     def test_h_integral(self):
         assert h_integral_01(HModulus.custom(math.sqrt)) == pytest.approx(
             2.0 / 3.0, abs=oracle.TOL)
+
+
+def test_kinked_piece_falls_back_as_before(monkeypatch):
+    # |t - 0.5| + 0.1 has a kink inside (0, 1): its integral fails both
+    # stop tests and falls back to the oracle, with the two-level rule's
+    # value
+    adaptive, fallbacks = oracle.integrate_adaptive, []
+
+    def counted(g, a, b, tol):
+        fallbacks.append((a, b))
+        return adaptive(g, a, b, tol)
+
+    monkeypatch.setattr(oracle, "integrate_adaptive", counted)
+    kinked = HModulus.custom(lambda t: abs(t - 0.5) + 0.1)
+    got = h_integral_01(kinked)
+    assert fallbacks == [(0.0, 1.0)]
+    monkeypatch.setattr(tanhsinh, "integrate", lambda g, a, b:
+                        _reference_levels(g, a, b, tail=False)[0])
+    assert got == h_integral_01(kinked)
+    assert abs(got - 0.35) <= oracle.TOL
