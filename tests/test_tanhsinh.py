@@ -170,14 +170,9 @@ def _moment_calls(h, rules):
             yield 2.0, lambda: weighted_pair(h, rp, side, 0.7, 1.3)
 
 
-def _moment_values(h, rules):
-    """The value of each of :func:`_moment_calls`."""
-    return [call() for _, call in _moment_calls(h, rules)]
-
-
 def _moment_outcomes(h, rules):
-    """repr of each of :func:`_moment_values`."""
-    return list(map(repr, _moment_values(h, rules)))
+    """repr of the value of each of :func:`_moment_calls`."""
+    return [repr(call()) for _, call in _moment_calls(h, rules)]
 
 
 @pytest.mark.parametrize("h", [HModulus.custom(math.sqrt),
