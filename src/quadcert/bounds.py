@@ -22,14 +22,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import moments
-from .arrays import every, power, select
+from .arrays import every, power, powers, select
 from .classes import ClassKind, HModulus, TestFunction, h_half, h_integral_01
 from .errors import ClassMismatch, DomainError, ParamMismatch
-from .moments import (RuleParams, Side, active_epsilons, active_gamma_upsilon,
-                      branch_select, weighted_pair)
+from .moments import (RuleParams, Side, active_gamma_upsilon, branch_select,
+                      epsilons_and_roots, weighted_pair)
 
 # no bound reads it; bench/test_bench.py checks its tracer restores this copy
 weighted_moment = moments.weighted_moment
+# a module global is read faster than an enum member
+_LEFT, _RIGHT = Side.LEFT, Side.RIGHT
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ def rhs_power_mean(h: HModulus, rp: RuleParams, width: float,
     B are one :func:`weighted_pair` per side, for every modulus."""
     q = rp.q
     db_q, da_q = d_b ** q, d_a ** q
-    big_a = weighted_pair(h, rp, Side.LEFT, db_q, da_q)
-    big_b = weighted_pair(h, rp, Side.RIGHT, db_q, da_q)
+    big_a = weighted_pair(h, rp, _LEFT, db_q, da_q)
+    big_b = weighted_pair(h, rp, _RIGHT, db_q, da_q)
     gc, uc = active_gamma_upsilon(rp)
     # gc**0 is 1 even at gc = 0, so q = 1 degrades to the q=1 corollary
     value = width * (power(gc, 1.0 - 1.0 / q) * power(big_a, 1.0 / q)
@@ -72,13 +74,13 @@ def rhs_holder_hconvex(h: HModulus, rp: RuleParams, width: float,
     q = rp.q
     h_int = h_integral_01(h)  # raises NotIntegrable for 1/t moduli
     alpha = rp.alpha
-    eps_c, eps_d = active_epsilons(rp)
+    (eps_c, eps_d), (root_c, root_d) = epsilons_and_roots(rp)
     d_node_q = power(d_node, q)
     big_c = (1.0 - alpha) * (d_node_q + d_a ** q)
     big_d = alpha * (d_node_q + d_b ** q)
     pref = width * (1.0 / (p + 1.0)) ** (1.0 / p) * h_int ** (1.0 / q)
-    value = pref * (power(eps_c, 1.0 / p) * power(big_c, 1.0 / q)
-                    + power(eps_d, 1.0 / p) * power(big_d, 1.0 / q))
+    value = pref * (root_c * power(big_c, 1.0 / q)
+                    + root_d * power(big_d, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "C": big_c, "D": big_d, "eps_C": eps_c, "eps_D": eps_d,
         "h_integral": h_int})
@@ -94,13 +96,13 @@ def rhs_holder_hconcave(h: HModulus, rp: RuleParams, width: float,
     q = rp.q
     h_mid = h_half(h)
     alpha = rp.alpha
-    eps_e, eps_f = active_epsilons(rp)
+    (eps_e, eps_f), (root_e, root_f) = epsilons_and_roots(rp)
     big_e = (1.0 - alpha) * power(d_mid_left, q)
     big_f = alpha * power(d_mid_right, q)
     pref = width * (1.0 / (2.0 * h_mid)) ** (1.0 / q) \
         * (1.0 / (p + 1.0)) ** (1.0 / p)
-    value = pref * (power(eps_e, 1.0 / p) * power(big_e, 1.0 / q)
-                    + power(eps_f, 1.0 / p) * power(big_f, 1.0 / q))
+    value = pref * (root_e * power(big_e, 1.0 / q)
+                    + root_f * power(big_f, 1.0 / q))
     return BoundResult(value, branch_select(rp), {
         "E": big_e, "F": big_f, "eps_E": eps_e, "eps_F": eps_f,
         "h_half": h_mid})
@@ -123,19 +125,20 @@ def rhs_general_convex(rp: RuleParams, width: float,
     lu = lam * u
     hi = 1.0 - lu
     u3, a3 = power(u, 3.0), power(alpha, 3.0)
+    w3, mw3, hi3, lu3 = powers([w, 1.0 - w, hi, lu], 3.0)
     g1 = u * (w - u / 2.0)
     g2 = w * w - g1
     v1 = alpha * ((1.0 + u) / 2.0 - hi)
     v2 = (1.0 + u * u) / 2.0 - (lam + 1.0) * u * hi
-    mu1 = (power(w, 3.0) + u3) / 3.0 - w * u * u / 2.0
-    mu2 = (1.0 + a3 + power(1.0 - w, 3.0)) / 3.0 \
+    mu1 = (w3 + u3) / 3.0 - w * u * u / 2.0
+    mu2 = (1.0 + a3 + mw3) / 3.0 \
         - (1.0 - w) * (1.0 + alpha * alpha) / 2.0
     mu3 = w * u * u / 2.0 - u3 / 3.0
     mu4 = (w - 1.0) * (1.0 - alpha * alpha) / 2.0 + (1.0 - a3) / 3.0
     eta1 = (1.0 - u3) / 3.0 - hi / 2.0 * alpha * (2.0 - alpha)
     eta2 = lu * alpha * alpha / 2.0 - a3 / 3.0
-    eta3 = power(hi, 3.0) / 3.0 - hi / 2.0 * (1.0 + u * u) + (1.0 + u3) / 3.0
-    eta4 = power(lu, 3.0) / 3.0 - lu * alpha * alpha / 2.0 + a3 / 3.0
+    eta3 = hi3 / 3.0 - hi / 2.0 * (1.0 + u * u) + (1.0 + u3) / 3.0
+    eta4 = lu3 / 3.0 - lu * alpha * alpha / 2.0 + a3 / 3.0
     mid, lower = (w <= u) & (u <= hi), u <= hi
     # the three cases in ladder order, each chosen per point
     gc, ma, mb, uc, ea, eb, branch = (
@@ -181,7 +184,12 @@ def rhs_simpson_holder(s: float, rp: RuleParams, width: float,
                        d_a: float, d_b: float, d_mid: float) -> BoundResult:
     """Published Simpson bound for s-convex |f'|^q via conjugate exponents."""
     p, q = rp.require_p(), rp.q
-    pref = width / 12.0 * ((1.0 + 2.0 ** (p + 1.0)) / (3.0 * (p + 1.0))) ** (1.0 / p)
+    if p + 1.0 < 1024.0:
+        pref = width / 12.0 \
+            * ((1.0 + 2.0 ** (p + 1.0)) / (3.0 * (p + 1.0))) ** (1.0 / p)
+    else:  # 2^(p+1) is past the float range (q near 1): take it out
+        pref = width / 12.0 * 2.0 ** ((p + 1.0) / p) * (
+            (2.0 ** -(p + 1.0) + 1.0) / (3.0 * (p + 1.0))) ** (1.0 / p)
     value = pref * (((d_mid ** q + d_a ** q) / (s + 1.0)) ** (1.0 / q)
                     + ((d_mid ** q + d_b ** q) / (s + 1.0)) ** (1.0 / q))
     return BoundResult(value, None, {})
@@ -263,10 +271,18 @@ _MISSING = {"s": "this bound needs the class parameter s",
 
 
 def _abs_f_prime(tf: TestFunction, rp: RuleParams, point: str):
-    """|f'| at one of a record's reads; the ends are read once per tf."""
+    """|f'| at one of a record's reads.  The ends are read once per tf and
+    the TestFunctions recertified from it; an interior point, which moves
+    with alpha alone, once per alpha object, which a rule keeps read-only,
+    so a job's blocks, whose rules share one, read it once."""
     if point in _ENDS:
         return tf.endpoint_derivatives[_ENDS.index(point)]
-    return abs(tf.sample(tf.f_prime, _AT[point](tf.a, tf.b, rp.alpha)))
+    alpha, d = tf.reads.get(point, (None, None))
+    if alpha is not rp.alpha:
+        alpha = rp.alpha
+        d = abs(tf.sample(tf.f_prime, _AT[point](tf.a, tf.b, alpha)))
+        tf.reads[point] = alpha, d
+    return d
 
 
 def evaluate_bound(name: str, tf: TestFunction, rp: RuleParams,

@@ -23,7 +23,7 @@ weighted moments on :meth:`HModulus.moment_integrand`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from collections.abc import Hashable
 from functools import cached_property, lru_cache, partial
@@ -44,6 +44,12 @@ class HKind(Enum):
     CUSTOM = "custom"
 
 
+# a module global is read faster than an enum member
+_IDENTITY, _POWER, _CONSTANT, _RECIPROCAL, _CUSTOM = (
+    HKind.IDENTITY, HKind.POWER, HKind.CONSTANT, HKind.RECIPROCAL,
+    HKind.CUSTOM)
+
+
 @dataclass(frozen=True)
 class HModulus:
     """A nonnegative modulus function on (0, 1)."""
@@ -53,12 +59,12 @@ class HModulus:
     fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.kind is HKind.POWER:
+        if self.kind is _POWER:
             if self.s_param is None or not (0.0 < self.s_param <= 1.0):
                 raise DomainError("power modulus needs s in (0, 1]")
         elif self.s_param is not None:
             raise DomainError("s_param is only meaningful for the power kind")
-        if self.kind is HKind.CUSTOM and self.fn is None:
+        if self.kind is _CUSTOM and self.fn is None:
             raise DomainError("custom modulus needs an evaluable")
 
     @classmethod
@@ -194,13 +200,14 @@ def h_integral_01(h: HModulus) -> float:
     tanh-sinh quadrature for a custom one.  NotIntegrable for 1/t; a custom
     modulus that diverges fails at its first infinite sample instead, with
     EvaluationError."""
-    if h.kind is HKind.IDENTITY:
+    kind = h.kind
+    if kind is _IDENTITY:
         return 0.5
-    if h.kind is HKind.POWER:
+    if kind is _POWER:
         return 1.0 / (h.s_param + 1.0)
-    if h.kind is HKind.CONSTANT:
+    if kind is _CONSTANT:
         return 1.0
-    if h.kind is HKind.RECIPROCAL:
+    if kind is _RECIPROCAL:
         raise NotIntegrable("modulus is not integrable on (0, 1)")
     from .tanhsinh import integrate  # local: the oracle depends on us
     return integrate(h.evaluator, 0.0, 1.0)
@@ -444,7 +451,9 @@ class TestFunction:
     ``skip_derivative_check`` is set.  The CLI runs the check once per
     ``verify``, ``sweep`` and ``hadamard`` job, which read f; ``compare``
     reads f' alone, through ``sample``, and sets the flag, as do the later
-    TestFunctions of a job, which share the first one's (f, f', a, b).
+    TestFunctions of a job, which :meth:`recertified` derives from the
+    first: they share its (f, f', a, b) and its ``reads``, the |f'|
+    values the bounds have read, so a job reads f' at each point once.
     """
 
     __test__ = False  # not a test case, despite the class name
@@ -458,6 +467,10 @@ class TestFunction:
     # the family and parameters f and f' were built from, if known
     spec: Optional[FunctionSpec] = field(default=None, repr=False,
                                          compare=False)
+    # |f'| at the ends ("ends") and, per interior point a bound reads, the
+    # (alpha, |f'|) of its last read; see bounds._abs_f_prime
+    reads: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         # a finite width also rules out infinite and NaN endpoints
@@ -546,11 +559,23 @@ class TestFunction:
         name = "f'" if fn is self.f_prime else "f"
         raise DomainError(f"{name} is {fault} at {at}{float(x)!r}")
 
-    @cached_property
+    @property
     def endpoint_derivatives(self) -> Tuple[float, float]:
-        """|f'(a)| and |f'(b)|; DomainError at an end where sample fails."""
-        return (abs(self.sample(self.f_prime, self.a)),
-                abs(self.sample(self.f_prime, self.b)))
+        """|f'(a)| and |f'(b)|, read once; DomainError at an end where
+        sample fails."""
+        ends = self.reads.get("ends")
+        if ends is None:
+            ends = self.reads["ends"] = tuple(
+                abs(self.sample(self.f_prime, x)) for x in (self.a, self.b))
+        return ends
+
+    def recertified(self, certificate: ClassCertificate) -> "TestFunction":
+        """This function under another certificate, f' not checked again;
+        the two share ``reads``."""
+        tf = replace(self, certificate=certificate,
+                     skip_derivative_check=True)
+        object.__setattr__(tf, "reads", self.reads)
+        return tf
 
 
 @dataclass(frozen=True)

@@ -95,26 +95,47 @@ def _job_tfs(args, blocks, kinds, check=True):
     """Yield the TestFunction of each (q, s) in blocks and class in kinds.
     f and f' are built once, by parse_function, looked up at call time; with
     check, the first TestFunction checks f' against f, and the later ones
-    share its (f, f', a, b, spec) and skip the check.  compare passes
+    are recertified from it: they share its (f, f', a, b, spec) and the
+    |f'| values read so far, and skip the check.  compare passes
     check=False: its bounds read f' alone, through TestFunction.sample, which
     names a bad point, so the check could only refuse argv it can print."""
     spec = parse_spec(args.function)
     f, fp = parse_function(args.function)
     a, b = args.interval
-    for i, ((q, s), kind) in enumerate(itertools.product(blocks, kinds)):
+    first = None
+    for (q, s), kind in itertools.product(blocks, kinds):
         cert = ClassCertificate(kind, parse_modulus(args.h, s), q)
-        yield TestFunction(f, fp, a, b, cert,
-                           skip_derivative_check=not check or i > 0,
-                           spec=spec)
+        if first is None:
+            first = TestFunction(f, fp, a, b, cert,
+                                 skip_derivative_check=not check, spec=spec)
+            yield first
+        else:
+            yield first.recertified(cert)
+
+
+def _job_rules(alphas, lams):
+    """rule(q): the job's RuleParams on its grid at q, one per q.  The
+    first is built when first asked for, and the others derived from it by
+    at_q, so the blocks of a job share the geometry and the memo that no q
+    moves."""
+    rules = {}
+
+    def rule(q):
+        if q not in rules:
+            first = next(iter(rules.values()), None)
+            rules[q] = (RuleParams(alphas, lams, q) if first is None
+                        else first.at_q(q))
+        return rules[q]
+    return rule
 
 
 # a bound that overflows is reported by evaluate_bound, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _on_grid(evaluate, q: float, alphas, lams):
-    """evaluate(RuleParams) on the whole grid; after an error, again point by
+def _on_grid(evaluate, rule, q: float, alphas, lams):
+    """evaluate(rule(q)) on the whole grid; after an error, again point by
     point in row order, so the error raised is the first failing row's."""
     try:
-        return evaluate(RuleParams(alphas, lams, q))
+        return evaluate(rule(q))
     except Exception:
         for alpha, lam in itertools.product(alphas.ravel().tolist(),
                                             lams.tolist()):
@@ -140,6 +161,7 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
     mean and lhs for the job."""
     alphas, lams, qs = _axes(args, 1.0)
     blocks = list(itertools.product(qs, args.s))
+    rule = _job_rules(alphas, lams)
     lhs = None  # |rule - mean|, which no q or s moves
     for (q, s), tf in zip(blocks, _job_tfs(args, blocks, [kind])):
         rep = certify_membership(tf, MEMBERSHIP_SAMPLES, seed=args.seed)
@@ -148,7 +170,7 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
             res = bnd.evaluate_bound(args.bound, tf, rp)
             return {"p": rp.p if bnd.BOUNDS[args.bound].uses_p else None,
                     "branch": res.branch, "rhs": res.value}
-        block = _on_grid(evaluate, q, alphas, lams)
+        block = _on_grid(evaluate, rule, q, alphas, lams)
         if not rep.holds:
             block = {"branch": rejected_branch, "sound": False}
         else:
@@ -258,6 +280,7 @@ def cmd_compare(args) -> int:
     blocks = []
     alphas, lams, qs = _axes(args, 2.0)
     grid = list(itertools.product(qs, args.s))
+    rule = _job_rules(alphas, lams)
     class_of = {name: bnd.BOUNDS[name].class_kind for name in kind_names}
     classes = list(dict.fromkeys(class_of.values()))
     job = _job_tfs(args, grid, classes, check=False)
@@ -273,7 +296,7 @@ def cmd_compare(args) -> int:
             return {"alpha": alphas, "lambda": lams, "q": q, "s": s,
                     "p": rp.p, **dict(zip(kind_names, values)),
                     "argmin": argmin}
-        blocks.append(_on_grid(evaluate, q, alphas, lams))
+        blocks.append(_on_grid(evaluate, rule, q, alphas, lams))
     columns = ["alpha", "lambda", "q", "s", "p"] + kind_names + ["argmin"]
     _write_table(blocks, columns, args.format, args.out)
     return EXIT_OK

@@ -15,12 +15,15 @@ a single custom moment is a pair with one weight 0.  alpha and lambda are
 floats, or arrays that broadcast to a grid of rules; branches are chosen
 per point, and the 1/t and custom moments are taken one point at a time.
 Each RuleParams holds its own kinks and branch masks and a memo of its
-closed-form moments, which the bounds evaluated on it share.
+closed-form moments, which the bounds evaluated on it share, and so do the
+rules :meth:`RuleParams.at_q` derives from it at other exponents.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional, Tuple
@@ -28,7 +31,7 @@ from typing import Any, Optional, Tuple
 import numpy as np
 
 from . import tanhsinh
-from .arrays import every, power, select
+from .arrays import every, extent, power, powers, select
 from .classes import HKind, HModulus
 from .errors import DomainError, NotIntegrable
 
@@ -44,13 +47,15 @@ class RuleParams:
 
     The geometry is computed on construction: u = 1-alpha, the left kink
     w = alpha*lam, lu = lam*(1-alpha), the right kink hi = 1-lu, and per
-    side (index 0 left, 1 right) the kink-inside and empty masks.  ``memo``
+    side (index 0 left, 1 right) the kink-inside and empty masks; a grid
+    on which no side is empty keeps False, not an all-False mask.  ``memo``
     holds what :func:`branch_select`, :func:`active_gamma_upsilon`,
     :func:`active_epsilons` and :func:`weighted_moment` compute on first
-    use: the branch names, the active gamma/upsilon and epsilons and, keyed
-    by s, the four t^s moments; so the bounds evaluated on one RuleParams
-    compute each once.  The 1/t and custom moments are not kept.  None of
-    these take part in repr, == or hash.
+    use: the branch names, the active gamma/upsilon, the epsilons per p
+    and, keyed by s, the four t^s moments; so the bounds evaluated on one
+    RuleParams, or on the rules :meth:`at_q` derives from it, compute each
+    once.  The 1/t and custom moments are not kept.  None of these take
+    part in repr, == or hash.
     """
 
     alpha: Any
@@ -71,12 +76,12 @@ class RuleParams:
                 value = value.copy()
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
-        if not every((0.0 <= self.alpha) & (self.alpha <= 1.0)):
+        (a_lo, a_hi), (l_lo, l_hi) = extent(self.alpha), extent(self.lam)
+        if not (0.0 <= a_lo and a_hi <= 1.0):  # NaN fails too
             raise DomainError("alpha must lie in [0, 1]")
-        if not every((0.0 <= self.lam) & (self.lam <= 1.0)):
+        if not (0.0 <= l_lo and l_hi <= 1.0):
             raise DomainError("lambda must lie in [0, 1]")
-        if not 1.0 <= self.q < math.inf:
-            raise DomainError("q must be finite and >= 1")
+        _check_q(self.q)
         u = 1.0 - self.alpha
         w = self.alpha * self.lam
         lu = self.lam * u
@@ -85,10 +90,26 @@ class RuleParams:
         # left kink lies in [0, 1-alpha] (alpha*lam <= 1-alpha), or the right
         # one in [1-alpha, 1] (1-alpha <= 1-lam*(1-alpha)); a tie counts as
         # inside, and there the two forms of that side agree.  [0, 1-alpha]
-        # or [1-alpha, 1] is empty once 1-alpha is rounded to 0 or 1.  The
-        # instance is frozen, so the derived fields go into its dict directly.
+        # or [1-alpha, 1] is empty once 1-alpha is rounded to 0 or 1, which
+        # a rounded 1 - alpha does at some point exactly where it does at
+        # the greatest or least alpha; a grid where it does not keeps False
+        # for that side's mask.  The instance is frozen, so the derived
+        # fields go into its dict directly.
+        empty = (u == 0.0 if 1.0 - a_hi == 0.0 else False,
+                 u == 1.0 if 1.0 - a_lo == 1.0 else False)
         vars(self).update(u=u, w=w, lu=lu, hi=hi, inside=(w <= u, u <= hi),
-                          empty=(u == 0.0, u == 1.0), memo={})
+                          empty=empty, memo={})
+
+    def at_q(self, q: float) -> "RuleParams":
+        """This rule at exponent q: self if q is its own, else a copy that
+        shares its geometry and its memo, of which only the epsilons
+        depend on q, and those are kept per p."""
+        if q == self.q:
+            return self
+        _check_q(q)
+        rule = copy.copy(self)
+        object.__setattr__(rule, "q", q)
+        return rule
 
     @property
     def p(self) -> Optional[float]:
@@ -102,9 +123,23 @@ class RuleParams:
         return p
 
 
+def _check_q(q: float):
+    if not 1.0 <= q < math.inf:
+        raise DomainError("q must be finite and >= 1")
+
+
 class Side(Enum):
     LEFT = "left"    # integral over [0, 1-alpha], kink at alpha*lam
     RIGHT = "right"  # integral over [1-alpha, 1], kink at 1-lam*(1-alpha)
+
+
+# a module global is read faster than an enum member, on every moment
+_RIGHT = Side.RIGHT
+_IDENTITY, _POWER, _CONSTANT, _RECIPROCAL, _CUSTOM = (
+    HKind.IDENTITY, HKind.POWER, HKind.CONSTANT, HKind.RECIPROCAL,
+    HKind.CUSTOM)
+# the least normal double: an epsilon below it has underflowed
+_TINY = sys.float_info.min
 
 
 def _active(rp: RuleParams, i: int, inside, outside):
@@ -112,8 +147,12 @@ def _active(rp: RuleParams, i: int, inside, outside):
 
     0 on an empty side; clamped.
     """
-    chosen = select(rp.inside[i], inside, outside)
-    return _clamp_moment(select(rp.empty[i], 0.0, chosen))
+    empty, kink_inside = rp.empty[i], rp.inside[i]
+    if empty.__class__ is bool and kink_inside.__class__ is bool:
+        val = 0.0 if empty else inside if kink_inside else outside
+        return val if val >= 0.0 else _clamp_moment(val)
+    return _clamp_moment(select(empty, 0.0,
+                                select(kink_inside, inside, outside)))
 
 
 def branch_select(rp: RuleParams):
@@ -159,13 +198,18 @@ def upsilon_coeffs(rp: RuleParams):
     return v1, v2
 
 
+def _epsilon_bases(rp: RuleParams):
+    """Per side, the kink's distances to the side's ends: eps is
+    x^(p+1) + y^(p+1) with the kink inside, x^(p+1) - y^(p+1) outside."""
+    # |x - y| and |y - x| are the same float, so each power is taken once
+    return (rp.w, abs(rp.u - rp.w)), (rp.lu, abs(rp.alpha - rp.lu))
+
+
 def epsilon_coeffs(rp: RuleParams):
     """(eps1..eps4): the p-power moment numerators, eps_i/(p+1) per branch."""
     p = rp.require_p()
-    w, u, lu = rp.w, rp.u, rp.lu
-    # |x - y| and |y - x| are the same float, so each power is taken once
-    w_p, gap_l = power(w, p + 1.0), power(abs(u - w), p + 1.0)
-    lu_p, gap_r = power(lu, p + 1.0), power(abs(rp.alpha - lu), p + 1.0)
+    (w, gap_l), (lu, gap_r) = _epsilon_bases(rp)
+    w_p, gap_l, lu_p, gap_r = powers([w, gap_l, lu, gap_r], p + 1.0)
     return w_p + gap_l, w_p - gap_l, lu_p + gap_r, lu_p - gap_r
 
 
@@ -182,12 +226,43 @@ def active_gamma_upsilon(rp: RuleParams) -> Tuple[float, float]:
 
 def active_epsilons(rp: RuleParams) -> Tuple[float, float]:
     """(eps_left, eps_right): the active p-power moment numerators."""
-    pair = rp.memo.get("epsilons")
-    if pair is None:
-        e1, e2, e3, e4 = epsilon_coeffs(rp)
-        pair = rp.memo["epsilons"] = (_active(rp, 0, e1, e2),
-                                      _active(rp, 1, e3, e4))
-    return pair
+    return epsilons_and_roots(rp)[0]
+
+
+def epsilons_and_roots(rp: RuleParams):
+    """(eps_left, eps_right) of :func:`active_epsilons` and their 1/p-th
+    powers, the Hoelder bounds' factors, kept in the memo per p.
+
+    As q nears 1, p grows and x^(p+1) + y^(p+1) underflows (at alpha =
+    0.3, lambda = 0.5 for every q below about 1.0014), and the root of the
+    0 or subnormal it leaves is 0 or inexact.  Where an epsilon is below
+    the least normal double, the root is taken as m^((p+1)/p) times the
+    root of the epsilon of the bases scaled by 1/m, m the larger of the
+    side's two bases; elsewhere it is power(eps, 1/p), bit for bit.
+    """
+    p = rp.require_p()
+    per_p = rp.memo.get("epsilons")
+    if per_p is None:
+        per_p = rp.memo["epsilons"] = {}
+    got = per_p.get(p)
+    if got is not None:
+        return got
+    e1, e2, e3, e4 = epsilon_coeffs(rp)
+    eps = _active(rp, 0, e1, e2), _active(rp, 1, e3, e4)
+    roots = [power(eps[0], 1.0 / p), power(eps[1], 1.0 / p)]
+    for i in (0, 1):
+        normal = eps[i] >= _TINY
+        if normal is True or every(normal):
+            continue
+        x, y = _epsilon_bases(rp)[i]
+        m = select(x < y, y, x)
+        m = select(m > 0.0, m, 1.0)  # 0 only on an empty side
+        xs, ys = power(x / m, p + 1.0), power(y / m, p + 1.0)
+        scaled = (power(m, (p + 1.0) / p)
+                  * power(_active(rp, i, xs + ys, xs - ys), 1.0 / p))
+        roots[i] = select(normal, roots[i], scaled)
+    got = per_p[p] = eps, tuple(roots)
+    return got
 
 
 def _power_forms(rp: RuleParams, s: float):
@@ -202,20 +277,23 @@ def _power_forms(rp: RuleParams, s: float):
     s1, s2 = s + 1.0, s + 2.0
     c = 2.0 / (s1 * s2)
 
-    def lower(k, b1, b2):  # int_0^b, from b^(s+1) and b^(s+2)
-        kb = k * b1 / s1
-        return power(k, s2) * c - kb + b2 / s2, kb - b2 / s2
+    def lower(k, k2, b1, b2):  # int_0^b, from k^(s+2), b^(s+1) and b^(s+2)
+        kb, b2s = k * b1 / s1, b2 / s2
+        return k2 * c - kb + b2s, kb - b2s
 
-    def upper(k, b1, b2):  # int_b^1
-        return (power(k, s2) * c - k * (1.0 + b1) / s1 + (1.0 + b2) / s2,
+    def upper(k, k2, b1, b2):  # int_b^1
+        return (k2 * c - k * (1.0 + b1) / s1 + (1.0 + b2) / s2,
                 (1.0 - b2) / s2 - k * (1.0 - b1) / s1)
 
-    u1, u2 = power(rp.u, s1), power(rp.u, s2)
-    a1, a2 = power(rp.alpha, s1), power(rp.alpha, s2)
-    return {(False, False): lower(rp.w, u1, u2),
-            (False, True): upper(1.0 - rp.w, a1, a2),
-            (True, False): upper(rp.hi, u1, u2),
-            (True, True): lower(rp.lu, a1, a2)}
+    u, alpha, w, hi, lu = rp.u, rp.alpha, rp.w, rp.hi, rp.lu
+    u1, u2, a1, a2 = (power(u, s1), power(u, s2), power(alpha, s1),
+                      power(alpha, s2))
+    mw = 1.0 - w
+    w2, mw2, hi2, lu2 = powers([w, mw, hi, lu], s2)
+    return {(False, False): lower(w, w2, u1, u2),
+            (False, True): upper(mw, mw2, a1, a2),
+            (True, False): upper(hi, hi2, u1, u2),
+            (True, True): lower(lu, lu2, a1, a2)}
 
 
 def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
@@ -229,17 +307,18 @@ def weighted_moment(h: HModulus, rp: RuleParams, side: Side,
     NotIntegrable where the moment diverges.  A custom modulus's moment is
     :func:`weighted_pair` with coefficients (1, 0) or (0, 1).
     """
-    if h.kind is HKind.CONSTANT:
-        return active_gamma_upsilon(rp)[side is Side.RIGHT]
-    if h.kind in (HKind.IDENTITY, HKind.POWER):
-        s = 1.0 if h.kind is HKind.IDENTITY else h.s_param
+    kind = h.kind
+    if kind is _CONSTANT:
+        return active_gamma_upsilon(rp)[side is _RIGHT]
+    if kind is _IDENTITY or kind is _POWER:
+        s = 1.0 if kind is _IDENTITY else h.s_param
         moments = rp.memo.get(s)
         if moments is None:
             moments = rp.memo[s] = {
                 key: _active(rp, key[0], *forms)
                 for key, forms in _power_forms(rp, s).items()}
-        return moments[side is Side.RIGHT, reflected]
-    if h.kind is HKind.RECIPROCAL:
+        return moments[side is _RIGHT, reflected]
+    if kind is _RECIPROCAL:
         return _per_point(lambda r: _reciprocal_moment(r, side, reflected),
                           rp)
     return weighted_pair(h, rp, side, float(not reflected), float(reflected))
@@ -264,7 +343,7 @@ def _reciprocal_moment(rp: RuleParams, side: Side, reflected: bool):
     (1-alpha, alpha*lam) and, by t -> 1-t, the right plain one at
     (1 - u, 1 - hi), both differences exact.
     """
-    right = side is Side.RIGHT
+    right = side is _RIGHT
     if rp.empty[right]:
         return 0.0
     u = rp.u
@@ -323,7 +402,7 @@ def weighted_pair(h: HModulus, rp: RuleParams, side: Side,
     taken apart, which keeps their 0, inf or NaN.  The coefficients may be
     arrays; on a grid, a custom pair is taken one point at a time.
     """
-    if h.kind is not HKind.CUSTOM:
+    if h.kind is not _CUSTOM:
         return (c_plain * weighted_moment(h, rp, side, False)
                 + c_reflected * weighted_moment(h, rp, side, True))
     return _per_point(lambda r, cp, cr: _numeric_pair(h, r, side, cp, cr),
@@ -336,7 +415,7 @@ def _numeric_pair(h: HModulus, rp: RuleParams, side: Side,
     if not 0.0 < scale < math.inf:
         return (c_plain * _numeric_pair(h, rp, side, 1.0, 0.0)
                 + c_reflected * _numeric_pair(h, rp, side, 0.0, 1.0))
-    if rp.empty[side is Side.RIGHT]:
+    if rp.empty[side is _RIGHT]:
         return 0.0
     lo, hi_lim, kink = ((0.0, rp.u, rp.w) if side is Side.LEFT
                         else (rp.u, 1.0, rp.hi))
@@ -350,4 +429,4 @@ def _numeric_pair(h: HModulus, rp: RuleParams, side: Side,
 
 def abs_moment_p(rp: RuleParams, side: Side):
     """int |t - kink|^p dt over one side; closed piecewise form."""
-    return active_epsilons(rp)[side is Side.RIGHT] / (rp.require_p() + 1.0)
+    return active_epsilons(rp)[side is _RIGHT] / (rp.require_p() + 1.0)

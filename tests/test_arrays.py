@@ -116,17 +116,36 @@ class TestPowerFastPath:
         assert type(got) is np.ndarray and got.shape == (5, 5)
         assert _bits(got) == _bits(_python_power(x, e))
 
+    # 0 ** e for e > 0 is an exact 0, +0 or -0 as ** gives it, and raises
+    # no flag: a lambda = 0 column or an alpha in {0, 1} row keeps the
+    # unguarded path, with the bits of **
     @pytest.mark.parametrize("x, e", [
-        ([0.5, 0.0], 0.4), ([0.5, -0.0], 2.3), ([0.5, -0.25], 2.0),
+        ([0.5, 0.0], 0.4), ([0.5, -0.0], 2.3),
+        ([[0.0, 0.3], [-0.0, 2.0]], 3.0),
+    ], ids=["zero", "negative-zero", "signed-zeros-odd-e"])
+    def test_zero_bases_skip_errstate(self, errstates, x, e):
+        x = np.array(x)
+        with np.errstate(all="raise"):
+            got = power(x, e)
+        assert errstates == [{"all": "raise"}]
+        assert type(got) is np.ndarray and got.shape == x.shape
+        assert _bits(got) == _bits(_python_power(x, e))
+
+    @pytest.mark.parametrize("x, e", [
+        ([0.5, -0.25], 2.0),
         ([0.5, math.nan], 0.4), ([0.5, math.inf], 0.4),
         ([0.5, 1e-300], 1.1),     # 1e-330 is subnormal
         ([0.5, 1e-150], 2.3),     # so is 1e-345
         ([0.5, 1e200], 2.3),      # 1e460 overflows
         ([0.5, 1e-200], -2.0),    # so does 1e400
         ([0.5, 1e300], -1.1),     # and this underflows
-    ], ids=["zero", "negative-zero", "negative", "nan", "inf",
+        ([0.0, 0.5], -0.4),       # 0 to a negative power
+        ([0.0, 1e-300, 0.5], 1.1),  # a zero, and a subnormal result
+        ([0.0, -0.0], 0.4),       # no positive base
+    ], ids=["negative", "nan", "inf",
             "subnormal", "subnormal-square", "overflow", "negative-e",
-            "negative-e-underflow"])
+            "negative-e-underflow", "zero-negative-e", "zero-subnormal",
+            "zeros-only"])
     def test_guarded_path_otherwise(self, errstates, x, e):
         x = np.array(x)
         with contextlib.suppress(ArithmeticError):

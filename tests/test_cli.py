@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcert import bounds, classes, cli, errors, oracle, tanhsinh
+from quadcert import bounds, classes, cli, errors, moments, oracle, tanhsinh
 from quadcert.errors import ToleranceNotReached
 from quadcert.moments import RuleParams
 
@@ -972,8 +973,8 @@ class TestOncePerJob:
     def test_exact_job_reads_f_prime_at_points_only(self, capsys,
                                                     monkeypatch):
         """An exp: job decided exactly calls f' at the derivative check's
-        11 points and at the ends each block's bound reads, one float at a
-        time."""
+        11 points and at the ends its bounds read, once per job, one float
+        at a time."""
         args, parse = [], cli.parse_function
 
         def counting_parse(spec):
@@ -990,32 +991,104 @@ class TestOncePerJob:
             "--q-grid", "1.5", "2"])
         assert code == 0
         checked = [2.0 * (i + 1) / 12 for i in range(11)]
-        assert args == [*checked, 0.0, 2.0, 0.0, 2.0]
+        assert args == [*checked, 0.0, 2.0]
         assert all(type(x) is float for x in args)
 
-    @pytest.mark.parametrize("argv, n_blocks", [
-        ([*VERIFY_SQUARE, *EDGE_GRID, "--q-grid", "1", "1.5", "2"], 3),
+    def test_holder_job_reads_each_f_prime_point_once(self, capsys,
+                                                      monkeypatch):
+        """A two-q holder job reads f' at the Hoelder nodes and the ends
+        once: the second block's TestFunction is recertified from the
+        first and shares its reads, and its rule shares the alpha column."""
+        args, parse = [], cli.parse_function
+
+        def counting_parse(spec):
+            f, fp = parse(spec)
+
+            def counted_fp(x):
+                args.append(x)
+                return fp(x)
+            return f, counted_fp
+
+        monkeypatch.setattr(cli, "parse_function", counting_parse)
+        code, out, _ = run_cli(capsys, [
+            "verify", "--function", "exp:0.7", "--interval", "0", "2",
+            "--bound", "holder", *EDGE_GRID, "--q-grid", "1.5", "2"])
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 15
+        checked = [2.0 * (i + 1) / 12 for i in range(11)]
+        alphas = [float(x) for x in EDGE_GRID[1:6]]
+        nodes = [(1.0 - al) * 2.0 + al * 0.0 for al in alphas]
+        # the record reads the node, then a and b
+        assert args == [*checked, *nodes, 0.0, 2.0]
+
+    def test_holder_job_first_failing_read(self, capsys):
+        """Sharing the reads moves no error: f' undefined at the node of
+        alpha = 1 (the end a = 0) stops a two-q job as it stops one q."""
+        base = ["verify", "--function", "pow:1,0.5", "--interval", "0", "1",
+                "--alpha-grid", "1", "--lambda-grid", "0", "--bound",
+                "holder"]
+        one = run_cli(capsys, [*base, "--q-grid", "2"])
+        two = run_cli(capsys, [*base, "--q-grid", "2", "3"])
+        assert one == two == (
+            2, "", "config error: f' is undefined at the end a=0.0\n")
+
+    def test_moments_once_per_job(self, capsys, monkeypatch):
+        """A three-q power-mean job computes the t moments and gamma/upsilon
+        once: its blocks' rules share one memo."""
+        counts = collections.Counter()
+
+        def spy(name):
+            fn = getattr(moments, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(moments, name, counted)
+
+        for name in ("_power_forms", "gamma_coeffs", "upsilon_coeffs"):
+            spy(name)
+        code, out, _ = run_cli(capsys, [*VERIFY_SQUARE, *EDGE_GRID,
+                                        "--q-grid", "1", "1.5", "2"])
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 15
+        assert counts == collections.Counter(
+            _power_forms=1, gamma_coeffs=1, upsilon_coeffs=1)
+
+    @pytest.mark.parametrize("argv, qs", [
+        ([*VERIFY_SQUARE, *EDGE_GRID, "--q-grid", "1", "1.5", "2"],
+         [1.0, 1.5, 2.0]),
         (["sweep", "--function", "poly:0,0,1", "--interval", "0", "1",
           "--h", "t^s", "--s", "0.3", "0.6", *EDGE_GRID, "--q-grid", "1",
-          "2"], 4),
+          "2"], [1.0, 2.0]),
         (["compare", "--function", "exp:0.7", "--interval", "0", "2",
           "--h", "t^s", "--s", "0.4", "0.8", *EDGE_GRID, "--q-grid", "1.5",
-          "2", "--kinds", "power-mean,holder"], 4),
+          "2", "--kinds", "power-mean,holder"], [1.5, 2.0]),
     ], ids=["verify", "sweep", "compare"])
-    def test_one_rule_per_block(self, capsys, monkeypatch, argv, n_blocks):
-        """Each (q, s) block builds one RuleParams on its grid, which its
-        bounds share; the lhs of the first certified block needs none."""
-        shapes = []
+    def test_one_rule_per_block(self, capsys, monkeypatch, argv, qs):
+        """Each (q, s) block evaluates on one RuleParams on its grid, which
+        its bounds share; the lhs of the first certified block needs none.
+        A job builds one, and derives the rule of each other q from it, so
+        its blocks share one geometry and memo."""
+        shapes, rules = [], []
         rule_params = cli.RuleParams
+        evaluate_bound = bounds.evaluate_bound
 
         def counting_rule_params(alpha, lam, q):
             shapes.append((np.shape(alpha), np.shape(lam)))
             return rule_params(alpha, lam, q)
 
+        def recording_bound(name, tf, rp, **kw):
+            rules.append(rp)
+            return evaluate_bound(name, tf, rp, **kw)
+
         monkeypatch.setattr(cli, "RuleParams", counting_rule_params)
+        monkeypatch.setattr(bounds, "evaluate_bound", recording_bound)
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
-        assert shapes == [((5, 1), (3,))] * n_blocks
+        assert shapes == [((5, 1), (3,))]
+        # one rule per q, whatever the count of s values and bound kinds
+        firsts = list({id(rp): rp for rp in rules}.values())
+        assert [rp.q for rp in firsts] == qs
+        assert len({id(rp.memo) for rp in rules}) == 1
+        assert len({id(rp.alpha) for rp in rules}) == 1
 
     def test_blocks_equal_single_runs(self, capsys):
         base = ["verify", "--function", "exp:0.7", "--interval", "0", "2",

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from quadcert import (ClassCertificate, ClassKind, HModulus, RuleParams,
-                      Side, TestFunction, bound_power_mean, oracle,
+                      Side, TestFunction, bound_power_mean, bounds, oracle,
                       weighted_moment)
 from quadcert.cli import main, parse_function
 from quadcert.moments import active_epsilons, active_gamma_upsilon
@@ -340,3 +340,103 @@ def test_reciprocal_moments_at_any_lam(side, reflected):
     # outside; worst relative error measured 9.3e-16 (left reflected) and
     # 7.5e-16 (right plain)
     assert _reciprocal_worst(RECIPROCAL_RULES, [(side, reflected)]) <= 1e-15
+
+
+# Hoelder bounds as q -> 1+: p = q/(q - 1) is in the thousands, so the
+# epsilons x^(p+1) +- y^(p+1) underflow the doubles; decimal's exponent
+# range holds them.  q = 1.01 keeps both epsilons normal, 1.0014 leaves
+# some subnormal, and below it they are 0.
+HOELDER_QS = [1.0001, 1.0005, 1.001, 1.0014, 1.003, 1.01]
+HOELDER_RULES = [(0.3, 0.5), (0.7, 0.2), (0.5, 1.0 / 3.0), (0.1, 0.9),
+                 (0.9, 0.0)]
+
+
+def _epsilon_roots_referee(rp):
+    """(eps_left^(1/p), eps_right^(1/p)) of rp at 50 digits, from the
+    exact kinks of its alpha and lambda and the p it derives."""
+    a, lm, p = Fraction(rp.alpha), Fraction(rp.lam), Decimal(rp.p)
+    u = 1 - a
+    roots = []
+    for x, y, inside in [(a * lm, abs(u - a * lm), a * lm <= u),
+                         (lm * u, abs(a - lm * u), u <= 1 - lm * u)]:
+        x, y = (Decimal(v.numerator) / Decimal(v.denominator) for v in (x, y))
+        eps = x ** (p + 1) + (y ** (p + 1) if inside else -y ** (p + 1))
+        roots.append(eps ** (1 / p) if eps > 0 else Decimal(0))
+    return roots
+
+
+def _hoelder_referee(name, tf, rp):
+    """The Hoelder bound called name, convex or concave, at 50 digits."""
+    p, q = Decimal(rp.p), Decimal(rp.q)
+    a, b, al = tf.a, tf.b, rp.alpha
+    fp = [Decimal(abs(tf.f_prime(x))) for x in
+          ((a, b, (1.0 - al) * b + al * a) if name == "holder" else
+           (((1.0 - al) * b + (1.0 + al) * a) / 2.0,
+            ((2.0 - al) * b + al * a) / 2.0))]
+    al = Decimal(al)
+    if name == "holder":  # h = t: its integral is 1/2
+        d_a, d_b, d_node = fp
+        big = [(1 - al) * (d_node ** q + d_a ** q),
+               al * (d_node ** q + d_b ** q)]
+        pref = Decimal("0.5") ** (1 / q)
+    else:  # h = t: h(1/2) = 1/2, so 1/(2 h(1/2)) = 1
+        big = [(1 - al) * fp[0] ** q, al * fp[1] ** q]
+        pref = Decimal(1)
+    pref *= Decimal(tf.width) * (1 / (p + 1)) ** (1 / p)
+    return pref * sum(r * c ** (1 / q) for r, c in
+                      zip(_epsilon_roots_referee(rp), big))
+
+
+@pytest.mark.parametrize("name, spec, a, b", [
+    ("holder", "poly:0,0,1", 0.0, 1.0),
+    ("holder-concave", "pow:1,1.5", 0.1, 1.6),
+], ids=["holder", "holder-concave"])
+def test_hoelder_bounds_as_q_nears_1(name, spec, a, b):
+    # worst relative error measured 3.2e-16 (holder) and 4.8e-16 (concave).
+    # An epsilon that underflowed to 0 made the bound 0 (at (0.3, 0.5) for
+    # every q below about 1.0014), so verify called a sound rule violated;
+    # a subnormal one left it inexact (concave, (0.9, 0), q = 1.003: 0.53%
+    # low)
+    f, fp = parse_function(spec)
+    kind = bounds.BOUNDS[name].class_kind
+    worst = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for q in HOELDER_QS:
+            cert = ClassCertificate(kind, HModulus.identity(), q)
+            tf = TestFunction(f, fp, a, b, cert)
+            for alpha, lam in HOELDER_RULES:
+                rp = RuleParams(alpha, lam, q)
+                got = bounds.evaluate_bound(name, tf, rp).value
+                want = _hoelder_referee(name, tf, rp)
+                worst = max(worst, abs(Decimal(got) / want - 1))
+    assert float(worst) <= 1e-15
+
+
+def test_hoelder_argv_near_q1_is_sound(capsys):
+    # the rhs at 50 digits is 0.44760279577936225...; it printed 0
+    code = main(["verify", "--function", "poly:0,0,1", "--bound", "holder",
+                 "--q-grid", "1.0001", "--alpha-grid", "0.3",
+                 "--lambda-grid", "0.5"])
+    row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0 and row["sound"] == "true"
+    assert abs(float(row["rhs"]) / 0.44760279577936225 - 1) <= 1e-15
+
+
+def test_simpson_holder_as_q_nears_1():
+    # 2^(p+1) overflowed a float past p = 1023 (q = 1.0001 exited 2); the
+    # referee takes ((1 + 2^(p+1))/(3(p+1)))^(1/p) at 50 digits
+    f, fp = parse_function("poly:0,0,1")
+    cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.power(0.5), 1.0001)
+    tf = TestFunction(f, fp, 0.0, 1.0, cert)
+    rp = RuleParams(0.5, 1.0 / 3.0, 1.0001)
+    got = bounds.evaluate_bound("simpson-holder", tf, rp).value
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p, q, s = Decimal(rp.p), Decimal(rp.q), Decimal("0.5")
+        d_a, d_b, d_mid = Decimal(0), Decimal(2), Decimal(1)
+        want = (Decimal(1) / 12 * ((1 + 2 ** (p + 1)) / (3 * (p + 1)))
+                ** (1 / p) * (((d_mid ** q + d_a ** q) / (s + 1)) ** (1 / q)
+                              + ((d_mid ** q + d_b ** q) / (s + 1))
+                              ** (1 / q)))
+        assert abs(Decimal(got) / want - 1) <= Decimal("1e-15")

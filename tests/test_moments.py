@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from quadcert import (
     ClassCertificate, ClassKind, HKind, HModulus, RuleParams, Side,
-    TestFunction, abs_moment_p, bound_power_mean, bounds, branch_select,
+    TestFunction, abs_moment_p, arrays, bound_power_mean, bounds,
+    branch_select,
     epsilon_coeffs, evaluate_bound,
     gamma_coeffs, integrate_adaptive, moments, upsilon_coeffs,
     weighted_moment,
@@ -759,19 +760,21 @@ class TestRuleTable:
 
     def test_twelve_array_powers(self, monkeypatch):
         # u^(s+1), u^(s+2), alpha^(s+1), alpha^(s+2) and the four kinks^(s+2)
-        # in the memo, and the bound's four outer powers
+        # in the memo, and the bound's four outer powers: twelve powers in
+        # nine calls, the four kinks stacked into one
         tf = _tf_cubic(HModulus.power(0.4), 2.0)
         rp = RuleParams(*self._grid(), 2.0)
-        on_arrays = []
+        stacked = []
 
         def counted(x, e):
-            on_arrays.append(isinstance(x, np.ndarray))
+            if isinstance(x, np.ndarray):
+                stacked.append(len(x) if x.ndim == 3 else 1)
             return power(x, e)
 
-        for mod in (moments, bounds):
+        for mod in (moments, bounds, arrays):
             monkeypatch.setattr(mod, "power", counted)
         bound_power_mean(tf, rp)
-        assert sum(on_arrays) == 12
+        assert sorted(stacked) == [1] * 8 + [4]
 
     @pytest.mark.parametrize("h", [HModulus.identity(), HModulus.power(0.4),
                                    HModulus.constant()],
