@@ -12,7 +12,8 @@ from the exact values of the float inputs and with no rounding at all:
   values and the lhs column that ``verify`` prints.
 
 The moments of h = 1/t take logarithms, so stdlib ``decimal`` at 50 digits
-referees their closed forms instead.
+referees their closed forms instead, and so it does the Hoelder bounds as
+q -> 1+, whose epsilons lie below the doubles' range.
 
 This referee shares nothing with the float closed forms or with the
 Gauss-Kronrod oracle.  Each tolerance below is the largest error measured
