@@ -8,9 +8,10 @@ evaluates those bounds and verifies them against an adaptive quadrature
 oracle.
 """
 
-from .classes import (ClassCertificate, ClassKind, FunctionSpec, HKind,
-                      HModulus, MembershipReport, TestFunction,
-                      certify_membership, h_half, h_integral_01)
+from .classes import (ClassCertificate, ClassKind, HKind, HModulus,
+                      MembershipReport, TestFunction, certify_membership,
+                      h_half, h_integral_01)
+from .specs import FunctionSpec
 from .moments import (RuleParams, Side, abs_moment_p, branch_select,
                       epsilon_coeffs, gamma_coeffs, upsilon_coeffs,
                       weighted_moment)

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import bounds as bnd
 from . import oracle
-from .classes import (ClassCertificate, ClassKind, FunctionSpec, HModulus,
-                      TestFunction, certify_membership)
+from .classes import (ClassCertificate, ClassKind, HModulus, TestFunction,
+                      certify_membership)
 from .errors import ConfigError, NonFiniteSample, ToleranceNotReached
 from .moments import RuleParams
+from .specs import parse_spec
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -51,25 +52,8 @@ def _json_value(x):
     return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def parse_spec(spec: str) -> FunctionSpec:
-    """Parse an inline function spec.
-
-    Supported forms:
-      poly:c0,c1,...   f(x) = sum c_k x^k
-      pow:beta,r       f(x) = beta * x^r          (r > 0, domain x >= 0)
-      exp:k            f(x) = exp(k x)
-
-    Every parameter must be a finite float.
-    """
-    try:
-        name, _, rest = spec.partition(":")
-        return FunctionSpec(name, tuple(float(c) for c in rest.split(",")))
-    except (ValueError, TypeError):
-        raise ConfigError(f"cannot parse function spec {spec!r}") from None
-
-
 def parse_function(spec: str):
-    """The (f, f_prime) pair of an inline function spec (see parse_spec)."""
+    """The (f, f_prime) pair of an inline function spec (see specs)."""
     return parse_spec(spec).functions()
 
 
@@ -358,7 +342,7 @@ def cmd_hadamard(args) -> int:
 def _add_function_args(p):
     """Flags that build the test function and its certificate modulus."""
     p.add_argument("--function", required=True,
-                   help="poly:c0,c1,... | pow:beta,r | exp:k")
+                   help="a poly:, pow: or exp: spec; see pydoc quadcert.specs")
     p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
                    default=(0.0, 1.0))
     p.add_argument("--h", default="t", help="modulus: t | t^s | 1 | 1/t")

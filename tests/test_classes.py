@@ -18,8 +18,9 @@ from quadcert import (
     weighted_moment,
 )
 from quadcert.arrays import map_scalar, power
-from quadcert.classes import (FunctionSpec, _custom_value, _derivative_draw,
+from quadcert.classes import (_custom_value, _derivative_draw,
                               _eval_maybe_vector, _sampled_membership)
+from quadcert.specs import FunctionSpec
 from quadcert import sturm
 from quadcert.sturm import negative_point
 from quadcert.errors import (DegenerateModulus, DomainError, EvaluationError,

@@ -22,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcert import bounds, classes, cli, errors, moments, oracle, tanhsinh
+from quadcert import (bounds, classes, cli, errors, moments, oracle, specs,
+                      tanhsinh)
 from quadcert.errors import ToleranceNotReached
 from quadcert.moments import RuleParams
 
@@ -338,7 +339,7 @@ class TestCompareReadsOnlyFPrime:
                                         classes.HModulus.identity(), 2.0)
         tf = classes.TestFunction(*cli.parse_function(spec), a, b, cert,
                                   skip_derivative_check=True,
-                                  spec=cli.parse_spec(spec))
+                                  spec=specs.parse_spec(spec))
         want = bounds.evaluate_bound("power-mean", tf,
                                      RuleParams(0.5, 1.0 / 3.0, 2.0))
         assert row["power-mean"] == "%.17g" % want.value
@@ -1363,7 +1364,7 @@ class TestDecidedExactly:
     def test_point_and_sampled_blind_spot(self, spec, a, b):
         """The exact report names a point where r = p p'' < 0 (q = 1,
         p = f'); the same f and f' as API callables are sampled and pass."""
-        fs = cli.parse_spec(spec)
+        fs = specs.parse_spec(spec)
         f, fp = fs.functions()
         a, b = float(a), float(b)
         cert = classes.ClassCertificate(classes.ClassKind.H_CONVEX,

@@ -24,6 +24,10 @@ No module of the package but classes.py reads an attribute named fn: a
 custom modulus's fn is sampled only there, through HModulus.evaluator and
 HModulus.moment_integrand, where each of its values is checked.
 
+No module of the package but specs.py reads an attribute named family:
+specs.py alone branches on the poly:, pow: and exp: families, and every
+other module reads what a spec decides through its methods.
+
 No float literal in oracle.py outside the qk15 table (_K15_PAIRS and
 _K15_CENTRE) equals one of its constants or is as long as one (15 or more
 significant digits): the kernel reads the table's constants by name, so a
@@ -175,6 +179,21 @@ def _fn_reads(trees):
             and path.name not in _FN_CALLERS
             for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and n.attr == "fn"]
+
+
+# the modules that read a spec's family
+_FAMILY_READERS = ("specs.py",)
+
+
+def _family_reads(trees):
+    """Each read of an attribute named family under src/quadcert outside
+    _FAMILY_READERS; reading it is how a module would branch on one."""
+    return [f"{path}:{n.lineno}"
+            for path, tree in trees.items()
+            if path.parts[:2] == ("src", "quadcert")
+            and path.name not in _FAMILY_READERS
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "family"]
 
 
 # the modules that read a member of HKind
@@ -340,6 +359,10 @@ def test_fn_read_only_where_checked():
     assert _fn_reads(_trees()) == []
 
 
+def test_family_read_only_in_specs():
+    assert _family_reads(_trees()) == []
+
+
 def test_hkind_read_only_where_moments_are_decided():
     assert _hkind_reads(_trees()) == []
 
@@ -448,6 +471,22 @@ def test_fn_read_scan_sees(source, hits):
     for caller in _FN_CALLERS:
         assert _fn_reads({Path("src/quadcert", caller): tree}) == []
     assert _fn_reads({Path("tests/test_bounds.py"): tree}) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ('if tf.spec.family == "pow":\n    pass', ["src/quadcert/classes.py:1"]),
+    ("name = spec.family", ["src/quadcert/classes.py:1"]),
+    ("ok = spec.decides_from(tf.a)", []),
+    ("family = 1", []),
+])
+def test_family_read_scan_sees(source, hits):
+    tree = ast.parse(source)
+    assert _family_reads({Path("src/quadcert/classes.py"): tree}) == hits
+    assert _family_reads({Path("src/quadcert/cli.py"): tree}) \
+        == [hit.replace("classes", "cli") for hit in hits]
+    for reader in _FAMILY_READERS:
+        assert _family_reads({Path("src/quadcert", reader): tree}) == []
+    assert _family_reads({Path("tests/test_classes.py"): tree}) == []
 
 
 @pytest.mark.parametrize("source, src_hits, test_hits", [
