@@ -435,12 +435,13 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     only, so consecutive checks of one f' object reuse them; each check
     computes its own h on the draw, |f'|^q and slack.  h takes the alpha
     and then the 1 - alpha samples as two arrays, through
-    :attr:`HModulus.evaluator`.
+    :attr:`HModulus.evaluator`.  An n_samples or seed that is not an
+    integer raises DomainError, as one below 1 or 0 does.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise DomainError("n_samples must be an integer >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("seed must be an integer >= 0")
     cert = tf.certificate
     kind, q = cert.h.kind, cert.exponent_q
     concave = cert.class_kind is ClassKind.H_CONCAVE

@@ -31,6 +31,8 @@ def arith_mean(a: float, b: float) -> float:
 
 def log_mean(a: float, b: float) -> float:
     """(b - a) / (ln|b| - ln|a|)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("log mean needs finite a and b")
     if a * b == 0.0 or abs(a) == abs(b):
         raise DomainError("log mean needs ab != 0 and |a| != |b|")
     return (b - a) / (math.log(abs(b)) - math.log(abs(a)))
@@ -79,12 +81,12 @@ def p_log_mean(a: float, b: float, p: float) -> float:
     u = (p+1)L, and ln R = u + ln(-expm1(-u)/((p+1)x)) below -1, where e^u
     can overflow.  The error, about 2^-53 |ln(c/L_p)|, is small near -1.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("p-logarithmic mean needs a, b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError("p-logarithmic mean needs finite a, b > 0")
     if a == b:
         raise DomainError("p-logarithmic mean needs a != b")
-    if p in (-1.0, 0.0):
-        raise DomainError("p must avoid {-1, 0}")
+    if p in (-1.0, 0.0) or not math.isfinite(p):
+        raise DomainError("p must be finite and avoid {-1, 0}")
     c = max(a, b)
     x, log_ratio = _log_ratio(c, min(a, b))
     if p < -0.5:
@@ -117,9 +119,10 @@ def _mean_rule_error(a: float, b: float, alpha: float, lam: float,
 
 
 def _check_prop_domain(a, b, q, s):
-    """0 < a < b and s in (0, 1/q); RuleParams checks alpha, lambda, q."""
-    if not 0.0 < a < b:
-        raise DomainError("need 0 < a < b")
+    """Finite 0 < a < b and s in (0, 1/q); RuleParams checks alpha, lambda,
+    q."""
+    if not 0.0 < a < b < math.inf:
+        raise DomainError("need finite 0 < a < b")
     if not 0.0 < s < 1.0 / q:
         raise DomainError("need s in (0, 1/q)")
 
@@ -151,7 +154,8 @@ def proposition2_check(a: float, b: float, alpha: float, lam: float,
     (s+1).  p must be the conjugate of q; the bound derives it from q.
     """
     rp = RuleParams(alpha, lam, q)
-    if q <= 1.0 or p <= 1.0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+    # written so that a NaN p fails it
+    if q <= 1.0 or p <= 1.0 or not abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12:
         raise DomainError("need conjugate p, q > 1")
     _check_prop_domain(a, b, q, s)
     lhs = _mean_rule_error(a, b, alpha, lam, s)

@@ -573,6 +573,13 @@ class TestCertifyMembership:
             certify_membership(tf, n_samples=0)
         with pytest.raises(DomainError, match="seed"):
             certify_membership(tf, seed=-1)
+        # numpy raised TypeError from the draw for these
+        for name, bad in [("n_samples", 1.5), ("n_samples", math.nan),
+                          ("seed", 1.5)]:
+            with pytest.raises(DomainError,
+                               match=f"^{name} must be an integer"):
+                certify_membership(tf, **{name: bad})
+        assert certify_membership(tf, np.int64(200), np.int64(1)).holds
 
     def test_deterministic_given_seed(self):
         cert = ClassCertificate(ClassKind.H_CONCAVE, HModulus.identity(), 1.0)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadcert
 from quadcert import (bounds, classes, cli, errors, moments, oracle, specs,
                       tanhsinh)
 from quadcert.errors import ToleranceNotReached
@@ -1091,19 +1092,33 @@ class TestOncePerJob:
         assert len({id(rp.memo) for rp in rules}) == 1
         assert len({id(rp.alpha) for rp in rules}) == 1
 
+    # (job, its q values, its s values): a t^s verify, a two-q holder
+    # verify and a two-q, two-s sweep
+    BLOCK_JOBS = [
+        (["verify", "--function", "exp:0.7", "--interval", "0", "2", "--h",
+          "t^s", *EDGE_GRID], ["1", "2"], ["0.4", "0.8"]),
+        (["verify", "--function", "exp:0.7", "--interval", "0", "2",
+          "--bound", "holder", "--alpha-grid", "0", "0.3", "0.5", "1",
+          "--lambda-grid", "0", "0.5", "1"], ["1.5", "3"], []),
+        (["sweep", "--function", "exp:0.7", "--interval", "0", "2", "--h",
+          "t^s", "--alpha-grid", "0", "0.3", "0.5", "1", "--lambda-grid",
+          "0", "0.5", "1"], ["1", "2"], ["0.3", "0.8"]),
+    ]
+
     def test_blocks_equal_single_runs(self, capsys):
-        base = ["verify", "--function", "exp:0.7", "--interval", "0", "2",
-                "--h", "t^s", *EDGE_GRID]
-        qs, ss = ["1", "2"], ["0.4", "0.8"]
-        code, out, _ = run_cli(capsys, [*base, "--q-grid", *qs, "--s", *ss])
-        header, *rows = out.splitlines()
-        assert code == 0 and len(rows) == 4 * 15
-        single = []
-        for q, s in itertools.product(qs, ss):
-            code, out, _ = run_cli(capsys, [*base, "--q-grid", q, "--s", s])
-            assert code == 0 and out.splitlines()[0] == header
-            single += out.splitlines()[1:]
-        assert rows == single
+        for base, qs, ss in self.BLOCK_JOBS:
+            s_args = ["--s", *ss] if ss else []
+            code, out, _ = run_cli(capsys, [*base, "--q-grid", *qs, *s_args])
+            header, *rows = out.splitlines()
+            assert code == 0
+            single = []
+            for q, s in itertools.product(qs, ss or [None]):
+                code, out, _ = run_cli(capsys, [*base, "--q-grid", q,
+                                                *(["--s", s] if s else [])])
+                block = out.splitlines()
+                assert code == 0 and block[0] == header and len(block) > 1
+                single += block[1:]
+            assert rows == single
 
     # |f'| = sqrt(x) on [1, 2] is concave, so the q = 1 block is rejected;
     # |f'|^2 is linear and |f'|^3 convex
@@ -1644,38 +1659,70 @@ class TestIdentityAndHadamard:
         assert "right= holds=True" in out
 
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+# the directory that holds the quadcert these tests imported: src/, or
+# site-packages for an installed package, which fresh processes then run
+PACKAGE_PARENT = Path(quadcert.__file__).resolve().parents[1]
 
 
 class TestSubprocess:
     # each exits 2 with one "config error:" line on stderr and nothing else,
     # such as a numpy warning, which in-process runs turn into errors
-    ONE_LINE_ERRORS = [
+    ONE_LINE_ERRORS = {
         # f overflows at a derivative check point
-        ["--function", "exp:1000", "--interval", "0", "1"],
+        "exp:1000": ["verify", "--function", "exp:1000", "--interval", "0",
+                     "1"],
         # an interval too narrow to difference
-        ["--function", "poly:0,0,1", "--interval", "0", "1e-320"],
+        "poly:0,0,1": ["verify", "--function", "poly:0,0,1", "--interval",
+                       "0", "1e-320"],
         # |f'|^3 is convex, so the second block is certified exactly, and
         # its power-mean bound is not finite
-        ["--function", "exp:300", "--interval", "0", "1", "--q-grid", "1",
-         "3"],
+        "exp:300": ["verify", "--function", "exp:300", "--interval", "0",
+                    "1", "--q-grid", "1", "3"],
         # |f'|^2 is convex, so the first block is certified exactly, and its
         # power-mean bound is not finite before the job's mean, which would
         # take about 40 s and fail in the oracle
-        ["--function", "poly:0,0,0,1e300", "--interval", "-1", "1",
-         "--q-grid", "2", "1"],
+        "poly:0,0,0,1e300": ["verify", "--function", "poly:0,0,0,1e300",
+                             "--interval", "-1", "1", "--q-grid", "2", "1"],
         # f' divides by zero at the end a = 0
-        ["--function", "pow:1,0.5", "--interval", "0", "1"],
+        "pow:1,0.5": ["verify", "--function", "pow:1,0.5", "--interval", "0",
+                      "1"],
         # f' is NaN at the sampled points
-        ["--function", "pow:1,1.5", "--interval", "-2", "-1"],
-    ]
+        "pow:1,1.5": ["verify", "--function", "pow:1,1.5", "--interval",
+                      "-2", "-1"],
+        # x^2 of a Python float overflows at a derivative check point, and
+        # past the check points in the oracle's mean
+        "overflow-near": ["verify", "--function", "poly:0,0,1", "--interval",
+                          "0", "1e200"],
+        "overflow-at": ["verify", "--function", "poly:0,0,1", "--interval",
+                        "0", "1.4e154"],
+        # alpha = 1 puts the holder node and the holder-concave left
+        # midpoint on a = 0, where f' divides by zero
+        "verify-holder": ["verify", "--function", "pow:1,0.5", "--interval",
+                          "0", "1", "--q-grid", "2", "--alpha-grid", "1",
+                          "--lambda-grid", "0", "--bound", "holder"],
+        "verify-holder-concave": [
+            "verify", "--function", "pow:1,0.5", "--interval", "0", "1",
+            "--q-grid", "2", "--alpha-grid", "1", "--lambda-grid", "0",
+            "--bound", "holder-concave", "--concave"],
+        "compare-holder": ["compare", "--function", "pow:1,0.5", "--interval",
+                           "0", "1", "--q-grid", "2", "--alpha-grid", "1",
+                           "--lambda-grid", "0", "--kinds", "holder"],
+        # f' is complex at the end a, and f at the midpoint
+        "compare-not-real": ["compare", "--function", "pow:1,1.5",
+                             "--interval", "-2", "-1", "--kinds",
+                             "power-mean,general-convex"],
+        "hadamard-not-real": ["hadamard", "--function", "pow:1,1.5",
+                              "--interval", "-2", "-1", "--h", "1/t",
+                              "--variant", "godunova_levin"],
+    }
 
-    @pytest.mark.parametrize("argv", ONE_LINE_ERRORS,
-                             ids=lambda argv: argv[1])
+    @pytest.mark.parametrize("argv", list(ONE_LINE_ERRORS.values()),
+                             ids=list(ONE_LINE_ERRORS))
     def test_one_config_error_line(self, argv):
-        r = subprocess.run([sys.executable, "-m", "quadcert", "verify", *argv],
+        r = subprocess.run([sys.executable, "-m", "quadcert", *argv],
                            capture_output=True, text=True, timeout=30,
-                           env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+                           env={**os.environ,
+                                "PYTHONPATH": str(PACKAGE_PARENT)})
         assert r.returncode == 2
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith("config error: ")
@@ -1700,7 +1747,8 @@ class TestSubprocess:
     def test_one_oracle_failure_line(self, argv):
         r = subprocess.run([sys.executable, "-m", "quadcert", *argv],
                            capture_output=True, text=True, timeout=30,
-                           env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+                           env={**os.environ,
+                                "PYTHONPATH": str(PACKAGE_PARENT)})
         assert (r.returncode, r.stdout) == (3, "")
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith("oracle failure: ")

@@ -26,15 +26,20 @@ class TestMeans:
 
     def test_log_mean(self):
         assert log_mean(1.0, math.e) == pytest.approx(math.e - 1.0)
-        for a, b in [(0.0, 1.0), (1.0, 1.0), (-2.0, 2.0)]:
+        # a NaN end returned nan
+        for a, b in [(0.0, 1.0), (1.0, 1.0), (-2.0, 2.0), (math.nan, 1.0),
+                     (1.0, math.inf)]:
             with pytest.raises(DomainError):
                 log_mean(a, b)
 
     def test_p_log_mean_reductions(self):
         # p = 1 reduces to the arithmetic mean
         assert p_log_mean(2.0, 5.0, 1.0) == pytest.approx(3.5)
+        # a NaN p returned nan and an infinite b inf
         for bad in [(0.0, 1.0, 2.0), (1.0, 1.0, 2.0),
-                    (1.0, 2.0, 0.0), (1.0, 2.0, -1.0)]:
+                    (1.0, 2.0, 0.0), (1.0, 2.0, -1.0), (1.0, 2.0, math.nan),
+                    (1.0, 2.0, math.inf), (1.0, math.inf, 2.0),
+                    (math.nan, 2.0, 2.0)]:
             with pytest.raises(DomainError):
                 p_log_mean(*bad)
 
@@ -110,6 +115,9 @@ class TestProposition1:
             proposition1_check(1.0, 2.0, 0.5, 0.5, 0.5, 0.25)  # q < 1
         with pytest.raises(DomainError):
             proposition1_check(1.0, 2.0, 1.5, 0.5, 2.0, 0.25)
+        # an infinite b gave lhs = nan and holds = False
+        with pytest.raises(DomainError, match="^need finite 0 < a < b$"):
+            proposition1_check(1.0, math.inf, 0.5, 0.3, 1.0, 0.5)
 
     def test_boundary_alpha_one(self):
         # alpha = 1 weights the rule entirely at the left endpoint
@@ -142,6 +150,11 @@ class TestProposition2:
             proposition2_check(0.0, 2.0, 0.5, 0.5, 2.0, 2.0, 0.25)
         with pytest.raises(DomainError):
             proposition2_check(1.0, 2.0, 0.5, 0.5, 2.0, 2.0, 0.6)  # s >= 1/q
+        # a NaN p failed no comparison and held
+        with pytest.raises(DomainError, match="^need conjugate p, q > 1$"):
+            proposition2_check(1.0, 2.0, 0.5, 0.3, math.nan, 2.0, 0.3)
+        with pytest.raises(DomainError, match="^need finite 0 < a < b$"):
+            proposition2_check(1.0, math.inf, 0.5, 0.3, 2.0, 2.0, 0.3)
 
     def test_lhs_shared_with_proposition1(self):
         args = (1.3, 2.9, 0.4, 0.7)

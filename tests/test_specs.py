@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadcert
 from quadcert import FunctionSpec
 from quadcert.errors import ConfigError, DomainError
 from quadcert.specs import parse_spec
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+# the directory that holds the quadcert these tests imported: src/, or
+# site-packages for an installed package, which fresh processes then run
+PACKAGE_PARENT = Path(quadcert.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("params", [
@@ -67,15 +70,18 @@ def test_decides_from(spec, a, decided):
 
 
 def test_import_leaves_sturm_unloaded():
-    """Importing the package and its command line loads no Sturm code: a
-    decision on a poly: spec imports sturm when it is first made."""
+    """Importing the package and its command line, or parsing a spec,
+    loads no Sturm code: a decision on a poly: spec imports sturm when it
+    is first made."""
     code = "\n".join([
         "import sys, quadcert, quadcert.cli",
+        "from quadcert.specs import FunctionSpec, parse_spec",
+        "assert parse_spec('pow:2,1.5') == FunctionSpec('pow', (2.0, 1.5))",
         "assert 'quadcert.sturm' not in sys.modules",
         "spec = quadcert.FunctionSpec('poly', (0.0, 0.0, 1.0))",
         "assert spec.shape_failure(1.0, 0.0, 1.0) is None",
         "assert 'quadcert.sturm' in sys.modules"])
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True,
-                       env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+                       env={**os.environ, "PYTHONPATH": str(PACKAGE_PARENT)})
     assert r.returncode == 0, r.stderr
