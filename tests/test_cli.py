@@ -9,7 +9,6 @@ import io
 import itertools
 import json
 import math
-import os
 import re
 import shlex
 import subprocess
@@ -22,7 +21,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import quadcert
 from quadcert import (bounds, classes, cli, errors, moments, oracle, specs,
                       tanhsinh)
 from quadcert.errors import ToleranceNotReached
@@ -773,6 +771,9 @@ class TestGoldenOutput:
         assert got_code == code
         assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
+    def test_every_file_has_an_argv(self):
+        assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN)
+
 
 def _reference_rows(block, columns):
     """The block's rows cell by cell, each column broadcast on its own: an
@@ -1092,31 +1093,31 @@ class TestOncePerJob:
         assert len({id(rp.memo) for rp in rules}) == 1
         assert len({id(rp.alpha) for rp in rules}) == 1
 
-    # (job, its q values, its s values): a t^s verify, a two-q holder
-    # verify and a two-q, two-s sweep
+    # (job, its q values, its s values, its row count): a t^s verify, a
+    # two-q holder verify and a two-q, two-s sweep
     BLOCK_JOBS = [
         (["verify", "--function", "exp:0.7", "--interval", "0", "2", "--h",
-          "t^s", *EDGE_GRID], ["1", "2"], ["0.4", "0.8"]),
+          "t^s", *EDGE_GRID], ["1", "2"], ["0.4", "0.8"], 4 * 15),
         (["verify", "--function", "exp:0.7", "--interval", "0", "2",
           "--bound", "holder", "--alpha-grid", "0", "0.3", "0.5", "1",
-          "--lambda-grid", "0", "0.5", "1"], ["1.5", "3"], []),
+          "--lambda-grid", "0", "0.5", "1"], ["1.5", "3"], [], 2 * 12),
         (["sweep", "--function", "exp:0.7", "--interval", "0", "2", "--h",
           "t^s", "--alpha-grid", "0", "0.3", "0.5", "1", "--lambda-grid",
-          "0", "0.5", "1"], ["1", "2"], ["0.3", "0.8"]),
+          "0", "0.5", "1"], ["1", "2"], ["0.3", "0.8"], 4 * 12),
     ]
 
     def test_blocks_equal_single_runs(self, capsys):
-        for base, qs, ss in self.BLOCK_JOBS:
+        for base, qs, ss, n in self.BLOCK_JOBS:
             s_args = ["--s", *ss] if ss else []
             code, out, _ = run_cli(capsys, [*base, "--q-grid", *qs, *s_args])
             header, *rows = out.splitlines()
-            assert code == 0
+            assert code == 0 and len(rows) == n
             single = []
             for q, s in itertools.product(qs, ss or [None]):
                 code, out, _ = run_cli(capsys, [*base, "--q-grid", q,
                                                 *(["--s", s] if s else [])])
                 block = out.splitlines()
-                assert code == 0 and block[0] == header and len(block) > 1
+                assert code == 0 and block[0] == header
                 single += block[1:]
             assert rows == single
 
@@ -1492,6 +1493,12 @@ class TestParsePath:
         want = _parse_outcome(capsys, cli.build_parser().parse_args, argv)
         assert _parse_outcome(capsys, cli._parse_args, argv) == want
 
+    def test_command_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: quadcert verify ")
+
     def test_command_argv_skips_parent(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the parent parser read a command's argv")
@@ -1659,11 +1666,6 @@ class TestIdentityAndHadamard:
         assert "right= holds=True" in out
 
 
-# the directory that holds the quadcert these tests imported: src/, or
-# site-packages for an installed package, which fresh processes then run
-PACKAGE_PARENT = Path(quadcert.__file__).resolve().parents[1]
-
-
 class TestSubprocess:
     # each exits 2 with one "config error:" line on stderr and nothing else,
     # such as a numpy warning, which in-process runs turn into errors
@@ -1720,9 +1722,7 @@ class TestSubprocess:
                              ids=list(ONE_LINE_ERRORS))
     def test_one_config_error_line(self, argv):
         r = subprocess.run([sys.executable, "-m", "quadcert", *argv],
-                           capture_output=True, text=True, timeout=30,
-                           env={**os.environ,
-                                "PYTHONPATH": str(PACKAGE_PARENT)})
+                           capture_output=True, text=True, timeout=30)
         assert r.returncode == 2
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith("config error: ")
@@ -1746,9 +1746,7 @@ class TestSubprocess:
                                   "hadamard-exp"])
     def test_one_oracle_failure_line(self, argv):
         r = subprocess.run([sys.executable, "-m", "quadcert", *argv],
-                           capture_output=True, text=True, timeout=30,
-                           env={**os.environ,
-                                "PYTHONPATH": str(PACKAGE_PARENT)})
+                           capture_output=True, text=True, timeout=30)
         assert (r.returncode, r.stdout) == (3, "")
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith("oracle failure: ")

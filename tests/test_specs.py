@@ -1,22 +1,15 @@
 """Tests for function specs: the parameters a FunctionSpec takes, its text
 form, and what importing the package loads."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import quadcert
 from quadcert import FunctionSpec
 from quadcert.errors import ConfigError, DomainError
 from quadcert.specs import parse_spec
-
-# the directory that holds the quadcert these tests imported: src/, or
-# site-packages for an installed package, which fresh processes then run
-PACKAGE_PARENT = Path(quadcert.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("params", [
@@ -82,6 +75,5 @@ def test_import_leaves_sturm_unloaded():
         "assert spec.shape_failure(1.0, 0.0, 1.0) is None",
         "assert 'quadcert.sturm' in sys.modules"])
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True,
-                       env={**os.environ, "PYTHONPATH": str(PACKAGE_PARENT)})
+                       text=True)
     assert r.returncode == 0, r.stderr
