@@ -3,7 +3,12 @@
 For 0 < a < b the rule error of f(t) = t^(s+1) is expressible entirely in
 weighted arithmetic means and the p-logarithmic mean, which gives two
 closed-form inequalities between means; ``proposition1_check`` and
-``proposition2_check`` evaluate both sides numerically.
+``proposition2_check`` evaluate both sides numerically.  A grid of checks
+at one (a, b, q, s) moves only alpha and lambda, so what neither moves, the
+domain check, a^(s+1), b^(s+1), the mean of t^(s+1) over [a, b], a^s, b^s
+and the t^(qs) and t^s moduli, is computed once by
+:func:`_proposition_constants`, whose cache holds one entry: consecutive
+checks of one (a, b, q, s) share it.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bounds import is_sound, rhs_holder_hconvex, rhs_power_mean
 from .classes import HModulus
@@ -19,9 +25,11 @@ from .moments import RuleParams
 
 
 def weighted_arith_mean(a: float, b: float, alpha: float) -> float:
-    """alpha*a + (1-alpha)*b."""
+    """alpha*a + (1-alpha)*b, for finite a and b."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("weighted arithmetic mean needs finite a and b")
     return alpha * a + (1.0 - alpha) * b
 
 
@@ -111,11 +119,13 @@ class PropositionResult:
 
 
 def _mean_rule_error(a: float, b: float, alpha: float, lam: float,
-                     s: float) -> float:
-    """|rule - mean integral| of t^(s+1), all in closed means."""
-    rule = (lam * weighted_arith_mean(a ** (s + 1.0), b ** (s + 1.0), alpha)
+                     s: float, a_s1: float, b_s1: float,
+                     mean: float) -> float:
+    """|rule - mean integral| of t^(s+1), all in closed means, given
+    a^(s+1), b^(s+1) and the mean of t^(s+1) over [a, b]."""
+    rule = (lam * weighted_arith_mean(a_s1, b_s1, alpha)
             + (1.0 - lam) * weighted_arith_mean(a, b, alpha) ** (s + 1.0))
-    return abs(rule - _power_mean_value(a, b, s + 1.0))
+    return abs(rule - mean)
 
 
 def _check_prop_domain(a, b, q, s):
@@ -127,6 +137,32 @@ def _check_prop_domain(a, b, q, s):
         raise DomainError("need s in (0, 1/q)")
 
 
+def _end_power(name: str, x: float, s: float) -> float:
+    """x^(s+1) of the end called name, or a DomainError naming it where
+    the power leaves the float range."""
+    try:
+        return x ** (s + 1.0)
+    except OverflowError:
+        raise DomainError(
+            f"{name}^(s+1) leaves the float range at {name}={x!r}") from None
+
+
+@lru_cache(maxsize=1, typed=True)
+def _proposition_constants(a, b, q, s):
+    """What no (alpha, lambda) of a check at (a, b, q, s) moves, after the
+    domain check: a^(s+1), b^(s+1), the mean of t^(s+1) over [a, b], a^s,
+    b^s and the t^(qs) and t^s moduli.  The cache holds one (a, b, q, s),
+    so consecutive checks of one grid reuse it; it is typed, so an int or
+    an np.float64 end never reads the constants a float end computed.  A
+    DomainError is raised, not kept, so a key that fails fails again."""
+    _check_prop_domain(a, b, q, s)
+    # a < b, so a^(s+1) overflows only where b^(s+1) does, and a^s, b^s
+    # and the mean do not overflow where b^(s+1) does not
+    a_s1, b_s1 = _end_power("a", a, s), _end_power("b", b, s)
+    return (a_s1, b_s1, _power_mean_value(a, b, s + 1.0), a ** s, b ** s,
+            HModulus.power(q * s), HModulus.power(s))
+
+
 def proposition1_check(a: float, b: float, alpha: float, lam: float,
                        q: float, s: float) -> PropositionResult:
     """Power-mean route applied to f(t) = t^(s+1), q >= 1.
@@ -136,10 +172,9 @@ def proposition1_check(a: float, b: float, alpha: float, lam: float,
     (s+1).
     """
     rp = RuleParams(alpha, lam, q)
-    _check_prop_domain(a, b, q, s)
-    lhs = _mean_rule_error(a, b, alpha, lam, s)
-    inner = rhs_power_mean(HModulus.power(q * s), rp, b - a,
-                           d_a=a ** s, d_b=b ** s)
+    a_s1, b_s1, mean, d_a, d_b, h_qs, _ = _proposition_constants(a, b, q, s)
+    lhs = _mean_rule_error(a, b, alpha, lam, s, a_s1, b_s1, mean)
+    inner = rhs_power_mean(h_qs, rp, b - a, d_a=d_a, d_b=d_b)
     rhs = (s + 1.0) * inner.value
     return PropositionResult(lhs, rhs, is_sound(lhs, rhs))
 
@@ -157,10 +192,10 @@ def proposition2_check(a: float, b: float, alpha: float, lam: float,
     # written so that a NaN p fails it
     if q <= 1.0 or p <= 1.0 or not abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12:
         raise DomainError("need conjugate p, q > 1")
-    _check_prop_domain(a, b, q, s)
-    lhs = _mean_rule_error(a, b, alpha, lam, s)
-    inner = rhs_holder_hconvex(HModulus.power(s), rp, b - a,
+    a_s1, b_s1, mean, d_a, d_b, _, h_s = _proposition_constants(a, b, q, s)
+    lhs = _mean_rule_error(a, b, alpha, lam, s, a_s1, b_s1, mean)
+    inner = rhs_holder_hconvex(h_s, rp, b - a,
                                weighted_arith_mean(a, b, alpha) ** s,
-                               a ** s, b ** s)
+                               d_a, d_b)
     rhs = (s + 1.0) * inner.value
     return PropositionResult(lhs, rhs, is_sound(lhs, rhs))

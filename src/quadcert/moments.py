@@ -70,13 +70,17 @@ class RuleParams:
     memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("alpha", "lam"):
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                value = value.copy()
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
-        (a_lo, a_hi), (l_lo, l_hi) = extent(self.alpha), extent(self.lam)
+        if self.alpha.__class__ is float and self.lam.__class__ is float:
+            a_lo = a_hi = self.alpha
+            l_lo = l_hi = self.lam
+        else:
+            for name in ("alpha", "lam"):
+                value = getattr(self, name)
+                if isinstance(value, np.ndarray):
+                    value = value.copy()
+                    value.setflags(write=False)
+                    object.__setattr__(self, name, value)
+            (a_lo, a_hi), (l_lo, l_hi) = extent(self.alpha), extent(self.lam)
         if not (0.0 <= a_lo and a_hi <= 1.0):  # NaN fails too
             raise DomainError("alpha must lie in [0, 1]")
         if not (0.0 <= l_lo and l_hi <= 1.0):

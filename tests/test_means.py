@@ -14,7 +14,8 @@ from quadcert import (
     p_log_mean, proposition1_check, proposition2_check, weighted_arith_mean,
 )
 from quadcert.errors import DomainError
-from quadcert.means import _mean_rule_error, _power_mean_value
+from quadcert.means import (_mean_rule_error, _power_mean_value,
+                            _proposition_constants)
 
 
 class TestMeans:
@@ -23,6 +24,22 @@ class TestMeans:
         assert arith_mean(1.0, 3.0) == 2.0
         with pytest.raises(DomainError):
             weighted_arith_mean(1.0, 3.0, 1.5)
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+    def test_weighted_arith_refuses_non_finite_end(self, end):
+        # an end of nan or -inf gave nan, and inf gave inf
+        for a, b in ((end, 1.0), (1.0, end)):
+            for call in (lambda: weighted_arith_mean(a, b, 0.5),
+                         lambda: arith_mean(a, b)):
+                with pytest.raises(DomainError, match="^weighted arithmetic "
+                                   "mean needs finite a and b$"):
+                    call()
+            # the alpha check comes first
+            with pytest.raises(DomainError,
+                               match=r"^alpha must lie in \[0, 1\]$"):
+                weighted_arith_mean(a, b, 1.5)
+        with pytest.raises(DomainError):
+            arith_mean(-math.inf, math.inf)
 
     def test_log_mean(self):
         assert log_mean(1.0, math.e) == pytest.approx(math.e - 1.0)
@@ -76,7 +93,8 @@ class TestMeanRuleError:
         b = a + gap
         tf = _power_tf(a, b, s, 1.0, min(s, 1.0))
         rp = RuleParams(alpha, lam, 1.0)
-        assert _mean_rule_error(a, b, alpha, lam, s) == pytest.approx(
+        ends = _proposition_constants(a, b, 1.0, s)[:3]
+        assert _mean_rule_error(a, b, alpha, lam, s, *ends) == pytest.approx(
             lhs_error(tf, rp), abs=1e-10)
 
 
@@ -118,6 +136,10 @@ class TestProposition1:
         # an infinite b gave lhs = nan and holds = False
         with pytest.raises(DomainError, match="^need finite 0 < a < b$"):
             proposition1_check(1.0, math.inf, 0.5, 0.3, 1.0, 0.5)
+        # b^(s+1) raised a bare OverflowError
+        with pytest.raises(DomainError, match=r"^b\^\(s\+1\) leaves the "
+                           r"float range at b=1e\+308$"):
+            proposition1_check(1.0, 1e308, 0.5, 0.3, 1.0, 0.9)
 
     def test_boundary_alpha_one(self):
         # alpha = 1 weights the rule entirely at the left endpoint
@@ -155,12 +177,106 @@ class TestProposition2:
             proposition2_check(1.0, 2.0, 0.5, 0.3, math.nan, 2.0, 0.3)
         with pytest.raises(DomainError, match="^need finite 0 < a < b$"):
             proposition2_check(1.0, math.inf, 0.5, 0.3, 2.0, 2.0, 0.3)
+        with pytest.raises(DomainError, match=r"^b\^\(s\+1\) leaves the "
+                           r"float range at b=1e\+308$"):
+            proposition2_check(1.0, 1e308, 0.5, 0.3, 2.0, 2.0, 0.45)
 
     def test_lhs_shared_with_proposition1(self):
         args = (1.3, 2.9, 0.4, 0.7)
         r1 = proposition1_check(*args, 2.0, 0.3)
         r2 = proposition2_check(*args, 2.0, 2.0, 0.3)
         assert r1.lhs == pytest.approx(r2.lhs, rel=1e-14)
+
+
+def _prop_grids(rng, n_grids, n_points):
+    """n_grids seeded (a, b, q, s) grids for each check, with n_points
+    (alpha, lambda) each: (check, args(alpha, lambda), points) triples."""
+    grids = []
+    for i in range(2 * n_grids):
+        a = float(rng.uniform(0.1, 3.0))
+        b = a + float(rng.uniform(0.01, 4.0))
+        q = float(rng.uniform(1.0, 4.0) if i % 2 == 0
+                  else rng.uniform(1.2, 4.0))
+        s = float(rng.uniform(0.05, 0.95)) / q
+        points = [tuple(map(float, rng.uniform(0.0, 1.0, 2)))
+                  for _ in range(n_points)]
+        if i % 2 == 0:
+            args = (lambda al, lm, a=a, b=b, q=q, s=s:
+                    (a, b, al, lm, q, s))
+            grids.append((proposition1_check, args, points))
+        else:
+            args = (lambda al, lm, a=a, b=b, q=q, s=s:
+                    (a, b, al, lm, q / (q - 1.0), q, s))
+            grids.append((proposition2_check, args, points))
+    return grids
+
+
+class TestPropositionConstants:
+    """The checks read a^(s+1), b^(s+1), the mean, a^s, b^s and both
+    moduli from a cache of one (a, b, q, s)."""
+
+    def test_interleaved_grids_match_grid_by_grid(self):
+        grids = _prop_grids(np.random.default_rng(4401), 4, 9)
+        by_grid = [[repr(check(*args(al, lm))) for al, lm in points]
+                   for check, args, points in grids]
+        _proposition_constants.cache_clear()
+        interleaved = [[] for _ in grids]
+        for k in range(9):  # one point of each grid in turn: each misses
+            for out, (check, args, points) in zip(interleaved, grids):
+                out.append(repr(check(*args(*points[k]))))
+        assert interleaved == by_grid
+        info = _proposition_constants.cache_info()
+        assert (info.hits, info.misses) == (0, 9 * len(grids))
+
+    @pytest.mark.parametrize("check, args, want", [
+        (proposition1_check, (0.6, 1.9, 0.25, 0.7, 2.0, 0.3),
+         "PropositionResult(lhs=0.4804400818415948, rhs=0.5756648176087835,"
+         " holds=True)"),
+        (proposition1_check, (1.3, 2.9, 0.4, 0.7, 1.0, 0.9),
+         "PropositionResult(lhs=0.7845548856148943, rhs=1.1604487948512001,"
+         " holds=True)"),
+        (proposition2_check, (0.6, 1.9, 0.25, 0.7, 2.0, 2.0, 0.3),
+         "PropositionResult(lhs=0.4804400818415948, rhs=0.7203285943138106,"
+         " holds=True)"),
+        (proposition2_check, (1.3, 2.9, 0.9, 0.1, 3.0, 1.5, 0.5),
+         "PropositionResult(lhs=1.3282063802035275, rhs=2.1616015113912437,"
+         " holds=True)"),
+    ])
+    def test_pinned(self, check, args, want):
+        # the values of the checks that built every constant per call
+        for _ in range(2):  # a miss, then a hit
+            assert repr(check(*args)) == want
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1e308, 0.5, 0.3, 1.0, 0.9),  # b^(s+1) overflows
+        (1.0, 2.0, 0.5, 0.5, 2.0, 0.75),  # s >= 1/q
+    ])
+    def test_error_is_not_kept(self, args):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                proposition1_check(*args)
+        # nor does it stand for the next key
+        assert proposition1_check(1.0, 2.0, 0.5, 0.5, 2.0, 0.25).holds
+
+    def test_cached_key_checks_conjugacy(self):
+        a, b, q, s = 1.3, 2.9, 2.0, 0.3
+        assert proposition1_check(a, b, 0.4, 0.7, q, s).holds
+        assert proposition2_check(a, b, 0.4, 0.7, 2.0, q, s).holds
+        for p in (3.0, math.nan, 1.0):
+            with pytest.raises(DomainError,
+                               match="^need conjugate p, q > 1$"):
+                proposition2_check(a, b, 0.4, 0.7, p, q, s)
+
+    def test_key_is_typed(self):
+        # int ends equal to float ones take b - a exactly in the mean of
+        # t^(s+1), and so get a lhs of their own, whichever came first
+        b = 2 ** 53 + 2
+        rest = (0.25, 0.7, 2.0, 0.3)
+        want = {int: "lhs=1.6336431338239758e+20",
+                float: "lhs=1.6336431338239754e+20"}
+        for kind in (int, float, int):
+            got = repr(proposition1_check(kind(1), kind(b), *rest))
+            assert want[kind] in got, (kind, got)
 
 
 def _narrow(rng):
@@ -292,7 +408,8 @@ class TestNarrowIntervals:
             tf = TestFunction(lambda x: x ** (s + 1.0),
                               lambda x: (s + 1.0) * x ** s, a, b, cert,
                               skip_derivative_check=True)
-            gap = abs(_mean_rule_error(a, b, alpha, lam, s)
+            ends = _proposition_constants(a, b, 1.0, s)[:3]
+            gap = abs(_mean_rule_error(a, b, alpha, lam, s, *ends)
                       - lhs_error(tf, RuleParams(alpha, lam, 1.0)))
             assert gap <= 2e-15 * max(1.0, b ** (s + 1.0)), (a, b, alpha,
                                                              lam, s)

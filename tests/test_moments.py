@@ -93,6 +93,24 @@ class TestRuleParams:
         with pytest.raises(DomainError):
             RuleParams(0.5, 0.5, 1.0).require_p()
 
+    @pytest.mark.parametrize("q", [1.0, math.nan])
+    def test_float_numpy_scalar_and_0d_array_agree(self, q):
+        # a pair of floats skips the array copy and extent; an np.float64
+        # and a 0-d array take them, to the same bits and the same errors
+        values = (0.0, -0.0, 1.0, 1.5, math.nan, 5e-324)
+        for alpha, lam in itertools.product(values, values):
+            seen = []
+            for kind in (float, np.float64, np.array):
+                try:
+                    rp = RuleParams(kind(alpha), kind(lam), q)
+                except DomainError as exc:
+                    seen.append(str(exc))
+                else:
+                    seen.append((
+                        [float(v).hex() for v in (rp.u, rp.w, rp.lu, rp.hi)],
+                        [bool(v) for v in (*rp.inside, *rp.empty)]))
+            assert seen[0] == seen[1] == seen[2], (alpha, lam, q, seen)
+
 
 def _three_way_ladder(alpha, lam):
     """Reference: the ordering of 1-alpha against both kinks, case by case."""
