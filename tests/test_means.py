@@ -29,11 +29,11 @@ class TestMeans:
     def test_weighted_arith_refuses_non_finite_end(self, end):
         # an end of nan or -inf gave nan, and inf gave inf
         for a, b in ((end, 1.0), (1.0, end)):
-            for call in (lambda: weighted_arith_mean(a, b, 0.5),
-                         lambda: arith_mean(a, b)):
+            for mean, args in ((weighted_arith_mean, (a, b, 0.5)),
+                               (arith_mean, (a, b))):
                 with pytest.raises(DomainError, match="^weighted arithmetic "
                                    "mean needs finite a and b$"):
-                    call()
+                    mean(*args)
             # the alpha check comes first
             with pytest.raises(DomainError,
                                match=r"^alpha must lie in \[0, 1\]$"):
@@ -190,24 +190,21 @@ class TestProposition2:
 
 def _prop_grids(rng, n_grids, n_points):
     """n_grids seeded (a, b, q, s) grids for each check, with n_points
-    (alpha, lambda) each: (check, args(alpha, lambda), points) triples."""
+    (alpha, lambda) each, as (check, (a, b), rest, points): a check reads
+    check(a, b, alpha, lam, *rest)."""
     grids = []
     for i in range(2 * n_grids):
         a = float(rng.uniform(0.1, 3.0))
         b = a + float(rng.uniform(0.01, 4.0))
-        q = float(rng.uniform(1.0, 4.0) if i % 2 == 0
-                  else rng.uniform(1.2, 4.0))
+        q = float(rng.uniform(1.0 if i % 2 == 0 else 1.2, 4.0))
         s = float(rng.uniform(0.05, 0.95)) / q
         points = [tuple(map(float, rng.uniform(0.0, 1.0, 2)))
                   for _ in range(n_points)]
         if i % 2 == 0:
-            args = (lambda al, lm, a=a, b=b, q=q, s=s:
-                    (a, b, al, lm, q, s))
-            grids.append((proposition1_check, args, points))
+            grids.append((proposition1_check, (a, b), (q, s), points))
         else:
-            args = (lambda al, lm, a=a, b=b, q=q, s=s:
-                    (a, b, al, lm, q / (q - 1.0), q, s))
-            grids.append((proposition2_check, args, points))
+            grids.append((proposition2_check, (a, b),
+                          (q / (q - 1.0), q, s), points))
     return grids
 
 
@@ -217,13 +214,13 @@ class TestPropositionConstants:
 
     def test_interleaved_grids_match_grid_by_grid(self):
         grids = _prop_grids(np.random.default_rng(4401), 4, 9)
-        by_grid = [[repr(check(*args(al, lm))) for al, lm in points]
-                   for check, args, points in grids]
+        by_grid = [[repr(check(*ends, *point, *rest)) for point in points]
+                   for check, ends, rest, points in grids]
         _proposition_constants.cache_clear()
         interleaved = [[] for _ in grids]
         for k in range(9):  # one point of each grid in turn: each misses
-            for out, (check, args, points) in zip(interleaved, grids):
-                out.append(repr(check(*args(*points[k]))))
+            for out, (check, ends, rest, points) in zip(interleaved, grids):
+                out.append(repr(check(*ends, *points[k], *rest)))
         assert interleaved == by_grid
         info = _proposition_constants.cache_info()
         assert (info.hits, info.misses) == (0, 9 * len(grids))
