@@ -436,12 +436,13 @@ def certify_membership(tf: TestFunction, n_samples: int = 10_000,
     computes its own h on the draw, |f'|^q and slack.  h takes the alpha
     and then the 1 - alpha samples as two arrays, through
     :attr:`HModulus.evaluator`.  An n_samples or seed that is not an
-    integer raises DomainError, as one below 1 or 0 does.
+    integer, a bool included, raises DomainError, as one below 1 or 0 does.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise DomainError("n_samples must be an integer >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError("seed must be an integer >= 0")
+    for name, value, least in (("n_samples", n_samples, 1),
+                               ("seed", seed, 0)):
+        if (isinstance(value, bool)
+                or not isinstance(value, (int, np.integer)) or value < least):
+            raise DomainError(f"{name} must be an integer >= {least}")
     cert = tf.certificate
     kind, q = cert.h.kind, cert.exponent_q
     concave = cert.class_kind is ClassKind.H_CONCAVE

@@ -23,7 +23,7 @@ from .classes import (ClassCertificate, ClassKind, HModulus, TestFunction,
                       certify_membership)
 from .errors import ConfigError, NonFiniteSample, ToleranceNotReached
 from .moments import RuleParams
-from .specs import parse_spec
+from .specs import FunctionSpec, parse_spec
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -52,9 +52,11 @@ def _json_value(x):
     return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def parse_function(spec: str):
-    """The (f, f_prime) pair of an inline function spec (see specs)."""
-    return parse_spec(spec).functions()
+def parse_function(spec: FunctionSpec):
+    """The (f, f_prime) pair of a parsed spec: the one name through which
+    the commands build every (f, f'), which the benchmark wraps to count
+    their evaluations."""
+    return spec.functions()
 
 
 _FIXED_MODULI = {"t": HModulus.identity, "1": HModulus.constant,
@@ -84,7 +86,7 @@ def _job_tfs(args, blocks, kinds, check=True):
     check=False: its bounds read f' alone, through TestFunction.sample, which
     names a bad point, so the check could only refuse argv it can print."""
     spec = parse_spec(args.function)
-    f, fp = parse_function(args.function)
+    f, fp = parse_function(spec)
     a, b = args.interval
     first = None
     for (q, s), kind in itertools.product(blocks, kinds):
@@ -97,45 +99,44 @@ def _job_tfs(args, blocks, kinds, check=True):
             yield first.recertified(cert)
 
 
-def _job_rules(alphas, lams):
-    """rule(q): the job's RuleParams on its grid at q, one per q.  The
-    first is built when first asked for, and the others derived from it by
-    at_q, so the blocks of a job share the geometry and the memo that no q
-    moves."""
-    rules = {}
-
-    def rule(q):
-        if q not in rules:
-            first = next(iter(rules.values()), None)
-            rules[q] = (RuleParams(alphas, lams, q) if first is None
-                        else first.at_q(q))
-        return rules[q]
-    return rule
-
-
-# a bound that overflows is reported by evaluate_bound, not by numpy warnings
-@np.errstate(over="ignore", invalid="ignore")
-def _on_grid(evaluate, rule, q: float, alphas, lams):
-    """evaluate(rule(q)) on the whole grid; after an error, again point by
-    point in row order, so the error raised is the first failing row's."""
-    try:
-        return evaluate(rule(q))
-    except Exception:
-        for alpha, lam in itertools.product(alphas.ravel().tolist(),
-                                            lams.tolist()):
-            evaluate(RuleParams(alpha, lam, q))
-        raise
-
-
-def _axes(args, default_q: float):
-    """The alpha column, the lambda row and the q values of a grid command."""
+def _grid_job(args, default_q: float, kinds, check=True):
+    """Yield each (q, s) block of a grid command: the alpha column, the
+    lambda row, q, s, {class: TestFunction} over kinds (see _job_tfs) and
+    on_grid.  on_grid(evaluate) is evaluate on the block's RuleParams over
+    the whole grid; after an error, evaluate runs again point by point in
+    row order, so the error raised is the first failing row's.  The job's
+    first rule is built when first evaluated, and the rule of each other q
+    derived from it by at_q, so the blocks share the geometry and the memo
+    that no q moves."""
     grids = [(args.alpha_grid, [0.5]), (args.lambda_grid, [1.0 / 3.0]),
              (args.q_grid, [default_q])]
     alphas, lams, qs = (default if given is None else given
                         for given, default in grids)
     if not (alphas and lams and qs):
         raise ConfigError("empty parameter grid")
-    return np.array(alphas)[:, None], np.array(lams), qs
+    alphas, lams = np.array(alphas)[:, None], np.array(lams)
+    blocks = list(itertools.product(qs, args.s))
+    rules = {}
+
+    # evaluate_bound, not numpy's warnings, reports a bound that overflows
+    @np.errstate(over="ignore", invalid="ignore")
+    def on_grid(q, evaluate):
+        try:
+            if q not in rules:
+                first = next(iter(rules.values()), None)
+                rules[q] = (RuleParams(alphas, lams, q) if first is None
+                            else first.at_q(q))
+            return evaluate(rules[q])
+        except Exception:
+            for alpha, lam in itertools.product(alphas.ravel().tolist(),
+                                                lams.tolist()):
+                evaluate(RuleParams(alpha, lam, q))
+            raise
+
+    job = _job_tfs(args, blocks, kinds, check)
+    for q, s in blocks:
+        yield (alphas, lams, q, s, {kind: next(job) for kind in kinds},
+               functools.partial(on_grid, q))
 
 
 def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
@@ -143,18 +144,16 @@ def _iter_blocks(args, kind: ClassKind, rejected_branch: str):
     with its membership report.  A rejected block evaluates its bound too,
     so a configuration error shows; the first certified block takes the
     mean and lhs for the job."""
-    alphas, lams, qs = _axes(args, 1.0)
-    blocks = list(itertools.product(qs, args.s))
-    rule = _job_rules(alphas, lams)
     lhs = None  # |rule - mean|, which no q or s moves
-    for (q, s), tf in zip(blocks, _job_tfs(args, blocks, [kind])):
+    for alphas, lams, q, s, tfs, on_grid in _grid_job(args, 1.0, [kind]):
+        tf = tfs[kind]
         rep = certify_membership(tf, MEMBERSHIP_SAMPLES, seed=args.seed)
 
         def evaluate(rp):
             res = bnd.evaluate_bound(args.bound, tf, rp)
             return {"p": rp.p if bnd.BOUNDS[args.bound].uses_p else None,
                     "branch": res.branch, "rhs": res.value}
-        block = _on_grid(evaluate, rule, q, alphas, lams)
+        block = on_grid(evaluate)
         if not rep.holds:
             block = {"branch": rejected_branch, "sound": False}
         else:
@@ -261,16 +260,10 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"--kinds names {name!r} more than once")
         if name not in bnd.BOUNDS:
             raise ConfigError(f"unknown bound {name!r}")
-    blocks = []
-    alphas, lams, qs = _axes(args, 2.0)
-    grid = list(itertools.product(qs, args.s))
-    rule = _job_rules(alphas, lams)
     class_of = {name: bnd.BOUNDS[name].class_kind for name in kind_names}
-    classes = list(dict.fromkeys(class_of.values()))
-    job = _job_tfs(args, grid, classes, check=False)
-    for q, s in grid:
-        tfs = {kind: next(job) for kind in classes}
-
+    blocks = []
+    for alphas, lams, q, s, tfs, on_grid in _grid_job(
+            args, 2.0, list(dict.fromkeys(class_of.values())), check=False):
         def evaluate(rp):
             values = [bnd.evaluate_bound(name, tfs[class_of[name]], rp,
                                          sup_f4=args.sup_f4).value
@@ -280,7 +273,7 @@ def cmd_compare(args) -> int:
             return {"alpha": alphas, "lambda": lams, "q": q, "s": s,
                     "p": rp.p, **dict(zip(kind_names, values)),
                     "argmin": argmin}
-        blocks.append(_on_grid(evaluate, rule, q, alphas, lams))
+        blocks.append(on_grid(evaluate))
     columns = ["alpha", "lambda", "q", "s", "p"] + kind_names + ["argmin"]
     _write_table(blocks, columns, args.format, args.out)
     return EXIT_OK
@@ -299,18 +292,18 @@ def _identity_corpus(seed: int, n_cases: int):
             coeffs = rng.uniform(-3.0, 3.0, 5)
             a = float(rng.uniform(-2.0, 0.0))
             b = a + float(rng.uniform(0.5, 3.0))
-            f, fp = parse_function("poly:" + ",".join(map(str, coeffs)))
+            f, fp = parse_function(FunctionSpec("poly", coeffs))
         elif family == 1:
             k = float(rng.uniform(-2.0, 2.0))
             a = float(rng.uniform(-1.0, 0.5))
             b = a + float(rng.uniform(0.5, 2.0))
-            f, fp = parse_function(f"exp:{k}")
+            f, fp = parse_function(FunctionSpec("exp", (k,)))
         else:
             beta = float(rng.uniform(0.2, 3.0))
             r = float(rng.uniform(1.2, 3.0))
             a = float(rng.uniform(0.0, 1.0))
             b = a + float(rng.uniform(0.5, 2.0))
-            f, fp = parse_function(f"pow:{beta},{r}")
+            f, fp = parse_function(FunctionSpec("pow", (beta, r)))
         tf = TestFunction(f, fp, a, b, cert, skip_derivative_check=True)
         cases.append((tf, RuleParams(alpha, lam, q)))
     return cases

@@ -359,7 +359,7 @@ def _reciprocal_moment(rp: RuleParams, side: Side, reflected: bool):
     if reflected == right:  # int_0^u t/t dt or int_u^1 (1-t)/(1-t) dt
         return 1.0 - u if right else u
     x, k = (1.0 - u, 1.0 - rp.hi) if right else (u, rp.w)
-    if k > x:
+    if not rp.inside[right]:  # the kink outside the side: k > x
         return k * x - (1.0 - k) * _m(x)
     return (1.0 - k) * (_m(x) - 2.0 * _m(k)) - k * x + 2.0 * k * k
 

@@ -295,7 +295,10 @@ def lemma_identity_residual(tf: TestFunction, rp) -> float:
 
     The error of the rule equals (b-a) times two signed weighted integrals
     of f' over the unit interval; both sides are evaluated numerically.
+    It takes one rule: DomainError on a grid.
     """
+    if not isinstance(rp.hi, float):  # an array on a grid
+        raise DomainError("lemma_identity_residual takes one rule, not a grid")
     alpha, lam = rp.alpha, rp.lam
     a, b, width = tf.a, tf.b, tf.width
     u = 1.0 - alpha

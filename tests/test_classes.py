@@ -120,6 +120,19 @@ class TestBadCustomValues:
         with pytest.raises(EvaluationError, match=r"at t=0\.95$"):
             g(0.05)
 
+    @pytest.mark.parametrize("w_p, w_r", [(1.0, 0.0), (0.0, 1.0)],
+                             ids=["plain", "reflected"])
+    def test_single_weight_integrand_at_the_ends(self, w_p, w_r):
+        """t = 0 and t = 1 are the ends of h's domain: the one-weight forms
+        return 0.0 there without calling fn."""
+        def fn(t):
+            raise AssertionError(f"fn ran at {t!r}")
+
+        g = HModulus.custom(fn).moment_integrand(0.3, w_p, w_r)
+        for t in (0.0, 1.0):
+            value = g(t)
+            assert type(value) is float and value == 0.0
+
     @staticmethod
     def _tf(fn):
         cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.custom(fn), 1.0)
@@ -280,21 +293,34 @@ class TestHIntegral:
         assert repr(value) == repr(reference)
 
     @pytest.mark.parametrize("val", [math.nan, -1.0, math.inf, None, 3,
-                                     np.float64(0.25)],
+                                     np.float64(0.25), 1j, "x", 10 ** 400],
                              ids=["nan", "negative", "inf", "none", "int",
-                                  "numpy"])
+                                  "numpy", "complex", "str", "huge-int"])
     def test_values_as_the_check_takes_them(self, val):
         # a float outside [0, inf) or any other type takes _custom_value's
-        # path: its EvaluationError, float's TypeError, or a float
+        # path: its EvaluationError, float's TypeError, ValueError or
+        # OverflowError, or a float
+        calls = []
+
         def fn(t):
+            calls.append(t)
             return val
 
         h = HModulus.custom(fn)
-        assert self._outcome(lambda: h.evaluator(0.3)) == \
-            self._outcome(lambda: _custom_value(val, 0.3))
+        want = self._outcome(lambda: _custom_value(val, 0.3))
+        assert self._outcome(lambda: h.evaluator(0.3)) == want
         assert self._outcome(lambda: h_integral_01(h)) == self._outcome(
             lambda: tanhsinh.integrate(self._checked(fn), 0.0, 1.0))
-        if type(val) is not float and val is not None:  # int, numpy
+        # on an array, fn runs on every element before the first bad value
+        # raises what the float call raises; numpy cannot convert a
+        # complex, a str or an int past the float range at all
+        ts = [0.3, 0.6]
+        calls.clear()
+        assert self._outcome(lambda: h.evaluator(np.array(ts))) == \
+            self._outcome(lambda: np.array([_custom_value(val, t)
+                                            for t in ts]))
+        assert calls == ts
+        if want[0] is float and type(val) is not float:  # int, numpy
             assert type(h.evaluator(0.3)) is float
 
     @settings(max_examples=25, deadline=None)
@@ -573,9 +599,13 @@ class TestCertifyMembership:
             certify_membership(tf, n_samples=0)
         with pytest.raises(DomainError, match="seed"):
             certify_membership(tf, seed=-1)
-        # numpy raised TypeError from the draw for these
+        # numpy raised TypeError from the draw for these, and read seed=True
+        # as seed 1
         for name, bad in [("n_samples", 1.5), ("n_samples", math.nan),
-                          ("seed", 1.5)]:
+                          ("seed", 1.5), ("n_samples", True),
+                          ("seed", True), ("seed", False),
+                          ("n_samples", np.bool_(True)),
+                          ("seed", np.bool_(True))]:
             with pytest.raises(DomainError,
                                match=f"^{name} must be an integer"):
                 certify_membership(tf, **{name: bad})

@@ -336,9 +336,9 @@ class TestCompareReadsOnlyFPrime:
         # compare's defaults: h = t, q = 2, alpha = 1/2, lambda = 1/3
         cert = classes.ClassCertificate(classes.ClassKind.H_CONVEX,
                                         classes.HModulus.identity(), 2.0)
-        tf = classes.TestFunction(*cli.parse_function(spec), a, b, cert,
-                                  skip_derivative_check=True,
-                                  spec=specs.parse_spec(spec))
+        fs = specs.parse_spec(spec)
+        tf = classes.TestFunction(*cli.parse_function(fs), a, b, cert,
+                                  skip_derivative_check=True, spec=fs)
         want = bounds.evaluate_bound("power-mean", tf,
                                      RuleParams(0.5, 1.0 / 3.0, 2.0))
         assert row["power-mean"] == "%.17g" % want.value
@@ -973,6 +973,26 @@ class TestOncePerJob:
         assert counts == dict(zip(["parse", "check", "draw", "mean"],
                                   (1, *want)))
 
+    @pytest.mark.parametrize("argv", [
+        [*VERIFY_SQUARE, "--q-grid", "1", "2"],
+        ["sweep", "--function", "poly:0,0,1", "--h", "t^s", "--s", "0.3",
+         "0.6"],
+        ["compare", "--function", "exp:0.7", "--q-grid", "1.5", "2",
+         "--kinds", "power-mean,holder-concave"],
+        ["hadamard", "--function", "exp:0.7", "--interval", "0", "2"],
+    ], ids=["verify", "sweep", "compare", "hadamard"])
+    def test_function_text_parsed_once(self, capsys, monkeypatch, argv):
+        texts, parse_spec = [], cli.parse_spec
+
+        def counting_parse_spec(text):
+            texts.append(text)
+            return parse_spec(text)
+
+        monkeypatch.setattr(cli, "parse_spec", counting_parse_spec)
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert texts == [argv[argv.index("--function") + 1]]
+
     def test_exact_job_reads_f_prime_at_points_only(self, capsys,
                                                     monkeypatch):
         """An exp: job decided exactly calls f' at the derivative check's
@@ -1549,7 +1569,7 @@ class TestPolyOrder:
         return np.asarray(x, dtype=float).tobytes()
 
     def test_points_where_the_orders_differ(self):
-        f, fp = cli.parse_function("poly:0,1,0.5,0.3")
+        f, fp = cli.parse_function(specs.parse_spec("poly:0,1,0.5,0.3"))
         xs = np.random.default_rng(24).uniform(0.0, 1.5, 1000).tolist()
         for fn, coeffs in ((f, self.COEFFS), (fp, self.DCOEFFS)):
             moved = [x for x in xs if _left_to_right(coeffs, x)
@@ -1560,25 +1580,25 @@ class TestPolyOrder:
             assert self._bits(got) == self._bits(want)
 
     def test_signed_zero(self):
-        f, _ = cli.parse_function("poly:-0.0")
+        f, _ = cli.parse_function(specs.parse_spec("poly:-0.0"))
         assert self._bits(f(2.0)) == self._bits(0 + -0.0) == self._bits(0.0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite(self, x):
-        f, fp = cli.parse_function("poly:0,1,0.5,0.3")
+        f, fp = cli.parse_function(specs.parse_spec("poly:0,1,0.5,0.3"))
         assert self._bits(f(x)) == self._bits(_left_to_right(self.COEFFS, x))
         assert self._bits(fp(x)) == self._bits(
             _left_to_right(self.DCOEFFS, x))
 
     def test_overflow_raises(self):
-        f, _ = cli.parse_function("poly:0,1,0.5,0.3")
+        f, _ = cli.parse_function(specs.parse_spec("poly:0,1,0.5,0.3"))
         for form in (f, functools.partial(_left_to_right, self.COEFFS),
                      functools.partial(_compensated, self.COEFFS)):
             with pytest.raises(OverflowError):
                 form(1e200)
 
     def test_array_argument(self):
-        f, fp = cli.parse_function("poly:0,1,0.5,0.3")
+        f, fp = cli.parse_function(specs.parse_spec("poly:0,1,0.5,0.3"))
         x = np.random.default_rng(25).uniform(0.0, 1.5, (4, 5))
         assert self._bits(f(x)) == self._bits(_left_to_right(self.COEFFS, x))
         assert self._bits(fp(x)) == self._bits(

@@ -32,6 +32,7 @@ from quadcert import (ClassCertificate, ClassKind, HModulus, RuleParams,
                       Side, TestFunction, bound_power_mean, bounds, oracle,
                       weighted_moment)
 from quadcert.cli import main, parse_function
+from quadcert.specs import parse_spec
 from quadcert.moments import active_epsilons, active_gamma_upsilon
 
 # weights as polynomial coefficients in t, lowest degree first
@@ -244,7 +245,7 @@ def test_lhs_rows():
     cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.identity(), 1.0)
     worst = 0.0
     for coeffs, a, b in LHS_CUBICS:
-        f, fp = parse_function(_spec(coeffs))
+        f, fp = parse_function(parse_spec(_spec(coeffs)))
         tf = TestFunction(f, fp, a, b, cert)
         rule = oracle.rule_value(tf, np.array(LHS_ALPHAS)[:, None],
                                  np.array(LHS_LAMS))
@@ -398,7 +399,7 @@ def test_hoelder_bounds_as_q_nears_1(name, spec, a, b):
     # every q below about 1.0014), so verify called a sound rule violated;
     # a subnormal one left it inexact (concave, (0.9, 0), q = 1.003: 0.53%
     # low)
-    f, fp = parse_function(spec)
+    f, fp = parse_function(parse_spec(spec))
     kind = bounds.BOUNDS[name].class_kind
     worst = Decimal(0)
     with localcontext() as ctx:
@@ -427,7 +428,7 @@ def test_hoelder_argv_near_q1_is_sound(capsys):
 def test_simpson_holder_as_q_nears_1():
     # 2^(p+1) overflowed a float past p = 1023 (q = 1.0001 exited 2); the
     # referee takes ((1 + 2^(p+1))/(3(p+1)))^(1/p) at 50 digits
-    f, fp = parse_function("poly:0,0,1")
+    f, fp = parse_function(parse_spec("poly:0,0,1"))
     cert = ClassCertificate(ClassKind.H_CONVEX, HModulus.power(0.5), 1.0001)
     tf = TestFunction(f, fp, 0.0, 1.0, cert)
     rp = RuleParams(0.5, 1.0 / 3.0, 1.0001)

@@ -28,6 +28,12 @@ No module of the package but specs.py reads an attribute named family:
 specs.py alone branches on the poly:, pow: and exp: families, and every
 other module reads what a spec decides through its methods.
 
+No call of an attribute named functions under src/quadcert outside
+cli.parse_function: every (f, f') the commands evaluate is built there, and
+the benchmark counts f and f' evaluations on its grid workload by wrapping
+that one name, so an f built by calling a spec's functions() directly would
+drop from its evaluation count and read as a gain.
+
 No float literal in oracle.py outside the qk15 table (_K15_PAIRS and
 _K15_CENTRE) equals one of its constants or is as long as one (15 or more
 significant digits): the kernel reads the table's constants by name, so a
@@ -196,6 +202,23 @@ def _family_reads(trees):
             if isinstance(n, ast.Attribute) and n.attr == "family"]
 
 
+def _spec_function_calls(trees):
+    """Each call of an attribute named functions under src/quadcert outside
+    the body of cli.parse_function."""
+    found = []
+    for path, tree in trees.items():
+        if path.parts[:2] != ("src", "quadcert"):
+            continue
+        inside = {id(n) for d in tree.body
+                  if path.name == "cli.py" and isinstance(d, ast.FunctionDef)
+                  and d.name == "parse_function" for n in ast.walk(d)}
+        found += [f"{path}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "functions" and id(n) not in inside]
+    return found
+
+
 # the modules that read a member of HKind
 _HKIND_READERS = ("classes.py", "moments.py", "oracle.py")
 
@@ -361,6 +384,28 @@ def test_fn_read_only_where_checked():
 
 def test_family_read_only_in_specs():
     assert _family_reads(_trees()) == []
+
+
+def test_spec_functions_called_only_in_parse_function():
+    assert _spec_function_calls(_trees()) == []
+
+
+# (source, hits in cli.py, hits in any other module of the package)
+@pytest.mark.parametrize("source, cli_hits, other_hits", [
+    ("def parse_function(spec):\n    return spec.functions()", [], [2]),
+    ("def parse_function(spec):\n    return spec.functions()\n"
+     "def _job_tfs(args):\n"
+     "    f, fp = parse_spec(args.function).functions()", [4], [2, 4]),
+    ("f, fp = FunctionSpec('exp', (1.0,)).functions()", [1], [1]),
+    ("f, fp = parse_function(spec)\nnames = spec.functions", [], []),
+])
+def test_spec_function_call_scan_sees(source, cli_hits, other_hits):
+    tree = ast.parse(source)
+    for path, hits in (("src/quadcert/cli.py", cli_hits),
+                       ("src/quadcert/bounds.py", other_hits),
+                       ("tests/test_cli.py", [])):
+        assert _spec_function_calls({Path(path): tree}) \
+            == [f"{path}:{n}" for n in hits]
 
 
 def test_hkind_read_only_where_moments_are_decided():

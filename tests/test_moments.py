@@ -111,6 +111,16 @@ class TestRuleParams:
                         [bool(v) for v in (*rp.inside, *rp.empty)]))
             assert seen[0] == seen[1] == seen[2], (alpha, lam, q, seen)
 
+    def test_at_q(self):
+        # its own q gives the rule itself; another shares geometry and memo
+        rp = RuleParams(np.array([0.2, 0.7]), 0.5, 2.0)
+        assert rp.at_q(rp.q) is rp
+        other = rp.at_q(3.0)
+        assert other.q == 3.0
+        assert other.alpha is rp.alpha and other.memo is rp.memo
+        with pytest.raises(DomainError):
+            rp.at_q(0.5)
+
 
 def _three_way_ladder(alpha, lam):
     """Reference: the ordering of 1-alpha against both kinks, case by case."""

@@ -524,6 +524,26 @@ class TestLemmaIdentity:
             assert lemma_identity_residual(
                 tf, RuleParams(alpha, lam, 1.0)) <= 1e-9
 
+    @pytest.mark.parametrize("alpha, lam", [
+        (np.array([0.5, 0.6]), 0.3), (0.5, np.array([0.3, 0.6]))],
+        ids=["alpha-row", "lambda-row"])
+    def test_grid_rule_refused_before_any_integral(self, alpha, lam):
+        # integrate_adaptive's end check raised numpy's TypeError on an
+        # array u; lhs_error takes the same rule
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x
+
+        tf = _convex_tf(f, lambda x: 2.0 * x, 0.0, 1.0)
+        rp = RuleParams(alpha, lam, 1.0)
+        calls.clear()  # the derivative check's
+        with pytest.raises(DomainError, match="one rule, not a grid"):
+            lemma_identity_residual(tf, rp)
+        assert calls == []
+        assert np.shape(lhs_error(tf, rp)) == (2,)
+
 
 class TestHadamard:
     def test_classical_square(self):
